@@ -19,8 +19,8 @@ run PSR over ``P`` processes:
 3. **Prefix combine** (coordinator): truncated convolutions turn the
    per-block factors into each block's entry ``closed_dp``
    (:func:`repro.core.pwr.prefix_factor_products`).
-4. **Pass 2** (parallel): every block runs the ordinary columnar scan
-   (:func:`repro.queries.psr_numpy._scan_numpy`) seeded with its
+4. **Pass 2** (parallel): every block runs the numpy block kernel
+   (:func:`repro.queries.psr_numpy.scan_blocks`) seeded with its
    boundary state and writes its ρ rows and top-k entries into disjoint
    slices of a shared output buffer.
 
@@ -657,46 +657,29 @@ def _scan_block(
     out_rho: np.ndarray,
     out_topk: np.ndarray,
 ) -> int:
-    """Pass 2 for one block: seed the columnar scan and emit its rows.
+    """Pass 2 for one block: seed the numpy block kernel and emit its rows.
 
-    Reuses :func:`repro.queries.psr_numpy._scan_numpy` verbatim -- the
-    block's boundary state is exactly a :class:`ScanCheckpoint`-shaped
-    state, so the serial kernel needs no changes to run a shard.
+    The block's boundary state is exactly a :class:`ScanCheckpoint`, so
+    :func:`repro.queries.psr_numpy.scan_blocks` runs a shard unchanged.
     Returns the row where the scan ended (``stop``, except for Lemma 2
     early stops in the final live block).
     """
-    from repro.queries.psr_numpy import (
-        _NumpyScanState,
-        _RowEmitter,
-        _open_product,
-        _scan_numpy,
-    )
+    from repro.queries.psr import ScanCheckpoint
+    from repro.queries.psr_numpy import ScanState, scan_blocks
 
-    open_masses = dict(open_items)
-    state = _NumpyScanState(
-        row=start,
-        shift=shift,
-        open_masses=open_masses,
-        p_open=_open_product(open_masses, -1),
-        closed_dp=prefix.copy(),
-        remaining=np.bincount(
-            xtuple_indices[start:], minlength=num_xtuples
-        ).tolist(),
-    )
-    emitter = _RowEmitter(start, stop - start, k)
-    end = _scan_numpy(
-        probabilities[start:stop].tolist(),
-        xtuple_indices[start:stop].tolist(),
+    state = ScanState(
+        xtuple_indices,
+        num_xtuples,
         k,
-        state,
-        stop,
-        emitter,
-        None,
-        base=start,
+        ScanCheckpoint(
+            row=start, shift=shift, closed_dp=prefix,
+            open_masses=dict(open_items),
+        ),
     )
-    emitter.flush(state.closed_dp)
-    window, topk = emitter.finalize(probabilities, end)
-    out_rho[start:end] = window.materialize()
+    rho, topk, end = scan_blocks(
+        probabilities, xtuple_indices, k, state, stop, None
+    )
+    out_rho[start:end] = rho.materialize()
     out_topk[start:end] = topk
     return end
 
@@ -1136,10 +1119,11 @@ def compute_rank_probabilities_parallel(
         raise
 
     if degraded == "numpy":
-        # Last tier: the plain single-core kernel, sharing nothing with
-        # the sharded code paths that just failed.  1e-9-identical to
-        # the sharded output (the backends are cross-validated), with
-        # its own interval checkpoints for delta replay.
+        # Last tier: the plain single-core kernel.  It runs the same
+        # block kernel as the shards but none of the planning, pool or
+        # shared-memory code that just failed.  1e-9-identical to the
+        # sharded output (the backends are cross-validated), with its
+        # own interval checkpoints for delta replay.
         from repro.queries.psr import compute_rank_probabilities
 
         result = compute_rank_probabilities(ranked, k, backend="numpy")

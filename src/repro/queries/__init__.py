@@ -1,6 +1,6 @@
 """Probabilistic top-k queries (paper Sections III-B and IV-C).
 
-* :mod:`repro.queries.psr` -- rank/top-k probabilities in ``O(kn)``;
+* :mod:`repro.queries.psr` -- rank/top-k probabilities in one scan;
 * :mod:`repro.queries.ukranks`, :mod:`repro.queries.ptk`,
   :mod:`repro.queries.global_topk` -- the three semantics the paper
   targets; :mod:`repro.queries.utopk` as an extension;

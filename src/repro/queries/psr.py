@@ -1,4 +1,4 @@
-"""PSR: rank-h and top-k probabilities for every tuple in ``O(kn)``.
+"""PSR: rank-h and top-k probabilities for every tuple in one scan.
 
 The paper evaluates U-kRanks, PT-k and Global-topk -- and the TP quality
 algorithm -- from *rank probability information*: for each tuple ``t_i``
@@ -29,14 +29,16 @@ Three kernels implement the scan behind a common entry point
 
 * the **python** kernel below -- the scalar reference implementation,
   kept for cross-validation;
-* the **numpy** kernel (:mod:`repro.queries.psr_numpy`) -- a columnar
-  formulation that keeps the per-tuple state transition as one fused
-  array filter and defers all own-factor deconvolutions into a single
-  batched post-pass vectorized across tuples;
+* the **numpy** kernel (:mod:`repro.queries.psr_numpy`) -- a
+  division-free block kernel: per block of :data:`CHECKPOINT_INTERVAL`
+  rows, each row's exclusion product is the block's closed product
+  times the row's live factors, built with array operations vectorized
+  across a group of blocks;
 * the **parallel** kernel (:mod:`repro.core.parallel`) -- the ranked
-  rows sharded into contiguous blocks scanned by a process pool over
-  shared-memory column views, block boundary states derived by a
-  truncated-convolution prefix scan at the coordinator.
+  rows sharded into contiguous shards that a process pool scans with
+  the numpy block kernel over shared-memory column views, shard
+  boundary states derived by a truncated-convolution prefix scan at
+  the coordinator.
 
 All produce a :class:`RankProbabilities` whose canonical storage is a
 ``(cutoff, k)`` float64 ``rho_prefix`` matrix plus a ``topk_prefix``
@@ -46,8 +48,9 @@ answering, TP quality, cleaning) reads directly.
 Numerical notes
 ---------------
 * Removing a factor ``q`` by the forward deconvolution amplifies error
-  by ``q/(1-q)`` per entry, so for ``q > 0.5`` we rebuild the vector
-  from scratch over the active factors instead.
+  by ``q/(1-q)`` per entry, so for ``q > 0.5`` the scalar kernel
+  rebuilds the vector from scratch over the active factors instead.
+  The numpy kernel never divides.
 * A factor that saturates (``q >= 1-ε``) guarantees one higher-ranked
   tuple; we drop it from the vector and count it in an integer
   ``shift``.  Once ``k`` factors have saturated, every remaining tuple
@@ -71,12 +74,12 @@ from repro.queries.deterministic import require_valid_k
 #: rebuild (forward deconvolution is stable only for q <= 1/2).
 DECONVOLUTION_LIMIT = 0.5
 
-#: Both kernels snapshot their scan state every this many rows.  A
-#: delta re-evaluation restores the nearest checkpoint at or above the
+#: Both kernels snapshot their scan state every this many rows, and the
+#: numpy kernel's blocks are this many rows long.  A delta
+#: re-evaluation restores the nearest checkpoint at or above the
 #: affected window and replays at most this many rows to reach it,
 #: instead of rescanning from the top.  Storage is O(n/interval · k);
-#: the interval trades that (and a ~1% recording overhead on the full
-#: pass) against the per-delta replay length.
+#: the interval trades that against the per-delta replay length.
 CHECKPOINT_INTERVAL = 64
 
 
@@ -96,13 +99,10 @@ def _fast_forward(
 
     The replay from a checkpoint to a delta window never emits rows,
     so it does not need the running Poisson-binomial product at all --
-    just the open-mass dict, the closed product (``closed_dp`` may be a
-    list or an ndarray; folds go through the caller-supplied closure
-    semantics below) and the saturation shift.  The caller rebuilds its
-    product representation from ``open_masses`` once at ``stop``.
-    Returns the new ``shift``.
+    just the open-mass dict, the closed product and the saturation
+    shift.  The caller rebuilds its running product from
+    ``open_masses`` once at ``stop``.  Returns the new ``shift``.
     """
-    is_array = isinstance(closed_dp, np.ndarray)
     for i in range(row, stop):
         l = xtuple_indices[i - base]
         q = open_masses.get(l, 0.0)
@@ -125,12 +125,7 @@ def _fast_forward(
                 # will be emitted anyway.
                 return shift
         elif closing:
-            if is_array:
-                shifted = closed_dp[:-1] * new_mass
-                closed_dp *= 1.0 - new_mass
-                closed_dp[1:] += shifted
-            else:
-                _add_factor(closed_dp, new_mass)
+            _add_factor(closed_dp, new_mass)
         if closing:
             open_masses.pop(l, None)
         else:
@@ -196,15 +191,17 @@ def _rebuild_without(
     return dp
 
 
-class _WindowRhoLike(Protocol):
-    """A deferred ρ window: anything that materializes to a matrix.
+class DeferredRho(Protocol):
+    """A deferred ρ matrix: anything that materializes to one.
 
-    The numpy kernel's ``_WindowRho`` satisfies this without psr.py
-    importing :mod:`repro.queries.psr_numpy` (which imports this
-    module).
+    The numpy kernel's ``BlockRho`` and :class:`_PendingRho` satisfy
+    this without psr.py importing :mod:`repro.queries.psr_numpy`
+    (which imports this module).
     """
 
-    def materialize(self) -> np.ndarray: ...
+    def materialize(self) -> np.ndarray:
+        """The ``(rows, k)`` ρ matrix."""
+        ...
 
 
 class _PendingRho:
@@ -215,18 +212,18 @@ class _PendingRho:
     :class:`RankProbabilities` records *how* its matrix derives from
     its parent's (prefix rows, re-scanned window rows, reused tail
     rows) and materializes only when a query answer actually asks.
-    Holds the parent's ρ state (an ndarray or another pending splice),
-    never the parent object, so intermediate snapshots stay
-    collectable.
+    Holds the parent's ρ state (an ndarray, another pending splice, or
+    a kernel's deferred rows), never the parent object, so intermediate
+    snapshots stay collectable.
     """
 
     __slots__ = ("parent", "prefix_end", "window", "tail")
 
     def __init__(
         self,
-        parent: Union[np.ndarray, "_PendingRho"],
+        parent: Union[np.ndarray, DeferredRho],
         prefix_end: int,
-        window: "Union[np.ndarray, _WindowRhoLike]",
+        window: Union[np.ndarray, DeferredRho],
         tail: Optional[Tuple[int, int]],
     ) -> None:
         self.parent = parent
@@ -241,16 +238,18 @@ class _PendingRho:
         while isinstance(parent, _PendingRho):
             chain.append(parent)
             parent = parent.parent
-        rho = parent
+        rho = _materialized(parent)
         for pending in reversed(chain):
-            window = pending.window
-            if not isinstance(window, np.ndarray):
-                window = window.materialize()
-            parts = [rho[: pending.prefix_end], window]
+            parts = [rho[: pending.prefix_end], _materialized(pending.window)]
             if pending.tail is not None:
                 parts.append(rho[pending.tail[0] : pending.tail[1]])
             rho = np.vstack(parts)
         return rho
+
+
+def _materialized(rho: Union[np.ndarray, DeferredRho]) -> np.ndarray:
+    """``rho`` as a matrix (materializing a deferred one)."""
+    return rho if isinstance(rho, np.ndarray) else rho.materialize()
 
 
 class RankProbabilities:
@@ -260,8 +259,9 @@ class RankProbabilities:
     float64 matrix with ``rho_prefix[i, h-1] = ρ(h)`` of the ``i``-th
     ranked tuple, and ``topk_prefix`` the matching top-k probability
     vector.  Tuples at or beyond ``cutoff`` are exactly zero everywhere
-    (Lemma 2 fired) and carry no rows.  After a delta derivation the
-    matrix may be pending (see :class:`_PendingRho`); it materializes
+    (Lemma 2 fired) and carry no rows.  The matrix may be deferred --
+    a numpy-kernel pass emits only ``topk_prefix`` eagerly, and a delta
+    derivation records a :class:`_PendingRho` splice; it materializes
     transparently on first access.
     """
 
@@ -270,7 +270,7 @@ class RankProbabilities:
         k: int,
         ranked: RankedDatabase,
         cutoff: int,
-        rho_prefix: Union[np.ndarray, _PendingRho],
+        rho_prefix: Union[np.ndarray, DeferredRho],
         topk_prefix: np.ndarray,
         backend: str = "python",
         checkpoints: Optional[List[ScanCheckpoint]] = None,
@@ -293,9 +293,8 @@ class RankProbabilities:
     @property
     def rho_prefix(self) -> np.ndarray:
         """The ``(cutoff, k)`` ρ matrix (materialized lazily)."""
-        if isinstance(self._rho_state, _PendingRho):
-            self._rho_state = self._rho_state.materialize()
-        return self._rho_state
+        rho = self._rho_state = _materialized(self._rho_state)
+        return rho
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -589,41 +588,6 @@ def _scan_python(
     return i
 
 
-def resume_window_state(
-    st: _PythonScanState,
-    new_ranked: RankedDatabase,
-    k: int,
-    start: int,
-    stop: int,
-) -> Tuple[List[float], List[int], int]:
-    """Fast-forward a restored scan state to a delta window's start.
-
-    Shared by both backends' delta windows: slices the columns to the
-    rows the resume actually touches, advances the factor state from
-    the checkpoint row to ``start`` (no product maintenance -- the
-    caller rebuilds its product representation from ``st.open_masses``
-    afterwards), and returns ``(probabilities, xtuple_indices, base)``
-    for the subsequent window scan.
-    """
-    base = st.row
-    probabilities = new_ranked.probabilities_array[base:stop].tolist()
-    xtuple_indices = new_ranked.xtuple_indices_array[base:stop].tolist()
-    st.shift = _fast_forward(
-        probabilities,
-        xtuple_indices,
-        k,
-        st.open_masses,
-        st.closed_dp,
-        st.shift,
-        st.remaining,
-        start,
-        st.row,
-        base,
-    )
-    st.row = start
-    return probabilities, xtuple_indices, base
-
-
 def nearest_checkpoint(
     checkpoints: List[ScanCheckpoint], row: int
 ) -> Optional[ScanCheckpoint]:
@@ -685,9 +649,16 @@ def _delta_window_python(
         new_ranked, k, nearest_checkpoint(checkpoints, start),
         defer_product=True,
     )
-    probabilities, xtuple_indices, base = resume_window_state(
-        st, new_ranked, k, start, stop
+    # Only the rows from the checkpoint to ``stop`` are touched; the
+    # factor state alone replays to ``start``.
+    base = st.row
+    probabilities = new_ranked.probabilities_array[base:stop].tolist()
+    xtuple_indices = new_ranked.xtuple_indices_array[base:stop].tolist()
+    st.shift = _fast_forward(
+        probabilities, xtuple_indices, k, st.open_masses, st.closed_dp,
+        st.shift, st.remaining, start, base, base,
     )
+    st.row = start
     st.dp = _rebuild_from_base(st.closed_dp, st.open_masses, -1)
     rho_rows: List[List[float]] = []
     topk_rows: List[float] = []
@@ -720,10 +691,15 @@ def compute_rank_probabilities(
     """Run PSR over a pre-sorted database.
 
     Returns a :class:`RankProbabilities` carrying ``ρ_i(h)`` and ``p_i``
-    for every tuple.  Runs in ``O(kn)`` plus rare ``O(A·k)`` rebuilds
-    (``A`` = number of x-tuples partially scanned at that point), and
-    stops early as soon as ``k`` x-tuples are guaranteed to contribute a
-    higher-ranked tuple (Lemma 2).
+    for every tuple from one scan of the ranked rows, which stops early
+    as soon as ``k`` x-tuples are guaranteed to contribute a
+    higher-ranked tuple (Lemma 2).  The cost per scanned row is not a
+    constant ``O(k)``: it grows with ``A``, the number of x-tuples
+    partially scanned at that row.  The scalar kernel pays ``O(k)``
+    per row plus ``O(A·k)`` rebuilds for heavy siblings; the numpy
+    kernel pays array work that grows with ``A`` (see
+    :mod:`repro.queries.psr_numpy`) and no interpreted per-row loop.
+    The README records measured pass times.
 
     ``backend`` picks the kernel (``"numpy"``, ``"python"`` or
     ``"parallel"``); when omitted, the process-wide default from
@@ -820,11 +796,14 @@ def apply_rank_delta(
         tail_old = tail_new = None
     stop = tail_new if tail_new is not None else new_ranked.num_tuples
 
+    window: Tuple[
+        Union[np.ndarray, DeferredRho], np.ndarray, int, List[ScanCheckpoint]
+    ]
     if resolved != "python":
         # The numpy window kernel also serves "parallel" results: their
-        # checkpoints sit on block boundaries, so the replay restores
-        # the nearest boundary state and re-runs at most one block's
-        # worth of rows through the serial columnar scan.
+        # checkpoints sit on shard boundaries, so the replay restores
+        # the nearest boundary state and re-scans from there through
+        # the same block kernel.
         from repro.queries.psr_numpy import _delta_window_numpy
 
         window = _delta_window_numpy(old_rp, delta, start, stop, prefix_ckpts)

@@ -1,49 +1,42 @@
-"""Columnar NumPy kernel for the PSR scan.
+"""Columnar NumPy kernel for the PSR scan: division-free row blocks.
 
-The scalar reference kernel (:mod:`repro.queries.psr`) interleaves
-three O(k) inner loops per tuple: divide the current x-tuple's factor
-out of the Poisson-binomial vector, emit the ρ row, fold the enlarged
-factor back in.  Running those loops as per-tuple NumPy calls does not
-pay -- at ``k = 100`` a single array op costs about as much as the
-whole scalar loop.  This kernel restructures the computation around a
-closed/open factorization of the Poisson-binomial product instead:
+The scalar reference kernel (:mod:`repro.queries.psr`) keeps one
+running Poisson-binomial product and divides each row's own factor out
+of it -- O(k) interpreted work per row, plus rebuilds wherever the
+division is unstable.  This kernel never divides.  It cuts the ranked
+rows into blocks of :data:`~repro.queries.psr.CHECKPOINT_INTERVAL` rows,
+aligned to multiples of the interval, and splits each row's exclusion
+product in two:
 
-* ``closed_dp`` -- the capped product over factors of **closed**
-  x-tuples (all members scanned).  Closed factors never change again,
-  so this vector is add-only and numerically trivial.
-* ``p_open`` -- the product over factors of **open** x-tuples
-  (straddling the scan position), kept as a small *uncapped* Python
-  list of coefficients.  Because the full polynomial is available, a
-  factor can be divided out *exactly* in whichever recurrence
-  direction is stable (forward for ``q <= 1/2``, backward from the top
-  coefficient for ``q > 1/2``) -- the instability that forces the
-  reference kernel into from-scratch rebuilds never arises.
+* the block's **closed product** -- the capped product over factors of
+  x-tuples whose last member lies above the block.  It is exactly the
+  ``closed_dp`` of a :class:`~repro.queries.psr.ScanCheckpoint` at the
+  block's first row;
+* the block's **live factors** -- every other non-saturated x-tuple
+  open at the block's start or appearing in it.  A live x-tuple's mass
+  before each row is its block-start mass plus an exclusive cumulative
+  sum of its members inside the block.  The row's own factor and
+  saturated factors are set to 1.
 
-The exclusion vector of tuple ``t_i`` (x-tuple ``τ_l``) is then
+The product of a row's ``(1-q+q·z)`` live factors is built with array
+operations vectorized across every row of a group of up to
+:data:`GROUP_BLOCKS` blocks, in two levels: a factor with no member in
+the row's sub-block of :data:`SUB_ROWS` rows is constant over that
+sub-block and multiplied once for all of it; only the others, at most
+``SUB_ROWS``, are multiplied per row.  A row's top-k probability is
+then one dot product of its polynomial with the prefix sums of its
+block's closed product.  The full ρ rows cost one batched Toeplitz
+matmul per group against each block's closed product; they are
+deferred until a query asks for them (:class:`BlockRho`).
 
-    dp_excl_i = closed_dp ⊛ (p_open / factor(q_i))   truncated to k,
-
-one short convolution per tuple.  These convolutions are **batched**:
-``closed_dp`` only changes when an x-tuple closes, so all exclusion
-rows between two close events share one base and are emitted as a
-single ``(rows × L) @ (L × k)`` matmul against a strided Toeplitz view
-of ``closed_dp``.  The scan's per-tuple work is therefore a handful of
-scalar list operations of length ``|open|``; all O(k) work runs at
-array speed in per-epoch batches.
-
-ρ rows are the exclusion rows scaled by ``e_i`` and shifted by the
-saturation count (grouped by shift value); top-k probabilities are row
-sums.  Saturation and Lemma 2's early stop behave exactly as in the
-reference kernel.  Worst-case cost is O(n·(k + |open|)) -- strictly
-better than the reference kernel's O(n·|open|·k) rebuild regime on
-workloads with wide rank overlap.
-
-The scan is **resumable**: :class:`_NumpyScanState` carries everything
-the loop needs, the full pass snapshots it every
-:data:`~repro.queries.psr.CHECKPOINT_INTERVAL` rows, and
-:func:`_delta_window_numpy` restores the nearest snapshot to re-emit
-only the rank window an x-tuple swap actually moved (the incremental
-path behind :func:`repro.queries.psr.apply_rank_delta`).
+Per-row work is O((L/SUB_ROWS + SUB_ROWS)·min(L, k)) array element
+operations for ``L`` live factors, so it still grows with the number of
+x-tuples open at once; the interpreter runs per group, never per row.
+Groups start at two blocks and double, so a scan that Lemma 2 stops
+early touches at most about twice the rows it keeps.  The full pass,
+delta windows (:func:`_delta_window_numpy`) and the parallel backend's
+shards (:func:`repro.core.parallel._scan_block`) all run
+:func:`scan_blocks`.
 """
 
 from __future__ import annotations
@@ -56,384 +49,376 @@ from repro.db.database import SATURATION_EPSILON, RankDelta, RankedDatabase
 from repro.queries.deterministic import require_valid_k
 from repro.queries.psr import (
     CHECKPOINT_INTERVAL,
-    DECONVOLUTION_LIMIT,
     RankProbabilities,
     ScanCheckpoint,
     nearest_checkpoint,
-    resume_window_state,
 )
 
-#: The open polynomial is rebuilt from the open masses after this many
-#: divisions, bounding floating-point drift from long divide/multiply
-#: chains (each division is stable, but errors accumulate additively).
-#: Wide-overlap workloads (dozens of open x-tuples, e.g. the n = 100k
-#: synthetic database at k = 100) drift past 1e-2 with a lax interval;
-#: 32 keeps the kernel within ~1e-12 of the scalar reference at no
-#: measurable wall-clock cost, since a rebuild is just |open| short
-#: convolutions.
-REBUILD_INTERVAL = 32
+#: Most blocks one group vectorizes over.  Larger groups amortize the
+#: per-operation overhead over more rows, but the padded factor count
+#: of a group is the maximum over its blocks.
+GROUP_BLOCKS = 16
+
+#: Rows per sub-block.  A live factor with no member in a sub-block is
+#: constant over it and multiplied once for the whole sub-block.
+SUB_ROWS = 4
+
+#: Accumulated mass at which an x-tuple counts as saturated.
+_SATURATED = 1.0 - SATURATION_EPSILON
 
 
-def _multiply_factor(poly: List[float], q: float) -> List[float]:
-    """``poly · (1-q+q·z)`` (full, uncapped product)."""
-    one_minus = 1.0 - q
-    out = [0.0] * (len(poly) + 1)
-    for s, c in enumerate(poly):
-        out[s] += c * one_minus
-        out[s + 1] += c * q
-    return out
+class ScanState:
+    """Scan state at the top of row ``row``.
 
-
-def _divide_factor(poly: List[float], q: float) -> List[float]:
-    """``poly / (1-q+q·z)`` exactly, in the stable recurrence direction.
-
-    Forward (low-to-high) amplifies error by ``q/(1-q)`` per step, so
-    it serves ``q <= 1/2``; backward (high-to-low) damps by ``(1-q)/q``
-    and serves ``q > 1/2`` -- possible because the polynomial is
-    uncapped, so its true top coefficient is available.
+    ``shift``, ``open_masses`` and ``closed_dp`` are a
+    :class:`~repro.queries.psr.ScanCheckpoint`'s fields; ``remaining``
+    counts each x-tuple's members at or below ``row``.
     """
-    size = len(poly) - 1
-    out = [0.0] * size
-    if q <= DECONVOLUTION_LIMIT:
-        one_minus = 1.0 - q
-        prev = 0.0
-        for s in range(size):
-            prev = (poly[s] - q * prev) / one_minus
-            if prev < 0.0:  # round-off guard; true coefficients are >= 0
-                prev = 0.0
-            out[s] = prev
-        return out
-    one_minus = 1.0 - q
-    prev = poly[size] / q
-    out[size - 1] = prev
-    for s in range(size - 1, 0, -1):
-        prev = (poly[s] - one_minus * prev) / q
-        if prev < 0.0:
-            prev = 0.0
-        out[s - 1] = prev
-    return out
+
+    __slots__ = ("row", "shift", "open_masses", "closed_dp", "remaining")
+
+    def __init__(
+        self,
+        xtuple_indices: np.ndarray,
+        num_xtuples: int,
+        k: int,
+        checkpoint: Optional[ScanCheckpoint] = None,
+    ) -> None:
+        if checkpoint is None:
+            self.row, self.shift = 0, 0
+            self.open_masses: Dict[int, float] = {}
+            self.closed_dp = np.zeros(k)
+            self.closed_dp[0] = 1.0
+        else:
+            self.row, self.shift = checkpoint.row, checkpoint.shift
+            self.open_masses = checkpoint.open_masses
+            self.closed_dp = checkpoint.closed_dp
+        self.remaining = np.bincount(
+            xtuple_indices[self.row :], minlength=num_xtuples
+        )
 
 
-def _open_product(open_masses: Dict[int, float], skip: int) -> List[float]:
-    """Product over open, non-saturated factors except ``skip``."""
-    poly = [1.0]
-    for l, q in open_masses.items():
-        if l != skip and q < 1.0 - SATURATION_EPSILON:
-            poly = _multiply_factor(poly, q)
+class _Group:
+    """The deferred ρ rows of one scanned group.
+
+    ``poly[:, slot]`` is the live-factor polynomial of a padded row slot
+    (block ``slot // CHECKPOINT_INTERVAL``), ``closed[b]`` block ``b``'s
+    closed product, and ``slots`` / ``shifts`` / ``weights`` the slot,
+    saturation shift and ``e_i`` (0 for saturated rows) of each emitted
+    row.
+    """
+
+    __slots__ = ("poly", "closed", "slots", "shifts", "weights")
+
+    def __init__(
+        self,
+        poly: np.ndarray,
+        closed: np.ndarray,
+        slots: np.ndarray,
+        shifts: np.ndarray,
+        weights: np.ndarray,
+    ) -> None:
+        self.poly = poly
+        self.closed = closed
+        self.slots = slots
+        self.shifts = shifts
+        self.weights = weights
+
+    def emit(self, out: np.ndarray) -> None:
+        """Write the group's ρ rows into ``out``."""
+        blocks, k = self.closed.shape
+        width = self.poly.shape[0]
+        # toeplitz[b, j, s] = closed[b, s - j]: row j of block b's
+        # product matrix is its closed product shifted right by j.
+        buffer = np.zeros((blocks, width - 1 + k))
+        buffer[:, width - 1 :] = self.closed
+        step = buffer.strides[1]
+        toeplitz = np.lib.stride_tricks.as_strided(
+            buffer[:, width - 1 :],
+            shape=(blocks, width, k),
+            strides=(buffer.strides[0], -step, step),
+        )
+        rows = self.poly.T.reshape(blocks, CHECKPOINT_INTERVAL, width)
+        exclusion = np.matmul(rows, toeplitz).reshape(-1, k)
+        if self.slots.size < exclusion.shape[0]:
+            exclusion = exclusion[self.slots]
+        weights = self.weights[:, None]
+        low, high = int(self.shifts.min()), int(self.shifts.max())
+        if low == high:
+            out[:, :low] = 0.0
+            np.multiply(exclusion[:, : k - low], weights, out=out[:, low:])
+            return
+        # ρ(h) = e_i · exclusion[h - 1 - shift], gathered through a
+        # leading zero column for ranks above the shift.
+        padded = np.concatenate(
+            (np.zeros((exclusion.shape[0], 1)), exclusion), axis=1
+        )
+        index = np.arange(1, k + 1)[None, :] - self.shifts[:, None]
+        gathered = np.take_along_axis(padded, np.maximum(index, 0), axis=1)
+        np.multiply(gathered, weights, out=out)
+
+
+class BlockRho:
+    """Deferred ρ rows of one block scan (see ``_PendingRho`` in
+    :mod:`repro.queries.psr`); ``skip`` leading rows are dropped."""
+
+    __slots__ = ("groups", "k", "skip")
+
+    def __init__(self, groups: List[_Group], k: int, skip: int = 0) -> None:
+        self.groups = groups
+        self.k = k
+        self.skip = skip
+
+    def materialize(self) -> np.ndarray:
+        """The ``(rows, k)`` ρ matrix of the scanned rows."""
+        rows = sum(group.slots.size for group in self.groups)
+        rho = np.empty((rows, self.k))
+        low = 0
+        for group in self.groups:
+            high = low + group.slots.size
+            group.emit(rho[low:high])
+            low = high
+        return rho[self.skip :]
+
+
+def _factor_product(
+    masses: np.ndarray, width: int, poly: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``poly · Π_j (1-q_j+q_j·z)`` per column, capped at ``width``.
+
+    ``masses`` is ``(factors, columns)``; ``poly`` (``(width,
+    columns)``, default 1) is updated in place and returned, lowest
+    degree first.  Each step is the scalar kernel's update ``new[s] =
+    old[s]·(1-q) + old[s-1]·q``, operation for operation.
+    """
+    degree = width - 1
+    if poly is None:
+        poly = np.zeros((width, masses.shape[1]))
+        poly[0] = 1.0
+        degree = 0
+    rest = 1.0 - masses
+    for j, q in enumerate(masses):
+        top = min(j + 1 + degree, width - 1)
+        carried = poly[:top] * q
+        poly[: top + 1] *= rest[j]
+        poly[1 : top + 1] += carried
     return poly
 
 
-class _NumpyScanState:
-    """Mutable scan state of the columnar kernel (resumable mid-stream)."""
-
-    __slots__ = (
-        "row",
-        "shift",
-        "open_masses",
-        "p_open",
-        "closed_dp",
-        "remaining",
-        "divisions",
-    )
-
-    def __init__(
-        self,
-        row: int,
-        shift: int,
-        open_masses: Dict[int, float],
-        p_open: Optional[np.ndarray],
-        closed_dp: np.ndarray,
-        remaining: List[int],
-    ) -> None:
-        self.row = row
-        self.shift = shift
-        self.open_masses = open_masses
-        self.p_open = p_open
-        self.closed_dp = closed_dp
-        self.remaining = remaining
-        self.divisions = 0
-
-
-def _numpy_state(
-    ranked: RankedDatabase,
+def _scan_group(
+    probabilities: np.ndarray,
+    xtuple_indices: np.ndarray,
     k: int,
-    checkpoint: Optional[ScanCheckpoint],
-    defer_product: bool = False,
-) -> _NumpyScanState:
-    """Scan state at a checkpoint (or the initial state for ``None``).
-
-    ``defer_product`` skips building the open polynomial -- the
-    fast-forward path maintains only the factor state and rebuilds the
-    product once it reaches the window.
-    """
-    if checkpoint is None:
-        row, shift = 0, 0
-        closed_dp = np.zeros(k)
-        closed_dp[0] = 1.0
-        open_masses: Dict[int, float] = {}
-    else:
-        row, shift = checkpoint.row, checkpoint.shift
-        closed_dp = checkpoint.closed_dp.copy()
-        open_masses = dict(checkpoint.open_masses)
-    remaining = np.bincount(
-        ranked.xtuple_indices_array[row:], minlength=ranked.num_xtuples
-    ).tolist()
-    p_open = None if defer_product else _open_product(open_masses, -1)
-    return _NumpyScanState(
-        row, shift, open_masses, p_open, closed_dp, remaining
-    )
-
-
-class _RowEmitter:
-    """Batched exclusion-row emission for one scanned row range.
-
-    Collects the per-tuple exclusion polynomials between two close
-    events and emits them as a single Toeplitz matmul against the
-    shared ``closed_dp`` base; :meth:`finalize` turns the exclusion
-    rows into the shift-grouped ρ matrix and top-k vector.
-    """
-
-    def __init__(self, start: int, count: int, k: int) -> None:
-        self.start = start
-        self.k = k
-        # np.empty keeps the allocation lazy: complete databases cut
-        # off after ~k x-tuples and never touch most rows.  Live rows
-        # and shifts are recorded as plain lists -- per-row ndarray
-        # scalar writes cost more than the whole batched emission.
-        self.exclusions = np.empty((count, k))
-        self.live_rows: List[int] = []
-        self.live_shifts: List[int] = []
-        self.pending_rows: List[int] = []
-        self.pending_polys: List[List[float]] = []
-
-    def record(self, row: int, shift: int, p_excl: List[float]) -> None:
-        r = row - self.start
-        self.live_rows.append(r)
-        self.live_shifts.append(shift)
-        self.pending_rows.append(r)
-        self.pending_polys.append(p_excl)
-
-    def flush(self, closed_dp: np.ndarray) -> None:
-        """Emit pending rows: one matmul against a Toeplitz view."""
-        if not self.pending_rows:
-            return
-        k = self.k
-        width = min(max(len(p) for p in self.pending_polys), k)
-        matrix = np.array(
-            [
-                p[:width] + [0.0] * (width - len(p))
-                for p in self.pending_polys
-            ]
-        )
-        # toeplitz[j, s] = closed_dp[s - j]: row j of the product is
-        # the base shifted right by j.
-        buffer = np.concatenate((np.zeros(width - 1), closed_dp))
-        toeplitz = np.lib.stride_tricks.as_strided(
-            buffer[width - 1 :],
-            shape=(width, k),
-            strides=(-buffer.strides[0], buffer.strides[0]),
-        )
-        self.exclusions[self.pending_rows] = matrix @ toeplitz
-        self.pending_rows.clear()
-        self.pending_polys.clear()
-
-    def finalize(
-        self, existential_full: np.ndarray, end: int
-    ) -> Tuple["_WindowRho", np.ndarray]:
-        """ρ rows (lazy) and top-k sums for rows [start, end).
-
-        The top-k vector is computed directly from the exclusion rows
-        (a row's ρ sum is the first ``k - shift`` exclusion entries
-        scaled by ``e_i``); the full ρ matrix is wrapped as a
-        :class:`_WindowRho` and only materialized if a query answer
-        asks for rank-level probabilities later.
-        """
-        k = self.k
-        count = end - self.start
-        existential = existential_full[self.start : end]
-        window = _WindowRho(
-            self.exclusions, self.live_rows, self.live_shifts, existential,
-            count, k,
-        )
-        topk = np.zeros(count)
-        if self.live_rows:
-            for sh, rows in _shift_groups(self.live_rows, self.live_shifts):
-                if sh == 0:
-                    topk[rows] = (
-                        existential[rows] * self.exclusions[rows].sum(axis=1)
-                    )
-                elif sh < k:
-                    topk[rows] = (
-                        existential[rows]
-                        * self.exclusions[rows, : k - sh].sum(axis=1)
-                    )
-        return window, topk
-
-
-class _WindowRho:
-    """Deferred ρ materialization for one emitted row range.
-
-    Shares the emitter's buffers; materializes to the ``(count, k)``
-    float64 block on demand (see ``_PendingRho`` in
-    :mod:`repro.queries.psr`).
-    """
-
-    __slots__ = ("exclusions", "live_rows", "live_shifts", "existential", "count", "k")
-
-    def __init__(
-        self,
-        exclusions: np.ndarray,
-        live_rows: List[int],
-        live_shifts: List[int],
-        existential: np.ndarray,
-        count: int,
-        k: int,
-    ) -> None:
-        self.exclusions = exclusions
-        self.live_rows = live_rows
-        self.live_shifts = live_shifts
-        self.existential = existential
-        self.count = count
-        self.k = k
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (self.count, self.k)
-
-    def materialize(self) -> np.ndarray:
-        k = self.k
-        rho = np.zeros((self.count, k))
-        if self.live_rows:
-            for sh, rows in _shift_groups(self.live_rows, self.live_shifts):
-                if sh == 0:
-                    rho[rows] = (
-                        self.existential[rows, None] * self.exclusions[rows]
-                    )
-                elif sh < k:
-                    rho[rows, sh:] = (
-                        self.existential[rows, None]
-                        * self.exclusions[rows, : k - sh]
-                    )
-        return rho
-
-
-def _shift_groups(
-    live_rows: List[int], live_shifts: List[int]
-) -> List[Tuple[int, np.ndarray]]:
-    """Live rows grouped by their saturation shift."""
-    live = np.array(live_rows, dtype=np.int64)
-    if min(live_shifts) == max(live_shifts):
-        # One shift value across the range -- the common case for
-        # small delta windows (and for complete prefixes).
-        return [(live_shifts[0], live)]
-    shifts = np.array(live_shifts, dtype=np.int64)
-    return [(int(sh), live[shifts == sh]) for sh in np.unique(shifts)]
-
-
-def _scan_numpy(
-    probabilities: List[float],
-    xtuple_indices: List[int],
-    k: int,
-    st: _NumpyScanState,
-    stop: int,
-    emitter: Optional[_RowEmitter],
+    state: ScanState,
+    end: int,
     checkpoints: Optional[List[ScanCheckpoint]],
-    base: int = 0,
-) -> int:
-    """Advance the columnar scan from ``st.row`` to ``stop``.
+    record_first: bool,
+) -> Tuple[_Group, np.ndarray]:
+    """Scan rows ``[state.row, end)`` as one group and advance ``state``.
 
-    With ``emitter=None`` the loop only transitions state (the
-    fast-forward used when resuming from a checkpoint).  Returns the
-    row where Lemma 2's early stop fired, or ``stop``.  The input lists
-    hold rows ``base ..`` (delta windows pass a slice instead of
-    materializing the whole column).
+    Stops early where Lemma 2 fires (``state.shift`` then reaches
+    ``k``).  Returns the group's deferred ρ rows and its top-k vector.
     """
-    open_masses = st.open_masses
-    remaining = st.remaining
-    closed_dp = st.closed_dp
-    shift = st.shift
-    p_open = st.p_open
-    divisions = st.divisions
-    i = st.row
-    next_ck = max(
-        CHECKPOINT_INTERVAL,
-        ((i + CHECKPOINT_INTERVAL - 1) // CHECKPOINT_INTERVAL)
-        * CHECKPOINT_INTERVAL,
+    B = CHECKPOINT_INTERVAL
+    row0 = state.row
+    size = end - row0
+    members = xtuple_indices[row0:end]
+    e = probabilities[row0:end]
+
+    # Block layout: boundaries at multiples of B, the first block may
+    # be partial.  Each row has a block and a slot inside it.
+    bstart = np.concatenate(
+        ([0], np.arange((row0 // B + 1) * B, end, B) - row0)
+    ).astype(np.int64)
+    G = bstart.size
+    lengths = np.diff(np.append(bstart, size))
+    block = np.repeat(np.arange(G), lengths)
+    slot = np.arange(size) - bstart[block]
+
+    # Columns: the x-tuples open at the group's start or appearing in it.
+    n_open = len(state.open_masses)
+    open_ids = np.fromiter(state.open_masses.keys(), np.int64, n_open)
+    open_mass = np.fromiter(state.open_masses.values(), np.float64, n_open)
+    ids, first_at, inverse = np.unique(
+        np.concatenate((open_ids, members)),
+        return_index=True,
+        return_inverse=True,
     )
-    while i < stop:
-        if shift >= k:
-            break
-        if checkpoints is not None and i == next_ck:
+    J = ids.size
+    col = inverse[n_open:]
+    first_row = first_at - n_open  # negative: open at the group's start
+    counts = np.bincount(col, minlength=J)
+    closes = counts == state.remaining[ids]
+    by_column = np.argsort(col, kind="stable")
+    last_row = np.where(counts > 0, by_column[np.cumsum(counts) - 1], -1)
+
+    # Masses at every block boundary: mass[b] before block b, mass[G]
+    # after the group.  Saturated x-tuples count in the shift.
+    mass = np.zeros((G + 1, J))
+    mass[0, inverse[:n_open]] = open_mass
+    mass[1:] = np.bincount(
+        block * J + col, weights=e, minlength=G * J
+    ).reshape(G, J)
+    np.cumsum(mass, axis=0, out=mass)
+    saturated = mass >= _SATURATED
+    block_shift = state.shift + saturated.sum(axis=1) - saturated[0].sum()
+    opened = first_row[None, :] < bstart[:, None]
+    closed_above = closes[None, :] & (last_row[None, :] < bstart[:, None])
+
+    # Live factors of each block, at local positions 0..L-1; position L
+    # is an always-zero column for rows whose x-tuple is not live.
+    live = (
+        (first_row[None, :] < (bstart + lengths)[:, None])
+        & ~closed_above
+        & ~saturated[:G]
+    )
+    L = int(live.sum(axis=1).max())
+    local = np.cumsum(live, axis=1) - 1
+    own_live = live[block, col]
+    own = np.where(own_live, local[block, col], L)
+    cube = np.zeros((G, B + 1, L + 1))
+    live_b, live_c = np.nonzero(live)
+    cube[live_b, 0, local[live_b, live_c]] = mass[live_b, live_c]
+    cube[block, slot + 1, own] = np.where(own_live, e, 0.0)
+    np.cumsum(cube, axis=1, out=cube)  # cube[b, s] = masses before slot s
+    sat = cube >= _SATURATED
+    row_shift = block_shift[block] + sat.sum(axis=2)[block, slot]
+    dead = ~own_live | sat[block, slot, own]
+
+    # Lemma 2: stop at the first row whose shift reaches k.
+    stops = np.flatnonzero(row_shift >= k)
+    count = int(stops[0]) if stops.size else size
+    used = int(block[count - 1]) + 1
+
+    # Closed product of every block: fold the non-saturated x-tuples
+    # closing in block b into closed[b + 1].
+    folding = np.flatnonzero(closes & ~saturated[G])
+    fold_block = block[last_row[folding]]
+    per_block = np.bincount(fold_block, minlength=G)
+    by_block = np.argsort(fold_block, kind="stable")
+    folding, fold_block = folding[by_block], fold_block[by_block]
+    rank = np.arange(folding.size) - (np.cumsum(per_block) - per_block)[
+        fold_block
+    ]
+    fold_mass = np.zeros((int(per_block.max(initial=0)), G))
+    fold_mass[rank, fold_block] = mass[G, folding]
+    folds = _factor_product(fold_mass, min(fold_mass.shape[0] + 1, k))
+    closed = np.empty((G + 1, k))
+    closed[0] = state.closed_dp
+    for b in range(G):
+        if per_block[b]:
+            closed[b + 1] = np.convolve(closed[b], folds[:, b])[:k]
+        else:
+            closed[b + 1] = closed[b]
+
+    # Each row's live-factor polynomial (own and saturated factors = 1),
+    # in two levels.  A factor without a member in the row's sub-block
+    # of SUB_ROWS rows is constant over it, so it is multiplied once per
+    # sub-block; only the others (at most SUB_ROWS) are multiplied per
+    # row.
+    factors = np.where(sat[:used, :B], 0.0, cube[:used, :B])
+    factors[block[:count], slot[:count], own[:count]] = 0.0
+    width = min(L + 1, k)
+    subs = -(-B // SUB_ROWS)
+    sub = np.arange(B) // SUB_ROWS  # sub-block of each slot
+    member = np.zeros((used, subs, L + 1), dtype=bool)
+    member[block[:count], sub[slot[:count]], own[:count]] = True
+    member = member[:, :, :L]
+    constant = np.where(member, 0.0, factors[:, ::SUB_ROWS, :L])
+    per_sub = _factor_product(
+        np.ascontiguousarray(constant.reshape(used * subs, L).T), width
+    )
+    poly = per_sub.reshape(width, used, subs)[:, :, sub].reshape(width, -1)
+    varying = member.sum(axis=2)
+    D = int(varying.max())
+    columns = np.argsort(~member, axis=2, kind="stable")[:, :, :D]
+    columns[np.arange(D) >= varying[:, :, None]] = L  # the zero column
+    per_row = np.take_along_axis(factors, columns[:, sub], axis=2)
+    poly = _factor_product(
+        np.ascontiguousarray(per_row.reshape(used * B, D).T), width, poly
+    )
+
+    # Top-k: Σ_{s < k - shift} (closed ⊛ poly)[s] is poly dotted with
+    # the closed product's prefix sums.
+    emitted = slice(0, count)
+    slots = block[emitted] * B + slot[emitted]
+    shifts = row_shift[emitted]
+    weights = np.where(dead[emitted], 0.0, e[emitted])
+    prefix = np.zeros((used, k + 1))
+    np.cumsum(closed[:used], axis=1, out=prefix[:, 1:])
+    reach = np.maximum((k - shifts)[None, :] - np.arange(width)[:, None], 0)
+    topk = weights * np.einsum(
+        "ij,ij->j", poly[:, slots], prefix[block[emitted][None, :], reach]
+    )
+
+    if checkpoints is not None:
+        for b in range(0 if record_first else 1, used):
+            if bstart[b] >= count or (row0 + bstart[b]) % B:
+                continue
+            keep = opened[b] & ~closed_above[b]
             checkpoints.append(
                 ScanCheckpoint(
-                    row=i,
-                    shift=shift,
-                    closed_dp=closed_dp.copy(),
-                    open_masses=dict(open_masses),
+                    row=row0 + int(bstart[b]),
+                    shift=int(block_shift[b]),
+                    closed_dp=closed[b],
+                    open_masses=_masses(ids, mass[b], saturated[b], keep),
                 )
             )
-        if i >= next_ck:
-            next_ck += CHECKPOINT_INTERVAL
-        e_i = probabilities[i - base]
-        l = xtuple_indices[i - base]
-        q = open_masses.get(l, 0.0)
 
-        if q >= 1.0 - SATURATION_EPSILON:
-            # Siblings already exhaust the probability mass: the ρ row
-            # stays zero (`live` stays False).
-            remaining[l] -= 1
-            if remaining[l] == 0:
-                del open_masses[l]  # saturated: lives in `shift`
-            i += 1
-            continue
+    if count < size:
+        state.row = row0 + count
+        state.shift = int(row_shift[count])
+    else:
+        state.row = end
+        state.shift = int(block_shift[G])
+        state.open_masses = _masses(ids, mass[G], saturated[G], ~closes)
+        state.closed_dp = closed[G]
+        state.remaining[ids] -= counts
+    group = _Group(poly, closed[:used], slots, shifts, weights)
+    return group, topk
 
-        if q <= 0.0:
-            p_excl = p_open
-        else:
-            p_excl = _divide_factor(p_open, q)
-            divisions += 1
 
-        if emitter is not None:
-            emitter.record(i, shift, p_excl)
+def _masses(
+    ids: np.ndarray, mass: np.ndarray, saturated: np.ndarray, keep: np.ndarray
+) -> Dict[int, float]:
+    """Open-mass dict of the kept columns (saturated masses pinned to 1)."""
+    values = np.where(saturated, 1.0, mass)[keep]
+    return dict(zip(ids[keep].tolist(), values.tolist()))
 
-        new_mass = q + e_i
-        if new_mass > 1.0:
-            new_mass = 1.0
-        saturating = new_mass >= 1.0 - SATURATION_EPSILON
 
-        remaining[l] -= 1
-        closing = remaining[l] == 0
-        if saturating:
-            p_open = p_excl
-            shift += 1
-        elif closing:
-            # The factor is final: emit rows on the old base, then
-            # fold it into the closed product.
-            p_open = p_excl
-            if emitter is not None:
-                emitter.flush(closed_dp)
-            shifted = closed_dp[:-1] * new_mass
-            closed_dp *= 1.0 - new_mass
-            closed_dp[1:] += shifted
-        else:
-            p_open = _multiply_factor(p_excl, new_mass)
-        if closing:
-            open_masses.pop(l, None)
-        else:
-            open_masses[l] = 1.0 if saturating else new_mass
+def scan_blocks(
+    probabilities: np.ndarray,
+    xtuple_indices: np.ndarray,
+    k: int,
+    state: ScanState,
+    stop: int,
+    checkpoints: Optional[List[ScanCheckpoint]],
+) -> Tuple[BlockRho, np.ndarray, int]:
+    """Scan rows ``[state.row, stop)`` and emit every one of them.
 
-        if divisions >= REBUILD_INTERVAL:
-            # Fresh product over the open masses: resets accumulated
-            # division round-off.
-            p_open = _open_product(open_masses, -1)
-            divisions = 0
-        i += 1
-
-    st.row = i
-    st.shift = shift
-    st.p_open = p_open
-    st.divisions = divisions
-    return i
+    Returns the deferred ρ rows, the top-k vector and the row where the
+    scan ended (``stop``, or where Lemma 2's early stop fired).  Appends
+    a checkpoint at every block boundary after the first row to
+    ``checkpoints`` when given.
+    """
+    first = state.row
+    groups: List[_Group] = []
+    topk: List[np.ndarray] = []
+    blocks = 2
+    while state.row < stop and state.shift < k:
+        end = min(
+            (state.row // CHECKPOINT_INTERVAL + blocks) * CHECKPOINT_INTERVAL,
+            stop,
+        )
+        group, group_topk = _scan_group(
+            probabilities, xtuple_indices, k, state, end, checkpoints,
+            record_first=state.row != first,
+        )
+        groups.append(group)
+        topk.append(group_topk)
+        blocks = min(2 * blocks, GROUP_BLOCKS)
+    topk_rows = np.concatenate(topk) if topk else np.zeros(0)
+    return BlockRho(groups, k), topk_rows, state.row
 
 
 def compute_rank_probabilities_numpy(
@@ -441,26 +426,18 @@ def compute_rank_probabilities_numpy(
 ) -> RankProbabilities:
     """Vectorized PSR over a pre-sorted database (NumPy backend)."""
     require_valid_k(k)
-    n = ranked.num_tuples
-    st = _numpy_state(ranked, k, None)
-    emitter = _RowEmitter(0, n, k)
+    probabilities, xtuple_indices = ranked.psr_columns()
+    state = ScanState(xtuple_indices, ranked.num_xtuples, k)
     checkpoints: List[ScanCheckpoint] = []
-    cutoff = _scan_numpy(
-        ranked.probabilities,
-        ranked.xtuple_indices,
-        k,
-        st,
-        n,
-        emitter,
+    rho, topk, cutoff = scan_blocks(
+        probabilities, xtuple_indices, k, state, ranked.num_tuples,
         checkpoints,
     )
-    emitter.flush(st.closed_dp)
-    window, topk = emitter.finalize(ranked.probabilities_array, cutoff)
     return RankProbabilities(
         k=k,
         ranked=ranked,
         cutoff=cutoff,
-        rho_prefix=window.materialize(),
+        rho_prefix=rho,
         topk_prefix=topk,
         backend="numpy",
         checkpoints=checkpoints,
@@ -473,28 +450,23 @@ def _delta_window_numpy(
     start: int,
     stop: int,
     checkpoints: List[ScanCheckpoint],
-) -> Tuple[np.ndarray, np.ndarray, int, List[ScanCheckpoint]]:
+) -> Tuple[BlockRho, np.ndarray, int, List[ScanCheckpoint]]:
     """Re-emit rows ``[start, stop)`` of the patched view (columnar).
 
-    Restores the nearest checkpoint at or above ``start``, fast-forwards
-    the state over the unchanged prefix rows in between (no emission),
-    then runs the ordinary batched scan over the window.
+    Restores the nearest checkpoint at or above ``start`` and scans from
+    there; the rows between the checkpoint and ``start`` are unchanged
+    and dropped from the output.
     """
     new_ranked = delta.new_ranked
     k = old_rp.k
-    st = _numpy_state(
-        new_ranked, k, nearest_checkpoint(checkpoints, start),
-        defer_product=True,
+    probabilities, xtuple_indices = new_ranked.psr_columns()
+    state = ScanState(
+        xtuple_indices, new_ranked.num_xtuples, k,
+        nearest_checkpoint(checkpoints, start),
     )
-    probabilities, xtuple_indices, base = resume_window_state(
-        st, new_ranked, k, start, stop
-    )
-    st.p_open = _open_product(st.open_masses, -1)
-    emitter = _RowEmitter(start, stop - start, k)
+    skip = start - state.row
     fresh: List[ScanCheckpoint] = []
-    end = _scan_numpy(
-        probabilities, xtuple_indices, k, st, stop, emitter, fresh, base
+    rho, topk, end = scan_blocks(
+        probabilities, xtuple_indices, k, state, stop, fresh
     )
-    emitter.flush(st.closed_dp)
-    window, topk = emitter.finalize(new_ranked.probabilities_array, end)
-    return window, topk, end, fresh
+    return BlockRho(rho.groups, k, skip), topk[skip:], end, fresh

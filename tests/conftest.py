@@ -3,7 +3,9 @@
 The hypothesis strategies live in :mod:`strategies` (importable as a
 plain module from any test file); this conftest only provides
 fixtures.  The strategy names are re-exported here for backwards
-compatibility with ``from conftest import ...``.
+compatibility with ``from conftest import ...``.  The per-test timeout
+hooks come from :mod:`timeout_fallback`; they stand down when
+pytest-timeout is installed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,12 @@ from strategies import (  # noqa: F401 - re-exported for back-compat
     cleaning_problems,
     databases,
     databases_with_k,
+)
+from timeout_fallback import (  # noqa: F401 - pytest hooks
+    pytest_addoption,
+    pytest_configure,
+    pytest_runtest_protocol,
+    pytest_unconfigure,
 )
 
 

@@ -9,16 +9,20 @@ The central strategy, :func:`databases`, generates small random x-tuple
 databases -- optionally complete (every x-tuple's probabilities sum to
 one), with controllable size -- used to cross-validate every efficient
 algorithm against the exponential possible-world oracles.
+
+:data:`BLOCK_BOUNDARY_CASES` are fixed databases shaped around the
+numpy kernel's row blocks (``CHECKPOINT_INTERVAL`` = 64 rows), shared
+by the cross-backend suites.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
 from repro.db.database import ProbabilisticDatabase
-from repro.db.tuples import ProbabilisticTuple, XTuple
+from repro.db.tuples import ProbabilisticTuple, XTuple, make_xtuple
 
 
 def _partition_probabilities(
@@ -122,3 +126,73 @@ def cleaning_problems(
     budget = draw(st.integers(0, max_budget))
     problem = build_cleaning_problem(quality, costs, sc, budget)
     return db, problem
+
+
+# ---------------------------------------------------------------------------
+# Block-boundary shapes
+# ---------------------------------------------------------------------------
+
+
+def ranked_rows_db(rows: Sequence[Tuple[str, float]]) -> ProbabilisticDatabase:
+    """A database whose ranked order is exactly ``rows``.
+
+    Row ``i`` is a member of x-tuple ``rows[i][0]`` with probability
+    ``rows[i][1]``; scores fall with the row, so no tie reorders them.
+    """
+    members: Dict[str, list] = {}
+    for i, (xid, probability) in enumerate(rows):
+        members.setdefault(xid, []).append(
+            (f"{xid}.{i}", float(len(rows) - i), probability)
+        )
+    return ProbabilisticDatabase(
+        [make_xtuple(xid, alts) for xid, alts in members.items()],
+        name="rows",
+    )
+
+
+def _singletons(prefix: str, count: int, probability: float = 0.3):
+    return [(f"{prefix}{i}", probability) for i in range(count)]
+
+
+def _interleaved(num_xtuples: int, members: int, probability: float):
+    """Member ``m`` of x-tuple ``j`` at row ``m·num_xtuples + j``."""
+    return [
+        (f"x{j}", probability)
+        for _ in range(members)
+        for j in range(num_xtuples)
+    ]
+
+
+def _saturate_and_close_in_block():
+    # "s" saturates at row 72 and closes at row 75, all in rows 64..127.
+    rows = _singletons("f", 70)
+    rows += [("s", 0.5), ("g0", 0.3), ("s", 0.5), ("g1", 0.3), ("g2", 0.3)]
+    rows += [("s", 1e-13)] + _singletons("h", 60)
+    return rows
+
+
+def _spans_four_blocks():
+    # "w" has one member in each of blocks 0..4 and saturates in the last.
+    rows = _singletons("f", 320)
+    for row in (10, 100, 200, 300):
+        rows[row] = ("w", 0.25)
+    return rows
+
+
+#: name -> (ranked rows, k values to check)
+BLOCK_BOUNDARY_CASES: Dict[str, Tuple[List[Tuple[str, float]], Tuple[int, ...]]] = {
+    # n < 64: a single partial block.
+    "n_below_block": (_interleaved(8, 5, 0.15), (1, 3, 10)),
+    # n = 203: the last block is partial; every x-tuple spans all blocks.
+    "n_not_block_multiple": (_interleaved(7, 29, 0.03), (1, 4, 20)),
+    # Ten certain rows from row 100: with k = 5 Lemma 2 fires at row
+    # 105, inside the second block.
+    "lemma2_mid_block": (
+        _singletons("f", 100) + _singletons("c", 10, 1.0) + _singletons("g", 30),
+        (5, 8),
+    ),
+    "saturate_and_close_in_block": (_saturate_and_close_in_block(), (2, 6, 30)),
+    "spans_four_blocks": (_spans_four_blocks(), (3, 12)),
+    # At most 64 live factors per block, far below k = 100.
+    "k_above_live_factors": (_singletons("f", 150, 0.4), (100,)),
+}

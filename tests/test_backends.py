@@ -23,9 +23,9 @@ from repro.queries.brute_force import (
     rank_probabilities_by_enumeration,
     topk_probabilities_by_enumeration,
 )
-from repro.queries.psr import compute_rank_probabilities
+from repro.queries.psr import CHECKPOINT_INTERVAL, compute_rank_probabilities
 
-from strategies import databases_with_k
+from strategies import BLOCK_BOUNDARY_CASES, databases_with_k, ranked_rows_db
 
 ABS = 1e-9
 
@@ -138,6 +138,56 @@ class TestPSREdgeCases:
         )
         for k in (1, 2, 3, 4):
             _assert_backends_agree(db, k)
+
+
+class TestBlockBoundaries:
+    """Shapes around the numpy kernel's 64-row blocks."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_BOUNDARY_CASES))
+    def test_backends_agree(self, case):
+        rows, ks = BLOCK_BOUNDARY_CASES[case]
+        db = ranked_rows_db(rows)
+        for k in ks:
+            _assert_backends_agree(db, k)
+
+    def test_case_shapes(self):
+        def rows_of(case):
+            return len(BLOCK_BOUNDARY_CASES[case][0])
+
+        assert rows_of("n_below_block") < CHECKPOINT_INTERVAL
+        assert rows_of("n_not_block_multiple") % CHECKPOINT_INTERVAL
+        assert rows_of("spans_four_blocks") > 4 * CHECKPOINT_INTERVAL
+        db = ranked_rows_db(BLOCK_BOUNDARY_CASES["lemma2_mid_block"][0])
+        cutoff = compute_rank_probabilities(db.ranked(), 5, backend="numpy").cutoff
+        assert cutoff == 105 and cutoff // CHECKPOINT_INTERVAL == 1
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_BOUNDARY_CASES))
+    def test_checkpoints_match_scalar_kernel(self, case):
+        # Both kernels snapshot the same rows; the block kernel's states
+        # fall out of its block boundaries.
+        rows, ks = BLOCK_BOUNDARY_CASES[case]
+        ranked = ranked_rows_db(rows).ranked()
+        k = ks[-1]
+        scalar = compute_rank_probabilities(ranked, k, backend="python")
+        blocks = compute_rank_probabilities(ranked, k, backend="numpy")
+        assert [c.row for c in blocks.checkpoints] == [
+            c.row for c in scalar.checkpoints
+        ]
+        for mine, ref in zip(blocks.checkpoints, scalar.checkpoints):
+            assert mine.shift == ref.shift
+            assert mine.closed_dp == pytest.approx(ref.closed_dp, abs=ABS)
+            assert mine.open_masses == pytest.approx(ref.open_masses, abs=ABS)
+
+    def test_rho_stays_deferred_until_read(self):
+        rows, _ = BLOCK_BOUNDARY_CASES["n_not_block_multiple"]
+        result = compute_rank_probabilities(
+            ranked_rows_db(rows).ranked(), 20, backend="numpy"
+        )
+        assert not isinstance(result._rho_state, np.ndarray)
+        assert math.fsum(result.topk_prefix) > 0  # answers need no ρ
+        assert not isinstance(result._rho_state, np.ndarray)
+        assert result.rho_prefix.shape == (result.cutoff, 20)
+        assert isinstance(result._rho_state, np.ndarray)
 
 
 class TestWeightsAndQuality:

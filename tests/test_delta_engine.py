@@ -34,7 +34,7 @@ from repro.queries.psr import (
     compute_rank_probabilities,
 )
 
-from strategies import databases
+from strategies import databases, ranked_rows_db
 
 ABS = 1e-9
 
@@ -252,6 +252,33 @@ class TestDeltaPSR:
             cold.topk_prefix, abs=ABS
         )
         assert rank_probs.rho_prefix == pytest.approx(cold.rho_prefix, abs=ABS)
+
+    @pytest.mark.parametrize("first_row", [128, 150])
+    @pytest.mark.parametrize("mass", [0.5, 0.3])
+    def test_window_start_on_and_off_a_block_boundary(self, first_row, mass):
+        # The collapsed x-tuple's first member -- the window start --
+        # sits on a block boundary (128) or mid-block (150).  Mass 0.5
+        # completes the x-tuple (the window ends at a reusable tail);
+        # 0.3 leaves it incomplete (the re-scan runs to the bottom).
+        rows = [(f"f{i}", 0.3) for i in range(300)]
+        rows[first_row] = rows[first_row + 40] = ("target", mass)
+        db = ranked_rows_db(rows)
+        ranked = db.ranked()
+        k = 30
+        rank_probs = compute_rank_probabilities(ranked, k, backend="numpy")
+        xt = db.xtuple("target")
+        patched_ranked, delta = ranked.with_xtuple_replaced(
+            "target", xt.collapsed_to(xt.alternatives[1].tid)
+        )
+        assert delta.window_start == first_row
+        assert (delta.tail_new is not None) == (mass == 0.5)
+        patched = apply_rank_delta(rank_probs, delta, backend="numpy")
+        cold = compute_rank_probabilities(
+            patched_ranked, k, backend="python"
+        )
+        assert patched.cutoff == cold.cutoff
+        assert patched.topk_prefix == pytest.approx(cold.topk_prefix, abs=ABS)
+        assert patched.rho_prefix == pytest.approx(cold.rho_prefix, abs=ABS)
 
     def test_delta_from_foreign_view_rejected(self):
         db = generate_synthetic(num_xtuples=10, seed=6)

@@ -44,7 +44,7 @@ from repro.api.specs import BatchSpec, QualitySpec, QuerySpec
 from repro.queries.engine import QuerySession
 from repro.queries.psr import apply_rank_delta, compute_rank_probabilities
 
-from strategies import databases_with_k
+from strategies import BLOCK_BOUNDARY_CASES, databases_with_k, ranked_rows_db
 
 ABS = 1e-9
 
@@ -170,6 +170,20 @@ class TestShardedScanExactness:
             )
             _assert_matches_oracle(db.ranked(), k, parallel)
 
+    @pytest.mark.parametrize("rows", [37, 100])
+    @pytest.mark.parametrize("case", sorted(BLOCK_BOUNDARY_CASES))
+    def test_block_boundary_cases(self, block_rows, rows, case):
+        # Shards that are not a multiple of the numpy kernel's 64-row
+        # blocks start mid-block, so each shard's first block is partial.
+        block_rows(rows)
+        db_rows, ks = BLOCK_BOUNDARY_CASES[case]
+        ranked = ranked_rows_db(db_rows).ranked()
+        for k in ks:
+            parallel = compute_rank_probabilities(
+                ranked, k, backend="parallel", workers=1
+            )
+            _assert_matches_oracle(ranked, k, parallel)
+
     def test_saturation_exactly_on_boundary(self, block_rows):
         # Each complete x-tuple's two alternatives are rank-adjacent,
         # so with 2-row blocks every boundary coincides with an x-tuple
@@ -231,6 +245,24 @@ class TestPooledExecution:
             assert other.cutoff == base.cutoff
             assert other.rho_prefix.tobytes() == base.rho_prefix.tobytes()
             assert other.topk_prefix.tobytes() == base.topk_prefix.tobytes()
+
+    def test_bit_identical_across_worker_counts_unaligned_shards(
+        self, block_rows
+    ):
+        # 100-row shards start mid-block for the numpy block kernel.
+        block_rows(100)
+        rows, _ = BLOCK_BOUNDARY_CASES["spans_four_blocks"]
+        ranked = ranked_rows_db(rows).ranked()
+        runs = [
+            compute_rank_probabilities(
+                ranked, 12, backend="parallel", workers=workers
+            )
+            for workers in (1, 2)
+        ]
+        assert runs[1].parallel_info["mode"] == "pool"
+        assert runs[0].rho_prefix.tobytes() == runs[1].rho_prefix.tobytes()
+        assert runs[0].topk_prefix.tobytes() == runs[1].topk_prefix.tobytes()
+        _assert_matches_oracle(ranked, 12, runs[1])
 
     def test_bit_identical_across_repeated_runs(self, block_rows):
         block_rows(32)
