@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Single entry point for everything CI gates on: repro-lint, ruff,
-# mypy, and the tier-1 test suite.  `make check` calls this.
+# mypy, the tier-1 test suite, and the perfbench smoke (its own tests
+# plus a tiny run of each workload).  `make check` calls this.
 #
 # repro-lint and pytest always run (they ship with the repo).  ruff
 # and mypy run when installed and are reported as SKIPPED otherwise,
@@ -40,6 +41,12 @@ else
 fi
 
 step "pytest" python -m pytest -q
+
+step "perfbench tests" python -m pytest -q perfbench/tests
+for workload in serve-scan clean-durable store-reopen; do
+    step "perfbench $workload (tiny)" \
+        python3 perfbench/run.py --workload "$workload" --size tiny --seconds 2
+done
 
 if [ "$fail" -ne 0 ]; then
     echo "check: FAILED"

@@ -34,6 +34,8 @@ to re-evaluate only the rows whose inputs moved.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -51,6 +53,16 @@ from repro.exceptions import InvalidDatabaseError
 #: higher-ranked tuple in the PSR scan; the delta machinery uses the
 #: same threshold to decide where an x-tuple swap stops affecting rows.
 SATURATION_EPSILON = 1e-12
+
+#: Memo key of an x-tuple's content-hash record (see :meth:`XTuple.encoded`).
+_HASH_RECORD = "_hash_record"
+
+
+def _hash_record(xt: XTuple) -> bytes:
+    """One x-tuple's share of :meth:`ProbabilisticDatabase.content_hash`."""
+    record = [xt.xid, [[t.tid, t.value, t.probability] for t in xt.alternatives]]
+    canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return canonical.encode() + b"\x00"
 
 
 class ProbabilisticDatabase:
@@ -224,24 +236,24 @@ class ProbabilisticDatabase:
         which immutable databases are registered, so repeated
         registration of equal content is idempotent.  Computed once and
         cached (the database is immutable by convention).
+
+        The digest is one SHA-256 over the x-tuples' records joined in
+        order.  Each record -- canonical JSON of ``[xid, [[tid, value,
+        probability], ...]]`` plus a NUL separator -- is itself cached
+        on its :class:`~repro.db.tuples.XTuple`, and a derived snapshot
+        (:meth:`RankedDatabase.with_xtuple_replaced` /
+        :meth:`RankedDatabase.with_xtuple_removed`) shares every
+        unchanged ``XTuple`` with its base.  Hashing a cleaning outcome
+        therefore encodes only the x-tuples the cleaning changed, then
+        pays one join and one SHA-256 over the whole database.
         """
         cached = getattr(self, "_content_hash", None)
         if cached is not None:
             return cached
-        import hashlib
-        import json
-
-        hasher = hashlib.sha256()
-        for xt in self._xtuples:
-            record = [
-                xt.xid,
-                [[t.tid, t.value, t.probability] for t in xt.alternatives],
-            ]
-            hasher.update(
-                json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
-            )
-            hasher.update(b"\x00")
-        digest = hasher.hexdigest()
+        records = b"".join(
+            [xt.encoded(_HASH_RECORD, _hash_record) for xt in self._xtuples]
+        )
+        digest = hashlib.sha256(records).hexdigest()
         self._content_hash = digest
         return digest
 

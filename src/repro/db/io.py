@@ -5,6 +5,12 @@ one row per tuple with the x-tuple id as a column, which matches how
 Table I of the paper is laid out (sensor id, tuple id, value,
 probability).  Both formats round-trip exactly.
 
+Snapshot segments hold the canonical form of the JSON payload:
+:func:`database_to_dict` dumped with sorted keys and no whitespace.
+:func:`database_structure_json` produces those bytes from per-x-tuple
+fragments cached on each x-tuple, so re-encoding a cleaning outcome
+costs only the x-tuples the cleaning changed.
+
 Ingest is the trust boundary: external payloads are validated *before*
 any tuple object is constructed, and violations raise
 :class:`~repro.exceptions.InvalidDataError` naming the offending row
@@ -21,7 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Set, Union
 
 from repro.db.database import ProbabilisticDatabase
-from repro.db.tuples import ProbabilisticTuple, XTuple
+from repro.db.tuples import PROBABILITY_SUM_TOLERANCE, ProbabilisticTuple, XTuple
 from repro.exceptions import InvalidDataError
 
 PathLike = Union[str, Path]
@@ -39,8 +45,7 @@ def _check_probability(value: Any, where: str) -> float:
     if (
         not isinstance(value, (int, float))
         or isinstance(value, bool)
-        or math.isnan(value)
-        or math.isinf(value)
+        or (isinstance(value, float) and not math.isfinite(value))
     ):
         raise InvalidDataError(
             f"{where}: probability must be a finite number, got {value!r}"
@@ -64,71 +69,139 @@ def _check_new_id(value: Any, seen: Set[str], label: str, where: str) -> str:
     return value
 
 
-def database_to_dict(db: ProbabilisticDatabase) -> Dict[str, Any]:
-    """Encode a database as a plain JSON-serializable dictionary."""
+def _header(db: ProbabilisticDatabase) -> Dict[str, Any]:
     return {
         "format": "repro.probabilistic_database",
         "version": _FORMAT_VERSION,
         "name": db.name,
-        "xtuples": [
-            {
-                "xid": xt.xid,
-                "alternatives": [
-                    {
-                        "tid": t.tid,
-                        "value": t.value,
-                        "probability": t.probability,
-                    }
-                    for t in xt.alternatives
-                ],
-            }
-            for xt in db.xtuples
+    }
+
+
+def _xtuple_to_dict(xt: XTuple) -> Dict[str, Any]:
+    return {
+        "xid": xt.xid,
+        "alternatives": [
+            {"tid": t.tid, "value": t.value, "probability": t.probability}
+            for t in xt.alternatives
         ],
     }
+
+
+def _canonical_json(payload: Any) -> bytes:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return text.encode("utf-8")
+
+
+#: Memo key of an x-tuple's structure-JSON fragment (see
+#: :meth:`XTuple.encoded`).
+_STRUCTURE_FRAGMENT = "_structure_fragment"
+
+
+def _structure_fragment(xt: XTuple) -> bytes:
+    return _canonical_json(_xtuple_to_dict(xt))
+
+
+def database_to_dict(db: ProbabilisticDatabase) -> Dict[str, Any]:
+    """Encode a database as a plain JSON-serializable dictionary."""
+    payload = _header(db)
+    payload["xtuples"] = [_xtuple_to_dict(xt) for xt in db.xtuples]
+    return payload
+
+
+def database_structure_json(db: ProbabilisticDatabase) -> bytes:
+    """Canonical JSON of :func:`database_to_dict` -- sorted keys, no
+    whitespace, UTF-8 -- as the snapshot store's segments hold it.
+
+    The bytes equal ``json.dumps(database_to_dict(db), sort_keys=True,
+    separators=(",", ":")).encode("utf-8")``, but each x-tuple's
+    fragment is cached on its :class:`~repro.db.tuples.XTuple`, so a
+    cleaning outcome (which shares every unchanged ``XTuple`` with its
+    base) encodes only the x-tuples the cleaning changed, plus one join.
+    """
+    # Sorted keys put "xtuples" last; cut its empty list's "]}" and
+    # splice the fragments in.
+    head = _canonical_json({**_header(db), "xtuples": []})[:-2]
+    fragments = b",".join(
+        [xt.encoded(_STRUCTURE_FRAGMENT, _structure_fragment) for xt in db.xtuples]
+    )
+    return head + fragments + b"]}"
 
 
 def database_from_dict(payload: Dict[str, Any]) -> ProbabilisticDatabase:
     """Decode a database from :func:`database_to_dict` output.
 
-    Malformed input -- invalid or duplicate identifiers, empty
-    x-tuples, probabilities that are NaN, infinite, non-positive or
-    above one -- raises :class:`~repro.exceptions.InvalidDataError`
-    naming the offending x-tuple / tuple, before any database object
-    is built.
+    Malformed input -- a missing or non-list ``xtuples``, entries or
+    alternatives that are not objects, invalid or duplicate
+    identifiers, empty x-tuples, alternatives without a value,
+    probabilities that are NaN, infinite, non-positive or above one,
+    or that sum above one within an x-tuple -- raises
+    :class:`~repro.exceptions.InvalidDataError` naming the offending
+    x-tuple / tuple, before any database object is built.  A payload
+    that is not a repro database at all raises ``ValueError``.
     """
-    if payload.get("format") != "repro.probabilistic_database":
+    if (
+        not isinstance(payload, dict)
+        or payload.get("format") != "repro.probabilistic_database"
+    ):
         raise ValueError("payload is not a repro probabilistic database")
+    entries = payload.get("xtuples")
+    if not isinstance(entries, (list, tuple)):
+        raise InvalidDataError(
+            f"payload: xtuples must be a list of x-tuples, got {entries!r}"
+        )
     seen_xids: Set[str] = set()
     seen_tids: Set[str] = set()
     xtuples: List[XTuple] = []
-    for position, xt in enumerate(payload["xtuples"]):
+    for position, xt in enumerate(entries):
+        if not isinstance(xt, dict):
+            raise InvalidDataError(
+                f"x-tuple #{position}: must be an object, got {xt!r}"
+            )
         xid = _check_new_id(
             xt.get("xid"), seen_xids, "x-tuple id", f"x-tuple #{position}"
         )
         alternatives = xt.get("alternatives")
+        if not isinstance(alternatives, (list, tuple)):
+            raise InvalidDataError(
+                f"x-tuple {xid!r}: alternatives must be a list, "
+                f"got {alternatives!r}"
+            )
         if not alternatives:
             raise InvalidDataError(
                 f"x-tuple {xid!r}: has no alternatives; every x-tuple "
                 f"must hold at least one tuple"
             )
-        members = tuple(
-            ProbabilisticTuple(
-                tid=_check_new_id(
-                    alt.get("tid"),
-                    seen_tids,
-                    "tuple id",
-                    f"x-tuple {xid!r}, alternative #{index}",
-                ),
-                xtuple_id=xid,
-                value=alt["value"],
-                probability=_check_probability(
-                    alt.get("probability"),
-                    f"tuple {alt.get('tid')!r} of x-tuple {xid!r}",
-                ),
+        members: List[ProbabilisticTuple] = []
+        total = 0.0
+        for index, alt in enumerate(alternatives):
+            where = f"x-tuple {xid!r}, alternative #{index}"
+            if not isinstance(alt, dict):
+                raise InvalidDataError(f"{where}: must be an object, got {alt!r}")
+            tid = _check_new_id(alt.get("tid"), seen_tids, "tuple id", where)
+            if "value" not in alt:
+                raise InvalidDataError(
+                    f"tuple {tid!r} of x-tuple {xid!r}: has no value"
+                )
+            probability = _check_probability(
+                alt.get("probability"), f"tuple {tid!r} of x-tuple {xid!r}"
             )
-            for index, alt in enumerate(alternatives)
-        )
-        xtuples.append(XTuple(xid=xid, alternatives=members))
+            members.append(
+                ProbabilisticTuple(
+                    tid=tid,
+                    xtuple_id=xid,
+                    value=alt["value"],
+                    probability=probability,
+                )
+            )
+            # Summed in XTuple.__post_init__'s order, so this check and
+            # the model's agree on every float.
+            total += probability
+        if total > 1.0 + PROBABILITY_SUM_TOLERANCE:
+            raise InvalidDataError(
+                f"x-tuple {xid!r}: existential probabilities sum to "
+                f"{total!r} > 1"
+            )
+        xtuples.append(XTuple(xid=xid, alternatives=tuple(members)))
     return ProbabilisticDatabase(xtuples, name=payload.get("name", ""))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence, Tuple
+from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.exceptions import InvalidDatabaseError
 
@@ -83,6 +83,16 @@ class ProbabilisticTuple:
 class XTuple:
     """An uncertain entity: mutually exclusive alternatives.
 
+    Immutability also backs the x-tuple's cached canonical encodings
+    (:meth:`encoded`): its content-hash record and its structure-JSON
+    fragment are computed on first use and kept on the object, outside
+    its dataclass fields, so equality, ``repr``,
+    :func:`dataclasses.fields` and :func:`dataclasses.replace` never see
+    them.  A value must therefore not be mutated after construction --
+    MOV's ``{date, rating}`` dicts included -- or the cached bytes go
+    stale.  Two threads filling the same memo (the session pool's) race
+    harmlessly: both compute, and store, the same bytes.
+
     Attributes
     ----------
     xid:
@@ -130,6 +140,20 @@ class XTuple:
                 f"existential probabilities in x-tuple {self.xid!r} sum to "
                 f"{total!r} > 1"
             )
+
+    def encoded(self, key: str, encode: Callable[["XTuple"], bytes]) -> bytes:
+        """``encode(self)``, computed on first use and cached under ``key``.
+
+        Each encoding's owner supplies its key and encoder:
+        :mod:`repro.db.database` the content-hash record,
+        :mod:`repro.db.io` the structure-JSON fragment.  A snapshot
+        derived by swapping one x-tuple shares every other ``XTuple``
+        object with its base, and with them their cached bytes.
+        """
+        cached: Optional[bytes] = self.__dict__.get(key)
+        if cached is None:
+            cached = self.__dict__[key] = encode(self)
+        return cached
 
     def __iter__(self) -> Iterator[ProbabilisticTuple]:
         return iter(self.alternatives)

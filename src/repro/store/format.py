@@ -16,10 +16,17 @@ Segment layout (all integers big-endian)::
                                 hash, ranking descriptor, structure
                                 framing, per-column (dtype, byte
                                 length, crc32)
-    ...        structure JSON   database_to_dict() payload
+    ...        structure JSON   canonical JSON of the database_to_dict()
+                                payload (sorted keys, no whitespace)
     ...        column bytes     the ranked view's canonical arrays,
                                 raw, concatenated in header order
     tail       SHA-256 digest   over every preceding byte (32 bytes)
+
+The writer assembles those same structure bytes from per-x-tuple
+fragments cached on each x-tuple
+(:func:`repro.db.io.database_structure_json`), so persisting a cleaning
+outcome encodes only the x-tuples the cleaning changed.  The decoder
+still parses, and the store still verifies, the whole structure.
 
 Two layers of verification are deliberate: the per-column CRCs localize
 *which* column a flipped bit landed in (diagnostics), while the
@@ -98,11 +105,13 @@ def encode_segment(
     content_hash: str,
     name: str,
     ranking: Mapping[str, Any],
-    structure: Mapping[str, Any],
+    structure_json: bytes,
     columns: Mapping[str, Tuple[str, bytes]],
 ) -> bytes:
     """Encode one snapshot segment.
 
+    ``structure_json`` is the database's canonical structure JSON
+    (:func:`repro.db.io.database_structure_json`), framed verbatim.
     ``columns`` maps column name to ``(dtype_str, raw_bytes)``; the
     header records their order, dtypes, lengths and CRCs so the decoder
     can slice and verify them without trusting anything but the magic.
@@ -119,7 +128,6 @@ def encode_segment(
             }
         )
         column_blobs.append(blob)
-    structure_json = _canonical_json(structure)
     header = {
         "schema": SCHEMA_VERSION,
         "snapshot_id": snapshot_id,

@@ -129,7 +129,7 @@ import numpy as np
 from repro.core.counters import STORE_COUNTERS
 from repro.core.lockcheck import RANK_STORE, OrderedLock
 from repro.db.database import CANONICAL_COLUMNS, RankedDatabase
-from repro.db.io import database_from_dict, database_to_dict
+from repro.db.io import database_from_dict, database_structure_json
 from repro.db.ranking import ranking_descriptor, ranking_from_descriptor
 from repro.exceptions import (
     CorruptSnapshotError,
@@ -646,7 +646,7 @@ class SnapshotStore:
         header, structure, columns = decode_segment(data)
         try:
             db = database_from_dict(structure)
-        except (InvalidDatabaseError, ValueError, KeyError, TypeError) as exc:
+        except (InvalidDatabaseError, ValueError) as exc:
             raise CorruptSnapshotError(
                 f"segment corrupt: structure does not decode ({exc})"
             ) from None
@@ -785,7 +785,7 @@ class SnapshotStore:
                     content_hash=ranked.db.content_hash(),
                     name=ranked.db.name,
                     ranking=descriptor,
-                    structure=database_to_dict(ranked.db),
+                    structure_json=database_structure_json(ranked.db),
                     columns=columns,
                 )
                 crash_after = False

@@ -117,6 +117,16 @@ class TestQuery:
         assert "PWS-quality" in out
 
 
+    def test_malformed_database_is_a_typed_error(self, udb1_file, capsys):
+        payload = json.loads(udb1_file.read_text(encoding="utf-8"))
+        del payload["xtuples"][0]["alternatives"][0]["value"]
+        udb1_file.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["query", "--db", str(udb1_file), "-k", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [InvalidDataError]: tuple 't0' of x-tuple")
+        assert "Traceback" not in err
+
+
 class TestClean:
     def test_plan_only(self, synthetic_db_file, capsys):
         assert (

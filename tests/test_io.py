@@ -1,5 +1,7 @@
 """Round-trip tests for database serialization (repro.db.io)."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,6 +9,11 @@ from repro.db import io
 from repro.db.database import ProbabilisticDatabase
 from repro.db.tuples import make_xtuple
 
+from reference_encoding import (
+    ENCODING_CASES,
+    reference_content_hash,
+    reference_structure_json,
+)
 from strategies import databases
 
 
@@ -37,6 +44,40 @@ class TestDictRoundTrip:
     @given(databases())
     def test_random_databases(self, db):
         _assert_equal_databases(db, io.database_from_dict(io.database_to_dict(db)))
+
+
+class TestStructureJson:
+    """The segment structure bytes, assembled from per-x-tuple fragments."""
+
+    @pytest.mark.parametrize("name", sorted(ENCODING_CASES))
+    def test_matches_reference_encoder(self, name):
+        db = ENCODING_CASES[name][0]()
+        expected = reference_structure_json(db)
+        assert io.database_structure_json(db) == expected  # cold memo
+        assert io.database_structure_json(db) == expected  # filled memo
+        renamed = ProbabilisticDatabase(db.xtuples, name="renamed ☃")
+        assert io.database_structure_json(renamed) == reference_structure_json(
+            renamed
+        )
+
+    @pytest.mark.parametrize("name", sorted(ENCODING_CASES))
+    def test_round_trips_with_the_same_hash(self, name):
+        db = ENCODING_CASES[name][0]()
+        restored = io.database_from_dict(json.loads(io.database_structure_json(db)))
+        _assert_equal_databases(db, restored)
+        assert restored.name == db.name
+        assert restored.content_hash() == reference_content_hash(db)
+        assert io.database_structure_json(restored) == reference_structure_json(db)
+
+    @settings(max_examples=25)
+    @given(databases())
+    def test_random_databases_match_reference(self, db):
+        assert io.database_structure_json(db) == reference_structure_json(db)
+        assert db.content_hash() == reference_content_hash(db)
+
+    def test_empty_database(self):
+        db = ProbabilisticDatabase([], name="")
+        assert io.database_structure_json(db) == reference_structure_json(db)
 
 
 class TestJsonRoundTrip:

@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+from pathlib import Path
+from typing import Optional
 
+import numpy as np
 import pytest
 
 from repro.datasets.synthetic import generate_synthetic
 from repro.db import io
-from repro.db.database import RankedDatabase
-from repro.db.ranking import by_value
+from repro.db.database import CANONICAL_COLUMNS, ProbabilisticDatabase, RankedDatabase
+from repro.db.ranking import by_value, ranking_descriptor
+from repro.db.tuples import make_xtuple
 from repro.exceptions import (
     CorruptSnapshotError,
     InvalidDataError,
@@ -43,6 +48,12 @@ from repro.testing import (
     use_faults,
 )
 
+from reference_encoding import (
+    ENCODING_CASES,
+    reference_content_hash,
+    reference_structure_json,
+)
+
 
 def ranked_db(seed: int = 3, num_xtuples: int = 12) -> RankedDatabase:
     return RankedDatabase(
@@ -50,14 +61,15 @@ def ranked_db(seed: int = 3, num_xtuples: int = 12) -> RankedDatabase:
     )
 
 
-def encoded_segment(snapshot_id: str = "s1") -> bytes:
-    ranked = ranked_db()
-    import numpy as np
-
-    from repro.db.database import CANONICAL_COLUMNS
-    from repro.db.io import database_to_dict
-    from repro.db.ranking import ranking_descriptor
-
+def encoded_segment(
+    snapshot_id: str = "s1",
+    ranked: Optional[RankedDatabase] = None,
+    structure_json: Optional[bytes] = None,
+    content_hash: Optional[str] = None,
+) -> bytes:
+    """A segment of ``ranked`` (default :func:`ranked_db`), encoded with
+    the cached encoders unless a structure JSON / content hash is given."""
+    ranked = ranked_db() if ranked is None else ranked
     columns = {
         name: (
             getattr(ranked, name).dtype.str,
@@ -67,11 +79,27 @@ def encoded_segment(snapshot_id: str = "s1") -> bytes:
     }
     return encode_segment(
         snapshot_id=snapshot_id,
-        content_hash=ranked.db.content_hash(),
+        content_hash=(
+            ranked.db.content_hash() if content_hash is None else content_hash
+        ),
         name=ranked.db.name,
         ranking=ranking_descriptor(ranked.ranking),
-        structure=database_to_dict(ranked.db),
+        structure_json=(
+            io.database_structure_json(ranked.db)
+            if structure_json is None
+            else structure_json
+        ),
         columns=columns,
+    )
+
+
+def reference_segment(snapshot_id: str, ranked: RankedDatabase) -> bytes:
+    """The segment the uncached reference encoders frame."""
+    return encoded_segment(
+        snapshot_id,
+        ranked,
+        structure_json=reference_structure_json(ranked.db),
+        content_hash=reference_content_hash(ranked.db),
     )
 
 
@@ -123,6 +151,100 @@ class TestSegmentCodec:
             bin(a ^ b).count("1") for a, b in zip(data, flipped) if a != b
         ]
         assert diff == [1]
+
+
+# ---------------------------------------------------------------------------
+# Byte identity of the cached encoders
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "replay_stores"
+FIXTURE_STORES = sorted(p.name for p in FIXTURES.iterdir() if p.is_dir())
+
+
+def encoding_case(name: str) -> RankedDatabase:
+    make_db, make_ranking = ENCODING_CASES[name]
+    return RankedDatabase(make_db(), make_ranking())
+
+
+def assert_encodes_like_reference(db: ProbabilisticDatabase) -> None:
+    assert db.content_hash() == reference_content_hash(db)
+    assert io.database_structure_json(db) == reference_structure_json(db)
+
+
+class TestCachedEncodingIdentity:
+    @pytest.mark.parametrize("name", sorted(ENCODING_CASES))
+    def test_content_hash_matches_reference(self, name):
+        db = encoding_case(name).db
+        assert db.content_hash() == reference_content_hash(db)
+        # Every record now comes from the x-tuples' memo.
+        shared = ProbabilisticDatabase(db.xtuples, name="another name")
+        assert shared.content_hash() == reference_content_hash(db)
+
+    @pytest.mark.parametrize("name", sorted(ENCODING_CASES))
+    def test_segment_matches_reference_encoder(self, name, tmp_path):
+        ranked = encoding_case(name)
+        expected = reference_segment("s1", ranked)
+        assert encoded_segment("s1", ranked) == expected  # cold memo
+        assert encoded_segment("s1", ranked) == expected  # filled memo
+        store = SnapshotStore(tmp_path / "store", durability="none")
+        store.persist("s1", ranked)
+        path = tmp_path / "store" / "segments" / ("s1" + SEGMENT_SUFFIX)
+        assert path.read_bytes() == expected
+
+    def test_derivation_chain_hashes_like_reference(self, monkeypatch):
+        collapses = []
+        collapse_patch = RankedDatabase._collapse_patch
+
+        def spy(self, *args, **kwargs):
+            collapses.append(args[0].xid)
+            return collapse_patch(self, *args, **kwargs)
+
+        monkeypatch.setattr(RankedDatabase, "_collapse_patch", spy)
+        ranked = encoding_case("synthetic_incomplete")
+        assert_encodes_like_reference(ranked.db)
+        xids = [xt.xid for xt in ranked.db.xtuples]
+
+        steps = []
+        for step, xid in enumerate(xids[:9]):
+            xt = ranked.db.xtuple(xid)
+            if step % 3 == 0:  # Definition 5: collapse to a certain tuple
+                derived, _ = ranked.with_xtuple_replaced(
+                    xid, xt.collapsed_to(xt.alternatives[-1].tid)
+                )
+            elif step % 3 == 1:  # general path: fresh tids and values
+                replacement = make_xtuple(
+                    xid, [(f"{xid}-n{j}", 0.5 + j, 0.3) for j in range(3)]
+                )
+                derived, _ = ranked.with_xtuple_replaced(xid, replacement)
+            else:  # revealed null
+                derived, _ = ranked.with_xtuple_removed(xid)
+            # Unchanged x-tuples are shared with the base, memo and all.
+            unchanged = [x for x in ranked.db.xtuples if x.xid != xid]
+            kept = {x.xid: x for x in derived.db.xtuples}
+            assert all(kept[x.xid] is x for x in unchanged)
+            assert_encodes_like_reference(derived.db)
+            rebuilt = ProbabilisticDatabase(
+                make_xtuple(x.xid, [(t.tid, t.value, t.probability) for t in x])
+                for x in derived.db.xtuples
+            )
+            assert rebuilt.content_hash() == derived.db.content_hash()
+            steps.append(xid)
+            ranked = derived
+        assert collapses == steps[0::3]
+
+    @pytest.mark.parametrize("name", FIXTURE_STORES)
+    def test_fixture_base_segment_re_persists_byte_for_byte(self, tmp_path, name):
+        # The committed segments predate the per-x-tuple caches.
+        root = tmp_path / name
+        shutil.copytree(FIXTURES / name, root)
+        (committed,) = (root / "segments").glob("*" + SEGMENT_SUFFIX)
+        snapshot_id = committed.name[: -len(SEGMENT_SUFFIX)]
+        ranked = SnapshotStore(root, mode="readonly").snapshots()[snapshot_id]
+        for attempt in ("cold", "cached"):
+            fresh = SnapshotStore(tmp_path / attempt, durability="none")
+            assert fresh.persist(snapshot_id, ranked) is True
+            written = tmp_path / attempt / "segments" / committed.name
+            assert written.read_bytes() == committed.read_bytes()
 
 
 class TestJournalCodec:
@@ -262,6 +384,28 @@ class TestSnapshotStore:
             "s2" + SEGMENT_SUFFIX
         ]
 
+    def test_undecodable_structure_is_quarantined(self, tmp_path):
+        # Digest and CRCs verify; the structure's second x-tuple entry
+        # is not an object, so the database does not rebuild.
+        root = tmp_path / "store"
+        SnapshotStore(root, durability="none")
+        payload = io.database_to_dict(ranked_db().db)
+        payload["xtuples"][1] = "not an x-tuple"
+        structure_json = json.dumps(
+            payload, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        path = root / "segments" / ("s1" + SEGMENT_SUFFIX)
+        path.write_bytes(encoded_segment("s1", structure_json=structure_json))
+        decode_segment(path.read_bytes())  # framing is intact
+
+        reopened = SnapshotStore(root, durability="none")
+        assert reopened.recovery.loaded == ()
+        ((name, reason),) = reopened.recovery.quarantined
+        assert name == "s1" + SEGMENT_SUFFIX
+        assert "structure does not decode" in reason
+        assert "x-tuple #1: must be an object" in reason
+        assert (root / "quarantine" / name).exists()
+
     def test_shortread_at_open_quarantines(self, tmp_path):
         root = tmp_path / "store"
         SnapshotStore(root, durability="none").persist("s1", ranked_db())
@@ -344,7 +488,63 @@ def payload_with_probability(p):
     }
 
 
+def _drop_value(payload):
+    del payload["xtuples"][0]["alternatives"][0]["value"]
+
+
+def _set_alternative(payload, alternative):
+    payload["xtuples"][0]["alternatives"][0] = alternative
+
+
+def _overfill(payload):
+    payload["xtuples"][0]["alternatives"].append(
+        {"tid": "t2", "value": 2.0, "probability": 0.6}
+    )
+
+
+#: (mutation of a valid payload, message the typed error must carry).
+MALFORMED_PAYLOADS = {
+    "alternative_without_value": (_drop_value, "'t1' of x-tuple 'x1'.*no value"),
+    "alternative_not_an_object": (
+        lambda p: _set_alternative(p, ["t1", 1.0, 0.5]),
+        "x-tuple 'x1', alternative #0: must be an object",
+    ),
+    "xtuple_not_an_object": (
+        lambda p: p["xtuples"].append("x2"),
+        "x-tuple #1: must be an object",
+    ),
+    "alternatives_not_a_list": (
+        lambda p: p["xtuples"][0].update(alternatives={"tid": "t1"}),
+        "x-tuple 'x1': alternatives must be a list",
+    ),
+    "missing_xtuples": (lambda p: p.pop("xtuples"), "xtuples must be a list"),
+    "xtuples_not_a_list": (
+        lambda p: p.update(xtuples=7),
+        "xtuples must be a list",
+    ),
+    "probabilities_sum_above_one": (_overfill, "x-tuple 'x1'.*sum to"),
+    "probability_beyond_float_range": (
+        lambda p: _set_alternative(
+            p, {"tid": "t1", "value": 1.0, "probability": 10**400}
+        ),
+        "tuple 't1' of x-tuple 'x1'.*probability",
+    ),
+}
+
+
 class TestIngestValidation:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PAYLOADS))
+    def test_malformed_payload_raises_typed_error(self, case):
+        mutate, message = MALFORMED_PAYLOADS[case]
+        payload = payload_with_probability(0.5)
+        mutate(payload)
+        with pytest.raises(InvalidDataError, match=message):
+            io.database_from_dict(payload)
+
+    def test_non_object_payload_is_not_a_database(self):
+        with pytest.raises(ValueError, match="not a repro"):
+            io.database_from_dict(["repro.probabilistic_database"])
+
     @pytest.mark.parametrize(
         "probability",
         [float("nan"), float("inf"), -0.25, 0.0, 1.5, "0.5", None, True],

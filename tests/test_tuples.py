@@ -1,11 +1,14 @@
 """Unit tests for the tuple-level data model (repro.db.tuples)."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.db.database import ProbabilisticDatabase
+from repro.db.io import database_structure_json
 from repro.db.tuples import ProbabilisticTuple, XTuple, make_xtuple
 from repro.exceptions import InvalidDatabaseError
 
@@ -118,6 +121,40 @@ class TestXTuple:
         s3 = make_xtuple("S3", [("t4", 25.0, 0.4), ("t5", 27.0, 0.6)])
         with pytest.raises(InvalidDatabaseError):
             s3.collapsed_to("nope")
+
+
+    def test_filled_memo_is_invisible_to_the_dataclass(self):
+        alternatives = [("t4", 25.0, 0.4), ("t5", 27.0, 0.6)]
+        filled = make_xtuple("S3", alternatives)
+        db = ProbabilisticDatabase([filled])
+        db.content_hash()
+        database_structure_json(db)
+        assert len(vars(filled)) > len(dataclasses.fields(XTuple))
+        plain = make_xtuple("S3", alternatives)
+        assert filled == plain and hash(filled) == hash(plain)
+        assert repr(filled) == repr(plain)
+        assert [f.name for f in dataclasses.fields(filled)] == [
+            "xid",
+            "alternatives",
+        ]
+        assert dataclasses.astuple(filled) == dataclasses.astuple(plain)
+        # replace builds a new object: no cached bytes ride along.
+        swapped = dataclasses.replace(filled, alternatives=plain.alternatives[:1])
+        assert swapped == make_xtuple("S3", alternatives[:1])
+        assert len(vars(swapped)) == len(dataclasses.fields(XTuple))
+        assert dataclasses.replace(filled) == plain
+
+    def test_memo_is_filled_once(self):
+        xt = make_xtuple("S1", [("t0", 21.0, 0.6)])
+        calls = []
+
+        def encode(x):
+            calls.append(x.xid)
+            return b"bytes"
+
+        assert xt.encoded("_probe", encode) == b"bytes"
+        assert xt.encoded("_probe", encode) == b"bytes"
+        assert calls == ["S1"]
 
 
 class TestXTupleProperties:
