@@ -18,7 +18,6 @@ from repro import (
     GreedyCleaner,
     build_cleaning_problem,
     clean_adaptively,
-    evaluate,
     execute_plan,
 )
 from repro.core.tp import compute_quality_tp
@@ -27,6 +26,7 @@ from repro.datasets.synthetic import (
     generate_sc_probabilities,
     generate_synthetic,
 )
+from repro.queries import evaluate
 
 NUM_SENSORS = 400
 K = 10

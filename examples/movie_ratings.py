@@ -16,10 +16,11 @@ of the answer's ambiguity?
 Run:  python examples/movie_ratings.py
 """
 
-from repro import build_cleaning_problem, evaluate, min_cost_plan
+from repro import build_cleaning_problem, min_cost_plan
 from repro.cleaning import expected_improvement, improvement_upper_bound
 from repro.datasets.mov import generate_mov, mov_ranking
 from repro.datasets.synthetic import generate_costs, generate_sc_probabilities
+from repro.queries import evaluate
 
 NUM_RATINGS = 2000
 K = 15

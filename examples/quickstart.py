@@ -13,11 +13,11 @@ from repro import (
     DPCleaner,
     build_cleaning_problem,
     compute_quality_pwr,
-    evaluate,
     execute_plan,
 )
 from repro.cleaning import expected_improvement
 from repro.datasets.paper import udb1
+from repro.queries import evaluate
 
 
 def main() -> None:

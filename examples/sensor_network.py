@@ -23,7 +23,6 @@ from repro import (
     RandPCleaner,
     RandUCleaner,
     build_cleaning_problem,
-    evaluate,
     execute_plan,
 )
 from repro.cleaning import expected_improvement
@@ -32,6 +31,7 @@ from repro.datasets.synthetic import (
     generate_sc_probabilities,
     generate_synthetic,
 )
+from repro.queries import evaluate
 
 NUM_SENSORS = 800
 K = 10

@@ -35,9 +35,6 @@ Quickstart
 -2.55
 """
 
-import warnings
-from typing import Any, Set
-
 from repro import api, cleaning, core, datasets, db, queries
 from repro.api import (
     BatchSpec,
@@ -71,9 +68,7 @@ from repro.core import (
     compute_quality_tp,
     current_backend,
     set_backend,
-    set_workers,
     use_backend,
-    use_workers,
 )
 from repro.db import (
     ProbabilisticDatabase,
@@ -108,50 +103,6 @@ from repro.store import RecoveryReport, SnapshotStore
 
 __version__ = "1.3.0"
 
-#: Legacy top-level entry points superseded by the :mod:`repro.api`
-#: façade.  They remain importable here through a module
-#: ``__getattr__`` shim that emits a :class:`DeprecationWarning` once
-#: per name; their canonical homes (``repro.queries.engine``) stay
-#: warning-free for direct library use.
-_DEPRECATED_ENTRY_POINTS = {
-    "evaluate": (
-        "repro.queries.engine",
-        "use repro.TopKService / repro.QuerySession (or import it from "
-        "repro.queries) instead",
-    ),
-    "evaluate_without_sharing": (
-        "repro.queries.engine",
-        "use repro.TopKService / repro.QuerySession (or import it from "
-        "repro.queries) instead",
-    ),
-}
-
-_warned_entry_points: Set[str] = set()
-
-
-def __getattr__(name: str) -> Any:
-    """Deprecation shim for legacy top-level entry points.
-
-    Serves the names in :data:`_DEPRECATED_ENTRY_POINTS` from their
-    canonical modules, emitting one :class:`DeprecationWarning` per
-    name per process.
-    """
-    target = _DEPRECATED_ENTRY_POINTS.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, advice = target
-    if name not in _warned_entry_points:
-        _warned_entry_points.add(name)
-        warnings.warn(
-            f"repro.{name} is deprecated; {advice}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
 __all__ = [
     "__version__",
     # submodules
@@ -183,8 +134,6 @@ __all__ = [
     "RankingFunction",
     "by_value",
     # queries
-    "evaluate",  # deprecated shim
-    "evaluate_without_sharing",  # deprecated shim
     "EvaluationReport",
     "QuerySession",
     "compute_rank_probabilities",

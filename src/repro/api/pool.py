@@ -90,10 +90,6 @@ class SessionPool:
         defaults to by-value.
     backend:
         Kernel selection threaded into every pooled session.
-    workers:
-        Parallel-backend pool size threaded into every pooled session
-        (``None`` defers to the environment; serial backends ignore
-        it).
     max_in_flight:
         Admission gate: most leases live at once.  The ``max_in_flight
         + 1``-th concurrent lease waits for a slot and is shed with
@@ -125,7 +121,6 @@ class SessionPool:
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         ranking: Optional[RankingFunction] = None,
         backend: Optional[str] = None,
-        workers: Optional[int] = None,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         admission_timeout_ms: float = DEFAULT_ADMISSION_TIMEOUT_MS,
         store: Optional[SnapshotStore] = None,
@@ -133,8 +128,6 @@ class SessionPool:
     ) -> None:
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be >= 1, got {max_sessions}")
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if max_in_flight < 1:
             raise ValueError(
                 f"max_in_flight must be >= 1, got {max_in_flight}"
@@ -147,7 +140,6 @@ class SessionPool:
         self.max_sessions = max_sessions
         self.ranking = ranking
         self.backend = backend
-        self.workers = workers
         self.max_in_flight = max_in_flight
         self.admission_timeout_ms = float(admission_timeout_ms)
         # The pool's locks declare their place in the serving stack's
@@ -386,9 +378,7 @@ class SessionPool:
             # Built outside the pool lock: construction ranks
             # nothing (the view exists) but must not block other
             # snapshots' bookkeeping.
-            session = QuerySession(
-                ranked, backend=self.backend, workers=self.workers
-            )
+            session = QuerySession(ranked, backend=self.backend)
             with self._lock:
                 self._store_session(snapshot_id, session)
         return session

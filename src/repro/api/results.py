@@ -48,13 +48,9 @@ class ServiceResult:
         Cache/cost counters consumed by this request, as per-request
         deltas of the session's cumulative totals: ``psr_hits`` /
         ``psr_misses`` / ``psr_patches`` / ``psr_prefills`` /
-        ``cold_derives`` / ``delta_derives`` (cache behaviour),
-        ``psr_parallel_passes`` / ``psr_parallel_fallbacks`` (which
-        kernel ran), and the resilience trio ``psr_retries`` /
-        ``psr_pool_restarts`` / ``psr_degraded`` (supervised retries,
-        worker-pool rebuilds, and passes that degraded past the pooled
-        kernel -- all zero on a healthy run, so any non-zero value is
-        a recovered fault made visible).
+        ``cold_derives`` / ``delta_derives``.  Store-backed services
+        add the store counters' deltas
+        (:data:`~repro.core.counters.STORE_COUNTERS`).
     """
 
     kind: str

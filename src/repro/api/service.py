@@ -59,7 +59,6 @@ from repro.cleaning.model import (
 )
 from repro.cleaning.random_cleaners import RandPCleaner, RandUCleaner
 from repro.core.counters import SESSION_COUNTERS, STORE_COUNTERS
-from repro.core.parallel import use_workers
 from repro.core.quality import compute_quality_detailed
 from repro.core.resilience import Deadline, check_deadline, scoped
 from repro.datasets.synthetic import generate_costs, generate_sc_probabilities
@@ -109,9 +108,6 @@ class TopKService:
         Kernel selection forwarded to the private pool only.
     max_sessions:
         LRU bound of the private pool only.
-    workers:
-        Parallel-backend pool size forwarded to the private pool only;
-        a per-request ``spec.workers`` overrides it for that request.
     max_in_flight / admission_timeout_ms:
         Admission-gate settings forwarded to the private pool only
         (see :class:`~repro.api.pool.SessionPool`).
@@ -119,9 +115,8 @@ class TopKService:
         Durable persistence.  ``store`` attaches an existing
         :class:`~repro.store.SnapshotStore`; ``store_dir`` opens (or
         creates) one at that directory with the given ``durability``
-        (``"strict"``/``"fsync"`` default, ``"batch"`` for
-        group-committed journal fsyncs, ``"none"`` for tests).  Either
-        way the
+        (``"fsync"`` default, ``"batch"`` for group-committed journal
+        fsyncs, ``"none"`` for tests).  Either way the
         store's recovered snapshots seed the pool, every registration
         persists before publishing, executed cleanings are
         write-ahead journaled, and pending journal records are
@@ -146,7 +141,6 @@ class TopKService:
         ranking: Optional[RankingFunction] = None,
         backend: Optional[str] = None,
         max_sessions: Optional[int] = None,
-        workers: Optional[int] = None,
         max_in_flight: Optional[int] = None,
         admission_timeout_ms: Optional[float] = None,
         store: Optional[SnapshotStore] = None,
@@ -159,7 +153,6 @@ class TopKService:
             ranking is not None
             or backend is not None
             or max_sessions is not None
-            or workers is not None
             or max_in_flight is not None
             or admission_timeout_ms is not None
             or store is not None
@@ -169,7 +162,7 @@ class TopKService:
             or tuple(pinned)
         ):
             raise ValueError(
-                "pass ranking/backend/max_sessions/workers/max_in_flight/"
+                "pass ranking/backend/max_sessions/max_in_flight/"
                 "admission_timeout_ms/store/store_dir/durability/"
                 "keep_last_n/pinned only when the service creates its "
                 "own pool"
@@ -206,7 +199,6 @@ class TopKService:
             pool = SessionPool(
                 ranking=ranking,
                 backend=backend,
-                workers=workers,
                 store=store,
                 retention=retention,
                 **kwargs,
@@ -219,7 +211,7 @@ class TopKService:
 
     @contextmanager
     def _admitted(self, spec: Any) -> Iterator[None]:
-        """Scope a request's deadline / retry policy around its work.
+        """Scope a request's deadline around its work.
 
         An already-expired ``deadline_ms`` sheds the request here --
         with :class:`~repro.exceptions.DeadlineExceededError`, before
@@ -232,7 +224,7 @@ class TopKService:
             if spec.deadline_ms is not None
             else None
         )
-        with scoped(deadline, spec.retry_policy):
+        with scoped(deadline):
             check_deadline("at request admission")
             yield
 
@@ -277,9 +269,7 @@ class TopKService:
         anything else means the durable history is inconsistent, and
         opening fails with
         :class:`~repro.exceptions.JournalReplayError` rather than
-        serving state that contradicts the journal.  The original
-        request's deadline / retry settings are stripped: replay must
-        complete, not re-honor a long-gone latency budget.
+        serving state that contradicts the journal.
         """
         assert self.store is not None
         for record in self.store.pending_cleanings():
@@ -291,6 +281,11 @@ class TopKService:
                     f"be replayed: its segment is missing or quarantined"
                 )
             spec_payload = dict(record.get("spec") or {})
+            # Replay must complete, not re-honor the original request's
+            # long-gone latency budget.  Older journals also carry a
+            # ``retry_policy`` (null), a field specs no longer have;
+            # strip it or the spec would not decode.  Snapshot ids hash
+            # content, not specs, so no journaled id changes.
             spec_payload.pop("deadline_ms", None)
             spec_payload.pop("retry_policy", None)
             try:
@@ -361,8 +356,7 @@ register`), and the envelope's ``counters`` reports the store's
         with self._admitted(spec), self.pool.lease(snapshot_id) as session:
             check_deadline("after queueing for a session lease")
             before = _counters_of(session)
-            with use_workers(spec.workers):
-                payload = self._query_payload(session, spec)
+            payload = self._query_payload(session, spec)
             counters = self._with_store_delta(
                 _counter_delta(before, session), store_before
             )
@@ -382,8 +376,7 @@ register`), and the envelope's ``counters`` reports the store's
         with self._admitted(spec), self.pool.lease(snapshot_id) as session:
             check_deadline("after queueing for a session lease")
             before = _counters_of(session)
-            with use_workers(spec.workers):
-                payload = self._quality_payload(session, spec)
+            payload = self._quality_payload(session, spec)
             counters = self._with_store_delta(
                 _counter_delta(before, session), store_before
             )
@@ -413,35 +406,32 @@ register`), and the envelope's ``counters`` reports the store's
             # Only items that ride the PSR cache size the shared pass:
             # an enumeration/sampling QualitySpec never reads it, so its
             # (possibly huge) k must not inflate the O(k_max·n) scan.
-            # The batch-level workers knob covers the prefill (where the
-            # shared PSR pass actually runs) and every item.
-            with use_workers(spec.workers):
-                session.prefill(
-                    item.k
-                    for item in spec.items
-                    if isinstance(item, QuerySpec) or item.method == "tp"
+            session.prefill(
+                item.k
+                for item in spec.items
+                if isinstance(item, QuerySpec) or item.method == "tp"
+            )
+            items = []
+            for item in spec.items:
+                item_start = time.perf_counter()
+                item_before = _counters_of(session)
+                if isinstance(item, QuerySpec):
+                    kind = "query"
+                    payload = self._query_payload(session, item)
+                else:
+                    kind = "quality"
+                    payload = self._quality_payload(session, item)
+                items.append(
+                    ServiceResult(
+                        kind=kind,
+                        snapshot_id=snapshot_id,
+                        payload=payload,
+                        spec=item.to_dict(),
+                        timing_ms=(time.perf_counter() - item_start)
+                        * 1000.0,
+                        counters=_counter_delta(item_before, session),
+                    ).to_dict()
                 )
-                items = []
-                for item in spec.items:
-                    item_start = time.perf_counter()
-                    item_before = _counters_of(session)
-                    if isinstance(item, QuerySpec):
-                        kind = "query"
-                        payload = self._query_payload(session, item)
-                    else:
-                        kind = "quality"
-                        payload = self._quality_payload(session, item)
-                    items.append(
-                        ServiceResult(
-                            kind=kind,
-                            snapshot_id=snapshot_id,
-                            payload=payload,
-                            spec=item.to_dict(),
-                            timing_ms=(time.perf_counter() - item_start)
-                            * 1000.0,
-                            counters=_counter_delta(item_before, session),
-                        ).to_dict()
-                    )
             counters = self._with_store_delta(
                 _counter_delta(before, session), store_before
             )

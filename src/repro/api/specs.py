@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.core.resilience import RetryPolicy
 from repro.exceptions import InvalidSpecError
 
 #: Query semantics a :class:`QuerySpec` may request.
@@ -57,26 +56,12 @@ def _check_k(k: Any) -> None:
     )
 
 
-def _check_workers(workers: Any) -> None:
-    _require(
-        workers is None
-        or (
-            isinstance(workers, int)
-            and not isinstance(workers, bool)
-            and workers >= 1
-        ),
-        f"workers must be a positive integer or None, got {workers!r}",
-    )
-
-
-def _check_resilience(spec: Any) -> None:
-    """Validate / coerce the shared ``deadline_ms`` + ``retry_policy``.
+def _check_deadline(spec: Any) -> None:
+    """Validate / coerce the shared ``deadline_ms``.
 
     ``deadline_ms`` is a relative budget (positive, finite); the service
     converts it to an absolute :class:`~repro.core.resilience.Deadline`
-    at admission.  ``retry_policy`` accepts a
-    :class:`~repro.core.resilience.RetryPolicy` or its ``to_dict`` form
-    (so specs deserialize from plain JSON).
+    at admission.
     """
     deadline_ms = spec.deadline_ms
     _require(
@@ -91,16 +76,6 @@ def _check_resilience(spec: Any) -> None:
     )
     if deadline_ms is not None:
         object.__setattr__(spec, "deadline_ms", float(deadline_ms))
-    policy = spec.retry_policy
-    if policy is None or isinstance(policy, RetryPolicy):
-        return
-    if isinstance(policy, Mapping):
-        object.__setattr__(spec, "retry_policy", RetryPolicy.from_dict(policy))
-        return
-    raise InvalidSpecError(
-        f"retry_policy must be a RetryPolicy, its to_dict form, or None, "
-        f"got {policy!r}"
-    )
 
 
 def _spec_to_dict(spec: Any) -> Dict[str, Any]:
@@ -115,8 +90,6 @@ def _spec_to_dict(spec: Any) -> Dict[str, Any]:
             ]
         elif isinstance(value, Mapping):
             value = dict(value)
-        elif hasattr(value, "to_dict"):
-            value = value.to_dict()
         payload[f.name] = value
     return payload
 
@@ -134,18 +107,10 @@ class QuerySpec:
     threshold:
         PT-k threshold ``T`` in ``[0, 1]`` (the paper's default 0.1);
         ignored by the other semantics.
-    workers:
-        Process-pool size for the parallel backend's PSR pass;
-        ``None`` (default) defers to the service's environment
-        (``REPRO_WORKERS`` / CPU count).  Serial backends ignore it.
     deadline_ms:
         Relative completion budget.  An expired deadline sheds the
         request with :class:`~repro.exceptions.DeadlineExceededError`
         before any PSR work; ``None`` (default) means no deadline.
-    retry_policy:
-        Worker-supervision :class:`~repro.core.resilience.RetryPolicy`
-        for this request (accepts its ``to_dict`` form); ``None``
-        defers to the environment defaults.
     """
 
     TYPE = "query"
@@ -153,14 +118,11 @@ class QuerySpec:
     k: int
     semantics: str = "all"
     threshold: float = 0.1
-    workers: Optional[int] = None
     deadline_ms: Optional[float] = None
-    retry_policy: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         _check_k(self.k)
-        _check_workers(self.workers)
-        _check_resilience(self)
+        _check_deadline(self)
         _require(
             self.semantics in SEMANTICS,
             f"semantics must be one of {SEMANTICS}, got {self.semantics!r}",
@@ -199,12 +161,8 @@ class QualitySpec:
         standalone.
     samples:
         Sample count for ``"montecarlo"`` (ignored otherwise).
-    workers:
-        Process-pool size for the parallel backend's PSR pass (only
-        meaningful for ``"tp"``); ``None`` defers to the service's
-        environment.
-    deadline_ms / retry_policy:
-        Request-level resilience settings (see :class:`QuerySpec`).
+    deadline_ms:
+        Relative completion budget (see :class:`QuerySpec`).
     """
 
     TYPE = "quality"
@@ -212,14 +170,11 @@ class QualitySpec:
     k: int
     method: str = "tp"
     samples: int = 10_000
-    workers: Optional[int] = None
     deadline_ms: Optional[float] = None
-    retry_policy: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         _check_k(self.k)
-        _check_workers(self.workers)
-        _check_resilience(self)
+        _check_deadline(self)
         _require(
             self.method in QUALITY_METHODS,
             f"method must be one of {QUALITY_METHODS}, got {self.method!r}",
@@ -288,10 +243,9 @@ class CleaningSpec:
         request out -- the outcome stays memory-only (gone on
         restart).  Ignored (and harmless) without a store or without
         ``execute``.
-    deadline_ms / retry_policy:
-        Request-level resilience settings (see :class:`QuerySpec`).  A
-        deadline covers the whole cleaning run, re-planning rounds
-        included.
+    deadline_ms:
+        Relative completion budget (see :class:`QuerySpec`).  It
+        covers the whole cleaning run, re-planning rounds included.
     """
 
     TYPE = "cleaning"
@@ -308,11 +262,10 @@ class CleaningSpec:
     seed: int = 0
     durable: Optional[bool] = None
     deadline_ms: Optional[float] = None
-    retry_policy: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         _check_k(self.k)
-        _check_resilience(self)
+        _check_deadline(self)
         _require(
             isinstance(self.budget, int)
             and not isinstance(self.budget, bool)
@@ -390,39 +343,31 @@ class BatchSpec:
     batch costs one O(k_max·n) pass plus answer extraction -- the
     serving analogue of the paper's Section IV-C computation sharing.
 
-    ``workers`` sizes the parallel backend's pool for the whole batch
-    (the shared pass and any item that misses the cache); per-item
-    ``workers`` values are rejected inside a batch so the shared pass
-    has one unambiguous setting.  ``deadline_ms`` and ``retry_policy``
-    follow the same rule: the shared PSR pass serves every item, so a
-    per-item deadline or policy would be unenforceable -- set them on
-    the batch, where they cover the whole fan-out.
+    ``deadline_ms`` is set on the batch, where it covers the whole
+    fan-out: the shared PSR pass serves every item, so a per-item
+    deadline would be unenforceable and is rejected.
     """
 
     TYPE = "batch"
 
     items: Tuple[BatchItem, ...] = field(default_factory=tuple)
-    workers: Optional[int] = None
     deadline_ms: Optional[float] = None
-    retry_policy: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         items = tuple(self.items)
         _require(len(items) >= 1, "a batch needs at least one item")
-        _check_workers(self.workers)
-        _check_resilience(self)
+        _check_deadline(self)
         for item in items:
             _require(
                 isinstance(item, (QuerySpec, QualitySpec)),
                 f"batch items must be QuerySpec or QualitySpec, "
                 f"got {type(item).__name__}",
             )
-            for label in ("workers", "deadline_ms", "retry_policy"):
-                _require(
-                    getattr(item, label) is None,
-                    f"batch items must not set {label} individually; "
-                    f"set it on the BatchSpec",
-                )
+            _require(
+                item.deadline_ms is None,
+                "batch items must not set deadline_ms individually; "
+                "set it on the BatchSpec",
+            )
         object.__setattr__(self, "items", items)
 
     @property
@@ -458,9 +403,7 @@ class BatchSpec:
         items = tuple(spec_from_dict(item) for item in raw_items)
         return cls(  # type: ignore[arg-type]
             items=items,
-            workers=data.get("workers"),
             deadline_ms=data.get("deadline_ms"),
-            retry_policy=data.get("retry_policy"),
         )
 
 

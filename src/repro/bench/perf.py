@@ -32,18 +32,6 @@ Emits a JSON document with the timings future PRs compare against:
   thread group hammering the same snapshots -- measures the lease /
   LRU bookkeeping overhead under contention (correctness under
   concurrency is covered by ``tests/test_service_pool.py``).
-* ``parallel_scaling``: the sharded process-parallel PSR backend
-  swept over worker counts at ``n ∈ {100k, 1M}``, each point
-  cross-checked against the serial numpy kernel within 1e-9 (the run
-  fails on disagreement).  Records the measuring host's physical core
-  count next to every speedup -- a 1-core container honestly reports
-  oversubscribed numbers rather than fabricating scaling.
-* ``resilience``: the supervised parallel pass timed fault-free,
-  recovering from an injected worker crash (pool rebuild + block
-  retry), and degrading to the in-process serial tier after retry
-  exhaustion -- every faulted answer cross-checked against the serial
-  numpy kernel within 1e-9 (the run fails on disagreement), so the
-  recovery overheads are measured on passes that provably healed.
 
 The pure-Python backend is skipped above ``PYTHON_BACKEND_MAX_TUPLES``
 tuples when ``--quick`` is requested; the full snapshot runs it
@@ -54,7 +42,6 @@ snapshot runs in seconds on every push.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import random
 import statistics
@@ -130,24 +117,6 @@ BATCH_KS = (15, 25, 50, 100)
 CONTENTION_THREADS = 4
 CONTENTION_OPS = 400
 
-#: Resilience section: workload size, top-k, pool width and block rows
-#: for the fault-recovery timing.  Small enough that the pass itself is
-#: cheap -- the interesting cost is the supervision machinery (pool
-#: rebuild, block retry, degradation), not the kernel.
-RESILIENCE_SIZE = 20_000
-RESILIENCE_K = 100
-RESILIENCE_WORKERS = 2
-RESILIENCE_BLOCK_ROWS = 512
-
-#: Parallel-scaling section: total tuple counts, top-k parameter and
-#: the worker counts swept.  The domain scales with the x-tuple count
-#: so score-interval overlap (and with it the open-factor population
-#: the scan carries) stays at the paper's density instead of growing
-#: with n.
-PARALLEL_SIZES = (100_000, 1_000_000)
-PARALLEL_K = 100
-PARALLEL_WORKER_COUNTS = (1, 2, 4, 8)
-
 
 def _snapshot_ranked(num_tuples: int) -> RankedDatabase:
     db = generate_synthetic(
@@ -186,143 +155,6 @@ def psr_snapshot(
             if point.get("python_ms") and point.get("numpy_ms"):
                 point["speedup"] = point["python_ms"] / point["numpy_ms"]
             points.append(point)
-    return points
-
-
-def _parallel_ranked(num_tuples: int) -> RankedDatabase:
-    """Paper-density synthetic workload for the scaling sweep.
-
-    The default domain of :class:`~repro.datasets.synthetic.\
-SyntheticConfig` is the paper's fixed ``(0, 10000)``; at 1M tuples
-    that would pile ~800 x-tuples onto every score point and the scan
-    would spend its time in open-factor bookkeeping no real workload
-    exhibits.  Scaling the domain with ``m`` keeps the overlap density
-    exactly at the paper's 5000-x-tuple setting.
-    """
-    m = num_tuples // BARS
-    db = generate_synthetic(
-        num_xtuples=m,
-        completion=COMPLETION,
-        seed=DB_SEED,
-        domain=(0.0, 2.0 * m),
-    )
-    return db.ranked()
-
-
-def parallel_scaling_snapshot(
-    sizes: Sequence[int] = PARALLEL_SIZES,
-    k: int = PARALLEL_K,
-    worker_counts: Sequence[int] = PARALLEL_WORKER_COUNTS,
-    repeats: int = 2,
-    block_rows: "int | None" = None,
-) -> List[Dict]:
-    """Parallel-backend scaling sweep with a per-point exactness gate.
-
-    For every ``(n, workers)`` point the parallel result is
-    cross-checked against the serial numpy kernel -- cutoff equality
-    plus a :data:`DERIVE_CHECK_TOLERANCE` bound on every rank
-    probability and top-k probability -- and the run **fails** on
-    disagreement, so the published scaling numbers can never come from
-    a kernel that drifted.  ``host_cpu_count`` is recorded per point:
-    speedups are only meaningful relative to the physical cores the
-    measuring host actually had.
-    """
-    import numpy as np
-
-    from repro.core.parallel import _block_rows, shutdown_pool
-
-    previous_rows = os.environ.get("REPRO_BLOCK_ROWS")
-    if block_rows is not None:
-        os.environ["REPRO_BLOCK_ROWS"] = str(block_rows)
-    points: List[Dict] = []
-    try:
-        for size in sizes:
-            ranked = _parallel_ranked(size)
-            k_eff = min(k, ranked.num_tuples)
-            reference = compute_rank_probabilities(
-                ranked, k_eff, backend="numpy"
-            )
-            numpy_ms = time_call(
-                lambda: compute_rank_probabilities(
-                    ranked, k_eff, backend="numpy"
-                ),
-                repeats=repeats,
-                time_budget_s=240.0,
-            )
-            runs: List[Dict] = []
-            serial_ms = None
-            for workers in worker_counts:
-                result = compute_rank_probabilities(
-                    ranked, k_eff, backend="parallel", workers=workers
-                )
-                if result.cutoff != reference.cutoff:
-                    raise RuntimeError(
-                        f"parallel cutoff {result.cutoff} != serial "
-                        f"{reference.cutoff} at n={ranked.num_tuples}, "
-                        f"workers={workers}"
-                    )
-                max_err = max(
-                    float(
-                        np.max(
-                            np.abs(result.rho_prefix - reference.rho_prefix)
-                        )
-                    ),
-                    float(
-                        np.max(
-                            np.abs(result.topk_prefix - reference.topk_prefix)
-                        )
-                    ),
-                )
-                if max_err > DERIVE_CHECK_TOLERANCE:
-                    raise RuntimeError(
-                        f"parallel kernel diverged from serial numpy by "
-                        f"{max_err:.3e} (> {DERIVE_CHECK_TOLERANCE:.0e}) "
-                        f"at n={ranked.num_tuples}, workers={workers}"
-                    )
-                elapsed_ms = time_call(
-                    lambda: compute_rank_probabilities(
-                        ranked, k_eff, backend="parallel", workers=workers
-                    ),
-                    repeats=repeats,
-                    time_budget_s=240.0,
-                )
-                if serial_ms is None:
-                    serial_ms = elapsed_ms
-                info = result.parallel_info or {}
-                runs.append(
-                    {
-                        "workers": workers,
-                        "parallel_ms": elapsed_ms,
-                        "mode": info.get("mode"),
-                        "fallback": info.get("fallback"),
-                        "blocks": info.get("blocks"),
-                        "speedup_vs_1worker": (
-                            serial_ms / elapsed_ms if elapsed_ms > 0 else None
-                        ),
-                        "speedup_vs_numpy": (
-                            numpy_ms / elapsed_ms if elapsed_ms > 0 else None
-                        ),
-                        "max_abs_error_vs_numpy": max_err,
-                    }
-                )
-            points.append(
-                {
-                    "n": ranked.num_tuples,
-                    "m": ranked.num_xtuples,
-                    "k": k_eff,
-                    "block_rows": _block_rows(),
-                    "host_cpu_count": os.cpu_count(),
-                    "numpy_ms": numpy_ms,
-                    "workers": runs,
-                }
-            )
-    finally:
-        if block_rows is not None:
-            if previous_rows is None:
-                os.environ.pop("REPRO_BLOCK_ROWS", None)
-            else:
-                os.environ["REPRO_BLOCK_ROWS"] = previous_rows
-        shutdown_pool()
     return points
 
 
@@ -711,130 +543,6 @@ def pool_contention_snapshot(
     }
 
 
-def resilience_snapshot(
-    size: int = RESILIENCE_SIZE,
-    k: int = RESILIENCE_K,
-    workers: int = RESILIENCE_WORKERS,
-    block_rows: int = RESILIENCE_BLOCK_ROWS,
-    repeats: int = 2,
-) -> Dict:
-    """Fault-recovery cost of the supervised parallel backend.
-
-    Times one parallel PSR pass three ways on the same workload: fault
-    free; recovering from an injected worker crash (a block's worker
-    SIGKILLs itself mid-scan, the supervisor rebuilds the pool and
-    retries the unfinished blocks); and after an unrecoverable fault
-    plan exhausts the retry budget, which forces the in-process serial
-    degradation tier.  Every answer -- including both faulted ones --
-    is cross-checked against the serial numpy kernel within
-    :data:`DERIVE_CHECK_TOLERANCE` and the run **fails** on
-    disagreement, so the published recovery overheads can never come
-    from a pass that healed to the wrong numbers.
-    """
-    import numpy as np
-
-    from repro.core.parallel import shutdown_pool
-    from repro.testing import FaultEvent, FaultPlan, use_faults
-
-    previous_rows = os.environ.get("REPRO_BLOCK_ROWS")
-    os.environ["REPRO_BLOCK_ROWS"] = str(block_rows)
-    try:
-        ranked = _parallel_ranked(size)
-        k_eff = min(k, ranked.num_tuples)
-        reference = compute_rank_probabilities(ranked, k_eff, backend="numpy")
-
-        def checked_pass() -> Dict:
-            result = compute_rank_probabilities(
-                ranked, k_eff, backend="parallel", workers=workers
-            )
-            if result.cutoff != reference.cutoff:
-                raise RuntimeError(
-                    f"resilience pass cutoff {result.cutoff} != serial "
-                    f"{reference.cutoff} at n={ranked.num_tuples}"
-                )
-            max_err = max(
-                float(np.max(np.abs(result.rho_prefix - reference.rho_prefix))),
-                float(
-                    np.max(np.abs(result.topk_prefix - reference.topk_prefix))
-                ),
-            )
-            if max_err > DERIVE_CHECK_TOLERANCE:
-                raise RuntimeError(
-                    f"resilience pass diverged from serial numpy by "
-                    f"{max_err:.3e} (> {DERIVE_CHECK_TOLERANCE:.0e}) at "
-                    f"n={ranked.num_tuples}"
-                )
-            info = dict(result.parallel_info or {})
-            info["max_abs_error_vs_numpy"] = max_err
-            return info
-
-        # Fault-free baseline (also warms the worker pool, so the
-        # faulted passes below measure recovery, not pool start-up).
-        checked_pass()
-        fault_free_ms = time_call(
-            checked_pass, repeats=repeats, time_budget_s=60.0
-        )
-        baseline = checked_pass()
-
-        # One worker crash: the pool breaks mid-pass, the supervisor
-        # rebuilds it and retries the unfinished blocks.
-        with use_faults(FaultPlan([FaultEvent(kind="kill", times=1)])):
-            start = time.perf_counter()
-            kill = checked_pass()
-            kill_ms = (time.perf_counter() - start) * 1e3
-        if kill["retries"] < 1 or kill["pool_restarts"] < 1:
-            raise RuntimeError(
-                f"kill fault did not exercise supervision: {kill}"
-            )
-
-        # An inexhaustible fault plan: every attempt fails, the retry
-        # budget runs out and the pass degrades to the bit-identical
-        # in-process serial tier.
-        with use_faults(
-            FaultPlan([FaultEvent(kind="attach", times=1_000_000)])
-        ):
-            start = time.perf_counter()
-            degraded = checked_pass()
-            degraded_ms = (time.perf_counter() - start) * 1e3
-        if degraded["degraded"] is None:
-            raise RuntimeError(
-                f"inexhaustible fault plan did not degrade: {degraded}"
-            )
-
-        return {
-            "n": ranked.num_tuples,
-            "m": ranked.num_xtuples,
-            "k": k_eff,
-            "workers": workers,
-            "block_rows": block_rows,
-            "host_cpu_count": os.cpu_count(),
-            "fault_free_ms": fault_free_ms,
-            "mode": baseline.get("mode"),
-            "blocks": baseline.get("blocks"),
-            "kill_recovery_ms": kill_ms,
-            "kill_retries": kill["retries"],
-            "kill_pool_restarts": kill["pool_restarts"],
-            "kill_degraded": kill["degraded"],
-            "kill_overhead_x": (
-                kill_ms / fault_free_ms if fault_free_ms > 0 else None
-            ),
-            "kill_max_abs_error": kill["max_abs_error_vs_numpy"],
-            "degraded_tier_ms": degraded_ms,
-            "degraded_tier": degraded["degraded"],
-            "degraded_retries": degraded["retries"],
-            "degraded_overhead_x": (
-                degraded_ms / fault_free_ms if fault_free_ms > 0 else None
-            ),
-            "degraded_max_abs_error": degraded["max_abs_error_vs_numpy"],
-        }
-    finally:
-        if previous_rows is None:
-            os.environ.pop("REPRO_BLOCK_ROWS", None)
-        else:
-            os.environ["REPRO_BLOCK_ROWS"] = previous_rows
-        shutdown_pool()
-
-
 def perf_snapshot(quick: bool = False, smoke: bool = False) -> Dict:
     """The full snapshot document."""
     if smoke:
@@ -845,28 +553,14 @@ def perf_snapshot(quick: bool = False, smoke: bool = False) -> Dict:
         )
         batch = service_batch_snapshot(size=500, m=8)
         contention = pool_contention_snapshot(size=500, ops=100, k=50)
-        # Tiny blocks force a real multi-shard plan (and, with
-        # REPRO_WORKERS >= 2, a real worker pool) even at n=2000.
-        parallel = parallel_scaling_snapshot(
-            sizes=(2_000,),
-            k=50,
-            worker_counts=(1, 2),
-            repeats=1,
-            block_rows=128,
-        )
-        resilience = resilience_snapshot(
-            size=2_000, k=50, block_rows=128, repeats=1
-        )
     else:
         psr = psr_snapshot(quick=quick)
         session = query_session_snapshot()
         adaptive = adaptive_cleaning_snapshot()
         batch = service_batch_snapshot()
         contention = pool_contention_snapshot()
-        parallel = parallel_scaling_snapshot()
-        resilience = resilience_snapshot()
     return {
-        "schema": "repro-perf-snapshot/5",
+        "schema": "repro-perf-snapshot/6",
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "workload": {
@@ -880,8 +574,6 @@ def perf_snapshot(quick: bool = False, smoke: bool = False) -> Dict:
         "adaptive_cleaning": adaptive,
         "service_batch": batch,
         "pool_contention": contention,
-        "parallel_scaling": parallel,
-        "resilience": resilience,
     }
 
 
@@ -944,30 +636,6 @@ def format_snapshot(snapshot: Dict) -> str:
             f"{batch['psr_prefills_batch']} prefills, "
             f"max quality err {batch['max_abs_quality_error']:.1e})"
         )
-    parallel = snapshot.get("parallel_scaling")
-    if parallel:
-        lines.append(
-            "# Parallel PSR scaling (sharded backend vs serial numpy)"
-        )
-        for point in parallel:
-            lines.append(
-                f"n={point['n']:>8}  k={point['k']:>3}  "
-                f"B={point['block_rows']}  "
-                f"host_cores={point['host_cpu_count']}: "
-                f"numpy {point['numpy_ms']:9.1f} ms"
-            )
-            for run in point["workers"]:
-                note = (
-                    f" [{run['fallback']}]" if run["fallback"] else ""
-                )
-                lines.append(
-                    f"    workers={run['workers']}: "
-                    f"{run['parallel_ms']:9.1f} ms  "
-                    f"({fmt(run['speedup_vs_1worker'], '.2f')}x vs 1w, "
-                    f"{fmt(run['speedup_vs_numpy'], '.2f')}x vs numpy, "
-                    f"{run['blocks']} blocks, {run['mode']}{note}, "
-                    f"max err {run['max_abs_error_vs_numpy']:.1e})"
-                )
     contention = snapshot.get("pool_contention")
     if contention:
         lines.append("# SessionPool contention (warm lease throughput)")
@@ -979,31 +647,5 @@ def format_snapshot(snapshot: Dict) -> str:
             f"{fmt(contention['threaded_ops_per_s'], '.0f')} ops/s "
             f"(per-op overhead "
             f"{fmt(contention['contention_overhead_x'], '.2f')}x)"
-        )
-    resilience = snapshot.get("resilience")
-    if resilience:
-        lines.append(
-            "# Resilience (supervised parallel pass under injected faults)"
-        )
-        lines.append(
-            f"n={resilience['n']}  k={resilience['k']}  "
-            f"workers={resilience['workers']}  "
-            f"B={resilience['block_rows']}: "
-            f"fault-free {resilience['fault_free_ms']:.1f} ms "
-            f"({resilience['blocks']} blocks, {resilience['mode']})"
-        )
-        lines.append(
-            f"    worker kill: {resilience['kill_recovery_ms']:.1f} ms "
-            f"({fmt(resilience['kill_overhead_x'], '.1f')}x; "
-            f"{resilience['kill_retries']} retries, "
-            f"{resilience['kill_pool_restarts']} pool rebuild(s), "
-            f"max err {resilience['kill_max_abs_error']:.1e})"
-        )
-        lines.append(
-            f"    retry exhaustion -> {resilience['degraded_tier']} tier: "
-            f"{resilience['degraded_tier_ms']:.1f} ms "
-            f"({fmt(resilience['degraded_overhead_x'], '.1f')}x; "
-            f"{resilience['degraded_retries']} retries, "
-            f"max err {resilience['degraded_max_abs_error']:.1e})"
         )
     return "\n".join(lines)

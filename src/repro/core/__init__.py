@@ -20,12 +20,6 @@ from repro.core.backend import (
     set_backend,
     use_backend,
 )
-from repro.core.parallel import (
-    resolve_workers,
-    set_workers,
-    shutdown_pool,
-    use_workers,
-)
 from repro.core.entropy import entropy, negated_entropy, xlog2x
 from repro.core.montecarlo import MonteCarloQualityResult, compute_quality_montecarlo
 from repro.core.pw import PWQualityResult, compute_quality_pw
@@ -66,8 +60,4 @@ __all__ = [
     "current_backend",
     "set_backend",
     "use_backend",
-    "resolve_workers",
-    "set_workers",
-    "shutdown_pool",
-    "use_workers",
 ]

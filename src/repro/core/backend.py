@@ -1,20 +1,18 @@
-"""Compute-backend selection: NumPy, reference Python, or multi-process.
+"""Compute-backend selection: NumPy or reference Python.
 
-The hot PSR kernel exists three times (TP weights and the per-x-tuple
-aggregations twice):
+The hot kernels (the PSR scan, TP weights and the per-x-tuple
+aggregations) exist twice:
 
 * ``"numpy"`` -- columnar, array-vectorized kernels; the default
-  whenever NumPy imports.  This is the single-core production path.
+  whenever NumPy imports.  This is the production path.
 * ``"python"`` -- the original scalar reference implementation.  It is
   kept runnable forever so the vectorized kernels can be
   cross-validated against it (and both against the exponential
   possible-world oracles) on every change.
-* ``"parallel"`` -- the sharded multi-process PSR backend
-  (:mod:`repro.core.parallel`): contiguous rank blocks scanned by a
-  ``multiprocessing`` pool over shared-memory column views, combined
-  by a truncated-convolution prefix scan.  Non-PSR kernels (weights,
-  quality aggregation) run their columnar single-core variants under
-  this backend -- the PSR pass is the scaling bottleneck.
+
+There is no multi-process backend: a process pool did not beat the
+numpy kernel on measured hardware (README, "One kernel, no process
+pool").
 
 Selection, in decreasing precedence:
 
@@ -27,10 +25,6 @@ Selection, in decreasing precedence:
    :func:`use_backend`;
 3. the ``REPRO_BACKEND`` environment variable at import time;
 4. ``"numpy"``.
-
-The parallel backend's worker count is resolved separately (the
-``REPRO_WORKERS`` environment variable, a ``workers=`` argument, or
-the host CPU count -- see :func:`repro.core.parallel.resolve_workers`).
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from typing import Iterator, Optional
 #: The selectable backends.  NumPy is a hard dependency of the package
 #: (the columnar db layer is built on it); the "python" backend selects
 #: the scalar reference kernels, not a numpy-free mode.
-BACKENDS = ("numpy", "python", "parallel")
+BACKENDS = ("numpy", "python")
 
 
 def _validate(name: str) -> str:

@@ -1,6 +1,6 @@
 """The single registry of session/operational counter names.
 
-Every cost / cache / resilience counter a
+Every cost / cache counter a
 :class:`~repro.queries.engine.QuerySession` accumulates -- and that the
 service façade surfaces as per-request deltas in
 :class:`~repro.api.results.ServiceResult` envelopes -- is declared
@@ -21,8 +21,7 @@ from __future__ import annotations
 from typing import Tuple
 
 #: Cumulative counters of one :class:`~repro.queries.engine.QuerySession`,
-#: in envelope reporting order.  Cache behaviour first, kernel routing
-#: second, resilience last.
+#: in envelope reporting order.
 SESSION_COUNTERS: Tuple[str, ...] = (
     "psr_hits",
     "psr_misses",
@@ -30,11 +29,6 @@ SESSION_COUNTERS: Tuple[str, ...] = (
     "psr_prefills",
     "cold_derives",
     "delta_derives",
-    "psr_parallel_passes",
-    "psr_parallel_fallbacks",
-    "psr_retries",
-    "psr_pool_restarts",
-    "psr_degraded",
 )
 
 #: Cumulative counters of one :class:`~repro.store.SnapshotStore`, in

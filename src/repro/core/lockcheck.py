@@ -1,18 +1,19 @@
 """Debug-mode lock-order tracking for the serving layers.
 
-The serving stack holds locks from three subsystems at once: the
+The serving stack holds locks from two subsystems at once: the
 :class:`~repro.api.pool.SessionPool` admission semaphore, per-snapshot
-session locks, the pool's registry lock, and the worker-pool lifecycle
-lock of :mod:`repro.core.parallel`.  A deadlock between them would be a
-probabilistic production incident -- two threads interleaving
-acquisitions in opposite orders -- that no unit test reliably
-reproduces.  This module makes the order a *declared invariant*: every
-participating lock carries a rank, and in debug mode
-(``REPRO_DEBUG_LOCKS=1``, or :func:`enable` from a test) each
-acquisition is checked against the locks the thread already holds.  An
-acquisition whose rank is not strictly greater than every held rank
-raises :class:`~repro.exceptions.LockOrderError` immediately -- at the
-inversion site, on the first run, instead of as a once-a-month hang.
+session locks and registry lock, and the
+:class:`~repro.store.SnapshotStore` directory and file locks.  A
+deadlock between them would be a probabilistic production incident --
+two threads interleaving acquisitions in opposite orders -- that no
+unit test reliably reproduces.  This module makes the order a
+*declared invariant*: every participating lock carries a rank, and in
+debug mode (``REPRO_DEBUG_LOCKS=1``, or :func:`enable` from a test)
+each acquisition is checked against the locks the thread already
+holds.  An acquisition whose rank is not strictly greater than every
+held rank raises :class:`~repro.exceptions.LockOrderError` immediately
+-- at the inversion site, on the first run, instead of as a
+once-a-month hang.
 
 The declared hierarchy (outermost first)::
 
@@ -21,7 +22,6 @@ The declared hierarchy (outermost first)::
     RANK_STORE          SnapshotStore directory lock
     RANK_STORE_FILE     cross-process store file lock (fcntl.flock)
     RANK_POOL_REGISTRY  SessionPool bookkeeping lock
-    RANK_WORKER_POOL    core.parallel worker-pool lifecycle lock
 
 The cross-process file lock is not a ``threading`` primitive -- it is
 an ``fcntl.flock`` on the store root, owned by
@@ -53,7 +53,6 @@ RANK_SNAPSHOT = 20
 RANK_STORE = 25
 RANK_STORE_FILE = 27
 RANK_POOL_REGISTRY = 30
-RANK_WORKER_POOL = 40
 
 
 def _env_enabled() -> bool:

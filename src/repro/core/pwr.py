@@ -8,15 +8,6 @@ world at all (it would have made the top-k), so each DFS path pins down
 exactly the information Lemma 1 needs and the search never touches
 tuples ranked below the k-th member of a result.
 
-The module also hosts the *block-factor* kernels of the sharded PSR
-backend (:mod:`repro.core.parallel`): degree-capped Poisson-binomial
-generating polynomials over per-x-tuple factors, and the truncated
-convolutions that combine per-block factors in a prefix scan.  They
-live here because they are pw-result mathematics -- the coefficient
-``c_s`` of such a polynomial is the probability that exactly ``s``
-x-tuples of the folded set contribute a tuple to the possible world's
-result prefix.
-
 Beyond the paper's pseudocode, this implementation:
 
 * maintains Lemma 1's probability *incrementally* along the DFS path
@@ -35,9 +26,7 @@ Beyond the paper's pseudocode, this implementation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.entropy import xlog2x
 from repro.db.database import RankedDatabase
@@ -175,62 +164,3 @@ def compute_quality_pwr(
         quality=quality, num_results=count, distribution=distribution
     )
 
-
-# ---------------------------------------------------------------------------
-# Block-factor kernels for the sharded parallel PSR backend.
-#
-# A PSR block that fully contains a set of x-tuples contributes the
-# degree-capped generating polynomial Π_l ((1 - q_l) + q_l · z) to the
-# scan's *closed* factor, where q_l is the x-tuple's total existential
-# mass.  Because PSR only ever reads coefficients 0..k-1 (Lemma 2's
-# early stop makes higher degrees unreachable), every polynomial here is
-# truncated to degree < k and stored as a length-k float64 array.
-# ---------------------------------------------------------------------------
-
-
-def truncated_factor_product(masses: Sequence[float], k: int) -> np.ndarray:
-    """Degree-capped product ``Π_l ((1 - q_l) + q_l z)`` as a length-``k`` array.
-
-    ``masses`` are per-x-tuple existential masses in scan-closing order.
-    The fold is the serial kernels' closed-factor update, so within one
-    block the coefficients match the numpy scan exactly; across blocks
-    the coordinator combines factors by :func:`truncated_convolve`,
-    which is algebraically identical to continuing the fold and agrees
-    with it to well under the backends' 1e-9 cross-check tolerance.
-    """
-    dp = np.zeros(k, dtype=np.float64)
-    dp[0] = 1.0
-    for q in masses:
-        shifted = dp[:-1] * q
-        dp *= 1.0 - q
-        dp[1:] += shifted
-    return dp
-
-
-def truncated_convolve(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """Polynomial product of two coefficient arrays, truncated to degree < ``k``.
-
-    The result is zero-padded to exactly length ``k`` so that block
-    factors stay shape-stable through the coordinator's prefix scan.
-    """
-    full = np.convolve(a, b)[:k]
-    if full.shape[0] < k:
-        full = np.pad(full, (0, k - full.shape[0]))
-    return full
-
-
-def prefix_factor_products(factors: Sequence[np.ndarray], k: int) -> list:
-    """Exclusive prefix scan of block factors under truncated convolution.
-
-    ``result[b]`` is the combined closed factor of every block *before*
-    block ``b`` -- exactly the ``closed_dp`` state a serial scan would
-    hold when entering block ``b``'s first row.  ``result[0]`` is the
-    unit polynomial.  Returns ``len(factors) + 1`` arrays; the final
-    entry is the product over all blocks.
-    """
-    unit = np.zeros(k, dtype=np.float64)
-    unit[0] = 1.0
-    prefixes = [unit]
-    for factor in factors:
-        prefixes.append(truncated_convolve(prefixes[-1], factor, k))
-    return prefixes

@@ -1,216 +1,27 @@
-"""Request-level resilience primitives: deadlines and retry policies.
+"""Request-level resilience primitive: deadlines.
 
-Two small value types shared by the service façade and the parallel
-backend's worker supervision:
+:class:`Deadline` is an absolute expiry derived from a request's
+``deadline_ms``.  The service checks it at admission and after
+queueing for a session lease, raising
+:class:`~repro.exceptions.DeadlineExceededError` the moment the budget
+is gone instead of finishing an answer nobody is waiting for; the
+admission gate and the store lock cap their bounded waits at it.
 
-* :class:`RetryPolicy` -- how many attempts a supervised operation may
-  make, how long to back off between them (capped exponential with
-  deterministic jitter), and how long a pooled task may go without
-  progress before it is declared hung.  Policies are frozen, validated
-  eagerly, and JSON round-trippable so request specs can carry them
-  over the wire.
-* :class:`Deadline` -- an absolute expiry derived from a request's
-  ``deadline_ms``.  Work checks it at admission, after queueing, and at
-  every supervision wait, raising
-  :class:`~repro.exceptions.DeadlineExceededError` the moment the
-  budget is gone instead of finishing an answer nobody is waiting for.
-
-Both travel from the service to the kernels through a **thread-local**
-scope (:func:`scoped`) rather than parameters: the PSR entry points are
-four layers below :class:`~repro.api.service.TopKService` and the
-deadline must not leak between concurrently served requests -- a
-module-level global (the ``use_workers`` idiom) would cross-cancel
-other threads' requests.
-
-Environment defaults (read per call, so tests can monkeypatch):
-
-* ``REPRO_MAX_ATTEMPTS`` -- supervised attempt budget (default 3);
-* ``REPRO_BACKOFF_MS`` -- base backoff between attempts (default 25);
-* ``REPRO_TASK_TIMEOUT_MS`` -- pooled-task progress timeout
-  (default 30000).
+The deadline travels from the service to the waits below it through a
+**thread-local** scope (:func:`scoped`) rather than parameters: the
+waits are several layers below :class:`~repro.api.service.TopKService`
+and the deadline must not leak between concurrently served requests --
+a module-level global would cross-cancel other threads' requests.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import random
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
-from repro.exceptions import DeadlineExceededError, InvalidSpecError
-
-#: Fallback attempt budget when neither a policy nor the environment
-#: sets one.  Three attempts ride out one crash *and* one unlucky
-#: retry before the kernel degrades.
-DEFAULT_MAX_ATTEMPTS = 3
-
-#: Fallback base backoff between supervised attempts, in milliseconds.
-DEFAULT_BACKOFF_MS = 25.0
-
-#: Fallback cap on the exponential backoff, in milliseconds.
-DEFAULT_MAX_BACKOFF_MS = 1000.0
-
-#: Fallback progress timeout for pooled tasks, in milliseconds.  A
-#: pool that completes *no* task for this long is treated as hung and
-#: rebuilt.  Generous by default: a legitimate block scan is seconds at
-#: most, and a false positive costs one pool rebuild, not an error.
-DEFAULT_TASK_TIMEOUT_MS = 30_000.0
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = float(raw)
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {raw!r}")
-    return value
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {raw!r}")
-    return value
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidSpecError(message)
-
-
-def _positive_number(value: Any) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0
-    )
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How a supervised operation retries before degrading.
-
-    Attributes
-    ----------
-    max_attempts:
-        Total attempts, counting the first (``1`` disables retries).
-    backoff_ms:
-        Base sleep before the second attempt; attempt ``n`` waits
-        ``backoff_ms * 2**(n-2)``, capped at ``max_backoff_ms``.
-    max_backoff_ms:
-        Upper bound on any single backoff sleep.
-    jitter:
-        Fraction of each backoff randomized away (``0`` = fixed sleeps,
-        ``0.5`` = sleep uniformly in ``[0.5*b, b]``).  The jitter RNG is
-        seeded per attempt, so runs are reproducible.
-    task_timeout_ms:
-        Progress timeout for pooled tasks -- the longest the worker
-        pool may go without completing any task before it is declared
-        hung and rebuilt.  ``None`` defers to ``REPRO_TASK_TIMEOUT_MS``
-        (default 30s).
-    """
-
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    backoff_ms: float = DEFAULT_BACKOFF_MS
-    max_backoff_ms: float = DEFAULT_MAX_BACKOFF_MS
-    jitter: float = 0.5
-    task_timeout_ms: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        _require(
-            isinstance(self.max_attempts, int)
-            and not isinstance(self.max_attempts, bool)
-            and self.max_attempts >= 1,
-            f"max_attempts must be a positive integer, "
-            f"got {self.max_attempts!r}",
-        )
-        for label in ("backoff_ms", "max_backoff_ms"):
-            value = getattr(self, label)
-            _require(
-                _positive_number(value) or value == 0,
-                f"{label} must be a non-negative number, got {value!r}",
-            )
-            object.__setattr__(self, label, float(value))
-        _require(
-            isinstance(self.jitter, (int, float))
-            and not isinstance(self.jitter, bool)
-            and 0.0 <= self.jitter <= 1.0,
-            f"jitter must lie in [0, 1], got {self.jitter!r}",
-        )
-        object.__setattr__(self, "jitter", float(self.jitter))
-        if self.task_timeout_ms is not None:
-            _require(
-                _positive_number(self.task_timeout_ms),
-                f"task_timeout_ms must be a positive number or None, "
-                f"got {self.task_timeout_ms!r}",
-            )
-            object.__setattr__(
-                self, "task_timeout_ms", float(self.task_timeout_ms)
-            )
-
-    # -- wire form -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain JSON-serializable encoding."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RetryPolicy":
-        """Reconstruct a policy equal to the one ``to_dict`` encoded."""
-        if not isinstance(payload, Mapping):
-            raise InvalidSpecError(
-                f"retry policy must be a mapping, got {payload!r}"
-            )
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - names)
-        if unknown:
-            raise InvalidSpecError(
-                f"unknown retry-policy fields {unknown!r}"
-            )
-        return cls(**{name: payload[name] for name in names if name in payload})
-
-    # -- behaviour -----------------------------------------------------
-    def resolved_task_timeout_s(self) -> float:
-        """The effective progress timeout, in seconds."""
-        ms = self.task_timeout_ms
-        if ms is None:
-            ms = _env_float("REPRO_TASK_TIMEOUT_MS", DEFAULT_TASK_TIMEOUT_MS)
-        return ms / 1000.0
-
-    def backoff_s(self, attempt: int) -> float:
-        """The (jittered, deterministic) sleep before ``attempt``.
-
-        ``attempt`` counts from 1; the first attempt never sleeps.
-        The jitter RNG is seeded with the attempt number, so the same
-        policy replays the same sleeps -- supervision stays
-        reproducible end to end.
-        """
-        if attempt <= 1 or self.backoff_ms == 0:
-            return 0.0
-        base = min(
-            self.backoff_ms * (2.0 ** (attempt - 2)), self.max_backoff_ms
-        )
-        if self.jitter <= 0.0:
-            return base / 1000.0
-        rng = random.Random(attempt)
-        scale = 1.0 - self.jitter * rng.random()
-        return base * scale / 1000.0
-
-
-def default_retry_policy() -> RetryPolicy:
-    """The environment-derived policy used when a request sets none."""
-    return RetryPolicy(
-        max_attempts=_env_int("REPRO_MAX_ATTEMPTS", DEFAULT_MAX_ATTEMPTS),
-        backoff_ms=_env_float("REPRO_BACKOFF_MS", DEFAULT_BACKOFF_MS),
-    )
+from repro.exceptions import DeadlineExceededError
 
 
 class Deadline:
@@ -251,43 +62,25 @@ _scope = threading.local()
 
 
 @contextmanager
-def scoped(
-    deadline: Optional[Deadline] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-) -> Iterator[None]:
-    """Attach a deadline / retry policy to the current thread's work.
+def scoped(deadline: Optional[Deadline] = None) -> Iterator[None]:
+    """Attach a deadline to the current thread's work.
 
-    ``None`` values are transparent: the surrounding scope (or the
-    environment default) stays in effect, so callers can wrap
-    unconditionally.  Scopes nest and restore on exit.
+    ``None`` is transparent: the surrounding scope stays in effect, so
+    callers can wrap unconditionally.  Scopes nest and restore on exit.
     """
     previous_deadline = getattr(_scope, "deadline", None)
-    previous_policy = getattr(_scope, "retry_policy", None)
     if deadline is not None:
         _scope.deadline = deadline
-    if retry_policy is not None:
-        _scope.retry_policy = retry_policy
     try:
         yield
     finally:
         _scope.deadline = previous_deadline
-        _scope.retry_policy = previous_policy
 
 
 def current_deadline() -> Optional[Deadline]:
     """The deadline attached to the current thread's request, if any."""
     deadline = getattr(_scope, "deadline", None)
     return deadline if isinstance(deadline, Deadline) else None
-
-
-def resolve_retry_policy(policy: Optional[RetryPolicy] = None) -> RetryPolicy:
-    """Resolve the effective policy: explicit > scoped > environment."""
-    if policy is not None:
-        return policy
-    scoped_policy = getattr(_scope, "retry_policy", None)
-    if isinstance(scoped_policy, RetryPolicy):
-        return scoped_policy
-    return default_retry_policy()
 
 
 def check_deadline(what: str) -> None:
@@ -298,18 +91,3 @@ def check_deadline(what: str) -> None:
             f"deadline exceeded "
             f"({-deadline.remaining_s() * 1000.0:.1f}ms past) {what}"
         )
-
-
-def interruptible_sleep(seconds: float) -> None:
-    """Sleep, but never past the scoped deadline.
-
-    The supervision backoff uses this so a request with 50ms left never
-    spends 400ms asleep between attempts; the deadline check on wake
-    raises if the budget ran out mid-sleep.
-    """
-    deadline = current_deadline()
-    if deadline is not None:
-        seconds = min(seconds, max(deadline.remaining_s(), 0.0))
-    if seconds > 0:
-        time.sleep(seconds)
-    check_deadline("while backing off between attempts")

@@ -521,7 +521,7 @@ class RankedDatabase:
     def _freeze_columns(self) -> None:
         """Write-protect the canonical arrays (shared-state armor).
 
-        Sessions, the shm export and delta checkpoints all alias these
+        Sessions, the numpy kernel and delta checkpoints all alias these
         arrays, so a stray in-place write would silently corrupt every
         cached result derived from the view.  With the flag cleared,
         such a write raises ``ValueError: assignment destination is
@@ -564,9 +564,8 @@ class RankedDatabase:
         """Zero-copy export of the PSR scan's input columns.
 
         Returns ``(probabilities_array, xtuple_indices_array)`` -- the
-        canonical arrays themselves, not copies.  This is the seam the
-        parallel backend publishes into shared memory
-        (:func:`repro.core.parallel.shared_columns`); callers must
+        canonical arrays themselves, not copies, which the numpy
+        kernel (:mod:`repro.queries.psr_numpy`) scans; callers must
         treat the arrays as read-only.
         """
         return self.probabilities_array, self.xtuple_indices_array

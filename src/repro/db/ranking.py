@@ -30,10 +30,9 @@ def score_column(
     """Evaluate a ranking over many tuples into one float64 column.
 
     This is the canonical-array entry point the columnar
-    :class:`repro.db.database.RankedDatabase` sorts on (and the shape
-    the shared-memory export of :mod:`repro.core.parallel` ultimately
-    mirrors): scores land directly in a contiguous array instead of an
-    intermediate Python list.
+    :class:`repro.db.database.RankedDatabase` sorts on: scores land
+    directly in a contiguous array instead of an intermediate Python
+    list.
     """
     return np.fromiter(
         (ranking(t) for t in tuples), dtype=np.float64, count=len(tuples)

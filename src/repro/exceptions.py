@@ -169,10 +169,9 @@ class DeadlineExceededError(ResilienceError):
     """A request's ``deadline_ms`` budget ran out.
 
     Raised at admission when the deadline has already passed (the
-    request is shed before consuming any PSR work), after queueing for
-    a session lease, and at every supervision wait inside the parallel
-    backend -- so a doomed request stops burning pool capacity the
-    moment its budget is gone.
+    request is shed before consuming any PSR work) and again after
+    queueing for a session lease -- so a doomed request stops holding
+    capacity the moment its budget is gone.
     """
 
 
@@ -186,23 +185,14 @@ class ServiceOverloadedError(ResilienceError):
     """
 
 
-class RetryExhaustedError(ResilienceError):
-    """A supervised operation failed on every allowed attempt.
-
-    Internal to the parallel backend's worker supervision: exhaustion
-    normally *degrades* (pool -> in-process shards -> NumPy kernel)
-    rather than surfacing, so callers only see this when every
-    degradation tier failed too.
-    """
-
-
 class FaultInjectedError(ResilienceError):
     """An injected fault from :mod:`repro.testing.faults` fired.
 
     Only ever raised when a :class:`~repro.testing.faults.FaultPlan`
-    is active; production code paths never construct one.  Lives in
-    the shared taxonomy because worker processes must be able to
-    unpickle it without importing the testing package's machinery.
+    is active; production code paths never construct one.  The base of
+    :class:`SimulatedCrashError`, kept in the shared taxonomy so
+    callers can catch every injected fault without importing the
+    testing package.
     """
 
 

@@ -106,13 +106,9 @@ class QuerySession:
         Ranking function for raw databases; defaults to by-value.
         Ignored (must be None) when ``db`` is already ranked.
     backend:
-        Kernel selection for this session (``"numpy"`` / ``"python"`` /
-        ``"parallel"``); defaults to the process-wide backend at call
+        Kernel selection for this session (``"numpy"`` or
+        ``"python"``); defaults to the process-wide backend at call
         time.
-    workers:
-        Process-pool size for the parallel backend's PSR passes;
-        ``None`` defers to :func:`repro.core.parallel.resolve_workers`
-        at call time.  Ignored by the serial backends.
     """
 
     def __init__(
@@ -120,7 +116,6 @@ class QuerySession:
         db: Union[ProbabilisticDatabase, RankedDatabase],
         ranking: Optional[RankingFunction] = None,
         backend: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> None:
         if isinstance(db, RankedDatabase):
             if ranking is not None and ranking is not db.ranking:
@@ -133,9 +128,6 @@ class QuerySession:
         if backend is not None:
             resolve_backend(backend)  # validate eagerly
         self.backend = backend
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
         self._rank_probabilities: Dict[int, RankProbabilities] = {}
         self._quality: Dict[int, TPQualityResult] = {}
         self._ukranks: Dict[int, UkRanksAnswer] = {}
@@ -156,18 +148,6 @@ class QuerySession:
         #: Smaller-``k`` cache entries seeded from a larger pass by
         #: :meth:`prefill` (the batch-sharing primitive).
         self.psr_prefills = 0
-        #: PSR passes the parallel backend executed (pool or in-process
-        #: fallback), and how many of those fell back to the in-process
-        #: serial path -- zero under the serial backends.
-        self.psr_parallel_passes = 0
-        self.psr_parallel_fallbacks = 0
-        #: Resilience counters of the parallel backend: supervised
-        #: retries, worker-pool rebuilds, and passes that degraded past
-        #: the pool (to the in-process shards or the NumPy kernel)
-        #: after retry exhaustion -- all zero on a healthy run.
-        self.psr_retries = 0
-        self.psr_pool_restarts = 0
-        self.psr_degraded = 0
 
     @property
     def db(self) -> ProbabilisticDatabase:
@@ -208,9 +188,7 @@ class QuerySession:
             ranking = (
                 None if isinstance(db, RankedDatabase) else self.ranked.ranking
             )
-            derived = QuerySession(
-                db, ranking=ranking, backend=self.backend, workers=self.workers
-            )
+            derived = QuerySession(db, ranking=ranking, backend=self.backend)
             derived._adopt_counters(self)
             derived.cold_derives += 1
             return derived
@@ -220,9 +198,7 @@ class QuerySession:
             )
         if db is not delta.new_ranked and db is not delta.new_ranked.db:
             raise ValueError("delta does not lead to the requested database")
-        derived = QuerySession(
-            delta.new_ranked, backend=self.backend, workers=self.workers
-        )
+        derived = QuerySession(delta.new_ranked, backend=self.backend)
         derived._adopt_counters(self)
         derived.delta_derives += 1
         for k, rank_probs in self._rank_probabilities.items():
@@ -282,17 +258,8 @@ class QuerySession:
             return cached
         self.psr_misses += 1
         computed = compute_rank_probabilities(
-            self.ranked, k, backend=self.backend, workers=self.workers
+            self.ranked, k, backend=self.backend
         )
-        info = computed.parallel_info
-        if info is not None:
-            self.psr_parallel_passes += 1
-            if info.get("fallback") is not None:
-                self.psr_parallel_fallbacks += 1
-            self.psr_retries += int(info.get("retries", 0))
-            self.psr_pool_restarts += int(info.get("pool_restarts", 0))
-            if info.get("degraded") is not None:
-                self.psr_degraded += 1
         self._rank_probabilities[k] = computed
         return computed
 
@@ -403,7 +370,6 @@ def evaluate(
     threshold: float = 0.1,
     ranking: Optional[RankingFunction] = None,
     backend: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> EvaluationReport:
     """Evaluate all three top-k semantics *and* the quality, sharing PSR.
 
@@ -419,12 +385,10 @@ def evaluate(
         Ranking function for raw databases; defaults to by-value.
     backend:
         Kernel selection; defaults to the process-wide backend.
-    workers:
-        Pool size for the parallel backend; serial backends ignore it.
     """
-    return QuerySession(
-        db, ranking=ranking, backend=backend, workers=workers
-    ).evaluate(k, threshold)
+    return QuerySession(db, ranking=ranking, backend=backend).evaluate(
+        k, threshold
+    )
 
 
 def evaluate_without_sharing(

@@ -24,7 +24,7 @@ out the current x-tuple's own factor.
 
 Backends
 --------
-Three kernels implement the scan behind a common entry point
+Two kernels implement the scan behind a common entry point
 (:func:`compute_rank_probabilities`):
 
 * the **python** kernel below -- the scalar reference implementation,
@@ -33,14 +33,9 @@ Three kernels implement the scan behind a common entry point
   division-free block kernel: per block of :data:`CHECKPOINT_INTERVAL`
   rows, each row's exclusion product is the block's closed product
   times the row's live factors, built with array operations vectorized
-  across a group of blocks;
-* the **parallel** kernel (:mod:`repro.core.parallel`) -- the ranked
-  rows sharded into contiguous shards that a process pool scans with
-  the numpy block kernel over shared-memory column views, shard
-  boundary states derived by a truncated-convolution prefix scan at
-  the coordinator.
+  across a group of blocks.
 
-All produce a :class:`RankProbabilities` whose canonical storage is a
+Both produce a :class:`RankProbabilities` whose canonical storage is a
 ``(cutoff, k)`` float64 ``rho_prefix`` matrix plus a ``topk_prefix``
 vector -- the columnar shape every downstream consumer (query
 answering, TP quality, cleaning) reads directly.
@@ -285,10 +280,6 @@ class RankProbabilities:
         #: (see :func:`apply_rank_delta`); ``None`` on legacy
         #: construction.
         self.checkpoints = checkpoints
-        #: Execution report of the parallel backend (worker count,
-        #: block count, pool-vs-serial mode, fallback reason); ``None``
-        #: for results the serial kernels produced.
-        self.parallel_info: Optional[Dict[str, object]] = None
 
     @property
     def rho_prefix(self) -> np.ndarray:
@@ -686,7 +677,6 @@ def compute_rank_probabilities(
     ranked: RankedDatabase,
     k: int,
     backend: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> RankProbabilities:
     """Run PSR over a pre-sorted database.
 
@@ -701,19 +691,12 @@ def compute_rank_probabilities(
     :mod:`repro.queries.psr_numpy`) and no interpreted per-row loop.
     The README records measured pass times.
 
-    ``backend`` picks the kernel (``"numpy"``, ``"python"`` or
-    ``"parallel"``); when omitted, the process-wide default from
-    :mod:`repro.core.backend` applies.  ``workers`` sizes the parallel
-    backend's process pool (ignored by the serial kernels); when
-    omitted it resolves per :func:`repro.core.parallel.resolve_workers`.
-    All backends agree within 1e-9 absolute on every entry.
+    ``backend`` picks the kernel (``"numpy"`` or ``"python"``); when
+    omitted, the process-wide default from :mod:`repro.core.backend`
+    applies.  Both backends agree within 1e-9 absolute on every entry.
     """
     require_valid_k(k)
     resolved = resolve_backend(backend)
-    if resolved == "parallel":
-        from repro.core.parallel import compute_rank_probabilities_parallel
-
-        return compute_rank_probabilities_parallel(ranked, k, workers=workers)
     if resolved == "numpy":
         from repro.queries.psr_numpy import compute_rank_probabilities_numpy
 
@@ -800,10 +783,6 @@ def apply_rank_delta(
         Union[np.ndarray, DeferredRho], np.ndarray, int, List[ScanCheckpoint]
     ]
     if resolved != "python":
-        # The numpy window kernel also serves "parallel" results: their
-        # checkpoints sit on shard boundaries, so the replay restores
-        # the nearest boundary state and re-scans from there through
-        # the same block kernel.
         from repro.queries.psr_numpy import _delta_window_numpy
 
         window = _delta_window_numpy(old_rp, delta, start, stop, prefix_ckpts)

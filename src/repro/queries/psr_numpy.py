@@ -33,9 +33,8 @@ Per-row work is O((L/SUB_ROWS + SUB_ROWS)·min(L, k)) array element
 operations for ``L`` live factors, so it still grows with the number of
 x-tuples open at once; the interpreter runs per group, never per row.
 Groups start at two blocks and double, so a scan that Lemma 2 stops
-early touches at most about twice the rows it keeps.  The full pass,
-delta windows (:func:`_delta_window_numpy`) and the parallel backend's
-shards (:func:`repro.core.parallel._scan_block`) all run
+early touches at most about twice the rows it keeps.  The full pass
+and delta windows (:func:`_delta_window_numpy`) both run
 :func:`scan_blocks`.
 """
 

@@ -76,9 +76,8 @@ in a flush interval.  Reads (:meth:`journal_records`,
 :meth:`pending_cleanings`, :meth:`status`), ``checkpoint`` and
 ``persist`` are flush barriers -- in particular the barrier in
 ``persist`` preserves the write-ahead ordering (the journal record is
-durable before its outcome segment commits).  ``"strict"`` (alias
-``"fsync"``, the default) keeps the one-fsync-per-append semantics
-bit-identically.
+durable before its outcome segment commits).  ``"fsync"`` (the
+default) keeps one fsync per append.
 
 Fault injection: every named step of the write / read protocols calls
 :func:`repro.testing.faults.draw_disk_fault`, so the crash-atomicity
@@ -330,10 +329,10 @@ class SnapshotStore:
     root:
         The store directory (created if absent).
     durability:
-        ``"strict"`` / ``"fsync"`` (default) syncs file and directory
-        at every commit point -- the crash-safe mode.  ``"batch"``
-        keeps segment commits strict but group-commits journal fsyncs
-        (see the module docstring).  ``"none"`` skips fsyncs: atomic
+        ``"fsync"`` (default) syncs file and directory at every
+        commit point -- the crash-safe mode.  ``"batch"`` syncs every
+        segment commit but group-commits journal fsyncs (see the
+        module docstring).  ``"none"`` skips fsyncs: atomic
         renames still give all-or-nothing *files*, but a power cut may
         revert to pre-state; meant for tests and throwaway runs.
     mode:
@@ -371,12 +370,10 @@ class SnapshotStore:
         max_journal_records: Optional[int] = None,
         flush_interval_ms: float = DEFAULT_FLUSH_INTERVAL_MS,
     ) -> None:
-        if durability == "strict":
-            durability = "fsync"
-        if durability not in ("fsync", "none", "batch"):
+        if durability not in ("fsync", "batch", "none"):
             raise ValueError(
-                f"durability must be 'strict', 'fsync', 'batch' or "
-                f"'none', got {durability!r}"
+                f"durability must be 'fsync', 'batch' or 'none', "
+                f"got {durability!r}"
             )
         if mode not in ("exclusive", "readonly"):
             raise ValueError(
@@ -402,7 +399,7 @@ class SnapshotStore:
         self.psr_store_gc_unlinks = 0
         self.psr_store_lock_waits = 0
         self.psr_store_group_flushes = 0
-        #: Journal fsyncs issued by this handle (strict mode pays one
+        #: Journal fsyncs issued by this handle (fsync mode pays one
         #: per append; batch mode one per coalesced flush).  Not a
         #: ``psr_`` counter: it is a physical-I/O gauge for the
         #: group-commit tests, not a service-envelope metric.

@@ -1,9 +1,9 @@
 """Deterministic test harnesses for the ``repro`` library.
 
 Currently one module: :mod:`repro.testing.faults`, the seeded
-fault-injection harness the resilience suite (and the ``fault-smoke``
-CI job) uses to exercise every recovery path of the parallel backend
-and the disk steps of the durable snapshot store reproducibly.
+fault-injection harness the store suites (and the ``fault-smoke`` CI
+job) use to exercise every write, read and maintenance step of the
+durable snapshot store reproducibly.
 """
 
 from repro.testing.faults import (

@@ -1,51 +1,19 @@
-"""Deterministic fault injection for the parallel backend.
+"""Deterministic fault injection for the snapshot store.
 
-The resilience guarantees of :mod:`repro.core.parallel` -- crashed
-workers are retried, hung workers are timed out and their pool rebuilt,
-shm-attach failures are retried, exhausted retries degrade to the
-in-process shards and then the NumPy kernel -- are only worth anything
-if CI can exercise each path on demand.  Real crashes are not
-schedulable, so this module fakes them *deterministically*:
+The crash-safety guarantees of :mod:`repro.store` -- a write cut short
+at any step recovers the pre-write or the post-write state, corrupt
+files are quarantined, a full disk fails typed, two processes
+coordinate through the store lock -- are only worth anything if CI can
+exercise each path on demand.  Real crashes are not schedulable, so
+this module fakes them *deterministically*: a :class:`FaultPlan` is a
+list of :class:`FaultEvent` triggers, each naming a fault ``kind``,
+the store step it fires at, and how many ``times`` it fires before
+disarming.  The same plan against the same input replays the same
+faults.
 
-* A :class:`FaultPlan` is a list of :class:`FaultEvent` triggers, each
-  naming a fault ``kind``, the shard (block submission index) it fires
-  on, and how many ``times`` it fires before disarming.
-* The **coordinator** consumes the plan: before submitting block ``b``
-  it calls :meth:`FaultPlan.draw`, and the directive (a plain dict)
-  rides inside the task payload.  The injection *decision* therefore
-  never depends on worker scheduling -- the same plan against the same
-  input replays the same faults, attempt by attempt.
-* The **worker** merely executes the directive it was handed
-  (:func:`execute_worker_fault`): die by SIGKILL, sleep past the
-  supervisor's progress timeout, run slow, or raise
-  :class:`~repro.exceptions.FaultInjectedError` in place of the shm
-  attach.
-
-Fault kinds (and the recovery path each exercises):
-
-``kill``
-    The worker SIGKILLs itself -- ``BrokenProcessPool``; supervisor
-    rebuilds the pool and retries the batch.  With a ``step`` set the
-    kill instead fires at that *disk* step of the snapshot store
-    (:mod:`repro.store`): the whole process SIGKILLs mid-write, which
-    is how the end-to-end kill-and-restart test crashes a real child
-    process at a deterministic point.
-``hang``
-    The worker sleeps past the progress timeout -- supervisor declares
-    a hang, kills and rebuilds the pool, retries.
-``slow``
-    The worker sleeps ``delay_ms`` then completes normally -- exercises
-    timeout headroom without failing anything.
-``attach``
-    The worker raises in place of mapping the shared-memory columns --
-    a retryable task error with the pool still healthy.
-``serial``
-    The **in-process** sharded scan raises -- forces the final
-    degradation tier (NumPy kernel).
-
-Disk fault kinds (consumed by :mod:`repro.store` at its named write /
-read steps; ``step`` is an ``fnmatch`` pattern against step names like
-``"segment:payload"`` or ``"journal:*"``, ``None`` matches any step):
+Fault kinds (consumed by :mod:`repro.store` at its named write / read
+steps; every event's ``step`` is an ``fnmatch`` pattern against step
+names like ``"segment:payload"`` or ``"journal:*"``):
 
 ``crash``
     Raise :class:`~repro.exceptions.SimulatedCrashError` at the step:
@@ -69,6 +37,10 @@ read steps; ``step`` is an ``fnmatch`` pattern against step names like
     Raise ``OSError(ENOSPC)`` at the step -- disk full.  The store
     must fail the write with a typed error and leave no partial state
     (and the pool must roll back / never publish the in-memory entry).
+``kill``
+    SIGKILL the whole process at the step -- how the end-to-end
+    kill-and-restart test crashes a real child process at a
+    deterministic point.
 ``contend``
     Run the event's ``command`` (a Python script) in a **second real
     process** at the step, waiting for it to exit, then continue.
@@ -105,40 +77,15 @@ import os
 import signal
 import subprocess
 import sys
-import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.exceptions import (
-    FaultInjectedError,
-    InvalidSpecError,
-    SimulatedCrashError,
-)
+from repro.exceptions import InvalidSpecError, SimulatedCrashError
 
 #: Recognized fault kinds (see the module docstring for semantics).
 FAULT_KINDS = (
-    "kill",
-    "hang",
-    "slow",
-    "attach",
-    "serial",
-    "crash",
-    "torn",
-    "bitflip",
-    "shortread",
-    "enospc",
-    "contend",
-)
-
-#: Kinds that fire at the pooled-task injection point.
-TASK_KINDS = ("kill", "hang", "slow", "attach")
-
-#: Kinds that fire at the snapshot store's disk steps.  ``kill`` is in
-#: both sets: without a ``step`` it kills a pool worker, with one it
-#: SIGKILLs the whole process at that disk step.
-DISK_KINDS = (
     "crash",
     "torn",
     "bitflip",
@@ -152,32 +99,16 @@ DISK_KINDS = (
 #: child must fail the test loudly, not hang the parent forever.
 CONTEND_TIMEOUT_S = 120.0
 
-#: Default sleep of a ``hang`` directive.  Bounded (not infinite) so a
-#: supervision bug leaves a worker that eventually exits instead of a
-#: process wedged until the host reaps it; far above any sane progress
-#: timeout, so the supervisor always fires first.
-HANG_SLEEP_MS = 60_000.0
-
-#: Default sleep of a ``slow`` directive.
-SLOW_SLEEP_MS = 25.0
-
 
 @dataclass
 class FaultEvent:
-    """One armed fault: ``kind`` at ``block``, up to ``times`` firings.
+    """One armed fault: ``kind`` at ``step``, up to ``times`` firings.
 
-    ``block`` is the shard's submission index (``None`` matches any
-    shard -- the first draw wins).  ``times`` is the remaining-firing
-    budget; each :meth:`FaultPlan.draw` match decrements it, so a
-    ``times=1`` kill fails the first attempt and lets the retry
-    succeed.  ``delay_ms`` parameterizes ``hang`` / ``slow``.
-
-    ``step`` arms a *disk* fault instead: an ``fnmatch`` pattern
-    against the snapshot store's step names (``"segment:payload"``,
-    ``"journal:*"``, ...).  An event with a step set fires only at
-    :meth:`FaultPlan.draw_disk`, never at the task/serial points --
-    and the pure disk kinds require one.  ``skip`` ignores that many
-    matching disk draws before firing, so a test can let a base
+    ``step`` is an ``fnmatch`` pattern against the snapshot store's
+    step names (``"segment:payload"``, ``"journal:*"``, ...); every
+    kind requires one.  ``times`` is the remaining-firing budget; each
+    :meth:`FaultPlan.draw_disk` match decrements it.  ``skip`` ignores
+    that many matching draws before firing, so a test can let a base
     snapshot persist cleanly and crash the *second* write at the same
     step.
 
@@ -187,10 +118,8 @@ class FaultEvent:
     """
 
     kind: str
-    block: Optional[int] = None
+    step: str
     times: int = 1
-    delay_ms: Optional[float] = None
-    step: Optional[str] = None
     skip: int = 0
     command: Optional[str] = None
 
@@ -199,21 +128,10 @@ class FaultEvent:
             raise InvalidSpecError(
                 f"fault kind must be one of {FAULT_KINDS}, got {self.kind!r}"
             )
-        if self.step is not None and not (
-            isinstance(self.step, str) and self.step
-        ):
+        if not (isinstance(self.step, str) and self.step):
             raise InvalidSpecError(
-                f"fault step must be a non-empty string or None, "
-                f"got {self.step!r}"
-            )
-        if self.kind in DISK_KINDS and self.kind not in TASK_KINDS \
-                and self.step is None:
-            raise InvalidSpecError(
-                f"disk fault kind {self.kind!r} requires a step pattern"
-            )
-        if self.step is not None and self.kind not in DISK_KINDS:
-            raise InvalidSpecError(
-                f"fault kind {self.kind!r} cannot target a disk step"
+                f"fault kind {self.kind!r} requires a non-empty step "
+                f"pattern, got {self.step!r}"
             )
         if self.kind == "contend" and not (
             isinstance(self.command, str) and self.command
@@ -231,40 +149,19 @@ class FaultEvent:
             raise InvalidSpecError(
                 f"fault skip must be a non-negative integer, got {self.skip!r}"
             )
-        if self.block is not None and (
-            not isinstance(self.block, int)
-            or isinstance(self.block, bool)
-            or self.block < 0
-        ):
-            raise InvalidSpecError(
-                f"fault block must be a non-negative integer or None, "
-                f"got {self.block!r}"
-            )
         if not isinstance(self.times, int) or isinstance(self.times, bool) \
                 or self.times < 1:
             raise InvalidSpecError(
                 f"fault times must be a positive integer, got {self.times!r}"
-            )
-        if self.delay_ms is not None and (
-            not isinstance(self.delay_ms, (int, float))
-            or isinstance(self.delay_ms, bool)
-            or not self.delay_ms > 0
-        ):
-            raise InvalidSpecError(
-                f"fault delay_ms must be a positive number or None, "
-                f"got {self.delay_ms!r}"
             )
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain JSON-serializable encoding."""
         payload: Dict[str, Any] = {
             "kind": self.kind,
-            "block": self.block,
             "times": self.times,
-            "delay_ms": self.delay_ms,
+            "step": self.step,
         }
-        if self.step is not None:
-            payload["step"] = self.step
         if self.skip:
             payload["skip"] = self.skip
         if self.command is not None:
@@ -278,8 +175,7 @@ class FaultEvent:
                 f"fault event must be a mapping, got {payload!r}"
             )
         unknown = sorted(
-            set(payload)
-            - {"kind", "block", "times", "delay_ms", "step", "skip", "command"}
+            set(payload) - {"kind", "times", "step", "skip", "command"}
         )
         if unknown:
             raise InvalidSpecError(f"unknown fault-event fields {unknown!r}")
@@ -291,10 +187,8 @@ class FaultEvent:
             ) from None
         return cls(
             kind=kind,
-            block=payload.get("block"),
-            times=payload.get("times", 1),
-            delay_ms=payload.get("delay_ms"),
             step=payload.get("step"),
+            times=payload.get("times", 1),
             skip=payload.get("skip", 0),
             command=payload.get("command"),
         )
@@ -303,28 +197,17 @@ class FaultEvent:
 class FaultPlan:
     """A seeded, consumable schedule of faults for one (or more) runs.
 
-    The plan is mutable on purpose -- each :meth:`draw` burns budget --
-    so a fresh plan per test gives a fresh schedule.  ``drawn`` records
-    every directive issued (``(point, block, directive)``), letting
-    tests assert the fault actually fired rather than silently testing
-    the happy path.
+    The plan is mutable on purpose -- each :meth:`draw_disk` burns
+    budget -- so a fresh plan per test gives a fresh schedule.
+    ``drawn`` records every directive issued (``(step, directive)``),
+    letting tests assert the fault actually fired rather than silently
+    testing the happy path.
     """
 
     def __init__(self, events: Sequence[FaultEvent]) -> None:
-        self.events: List[FaultEvent] = [
-            FaultEvent(
-                kind=e.kind,
-                block=e.block,
-                times=e.times,
-                delay_ms=e.delay_ms,
-                step=e.step,
-                skip=e.skip,
-                command=e.command,
-            )
-            for e in events
-        ]
-        #: Every directive issued: ``(point, block_or_step, directive)``.
-        self.drawn: List[Tuple[str, Any, Dict[str, Any]]] = []
+        self.events: List[FaultEvent] = [replace(e) for e in events]
+        #: Every directive issued: ``(step, directive)``.
+        self.drawn: List[Tuple[str, Dict[str, Any]]] = []
 
     # -- wire form -----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -353,34 +236,6 @@ class FaultPlan:
         return cls.from_dict(payload)
 
     # -- consumption ---------------------------------------------------
-    def draw(self, point: str, block: int) -> Optional[Dict[str, Any]]:
-        """The directive (if any) armed for this injection point.
-
-        ``point`` is ``"task"`` (a pooled shard submission) or
-        ``"serial"`` (an in-process shard scan); ``block`` the shard's
-        submission index.  The first matching event with budget left
-        fires and is decremented.  Returns a picklable directive dict
-        for the worker, or ``None``.
-        """
-        for event in self.events:
-            if event.times < 1:
-                continue
-            if event.step is not None:  # disk-armed; never fires here
-                continue
-            if point == "serial" and event.kind != "serial":
-                continue
-            if point == "task" and event.kind not in TASK_KINDS:
-                continue
-            if event.block is not None and event.block != block:
-                continue
-            event.times -= 1
-            directive: Dict[str, Any] = {"kind": event.kind}
-            if event.delay_ms is not None:
-                directive["delay_ms"] = event.delay_ms
-            self.drawn.append((point, block, directive))
-            return directive
-        return None
-
     def draw_disk(self, step: str) -> Optional[Dict[str, Any]]:
         """The directive (if any) armed for this disk step.
 
@@ -392,7 +247,7 @@ class FaultPlan:
         ``kind`` plus the concrete step it fired at.
         """
         for event in self.events:
-            if event.step is None or event.times < 1:
+            if event.times < 1:
                 continue
             if not fnmatch.fnmatchcase(step, event.step):
                 continue
@@ -403,7 +258,7 @@ class FaultPlan:
             directive: Dict[str, Any] = {"kind": event.kind, "step": step}
             if event.command is not None:
                 directive["command"] = event.command
-            self.drawn.append(("disk", step, directive))
+            self.drawn.append((step, directive))
             return directive
         return None
 
@@ -411,14 +266,14 @@ class FaultPlan:
         """How many directives were issued (optionally of one kind)."""
         if kind is None:
             return len(self.drawn)
-        return sum(1 for _, _, d in self.drawn if d["kind"] == kind)
+        return sum(1 for _, d in self.drawn if d["kind"] == kind)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FaultPlan: {self.events!r}, {len(self.drawn)} drawn>"
 
 
 # ---------------------------------------------------------------------------
-# Activation (coordinator side)
+# Activation
 # ---------------------------------------------------------------------------
 
 _installed: Optional[FaultPlan] = None
@@ -463,36 +318,6 @@ def active_faults() -> Optional[FaultPlan]:
         _installed = FaultPlan.from_json(raw)
         return _installed
     return None
-
-
-# ---------------------------------------------------------------------------
-# Execution (worker side)
-# ---------------------------------------------------------------------------
-
-
-def execute_worker_fault(directive: Mapping[str, Any]) -> None:
-    """Carry out a directive inside a worker process.
-
-    Runs before the worker touches shared memory, so a killed or
-    hung worker never holds a segment mapping.  ``slow`` returns and
-    lets the task proceed; the others never complete the task.
-    """
-    kind = directive.get("kind")
-    if kind == "kill":
-        os.kill(os.getpid(), signal.SIGKILL)
-    elif kind == "hang":
-        time.sleep(float(directive.get("delay_ms", HANG_SLEEP_MS)) / 1000.0)
-        raise FaultInjectedError(
-            "injected hang outlived its sleep without being reaped"
-        )
-    elif kind == "slow":
-        time.sleep(float(directive.get("delay_ms", SLOW_SLEEP_MS)) / 1000.0)
-    elif kind == "attach":
-        raise FaultInjectedError(
-            "injected shared-memory attach failure"
-        )
-    else:  # pragma: no cover - draw() only emits known kinds
-        raise FaultInjectedError(f"unknown fault directive {directive!r}")
 
 
 # ---------------------------------------------------------------------------

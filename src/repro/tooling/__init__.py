@@ -2,7 +2,7 @@
 
 :mod:`repro.tooling.lint` is ``repro-lint``: a small AST-based static
 analyzer that encodes this repository's correctness contracts --
-seeded-RNG-only randomness, registry-tracked shared memory,
+seeded-RNG-only randomness, no shared-memory segments,
 deterministic kernels (no wall clock, no float equality), frozen
 round-tripping API specs, registry-declared counters, exception
 hygiene, import layering -- as machine-checked rules (REP001...).

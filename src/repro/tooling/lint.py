@@ -1,10 +1,10 @@
 """``repro-lint``: the repository's contracts as executable checks.
 
-The kernels, the delta engine, the process-parallel backend and the
-service façade each rest on invariants that a reviewer cannot see in a
-diff hunk: randomness must flow through seeded generators or runs stop
-being reproducible; shared-memory segments must be created by the one
-registry-tracked helper or they leak past test teardown; deterministic
+The kernels, the delta engine, the snapshot store and the service
+façade each rest on invariants that a reviewer cannot see in a diff
+hunk: randomness must flow through seeded generators or runs stop
+being reproducible; the package creates no shared-memory segments, so
+none can leak past test teardown; deterministic
 kernels must not read the wall clock or compare floats for equality;
 request specs must stay frozen and wire-round-trippable; counters must
 be declared in one registry or they ship half-wired; cross-process
@@ -116,7 +116,7 @@ class ModuleSource:
     def package_parts(self) -> Tuple[str, ...]:
         """Dotted-package parts under ``src/`` (empty outside it).
 
-        ``src/repro/core/parallel.py`` -> ``("repro", "core")``; the
+        ``src/repro/core/tp.py`` -> ``("repro", "core")``; the
         layering rule keys on this.
         """
         parts = Path(self.path).parts
@@ -289,16 +289,15 @@ def _check_unseeded_rng(source: ModuleSource) -> Iterator[Tuple[ast.AST, str]]:
 
 
 # ---------------------------------------------------------------------------
-# REP002 -- shared memory only through the tracked helper
+# REP002 -- no shared-memory segments
 # ---------------------------------------------------------------------------
 
 
 @rule(
     "REP002",
     "untracked-shared-memory",
-    "SharedMemory(create=True) is allowed only inside the registry-tracked "
-    "helper in core/parallel.py; untracked segments leak on /dev/shm.",
-    exclude=("src/repro/core/parallel.py",),
+    "SharedMemory(create=True) is not allowed anywhere in the package: "
+    "nothing tracks or unlinks the segment, so it leaks on /dev/shm.",
 )
 def _check_untracked_shm(source: ModuleSource) -> Iterator[Tuple[ast.AST, str]]:
     imports = _ImportMap(source.tree)
@@ -318,9 +317,8 @@ def _check_untracked_shm(source: ModuleSource) -> Iterator[Tuple[ast.AST, str]]:
         )
         if creates:
             yield node, (
-                "SharedMemory(create=True) outside repro.core.parallel's "
-                "registry-tracked _Segment helper; segments created here "
-                "escape leak accounting and unlink sweeps"
+                "SharedMemory(create=True) in the package; nothing tracks "
+                "or unlinks the segment, so it leaks on /dev/shm"
             )
 
 

@@ -26,32 +26,19 @@ from timeout_fallback import (  # noqa: F401 - pytest hooks
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_shared_memory():
-    """Fail any test that strands a segment or a store temp file.
+def no_stranded_store_files():
+    """Fail any test that strands a store temp file.
 
-    The parallel backend tracks every shared-memory segment it creates
-    (:func:`repro.core.parallel.live_segment_names`); segments owned by
-    the cached :class:`~repro.core.parallel.SharedColumns` of a live
-    ranked view are legitimate residents, everything else
-    (:func:`~repro.core.parallel.untracked_segment_names`) is a leak --
-    an output buffer or a half-published column set that survived an
-    error path.  The snapshot store makes the same promise on disk: a
-    ``.tmp-*`` file surviving a test means a write path skipped its
-    cleanup (only a *crash* may strand one, and reopening sweeps it).
-    Also disarms any fault plan a test left installed so faults never
-    bleed across tests.
+    The snapshot store promises that a ``.tmp-*`` file surviving a
+    test means a write path skipped its cleanup (only a *crash* may
+    strand one, and reopening sweeps it).  Also disarms any fault plan
+    a test left installed so faults never bleed across tests.
     """
-    import repro.core.parallel as parallel
     from repro.store import stranded_temp_files
     from repro.testing import clear_faults
 
     yield
     clear_faults()
-    leaked = parallel.untracked_segment_names()
-    assert not leaked, (
-        f"leaked shared-memory segments: {sorted(leaked)} "
-        f"(an error path skipped its unlink)"
-    )
     stranded = stranded_temp_files()
     assert not stranded, (
         f"stranded snapshot-store temp files: "

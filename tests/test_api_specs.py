@@ -114,6 +114,19 @@ class TestSpecValidation:
     def test_unknown_fields_rejected_on_decode(self):
         with pytest.raises(InvalidSpecError, match="unknown spec fields"):
             QuerySpec.from_dict({"type": "query", "k": 3, "kk": 4})
+        # Specs carry no worker count or retry policy: a payload that
+        # sets either is refused, naming the field.
+        minimal = (
+            {"type": "query", "k": 3},
+            {"type": "quality", "k": 3},
+            {"type": "cleaning", "k": 3, "budget": 1},
+            {"type": "batch", "items": [{"type": "query", "k": 3}]},
+        )
+        for payload in minimal:
+            for extra in ({"workers": 2}, {"retry_policy": None}):
+                (field_name,) = extra
+                with pytest.raises(InvalidSpecError, match=field_name):
+                    spec_from_dict({**payload, **extra})
 
     def test_missing_type_tag_rejected(self):
         with pytest.raises(InvalidSpecError, match="type"):

@@ -240,9 +240,12 @@ class TestBackendSelection:
             assert current_backend() == "python"
         assert current_backend() == previous
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_backend("fortran")
+    def test_invalid_backend_rejected(self, udb1):
+        for name in ("fortran", "parallel"):
+            with pytest.raises(ValueError):
+                set_backend(name)
+            with pytest.raises(ValueError):
+                compute_rank_probabilities(udb1.ranked(), 2, backend=name)
 
     def test_kernel_argument_overrides_default(self, udb1):
         with use_backend("python"):

@@ -127,11 +127,11 @@ class TestUntrackedSharedMemory:
         report = lint_source(tmp_path, "src/repro/queries/x.py", SHM_CREATE)
         assert codes(report) == ["REP002"]
 
-    def test_parallel_module_is_exempt(self, tmp_path):
+    def test_no_module_is_exempt(self, tmp_path):
         report = lint_source(
             tmp_path, "src/repro/core/parallel.py", SHM_CREATE
         )
-        assert codes(report) == []
+        assert codes(report) == ["REP002"]
 
     def test_attach_existing_is_clean(self, tmp_path):
         report = lint_source(

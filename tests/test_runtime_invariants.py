@@ -9,8 +9,8 @@ tested here:
   class that silently corrupts every memoized PSR row derived from the
   view -- raises immediately.  :meth:`RankedDatabase.mutable_view` is
   the audited escape hatch and re-freezes on exit, even on error.
-* The serving stack's lock hierarchy (admission < snapshot < registry
-  < worker pool) is checked per-acquisition under
+* The serving stack's lock hierarchy (admission < snapshot < store
+  < store file < registry) is checked per-acquisition under
   ``REPRO_DEBUG_LOCKS=1`` / :func:`repro.core.lockcheck.enable`, so an
   inversion raises :class:`LockOrderError` at the inversion site
   instead of deadlocking once a month.
@@ -28,11 +28,9 @@ from repro.core.lockcheck import (
     RANK_ADMISSION,
     RANK_POOL_REGISTRY,
     RANK_SNAPSHOT,
-    RANK_WORKER_POOL,
     OrderedLock,
     OrderedSemaphore,
 )
-from repro.core.resilience import RetryPolicy
 from repro.datasets.synthetic import generate_synthetic
 from repro.db.database import CANONICAL_COLUMNS
 from repro.exceptions import LockOrderError
@@ -121,7 +119,7 @@ class TestLockOrder:
                 b.acquire()
 
     def test_reacquisition_is_reported_not_deadlocked(self, tracking):
-        lock = OrderedLock("t.lock", RANK_WORKER_POOL)
+        lock = OrderedLock("t.lock", RANK_POOL_REGISTRY)
         with lock:
             with pytest.raises(LockOrderError, match="re-acquired"):
                 lock.acquire()
@@ -176,48 +174,3 @@ class TestPoolUnderTracking:
             pass
         assert lockcheck.held_locks() == []
 
-
-# ---------------------------------------------------------------------------
-# Regressions flushed out by repro-lint
-# ---------------------------------------------------------------------------
-
-
-class TestLintFoundRegressions:
-    def test_zero_jitter_policy_sleeps_the_full_backoff(self):
-        # REP004 flagged `self.jitter == 0.0`; the float-equality rewrite
-        # must keep the exact-zero fast path byte-for-byte.
-        policy = RetryPolicy(backoff_ms=100.0, jitter=0.0)
-        assert policy.backoff_s(2) == pytest.approx(0.1)
-        jittered = RetryPolicy(backoff_ms=100.0, jitter=0.5)
-        assert 0.05 <= jittered.backoff_s(2) <= 0.1
-
-    def test_get_pool_is_race_free_under_contention(self):
-        # REP009's audit of core/parallel.py surfaced unlocked mutation
-        # of the module-level pool singleton; _get_pool now serializes
-        # on the ranked worker-pool lock.  Hammer it from many threads:
-        # every caller must see the same executor and exactly one pool
-        # must exist afterwards.
-        from repro.core import parallel
-
-        parallel.shutdown_pool()
-        results, errors = [], []
-        barrier = threading.Barrier(8)
-
-        def grab():
-            try:
-                barrier.wait(timeout=10)
-                results.append(parallel._get_pool(2))
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=grab) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        try:
-            assert errors == []
-            assert len(results) == 8
-            assert len({id(pool) for pool in results}) == 1
-        finally:
-            parallel.shutdown_pool()

@@ -1,7 +1,5 @@
 """TopKService: façade behavior, batch sharing, cleaning snapshots."""
 
-import warnings
-
 import pytest
 
 from repro.api import (
@@ -294,29 +292,6 @@ class TestPoolSharing:
 
 
 class TestDeprecatedEntryPoints:
-    def test_warning_fires_once(self, udb1):
-        import repro
-
-        repro._warned_entry_points.discard("evaluate_without_sharing")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = repro.evaluate_without_sharing
-            second = repro.evaluate_without_sharing
-        assert first is second
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "evaluate_without_sharing" in str(deprecations[0].message)
-
-    def test_shim_serves_the_canonical_function(self, udb1):
-        import repro
-        from repro.queries.engine import evaluate as canonical
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert repro.evaluate is canonical
-
     def test_unknown_attribute_still_raises(self):
         import repro
 

@@ -314,12 +314,12 @@ class TestGroupCommit:
         batch.persist("outcome-segment", ranked_db())
         assert batch.journal_fsyncs >= 1
 
-    def test_strict_alias_and_default_are_fsync(self, tmp_path):
+    def test_default_is_fsync_and_strict_is_rejected(self, tmp_path):
         assert SnapshotStore(tmp_path / "a").durability == "fsync"
-        assert (
-            SnapshotStore(tmp_path / "b", durability="strict").durability
-            == "fsync"
-        )
+        with pytest.raises(ValueError, match="'fsync', 'batch' or 'none'"):
+            SnapshotStore(tmp_path / "b", durability="strict")
+        with pytest.raises(ValueError, match="'fsync', 'batch' or 'none'"):
+            TopKService(store_dir=tmp_path / "c", durability="strict")
 
     def test_batch_journal_recovers_after_reopen(self, tmp_path):
         root = tmp_path / "store"
