@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Single entry point for everything CI gates on: repro-lint, ruff,
-# mypy, the tier-1 test suite, and the perfbench smoke (its own tests
-# plus a tiny run of each workload).  `make check` calls this.
+# mypy, the tier-1 test suite (plus its pure-python-backend subset),
+# and the perfbench smoke (its own tests plus a tiny run of each
+# workload).  `make check` calls this.
 #
 # repro-lint and pytest always run (they ship with the repo).  ruff
 # and mypy run when installed and are reported as SKIPPED otherwise,
@@ -41,6 +42,9 @@ else
 fi
 
 step "pytest" python -m pytest -q
+step "pytest (pure-python backend)" env REPRO_BACKEND=python \
+    python -m pytest -q tests/test_psr.py tests/test_quality_tp.py \
+    tests/test_engine.py tests/test_backends.py tests/test_tail_stop.py
 
 step "perfbench tests" python -m pytest -q perfbench/tests
 for workload in serve-scan clean-durable store-reopen; do

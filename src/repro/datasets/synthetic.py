@@ -49,8 +49,9 @@ class SyntheticConfig:
     #: Probability that an x-tuple produces a real reading at all; bar
     #: masses are normalized to this total, so values < 1 leave genuine
     #: null mass (a sensor that may miss its reading).  Incomplete
-    #: databases never trigger Lemma 2's early stop, which makes them
-    #: the honest workload for full-scan PSR benchmarks.
+    #: databases never trigger Lemma 2's early stop; PSR stops them at
+    #: the certified tail stop instead, a row that depends on ``k`` and
+    #: the completion but not on the database size.
     completion: float = 1.0
     seed: int = 0
 

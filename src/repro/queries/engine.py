@@ -64,6 +64,7 @@ if TYPE_CHECKING:  # deferred: repro.cleaning imports repro.queries
 from repro.queries import global_topk, ptk, ukranks
 from repro.queries.answers import GlobalTopkAnswer, PTkAnswer, UkRanksAnswer
 from repro.queries.psr import (
+    TAIL_EPSILON,
     RankProbabilities,
     apply_rank_delta,
     compute_rank_probabilities,
@@ -306,13 +307,27 @@ class QuerySession:
         return cached
 
     def ptk(self, k: int, threshold: float = 0.1) -> PTkAnswer:
-        """PT-k answer at ``k`` with threshold ``T``."""
+        """PT-k answer at ``k`` with threshold ``T``.
+
+        A ``T`` below :data:`~repro.queries.psr.TAIL_EPSILON` (0
+        included) could admit a row the memoized pass's tail stop left
+        unscanned, so it is answered from a pass whose stop uses
+        ``ε = T``.  That pass counts as a miss and only its answer is
+        memoized.
+        """
         key = (k, threshold)
         cached = self._ptk.get(key)
         if cached is None:
-            cached = ptk.answer_from_rank_probabilities(
-                self.rank_probabilities(k), threshold
-            )
+            ptk.require_valid_threshold(threshold)
+            if threshold < TAIL_EPSILON:
+                self.psr_misses += 1
+                rank_probs = compute_rank_probabilities(
+                    self.ranked, k, backend=self.backend,
+                    tail_epsilon=threshold,
+                )
+            else:
+                rank_probs = self.rank_probabilities(k)
+            cached = ptk.answer_from_rank_probabilities(rank_probs, threshold)
             self._ptk[key] = cached
         return cached
 
@@ -404,8 +419,12 @@ def evaluate_without_sharing(
     the quality step, exactly like a user who runs a query library and a
     quality library back to back.
     """
+    ptk.require_valid_threshold(threshold)
     ranked = db if isinstance(db, RankedDatabase) else db.ranked(ranking)
-    rank_probs = compute_rank_probabilities(ranked, k, backend=backend)
+    rank_probs = compute_rank_probabilities(
+        ranked, k, backend=backend,
+        tail_epsilon=min(threshold, TAIL_EPSILON),
+    )
     return EvaluationReport(
         k=k,
         rank_probabilities=rank_probs,

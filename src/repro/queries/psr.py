@@ -50,6 +50,45 @@ Numerical notes
   tuple; we drop it from the vector and count it in an integer
   ``shift``.  Once ``k`` factors have saturated, every remaining tuple
   has zero top-k probability -- exactly Lemma 2's early stop.
+
+Certified tail stop
+-------------------
+Lemma 2 needs ``k`` certain x-tuples, which incomplete data never
+supplies.  The tail stop ends the scan where the rows left provably
+hold at most ``ε`` of top-k probability.  Let ``μ_i`` be the
+probability mass above row ``i`` (a prefix sum of the ranked
+probability column) and ``C_i`` the number of x-tuples with a member
+above row ``i``: a sum of independent Bernoullis with mean ``μ_i``.  A
+tuple at or below row ``i`` that exists has no sibling above row
+``i``, so it can be in the top-k only if ``C_i <= k-1``.  At most
+``k`` tuples are in the top-k at once, so by the Chernoff lower tail
+
+    Σ_{j>=i} p_j  <=  k · Pr[C_i <= k-1]  <=  k · exp(-(μ_i-k)² / (2μ_i))
+
+for ``μ_i > k``.  The right side is below ``ε`` exactly when
+``μ_i > μ* = k + L + √(L² + 2kL)`` with ``L = ln(k/ε)``, so
+:func:`tail_stop` is one ``searchsorted`` into the prefix sums.  Both
+kernels and :func:`apply_rank_delta` scan to ``min(n, stop)``.  At
+``ε = TAIL_EPSILON`` the stop needs ``μ > 71`` even at ``k = 1``;
+``ε = 0`` turns it off.
+
+Every answer stays exact:
+
+* **U-kRanks.**  A winner needs ``ρ > ukranks.ZERO_TOLERANCE = 1e-12``,
+  and a dropped row has ``ρ_j(h) <= p_j < ε < 1e-12``.
+* **Global-topk.**  ``Pr[C_stop <= k-1] < ε/k``, so the scanned rows
+  hold at least ``k - ε`` of top-k mass and at least ``k`` of them have
+  ``p >= (1-ε)/cutoff > ε``: no dropped row can displace them.
+* **PT-k** is exact for ``T >= ε``, since a dropped row has
+  ``p_j < ε``.  For ``T < ε`` (0 included) ``ptk.evaluate`` and
+  ``QuerySession.ptk`` answer from a pass whose stop uses ``ε = T``.
+  :class:`RankProbabilities` records its ``tail_epsilon``, and
+  ``ptk.answer_from_rank_probabilities`` refuses a pass whose
+  ``tail_epsilon`` exceeds ``T``.
+* **TP quality.**  Every weight satisfies
+  ``ω_i ∈ [log2 e_i - 1/ln 2, 0]``, so the quality and each ``g(l, D)``
+  move by at most ``ε·(log2(1/e_min) + 1/ln 2)``, which is below
+  ``1.1e-12`` for any positive double ``e_min``.
 """
 
 from __future__ import annotations
@@ -76,6 +115,29 @@ DECONVOLUTION_LIMIT = 0.5
 #: instead of rescanning from the top.  Storage is O(n/interval · k);
 #: the interval trades that against the per-delta replay length.
 CHECKPOINT_INTERVAL = 64
+
+#: Top-k probability mass the certified tail stop may leave unscanned
+#: (see the module docstring).  Must stay below
+#: ``ukranks.ZERO_TOLERANCE`` for U-kRanks to stay exact.
+TAIL_EPSILON = 1e-15
+
+
+def tail_stop(ranked: RankedDatabase, k: int, epsilon: float) -> int:
+    """The row where the certified tail stop ends a scan at ``k``.
+
+    The first row ``i`` whose mass above, ``μ_i``, exceeds
+    ``μ* = k + L + √(L² + 2kL)`` with ``L = ln(k/ε)``: rows ``i..n``
+    then hold at most ``epsilon`` of top-k probability.  Returns ``n``
+    when no row qualifies or ``epsilon`` is 0.
+    """
+    n = ranked.num_tuples
+    if epsilon <= 0.0:
+        return n
+    log_term = math.log(k / epsilon)
+    threshold = k + log_term + math.sqrt(log_term * (log_term + 2 * k))
+    # mass[j] = μ_{j+1}, so the stop is one past the first such prefix.
+    mass = np.cumsum(ranked.probabilities_array)
+    return min(n, int(np.searchsorted(mass, threshold, side="right")) + 1)
 
 
 def _fast_forward(
@@ -253,11 +315,13 @@ class RankProbabilities:
     Canonical storage is columnar: ``rho_prefix`` is a ``(cutoff, k)``
     float64 matrix with ``rho_prefix[i, h-1] = ρ(h)`` of the ``i``-th
     ranked tuple, and ``topk_prefix`` the matching top-k probability
-    vector.  Tuples at or beyond ``cutoff`` are exactly zero everywhere
-    (Lemma 2 fired) and carry no rows.  The matrix may be deferred --
-    a numpy-kernel pass emits only ``topk_prefix`` eagerly, and a delta
-    derivation records a :class:`_PendingRho` splice; it materializes
-    transparently on first access.
+    vector.  Tuples at or beyond ``cutoff`` carry no rows and read as
+    zero: exactly zero where Lemma 2 fired, and together at most
+    ``tail_epsilon`` of top-k mass where the certified tail stop did.
+    The matrix may be deferred -- a numpy-kernel pass emits only
+    ``topk_prefix`` eagerly, and a delta derivation records a
+    :class:`_PendingRho` splice; it materializes transparently on first
+    access.
     """
 
     def __init__(
@@ -269,6 +333,7 @@ class RankProbabilities:
         topk_prefix: np.ndarray,
         backend: str = "python",
         checkpoints: Optional[List[ScanCheckpoint]] = None,
+        tail_epsilon: float = TAIL_EPSILON,
     ) -> None:
         self.k = k
         self.ranked = ranked
@@ -280,6 +345,8 @@ class RankProbabilities:
         #: (see :func:`apply_rank_delta`); ``None`` on legacy
         #: construction.
         self.checkpoints = checkpoints
+        #: The ``ε`` of the tail stop this scan ran under (0 = none).
+        self.tail_epsilon = tail_epsilon
 
     @property
     def rho_prefix(self) -> np.ndarray:
@@ -312,19 +379,22 @@ class RankProbabilities:
         ``ρ_i(h)`` does not depend on the query's ``k`` (it is the
         probability that exactly ``h - 1`` higher-ranked real tuples
         precede ``t_i``); ``k`` only decides how many columns the scan
-        emits and where Lemma 2 truncates it.  A pass at ``k_max``
-        therefore contains every smaller-``k`` result as a column
-        prefix: slice the first ``k`` columns of ``rho_prefix`` and
-        re-sum the top-k vector.  This is what lets a batch of queries
-        at mixed ``k`` share **one** PSR pass at the maximum ``k``
-        (:meth:`repro.queries.engine.QuerySession.prefill`).
+        emits and where Lemma 2 and the tail stop truncate it.  A pass
+        at ``k_max`` therefore contains every smaller-``k`` result as a
+        column prefix: slice the first ``k`` columns of ``rho_prefix``
+        and re-sum the top-k vector.  This is what lets a batch of
+        queries at mixed ``k`` share **one** PSR pass at the maximum
+        ``k`` (:meth:`repro.queries.engine.QuerySession.prefill`).
 
-        The restricted result keeps this result's ``cutoff``; rows a
-        direct ``k``-pass would have truncated earlier are all-zero in
-        the sliced columns, so every derived answer is identical.
-        Scan checkpoints are not carried over (they snapshot ``k_max``
-        column state), so delta-patching a restricted result falls back
-        to a window re-scan from the top.
+        The restricted result keeps this result's ``cutoff``.  Rows a
+        direct ``k``-pass would have stopped at Lemma 2 are all-zero in
+        the sliced columns; rows it would have left to its earlier tail
+        stop hold less than ``tail_epsilon`` of top-k mass at ``k``
+        (the bound at ``k`` is at most the one at ``k_max``), so every
+        derived answer is identical.  Scan checkpoints are not carried
+        over (they snapshot ``k_max`` column state), so delta-patching
+        a restricted result falls back to a window re-scan from the
+        top.
         """
         if k == self.k:
             return self
@@ -341,6 +411,7 @@ class RankProbabilities:
             topk_prefix=rho.sum(axis=1),
             backend=self.backend,
             checkpoints=None,
+            tail_epsilon=self.tail_epsilon,
         )
 
     def rank_probability(self, tid: str, h: int) -> float:
@@ -591,10 +662,9 @@ def nearest_checkpoint(
 
 
 def _compute_rank_probabilities_python(
-    ranked: RankedDatabase, k: int
+    ranked: RankedDatabase, k: int, tail_epsilon: float
 ) -> RankProbabilities:
     """The scalar reference kernel (kept for cross-validation)."""
-    n = ranked.num_tuples
     st = _python_state(ranked, k, None)
     rho_prefix: List[List[float]] = []
     topk_prefix: List[float] = []
@@ -604,7 +674,7 @@ def _compute_rank_probabilities_python(
         ranked.xtuple_indices,
         k,
         st,
-        n,
+        tail_stop(ranked, k, tail_epsilon),
         rho_prefix,
         topk_prefix,
         checkpoints,
@@ -623,6 +693,7 @@ def _compute_rank_probabilities_python(
         topk_prefix=np.array(topk_prefix, dtype=np.float64),
         backend="python",
         checkpoints=checkpoints,
+        tail_epsilon=tail_epsilon,
     )
 
 
@@ -677,31 +748,35 @@ def compute_rank_probabilities(
     ranked: RankedDatabase,
     k: int,
     backend: Optional[str] = None,
+    tail_epsilon: float = TAIL_EPSILON,
 ) -> RankProbabilities:
     """Run PSR over a pre-sorted database.
 
     Returns a :class:`RankProbabilities` carrying ``ρ_i(h)`` and ``p_i``
-    for every tuple from one scan of the ranked rows, which stops early
-    as soon as ``k`` x-tuples are guaranteed to contribute a
-    higher-ranked tuple (Lemma 2).  The cost per scanned row is not a
-    constant ``O(k)``: it grows with ``A``, the number of x-tuples
-    partially scanned at that row.  The scalar kernel pays ``O(k)``
-    per row plus ``O(A·k)`` rebuilds for heavy siblings; the numpy
-    kernel pays array work that grows with ``A`` (see
-    :mod:`repro.queries.psr_numpy`) and no interpreted per-row loop.
-    The README records measured pass times.
+    for every tuple from one scan of the ranked rows.  The scan stops
+    early as soon as ``k`` x-tuples are guaranteed to contribute a
+    higher-ranked tuple (Lemma 2), or at the certified tail stop, where
+    the rows left hold at most ``tail_epsilon`` of top-k probability
+    (:func:`tail_stop`; 0 scans to Lemma 2 or the last row).  The cost
+    per scanned row is not a constant ``O(k)``: it grows with ``A``,
+    the number of x-tuples partially scanned at that row.  The scalar
+    kernel pays ``O(k)`` per row plus ``O(A·k)`` rebuilds for heavy
+    siblings; the numpy kernel pays array work that grows with ``A``
+    (see :mod:`repro.queries.psr_numpy`) and no interpreted per-row
+    loop.  The README records measured pass times.
 
     ``backend`` picks the kernel (``"numpy"`` or ``"python"``); when
     omitted, the process-wide default from :mod:`repro.core.backend`
-    applies.  Both backends agree within 1e-9 absolute on every entry.
+    applies.  Both backends stop at the same row and agree within 1e-9
+    absolute on every entry.
     """
     require_valid_k(k)
     resolved = resolve_backend(backend)
     if resolved == "numpy":
         from repro.queries.psr_numpy import compute_rank_probabilities_numpy
 
-        return compute_rank_probabilities_numpy(ranked, k)
-    return _compute_rank_probabilities_python(ranked, k)
+        return compute_rank_probabilities_numpy(ranked, k, tail_epsilon)
+    return _compute_rank_probabilities_python(ranked, k, tail_epsilon)
 
 
 def _remap_checkpoint(ck: ScanCheckpoint, delta: RankDelta, row: int) -> ScanCheckpoint:
@@ -738,7 +813,14 @@ def apply_rank_delta(
     plus O(k·window) kernel work instead of a fresh O(kn) pass.  When
     the swapped x-tuple never saturates (incomplete entities, outright
     removal) there is no tail and the re-scan runs from the window to
-    the bottom; the prefix and checkpoint fast-forward still apply.
+    the stop row; the prefix and checkpoint fast-forward still apply.
+
+    The patched view's tail stop comes from its own probability column
+    (at the old result's ``tail_epsilon``), so it is the row a cold
+    pass stops at.  A probe can move it either way: when it falls above
+    the reusable tail the window ends there and no tail rows are
+    spliced, and when it falls below the rows the old pass kept the
+    tail is not reused.
 
     Agrees with a from-scratch pass over the patched view within the
     backends' usual 1e-9 (exercised by ``tests/test_delta_engine.py``).
@@ -750,34 +832,51 @@ def apply_rank_delta(
         )
     resolved = resolve_backend(backend if backend is not None else old_rp.backend)
     k = old_rp.k
+    epsilon = old_rp.tail_epsilon
     new_ranked = delta.new_ranked
     start = delta.window_start
+    stop = tail_stop(new_ranked, k, epsilon)
     prefix_ckpts = [
         _remap_checkpoint(ck, delta, ck.row)
         for ck in (old_rp.checkpoints or [])
         if ck.row <= min(start, old_rp.cutoff)
     ]
 
-    if old_rp.cutoff <= start:
-        # The old scan early-stopped above the affected window; the
-        # patched view's scan is bitwise identical up to that point and
-        # stops at the same row.
+    kept = min(old_rp.cutoff, stop)
+    if kept <= start:
+        # The scan ends above the affected window: the rows above it
+        # are bitwise identical, and so are Lemma 2's row and the mass
+        # that places the stop.  Only a restricted result (cutoff of
+        # its k_max pass) can keep fewer rows than before.
         return RankProbabilities(
             k=k,
             ranked=new_ranked,
-            cutoff=old_rp.cutoff,
-            rho_prefix=old_rp._rho_state,
-            topk_prefix=old_rp.topk_prefix,
+            cutoff=kept,
+            rho_prefix=(
+                old_rp._rho_state
+                if kept == old_rp.cutoff
+                else _PendingRho(old_rp._rho_state, kept, np.zeros((0, k)), None)
+            ),
+            topk_prefix=old_rp.topk_prefix[:kept],
             backend=resolved,
             checkpoints=prefix_ckpts,
+            tail_epsilon=epsilon,
         )
 
     tail_old, tail_new = delta.tail_old, delta.tail_new
-    if tail_old is not None and old_rp.cutoff < tail_old:
-        # The old pass never reached the equalization point; nothing
-        # below the window exists to reuse.
+    offset = delta.row_offset
+    if tail_old is not None and (
+        old_rp.cutoff < tail_old
+        or (
+            stop - offset > old_rp.cutoff
+            and old_rp.cutoff >= tail_stop(old_rp.ranked, k, epsilon)
+        )
+    ):
+        # The old pass never reached the equalization point, or its
+        # tail stop ended it above the new stop: the rows below the
+        # window that the patched view needs were never scanned.
         tail_old = tail_new = None
-    stop = tail_new if tail_new is not None else new_ranked.num_tuples
+    window_end = stop if tail_new is None else min(stop, tail_new)
 
     window: Tuple[
         Union[np.ndarray, DeferredRho], np.ndarray, int, List[ScanCheckpoint]
@@ -785,34 +884,33 @@ def apply_rank_delta(
     if resolved != "python":
         from repro.queries.psr_numpy import _delta_window_numpy
 
-        window = _delta_window_numpy(old_rp, delta, start, stop, prefix_ckpts)
+        window = _delta_window_numpy(old_rp, delta, start, window_end, prefix_ckpts)
     else:
-        window = _delta_window_python(old_rp, delta, start, stop, prefix_ckpts)
+        window = _delta_window_python(old_rp, delta, start, window_end, prefix_ckpts)
     window_rho, window_topk, end, fresh_ckpts = window
 
     prefix_topk = old_rp.topk_prefix[:start]
-    if end < stop or tail_new is None:
+    # Branch on the tail, not the stop: a stop above the tail ends the
+    # window early, and then no tail row belongs to the new view.
+    if tail_new is None or end < tail_new:
         cutoff = end
         rho = _PendingRho(old_rp._rho_state, start, window_rho, None)
         topk = np.concatenate([prefix_topk, window_topk])
         checkpoints = prefix_ckpts + fresh_ckpts
     else:
-        offset = delta.row_offset
-        cutoff = old_rp.cutoff + offset
+        # The new stop can still fall inside the reused rows.
+        cutoff = min(old_rp.cutoff + offset, stop)
+        tail_end = cutoff - offset
         rho = _PendingRho(
-            old_rp._rho_state, start, window_rho, (tail_old, old_rp.cutoff)
+            old_rp._rho_state, start, window_rho, (tail_old, tail_end)
         )
         topk = np.concatenate(
-            [
-                prefix_topk,
-                window_topk,
-                old_rp.topk_prefix[tail_old : old_rp.cutoff],
-            ]
+            [prefix_topk, window_topk, old_rp.topk_prefix[tail_old:tail_end]]
         )
         tail_ckpts = [
             _remap_checkpoint(ck, delta, ck.row + offset)
             for ck in (old_rp.checkpoints or [])
-            if ck.row >= tail_old
+            if tail_old <= ck.row < tail_end
         ]
         checkpoints = prefix_ckpts + fresh_ckpts + tail_ckpts
     return RankProbabilities(
@@ -823,6 +921,7 @@ def apply_rank_delta(
         topk_prefix=topk,
         backend=resolved,
         checkpoints=checkpoints,
+        tail_epsilon=epsilon,
     )
 
 

@@ -33,8 +33,10 @@ Per-row work is O((L/SUB_ROWS + SUB_ROWS)·min(L, k)) array element
 operations for ``L`` live factors, so it still grows with the number of
 x-tuples open at once; the interpreter runs per group, never per row.
 Groups start at two blocks and double, so a scan that Lemma 2 stops
-early touches at most about twice the rows it keeps.  The full pass
-and delta windows (:func:`_delta_window_numpy`) both run
+early touches at most about twice the rows it keeps.  The certified
+tail stop (:func:`~repro.queries.psr.tail_stop`) arrives as
+:func:`scan_blocks`'s ``stop`` row and clips the last group exactly.
+The full pass and delta windows (:func:`_delta_window_numpy`) both run
 :func:`scan_blocks`.
 """
 
@@ -51,6 +53,7 @@ from repro.queries.psr import (
     RankProbabilities,
     ScanCheckpoint,
     nearest_checkpoint,
+    tail_stop,
 )
 
 #: Most blocks one group vectorizes over.  Larger groups amortize the
@@ -396,9 +399,9 @@ def scan_blocks(
     """Scan rows ``[state.row, stop)`` and emit every one of them.
 
     Returns the deferred ρ rows, the top-k vector and the row where the
-    scan ended (``stop``, or where Lemma 2's early stop fired).  Appends
-    a checkpoint at every block boundary after the first row to
-    ``checkpoints`` when given.
+    scan ended: ``stop`` (the tail stop, or the end of a delta window),
+    or where Lemma 2's early stop fired.  Appends a checkpoint at every
+    block boundary after the first row to ``checkpoints`` when given.
     """
     first = state.row
     groups: List[_Group] = []
@@ -421,7 +424,7 @@ def scan_blocks(
 
 
 def compute_rank_probabilities_numpy(
-    ranked: RankedDatabase, k: int
+    ranked: RankedDatabase, k: int, tail_epsilon: float
 ) -> RankProbabilities:
     """Vectorized PSR over a pre-sorted database (NumPy backend)."""
     require_valid_k(k)
@@ -429,8 +432,8 @@ def compute_rank_probabilities_numpy(
     state = ScanState(xtuple_indices, ranked.num_xtuples, k)
     checkpoints: List[ScanCheckpoint] = []
     rho, topk, cutoff = scan_blocks(
-        probabilities, xtuple_indices, k, state, ranked.num_tuples,
-        checkpoints,
+        probabilities, xtuple_indices, k, state,
+        tail_stop(ranked, k, tail_epsilon), checkpoints,
     )
     return RankProbabilities(
         k=k,
@@ -440,6 +443,7 @@ def compute_rank_probabilities_numpy(
         topk_prefix=topk,
         backend="numpy",
         checkpoints=checkpoints,
+        tail_epsilon=tail_epsilon,
     )
 
 

@@ -12,7 +12,11 @@ import numpy as np
 from repro.db.database import RankedDatabase
 from repro.exceptions import InvalidQueryError
 from repro.queries.answers import PTkAnswer
-from repro.queries.psr import RankProbabilities, compute_rank_probabilities
+from repro.queries.psr import (
+    TAIL_EPSILON,
+    RankProbabilities,
+    compute_rank_probabilities,
+)
 
 
 def require_valid_threshold(threshold: float) -> None:
@@ -33,8 +37,20 @@ def answer_from_rank_probabilities(
     One vectorized threshold pass over the columnar top-k probability
     vector, exactly as Section IV-C describes (members stay in rank
     order).
+
+    Raises ``ValueError`` when the pass's certified tail stop ran at a
+    ``tail_epsilon`` above ``threshold``: a row it left unscanned could
+    then belong to the answer.  :func:`evaluate` and
+    :meth:`repro.queries.engine.QuerySession.ptk` run a pass at
+    ``tail_epsilon = threshold`` for such thresholds.
     """
     require_valid_threshold(threshold)
+    if rank_probs.tail_epsilon > threshold:
+        raise ValueError(
+            f"a PSR pass with tail_epsilon={rank_probs.tail_epsilon:g} "
+            f"cannot answer PT-k at threshold {threshold:g}; run it with "
+            f"tail_epsilon <= threshold"
+        )
     topk = rank_probs.topk_prefix
     order = rank_probs.ranked.order
     if threshold > 0.0:
@@ -47,6 +63,10 @@ def answer_from_rank_probabilities(
 
 def evaluate(ranked: RankedDatabase, k: int, threshold: float) -> PTkAnswer:
     """Answer a PT-k query from scratch (runs PSR internally)."""
+    require_valid_threshold(threshold)
     return answer_from_rank_probabilities(
-        compute_rank_probabilities(ranked, k), threshold
+        compute_rank_probabilities(
+            ranked, k, tail_epsilon=min(threshold, TAIL_EPSILON)
+        ),
+        threshold,
     )

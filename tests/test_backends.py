@@ -23,7 +23,12 @@ from repro.queries.brute_force import (
     rank_probabilities_by_enumeration,
     topk_probabilities_by_enumeration,
 )
-from repro.queries.psr import CHECKPOINT_INTERVAL, compute_rank_probabilities
+from repro.queries.psr import (
+    CHECKPOINT_INTERVAL,
+    TAIL_EPSILON,
+    compute_rank_probabilities,
+    tail_stop,
+)
 
 from strategies import BLOCK_BOUNDARY_CASES, databases_with_k, ranked_rows_db
 
@@ -160,6 +165,17 @@ class TestBlockBoundaries:
         db = ranked_rows_db(BLOCK_BOUNDARY_CASES["lemma2_mid_block"][0])
         cutoff = compute_rank_probabilities(db.ranked(), 5, backend="numpy").cutoff
         assert cutoff == 105 and cutoff // CHECKPOINT_INTERVAL == 1
+        for case, row in (
+            ("tail_stop_on_block_boundary", 256),
+            ("tail_stop_mid_block", 237),
+        ):
+            rows, (k,) = BLOCK_BOUNDARY_CASES[case]
+            ranked = ranked_rows_db(rows).ranked()
+            assert tail_stop(ranked, k, TAIL_EPSILON) == row
+            for backend in ("numpy", "python"):
+                result = compute_rank_probabilities(ranked, k, backend=backend)
+                assert result.cutoff == row
+        assert 256 % CHECKPOINT_INTERVAL == 0 and 237 % CHECKPOINT_INTERVAL
 
     @pytest.mark.parametrize("case", sorted(BLOCK_BOUNDARY_CASES))
     def test_checkpoints_match_scalar_kernel(self, case):

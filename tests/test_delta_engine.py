@@ -20,18 +20,21 @@ from repro.cleaning.adaptive import clean_adaptively
 from repro.cleaning.executor import execute_plan
 from repro.cleaning.greedy import GreedyCleaner
 from repro.cleaning.model import build_cleaning_problem
-from repro.core.tp import compute_quality_tp
+from repro.core.tp import compute_quality_tp, patch_quality_tp
 from repro.datasets.synthetic import (
     generate_costs,
     generate_sc_probabilities,
     generate_synthetic,
 )
 from repro.db.database import ProbabilisticDatabase, RankedDatabase
+from repro.queries import psr, psr_numpy
 from repro.queries.engine import QuerySession
 from repro.queries.psr import (
     CHECKPOINT_INTERVAL,
+    TAIL_EPSILON,
     apply_rank_delta,
     compute_rank_probabilities,
+    tail_stop,
 )
 
 from strategies import databases, ranked_rows_db
@@ -291,6 +294,181 @@ class TestDeltaPSR:
         )
         with pytest.raises(ValueError):
             apply_rank_delta(rank_probs, delta)
+
+
+def _assert_delta_matches_cold(old_rp, delta, backend):
+    """Patch ``old_rp`` by ``delta`` and compare with a cold pass."""
+    patched = apply_rank_delta(old_rp, delta, backend=backend)
+    cold = compute_rank_probabilities(
+        delta.new_ranked, old_rp.k, backend=backend
+    )
+    assert patched.cutoff == cold.cutoff
+    assert patched.topk_prefix == pytest.approx(cold.topk_prefix, abs=ABS)
+    assert patched.rho_prefix == pytest.approx(cold.rho_prefix, abs=ABS)
+    return patched, cold
+
+
+def _target_rows(rows_at, masses, filler=0.3, n=400):
+    """``n`` singleton rows of mass ``filler``, with x-tuple ``target``
+    at the given rows with the given masses."""
+    rows = [(f"f{i}", filler) for i in range(n)]
+    for row, mass in zip(rows_at, masses):
+        rows[row] = ("target", mass)
+    return rows
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+class TestTailStopDeltas:
+    """A probe moves the certified tail stop; the delta path follows it.
+
+    400 singleton rows of mass 0.3 put the stop at row 274 for k = 5
+    (μ* ≈ 81.99), far above the bottom row.
+    """
+
+    K = 5
+
+    def _pass(self, rows, backend):
+        ranked = ranked_rows_db(rows).ranked()
+        old_rp = compute_rank_probabilities(ranked, self.K, backend=backend)
+        assert old_rp.cutoff == tail_stop(ranked, self.K, TAIL_EPSILON)
+        return ranked, old_rp
+
+    def test_collapse_above_the_stop_moves_it_up(self, backend):
+        ranked, old_rp = self._pass(_target_rows((20, 60), (0.3, 0.3)), backend)
+        xt = ranked.db.xtuple("target")
+        _, delta = ranked.with_xtuple_replaced(
+            "target", xt.collapsed_to(xt.alternatives[0].tid)
+        )
+        assert delta.tail_new is None  # incomplete: re-scan to the stop
+        patched, _ = _assert_delta_matches_cold(old_rp, delta, backend)
+        assert patched.cutoff < old_rp.cutoff
+
+    def test_null_reveal_moves_it_down_past_the_old_cutoff(self, backend):
+        ranked, old_rp = self._pass(_target_rows((20, 60), (0.4, 0.5)), backend)
+        old_quality = compute_quality_tp(
+            ranked, self.K, rank_probabilities=old_rp, backend=backend
+        )
+        _, delta = ranked.with_xtuple_removed("target")
+        patched, cold = _assert_delta_matches_cold(old_rp, delta, backend)
+        assert patched.cutoff > old_rp.cutoff
+        # The spliced weight vector is too short: a full TP runs.
+        assert patch_quality_tp(old_quality, patched, delta, backend) is None
+        session = QuerySession(ranked, backend=backend)
+        session.quality(self.K)
+        derived = session.derive(delta.new_ranked, delta=delta)
+        assert derived.quality(self.K).quality == pytest.approx(
+            compute_quality_tp(
+                delta.new_ranked, self.K, rank_probabilities=cold,
+                backend=backend,
+            ).quality,
+            abs=ABS,
+        )
+
+    def test_window_below_the_stop_scans_nothing(self, backend, monkeypatch):
+        ranked, old_rp = self._pass(
+            _target_rows((300, 350), (0.3, 0.3)), backend
+        )
+        xt = ranked.db.xtuple("target")
+        _, delta = ranked.with_xtuple_replaced(
+            "target", xt.collapsed_to(xt.alternatives[1].tid)
+        )
+        assert delta.window_start >= old_rp.cutoff
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a window below the stop scanned rows")
+
+        monkeypatch.setattr(psr_numpy, "scan_blocks", no_kernel)
+        monkeypatch.setattr(psr, "_scan_python", no_kernel)
+        patched = apply_rank_delta(old_rp, delta, backend=backend)
+        monkeypatch.undo()
+        assert patched._rho_state is old_rp._rho_state
+        assert np.shares_memory(patched.topk_prefix, old_rp.topk_prefix)
+        _assert_delta_matches_cold(old_rp, delta, backend)
+
+    def test_new_stop_above_the_reusable_tail(self, backend):
+        # The collapse completes the x-tuple at row 10, so every row
+        # below gains 0.7 of mass above it: the stop moves from 273 to
+        # 271, above the tail (273 -> 272).  The window must end at the
+        # stop with no tail row spliced.
+        ranked, old_rp = self._pass(_target_rows((10, 272), (0.3, 0.7)), backend)
+        assert old_rp.cutoff == 273
+        xt = ranked.db.xtuple("target")
+        _, delta = ranked.with_xtuple_replaced(
+            "target", xt.collapsed_to(xt.alternatives[0].tid)
+        )
+        assert (delta.tail_old, delta.tail_new) == (273, 272)
+        patched, _ = _assert_delta_matches_cold(old_rp, delta, backend)
+        assert patched.cutoff == 271
+
+    def _near_tie(self, masses, row_from_stop, excess):
+        """Rows with ``target`` at rows 5 and 10 whose mass above row
+        ``stop - row_from_stop`` is μ* + ``excess``, and that stop."""
+        rows = _target_rows((5, 10), masses)
+        ranked = ranked_rows_db(rows).ranked()
+        stop = tail_stop(ranked, self.K, TAIL_EPSILON)
+        row = stop - row_from_stop
+        log_term = np.log(self.K / TAIL_EPSILON)
+        threshold = self.K + log_term + np.sqrt(log_term * (log_term + 2 * self.K))
+        above = np.cumsum(ranked.probabilities_array)[row - 1]
+        rows[row - 1] = ("last", 0.3 + (threshold + excess - above))
+        return rows, stop
+
+    def _replace_second_member(self, ranked, mass):
+        from repro.db.tuples import make_xtuple
+
+        members = [
+            (t.tid, t.value, t.probability)
+            for t in ranked.db.xtuple("target").alternatives
+        ]
+        members[1] = (members[1][0], members[1][1], mass)
+        _, delta = ranked.with_xtuple_replaced(
+            "target", make_xtuple("target", members)
+        )
+        assert delta.tail_new is not None and delta.row_offset == 0
+        return delta
+
+    def test_new_stop_below_the_rows_the_old_pass_kept(self, backend):
+        # The stop row's mass sits 2e-13 above μ*.  A replacement that
+        # still saturates but holds 5e-13 less mass moves the stop one
+        # row down: the tail exists, but the old pass stopped one row
+        # short of what the patched view needs.
+        rows, stop = self._near_tie((0.5, 0.5), 0, 2e-13)
+        ranked, old_rp = self._pass(rows, backend)
+        assert old_rp.cutoff == stop
+        delta = self._replace_second_member(ranked, 0.5 - 5e-13)
+        patched, _ = _assert_delta_matches_cold(old_rp, delta, backend)
+        assert patched.cutoff == stop + 1
+
+    def test_new_stop_inside_the_reused_tail(self, backend):
+        # The mirror image: the row above the stop sits 2e-13 below μ*,
+        # and 5e-13 more mass moves the stop one row up, into the rows
+        # spliced from the old pass.
+        rows, stop = self._near_tie((0.5, 0.5 - 5e-13), 1, -2e-13)
+        ranked, old_rp = self._pass(rows, backend)
+        assert old_rp.cutoff == stop
+        delta = self._replace_second_member(ranked, 0.5)
+        patched, _ = _assert_delta_matches_cold(old_rp, delta, backend)
+        assert patched.cutoff == stop - 1
+
+    @pytest.mark.parametrize("rows_at", [(100, 120), (250, 260)])
+    def test_restricted_result_follows_its_own_stop(self, backend, rows_at):
+        # A prefill's restricted k=1 result keeps the k=5 cutoff (274).
+        # A delta gives it k=1's own stop (237 before the probe), for a
+        # window above that stop and for one between the two stops.
+        ranked = ranked_rows_db(_target_rows(rows_at, (0.3, 0.3))).ranked()
+        session = QuerySession(ranked, backend=backend)
+        session.prefill([1, self.K])
+        assert session.rank_probabilities(1).cutoff == 274
+        assert tail_stop(ranked, 1, TAIL_EPSILON) == 237
+        xt = ranked.db.xtuple("target")
+        new_ranked, delta = ranked.with_xtuple_replaced(
+            "target", xt.collapsed_to(xt.alternatives[0].tid)
+        )
+        patched = session.derive(new_ranked, delta=delta).rank_probabilities(1)
+        cold = compute_rank_probabilities(new_ranked, 1, backend=backend)
+        assert patched.cutoff == cold.cutoff
+        assert patched.topk_prefix == pytest.approx(cold.topk_prefix, abs=ABS)
+        assert patched.rho_prefix == pytest.approx(cold.rho_prefix, abs=ABS)
 
 
 class TestDeltaSessions:

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.synthetic import generate_synthetic
 from repro.exceptions import InvalidQueryError
 from repro.queries import global_topk, ptk, ukranks
 from repro.queries.brute_force import (
     rank_probabilities_by_enumeration,
     topk_probabilities_by_enumeration,
 )
+from repro.queries.engine import QuerySession
 from repro.queries.psr import compute_rank_probabilities
 
 from strategies import databases_with_k
@@ -34,6 +36,21 @@ class TestPTk:
     def test_threshold_zero_returns_all_nonzero(self, udb1):
         answer = ptk.evaluate(udb1.ranked(), 2, 0.0)
         assert set(answer.tids) == {"t1", "t2", "t5", "t6", "t4"}
+        # On incomplete data the default pass ends at its tail stop, so
+        # T = 0 needs (and gets) a pass without one.
+        ranked = generate_synthetic(
+            num_xtuples=300, completion=0.85, seed=5
+        ).ranked()
+        stopped = compute_rank_probabilities(ranked, 10)
+        assert stopped.cutoff < ranked.num_tuples
+        with pytest.raises(ValueError):
+            ptk.answer_from_rank_probabilities(stopped, 0.0)
+        unstopped = compute_rank_probabilities(ranked, 10, tail_epsilon=0.0)
+        assert unstopped.cutoff == ranked.num_tuples
+        expected = ptk.answer_from_rank_probabilities(unstopped, 0.0)
+        assert ptk.evaluate(ranked, 10, 0.0) == expected
+        assert QuerySession(ranked).ptk(10, 0.0) == expected
+        assert len(expected) > stopped.cutoff
 
     def test_threshold_one_returns_certain_members(self, udb2):
         answer = ptk.evaluate(udb2.ranked(), 1, 1.0)

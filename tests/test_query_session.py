@@ -84,23 +84,36 @@ class TestPrefill:
     def test_restricted_to_matches_direct_pass(self, backend, small_synthetic):
         import numpy as np
 
+        from repro.datasets.synthetic import generate_synthetic
         from repro.queries.psr import compute_rank_probabilities
 
-        ranked = small_synthetic.ranked()
-        full = compute_rank_probabilities(ranked, 20, backend=backend)
-        for k in (1, 5, 19):
-            direct = compute_rank_probabilities(ranked, k, backend=backend)
-            restricted = full.restricted_to(k)
-            rows = min(direct.cutoff, restricted.cutoff)
-            # Rank probabilities are k-independent: the column prefix
-            # is bitwise identical.
-            assert np.array_equal(
-                direct.rho_prefix[:rows], restricted.rho_prefix[:rows]
-            )
-            # The re-summed top-k vector may differ in the last ulp.
-            assert np.allclose(
-                direct.topk_array(), restricted.topk_array(), atol=1e-12
-            )
+        # The incomplete database stops every pass at its tail stop,
+        # which falls earlier at a smaller k: a restricted result keeps
+        # k_max's rows, whose extra top-k mass is below 1e-15.
+        incomplete = generate_synthetic(
+            num_xtuples=300, completion=0.85, seed=3
+        )
+        for db, k_max, ks in (
+            (small_synthetic, 20, (1, 5, 19)),
+            (incomplete, 100, (1, 15, 50, 99)),
+        ):
+            ranked = db.ranked()
+            full = compute_rank_probabilities(ranked, k_max, backend=backend)
+            for k in ks:
+                direct = compute_rank_probabilities(ranked, k, backend=backend)
+                restricted = full.restricted_to(k)
+                if db is incomplete:
+                    assert direct.cutoff < full.cutoff < ranked.num_tuples
+                rows = min(direct.cutoff, restricted.cutoff)
+                # Rank probabilities are k-independent: the column
+                # prefix is bitwise identical.
+                assert np.array_equal(
+                    direct.rho_prefix[:rows], restricted.rho_prefix[:rows]
+                )
+                # The re-summed top-k vector may differ in the last ulp.
+                assert np.allclose(
+                    direct.topk_array(), restricted.topk_array(), atol=1e-12
+                )
 
     def test_restricted_to_bounds(self, udb1):
         session = QuerySession(udb1)

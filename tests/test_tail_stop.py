@@ -1,0 +1,98 @@
+"""The certified tail stop against unstopped scans.
+
+On incomplete data Lemma 2 never fires, so the PSR scan ends at the
+tail stop instead: the first row whose mass above proves that the rows
+left hold at most ``TAIL_EPSILON`` of top-k probability.  These tests
+run the same pass without the stop (``tail_epsilon=0``) and check the
+certificate and its consequences: the mass below the cutoff lies within
+the Chernoff bound, the three query answers are the same, and quality
+and ``g(l, D)`` agree within 1e-9.  They use the process-wide backend,
+so CI runs them on both kernels.
+"""
+
+import math
+
+import pytest
+
+from repro.core.tp import compute_quality_tp
+from repro.datasets.synthetic import generate_synthetic
+from repro.queries import global_topk, ptk, ukranks
+from repro.queries.engine import QuerySession
+from repro.queries.psr import TAIL_EPSILON, compute_rank_probabilities
+
+ABS = 1e-9
+
+CASES = [
+    (completion, k)
+    for completion in (0.5, 0.85, 0.99)
+    for k in (15, 50, 100)
+]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=lambda c: f"c{c[0]}-k{c[1]}")
+def passes(request):
+    """``(ranked, k, stopped pass, unstopped pass)`` for one case."""
+    completion, k = request.param
+    ranked = generate_synthetic(
+        num_xtuples=400, completion=completion, seed=k
+    ).ranked()
+    stopped = compute_rank_probabilities(ranked, k)
+    unstopped = compute_rank_probabilities(ranked, k, tail_epsilon=0.0)
+    assert unstopped.cutoff == ranked.num_tuples
+    return ranked, k, stopped, unstopped
+
+
+def test_epsilon_is_below_the_ukranks_tolerance():
+    assert TAIL_EPSILON < ukranks.ZERO_TOLERANCE
+
+
+def test_tail_mass_within_the_bound(passes):
+    ranked, k, stopped, unstopped = passes
+    cutoff = stopped.cutoff
+    tail = math.fsum(unstopped.topk_prefix[cutoff:].tolist())
+    if cutoff == ranked.num_tuples:
+        # Only a total mass below μ* (≈ 235.9 at k = 100) scans it all.
+        assert math.fsum(ranked.probabilities) < 240
+        return
+    mu = math.fsum(ranked.probabilities[:cutoff])
+    assert mu > k
+    bound = k * math.exp(-((mu - k) ** 2) / (2 * mu))
+    assert tail <= bound <= TAIL_EPSILON
+    # The kept rows agree with the unstopped scan.
+    assert stopped.topk_prefix == pytest.approx(
+        unstopped.topk_prefix[:cutoff], abs=ABS
+    )
+
+
+def test_answers_are_identical(passes):
+    ranked, k, stopped, unstopped = passes
+    mine = ukranks.answer_from_rank_probabilities(stopped)
+    theirs = ukranks.answer_from_rank_probabilities(unstopped)
+    assert [(w.rank, w.tid) for w in mine.winners] == [
+        (w.rank, w.tid) for w in theirs.winners
+    ]
+    assert [w.probability for w in mine.winners] == pytest.approx(
+        [w.probability for w in theirs.winners], abs=ABS
+    )
+    mine = global_topk.answer_from_rank_probabilities(stopped)
+    theirs = global_topk.answer_from_rank_probabilities(unstopped)
+    assert mine.tids == theirs.tids
+    session = QuerySession(ranked)
+    for threshold in (0.0, 0.01, 0.1):
+        expected = ptk.answer_from_rank_probabilities(unstopped, threshold)
+        for answer in (
+            session.ptk(k, threshold),
+            ptk.evaluate(ranked, k, threshold),
+        ):
+            assert answer.tids == expected.tids
+            assert [p for _, p in answer.members] == pytest.approx(
+                [p for _, p in expected.members], abs=ABS
+            )
+
+
+def test_quality_and_g_agree(passes):
+    ranked, k, stopped, unstopped = passes
+    mine = compute_quality_tp(ranked, k, rank_probabilities=stopped)
+    theirs = compute_quality_tp(ranked, k, rank_probabilities=unstopped)
+    assert mine.quality == pytest.approx(theirs.quality, abs=ABS)
+    assert mine.g_by_xtuple() == pytest.approx(theirs.g_by_xtuple(), abs=ABS)
