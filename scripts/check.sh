@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Single entry point for everything CI gates on: repro-lint, ruff,
 # mypy, the tier-1 test suite (plus its pure-python-backend subset),
-# and the perfbench smoke (its own tests plus a tiny run of each
-# workload).  `make check` calls this.
+# a committed schema-1 store opened through the CLI, and the perfbench
+# smoke (its own tests plus a tiny run of each workload).  `make check`
+# calls this.
 #
 # repro-lint and pytest always run (they ship with the repo).  ruff
 # and mypy run when installed and are reported as SKIPPED otherwise,
@@ -45,6 +46,19 @@ step "pytest" python -m pytest -q
 step "pytest (pure-python backend)" env REPRO_BACKEND=python \
     python -m pytest -q tests/test_psr.py tests/test_quality_tp.py \
     tests/test_engine.py tests/test_backends.py tests/test_tail_stop.py
+
+# A committed schema-1 store through the CLI, as CI's fault-smoke job
+# runs it: nothing quarantined, one journaled cleaning pending.
+fixture_status() {
+    dir=$(mktemp -d)
+    cp -r tests/fixtures/replay_stores/syn60-greedy "$dir/store" &&
+        python -m repro store --dir "$dir/store" --json "$dir/status.json" &&
+        python -c 'import json, sys; s = json.load(open(sys.argv[1]))["status"]; assert s["quarantined_files"] == [] and len(s["pending_cleanings"]) == 1, s' "$dir/status.json"
+    status=$?
+    rm -rf "$dir"
+    return $status
+}
+step "schema-1 store opens through the CLI" fixture_status
 
 step "perfbench tests" python -m pytest -q perfbench/tests
 for workload in serve-scan clean-durable store-reopen; do

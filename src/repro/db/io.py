@@ -7,9 +7,12 @@ probability).  Both formats round-trip exactly.
 
 Snapshot segments hold the canonical form of the JSON payload:
 :func:`database_to_dict` dumped with sorted keys and no whitespace.
-:func:`database_structure_json` produces those bytes from per-x-tuple
+:func:`database_structure_frames` produces those bytes from per-x-tuple
 fragments cached on each x-tuple, so re-encoding a cleaning outcome
-costs only the x-tuples the cleaning changed.
+costs only the x-tuples the cleaning changed, and reports each
+fragment's length so a segment can frame its x-tuples.  The store's
+loader reads such a framed segment back one x-tuple at a time through
+:func:`xtuple_from_entry`, the same validation ingest runs.
 
 Ingest is the trust boundary: external payloads are validated *before*
 any tuple object is constructed, and violations raise
@@ -24,7 +27,7 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Any, Dict, List, Set, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.db.database import ProbabilisticDatabase
 from repro.db.tuples import PROBABILITY_SUM_TOLERANCE, ProbabilisticTuple, XTuple
@@ -69,11 +72,11 @@ def _check_new_id(value: Any, seen: Set[str], label: str, where: str) -> str:
     return value
 
 
-def _header(db: ProbabilisticDatabase) -> Dict[str, Any]:
+def _header(name: str) -> Dict[str, Any]:
     return {
         "format": "repro.probabilistic_database",
         "version": _FORMAT_VERSION,
-        "name": db.name,
+        "name": name,
     }
 
 
@@ -103,28 +106,114 @@ def _structure_fragment(xt: XTuple) -> bytes:
 
 def database_to_dict(db: ProbabilisticDatabase) -> Dict[str, Any]:
     """Encode a database as a plain JSON-serializable dictionary."""
-    payload = _header(db)
+    payload = _header(db.name)
     payload["xtuples"] = [_xtuple_to_dict(xt) for xt in db.xtuples]
     return payload
 
 
-def database_structure_json(db: ProbabilisticDatabase) -> bytes:
+def structure_head(name: str) -> bytes:
+    """The canonical structure JSON of a database named ``name`` up to
+    its first x-tuple fragment: everything but the fragments, their
+    ``,`` separators and the closing ``]}``."""
+    # Sorted keys put "xtuples" last; cut its empty list's "]}".
+    return _canonical_json({**_header(name), "xtuples": []})[:-2]
+
+
+def database_structure_frames(db: ProbabilisticDatabase) -> Tuple[bytes, List[int]]:
     """Canonical JSON of :func:`database_to_dict` -- sorted keys, no
-    whitespace, UTF-8 -- as the snapshot store's segments hold it.
+    whitespace, UTF-8 -- as the snapshot store's segments hold it, and
+    the byte length of each x-tuple's fragment inside it.
 
     The bytes equal ``json.dumps(database_to_dict(db), sort_keys=True,
-    separators=(",", ":")).encode("utf-8")``, but each x-tuple's
-    fragment is cached on its :class:`~repro.db.tuples.XTuple`, so a
-    cleaning outcome (which shares every unchanged ``XTuple`` with its
-    base) encodes only the x-tuples the cleaning changed, plus one join.
+    separators=(",", ":")).encode("utf-8")``: :func:`structure_head`,
+    then the fragments joined by ``,``, then ``]}``.  Each fragment is
+    cached on its :class:`~repro.db.tuples.XTuple`, so a cleaning
+    outcome (which shares every unchanged ``XTuple`` with its base)
+    encodes only the x-tuples the cleaning changed, plus one join.
     """
-    # Sorted keys put "xtuples" last; cut its empty list's "]}" and
-    # splice the fragments in.
-    head = _canonical_json({**_header(db), "xtuples": []})[:-2]
-    fragments = b",".join(
-        [xt.encoded(_STRUCTURE_FRAGMENT, _structure_fragment) for xt in db.xtuples]
+    fragments = [
+        xt.encoded(_STRUCTURE_FRAGMENT, _structure_fragment) for xt in db.xtuples
+    ]
+    structure = structure_head(db.name) + b",".join(fragments) + b"]}"
+    return structure, [len(fragment) for fragment in fragments]
+
+
+def database_structure_json(db: ProbabilisticDatabase) -> bytes:
+    """The structure bytes of :func:`database_structure_frames` alone."""
+    return database_structure_frames(db)[0]
+
+
+def xtuple_from_entry(
+    entry: Any,
+    position: int,
+    seen_xids: Optional[Set[str]] = None,
+    seen_tids: Optional[Set[str]] = None,
+) -> XTuple:
+    """Validate one :func:`database_to_dict` x-tuple entry and build it.
+
+    ``position`` is the entry's index in the payload, used to name an
+    entry whose id is unusable.  ``seen_xids`` / ``seen_tids`` collect
+    the ids of a whole payload, so that a duplicate across entries is
+    reported here; without them only duplicates inside this entry are,
+    and the :class:`~repro.db.database.ProbabilisticDatabase`
+    constructor rejects the rest.  Everything else this checks depends
+    on the entry alone, so equal entries pass or fail alike.  Raises
+    :class:`~repro.exceptions.InvalidDataError` (see
+    :func:`database_from_dict`).
+    """
+    if seen_xids is None:
+        seen_xids = set()
+    if seen_tids is None:
+        seen_tids = set()
+    if not isinstance(entry, dict):
+        raise InvalidDataError(
+            f"x-tuple #{position}: must be an object, got {entry!r}"
+        )
+    xid = _check_new_id(
+        entry.get("xid"), seen_xids, "x-tuple id", f"x-tuple #{position}"
     )
-    return head + fragments + b"]}"
+    alternatives = entry.get("alternatives")
+    if not isinstance(alternatives, (list, tuple)):
+        raise InvalidDataError(
+            f"x-tuple {xid!r}: alternatives must be a list, "
+            f"got {alternatives!r}"
+        )
+    if not alternatives:
+        raise InvalidDataError(
+            f"x-tuple {xid!r}: has no alternatives; every x-tuple "
+            f"must hold at least one tuple"
+        )
+    members: List[ProbabilisticTuple] = []
+    total = 0.0
+    for index, alt in enumerate(alternatives):
+        where = f"x-tuple {xid!r}, alternative #{index}"
+        if not isinstance(alt, dict):
+            raise InvalidDataError(f"{where}: must be an object, got {alt!r}")
+        tid = _check_new_id(alt.get("tid"), seen_tids, "tuple id", where)
+        if "value" not in alt:
+            raise InvalidDataError(
+                f"tuple {tid!r} of x-tuple {xid!r}: has no value"
+            )
+        probability = _check_probability(
+            alt.get("probability"), f"tuple {tid!r} of x-tuple {xid!r}"
+        )
+        members.append(
+            ProbabilisticTuple(
+                tid=tid,
+                xtuple_id=xid,
+                value=alt["value"],
+                probability=probability,
+            )
+        )
+        # Summed in XTuple.__post_init__'s order, so this check and
+        # the model's agree on every float.
+        total += probability
+    if total > 1.0 + PROBABILITY_SUM_TOLERANCE:
+        raise InvalidDataError(
+            f"x-tuple {xid!r}: existential probabilities sum to "
+            f"{total!r} > 1"
+        )
+    return XTuple(xid=xid, alternatives=tuple(members))
 
 
 def database_from_dict(payload: Dict[str, Any]) -> ProbabilisticDatabase:
@@ -151,57 +240,10 @@ def database_from_dict(payload: Dict[str, Any]) -> ProbabilisticDatabase:
         )
     seen_xids: Set[str] = set()
     seen_tids: Set[str] = set()
-    xtuples: List[XTuple] = []
-    for position, xt in enumerate(entries):
-        if not isinstance(xt, dict):
-            raise InvalidDataError(
-                f"x-tuple #{position}: must be an object, got {xt!r}"
-            )
-        xid = _check_new_id(
-            xt.get("xid"), seen_xids, "x-tuple id", f"x-tuple #{position}"
-        )
-        alternatives = xt.get("alternatives")
-        if not isinstance(alternatives, (list, tuple)):
-            raise InvalidDataError(
-                f"x-tuple {xid!r}: alternatives must be a list, "
-                f"got {alternatives!r}"
-            )
-        if not alternatives:
-            raise InvalidDataError(
-                f"x-tuple {xid!r}: has no alternatives; every x-tuple "
-                f"must hold at least one tuple"
-            )
-        members: List[ProbabilisticTuple] = []
-        total = 0.0
-        for index, alt in enumerate(alternatives):
-            where = f"x-tuple {xid!r}, alternative #{index}"
-            if not isinstance(alt, dict):
-                raise InvalidDataError(f"{where}: must be an object, got {alt!r}")
-            tid = _check_new_id(alt.get("tid"), seen_tids, "tuple id", where)
-            if "value" not in alt:
-                raise InvalidDataError(
-                    f"tuple {tid!r} of x-tuple {xid!r}: has no value"
-                )
-            probability = _check_probability(
-                alt.get("probability"), f"tuple {tid!r} of x-tuple {xid!r}"
-            )
-            members.append(
-                ProbabilisticTuple(
-                    tid=tid,
-                    xtuple_id=xid,
-                    value=alt["value"],
-                    probability=probability,
-                )
-            )
-            # Summed in XTuple.__post_init__'s order, so this check and
-            # the model's agree on every float.
-            total += probability
-        if total > 1.0 + PROBABILITY_SUM_TOLERANCE:
-            raise InvalidDataError(
-                f"x-tuple {xid!r}: existential probabilities sum to "
-                f"{total!r} > 1"
-            )
-        xtuples.append(XTuple(xid=xid, alternatives=tuple(members)))
+    xtuples = [
+        xtuple_from_entry(entry, position, seen_xids, seen_tids)
+        for position, entry in enumerate(entries)
+    ]
     return ProbabilisticDatabase(xtuples, name=payload.get("name", ""))
 
 

@@ -13,20 +13,37 @@ Segment layout (all integers big-endian)::
     offset 0   magic            b"RPROSEG1"
     offset 8   header length    u32
     offset 12  header JSON      schema version, snapshot id, content
-                                hash, ranking descriptor, structure
-                                framing, per-column (dtype, byte
-                                length, crc32)
+                                hash, name, ranking descriptor,
+                                structure length and crc32, frame
+                                count and crc32, per-column (name,
+                                dtype, byte length, crc32)
     ...        structure JSON   canonical JSON of the database_to_dict()
                                 payload (sorted keys, no whitespace)
+    ...        frame table      u32 byte length of each x-tuple's
+                                fragment inside the structure JSON
     ...        column bytes     the ranked view's canonical arrays,
                                 raw, concatenated in header order
     tail       SHA-256 digest   over every preceding byte (32 bytes)
 
-The writer assembles those same structure bytes from per-x-tuple
-fragments cached on each x-tuple
-(:func:`repro.db.io.database_structure_json`), so persisting a cleaning
-outcome encodes only the x-tuples the cleaning changed.  The decoder
-still parses, and the store still verifies, the whole structure.
+The writer assembles the structure bytes from per-x-tuple fragments
+cached on each x-tuple (:func:`repro.db.io.database_structure_frames`),
+so persisting a cleaning outcome encodes only the x-tuples the cleaning
+changed, and records the fragments' lengths in the frame table.  The
+structure bytes are exactly ``json.dumps`` of the whole payload, so the
+frame table adds four bytes per x-tuple and changes nothing else.
+
+**Schema 2** (the one written) frames the structure as
+:func:`repro.db.io.structure_head` of the header's name, then the
+fragments joined by ``,``, then ``]}``.  :func:`decode_segment` checks
+that the frames tile the structure exactly -- no gap, no overlap, no
+trailing byte -- and that the head is byte for byte the database
+header with an empty ``xtuples``, then returns the fragments unparsed:
+the store parses and validates each distinct fragment once per open,
+however many segments repeat it.  **Schema 1** (read only) has no
+frame table; the store parses its structure whole
+(:func:`decode_structure`).  Segments are never rewritten, so every
+store written before schema 2 keeps opening.  Any other version is
+refused.
 
 Two layers of verification are deliberate: the per-column CRCs localize
 *which* column a flipped bit landed in (diagnostics), while the
@@ -70,16 +87,21 @@ import hashlib
 import json
 import struct
 import zlib
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from repro.db.io import structure_head
 from repro.exceptions import CorruptSnapshotError
 
 #: First eight bytes of every segment file.
 MAGIC = b"RPROSEG1"
 
-#: Bumped on any incompatible layout change; the decoder refuses
-#: versions it does not know rather than guessing.
-SCHEMA_VERSION = 1
+#: The schema :func:`encode_segment` writes.  Bumped on any
+#: incompatible layout change; the decoder refuses versions it does
+#: not know rather than guessing.
+SCHEMA_VERSION = 2
+
+#: Every schema :func:`decode_segment` reads.
+READABLE_SCHEMAS = (1, 2)
 
 _U32 = struct.Struct(">I")
 _DIGEST_BYTES = 32
@@ -100,21 +122,38 @@ def _canonical_json(payload: Mapping[str, Any]) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+class Segment(NamedTuple):
+    """One segment's verified parts, as :func:`decode_segment` returns
+    them; nothing in the structure has been parsed yet."""
+
+    header: Dict[str, Any]
+    #: The canonical structure JSON, as framed.
+    structure_json: bytes
+    #: Each x-tuple's fragment of ``structure_json`` (schema 2), or
+    #: ``None`` for a schema-1 segment, which has no frame table.
+    fragments: Optional[List[bytes]]
+    #: Column name -> raw bytes.
+    columns: Dict[str, bytes]
+
+
 def encode_segment(
     snapshot_id: str,
     content_hash: str,
     name: str,
     ranking: Mapping[str, Any],
     structure_json: bytes,
+    fragment_lengths: Sequence[int],
     columns: Mapping[str, Tuple[str, bytes]],
 ) -> bytes:
-    """Encode one snapshot segment.
+    """Encode one snapshot segment (schema :data:`SCHEMA_VERSION`).
 
-    ``structure_json`` is the database's canonical structure JSON
-    (:func:`repro.db.io.database_structure_json`), framed verbatim.
-    ``columns`` maps column name to ``(dtype_str, raw_bytes)``; the
-    header records their order, dtypes, lengths and CRCs so the decoder
-    can slice and verify them without trusting anything but the magic.
+    ``structure_json`` is the database's canonical structure JSON and
+    ``fragment_lengths`` the byte length of each x-tuple's fragment in
+    it (:func:`repro.db.io.database_structure_frames`), both framed
+    verbatim.  ``columns`` maps column name to ``(dtype_str,
+    raw_bytes)``; the header records their order, dtypes, lengths and
+    CRCs so the decoder can slice and verify them without trusting
+    anything but the magic.
     """
     column_meta: List[Dict[str, Any]] = []
     column_blobs: List[bytes] = []
@@ -128,6 +167,7 @@ def encode_segment(
             }
         )
         column_blobs.append(blob)
+    frames = struct.pack(f">{len(fragment_lengths)}I", *fragment_lengths)
     header = {
         "schema": SCHEMA_VERSION,
         "snapshot_id": snapshot_id,
@@ -136,94 +176,158 @@ def encode_segment(
         "ranking": dict(ranking),
         "structure_length": len(structure_json),
         "structure_crc32": _crc(structure_json),
+        "frames": len(fragment_lengths),
+        "frames_crc32": _crc(frames),
         "columns": column_meta,
     }
     header_json = _canonical_json(header)
     body = b"".join(
-        [MAGIC, _U32.pack(len(header_json)), header_json, structure_json]
+        [MAGIC, _U32.pack(len(header_json)), header_json, structure_json, frames]
         + column_blobs
     )
     return body + hashlib.sha256(body).digest()
 
 
-def decode_segment(
-    data: bytes,
-) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, bytes]]:
+def _corrupt(reason: str) -> CorruptSnapshotError:
+    return CorruptSnapshotError(f"segment corrupt: {reason}")
+
+
+def decode_segment(data: bytes) -> Segment:
     """Decode and fully verify one segment's bytes.
 
-    Returns ``(header, structure, columns)`` where ``columns`` maps
-    column name to its raw bytes.  Raises
-    :class:`~repro.exceptions.CorruptSnapshotError` on *any*
-    verification failure -- bad magic, unknown schema, truncation,
-    column CRC mismatch, whole-file digest mismatch -- never a partial
-    or guessed payload.
+    Raises :class:`~repro.exceptions.CorruptSnapshotError` on *any*
+    verification failure -- bad magic, unknown schema, truncation, CRC
+    mismatch, whole-file digest mismatch, a malformed header, frames
+    that do not tile the structure -- never a partial or guessed
+    payload.  The structure comes back unparsed: as its fragments
+    (schema 2) or whole (schema 1; see :func:`decode_structure`).
     """
-
-    def corrupt(reason: str) -> CorruptSnapshotError:
-        return CorruptSnapshotError(f"segment corrupt: {reason}")
-
     if len(data) < len(MAGIC) + _U32.size + _DIGEST_BYTES:
-        raise corrupt(f"file too short ({len(data)} bytes)")
+        raise _corrupt(f"file too short ({len(data)} bytes)")
     if data[: len(MAGIC)] != MAGIC:
-        raise corrupt(f"bad magic {data[: len(MAGIC)]!r}")
+        raise _corrupt(f"bad magic {data[: len(MAGIC)]!r}")
     body, digest = data[:-_DIGEST_BYTES], data[-_DIGEST_BYTES:]
     if hashlib.sha256(body).digest() != digest:
-        raise corrupt("whole-file digest mismatch")
+        raise _corrupt("whole-file digest mismatch")
 
     offset = len(MAGIC)
     (header_length,) = _U32.unpack_from(body, offset)
     offset += _U32.size
     if offset + header_length > len(body):
-        raise corrupt("header frame overruns file")
+        raise _corrupt("header frame overruns file")
     try:
         header = json.loads(body[offset : offset + header_length])
-    except json.JSONDecodeError as exc:
-        raise corrupt(f"header is not valid JSON ({exc})") from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise _corrupt(f"header is not valid JSON ({exc})") from None
     offset += header_length
     if not isinstance(header, dict):
-        raise corrupt("header is not an object")
-    if header.get("schema") != SCHEMA_VERSION:
-        raise corrupt(
-            f"unknown schema version {header.get('schema')!r} "
-            f"(expected {SCHEMA_VERSION})"
+        raise _corrupt("header is not an object")
+    schema = header.get("schema")
+    if type(schema) is not int or schema not in READABLE_SCHEMAS:
+        raise _corrupt(
+            f"unknown schema version {schema!r} "
+            f"(expected one of {READABLE_SCHEMAS})"
         )
 
     structure_length = header.get("structure_length")
     if not isinstance(structure_length, int) or structure_length < 0:
-        raise corrupt(f"bad structure length {structure_length!r}")
+        raise _corrupt(f"bad structure length {structure_length!r}")
     if offset + structure_length > len(body):
-        raise corrupt("structure frame overruns file")
+        raise _corrupt("structure frame overruns file")
     structure_json = body[offset : offset + structure_length]
     offset += structure_length
     if _crc(structure_json) != header.get("structure_crc32"):
-        raise corrupt("structure CRC mismatch")
-    try:
-        structure = json.loads(structure_json)
-    except json.JSONDecodeError as exc:
-        raise corrupt(f"structure is not valid JSON ({exc})") from None
+        raise _corrupt("structure CRC mismatch")
+
+    fragments: Optional[List[bytes]] = None
+    if schema == 2:
+        count = header.get("frames")
+        if type(count) is not int or count < 0:
+            raise _corrupt(f"bad frame count {count!r}")
+        end = offset + count * _U32.size
+        if end > len(body):
+            raise _corrupt("frame table overruns file")
+        frames = body[offset:end]
+        offset = end
+        if _crc(frames) != header.get("frames_crc32"):
+            raise _corrupt("frame table CRC mismatch")
+        fragments = _split_fragments(
+            structure_json,
+            struct.unpack(f">{count}I", frames),
+            header.get("name"),
+        )
 
     column_meta = header.get("columns")
     if not isinstance(column_meta, list):
-        raise corrupt("header lacks a column table")
+        raise _corrupt("header lacks a column table")
     columns: Dict[str, bytes] = {}
     for meta in column_meta:
-        if not isinstance(meta, dict) or not isinstance(
-            meta.get("length"), int
+        if (
+            not isinstance(meta, dict)
+            or not isinstance(meta.get("name"), str)
+            or meta["name"] in columns
+            or not isinstance(meta.get("length"), int)
         ):
-            raise corrupt(f"bad column entry {meta!r}")
-        length = meta["length"]
+            raise _corrupt(f"bad column entry {meta!r}")
+        name, length = meta["name"], meta["length"]
         if length < 0 or offset + length > len(body):
-            raise corrupt(
-                f"column {meta.get('name')!r} overruns file"
-            )
+            raise _corrupt(f"column {name!r} overruns file")
         blob = body[offset : offset + length]
         offset += length
         if _crc(blob) != meta.get("crc32"):
-            raise corrupt(f"column {meta.get('name')!r} CRC mismatch")
-        columns[meta.get("name")] = blob
+            raise _corrupt(f"column {name!r} CRC mismatch")
+        columns[name] = blob
     if offset != len(body):
-        raise corrupt(f"{len(body) - offset} trailing bytes after columns")
-    return header, structure, columns
+        raise _corrupt(f"{len(body) - offset} trailing bytes after columns")
+    return Segment(header, structure_json, fragments, columns)
+
+
+def _split_fragments(
+    structure_json: bytes, lengths: Sequence[int], name: Any
+) -> List[bytes]:
+    """Cut a schema-2 structure into its x-tuple fragments.
+
+    The frames must tile the structure exactly: the header of a
+    database named ``name`` with an empty ``xtuples``
+    (:func:`~repro.db.io.structure_head`), then each fragment with one
+    ``,`` between neighbours, then ``]}`` -- nothing missing, nothing
+    left over.
+    """
+    head = structure_head(name)
+    if not structure_json.startswith(head):
+        raise _corrupt("structure does not start with the database header")
+    framed = len(head) + sum(lengths) + max(len(lengths) - 1, 0) + 2
+    if framed != len(structure_json):
+        raise _corrupt(
+            f"x-tuple frames cover {framed} of {len(structure_json)} "
+            f"structure bytes"
+        )
+    fragments: List[bytes] = []
+    offset = len(head)
+    for index, length in enumerate(lengths):
+        if index:
+            if structure_json[offset : offset + 1] != b",":
+                raise _corrupt(f"no separator before x-tuple frame #{index}")
+            offset += 1
+        fragments.append(structure_json[offset : offset + length])
+        offset += length
+    if structure_json[offset:] != b"]}":
+        raise _corrupt("structure does not end after its last x-tuple frame")
+    return fragments
+
+
+def decode_structure(structure_json: bytes) -> Dict[str, Any]:
+    """Parse a whole structure JSON -- a schema-1 segment's, or one no
+    held snapshot vouches for -- raising
+    :class:`~repro.exceptions.CorruptSnapshotError` unless it is a JSON
+    object."""
+    try:
+        structure = json.loads(structure_json)
+    except ValueError as exc:
+        raise _corrupt(f"structure is not valid JSON ({exc})") from None
+    if not isinstance(structure, dict):
+        raise _corrupt("structure is not an object")
+    return structure
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,12 @@ Every decoded byte is checksummed (:mod:`repro.store.format`) and the
 rebuilt ranked view is cross-checked column-by-column against the
 stored bytes and the content hash, so corruption is *detected*, and
 detected corruption is *quarantined* -- moved aside with a typed
-:class:`~repro.exceptions.CorruptSnapshotError`, never served.
+:class:`~repro.exceptions.CorruptSnapshotError`, never served.  Every
+segment gets that whole check at open, but one open decodes, validates
+and hashes each *distinct* x-tuple once: a schema-2 segment frames its
+x-tuples, and a cleaning chain's segments repeat nearly all of them,
+so its snapshots share one ``XTuple`` per distinct fragment (see
+:meth:`SnapshotStore._load_segment`).
 
 **The journal** records each executed cleaning (base snapshot, full
 spec, outcome snapshot id and content hash) *before* the outcome
@@ -104,6 +109,7 @@ Step names (patterns for :class:`~repro.testing.faults.FaultEvent`):
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from contextlib import contextmanager
@@ -127,9 +133,15 @@ import numpy as np
 
 from repro.core.counters import STORE_COUNTERS
 from repro.core.lockcheck import RANK_STORE, OrderedLock
-from repro.db.database import CANONICAL_COLUMNS, RankedDatabase
-from repro.db.io import database_from_dict, database_structure_json
+from repro.db.database import CANONICAL_COLUMNS, ProbabilisticDatabase, RankedDatabase
+from repro.db.io import (
+    database_from_dict,
+    database_structure_frames,
+    database_structure_json,
+    xtuple_from_entry,
+)
 from repro.db.ranking import ranking_descriptor, ranking_from_descriptor
+from repro.db.tuples import XTuple
 from repro.exceptions import (
     CorruptSnapshotError,
     InvalidDatabaseError,
@@ -140,6 +152,7 @@ from repro.exceptions import (
 from repro.store.format import (
     decode_journal,
     decode_segment,
+    decode_structure,
     encode_journal,
     encode_journal_record,
     encode_segment,
@@ -593,12 +606,14 @@ class SnapshotStore:
         loaded: List[str] = []
         quarantined: List[Tuple[str, str]] = []
         skipped_tombstoned = 0
+        # Lives for this open only: see _load_segment.
+        interned: Dict[bytes, XTuple] = {}
         for path in sorted(self._segments_dir.glob("*" + SEGMENT_SUFFIX)):
             if path.name[: -len(SEGMENT_SUFFIX)] in tombstoned:
                 skipped_tombstoned += 1
                 continue
             try:
-                snapshot_id, ranked = self._load_segment(path)
+                snapshot_id, ranked = self._load_segment(path, interned)
                 if snapshot_id != path.name[: -len(SEGMENT_SUFFIX)]:
                     raise CorruptSnapshotError(
                         f"segment corrupt: header names snapshot "
@@ -621,16 +636,30 @@ class SnapshotStore:
             tombstoned_segments=skipped_tombstoned,
         )
 
-    def _load_segment(self, path: Path) -> Tuple[str, RankedDatabase]:
+    def _load_segment(
+        self, path: Path, interned: Dict[bytes, XTuple]
+    ) -> Tuple[str, RankedDatabase]:
         """Decode, verify, and rebuild one segment -- or raise.
 
-        Verification is belt *and* suspenders: the codec checks
-        framing, per-column CRCs and the whole-file digest; this layer
-        then rebuilds the database from the structure JSON, recomputes
-        its content hash against the header's, re-ranks it cold, and
+        Verification is belt *and* suspenders: the codec checks the
+        framing, the CRCs and the whole-file digest; this layer then
+        rebuilds the database from the structure, recomputes its
+        content hash against the header's, re-ranks it cold, and
         compares every canonical column bitwise against the stored
         bytes.  A segment that passes cannot silently disagree with
         the view a fresh construction would produce.
+
+        ``interned`` maps every x-tuple fragment this open has already
+        parsed and validated to the :class:`~repro.db.tuples.XTuple`
+        built from it.  A cleaning chain's segments repeat most of
+        their fragments, so each distinct x-tuple is decoded, validated
+        and hashed once per open, and its snapshots share the object
+        as in-process derivations do: equal bytes parse to equal
+        values and pass the same per-x-tuple checks.  A fragment enters
+        the table only once it has passed them.  Every check that
+        spans a database -- duplicate ids, content hash, re-rank,
+        columns -- still runs on each segment.  Schema-1 segments have
+        no frames; they are parsed whole and validated as ingest does.
         """
         directive = _disk_step("segment:read")
         data = path.read_bytes()
@@ -640,9 +669,18 @@ class SnapshotStore:
                 data = data[: len(data) // 2]
             elif kind == "bitflip":
                 data = flip_one_bit(data)
-        header, structure, columns = decode_segment(data)
+        header, structure_json, fragments, columns = decode_segment(data)
         try:
-            db = database_from_dict(structure)
+            if fragments is None:
+                db = database_from_dict(decode_structure(structure_json))
+            else:
+                db = ProbabilisticDatabase(
+                    [
+                        _interned_xtuple(fragment, position, interned)
+                        for position, fragment in enumerate(fragments)
+                    ],
+                    name=header.get("name"),
+                )
         except (InvalidDatabaseError, ValueError) as exc:
             raise CorruptSnapshotError(
                 f"segment corrupt: structure does not decode ({exc})"
@@ -658,7 +696,15 @@ class SnapshotStore:
             raise CorruptSnapshotError(
                 f"segment corrupt: {exc}"
             ) from None
-        ranked = RankedDatabase(db, ranking)
+        try:
+            ranked = RankedDatabase(db, ranking)
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            # A value the ranking cannot score ("abc" by value, a number
+            # by key, a missing key): the stored view cannot be rebuilt.
+            raise CorruptSnapshotError(
+                f"segment corrupt: the ranking cannot score the structure "
+                f"({type(exc).__name__}: {exc})"
+            ) from None
         for column in CANONICAL_COLUMNS:
             blob = columns.get(column)
             if blob is None:
@@ -777,12 +823,16 @@ class SnapshotStore:
                     )
                     for name in CANONICAL_COLUMNS
                 }
+                structure_json, fragment_lengths = database_structure_frames(
+                    ranked.db
+                )
                 payload = encode_segment(
                     snapshot_id=snapshot_id,
                     content_hash=ranked.db.content_hash(),
                     name=ranked.db.name,
                     ranking=descriptor,
-                    structure_json=database_structure_json(ranked.db),
+                    structure_json=structure_json,
+                    fragment_lengths=fragment_lengths,
                     columns=columns,
                 )
                 crash_after = False
@@ -1050,7 +1100,16 @@ class SnapshotStore:
         self._journal = surviving
 
     def _segment_verified(self, snapshot_id: Any) -> bool:
-        """Whether the segment file is committed and decodes cleanly."""
+        """Whether the segment file is committed and decodes cleanly.
+
+        The digest, CRCs, header, framing and id are always checked.
+        When this handle holds the snapshot and the segment's structure
+        is byte for byte its canonical encoding (a join of memoized
+        fragments), the structure is not parsed again: a canonical
+        encoding of a valid in-memory database always parses.  Any
+        other structure -- a segment another process wrote, or bytes
+        that differ -- is parsed whole.
+        """
         if not isinstance(snapshot_id, str) or not snapshot_id:
             return False
         try:
@@ -1058,10 +1117,18 @@ class SnapshotStore:
         except OSError:
             return False
         try:
-            header, _, _ = decode_segment(data)
+            segment = decode_segment(data)
+            if segment.header.get("snapshot_id") != snapshot_id:
+                return False
+            held = self._snapshots.get(snapshot_id)
+            if (
+                held is None
+                or database_structure_json(held.db) != segment.structure_json
+            ):
+                decode_structure(segment.structure_json)
         except CorruptSnapshotError:
             return False
-        return header.get("snapshot_id") == snapshot_id
+        return True
 
     # ------------------------------------------------------------------
     # Segment GC (phase one: tombstones)
@@ -1270,6 +1337,18 @@ class SnapshotStore:
             os.fsync(fd)
         finally:
             os.close(fd)
+
+
+def _interned_xtuple(
+    fragment: bytes, position: int, interned: Dict[bytes, XTuple]
+) -> XTuple:
+    """The x-tuple of one schema-2 fragment, parsed and validated on
+    its first appearance in this open only (see ``_load_segment``)."""
+    xt = interned.get(fragment)
+    if xt is None:
+        xt = xtuple_from_entry(json.loads(fragment), position)
+        interned[fragment] = xt
+    return xt
 
 
 def _tombstone_ids(records: Iterable[Mapping[str, Any]]) -> Set[str]:

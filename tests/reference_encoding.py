@@ -9,6 +9,13 @@ one ``json.dumps`` of the whole :func:`repro.db.io.database_to_dict`
 payload.  Stores, journals and snapshot ids written before the caches
 existed stay valid only while the two agree.
 
+:func:`reference_frames` frames a payload the way a schema-2 segment
+does, one ``json.dumps`` per x-tuple entry, and
+:func:`reference_v1_segment` writes the schema-1 layout every store
+held before schema 2 -- the committed replay fixtures included -- so
+the tests can build segments of either schema without the store's
+own encoder.
+
 :data:`ENCODING_CASES` names the databases every identity test runs
 on: the paper's two examples, complete and incomplete synthetic data,
 MOV (mapping values), and non-ASCII identifiers, values and names.
@@ -18,7 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Dict, Tuple
+import struct
+import zlib
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from repro.datasets.mov import generate_mov, mov_ranking
 from repro.datasets.paper import udb1, udb2
@@ -44,11 +53,61 @@ def reference_content_hash(db: ProbabilisticDatabase) -> str:
     return hasher.hexdigest()
 
 
+def _dumps(payload: Any) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
+        "utf-8"
+    )
+
+
 def reference_structure_json(db: ProbabilisticDatabase) -> bytes:
     """A segment's structure JSON, dumped from the whole payload."""
-    return json.dumps(
-        database_to_dict(db), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    return _dumps(database_to_dict(db))
+
+
+def reference_frames(payload: Mapping[str, Any]) -> Tuple[bytes, List[int]]:
+    """A structure JSON built from a :func:`database_to_dict`-shaped
+    payload one x-tuple entry at a time, and each entry's byte length:
+    the head (the payload with an empty ``xtuples``, minus its ``]}``),
+    the entries joined by ``,``, then ``]}``."""
+    fragments = [_dumps(entry) for entry in payload["xtuples"]]
+    head = _dumps({**payload, "xtuples": []})[:-2]
+    return head + b",".join(fragments) + b"]}", [len(f) for f in fragments]
+
+
+def reference_v1_segment(
+    snapshot_id: str,
+    content_hash: str,
+    name: str,
+    ranking: Mapping[str, Any],
+    structure_json: bytes,
+    columns: Mapping[str, Tuple[str, bytes]],
+) -> bytes:
+    """A schema-1 segment: magic, u32 header length, header JSON, the
+    structure JSON, the column bytes, then a SHA-256 of all of it."""
+    header = {
+        "schema": 1,
+        "snapshot_id": snapshot_id,
+        "content_hash": content_hash,
+        "name": name,
+        "ranking": dict(ranking),
+        "structure_length": len(structure_json),
+        "structure_crc32": zlib.crc32(structure_json),
+        "columns": [
+            {
+                "name": column,
+                "dtype": dtype,
+                "length": len(blob),
+                "crc32": zlib.crc32(blob),
+            }
+            for column, (dtype, blob) in columns.items()
+        ],
+    }
+    header_json = _dumps(header)
+    body = b"".join(
+        [b"RPROSEG1", struct.pack(">I", len(header_json)), header_json, structure_json]
+        + [blob for _, blob in columns.values()]
+    )
+    return body + hashlib.sha256(body).digest()
 
 
 def _non_ascii() -> ProbabilisticDatabase:

@@ -9,19 +9,23 @@ and the ingest validation at the ``repro.db.io`` trust boundary.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
+import struct
 from pathlib import Path
-from typing import Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
 
+import repro.store.store as store_module
+from repro.api import CleaningSpec, TopKService
 from repro.datasets.synthetic import generate_synthetic
 from repro.db import io
 from repro.db.database import CANONICAL_COLUMNS, ProbabilisticDatabase, RankedDatabase
-from repro.db.ranking import by_value, ranking_descriptor
+from repro.db.ranking import by_key, by_value, ranking_descriptor
 from repro.db.tuples import make_xtuple
 from repro.exceptions import (
     CorruptSnapshotError,
@@ -36,6 +40,8 @@ from repro.store import (
     SnapshotStore,
 )
 from repro.store.format import (
+    MAGIC,
+    SCHEMA_VERSION,
     decode_journal,
     decode_segment,
     encode_journal_record,
@@ -51,7 +57,9 @@ from repro.testing import (
 from reference_encoding import (
     ENCODING_CASES,
     reference_content_hash,
+    reference_frames,
     reference_structure_json,
+    reference_v1_segment,
 )
 
 
@@ -61,46 +69,96 @@ def ranked_db(seed: int = 3, num_xtuples: int = 12) -> RankedDatabase:
     )
 
 
-def encoded_segment(
-    snapshot_id: str = "s1",
-    ranked: Optional[RankedDatabase] = None,
-    structure_json: Optional[bytes] = None,
-    content_hash: Optional[str] = None,
-) -> bytes:
-    """A segment of ``ranked`` (default :func:`ranked_db`), encoded with
-    the cached encoders unless a structure JSON / content hash is given."""
-    ranked = ranked_db() if ranked is None else ranked
-    columns = {
+def segment_columns(ranked: RankedDatabase) -> Dict[str, Tuple[str, bytes]]:
+    return {
         name: (
             getattr(ranked, name).dtype.str,
             np.ascontiguousarray(getattr(ranked, name)).tobytes(),
         )
         for name in CANONICAL_COLUMNS
     }
-    return encode_segment(
+
+
+def encoded_segment(
+    snapshot_id: str = "s1",
+    ranked: Optional[RankedDatabase] = None,
+    structure_json: Optional[bytes] = None,
+    content_hash: Optional[str] = None,
+    fragment_lengths: Optional[Sequence[int]] = None,
+    schema: int = SCHEMA_VERSION,
+) -> bytes:
+    """A segment of ``ranked`` (default :func:`ranked_db`), encoded with
+    the cached encoders unless a structure JSON (and, for schema 2, its
+    fragment lengths) or a content hash is given.  ``schema=1`` writes
+    the legacy layout through :func:`reference_v1_segment`."""
+    ranked = ranked_db() if ranked is None else ranked
+    if structure_json is None:
+        structure_json, fragment_lengths = io.database_structure_frames(ranked.db)
+    fields: Dict[str, Any] = dict(
         snapshot_id=snapshot_id,
         content_hash=(
             ranked.db.content_hash() if content_hash is None else content_hash
         ),
         name=ranked.db.name,
         ranking=ranking_descriptor(ranked.ranking),
-        structure_json=(
-            io.database_structure_json(ranked.db)
-            if structure_json is None
-            else structure_json
-        ),
-        columns=columns,
+        structure_json=structure_json,
+        columns=segment_columns(ranked),
+    )
+    if schema == 1:
+        return reference_v1_segment(**fields)
+    assert fragment_lengths is not None, "a schema-2 segment needs its frames"
+    return encode_segment(fragment_lengths=fragment_lengths, **fields)
+
+
+def framed_segment(
+    snapshot_id: str,
+    payload: Dict[str, Any],
+    ranked: Optional[RankedDatabase] = None,
+    schema: int = SCHEMA_VERSION,
+    content_hash: Optional[str] = None,
+) -> bytes:
+    """A segment whose structure is ``payload`` framed by
+    :func:`reference_frames` -- intact framing around whatever the
+    payload holds; header and columns come from ``ranked``."""
+    structure_json, lengths = reference_frames(payload)
+    return encoded_segment(
+        snapshot_id, ranked, structure_json, content_hash, lengths, schema
     )
 
 
 def reference_segment(snapshot_id: str, ranked: RankedDatabase) -> bytes:
-    """The segment the uncached reference encoders frame."""
+    """The segment the uncached reference encoders frame: one
+    ``json.dumps`` of the whole payload for the structure, one per
+    x-tuple for the frame lengths."""
+    _, lengths = reference_frames(io.database_to_dict(ranked.db))
     return encoded_segment(
         snapshot_id,
         ranked,
         structure_json=reference_structure_json(ranked.db),
         content_hash=reference_content_hash(ranked.db),
+        fragment_lengths=lengths,
     )
+
+
+def segment_header_bytes(data: bytes) -> bytes:
+    """The header JSON of an encoded segment."""
+    (length,) = struct.unpack_from(">I", data, len(MAGIC))
+    return data[len(MAGIC) + 4 : len(MAGIC) + 4 + length]
+
+
+def with_header(data: bytes, **changes: Any) -> bytes:
+    """``data`` with header fields replaced and the digest recomputed:
+    a segment whose every checksum verifies around the given header."""
+    old = segment_header_bytes(data)
+    header = {**json.loads(old), **changes}
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    rest = data[len(MAGIC) + 4 + len(old) : -32]
+    body = MAGIC + struct.pack(">I", len(new)) + new + rest
+    return body + hashlib.sha256(body).digest()
+
+
+def segment_header(path: Path) -> Dict[str, Any]:
+    return decode_segment(path.read_bytes()).header
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +168,17 @@ def reference_segment(snapshot_id: str, ranked: RankedDatabase) -> bytes:
 
 class TestSegmentCodec:
     def test_round_trip(self):
-        data = encoded_segment("s1")
-        header, structure, columns = decode_segment(data)
+        ranked = ranked_db()
+        data = encoded_segment("s1", ranked)
+        header, structure_json, fragments, columns = decode_segment(data)
         assert header["snapshot_id"] == "s1"
+        assert header["schema"] == SCHEMA_VERSION == 2
+        assert structure_json == reference_structure_json(ranked.db)
+        structure = json.loads(structure_json)
         assert structure["format"] == "repro.probabilistic_database"
+        # One unparsed fragment per x-tuple, each its entry's canonical JSON.
+        assert [json.loads(f) for f in fragments] == structure["xtuples"]
+        assert len(fragments) == ranked.db.num_xtuples
         assert set(columns) == {
             "scores_array",
             "insertion_array",
@@ -121,6 +186,30 @@ class TestSegmentCodec:
             "probabilities_array",
             "completion_array",
         }
+
+    def test_schema_1_round_trip(self):
+        ranked = ranked_db()
+        header, structure_json, fragments, columns = decode_segment(
+            encoded_segment("s1", ranked, schema=1)
+        )
+        assert header["schema"] == 1
+        assert structure_json == reference_structure_json(ranked.db)
+        assert fragments is None  # no frame table: parsed whole at open
+        assert columns == {k: blob for k, (_, blob) in segment_columns(ranked).items()}
+
+    def test_frames_cost_four_bytes_per_xtuple(self):
+        ranked = ranked_db()
+        v1 = encoded_segment("s1", ranked, schema=1)
+        v2 = encoded_segment("s1", ranked)
+        header_growth = len(segment_header_bytes(v2)) - len(segment_header_bytes(v1))
+        assert len(v2) - len(v1) == 4 * ranked.db.num_xtuples + header_growth
+        assert header_growth < 64
+
+    def test_empty_database_frames(self):
+        ranked = RankedDatabase(ProbabilisticDatabase([], name="empty"), by_value())
+        segment = decode_segment(encoded_segment("s1", ranked))
+        assert segment.fragments == []
+        assert segment.structure_json == reference_structure_json(ranked.db)
 
     def test_every_single_bitflip_is_detected(self):
         # Not literally every bit (too slow) -- a spread of positions
@@ -234,17 +323,29 @@ class TestCachedEncodingIdentity:
 
     @pytest.mark.parametrize("name", FIXTURE_STORES)
     def test_fixture_base_segment_re_persists_byte_for_byte(self, tmp_path, name):
-        # The committed segments predate the per-x-tuple caches.
+        # The committed segments predate the per-x-tuple caches and
+        # schema 2: a re-persist frames the very same structure bytes,
+        # columns, hash, id and ranking, and adds only the frame table.
         root = tmp_path / name
         shutil.copytree(FIXTURES / name, root)
         (committed,) = (root / "segments").glob("*" + SEGMENT_SUFFIX)
         snapshot_id = committed.name[: -len(SEGMENT_SUFFIX)]
         ranked = SnapshotStore(root, mode="readonly").snapshots()[snapshot_id]
+        old = decode_segment(committed.read_bytes())
+        assert old.header["schema"] == 1
+        # Pins the legacy encoder the schema-1 tests build segments with.
+        assert encoded_segment(snapshot_id, ranked, schema=1) == committed.read_bytes()
         for attempt in ("cold", "cached"):
             fresh = SnapshotStore(tmp_path / attempt, durability="none")
             assert fresh.persist(snapshot_id, ranked) is True
-            written = tmp_path / attempt / "segments" / committed.name
-            assert written.read_bytes() == committed.read_bytes()
+            written = (tmp_path / attempt / "segments" / committed.name).read_bytes()
+            new = decode_segment(written)
+            assert new.header["schema"] == 2
+            assert new.structure_json == old.structure_json
+            assert new.columns == old.columns
+            for field in ("content_hash", "snapshot_id", "ranking", "name"):
+                assert new.header[field] == old.header[field]
+            assert written == reference_segment(snapshot_id, ranked)
 
 
 class TestJournalCodec:
@@ -385,18 +486,23 @@ class TestSnapshotStore:
         ]
 
     def test_undecodable_structure_is_quarantined(self, tmp_path):
-        # Digest and CRCs verify; the structure's second x-tuple entry
-        # is not an object, so the database does not rebuild.
+        # Digest, CRCs and frames verify; the structure's second x-tuple
+        # entry is not an object, so the database does not rebuild.
+        self._assert_undecodable_entry_is_quarantined(tmp_path, SCHEMA_VERSION)
+
+    def test_undecodable_v1_structure_is_quarantined(self, tmp_path):
+        # The same entry in a schema-1 segment, parsed whole.
+        self._assert_undecodable_entry_is_quarantined(tmp_path, 1)
+
+    @staticmethod
+    def _assert_undecodable_entry_is_quarantined(tmp_path: Path, schema: int) -> None:
         root = tmp_path / "store"
         SnapshotStore(root, durability="none")
         payload = io.database_to_dict(ranked_db().db)
         payload["xtuples"][1] = "not an x-tuple"
-        structure_json = json.dumps(
-            payload, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
         path = root / "segments" / ("s1" + SEGMENT_SUFFIX)
-        path.write_bytes(encoded_segment("s1", structure_json=structure_json))
-        decode_segment(path.read_bytes())  # framing is intact
+        path.write_bytes(framed_segment("s1", payload, schema=schema))
+        assert segment_header(path)["schema"] == schema  # framing is intact
 
         reopened = SnapshotStore(root, durability="none")
         assert reopened.recovery.loaded == ()
@@ -405,6 +511,68 @@ class TestSnapshotStore:
         assert "structure does not decode" in reason
         assert "x-tuple #1: must be an object" in reason
         assert (root / "quarantine" / name).exists()
+
+    @pytest.mark.parametrize("schema", [1, 2])
+    @pytest.mark.parametrize(
+        "good, bad, ranking, error",
+        [
+            (1.0, "abc", by_value(), "ValueError"),
+            ({"size": 1.0}, 2.5, by_key("size"), "TypeError"),
+            ({"size": 1.0}, {"weight": 1.0}, by_key("size"), "KeyError"),
+        ],
+        ids=["string-by-value", "number-by-key", "missing-key"],
+    )
+    def test_unscorable_value_is_quarantined(
+        self, tmp_path, schema, good, bad, ranking, error
+    ):
+        # The content hash matches, but the ranking cannot score one
+        # value, so the view cannot be rebuilt.  The open used to raise
+        # the bare error, loading no other snapshot either.
+        root = tmp_path / "store"
+        SnapshotStore(root, durability="none").persist("good", ranked_db())
+        scorable = make_xtuple("x1", [("t1", good, 0.5)])
+        db = ProbabilisticDatabase(
+            [scorable, make_xtuple("x2", [("t2", bad, 0.5)])], name="unscorable"
+        )
+        # Columns of a scorable stand-in: the open never gets that far.
+        stand_in = RankedDatabase(
+            ProbabilisticDatabase([scorable], name=db.name), ranking
+        )
+        (root / "segments" / ("bad" + SEGMENT_SUFFIX)).write_bytes(
+            framed_segment(
+                "bad",
+                io.database_to_dict(db),
+                stand_in,
+                schema=schema,
+                content_hash=db.content_hash(),
+            )
+        )
+
+        reopened = SnapshotStore(root, durability="none")
+        assert reopened.recovery.loaded == ("good",)
+        ((name, reason),) = reopened.recovery.quarantined
+        assert name == "bad" + SEGMENT_SUFFIX
+        assert "the ranking cannot score the structure" in reason
+        assert error in reason
+        assert (root / "quarantine" / name).exists()
+
+    def test_unhashable_column_name_is_quarantined(self, tmp_path):
+        # A header column entry whose name is a list used to raise a
+        # bare TypeError out of decode_segment, loading nothing else.
+        root = tmp_path / "store"
+        SnapshotStore(root, durability="none").persist("good", ranked_db())
+        data = encoded_segment("bad", ranked_db(seed=4))
+        columns = decode_segment(data).header["columns"]
+        columns[0]["name"] = ["scores_array"]
+        (root / "segments" / ("bad" + SEGMENT_SUFFIX)).write_bytes(
+            with_header(data, columns=columns)
+        )
+
+        reopened = SnapshotStore(root, durability="none")
+        assert reopened.recovery.loaded == ("good",)
+        ((name, reason),) = reopened.recovery.quarantined
+        assert name == "bad" + SEGMENT_SUFFIX
+        assert "bad column entry" in reason
 
     def test_shortread_at_open_quarantines(self, tmp_path):
         root = tmp_path / "store"
@@ -465,6 +633,374 @@ class TestSnapshotStore:
         assert seen[0] is not None and seen[0]["pid"] == os.getpid()
         assert report["tombstoned"] == ["s1"]
         assert report["protected"] == ["s2"]
+
+
+# ---------------------------------------------------------------------------
+# Framed (schema-2) decode: every fault is quarantined at open
+# ---------------------------------------------------------------------------
+
+
+def canonical_fragments(db: ProbabilisticDatabase) -> List[bytes]:
+    """One ``json.dumps`` per x-tuple entry, as :func:`reference_frames`."""
+    return [
+        json.dumps(entry, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        for entry in io.database_to_dict(db)["xtuples"]
+    ]
+
+
+def refragmented(
+    ranked: RankedDatabase,
+    fragments: Sequence[bytes],
+    lengths: Optional[Sequence[int]] = None,
+    tail: bytes = b"]}",
+    snapshot_id: str = "bad",
+) -> bytes:
+    """A segment of ``ranked`` whose structure is the database header,
+    ``fragments`` joined by ``,``, then ``tail``, framed by ``lengths``
+    (default: the fragments' own)."""
+    structure_json = (
+        io.structure_head(ranked.db.name) + b",".join(fragments) + tail
+    )
+    return encoded_segment(
+        snapshot_id,
+        ranked,
+        structure_json,
+        fragment_lengths=[len(f) for f in fragments] if lengths is None else lengths,
+    )
+
+
+def _relengthed(change) -> Any:
+    """Canonical fragments framed by ``change(their lengths)``."""
+
+    def build(ranked: RankedDatabase) -> bytes:
+        fragments = canonical_fragments(ranked.db)
+        return refragmented(ranked, fragments, change([len(f) for f in fragments]))
+
+    return build
+
+
+def _replaced_fragment(index: int, fragment) -> Any:
+    def build(ranked: RankedDatabase) -> bytes:
+        fragments = canonical_fragments(ranked.db)
+        fragments[index] = fragment(fragments)
+        return refragmented(ranked, fragments)
+
+    return build
+
+
+def _payload_fault(mutate) -> Any:
+    def build(ranked: RankedDatabase) -> bytes:
+        payload = io.database_to_dict(ranked.db)
+        mutate(payload)
+        return framed_segment("bad", payload, ranked)
+
+    return build
+
+
+def _over_one(payload: Dict[str, Any]) -> None:
+    payload["xtuples"][2]["alternatives"][0]["probability"] = 1.5
+
+
+#: fault -> (faulty segment made from a valid ranked view, reason fragment).
+FRAMING_FAULTS = {
+    "one_length_short": (
+        _relengthed(lambda n: n[:3] + [n[3] - 1] + n[4:]),
+        "x-tuple frames cover",
+    ),
+    "one_length_long": (
+        _relengthed(lambda n: n[:3] + [n[3] + 1] + n[4:]),
+        "x-tuple frames cover",
+    ),
+    "one_short_next_long": (
+        _relengthed(lambda n: n[:3] + [n[3] - 1, n[4] + 1] + n[5:]),
+        "no separator before x-tuple frame #4",
+    ),
+    "too_few_frames": (_relengthed(lambda n: n[:-1]), "x-tuple frames cover"),
+    "too_many_frames": (_relengthed(lambda n: n + [0]), "x-tuple frames cover"),
+    "bytes_after_last_fragment": (
+        lambda r: refragmented(r, canonical_fragments(r.db), tail=b" ]}"),
+        "x-tuple frames cover",
+    ),
+    "bytes_after_the_structure": (
+        lambda r: refragmented(r, canonical_fragments(r.db), tail=b"]}]}"),
+        "x-tuple frames cover",
+    ),
+    "no_closing_after_last_fragment": (
+        lambda r: refragmented(r, canonical_fragments(r.db), tail=b"}]"),
+        "structure does not end after its last x-tuple frame",
+    ),
+    "head_is_not_the_database_header": (
+        _payload_fault(lambda p: p.update(format="not.a.database")),
+        "structure does not start with the database header",
+    ),
+    "head_names_another_database": (
+        _payload_fault(lambda p: p.update(name="another")),
+        "structure does not start with the database header",
+    ),
+    "fragment_is_not_json": (
+        _replaced_fragment(2, lambda f: b"{not json}"),
+        "structure does not decode",
+    ),
+    "fragment_fails_validation": (
+        _payload_fault(_over_one),
+        "probability must lie in (0, 1]",
+    ),
+    "same_fragment_twice": (
+        _replaced_fragment(3, lambda f: f[2]),
+        "duplicate x-tuple id",
+    ),
+    "frame_table_crc": (
+        lambda r: with_header(encoded_segment("bad", r), frames_crc32=0),
+        "frame table CRC mismatch",
+    ),
+    "frame_count_overstated": (
+        lambda r: with_header(encoded_segment("bad", r), frames=r.db.num_xtuples + 1),
+        "frame table CRC mismatch",
+    ),
+    "frame_count_negative": (
+        lambda r: with_header(encoded_segment("bad", r), frames=-1),
+        "bad frame count",
+    ),
+    "frame_count_not_an_integer": (
+        lambda r: with_header(encoded_segment("bad", r), frames=True),
+        "bad frame count",
+    ),
+    "schema_3": (
+        lambda r: with_header(encoded_segment("bad", r), schema=3),
+        "unknown schema version 3",
+    ),
+}
+
+
+class TestFramedDecode:
+    @pytest.mark.parametrize("fault", sorted(FRAMING_FAULTS))
+    def test_fault_is_quarantined_at_open(self, tmp_path, fault):
+        build, expected = FRAMING_FAULTS[fault]
+        root = tmp_path / "store"
+        SnapshotStore(root, durability="none").persist("good", ranked_db())
+        (root / "segments" / ("bad" + SEGMENT_SUFFIX)).write_bytes(
+            build(ranked_db(seed=4))
+        )
+
+        reopened = SnapshotStore(root, durability="none")
+        assert reopened.recovery.loaded == ("good",)
+        ((name, reason),) = reopened.recovery.quarantined
+        assert name == "bad" + SEGMENT_SUFFIX
+        assert reason.startswith("segment corrupt: ")
+        assert expected in reason
+        assert (root / "quarantine" / name).exists()
+
+    def test_failed_fragment_is_never_interned(self, tmp_path):
+        # Two segments carry the same invalid fragment: each is
+        # validated, and refused, on its own.  The valid fragments they
+        # share with a good segment serve it as usual.
+        root = tmp_path / "store"
+        ranked = ranked_db(seed=4)
+        SnapshotStore(root, durability="none").persist("good", ranked)
+        payload = io.database_to_dict(ranked.db)
+        _over_one(payload)
+        for sid in ("bad1", "bad2"):
+            (root / "segments" / (sid + SEGMENT_SUFFIX)).write_bytes(
+                framed_segment(sid, payload, ranked)
+            )
+
+        reopened = SnapshotStore(root, durability="none")
+        assert reopened.recovery.loaded == ("good",)
+        assert [name for name, _ in reopened.recovery.quarantined] == [
+            "bad1" + SEGMENT_SUFFIX,
+            "bad2" + SEGMENT_SUFFIX,
+        ]
+        for _, reason in reopened.recovery.quarantined:
+            assert "probability must lie in (0, 1]" in reason
+
+
+# ---------------------------------------------------------------------------
+# The per-open intern table
+# ---------------------------------------------------------------------------
+
+
+def collapse_chain(steps: int) -> List[RankedDatabase]:
+    """A base and ``steps`` outcomes, each collapsing one more x-tuple."""
+    chain = [ranked_db(num_xtuples=20)]
+    for xt in chain[0].db.xtuples[:steps]:
+        derived, _ = chain[-1].with_xtuple_replaced(
+            xt.xid, xt.collapsed_to(xt.alternatives[0].tid)
+        )
+        chain.append(derived)
+    return chain
+
+
+class TestInternedOpen:
+    def test_reopen_parses_each_distinct_fragment_once(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        chain = collapse_chain(6)
+        store = SnapshotStore(root, durability="none")
+        for index, ranked in enumerate(chain):
+            store.persist(f"s{index}", ranked)
+        distinct = {f for ranked in chain for f in canonical_fragments(ranked.db)}
+        assert len(distinct) == 20 + 6
+
+        parsed: List[str] = []
+        original = store_module.xtuple_from_entry
+
+        def counting(entry, position, *args):
+            parsed.append(entry["xid"])
+            return original(entry, position, *args)
+
+        monkeypatch.setattr(store_module, "xtuple_from_entry", counting)
+        reopened = SnapshotStore(root, durability="none")
+        assert reopened.recovery.quarantined == ()
+        assert len(parsed) == len(distinct)
+
+        snapshots = [reopened.snapshots()[f"s{i}"] for i in range(len(chain))]
+        collapsed = {xt.xid for xt in chain[0].db.xtuples[:6]}
+        for xid in [xt.xid for xt in chain[0].db.xtuples]:
+            # An x-tuple no cleaning touched is one object in every
+            # snapshot; a collapsed one is one object before its
+            # collapse and another from then on.
+            objects = {id(s.db.xtuple(xid)) for s in snapshots}
+            assert len(objects) == (2 if xid in collapsed else 1)
+        for index, (ranked, loaded) in enumerate(zip(chain, snapshots)):
+            header = segment_header(root / "segments" / f"s{index}{SEGMENT_SUFFIX}")
+            assert loaded.db.content_hash() == header["content_hash"]
+            assert header["content_hash"] == reference_content_hash(ranked.db)
+
+    def test_the_table_lives_for_one_open(self, tmp_path):
+        root = tmp_path / "store"
+        store = SnapshotStore(root, durability="none")
+        for index, ranked in enumerate(collapse_chain(2)):
+            store.persist(f"s{index}", ranked)
+        first = SnapshotStore(root, durability="none").snapshots()["s0"]
+        second = SnapshotStore(root, durability="none").snapshots()["s0"]
+        assert first.db.xtuples == second.db.xtuples
+        assert not any(
+            a is b for a, b in zip(first.db.xtuples, second.db.xtuples)
+        )
+
+
+# ---------------------------------------------------------------------------
+# Schema 1 and schema 2 in one store
+# ---------------------------------------------------------------------------
+
+
+class TestMixedSchemaStore:
+    @pytest.mark.parametrize("name", FIXTURE_STORES)
+    def test_v1_fixture_under_v2_outcomes_opens_and_replays(self, tmp_path, name):
+        root = tmp_path / name
+        shutil.copytree(FIXTURES / name, root)
+        (record,) = SnapshotStore(root, mode="readonly").pending_cleanings()
+        spec = record["spec"]
+        # The first open replays the fixture's cleaning and persists
+        # its outcome, a schema-2 segment on the schema-1 base; one more
+        # durable clean on top then "crashes" before its segment lands.
+        service = TopKService(store_dir=root)
+        for seed in range(10):
+            result = service.clean(
+                record["outcome"],
+                CleaningSpec(
+                    k=spec["k"], budget=spec["budget"], planner=spec["planner"],
+                    adaptive=spec["adaptive"], seed=seed,
+                ),
+            )
+            newest = result.payload["new_snapshot_id"]
+            if newest != record["outcome"]:
+                break
+        else:
+            pytest.fail("no cleaning changed the replayed outcome")
+        newest_hash = service.pool.database(newest).content_hash()
+        (root / "segments" / (newest + SEGMENT_SUFFIX)).unlink()
+
+        service = TopKService(store_dir=root)  # replays from a v2 base
+        store = service.store
+        assert store.recovery.quarantined == ()
+        assert store.pending_cleanings() == []
+        schemas = {
+            sid: segment_header(root / "segments" / (sid + SEGMENT_SUFFIX))["schema"]
+            for sid in store.snapshots()
+        }
+        assert schemas == {record["base"]: 1, record["outcome"]: 2, newest: 2}
+        assert service.pool.database(newest).content_hash() == newest_hash
+        outcome = service.pool.database(record["outcome"])
+        assert outcome.content_hash() == record["outcome_hash"]
+
+
+# ---------------------------------------------------------------------------
+# The checkpoint's segment check
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def structure_loads(monkeypatch):
+    """Records every ``json.loads`` whose input is a whole structure
+    JSON (it starts like one); everything else parses as usual."""
+    calls: List[bytes] = []
+    original = json.loads
+
+    def loads(data, *args, **kwargs):
+        if isinstance(data, (bytes, bytearray)) and bytes(data).startswith(
+            b'{"format":"repro.probabilistic_database"'
+        ):
+            calls.append(bytes(data))
+        return original(data, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", loads)
+    return calls
+
+
+def journaled_outcome(store: SnapshotStore, ranked: RankedDatabase) -> None:
+    """Journal, then persist, ``ranked`` as the cleaning outcome "s1"."""
+    store.journal_clean("base", {"k": 5}, "s1", ranked.db.content_hash())
+    store.persist("s1", ranked)
+
+
+class TestCheckpointVerification:
+    def test_held_outcome_is_dropped_without_a_parse(self, tmp_path, structure_loads):
+        store = SnapshotStore(tmp_path / "store", durability="none")
+        journaled_outcome(store, ranked_db())
+        report = store.checkpoint()
+        assert report["dropped"] == 1 and report["records_after"] == 0
+        assert structure_loads == []
+
+    def test_outcome_another_handle_wrote_is_parsed(self, tmp_path, structure_loads):
+        root = tmp_path / "store"
+        writer = SnapshotStore(root, durability="none")
+        checker = SnapshotStore(root, durability="none")
+        ranked = ranked_db()
+        journaled_outcome(writer, ranked)
+        assert not checker.has_segment("s1")
+        report = checker.checkpoint()
+        assert report["dropped"] == 1
+        assert structure_loads == [io.database_structure_json(ranked.db)]
+
+    @pytest.mark.parametrize("parses", [True, False])
+    def test_held_outcome_with_other_bytes_is_parsed(
+        self, tmp_path, structure_loads, parses
+    ):
+        # Same id, same snapshot, but the structure on disk is not the
+        # held canonical encoding: whitespace after one fragment (still
+        # JSON), or a fragment that is not JSON at all.
+        root = tmp_path / "store"
+        store = SnapshotStore(root, durability="none")
+        ranked = ranked_db()
+        journaled_outcome(store, ranked)
+        fragments = canonical_fragments(ranked.db)
+        fragments[0] = fragments[0] + b" " if parses else b"{not json}"
+        path = root / "segments" / ("s1" + SEGMENT_SUFFIX)
+        path.write_bytes(refragmented(ranked, fragments, snapshot_id="s1"))
+        report = store.checkpoint()
+        assert report["dropped"] == (1 if parses else 0)
+        assert len(structure_loads) == 1
+        assert structure_loads[0] != io.database_structure_json(ranked.db)
+
+    def test_bit_flipped_outcome_keeps_its_record(self, tmp_path, structure_loads):
+        root = tmp_path / "store"
+        store = SnapshotStore(root, durability="none")
+        journaled_outcome(store, ranked_db())
+        path = root / "segments" / ("s1" + SEGMENT_SUFFIX)
+        path.write_bytes(flip_one_bit(path.read_bytes()))
+        report = store.checkpoint()
+        assert report["dropped"] == 0 and report["records_after"] == 1
+        assert store.journal_records()[0]["outcome"] == "s1"
 
 
 # ---------------------------------------------------------------------------
