@@ -17,6 +17,21 @@ attributes (``probabilities``, ``xtuple_indices``, ``scores``,
 so scalar code -- including the pure-Python reference backend -- keeps
 working unchanged.
 
+Cold rank
+---------
+A cold :class:`RankedDatabase` reads its inputs from per-x-tuple memos
+on :class:`~repro.db.tuples.XTuple` -- ``tids``, ``probabilities``,
+``completion_probability`` and the ``scores`` under one score callable
+-- instead of visiting every tuple in Python: one ``np.fromiter`` per
+column, one ``lexsort`` on ``(-score, insertion index)``, ``np.repeat``
+for the x-tuple indices, then a gather by the sort permutation.
+Snapshots that share ``XTuple`` objects (a cleaning chain, the segments
+of one store open) score each shared x-tuple once.  The columns and
+``order`` are bitwise those of a tuple-by-tuple construction.  A
+:class:`ProbabilisticDatabase` checks its ids the same way, with set
+operations over the memoized tids, and builds its per-tuple lookup maps
+on first use.
+
 Incremental derivation
 ----------------------
 Cleaning replaces exactly one x-tuple per successful probe, so the
@@ -39,11 +54,12 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.db.ranking import RankingFunction, by_value, score_column
+from repro.db.ranking import RankingFunction, by_value
 from repro.db.tuples import ProbabilisticTuple, XTuple
 from repro.exceptions import InvalidDatabaseError
 
@@ -63,6 +79,23 @@ def _hash_record(xt: XTuple) -> bytes:
     record = [xt.xid, [[t.tid, t.value, t.probability] for t in xt.alternatives]]
     canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return canonical.encode() + b"\x00"
+
+
+def _raise_first_duplicate(xtuples: Sequence[XTuple]) -> None:
+    """Raise the duplicate-id error of the first offender in insertion
+    order: an x-tuple id, or a tuple id an earlier x-tuple holds."""
+    xids: Set[str] = set()
+    tids: Set[str] = set()
+    for xt in xtuples:
+        if xt.xid in xids:
+            raise InvalidDatabaseError(f"duplicate x-tuple id {xt.xid!r}")
+        xids.add(xt.xid)
+        for t in xt.alternatives:
+            if t.tid in tids:
+                raise InvalidDatabaseError(
+                    f"duplicate tuple id {t.tid!r} across x-tuples"
+                )
+            tids.add(t.tid)
 
 
 class ProbabilisticDatabase:
@@ -86,23 +119,15 @@ class ProbabilisticDatabase:
     def __init__(self, xtuples: Iterable[XTuple], name: str = "") -> None:
         self._xtuples: Tuple[XTuple, ...] = tuple(xtuples)
         self.name = name
-        self._by_xid: Optional[Dict[str, XTuple]] = {}
-        self._by_tid: Optional[Dict[str, ProbabilisticTuple]] = {}
-        self._insertion_index: Optional[Dict[str, int]] = {}
-        index = 0
-        for xt in self._xtuples:
-            if xt.xid in self._by_xid:
-                raise InvalidDatabaseError(f"duplicate x-tuple id {xt.xid!r}")
-            self._by_xid[xt.xid] = xt
-            for t in xt.alternatives:
-                if t.tid in self._by_tid:
-                    raise InvalidDatabaseError(
-                        f"duplicate tuple id {t.tid!r} across x-tuples"
-                    )
-                self._by_tid[t.tid] = t
-                self._insertion_index[t.tid] = index
-                index += 1
-        self._num_tuples = index
+        by_xid = {xt.xid: xt for xt in self._xtuples}
+        tids = list(chain.from_iterable([xt.tids for xt in self._xtuples]))
+        if len(by_xid) < len(self._xtuples) or len(set(tids)) < len(tids):
+            _raise_first_duplicate(self._xtuples)
+        self._by_xid: Optional[Dict[str, XTuple]] = by_xid
+        self._tid_maps: Optional[
+            Tuple[Dict[str, ProbabilisticTuple], Dict[str, int]]
+        ] = None
+        self._num_tuples = len(tids)
 
     @classmethod
     def _derived(
@@ -112,17 +137,16 @@ class ProbabilisticDatabase:
 
         Swapping one already-validated x-tuple inside an
         already-validated database cannot introduce duplicate ids, so
-        every index build -- the O(m) x-tuple map included -- is
-        deferred to first use (:meth:`xtuple` / :meth:`tuple` /
-        :meth:`insertion_index`).  Internal use only -- arbitrary
+        the duplicate check is skipped and the O(m) x-tuple map is
+        deferred to first use (:meth:`xtuple`), like the per-tuple maps
+        every database builds lazily.  Internal use only -- arbitrary
         x-tuple collections must go through ``__init__``.
         """
         self = cls.__new__(cls)
         self._xtuples = tuple(xtuples)
         self.name = name
         self._by_xid = None
-        self._by_tid = None
-        self._insertion_index = None
+        self._tid_maps = None
         self._num_tuples = num_tuples
         return self
 
@@ -134,19 +158,23 @@ class ProbabilisticDatabase:
     def _tuple_maps(
         self,
     ) -> Tuple[Dict[str, ProbabilisticTuple], Dict[str, int]]:
-        """The per-tuple lookup maps, built lazily on derived databases."""
-        if self._by_tid is None:
-            by_tid: Dict[str, ProbabilisticTuple] = {}
-            insertion: Dict[str, int] = {}
-            index = 0
-            for xt in self._xtuples:
-                for t in xt.alternatives:
-                    by_tid[t.tid] = t
-                    insertion[t.tid] = index
-                    index += 1
-            self._by_tid = by_tid
-            self._insertion_index = insertion
-        return self._by_tid, self._insertion_index
+        """The per-tuple lookup maps ``tid -> tuple`` and ``tid ->
+        insertion index``, built on first use.
+
+        Both land in one attribute, so a thread never sees one map
+        without the other.
+        """
+        maps = self._tid_maps
+        if maps is None:
+            tids = list(chain.from_iterable([xt.tids for xt in self._xtuples]))
+            alternatives = chain.from_iterable(
+                [xt.alternatives for xt in self._xtuples]
+            )
+            maps = self._tid_maps = (
+                dict(zip(tids, alternatives)),
+                dict(zip(tids, range(len(tids)))),
+            )
+        return maps
 
     # ------------------------------------------------------------------
     # Introspection
@@ -445,37 +473,58 @@ class RankedDatabase:
     ``scores`` / ``completion`` are lazily built plain-Python views of
     those arrays, kept for scalar consumers (and the reference
     backend).
+
+    Construction scores through :meth:`~repro.db.tuples.XTuple.scores`,
+    memoized per x-tuple under the ranking's score callable, so that
+    callable must be a pure function of the tuple (see the module
+    docstring, "Cold rank").
     """
 
     def __init__(self, db: ProbabilisticDatabase, ranking: RankingFunction) -> None:
         self.db = db
         self.ranking = ranking
-        tuples = list(db)
-        raw_scores = score_column(ranking, tuples)
+        xtuples = db.xtuples
+        n, m = db.num_tuples, len(xtuples)
+        # Insertion-order columns, read from each x-tuple's memos: an
+        # x-tuple shared with other snapshots is scored once per score
+        # callable, not once per snapshot.
+        score = ranking.score
+        raw_scores = np.fromiter(
+            chain.from_iterable([xt.scores(score) for xt in xtuples]),
+            dtype=np.float64,
+            count=n,
+        )
+        raw_probabilities = np.fromiter(
+            chain.from_iterable([xt.probabilities for xt in xtuples]),
+            dtype=np.float64,
+            count=n,
+        )
+        sizes = np.fromiter(
+            [len(xt.alternatives) for xt in xtuples], dtype=np.int64, count=m
+        )
         # Descending score, insertion order as the deterministic
         # tie-break: lexsort's last key dominates.
-        insertion = np.arange(len(tuples), dtype=np.int64)
+        insertion = np.arange(n, dtype=np.int64)
         perm = np.lexsort((insertion, -raw_scores))
-        self._order_state: Union[List[ProbabilisticTuple], _OrderPatch] = [
-            tuples[i] for i in perm
-        ]
-        self.scores_array: np.ndarray = np.ascontiguousarray(raw_scores[perm])
+        tuples = list(chain.from_iterable([xt.alternatives for xt in xtuples]))
+        self._order_state: Union[List[ProbabilisticTuple], _OrderPatch] = list(
+            map(tuples.__getitem__, perm.tolist())
+        )
+        self.scores_array: np.ndarray = raw_scores[perm]
         #: Insertion index of each ranked row -- the sort's tie-break
         #: key, kept so patched derivations can replicate it exactly.
-        self.insertion_array: np.ndarray = np.ascontiguousarray(perm)
-        xid_to_index = {xt.xid: l for l, xt in enumerate(db.xtuples)}
-        self.xtuple_ids: List[str] = [xt.xid for xt in db.xtuples]
-        self.xtuple_indices_array: np.ndarray = np.array(
-            [xid_to_index[t.xtuple_id] for t in self.order],
-            dtype=np.int64,
+        self.insertion_array: np.ndarray = perm
+        self.xtuple_ids: List[str] = [xt.xid for xt in xtuples]
+        self.xtuple_indices_array: np.ndarray = np.repeat(
+            np.arange(m, dtype=np.int64), sizes
+        )[perm]
+        self.probabilities_array: np.ndarray = raw_probabilities[perm]
+        self.completion_array: np.ndarray = np.fromiter(
+            [xt.completion_probability for xt in xtuples],
+            dtype=np.float64,
+            count=m,
         )
-        self.probabilities_array: np.ndarray = np.array(
-            [t.probability for t in self.order], dtype=np.float64
-        )
-        self.completion_array: np.ndarray = np.array(
-            [xt.completion_probability for xt in db.xtuples], dtype=np.float64
-        )
-        self._xid_to_index_map: Optional[Dict[str, int]] = xid_to_index
+        self._xid_to_index_map: Optional[Dict[str, int]] = None
         # Lazily materialized views (rebuilt on demand after patching).
         self._position: Optional[Dict[str, int]] = None
         self._scores_list: Optional[List[float]] = None

@@ -15,28 +15,12 @@ higher), matching the paper.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
-
-import numpy as np
+from functools import lru_cache
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.db.tuples import ProbabilisticTuple
 
 ScoreFunction = Callable[[ProbabilisticTuple], float]
-
-
-def score_column(
-    ranking: "RankingFunction", tuples: Sequence[ProbabilisticTuple]
-) -> np.ndarray:
-    """Evaluate a ranking over many tuples into one float64 column.
-
-    This is the canonical-array entry point the columnar
-    :class:`repro.db.database.RankedDatabase` sorts on: scores land
-    directly in a contiguous array instead of an intermediate Python
-    list.
-    """
-    return np.fromiter(
-        (ranking(t) for t in tuples), dtype=np.float64, count=len(tuples)
-    )
 
 
 class RankingFunction:
@@ -47,7 +31,9 @@ class RankingFunction:
     score:
         Callable mapping a :class:`ProbabilisticTuple` to a float score.
         Defaults to the tuple's ``value`` attribute (which therefore must
-        be numeric).
+        be numeric).  It must be a pure function of the tuple: a ranked
+        view memoizes each x-tuple's scores under the callable's
+        identity (:meth:`~repro.db.tuples.XTuple.scores`).
     name:
         Human-readable name used in reprs and benchmark tables.
     """
@@ -55,6 +41,11 @@ class RankingFunction:
     def __init__(self, score: Optional[ScoreFunction] = None, name: str = "") -> None:
         self._score = score if score is not None else _value_score
         self.name = name or getattr(self._score, "__name__", "score")
+
+    @property
+    def score(self) -> ScoreFunction:
+        """The score callable this ranking wraps."""
+        return self._score
 
     def __call__(self, t: ProbabilisticTuple) -> float:
         return self._score(t)
@@ -77,13 +68,27 @@ def by_value() -> RankingFunction:
     return RankingFunction(_value_score, name="by_value")
 
 
-def by_key(key: str) -> RankingFunction:
-    """Rank tuples by one entry of a mapping-valued ``value``."""
-
+# One score callable per rule, so every ranking built for a rule -- one
+# per segment when a store opens -- hits the x-tuples' score memos.
+@lru_cache(maxsize=None)
+def _key_score(key: str) -> ScoreFunction:
     def score(t: ProbabilisticTuple) -> float:
         return float(t.value[key])
 
-    return RankingFunction(score, name=f"by_key({key})")
+    return score
+
+
+@lru_cache(maxsize=None)
+def _sum_of_keys_score(keys: Tuple[str, ...]) -> ScoreFunction:
+    def score(t: ProbabilisticTuple) -> float:
+        return float(sum(t.value[k] for k in keys))
+
+    return score
+
+
+def by_key(key: str) -> RankingFunction:
+    """Rank tuples by one entry of a mapping-valued ``value``."""
+    return RankingFunction(_key_score(key), name=f"by_key({key})")
 
 
 def by_sum_of_keys(*keys: str) -> RankingFunction:
@@ -92,11 +97,9 @@ def by_sum_of_keys(*keys: str) -> RankingFunction:
     The MOV workload uses ``by_sum_of_keys("date", "rating")`` on
     normalized attributes (Section VI).
     """
-
-    def score(t: ProbabilisticTuple) -> float:
-        return float(sum(t.value[k] for k in keys))
-
-    return RankingFunction(score, name=f"by_sum_of_keys({','.join(keys)})")
+    return RankingFunction(
+        _sum_of_keys_score(keys), name=f"by_sum_of_keys({','.join(keys)})"
+    )
 
 
 def custom(score: ScoreFunction, name: str = "custom") -> RankingFunction:

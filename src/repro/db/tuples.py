@@ -21,7 +21,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generic,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    overload,
+)
 
 from repro.exceptions import InvalidDatabaseError
 
@@ -79,19 +90,63 @@ class ProbabilisticTuple:
             )
 
 
+#: Memo key of an x-tuple's scores (see :meth:`XTuple.scores`).
+_SCORES = "_scores"
+
+_T = TypeVar("_T")
+
+
+class _memo(Generic[_T]):
+    """A read-only attribute computed on first read: the result lands in
+    the instance ``__dict__``, which shadows this non-data descriptor
+    from then on, so every later read is a plain attribute lookup.
+
+    :func:`functools.cached_property` does the same, but before Python
+    3.12 it takes a class-wide lock on every miss, which doubles the
+    cost of a miss -- and a cold rank misses once per x-tuple.  Threads
+    that race here compute, and store, equal values.
+    """
+
+    def __init__(self, method: Callable[[Any], _T]) -> None:
+        self._method = method
+        self._name = method.__name__
+        self.__doc__ = method.__doc__
+
+    @overload
+    def __get__(self, instance: None, owner: Optional[type] = None) -> _memo[_T]: ...
+
+    @overload
+    def __get__(self, instance: object, owner: Optional[type] = None) -> _T: ...
+
+    def __get__(
+        self, instance: Optional[object], owner: Optional[type] = None
+    ) -> Any:
+        if instance is None:
+            return self
+        value = instance.__dict__[self._name] = self._method(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class XTuple:
     """An uncertain entity: mutually exclusive alternatives.
 
-    Immutability also backs the x-tuple's cached canonical encodings
-    (:meth:`encoded`): its content-hash record and its structure-JSON
-    fragment are computed on first use and kept on the object, outside
-    its dataclass fields, so equality, ``repr``,
-    :func:`dataclasses.fields` and :func:`dataclasses.replace` never see
-    them.  A value must therefore not be mutated after construction --
-    MOV's ``{date, rating}`` dicts included -- or the cached bytes go
-    stale.  Two threads filling the same memo (the session pool's) race
-    harmlessly: both compute, and store, the same bytes.
+    Immutability also backs the x-tuple's memos, each computed on first
+    use and kept on the object, outside its dataclass fields, so
+    equality, ``repr``, :func:`dataclasses.fields` and
+    :func:`dataclasses.replace` never see them:
+
+    * its canonical encodings (:meth:`encoded`): the content-hash record
+      and the structure-JSON fragment;
+    * the per-alternative columns a ranked view is built from:
+      :attr:`tids`, :attr:`probabilities`, :attr:`completion_probability`;
+    * the alternatives' scores under the last score callable asked
+      (:meth:`scores`).
+
+    A value must therefore not be mutated after construction -- MOV's
+    ``{date, rating}`` dicts included -- or the cached bytes and scores
+    go stale.  Two threads filling the same memo (the session pool's)
+    race harmlessly: both compute, and store, the same result.
 
     Attributes
     ----------
@@ -141,6 +196,11 @@ class XTuple:
                 f"{total!r} > 1"
             )
 
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle the fields only: memos are rebuilt on use, and the
+        score memo may hold a callable that cannot be pickled."""
+        return {"xid": self.xid, "alternatives": self.alternatives}
+
     def encoded(self, key: str, encode: Callable[["XTuple"], bytes]) -> bytes:
         """``encode(self)``, computed on first use and cached under ``key``.
 
@@ -155,20 +215,46 @@ class XTuple:
             cached = self.__dict__[key] = encode(self)
         return cached
 
+    def scores(self, score: Callable[[ProbabilisticTuple], Any]) -> Tuple[Any, ...]:
+        """``score(t)`` for each alternative ``t``, in order.
+
+        Memoized under the identity of ``score``, one callable at a
+        time: asking with another callable recomputes and replaces the
+        memo, so it never serves one ranking's scores to another.  A
+        score callable must be a pure function of the tuple, as the
+        factory rankings are.  A callable that raises stores nothing.
+        """
+        memo: Optional[Tuple[Any, Tuple[Any, ...]]] = self.__dict__.get(_SCORES)
+        if memo is not None and memo[0] is score:
+            return memo[1]
+        values = tuple(map(score, self.alternatives))
+        self.__dict__[_SCORES] = (score, values)
+        return values
+
+    @_memo
+    def tids(self) -> Tuple[str, ...]:
+        """The alternatives' tuple ids, in order."""
+        return tuple([t.tid for t in self.alternatives])
+
+    @_memo
+    def probabilities(self) -> Tuple[float, ...]:
+        """The alternatives' existential probabilities, in order."""
+        return tuple([t.probability for t in self.alternatives])
+
     def __iter__(self) -> Iterator[ProbabilisticTuple]:
         return iter(self.alternatives)
 
     def __len__(self) -> int:
         return len(self.alternatives)
 
-    @property
+    @_memo
     def completion_probability(self) -> float:
         """Probability ``s_l`` that the entity produces a real tuple.
 
         Equals the sum of the alternatives' existential probabilities,
         clamped to one to absorb float round-off.
         """
-        return min(1.0, math.fsum(t.probability for t in self.alternatives))
+        return min(1.0, math.fsum(self.probabilities))
 
     @property
     def null_probability(self) -> float:

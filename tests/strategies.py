@@ -17,7 +17,7 @@ by the cross-backend suites.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -43,6 +43,14 @@ def _partition_probabilities(
     return [w / total for w in weights]
 
 
+def _value(draw, value: int, kind: str) -> Any:
+    if kind == "int":
+        return value
+    if kind == "mapping":
+        return {"a": float(value), "b": float(draw(st.integers(0, 12)))}
+    return float(value)
+
+
 @st.composite
 def databases(
     draw,
@@ -50,6 +58,7 @@ def databases(
     max_alternatives: int = 3,
     complete: Optional[bool] = None,
     min_xtuples: int = 1,
+    values: str = "float",
 ) -> ProbabilisticDatabase:
     """A small random probabilistic database.
 
@@ -58,6 +67,10 @@ def databases(
     complete:
         ``True`` -> every x-tuple sums to one; ``False`` -> every
         x-tuple leaves null mass; ``None`` -> mixed per x-tuple.
+    values:
+        ``"float"`` -> a float in 0..12; ``"int"`` -> the same as an
+        ``int``; ``"mapping"`` -> ``{"a": float, "b": float}``, each in
+        0..12, for the key rankings.
     """
     num_xtuples = draw(st.integers(min_xtuples, max_xtuples))
     xtuples = []
@@ -78,7 +91,7 @@ def databases(
                 ProbabilisticTuple(
                     tid=f"t{tid_counter}",
                     xtuple_id=f"x{l}",
-                    value=float(value),
+                    value=_value(draw, value, values),
                     probability=p,
                 )
             )

@@ -46,6 +46,57 @@ class TestProbabilisticDatabase:
         with pytest.raises(InvalidDatabaseError):
             ProbabilisticDatabase([xt, xt2])
 
+    @pytest.mark.parametrize(
+        "xtuples, message",
+        [
+            (
+                [("S1", ["t0"]), ("S2", ["t1"]), ("S1", ["t2"])],
+                "duplicate x-tuple id 'S1'",
+            ),
+            (
+                [("S1", ["t0", "t1"]), ("S2", ["t2", "t1"])],
+                "duplicate tuple id 't1' across x-tuples",
+            ),
+            # Both kinds: the first offender in insertion order is named.
+            (
+                [("S1", ["t0"]), ("S2", ["t0"]), ("S1", ["t1"])],
+                "duplicate tuple id 't0' across x-tuples",
+            ),
+            (
+                [("S1", ["t0"]), ("S1", ["t1"]), ("S2", ["t0"])],
+                "duplicate x-tuple id 'S1'",
+            ),
+            # One x-tuple repeats both ids: its x-tuple id is checked first.
+            (
+                [("S1", ["t0"]), ("S1", ["t0"])],
+                "duplicate x-tuple id 'S1'",
+            ),
+        ],
+        ids=["xid", "tid", "tid-first", "xid-first", "both-in-one"],
+    )
+    def test_duplicate_id_error_names_the_first_offender(self, xtuples, message):
+        built = [
+            make_xtuple(xid, [(tid, 1.0, 0.5 / len(tids)) for tid in tids])
+            for xid, tids in xtuples
+        ]
+        with pytest.raises(InvalidDatabaseError) as excinfo:
+            ProbabilisticDatabase(built)
+        assert str(excinfo.value) == message
+
+    @given(databases(max_xtuples=6))
+    def test_lookups_answer_from_insertion_order(self, db):
+        tuples = list(db)
+        for index, t in enumerate(tuples):
+            assert t.tid in db
+            assert db.tuple(t.tid) is t
+            assert db.insertion_index(t.tid) == index
+        for xt in db.xtuples:
+            assert db.has_xtuple(xt.xid)
+            assert db.xtuple(xt.xid) is xt
+        assert "missing" not in db
+        assert not db.has_xtuple("missing")
+        assert db.num_tuples == len(tuples)
+
     def test_is_complete(self, udb1):
         assert udb1.is_complete
         incomplete = ProbabilisticDatabase(

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.db.ranking import by_key, by_sum_of_keys, by_value, custom
+from repro.db.ranking import (
+    by_key,
+    by_sum_of_keys,
+    by_value,
+    custom,
+    ranking_descriptor,
+    ranking_from_descriptor,
+    rankings_equivalent,
+)
 from repro.db.tuples import ProbabilisticTuple
 
 
@@ -46,3 +54,59 @@ class TestCustom:
         ranking = custom(lambda t: -float(t.value), name="neg")
         assert ranking(_tuple(4.0)) == -4.0
         assert ranking.name == "neg"
+
+
+class TestFactoryIdentity:
+    """One score callable per rule, so x-tuple score memos hit across
+    every ranking built for that rule."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [by_value, lambda: by_key("date"), lambda: by_sum_of_keys("date", "rating")],
+        ids=["by_value", "by_key", "by_sum_of_keys"],
+    )
+    def test_one_callable_per_rule(self, make):
+        ranking = make()
+        assert make().score is ranking.score
+        rebuilt = ranking_from_descriptor(ranking_descriptor(ranking))
+        assert rebuilt.score is ranking.score
+        assert rebuilt.name == ranking.name
+
+    def test_distinct_rules_keep_distinct_callables(self):
+        assert by_key("date").score is not by_key("rating").score
+        assert (
+            by_sum_of_keys("date", "rating").score
+            is not by_sum_of_keys("rating", "date").score
+        )
+        assert by_sum_of_keys("date").score is not by_key("date").score
+
+
+def _neg(t):
+    return -float(t.value)
+
+
+def _pos(t):
+    return float(t.value)
+
+
+class TestRankingsEquivalent:
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (None, None, True),
+            (None, by_value(), True),
+            (by_key("date"), by_key("date"), True),
+            (by_key("date"), by_key("rating"), False),
+            (by_sum_of_keys("date", "rating"), by_sum_of_keys("date", "rating"), True),
+            (by_sum_of_keys("date", "rating"), by_sum_of_keys("rating", "date"), False),
+            (by_key("date"), by_sum_of_keys("date"), False),
+            (custom(_neg), custom(_neg), True),
+            (custom(_neg), custom(_pos), False),
+            (custom(_neg, name="asc"), custom(_pos, name="asc"), True),
+            (by_key("date"), custom(_pos, name="by_key(date)"), True),
+            (by_value(), custom(_pos), False),
+        ],
+    )
+    def test_answers(self, a, b, expected):
+        assert rankings_equivalent(a, b) is expected
+        assert rankings_equivalent(b, a) is expected

@@ -22,11 +22,18 @@ import pytest
 
 import repro.store.store as store_module
 from repro.api import CleaningSpec, TopKService
+from repro.datasets.mov import generate_mov, mov_ranking
 from repro.datasets.synthetic import generate_synthetic
 from repro.db import io
+from repro.db import tuples as tuples_module
 from repro.db.database import CANONICAL_COLUMNS, ProbabilisticDatabase, RankedDatabase
-from repro.db.ranking import by_key, by_value, ranking_descriptor
-from repro.db.tuples import make_xtuple
+from repro.db.ranking import (
+    by_key,
+    by_value,
+    ranking_descriptor,
+    rankings_equivalent,
+)
+from repro.db.tuples import XTuple, make_xtuple
 from repro.exceptions import (
     CorruptSnapshotError,
     InvalidDataError,
@@ -556,6 +563,52 @@ class TestSnapshotStore:
         assert error in reason
         assert (root / "quarantine" / name).exists()
 
+    @pytest.mark.parametrize("schema", [1, 2])
+    @pytest.mark.parametrize(
+        "good, bad, ranking, error",
+        [
+            (1.0, "abc", by_value(), "ValueError"),
+            ({"size": 1.0}, 2.5, by_key("size"), "TypeError"),
+            ({"size": 1.0}, {"weight": 1.0}, by_key("size"), "KeyError"),
+        ],
+        ids=["string-by-value", "number-by-key", "missing-key"],
+    )
+    def test_unscorable_value_in_two_segments_quarantines_both(
+        self, tmp_path, schema, good, bad, ranking, error
+    ):
+        # Two segments carry one unscorable fragment, which a schema-2
+        # open interns once.  A score that raised leaves no memo behind,
+        # so the second segment fails its re-rank exactly as the first.
+        root = tmp_path / "store"
+        SnapshotStore(root, durability="none").persist("good", ranked_db())
+        unscorable = make_xtuple("x2", [("t2", bad, 0.5)])
+        for index, sid in enumerate(("bad1", "bad2")):
+            scorable = make_xtuple(f"x{index}", [(f"s{index}", good, 0.5)])
+            db = ProbabilisticDatabase([scorable, unscorable], name=sid)
+            stand_in = RankedDatabase(
+                ProbabilisticDatabase([scorable], name=sid), ranking
+            )
+            (root / "segments" / (sid + SEGMENT_SUFFIX)).write_bytes(
+                framed_segment(
+                    sid,
+                    io.database_to_dict(db),
+                    stand_in,
+                    schema=schema,
+                    content_hash=db.content_hash(),
+                )
+            )
+
+        reopened = SnapshotStore(root, durability="none")
+        assert reopened.recovery.loaded == ("good",)
+        assert [name for name, _ in reopened.recovery.quarantined] == [
+            "bad1" + SEGMENT_SUFFIX,
+            "bad2" + SEGMENT_SUFFIX,
+        ]
+        for name, reason in reopened.recovery.quarantined:
+            assert "the ranking cannot score the structure" in reason
+            assert error in reason
+            assert (root / "quarantine" / name).exists()
+
     def test_unhashable_column_name_is_quarantined(self, tmp_path):
         # A header column entry whose name is a list used to raise a
         # bare TypeError out of decode_segment, loading nothing else.
@@ -864,6 +917,42 @@ class TestInternedOpen:
             header = segment_header(root / "segments" / f"s{index}{SEGMENT_SUFFIX}")
             assert loaded.db.content_hash() == header["content_hash"]
             assert header["content_hash"] == reference_content_hash(ranked.db)
+
+    def test_reopen_scores_each_distinct_xtuple_once(self, tmp_path, monkeypatch):
+        # Each segment names its ranking by rule, and every rule maps
+        # to one score callable, so the score memos of the interned
+        # x-tuples hit across the segments of a MOV-ranked chain.
+        root = tmp_path / "store"
+        base = generate_mov(num_xtuples=12, seed=5, incomplete_fraction=0.3)
+        chain = [RankedDatabase(base, mov_ranking())]
+        for xt in [xt for xt in base.xtuples if len(xt) > 1][:2]:
+            derived, _ = chain[-1].with_xtuple_replaced(
+                xt.xid, xt.collapsed_to(xt.alternatives[-1].tid)
+            )
+            chain.append(derived)
+        store = SnapshotStore(root, durability="none")
+        for index, ranked in enumerate(chain):
+            store.persist(f"s{index}", ranked)
+
+        scored: List[int] = []
+        original = XTuple.scores
+
+        def counting(xt, score):
+            memo = xt.__dict__.get(tuples_module._SCORES)
+            if memo is None or memo[0] is not score:
+                scored.append(id(xt))
+            return original(xt, score)
+
+        monkeypatch.setattr(XTuple, "scores", counting)
+        reopened = SnapshotStore(root, durability="none")
+        assert reopened.recovery.quarantined == ()
+        snapshots = [reopened.snapshots()[f"s{i}"] for i in range(len(chain))]
+        distinct = {id(xt) for s in snapshots for xt in s.db.xtuples}
+        assert len(distinct) == 12 + 2
+        assert sorted(scored) == sorted(distinct)
+        for ranked, loaded in zip(chain, snapshots):
+            assert rankings_equivalent(loaded.ranking, ranked.ranking)
+            assert loaded.ranking.score is mov_ranking().score
 
     def test_the_table_lives_for_one_open(self, tmp_path):
         root = tmp_path / "store"

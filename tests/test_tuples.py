@@ -2,13 +2,15 @@
 
 import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.db.database import ProbabilisticDatabase
+from repro.db.database import ProbabilisticDatabase, RankedDatabase
 from repro.db.io import database_structure_json
+from repro.db.ranking import by_key, custom
 from repro.db.tuples import ProbabilisticTuple, XTuple, make_xtuple
 from repro.exceptions import InvalidDatabaseError
 
@@ -143,6 +145,20 @@ class TestXTuple:
         assert swapped == make_xtuple("S3", alternatives[:1])
         assert len(vars(swapped)) == len(dataclasses.fields(XTuple))
         assert dataclasses.replace(filled) == plain
+
+    def test_pickles_without_its_memos(self):
+        # The score memo of a by_key or lambda ranking holds a callable
+        # pickle cannot serialize; an x-tuple pickles as its fields.
+        xt = make_xtuple("S1", [("t0", {"a": 2.0}, 0.6), ("t1", {"a": 1.0}, 0.4)])
+        db = ProbabilisticDatabase([xt])
+        for ranking in (by_key("a"), custom(lambda t: -t.value["a"])):
+            ranked = RankedDatabase(db, ranking)
+            db.content_hash()
+            loaded = pickle.loads(pickle.dumps(xt))
+            assert loaded == xt
+            assert len(vars(loaded)) == len(dataclasses.fields(XTuple))
+            again = pickle.loads(pickle.dumps(db))
+            assert RankedDatabase(again, ranking).order == ranked.order
 
     def test_memo_is_filled_once(self):
         xt = make_xtuple("S1", [("t0", 21.0, 0.6)])
