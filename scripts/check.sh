@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Single entry point for everything CI gates on: repro-lint, ruff,
-# mypy, the tier-1 test suite (plus its pure-python-backend subset),
+# mypy, the tier-1 test suite (its scalar-oracle checks included),
 # a committed schema-1 store opened through the CLI, the kernel
 # cross-check of CI's perf-smoke job, and the perfbench smoke (its own
 # tests plus a tiny run of each workload).  `make check` calls this.
@@ -43,9 +43,6 @@ else
 fi
 
 step "pytest" python -m pytest -q
-step "pytest (pure-python backend)" env REPRO_BACKEND=python \
-    python -m pytest -q tests/test_psr.py tests/test_quality_tp.py \
-    tests/test_engine.py tests/test_backends.py tests/test_tail_stop.py
 
 # A committed schema-1 store through the CLI, as CI's fault-smoke job
 # runs it: nothing quarantined, one journaled cleaning pending.

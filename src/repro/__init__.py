@@ -66,9 +66,6 @@ from repro.core import (
     compute_quality_pw,
     compute_quality_pwr,
     compute_quality_tp,
-    current_backend,
-    set_backend,
-    use_backend,
 )
 from repro.db import (
     ProbabilisticDatabase,
@@ -137,10 +134,6 @@ __all__ = [
     "EvaluationReport",
     "QuerySession",
     "compute_rank_probabilities",
-    # backends
-    "current_backend",
-    "set_backend",
-    "use_backend",
     # quality
     "compute_quality",
     "compute_quality_detailed",

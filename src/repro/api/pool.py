@@ -11,7 +11,8 @@ content_hash`), so registration is idempotent and a snapshot id names
 * **Sessions** are memoized per snapshot in an LRU map bounded by
   ``max_sessions``; the *n*-th distinct hot snapshot evicts the least
   recently leased one (its caches are rebuilt on next lease -- never
-  wrong, only cold).
+  wrong, only cold).  Every pooled session runs the production NumPy
+  kernels; the scalar oracle is not selectable here.
 * **Leases** hand out a session under that snapshot's private lock
   (:meth:`SessionPool.lease` is a context manager), so at most one
   thread touches a given session at a time while different snapshots
@@ -88,8 +89,6 @@ class SessionPool:
     ranking:
         Ranking function applied when a raw database is registered;
         defaults to by-value.
-    backend:
-        Kernel selection threaded into every pooled session.
     max_in_flight:
         Admission gate: most leases live at once.  The ``max_in_flight
         + 1``-th concurrent lease waits for a slot and is shed with
@@ -120,7 +119,6 @@ class SessionPool:
         self,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         ranking: Optional[RankingFunction] = None,
-        backend: Optional[str] = None,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         admission_timeout_ms: float = DEFAULT_ADMISSION_TIMEOUT_MS,
         store: Optional[SnapshotStore] = None,
@@ -139,7 +137,6 @@ class SessionPool:
             )
         self.max_sessions = max_sessions
         self.ranking = ranking
-        self.backend = backend
         self.max_in_flight = max_in_flight
         self.admission_timeout_ms = float(admission_timeout_ms)
         # The pool's locks declare their place in the serving stack's
@@ -378,7 +375,7 @@ class SessionPool:
             # Built outside the pool lock: construction ranks
             # nothing (the view exists) but must not block other
             # snapshots' bookkeeping.
-            session = QuerySession(ranked, backend=self.backend)
+            session = QuerySession(ranked)
             with self._lock:
                 self._store_session(snapshot_id, session)
         return session

@@ -104,8 +104,6 @@ class TopKService:
     ranking:
         Ranking function for raw registered databases (by-value when
         omitted); forwarded to the private pool only.
-    backend:
-        Kernel selection forwarded to the private pool only.
     max_sessions:
         LRU bound of the private pool only.
     max_in_flight / admission_timeout_ms:
@@ -121,8 +119,9 @@ class TopKService:
         persists before publishing, executed cleanings are
         write-ahead journaled, and pending journal records are
         **replayed** here in the constructor -- re-executed
-        deterministically and verified against the journaled content
-        hash (divergence raises
+        deterministically on the production kernels (no setting or
+        environment variable picks another) and verified against the
+        journaled content hash (divergence raises
         :class:`~repro.exceptions.JournalReplayError`).  Forwarded to
         the private pool only; a caller-supplied ``pool`` brings its
         own store (or none).
@@ -139,7 +138,6 @@ class TopKService:
         self,
         pool: Optional[SessionPool] = None,
         ranking: Optional[RankingFunction] = None,
-        backend: Optional[str] = None,
         max_sessions: Optional[int] = None,
         max_in_flight: Optional[int] = None,
         admission_timeout_ms: Optional[float] = None,
@@ -151,7 +149,6 @@ class TopKService:
     ) -> None:
         if pool is not None and (
             ranking is not None
-            or backend is not None
             or max_sessions is not None
             or max_in_flight is not None
             or admission_timeout_ms is not None
@@ -162,7 +159,7 @@ class TopKService:
             or tuple(pinned)
         ):
             raise ValueError(
-                "pass ranking/backend/max_sessions/max_in_flight/"
+                "pass ranking/max_sessions/max_in_flight/"
                 "admission_timeout_ms/store/store_dir/durability/"
                 "keep_last_n/pinned only when the service creates its "
                 "own pool"
@@ -198,7 +195,6 @@ class TopKService:
                 kwargs["admission_timeout_ms"] = admission_timeout_ms
             pool = SessionPool(
                 ranking=ranking,
-                backend=backend,
                 store=store,
                 retention=retention,
                 **kwargs,

@@ -14,12 +14,7 @@ Three exact algorithms plus one estimator:
 :func:`~repro.core.quality.compute_quality` dispatches by name.
 """
 
-from repro.core.backend import (
-    BACKENDS,
-    current_backend,
-    set_backend,
-    use_backend,
-)
+from repro.core.backend import BACKENDS
 from repro.core.entropy import entropy, negated_entropy, xlog2x
 from repro.core.montecarlo import MonteCarloQualityResult, compute_quality_montecarlo
 from repro.core.pw import PWQualityResult, compute_quality_pw
@@ -57,7 +52,4 @@ __all__ = [
     "entropy",
     "negated_entropy",
     "BACKENDS",
-    "current_backend",
-    "set_backend",
-    "use_backend",
 ]

@@ -9,9 +9,11 @@ only the (small) weight-summation overhead -- the computation sharing
 of Section IV-C and Figure 5.  :class:`repro.queries.engine.QuerySession`
 automates exactly that.
 
-On the NumPy backend the weight pass is a segmented cumulative sum, the
-quality a dot product, and the per-x-tuple aggregation ``g(l, D)`` a
-``bincount`` over the columnar arrays.
+The weight pass is a segmented cumulative sum, the quality a dot
+product, and the per-x-tuple aggregation ``g(l, D)`` a ``bincount``
+over the columnar arrays.  ``compute_quality_tp(..., backend="python")``
+runs the scalar oracle end to end instead: scalar PSR pass, scalar
+weights, an ``fsum`` quality and a scalar ``g(l, D)`` loop.
 
 Assumption inherited from Theorem 1: every possible world yields a
 full-length (size-``k``) result.  This holds whenever at least ``k``
@@ -23,12 +25,11 @@ Use :func:`short_result_probability` to check, or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
 from repro.core.weights import compute_weights, weight_of
 from repro.db.database import RankDelta, RankedDatabase
 from repro.exceptions import InvalidQueryError
@@ -46,12 +47,14 @@ class TPQualityResult:
     probabilities (query answering) and the per-tuple weighted
     contributions aggregated per x-tuple (``g(l, D)`` -- the quantity
     the whole cleaning machinery of Section V is built on).
+    ``backend`` names the kernel that computed it: ``"python"`` only for
+    the scalar oracle's cold runs.
     """
 
     quality: float
     rank_probabilities: RankProbabilities
     weights_prefix: np.ndarray
-    backend: str = field(default="python")
+    backend: str
 
     def __eq__(self, other: object) -> bool:
         # The weights array needs elementwise comparison; the dataclass
@@ -104,7 +107,6 @@ def patch_quality_tp(
     old_quality: TPQualityResult,
     rank_probabilities: RankProbabilities,
     delta: RankDelta,
-    backend: Optional[str] = None,
 ) -> Optional[TPQualityResult]:
     """TP quality for a delta-patched view, from the old quality.
 
@@ -113,7 +115,8 @@ def patch_quality_tp(
     weight bitwise unchanged -- the new weight vector is the old one
     with the swapped x-tuple's rows spliced out and the replacement's
     (computed scalar-style, O(|replacement|)) spliced in.  The quality
-    is then one dot product against the patched top-k vector.
+    is then one dot product against the patched top-k vector, and the
+    result is labelled ``"numpy"`` like the patched PSR output.
 
     Returns ``None`` when the patch does not apply (x-tuple removal can
     *grow* the PSR cutoff past the old weight vector; rare) -- the
@@ -144,22 +147,11 @@ def patch_quality_tp(
     if spliced.shape[0] < cutoff:
         return None
     weights_prefix = np.ascontiguousarray(spliced[:cutoff])
-    resolved = resolve_backend(backend)
-    if resolved != "python":
-        quality = float(weights_prefix @ rank_probabilities.topk_prefix)
-    else:
-        quality = math.fsum(
-            w * p
-            for w, p in zip(
-                weights_prefix.tolist(),
-                rank_probabilities.topk_prefix.tolist(),
-            )
-        )
     return TPQualityResult(
-        quality=quality,
+        quality=float(weights_prefix @ rank_probabilities.topk_prefix),
         rank_probabilities=rank_probabilities,
         weights_prefix=weights_prefix,
-        backend=resolved,
+        backend="numpy",
     )
 
 
@@ -174,7 +166,7 @@ def compute_quality_tp(
     k: int,
     rank_probabilities: Optional[RankProbabilities] = None,
     check_support: bool = False,
-    backend: Optional[str] = None,
+    backend: str = "numpy",
 ) -> TPQualityResult:
     """Run TP: PSR (unless shared), weights, weighted sum.
 
@@ -192,12 +184,11 @@ def compute_quality_tp(
         raise :class:`~repro.exceptions.InvalidQueryError` if short
         results are possible.
     backend:
-        Kernel selection (``"numpy"`` or ``"python"``); defaults to the
-        process-wide backend from :mod:`repro.core.backend`.
+        ``"python"`` runs the scalar oracle (see the module docstring)
+        instead of the NumPy kernels.
     """
-    resolved = resolve_backend(backend)
     if rank_probabilities is None:
-        rank_probabilities = compute_rank_probabilities(ranked, k, backend=resolved)
+        rank_probabilities = compute_rank_probabilities(ranked, k, backend=backend)
     else:
         if rank_probabilities.k != k:
             raise InvalidQueryError(
@@ -217,9 +208,9 @@ def compute_quality_tp(
                 f"apply -- use PWR or PW instead"
             )
     weights = compute_weights(
-        ranked, upto=rank_probabilities.cutoff, backend=resolved
+        ranked, upto=rank_probabilities.cutoff, backend=backend
     )
-    if resolved != "python":
+    if backend == "numpy":
         quality = float(weights @ rank_probabilities.topk_prefix)
     else:
         quality = math.fsum(
@@ -232,5 +223,5 @@ def compute_quality_tp(
         quality=quality,
         rank_probabilities=rank_probabilities,
         weights_prefix=weights,
-        backend=resolved,
+        backend=backend,
     )

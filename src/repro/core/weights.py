@@ -11,11 +11,11 @@ x-tuple: ``E_i`` is the mass of siblings ranked at least as high as
 
 Because tuples are pre-sorted, ``E_i`` is maintained incrementally with
 one running sum per x-tuple (Eq. 9), giving all weights in ``O(n)``.
-The NumPy backend computes the running sums as one segmented cumulative
+The NumPy kernel computes the running sums as one segmented cumulative
 sum over the columnar arrays (group tuples by x-tuple with a stable
 sort -- rank order is preserved within each group -- cumsum, subtract
 each group's starting offset) and evaluates the weight formula as
-array expressions.
+array expressions; ``backend="python"`` runs the scalar oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
+from repro.core.backend import check_backend
 from repro.core.entropy import xlog2x, xlog2x_array
 from repro.db.database import RankedDatabase
 
@@ -101,7 +101,7 @@ def _compute_weights_python(ranked: RankedDatabase, upto: int) -> List[float]:
 def compute_weights(
     ranked: RankedDatabase,
     upto: Optional[int] = None,
-    backend: Optional[str] = None,
+    backend: str = "numpy",
 ) -> np.ndarray:
     """Weights ``ω_i`` for the first ``upto`` ranked tuples.
 
@@ -112,10 +112,11 @@ def compute_weights(
     :mod:`repro.queries.psr`), and every ``|ω_i|`` is at most
     ``log2(1/e_i) + 1/ln 2``, so dropping them moves the quality by at
     most 1.1e-12.
-    Returns a float64 array; both backends agree within 1e-9.
+    Returns a float64 array; the NumPy kernel and the scalar oracle
+    (``backend="python"``) agree within 1e-9.
     """
     n = ranked.num_tuples if upto is None else min(upto, ranked.num_tuples)
-    if resolve_backend(backend) != "python":
+    if check_backend(backend) != "python":
         if n == 0:
             return np.zeros(0)
         return _compute_weights_numpy(ranked, n)

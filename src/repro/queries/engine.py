@@ -28,7 +28,7 @@ Cached state is only valid under the repository-wide convention that
 databases are never mutated in place (cleaning produces *new*
 databases via ``with_xtuple_replaced``).  To follow a database through
 cleaning, call :meth:`QuerySession.derive` with the cleaned snapshot:
-it returns a fresh session sharing the ranking/backend configuration
+it returns a fresh session sharing the ranking/kernel configuration
 -- or the *same* session (cache intact) when the snapshot is
 identical, which is what makes failed-probe rounds of adaptive
 cleaning O(answer-extraction).  When the snapshot was derived through
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.core.backend import resolve_backend
+from repro.core.backend import check_backend
 from repro.core.counters import SESSION_COUNTERS
 from repro.core.tp import (
     SUPPORT_TOLERANCE,
@@ -107,16 +107,17 @@ class QuerySession:
         Ranking function for raw databases; defaults to by-value.
         Ignored (must be None) when ``db`` is already ranked.
     backend:
-        Kernel selection for this session (``"numpy"`` or
-        ``"python"``); defaults to the process-wide backend at call
-        time.
+        ``"python"`` runs this session's cold PSR passes and TP quality
+        on the scalar oracle, for cross-validation; ``"numpy"`` (the
+        default) is the production kernel.  Delta derivations patch
+        through the block kernel either way.
     """
 
     def __init__(
         self,
         db: Union[ProbabilisticDatabase, RankedDatabase],
         ranking: Optional[RankingFunction] = None,
-        backend: Optional[str] = None,
+        backend: str = "numpy",
     ) -> None:
         if isinstance(db, RankedDatabase):
             if ranking is not None and ranking is not db.ranking:
@@ -126,9 +127,7 @@ class QuerySession:
             self.ranked = db
         else:
             self.ranked = db.ranked(ranking)
-        if backend is not None:
-            resolve_backend(backend)  # validate eagerly
-        self.backend = backend
+        self.backend = check_backend(backend)
         self._rank_probabilities: Dict[int, RankProbabilities] = {}
         self._quality: Dict[int, TPQualityResult] = {}
         self._ukranks: Dict[int, UkRanksAnswer] = {}
@@ -203,7 +202,7 @@ class QuerySession:
         derived._adopt_counters(self)
         derived.delta_derives += 1
         for k, rank_probs in self._rank_probabilities.items():
-            patched = apply_rank_delta(rank_probs, delta, backend=self.backend)
+            patched = apply_rank_delta(rank_probs, delta)
             derived._rank_probabilities[k] = patched
             derived.psr_patches += 1
             cached_quality = self._quality.get(k)
@@ -211,9 +210,7 @@ class QuerySession:
                 # Weights are row-local (own-sibling masses only), so
                 # the quality patches by splicing the swapped rows out
                 # of the weight vector -- O(n) memcpy plus one dot.
-                patched_quality = patch_quality_tp(
-                    cached_quality, patched, delta, backend=self.backend
-                )
+                patched_quality = patch_quality_tp(cached_quality, patched, delta)
                 if patched_quality is not None:
                     derived._quality[k] = patched_quality
         # Whatever was not patched (answers, the rare unsupported
@@ -384,7 +381,6 @@ def evaluate(
     k: int,
     threshold: float = 0.1,
     ranking: Optional[RankingFunction] = None,
-    backend: Optional[str] = None,
 ) -> EvaluationReport:
     """Evaluate all three top-k semantics *and* the quality, sharing PSR.
 
@@ -398,12 +394,8 @@ def evaluate(
         PT-k threshold ``T`` (the paper's default is 0.1).
     ranking:
         Ranking function for raw databases; defaults to by-value.
-    backend:
-        Kernel selection; defaults to the process-wide backend.
     """
-    return QuerySession(db, ranking=ranking, backend=backend).evaluate(
-        k, threshold
-    )
+    return QuerySession(db, ranking=ranking).evaluate(k, threshold)
 
 
 def evaluate_without_sharing(
@@ -411,7 +403,6 @@ def evaluate_without_sharing(
     k: int,
     threshold: float = 0.1,
     ranking: Optional[RankingFunction] = None,
-    backend: Optional[str] = None,
 ) -> EvaluationReport:
     """The non-sharing baseline of Figure 5(a).
 
@@ -422,8 +413,7 @@ def evaluate_without_sharing(
     ptk.require_valid_threshold(threshold)
     ranked = db if isinstance(db, RankedDatabase) else db.ranked(ranking)
     rank_probs = compute_rank_probabilities(
-        ranked, k, backend=backend,
-        tail_epsilon=min(threshold, TAIL_EPSILON),
+        ranked, k, tail_epsilon=min(threshold, TAIL_EPSILON)
     )
     return EvaluationReport(
         k=k,
@@ -431,5 +421,5 @@ def evaluate_without_sharing(
         ukranks=ukranks.answer_from_rank_probabilities(rank_probs),
         ptk=ptk.answer_from_rank_probabilities(rank_probs, threshold),
         global_topk=global_topk.answer_from_rank_probabilities(rank_probs),
-        quality=compute_quality_tp(ranked, k, backend=backend),  # fresh PSR
+        quality=compute_quality_tp(ranked, k),  # fresh PSR
     )

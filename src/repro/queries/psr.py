@@ -22,18 +22,20 @@ a Poisson-binomial evaluated lazily: we maintain the distribution over
 entries are ever needed, and they stay exact under capping) and divide
 out the current x-tuple's own factor.
 
-Backends
---------
-Two kernels implement the scan behind a common entry point
-(:func:`compute_rank_probabilities`):
+Kernels
+-------
+The production kernel is the division-free block kernel in
+:mod:`repro.queries.psr_numpy`: per block of :data:`CHECKPOINT_INTERVAL`
+rows, each row's exclusion product is the block's closed product times
+the row's live factors, built with array operations vectorized across a
+group of blocks.  It serves every full pass and every delta window
+(:func:`apply_rank_delta`).
 
-* the **python** kernel below -- the scalar reference implementation,
-  kept for cross-validation;
-* the **numpy** kernel (:mod:`repro.queries.psr_numpy`) -- a
-  division-free block kernel: per block of :data:`CHECKPOINT_INTERVAL`
-  rows, each row's exclusion product is the block's closed product
-  times the row's live factors, built with array operations vectorized
-  across a group of blocks.
+The scalar kernel below is its reference oracle, reached only through
+an explicit ``backend="python"``: one cold pass, no checkpoints and no
+delta windows.  There is no process-wide switch, so what a service
+answers -- and what its journal replays -- does not depend on the
+environment.
 
 Both produce a :class:`RankProbabilities` whose canonical storage is a
 ``(cutoff, k)`` float64 ``rho_prefix`` matrix plus a ``topk_prefix``
@@ -99,7 +101,7 @@ from typing import Dict, Iterator, List, Optional, Protocol, Tuple, Union
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
+from repro.core.backend import check_backend
 from repro.db.database import SATURATION_EPSILON, RankDelta, RankedDatabase
 from repro.db.tuples import ProbabilisticTuple
 from repro.queries.deterministic import require_valid_k
@@ -108,12 +110,12 @@ from repro.queries.deterministic import require_valid_k
 #: rebuild (forward deconvolution is stable only for q <= 1/2).
 DECONVOLUTION_LIMIT = 0.5
 
-#: Both kernels snapshot their scan state every this many rows, and the
-#: numpy kernel's blocks are this many rows long.  A delta
-#: re-evaluation restores the nearest checkpoint at or above the
-#: affected window and replays at most this many rows to reach it,
-#: instead of rescanning from the top.  Storage is O(n/interval · k);
-#: the interval trades that against the per-delta replay length.
+#: The block kernel's blocks are this many rows long, and it snapshots
+#: its scan state at every block boundary.  A delta re-evaluation
+#: restores the nearest checkpoint at or above the affected window and
+#: replays at most this many rows to reach it, instead of rescanning
+#: from the top.  Storage is O(n/interval · k); the interval trades
+#: that against the per-delta replay length.
 CHECKPOINT_INTERVAL = 64
 
 #: Top-k probability mass the certified tail stop may leave unscanned
@@ -140,59 +142,9 @@ def tail_stop(ranked: RankedDatabase, k: int, epsilon: float) -> int:
     return min(n, int(np.searchsorted(mass, threshold, side="right")) + 1)
 
 
-def _fast_forward(
-    probabilities: List[float],
-    xtuple_indices: List[int],
-    k: int,
-    open_masses: Dict[int, float],
-    closed_dp: List[float],
-    shift: int,
-    remaining: List[int],
-    stop: int,
-    row: int,
-    base: int,
-) -> int:
-    """Advance only the factor state from ``row`` to ``stop``.
-
-    The replay from a checkpoint to a delta window never emits rows,
-    so it does not need the running Poisson-binomial product at all --
-    just the open-mass dict, the closed product and the saturation
-    shift.  The caller rebuilds its running product from
-    ``open_masses`` once at ``stop``.  Returns the new ``shift``.
-    """
-    for i in range(row, stop):
-        l = xtuple_indices[i - base]
-        q = open_masses.get(l, 0.0)
-        if q >= 1.0 - SATURATION_EPSILON:
-            remaining[l] -= 1
-            if remaining[l] == 0:
-                del open_masses[l]
-            continue
-        new_mass = q + probabilities[i - base]
-        if new_mass > 1.0:
-            new_mass = 1.0
-        saturating = new_mass >= 1.0 - SATURATION_EPSILON
-        remaining[l] -= 1
-        closing = remaining[l] == 0
-        if saturating:
-            shift += 1
-            if shift >= k:
-                # Lemma 2 fired inside the replay range: the caller's
-                # window starts at or below the new cutoff, nothing
-                # will be emitted anyway.
-                return shift
-        elif closing:
-            _add_factor(closed_dp, new_mass)
-        if closing:
-            open_masses.pop(l, None)
-        else:
-            open_masses[l] = 1.0 if saturating else new_mass
-    return shift
-
-
 @dataclass(frozen=True)
 class ScanCheckpoint:
-    """PSR scan state at the top of row ``row`` (before processing it).
+    """Block-kernel scan state at the top of row ``row`` (before it).
 
     ``closed_dp`` is the capped product over factors of closed,
     non-saturated x-tuples; ``open_masses`` maps dense x-tuple indices
@@ -234,18 +186,6 @@ def _remove_factor_forward(dp: List[float], q: float) -> List[float]:
             prev = 0.0
         out[s] = prev
     return out
-
-
-def _rebuild_without(
-    active: Dict[int, float], skip: int, k: int
-) -> List[float]:
-    """Poisson-binomial over all active factors except ``skip``."""
-    dp = [0.0] * k
-    dp[0] = 1.0
-    for l, q in active.items():
-        if l != skip:
-            _add_factor(dp, q)
-    return dp
 
 
 class DeferredRho(Protocol):
@@ -331,7 +271,7 @@ class RankProbabilities:
         cutoff: int,
         rho_prefix: Union[np.ndarray, DeferredRho],
         topk_prefix: np.ndarray,
-        backend: str = "python",
+        backend: str,
         checkpoints: Optional[List[ScanCheckpoint]] = None,
         tail_epsilon: float = TAIL_EPSILON,
     ) -> None:
@@ -340,10 +280,14 @@ class RankProbabilities:
         self.cutoff = cutoff
         self._rho_state = rho_prefix
         self.topk_prefix = topk_prefix
+        #: The kernel that produced the rows: ``"numpy"`` for block
+        #: passes and every delta-patched result, ``"python"`` for the
+        #: scalar oracle's cold passes.
         self.backend = backend
-        #: Scan-state snapshots enabling O(window) delta re-evaluation
-        #: (see :func:`apply_rank_delta`); ``None`` on legacy
-        #: construction.
+        #: Block-kernel scan states enabling O(window) delta
+        #: re-evaluation (see :func:`apply_rank_delta`); ``None`` for
+        #: scalar passes and restricted views, which a delta rescans
+        #: from the top.
         self.checkpoints = checkpoints
         #: The ``ε`` of the tail stop this scan ran under (0 = none).
         self.tail_epsilon = tail_epsilon
@@ -489,167 +433,6 @@ def _rebuild_from_base(
     return dp
 
 
-class _PythonScanState:
-    """Mutable scan state of the scalar kernel (resumable mid-stream)."""
-
-    __slots__ = ("row", "shift", "open_masses", "closed_dp", "dp", "remaining")
-
-    def __init__(
-        self,
-        row: int,
-        shift: int,
-        open_masses: Dict[int, float],
-        closed_dp: List[float],
-        dp: Optional[List[float]],
-        remaining: List[int],
-    ) -> None:
-        self.row = row
-        self.shift = shift
-        self.open_masses = open_masses
-        self.closed_dp = closed_dp
-        self.dp = dp
-        self.remaining = remaining
-
-
-def _python_state(
-    ranked: RankedDatabase,
-    k: int,
-    checkpoint: Optional[ScanCheckpoint],
-    defer_product: bool = False,
-) -> _PythonScanState:
-    """Scan state at a checkpoint (or the initial state for ``None``).
-
-    ``defer_product`` skips building the running product ``dp`` -- the
-    fast-forward path maintains only the factor state and rebuilds the
-    product once it reaches the window.
-    """
-    if checkpoint is None:
-        row, shift = 0, 0
-        closed_dp = [0.0] * k
-        closed_dp[0] = 1.0
-        open_masses: Dict[int, float] = {}
-    else:
-        row, shift = checkpoint.row, checkpoint.shift
-        closed_dp = checkpoint.closed_dp.tolist()
-        open_masses = dict(checkpoint.open_masses)
-    remaining = np.bincount(
-        ranked.xtuple_indices_array[row:], minlength=ranked.num_xtuples
-    ).tolist()
-    dp = (
-        None
-        if defer_product
-        else _rebuild_from_base(closed_dp, open_masses, -1)
-    )
-    return _PythonScanState(row, shift, open_masses, closed_dp, dp, remaining)
-
-
-def _scan_python(
-    probabilities: List[float],
-    xtuple_indices: List[int],
-    k: int,
-    st: _PythonScanState,
-    stop: int,
-    rho_out: Optional[List[List[float]]],
-    topk_out: Optional[List[float]],
-    checkpoints: Optional[List[ScanCheckpoint]],
-    base: int = 0,
-) -> int:
-    """Advance the scalar scan from ``st.row`` to ``stop``.
-
-    Emits ρ rows / top-k values when the output lists are given
-    (``None`` = state-transition-only replay).  Returns the row where
-    Lemma 2's early stop fired, or ``stop``.  The input lists hold rows
-    ``base ..`` (delta windows pass a slice instead of materializing
-    the whole column).
-    """
-    open_masses = st.open_masses
-    remaining = st.remaining
-    shift = st.shift
-    closed_dp = st.closed_dp
-    dp = st.dp
-    i = st.row
-    next_ck = max(
-        CHECKPOINT_INTERVAL,
-        ((i + CHECKPOINT_INTERVAL - 1) // CHECKPOINT_INTERVAL)
-        * CHECKPOINT_INTERVAL,
-    )
-    while i < stop:
-        if shift >= k:
-            break
-        if checkpoints is not None and i == next_ck:
-            checkpoints.append(
-                ScanCheckpoint(
-                    row=i,
-                    shift=shift,
-                    closed_dp=np.array(closed_dp, dtype=np.float64),
-                    open_masses=dict(open_masses),
-                )
-            )
-        if i >= next_ck:
-            next_ck += CHECKPOINT_INTERVAL
-        e_i = probabilities[i - base]
-        l = xtuple_indices[i - base]
-        q = open_masses.get(l, 0.0)
-
-        if q >= 1.0 - SATURATION_EPSILON:
-            # Siblings already exhaust the probability mass: t_i exists
-            # with (numerically) zero probability.
-            if rho_out is not None:
-                rho_out.append([0.0] * k)
-                topk_out.append(0.0)
-            remaining[l] -= 1
-            if remaining[l] == 0:
-                del open_masses[l]  # saturated: lives in `shift`
-            i += 1
-            continue
-
-        if q <= 0.0:
-            dp_excl = dp
-        elif q <= DECONVOLUTION_LIMIT:
-            dp_excl = _remove_factor_forward(dp, q)
-        else:
-            dp_excl = _rebuild_from_base(closed_dp, open_masses, l)
-
-        if rho_out is not None:
-            # ρ_i(h) = e_i * Pr[h-1 higher tuples] ; `shift` saturated
-            # x-tuples always contribute one higher tuple each.
-            rho_i = [0.0] * k
-            p_i = 0.0
-            for h in range(1, k + 1):
-                s = h - 1 - shift
-                if 0 <= s < k:
-                    value = e_i * dp_excl[s]
-                    rho_i[h - 1] = value
-                    p_i += value
-            rho_out.append(rho_i)
-            topk_out.append(p_i)
-
-        # Fold t_i's mass into its x-tuple's factor for later tuples.
-        # dp_excl is dead after the ρ computation, so mutating it (even
-        # when it aliases dp) is safe.
-        new_mass = min(1.0, q + e_i)
-        saturated = new_mass >= 1.0 - SATURATION_EPSILON
-        if saturated:
-            shift += 1
-            dp = dp_excl
-        else:
-            dp = dp_excl
-            _add_factor(dp, new_mass)
-        remaining[l] -= 1
-        if remaining[l] == 0:
-            open_masses.pop(l, None)
-            if not saturated:
-                _add_factor(closed_dp, new_mass)
-        else:
-            open_masses[l] = 1.0 if saturated else new_mass
-        i += 1
-
-    st.row = i
-    st.shift = shift
-    st.dp = dp
-    return i
-
-
 def nearest_checkpoint(
     checkpoints: List[ScanCheckpoint], row: int
 ) -> Optional[ScanCheckpoint]:
@@ -664,90 +447,93 @@ def nearest_checkpoint(
 def _compute_rank_probabilities_python(
     ranked: RankedDatabase, k: int, tail_epsilon: float
 ) -> RankProbabilities:
-    """The scalar reference kernel (kept for cross-validation)."""
-    st = _python_state(ranked, k, None)
-    rho_prefix: List[List[float]] = []
-    topk_prefix: List[float] = []
-    checkpoints: List[ScanCheckpoint] = []
-    cutoff = _scan_python(
-        ranked.probabilities,
-        ranked.xtuple_indices,
-        k,
-        st,
-        tail_stop(ranked, k, tail_epsilon),
-        rho_prefix,
-        topk_prefix,
-        checkpoints,
-    )
+    """The scalar reference kernel: one cold pass, for cross-validation.
 
-    rho_matrix = (
-        np.array(rho_prefix, dtype=np.float64)
-        if rho_prefix
-        else np.zeros((0, k))
-    )
+    Keeps one running Poisson-binomial product over the non-saturated
+    x-tuples seen so far and divides each row's own factor out of it,
+    or rebuilds it without that factor where the division is unstable.
+    Records no checkpoints: a delta on its result rescans from the top
+    through the block kernel.
+    """
+    probabilities = ranked.probabilities
+    xtuple_indices = ranked.xtuple_indices
+    remaining = np.bincount(
+        ranked.xtuple_indices_array, minlength=ranked.num_xtuples
+    ).tolist()
+    open_masses: Dict[int, float] = {}
+    closed_dp = [1.0] + [0.0] * (k - 1)
+    dp = list(closed_dp)
+    shift = 0
+    rho_rows: List[List[float]] = []
+    topk_rows: List[float] = []
+    for i in range(tail_stop(ranked, k, tail_epsilon)):
+        if shift >= k:
+            break  # Lemma 2
+        e_i = probabilities[i]
+        l = xtuple_indices[i]
+        q = open_masses.get(l, 0.0)
+        remaining[l] -= 1
+
+        if q >= 1.0 - SATURATION_EPSILON:
+            # Siblings already exhaust the probability mass: t_i exists
+            # with (numerically) zero probability.
+            rho_rows.append([0.0] * k)
+            topk_rows.append(0.0)
+            if remaining[l] == 0:
+                del open_masses[l]  # saturated: lives in `shift`
+            continue
+
+        if q <= 0.0:
+            dp_excl = dp
+        elif q <= DECONVOLUTION_LIMIT:
+            dp_excl = _remove_factor_forward(dp, q)
+        else:
+            dp_excl = _rebuild_from_base(closed_dp, open_masses, l)
+
+        # ρ_i(h) = e_i * Pr[h-1 higher tuples] ; `shift` saturated
+        # x-tuples always contribute one higher tuple each.
+        rho_i = [0.0] * k
+        p_i = 0.0
+        for h in range(shift, k):
+            value = e_i * dp_excl[h - shift]
+            rho_i[h] = value
+            p_i += value
+        rho_rows.append(rho_i)
+        topk_rows.append(p_i)
+
+        # Fold t_i's mass into its x-tuple's factor for later tuples.
+        # dp_excl is dead after the ρ computation, so mutating it (even
+        # when it aliases dp) is safe.
+        new_mass = min(1.0, q + e_i)
+        saturated = new_mass >= 1.0 - SATURATION_EPSILON
+        dp = dp_excl
+        if saturated:
+            shift += 1
+        else:
+            _add_factor(dp, new_mass)
+        if remaining[l] == 0:
+            open_masses.pop(l, None)
+            if not saturated:
+                _add_factor(closed_dp, new_mass)
+        else:
+            open_masses[l] = 1.0 if saturated else new_mass
+
+    cutoff = len(topk_rows)
     return RankProbabilities(
         k=k,
         ranked=ranked,
         cutoff=cutoff,
-        rho_prefix=rho_matrix,
-        topk_prefix=np.array(topk_prefix, dtype=np.float64),
+        rho_prefix=np.array(rho_rows, dtype=np.float64).reshape(cutoff, k),
+        topk_prefix=np.array(topk_rows, dtype=np.float64),
         backend="python",
-        checkpoints=checkpoints,
         tail_epsilon=tail_epsilon,
     )
-
-
-def _delta_window_python(
-    old_rp: RankProbabilities,
-    delta: RankDelta,
-    start: int,
-    stop: int,
-    checkpoints: List[ScanCheckpoint],
-) -> Tuple[np.ndarray, np.ndarray, int, List[ScanCheckpoint]]:
-    """Re-emit rows ``[start, stop)`` of the patched view (scalar)."""
-    new_ranked = delta.new_ranked
-    k = old_rp.k
-    st = _python_state(
-        new_ranked, k, nearest_checkpoint(checkpoints, start),
-        defer_product=True,
-    )
-    # Only the rows from the checkpoint to ``stop`` are touched; the
-    # factor state alone replays to ``start``.
-    base = st.row
-    probabilities = new_ranked.probabilities_array[base:stop].tolist()
-    xtuple_indices = new_ranked.xtuple_indices_array[base:stop].tolist()
-    st.shift = _fast_forward(
-        probabilities, xtuple_indices, k, st.open_masses, st.closed_dp,
-        st.shift, st.remaining, start, base, base,
-    )
-    st.row = start
-    st.dp = _rebuild_from_base(st.closed_dp, st.open_masses, -1)
-    rho_rows: List[List[float]] = []
-    topk_rows: List[float] = []
-    fresh: List[ScanCheckpoint] = []
-    end = _scan_python(
-        probabilities,
-        xtuple_indices,
-        k,
-        st,
-        stop,
-        rho_rows,
-        topk_rows,
-        fresh,
-        base,
-    )
-    rho = (
-        np.array(rho_rows, dtype=np.float64)
-        if rho_rows
-        else np.zeros((0, k))
-    )
-    return rho, np.array(topk_rows, dtype=np.float64), end, fresh
 
 
 def compute_rank_probabilities(
     ranked: RankedDatabase,
     k: int,
-    backend: Optional[str] = None,
+    backend: str = "numpy",
     tail_epsilon: float = TAIL_EPSILON,
 ) -> RankProbabilities:
     """Run PSR over a pre-sorted database.
@@ -759,20 +545,18 @@ def compute_rank_probabilities(
     the rows left hold at most ``tail_epsilon`` of top-k probability
     (:func:`tail_stop`; 0 scans to Lemma 2 or the last row).  The cost
     per scanned row is not a constant ``O(k)``: it grows with ``A``,
-    the number of x-tuples partially scanned at that row.  The scalar
-    kernel pays ``O(k)`` per row plus ``O(A·k)`` rebuilds for heavy
-    siblings; the numpy kernel pays array work that grows with ``A``
-    (see :mod:`repro.queries.psr_numpy`) and no interpreted per-row
-    loop.  The README records measured pass times.
+    the number of x-tuples partially scanned at that row.  The block
+    kernel pays array work that grows with ``A`` (see
+    :mod:`repro.queries.psr_numpy`) and no interpreted per-row loop;
+    the scalar oracle pays ``O(k)`` per row plus ``O(A·k)`` rebuilds for
+    heavy siblings.  The README records measured pass times.
 
-    ``backend`` picks the kernel (``"numpy"`` or ``"python"``); when
-    omitted, the process-wide default from :mod:`repro.core.backend`
-    applies.  Both backends stop at the same row and agree within 1e-9
-    absolute on every entry.
+    ``backend="python"`` runs the scalar oracle instead of the block
+    kernel.  Both stop at the same row and agree within 1e-9 absolute
+    on every entry.
     """
     require_valid_k(k)
-    resolved = resolve_backend(backend)
-    if resolved == "numpy":
+    if check_backend(backend) == "numpy":
         from repro.queries.psr_numpy import compute_rank_probabilities_numpy
 
         return compute_rank_probabilities_numpy(ranked, k, tail_epsilon)
@@ -800,20 +584,22 @@ def _remap_checkpoint(ck: ScanCheckpoint, delta: RankDelta, row: int) -> ScanChe
 
 
 def apply_rank_delta(
-    old_rp: RankProbabilities,
-    delta: RankDelta,
-    backend: Optional[str] = None,
+    old_rp: RankProbabilities, delta: RankDelta
 ) -> RankProbabilities:
     """PSR output for the patched view, from the old output + delta.
 
     Rows above the delta's window and below its tail are carried over
-    verbatim; only the window ``[window_start, tail)`` is re-scanned,
-    starting from the nearest stored :class:`ScanCheckpoint` (at most
-    ``CHECKPOINT_INTERVAL`` replay rows away) -- O(n) array splicing
-    plus O(k·window) kernel work instead of a fresh O(kn) pass.  When
-    the swapped x-tuple never saturates (incomplete entities, outright
-    removal) there is no tail and the re-scan runs from the window to
-    the stop row; the prefix and checkpoint fast-forward still apply.
+    verbatim; only the window ``[window_start, tail)`` is re-scanned by
+    the block kernel, starting from the nearest stored
+    :class:`ScanCheckpoint` (at most ``CHECKPOINT_INTERVAL`` replay rows
+    away) -- O(n) array splicing plus O(k·window) kernel work instead of
+    a fresh O(kn) pass.  When the swapped x-tuple never saturates
+    (incomplete entities, outright removal) there is no tail and the
+    re-scan runs from the window to the stop row; the prefix and the
+    checkpoint restore still apply.  A result without checkpoints (a
+    scalar pass, a restricted view) is re-scanned from row 0.  Whatever
+    kernel produced ``old_rp``, the patched result is the block
+    kernel's (``backend == "numpy"``).
 
     The patched view's tail stop comes from its own probability column
     (at the old result's ``tail_epsilon``), so it is the row a cold
@@ -822,15 +608,14 @@ def apply_rank_delta(
     spliced, and when it falls below the rows the old pass kept the
     tail is not reused.
 
-    Agrees with a from-scratch pass over the patched view within the
-    backends' usual 1e-9 (exercised by ``tests/test_delta_engine.py``).
+    Agrees with a from-scratch pass over the patched view, by either
+    kernel, within 1e-9 (exercised by ``tests/test_delta_engine.py``).
     """
     if delta.old_ranked is not old_rp.ranked:
         raise ValueError(
             "delta was derived from a different ranked view than the "
             "rank probabilities being patched"
         )
-    resolved = resolve_backend(backend if backend is not None else old_rp.backend)
     k = old_rp.k
     epsilon = old_rp.tail_epsilon
     new_ranked = delta.new_ranked
@@ -858,7 +643,7 @@ def apply_rank_delta(
                 else _PendingRho(old_rp._rho_state, kept, np.zeros((0, k)), None)
             ),
             topk_prefix=old_rp.topk_prefix[:kept],
-            backend=resolved,
+            backend="numpy",
             checkpoints=prefix_ckpts,
             tail_epsilon=epsilon,
         )
@@ -878,16 +663,11 @@ def apply_rank_delta(
         tail_old = tail_new = None
     window_end = stop if tail_new is None else min(stop, tail_new)
 
-    window: Tuple[
-        Union[np.ndarray, DeferredRho], np.ndarray, int, List[ScanCheckpoint]
-    ]
-    if resolved != "python":
-        from repro.queries.psr_numpy import _delta_window_numpy
+    from repro.queries.psr_numpy import _delta_window_numpy
 
-        window = _delta_window_numpy(old_rp, delta, start, window_end, prefix_ckpts)
-    else:
-        window = _delta_window_python(old_rp, delta, start, window_end, prefix_ckpts)
-    window_rho, window_topk, end, fresh_ckpts = window
+    window_rho, window_topk, end, fresh_ckpts = _delta_window_numpy(
+        old_rp, delta, start, window_end, prefix_ckpts
+    )
 
     prefix_topk = old_rp.topk_prefix[:start]
     # Branch on the tail, not the stop: a stop above the tail ends the
@@ -919,7 +699,7 @@ def apply_rank_delta(
         cutoff=cutoff,
         rho_prefix=rho,
         topk_prefix=topk,
-        backend=resolved,
+        backend="numpy",
         checkpoints=checkpoints,
         tail_epsilon=epsilon,
     )

@@ -1,9 +1,11 @@
 """Columnar NumPy kernel for the PSR scan: division-free row blocks.
 
-The scalar reference kernel (:mod:`repro.queries.psr`) keeps one
-running Poisson-binomial product and divides each row's own factor out
-of it -- O(k) interpreted work per row, plus rebuilds wherever the
-division is unstable.  This kernel never divides.  It cuts the ranked
+This is the production PSR kernel: every full pass and every delta
+window runs it.  The scalar oracle in :mod:`repro.queries.psr`, reached
+only through ``backend="python"``, keeps one running Poisson-binomial
+product and divides each row's own factor out of it -- O(k)
+interpreted work per row, plus rebuilds wherever the division is
+unstable.  This kernel never divides.  It cuts the ranked
 rows into blocks of :data:`~repro.queries.psr.CHECKPOINT_INTERVAL` rows,
 aligned to multiples of the interval, and splits each row's exclusion
 product in two:
@@ -426,7 +428,7 @@ def scan_blocks(
 def compute_rank_probabilities_numpy(
     ranked: RankedDatabase, k: int, tail_epsilon: float
 ) -> RankProbabilities:
-    """Vectorized PSR over a pre-sorted database (NumPy backend)."""
+    """Vectorized PSR over a pre-sorted database (the production kernel)."""
     require_valid_k(k)
     probabilities, xtuple_indices = ranked.psr_columns()
     state = ScanState(xtuple_indices, ranked.num_xtuples, k)
@@ -456,9 +458,10 @@ def _delta_window_numpy(
 ) -> Tuple[BlockRho, np.ndarray, int, List[ScanCheckpoint]]:
     """Re-emit rows ``[start, stop)`` of the patched view (columnar).
 
-    Restores the nearest checkpoint at or above ``start`` and scans from
-    there; the rows between the checkpoint and ``start`` are unchanged
-    and dropped from the output.
+    Restores the nearest checkpoint at or above ``start`` (row 0 when
+    ``checkpoints`` has none there) and scans from there; the rows
+    between the checkpoint and ``start`` are unchanged and dropped from
+    the output.
     """
     new_ranked = delta.new_ranked
     k = old_rp.k

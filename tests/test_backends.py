@@ -1,4 +1,4 @@
-"""NumPy-vs-Python backend cross-validation (and both vs the oracle).
+"""NumPy kernels vs the scalar oracle (and both vs possible worlds).
 
 The vectorized kernels must be bit-compatible with the scalar
 reference implementation up to floating-point reassociation: every
@@ -6,15 +6,21 @@ hypothesis case checks agreement within 1e-9 absolute for PSR rank
 probabilities, top-k probabilities, TP weights, quality scores and the
 per-x-tuple ``g(l, D)`` aggregation -- plus explicit constructions for
 the saturation / early-stop (Lemma 2) and high-sibling-mass paths.
+The oracle is selected by an explicit ``backend="python"`` only; no
+environment variable or process-wide setting reaches it.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.backend import current_backend, set_backend, use_backend
 from repro.core.tp import compute_quality_tp
 from repro.core.weights import compute_weights
 from repro.db.database import ProbabilisticDatabase
@@ -23,12 +29,14 @@ from repro.queries.brute_force import (
     rank_probabilities_by_enumeration,
     topk_probabilities_by_enumeration,
 )
+from repro.queries.engine import QuerySession
 from repro.queries.psr import (
     CHECKPOINT_INTERVAL,
     TAIL_EPSILON,
     compute_rank_probabilities,
     tail_stop,
 )
+from repro.queries.psr_numpy import ScanState, scan_blocks
 
 from strategies import BLOCK_BOUNDARY_CASES, databases_with_k, ranked_rows_db
 
@@ -179,20 +187,31 @@ class TestBlockBoundaries:
 
     @pytest.mark.parametrize("case", sorted(BLOCK_BOUNDARY_CASES))
     def test_checkpoints_match_scalar_kernel(self, case):
-        # Both kernels snapshot the same rows; the block kernel's states
-        # fall out of its block boundaries.
+        # The block kernel snapshots every block boundary it scans, and
+        # a block scan resumed from any snapshot (or from the top, for
+        # ``None``) reproduces the scalar cold pass from that row on.
         rows, ks = BLOCK_BOUNDARY_CASES[case]
         ranked = ranked_rows_db(rows).ranked()
         k = ks[-1]
         scalar = compute_rank_probabilities(ranked, k, backend="python")
         blocks = compute_rank_probabilities(ranked, k, backend="numpy")
-        assert [c.row for c in blocks.checkpoints] == [
-            c.row for c in scalar.checkpoints
-        ]
-        for mine, ref in zip(blocks.checkpoints, scalar.checkpoints):
-            assert mine.shift == ref.shift
-            assert mine.closed_dp == pytest.approx(ref.closed_dp, abs=ABS)
-            assert mine.open_masses == pytest.approx(ref.open_masses, abs=ABS)
+        assert scalar.checkpoints is None
+        assert [c.row for c in blocks.checkpoints] == list(
+            range(CHECKPOINT_INTERVAL, blocks.cutoff, CHECKPOINT_INTERVAL)
+        )
+        probabilities, xtuple_indices = ranked.psr_columns()
+        stop = tail_stop(ranked, k, TAIL_EPSILON)
+        for checkpoint in [None, *blocks.checkpoints]:
+            state = ScanState(xtuple_indices, ranked.num_xtuples, k, checkpoint)
+            row = state.row
+            rho, topk, end = scan_blocks(
+                probabilities, xtuple_indices, k, state, stop, None
+            )
+            assert end == scalar.cutoff
+            assert topk == pytest.approx(scalar.topk_prefix[row:], abs=ABS)
+            assert rho.materialize() == pytest.approx(
+                scalar.rho_prefix[row:], abs=ABS
+            )
 
     def test_rho_stays_deferred_until_read(self):
         rows, _ = BLOCK_BOUNDARY_CASES["n_not_block_multiple"]
@@ -236,34 +255,40 @@ class TestWeightsAndQuality:
 
 
 class TestBackendSelection:
-    def test_default_backend_honours_environment(self):
-        import os
-
-        expected = os.environ.get("REPRO_BACKEND", "numpy")
-        assert current_backend() == expected
-
-    def test_set_backend_roundtrip(self):
-        previous = current_backend()
-        set_backend("python")
-        try:
-            assert current_backend() == "python"
-        finally:
-            set_backend(previous)
-
-    def test_use_backend_restores_on_exit(self):
-        previous = current_backend()
-        with use_backend("python"):
-            assert current_backend() == "python"
-        assert current_backend() == previous
-
     def test_invalid_backend_rejected(self, udb1):
+        ranked = udb1.ranked()
         for name in ("fortran", "parallel"):
             with pytest.raises(ValueError):
-                set_backend(name)
+                compute_rank_probabilities(ranked, 2, backend=name)
             with pytest.raises(ValueError):
-                compute_rank_probabilities(udb1.ranked(), 2, backend=name)
+                compute_weights(ranked, backend=name)
+            with pytest.raises(ValueError):
+                compute_quality_tp(ranked, 2, backend=name)
+            with pytest.raises(ValueError):
+                QuerySession(udb1, backend=name)
 
-    def test_kernel_argument_overrides_default(self, udb1):
-        with use_backend("python"):
-            result = compute_rank_probabilities(udb1.ranked(), 2, backend="numpy")
-        assert result.backend == "numpy"
+    def test_service_kernel_ignores_the_environment(self):
+        # A service -- and so its journal replay -- runs the production
+        # kernel whatever the environment says.
+        script = (
+            "import json\n"
+            "from repro.api.service import TopKService\n"
+            "from repro.datasets.paper import udb1\n"
+            "service = TopKService()\n"
+            "sid = service.register(udb1()).snapshot_id\n"
+            "with service.pool.lease(sid) as session:\n"
+            "    print(json.dumps([session.rank_probabilities(2).backend,\n"
+            "                      session.quality(2).backend]))\n"
+        )
+        env = dict(os.environ)
+        env["REPRO_BACKEND"] = "python"
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["numpy", "numpy"]

@@ -6,7 +6,10 @@ identical to a cold re-rank, and a delta-derived
 :class:`~repro.queries.engine.QuerySession` has to agree with a cold
 session to 1e-9 on rank probabilities, quality and all three query
 answers -- under arbitrary chains of probe outcomes (collapse /
-failure / revealed-null), on both backends.
+failure / revealed-null).  Every delta window runs the block kernel;
+the ``[python]`` cases patch a scalar pass through it (the scalar pass
+has no checkpoints, so its first window rescans from row 0) and compare
+with a scalar cold pass.
 """
 
 import random
@@ -27,7 +30,7 @@ from repro.datasets.synthetic import (
     generate_synthetic,
 )
 from repro.db.database import ProbabilisticDatabase, RankedDatabase
-from repro.queries import psr, psr_numpy
+from repro.queries import psr_numpy
 from repro.queries.engine import QuerySession
 from repro.queries.psr import (
     CHECKPOINT_INTERVAL,
@@ -217,7 +220,7 @@ class TestDeltaPSR:
                 ranked, delta = ranked.with_xtuple_replaced(
                     xid, xt.collapsed_to(tid)
                 )
-            rank_probs = apply_rank_delta(rank_probs, delta, backend=backend)
+            rank_probs = apply_rank_delta(rank_probs, delta)
         cold = compute_rank_probabilities(ranked, k, backend=backend)
         assert rank_probs.cutoff == cold.cutoff
         assert rank_probs.topk_prefix == pytest.approx(
@@ -229,7 +232,9 @@ class TestDeltaPSR:
     @pytest.mark.parametrize("completion", [1.0, 0.85])
     def test_checkpoint_restore_beyond_interval(self, backend, completion):
         # n >> CHECKPOINT_INTERVAL so the delta resumes mid-scan from a
-        # stored checkpoint instead of replaying from the top.
+        # stored checkpoint instead of replaying from the top.  Only a
+        # block pass records checkpoints; a scalar pass's first delta
+        # rescans from row 0 and keeps the window's checkpoints.
         db = generate_synthetic(
             num_xtuples=60, completion=completion, seed=5
         )
@@ -237,7 +242,7 @@ class TestDeltaPSR:
         assert ranked.num_tuples > 2 * CHECKPOINT_INTERVAL
         k = 40
         rank_probs = compute_rank_probabilities(ranked, k, backend=backend)
-        assert rank_probs.checkpoints  # recorded during the full pass
+        assert bool(rank_probs.checkpoints) == (backend == "numpy")
         rng = random.Random(11)
         for _ in range(4):
             xid = rng.choice(
@@ -248,7 +253,8 @@ class TestDeltaPSR:
             ranked, delta = ranked.with_xtuple_replaced(
                 xid, xt.collapsed_to(tid)
             )
-            rank_probs = apply_rank_delta(rank_probs, delta, backend=backend)
+            rank_probs = apply_rank_delta(rank_probs, delta)
+            assert rank_probs.checkpoints
         cold = compute_rank_probabilities(ranked, k, backend=backend)
         assert rank_probs.cutoff == cold.cutoff
         assert rank_probs.topk_prefix == pytest.approx(
@@ -275,7 +281,7 @@ class TestDeltaPSR:
         )
         assert delta.window_start == first_row
         assert (delta.tail_new is not None) == (mass == 0.5)
-        patched = apply_rank_delta(rank_probs, delta, backend="numpy")
+        patched = apply_rank_delta(rank_probs, delta)
         cold = compute_rank_probabilities(
             patched_ranked, k, backend="python"
         )
@@ -298,7 +304,7 @@ class TestDeltaPSR:
 
 def _assert_delta_matches_cold(old_rp, delta, backend):
     """Patch ``old_rp`` by ``delta`` and compare with a cold pass."""
-    patched = apply_rank_delta(old_rp, delta, backend=backend)
+    patched = apply_rank_delta(old_rp, delta)
     cold = compute_rank_probabilities(
         delta.new_ranked, old_rp.k, backend=backend
     )
@@ -352,7 +358,7 @@ class TestTailStopDeltas:
         patched, cold = _assert_delta_matches_cold(old_rp, delta, backend)
         assert patched.cutoff > old_rp.cutoff
         # The spliced weight vector is too short: a full TP runs.
-        assert patch_quality_tp(old_quality, patched, delta, backend) is None
+        assert patch_quality_tp(old_quality, patched, delta) is None
         session = QuerySession(ranked, backend=backend)
         session.quality(self.K)
         derived = session.derive(delta.new_ranked, delta=delta)
@@ -378,8 +384,7 @@ class TestTailStopDeltas:
             raise AssertionError("a window below the stop scanned rows")
 
         monkeypatch.setattr(psr_numpy, "scan_blocks", no_kernel)
-        monkeypatch.setattr(psr, "_scan_python", no_kernel)
-        patched = apply_rank_delta(old_rp, delta, backend=backend)
+        patched = apply_rank_delta(old_rp, delta)
         monkeypatch.undo()
         assert patched._rho_state is old_rp._rho_state
         assert np.shares_memory(patched.topk_prefix, old_rp.topk_prefix)

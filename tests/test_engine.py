@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.queries.engine import evaluate, evaluate_without_sharing
+from repro.core.tp import compute_quality_tp
+from repro.queries.engine import (
+    QuerySession,
+    evaluate,
+    evaluate_without_sharing,
+)
 
 from strategies import databases_with_k
 
@@ -50,6 +55,24 @@ class TestSharingConsistency:
         assert shared.global_topk == unshared.global_topk
         assert shared.quality_score == pytest.approx(
             unshared.quality_score, abs=1e-9
+        )
+        # The scalar oracle shares its pass the same way: a session's
+        # quality equals a TP run on a second scalar pass, and both
+        # match the production kernel.
+        session = QuerySession(db, backend="python")
+        scalar = session.evaluate(k, threshold=0.25)
+        assert scalar.quality.rank_probabilities is scalar.rank_probabilities
+        assert scalar.rank_probabilities.backend == "python"
+        scalar_unshared = compute_quality_tp(session.ranked, k, backend="python")
+        assert scalar_unshared.rank_probabilities is not scalar.rank_probabilities
+        assert scalar.quality_score == pytest.approx(
+            scalar_unshared.quality, abs=1e-9
+        )
+        assert scalar.quality_score == pytest.approx(
+            shared.quality_score, abs=1e-9
+        )
+        assert scalar.rank_probabilities.topk_prefix == pytest.approx(
+            shared.rank_probabilities.topk_prefix, abs=1e-9
         )
 
     def test_nonsharing_runs_psr_twice(self, udb1):

@@ -4,7 +4,10 @@ PSR is the engine under every query semantics and the TP quality
 algorithm, so these tests are the load-bearing wall of the suite: exact
 agreement with Definition 2/3 on the paper example, on adversarial
 constructions (saturating x-tuples, high sibling mass triggering the
-from-scratch rebuild), and on random databases via hypothesis.
+scalar kernel's from-scratch rebuild), and on random databases via
+hypothesis.  The brute-force and paper-vector checks run both kernels:
+the production block kernel and, through ``backend="python"``, the
+scalar oracle.
 """
 
 import math
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.backend import BACKENDS
 from repro.db.database import ProbabilisticDatabase
 from repro.db.tuples import make_xtuple
 from repro.exceptions import InvalidQueryError
@@ -20,6 +24,7 @@ from repro.queries.brute_force import (
     rank_probabilities_by_enumeration,
     topk_probabilities_by_enumeration,
 )
+from repro.queries import psr as psr_module
 from repro.queries.psr import (
     compute_rank_probabilities,
     total_topk_mass,
@@ -30,40 +35,50 @@ from strategies import databases_with_k
 ABS = 1e-9
 
 
+def _passes(ranked, k):
+    """One PSR pass over ``ranked`` at ``k`` per kernel."""
+    return [
+        compute_rank_probabilities(ranked, k, backend=backend)
+        for backend in BACKENDS
+    ]
+
+
 def _assert_matches_bruteforce(db, k):
     ranked = db.ranked()
-    psr = compute_rank_probabilities(ranked, k)
     expected_rho = rank_probabilities_by_enumeration(ranked, k)
     expected_topk = topk_probabilities_by_enumeration(ranked, k)
-    for t in ranked.order:
-        got = psr.rho(t.tid)
-        want = expected_rho[t.tid]
-        assert got == pytest.approx(want, abs=ABS), (t.tid, got, want)
-        assert psr.topk_probability(t.tid) == pytest.approx(
-            expected_topk[t.tid], abs=ABS
-        )
+    for psr in _passes(ranked, k):
+        for t in ranked.order:
+            got = psr.rho(t.tid)
+            want = expected_rho[t.tid]
+            assert got == pytest.approx(want, abs=ABS), (
+                psr.backend, t.tid, got, want,
+            )
+            assert psr.topk_probability(t.tid) == pytest.approx(
+                expected_topk[t.tid], abs=ABS
+            )
 
 
 class TestPaperExample:
     def test_udb1_top2_probabilities(self, udb1):
-        psr = compute_rank_probabilities(udb1.ranked(), 2)
-        # Hand-derived from the 8 possible worlds of Table I.
-        assert psr.topk_probability("t1") == pytest.approx(0.4)
-        assert psr.topk_probability("t2") == pytest.approx(0.7)
-        assert psr.topk_probability("t5") == pytest.approx(0.432)
-        assert psr.topk_probability("t6") == pytest.approx(0.396)
-        assert psr.topk_probability("t4") == pytest.approx(0.072)
-        assert psr.topk_probability("t0") == 0.0
-        assert psr.topk_probability("t3") == 0.0
+        for psr in _passes(udb1.ranked(), 2):
+            # Hand-derived from the 8 possible worlds of Table I.
+            assert psr.topk_probability("t1") == pytest.approx(0.4)
+            assert psr.topk_probability("t2") == pytest.approx(0.7)
+            assert psr.topk_probability("t5") == pytest.approx(0.432)
+            assert psr.topk_probability("t6") == pytest.approx(0.396)
+            assert psr.topk_probability("t4") == pytest.approx(0.072)
+            assert psr.topk_probability("t0") == 0.0
+            assert psr.topk_probability("t3") == 0.0
 
     def test_udb1_rank_probabilities(self, udb1):
-        psr = compute_rank_probabilities(udb1.ranked(), 2)
-        # t1 exists => always rank 1.
-        assert psr.rank_probability("t1", 1) == pytest.approx(0.4)
-        assert psr.rank_probability("t1", 2) == pytest.approx(0.0)
-        # t2 rank 1 iff t1 absent (0.6 * 0.7).
-        assert psr.rank_probability("t2", 1) == pytest.approx(0.42)
-        assert psr.rank_probability("t2", 2) == pytest.approx(0.28)
+        for psr in _passes(udb1.ranked(), 2):
+            # t1 exists => always rank 1.
+            assert psr.rank_probability("t1", 1) == pytest.approx(0.4)
+            assert psr.rank_probability("t1", 2) == pytest.approx(0.0)
+            # t2 rank 1 iff t1 absent (0.6 * 0.7).
+            assert psr.rank_probability("t2", 1) == pytest.approx(0.42)
+            assert psr.rank_probability("t2", 2) == pytest.approx(0.28)
 
     def test_udb1_vs_bruteforce(self, udb1):
         for k in (1, 2, 3, 4):
@@ -105,8 +120,17 @@ class TestAdversarialConstructions:
         assert psr.topk_probability("low1") == 0.0
         _assert_matches_bruteforce(db, 3)
 
-    def test_high_sibling_mass_uses_rebuild_path(self):
-        # Last sibling sees q = 0.9 > 0.5: exercises _rebuild_without.
+    def test_high_sibling_mass_uses_rebuild_path(self, monkeypatch):
+        # Last sibling sees q = 0.9 > 0.5: the scalar kernel rebuilds
+        # the product without its factor instead of dividing it out.
+        skipped = []
+        rebuild = psr_module._rebuild_from_base
+
+        def spy(base, open_masses, skip):
+            skipped.append(skip)
+            return rebuild(base, open_masses, skip)
+
+        monkeypatch.setattr(psr_module, "_rebuild_from_base", spy)
         db = ProbabilisticDatabase(
             [
                 make_xtuple(
@@ -120,7 +144,11 @@ class TestAdversarialConstructions:
                 make_xtuple("other", [("d", 9.5, 0.6), ("e", 7.0, 0.4)]),
             ]
         )
+        big = db.ranked().xtuple_ids.index("big")
         for k in (1, 2):
+            skipped.clear()
+            compute_rank_probabilities(db.ranked(), k, backend="python")
+            assert big in skipped
             _assert_matches_bruteforce(db, k)
 
     def test_interleaved_xtuples(self):

@@ -2,7 +2,7 @@
 
 These pin the numerical behaviour the integration tests rely on:
 add/remove round-trips, the capped vector's exactness on its first k
-entries, and the rebuild fallback used for high factors.
+entries, and the scalar kernel's rebuild fallback for high factors.
 """
 
 import math
@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db.database import SATURATION_EPSILON
 from repro.queries.psr import (
     _add_factor,
-    _rebuild_without,
+    _rebuild_from_base,
     _remove_factor_forward,
 )
 
@@ -84,17 +85,28 @@ class TestRemoveFactor:
         assert all(v >= 0.0 for v in out)
 
 
+def _unit(k):
+    """The empty product: a closed-product base with nothing closed."""
+    return [1.0] + [0.0] * (k - 1)
+
+
 class TestRebuild:
     def test_rebuild_skips_requested_factor(self):
         active = {0: 0.9, 1: 0.3, 2: 0.6}
         k = 3
-        rebuilt = _rebuild_without(active, 0, k)
+        rebuilt = _rebuild_from_base(_unit(k), active, 0)
         assert rebuilt == pytest.approx(_poisson_binomial([0.3, 0.6], k))
+        # Saturated open factors live in the shift, never the vector.
+        active[3] = 1.0 - SATURATION_EPSILON / 2
+        assert _rebuild_from_base(_unit(k), active, 0) == rebuilt
 
     def test_rebuild_with_missing_skip_uses_all(self):
         active = {1: 0.3, 2: 0.6}
-        rebuilt = _rebuild_without(active, 99, 3)
+        rebuilt = _rebuild_from_base(_unit(3), active, 99)
         assert rebuilt == pytest.approx(_poisson_binomial([0.3, 0.6], 3))
+        # The base multiplies in: a closed factor of 0.5 is one more.
+        rebuilt = _rebuild_from_base([0.5, 0.5, 0.0], active, 99)
+        assert rebuilt == pytest.approx(_poisson_binomial([0.5, 0.3, 0.6], 3))
 
     @settings(max_examples=50)
     @given(st.lists(st.floats(min_value=0.5, max_value=0.99), min_size=2, max_size=5))
@@ -103,7 +115,7 @@ class TestRebuild:
         k = 4
         for skip in active:
             rest = [q for l, q in active.items() if l != skip]
-            assert _rebuild_without(active, skip, k) == pytest.approx(
+            assert _rebuild_from_base(_unit(k), active, skip) == pytest.approx(
                 _poisson_binomial(rest, k), abs=1e-12
             )
 

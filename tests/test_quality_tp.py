@@ -1,10 +1,17 @@
-"""TP quality algorithm: Theorem 1 validation and sharing semantics."""
+"""TP quality algorithm: Theorem 1 validation and sharing semantics.
+
+The paper-vector and possible-world checks run both kernels: the
+production NumPy path and, through ``backend="python"``, the scalar
+oracle (scalar PSR pass, scalar weights, ``fsum`` quality, scalar
+``g(l, D)`` loop).
+"""
 
 import math
 
 import pytest
 from hypothesis import given, settings
 
+from repro.core.backend import BACKENDS
 from repro.core.pw import compute_quality_pw
 from repro.core.tp import (
     compute_quality_tp,
@@ -22,28 +29,32 @@ from strategies import databases_with_k
 ABS = 1e-9
 
 
+def _qualities(ranked, k):
+    """TP quality over ``ranked`` at ``k`` per kernel."""
+    return [
+        compute_quality_tp(ranked, k, backend=backend) for backend in BACKENDS
+    ]
+
+
 class TestPaperVectors:
     def test_udb1(self, udb1):
-        assert compute_quality_tp(udb1.ranked(), 2).quality == pytest.approx(
-            UDB1_TOP2_QUALITY, abs=ABS
-        )
+        for result in _qualities(udb1.ranked(), 2):
+            assert result.quality == pytest.approx(UDB1_TOP2_QUALITY, abs=ABS)
 
     def test_udb2(self, udb2):
-        assert compute_quality_tp(udb2.ranked(), 2).quality == pytest.approx(
-            UDB2_TOP2_QUALITY, abs=ABS
-        )
+        for result in _qualities(udb2.ranked(), 2):
+            assert result.quality == pytest.approx(UDB2_TOP2_QUALITY, abs=ABS)
 
     def test_g_values_sum_to_quality(self, udb1):
-        result = compute_quality_tp(udb1.ranked(), 2)
-        assert math.fsum(result.g_by_xtuple()) == pytest.approx(
-            result.quality, abs=ABS
-        )
+        for result in _qualities(udb1.ranked(), 2):
+            assert math.fsum(result.g_by_xtuple()) == pytest.approx(
+                result.quality, abs=ABS
+            )
 
     def test_certain_xtuple_contributes_zero(self, udb1):
-        result = compute_quality_tp(udb1.ranked(), 2)
-        g = result.g_by_xtuple()
         s4 = udb1.ranked().xtuple_ids.index("S4")
-        assert g[s4] == 0.0
+        for result in _qualities(udb1.ranked(), 2):
+            assert result.g_by_xtuple()[s4] == 0.0
 
 
 class TestWeights:
@@ -133,9 +144,9 @@ class TestTheorem1Equivalence:
         if k > db.num_xtuples:
             return  # Theorem 1 needs full-length results
         ranked = db.ranked()
-        assert compute_quality_tp(ranked, k).quality == pytest.approx(
-            compute_quality_pw(ranked, k).quality, abs=1e-8
-        )
+        expected = compute_quality_pw(ranked, k).quality
+        for result in _qualities(ranked, k):
+            assert result.quality == pytest.approx(expected, abs=1e-8)
 
     @settings(max_examples=60, deadline=None)
     @given(databases_with_k(complete=True))

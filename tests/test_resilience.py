@@ -127,7 +127,7 @@ class TestFaultPlan:
 # ---------------------------------------------------------------------------
 class TestServiceDeadlines:
     def test_expired_deadline_shed_without_psr_pass(self, small_synthetic):
-        service = TopKService(backend="python")
+        service = TopKService()
         sid = service.register(small_synthetic).snapshot_id
         with pytest.raises(DeadlineExceededError):
             service.query(sid, QuerySpec(k=5, deadline_ms=1e-6))
@@ -138,14 +138,14 @@ class TestServiceDeadlines:
         assert service.pool.in_flight == 0
 
     def test_generous_deadline_serves_normally(self, small_synthetic):
-        service = TopKService(backend="python")
+        service = TopKService()
         sid = service.register(small_synthetic).snapshot_id
         result = service.query(sid, QuerySpec(k=5, deadline_ms=60_000.0))
         assert result.payload["ukranks"]["winners"]
         assert result.counters["psr_misses"] == 1
 
     def test_deadline_does_not_leak_across_requests(self, small_synthetic):
-        service = TopKService(backend="python")
+        service = TopKService()
         sid = service.register(small_synthetic).snapshot_id
         with pytest.raises(DeadlineExceededError):
             service.query(sid, QuerySpec(k=5, deadline_ms=1e-6))
@@ -155,7 +155,7 @@ class TestServiceDeadlines:
     def test_clean_respects_deadline(self, small_synthetic):
         from repro.api.specs import CleaningSpec
 
-        service = TopKService(backend="python")
+        service = TopKService()
         sid = service.register(small_synthetic).snapshot_id
         with pytest.raises(DeadlineExceededError):
             service.clean(
@@ -165,9 +165,7 @@ class TestServiceDeadlines:
 
 class TestAdmissionGate:
     def test_saturated_pool_sheds(self, small_synthetic):
-        service = TopKService(
-            backend="python", max_in_flight=1, admission_timeout_ms=50.0
-        )
+        service = TopKService(max_in_flight=1, admission_timeout_ms=50.0)
         sid = service.register(small_synthetic).snapshot_id
         entered = threading.Event()
         release = threading.Event()
@@ -200,7 +198,7 @@ class TestAdmissionGate:
 
     def test_tight_deadline_bounds_admission_wait(self, small_synthetic):
         service = TopKService(
-            backend="python", max_in_flight=1, admission_timeout_ms=30_000.0
+            max_in_flight=1, admission_timeout_ms=30_000.0
         )
         sid = service.register(small_synthetic).snapshot_id
         entered = threading.Event()
