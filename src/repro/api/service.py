@@ -113,8 +113,7 @@ class TopKService:
         Durable persistence.  ``store`` attaches an existing
         :class:`~repro.store.SnapshotStore`; ``store_dir`` opens (or
         creates) one at that directory with the given ``durability``
-        (``"fsync"`` default, ``"batch"`` for group-committed journal
-        fsyncs, ``"none"`` for tests).  Either way the
+        (``"fsync"`` default, ``"none"`` for tests).  Either way the
         store's recovered snapshots seed the pool, every registration
         persists before publishing, executed cleanings are
         write-ahead journaled, and pending journal records are
@@ -447,7 +446,8 @@ register`), and the envelope's ``counters`` reports the store's
         """Plan -- and with ``spec.execute``, simulate -- cleaning.
 
         Never mutates the input snapshot.  Executed outcomes are
-        derived probe-by-probe through the incremental delta path and
+        derived one change set per round through the incremental delta
+        path and
         registered as a **new** snapshot (its warm, PSR-patched session
         seeded into the pool); the payload names it under
         ``"new_snapshot_id"``.  Plan-only requests leave the registry

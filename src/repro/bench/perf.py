@@ -14,8 +14,8 @@ Emits a JSON document with the timings future PRs compare against:
   pure answer extraction, demonstrating that repeated same-``k``
   evaluations never re-run PSR.
 * ``adaptive_cleaning``: the incremental delta engine measured
-  end-to-end -- a greedy adaptive cleaning run with per-probe
-  :class:`~repro.db.database.RankDelta` threading versus the identical
+  end-to-end -- a greedy adaptive cleaning run with one
+  :class:`~repro.db.database.RankDelta` per round versus the identical
   run on the cold-derive path, plus an isolated replay of each round's
   derive/re-evaluate phase (snapshot construction + ranking + PSR +
   quality) on the real probe trace.  The replay also cross-checks the
@@ -68,6 +68,7 @@ from repro.datasets.synthetic import (
     generate_synthetic,
 )
 from repro.db.database import ProbabilisticDatabase, RankedDatabase
+from repro.db.tuples import XTuple
 from repro.api.results import ServiceResult
 from repro.queries.engine import EvaluationReport, QuerySession
 from repro.queries.psr import compute_rank_probabilities
@@ -189,6 +190,21 @@ def query_session_snapshot(
     }
 
 
+def _round_changes(
+    db: ProbabilisticDatabase,
+    probes: Sequence[Tuple[str, Optional[str], bool]],
+) -> Dict[str, Optional[XTuple]]:
+    """One round's successful probes as the executor's change set."""
+    return {
+        xid: (
+            None
+            if revealed_tid is None
+            else db.xtuple(xid).collapsed_to(revealed_tid)
+        )
+        for xid, revealed_tid, _ in probes
+    }
+
+
 def _replay_derive_phase(
     db: ProbabilisticDatabase,
     rounds_probes: Sequence[Sequence[Tuple[str, Optional[str], bool]]],
@@ -199,13 +215,15 @@ def _replay_derive_phase(
 
     ``rounds_probes`` is the per-round list of successful probe
     outcomes ``(xid, revealed_tid, revealed_null)`` taken from a real
-    adaptive run.  For every round the cold path rebuilds the cleaned
-    snapshots through the public constructors, re-ranks and runs a
-    fresh PSR + quality pass; the delta path threads the same probes
-    through ``RankedDatabase.with_xtuple_*`` and delta-aware
-    ``QuerySession.derive``.  Their qualities are cross-checked at
-    every round -- disagreement beyond :data:`DERIVE_CHECK_TOLERANCE`
-    raises, which is the snapshot's kernel-regression tripwire.
+    adaptive run.  Like :func:`~repro.cleaning.executor.execute_plan`,
+    every round applies its outcomes as one change set: the cold path
+    builds the cleaned snapshot once through the public constructor,
+    re-ranks it and runs a fresh PSR + quality pass; the delta path
+    derives it through ``RankedDatabase.with_xtuples_changed`` and one
+    delta-aware ``QuerySession.derive``.  Their qualities are
+    cross-checked at every round -- disagreement beyond
+    :data:`DERIVE_CHECK_TOLERANCE` raises, which is the snapshot's
+    kernel-regression tripwire.
     """
     session = QuerySession(db)
     session.quality(k)
@@ -217,32 +235,15 @@ def _replay_derive_phase(
         if not probes:
             continue
         start = time.perf_counter()
-        round_db = session.db
-        derived = session
-        for xid, revealed_tid, revealed_null in probes:
-            if revealed_null:
-                new_ranked, delta = derived.ranked.with_xtuple_removed(xid)
-            else:
-                # Like the executor: a round's plan touches each x-tuple
-                # once, so the round-start snapshot serves the lookups.
-                new_ranked, delta = derived.ranked.with_xtuple_replaced(
-                    xid, round_db.xtuple(xid).collapsed_to(revealed_tid)
-                )
-            derived = derived.derive(new_ranked, delta=delta)
-        delta_quality = derived.quality(k).quality
+        new_ranked, delta = session.ranked.with_xtuples_changed(
+            _round_changes(session.db, probes)
+        )
+        session = session.derive(new_ranked, delta=delta)
+        delta_quality = session.quality(k).quality
         delta_ms.append((time.perf_counter() - start) * 1000.0)
 
         start = time.perf_counter()
-        for xid, revealed_tid, revealed_null in probes:
-            if revealed_null:
-                cold_db = ProbabilisticDatabase(
-                    [xt for xt in cold_db.xtuples if xt.xid != xid],
-                    name=cold_db.name,
-                )
-            else:
-                cold_db = cold_db.with_xtuple_replaced(
-                    xid, cold_db.xtuple(xid).collapsed_to(revealed_tid)
-                )
+        cold_db = cold_db.with_xtuples_changed(_round_changes(cold_db, probes))
         cold_quality = compute_quality_tp(cold_db.ranked(), k).quality
         cold_ms.append((time.perf_counter() - start) * 1000.0)
 
@@ -253,7 +254,6 @@ def _replay_derive_phase(
                 f"{max_err:.3e} (> {DERIVE_CHECK_TOLERANCE:.0e}) -- "
                 f"incremental kernel regression"
             )
-        session = derived
     if seed_quality is not None:
         final_err = abs(session.quality(k).quality - seed_quality)
         max_err = max(max_err, final_err)

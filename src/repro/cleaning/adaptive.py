@@ -54,8 +54,9 @@ class AdaptiveCleaningResult:
     budget_spent: int
     #: The session over ``final_db`` the loop ended on.  Its cumulative
     #: counters tell the run's whole evaluation cost -- with the delta
-    #: path on, ``psr_misses`` stays at the single initial full pass
-    #: while every probe shows up in ``psr_patches``.
+    #: path on, ``psr_misses`` stays at the single initial full pass,
+    #: and every round that changed the database shows up as one
+    #: ``delta_derives`` and one ``psr_patches`` per cached ``k``.
     session: Optional[QuerySession] = None
 
     @property
@@ -76,14 +77,15 @@ def clean_adaptively(
 
     Each round works through a :class:`QuerySession` derived from the
     previous round's outcome.  With ``use_deltas`` on (the default) the
-    executor threads a :class:`~repro.db.database.RankDelta` per
-    successful probe, so the whole run performs **one** full PSR pass
-    (the initial evaluation) and every later round only patches the
-    rank window its probes moved; an all-failures round (or a
-    caller-provided warm session over ``db``) is served entirely from
-    cache either way.  ``use_deltas=False`` keeps the probes identical
-    but re-derives every round's session cold -- the baseline the
-    benchmarks measure the delta engine against.
+    executor applies each round's successful probes as one
+    :class:`~repro.db.database.RankDelta`, so the whole run performs
+    **one** full PSR pass (the initial evaluation) and every later round
+    re-scans only from its first changed row to the stop; an
+    all-failures round (or a caller-provided warm session over ``db``)
+    is served entirely from cache either way.  ``use_deltas=False``
+    keeps the probes identical but re-derives every round's session
+    cold -- the baseline the benchmarks measure the delta engine
+    against.
 
     Parameters
     ----------

@@ -13,24 +13,29 @@ with probability ``e_i``, or -- for incomplete x-tuples -- "no reading"
 with the null mass ``1 - s_l``, in which case the entity is removed
 from the cleaned database (it is now certain to contribute nothing).
 
-When a :class:`~repro.queries.engine.QuerySession` is threaded through
-(and ``use_deltas`` is left on), each successful probe derives the next
-database through the session's *ranked view* --
-``RankedDatabase.with_xtuple_replaced`` / ``with_xtuple_removed`` --
-and hands the resulting :class:`~repro.db.database.RankDelta` to
-``session.derive``, so the session's cached rank probabilities are
-patched incrementally instead of recomputed from scratch.  The probe
-outcomes themselves (and the rng stream) are identical either way.
+The plan is fixed before any probe runs, and each outcome depends only
+on the rng, so :func:`execute_plan` draws every probe first and applies
+the successful ones as one change set (``{xid: collapsed x-tuple or
+None}``).  When a :class:`~repro.queries.engine.QuerySession` over the
+database is threaded through (and ``use_deltas`` is left on), the
+change set derives the cleaned database through the session's *ranked
+view* -- ``RankedDatabase.with_xtuples_changed`` -- and hands the one
+resulting :class:`~repro.db.database.RankDelta` to ``session.derive``,
+so the session's cached rank probabilities are patched once per round
+instead of recomputed from scratch.  Otherwise the cleaned database is
+built once and any session derives cold.  The probe outcomes (and the
+rng stream) are identical either way.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cleaning.model import CleaningPlan, CleaningProblem
 from repro.db.database import ProbabilisticDatabase
+from repro.db.tuples import XTuple
 from repro.queries.engine import QuerySession
 
 
@@ -107,27 +112,16 @@ def execute_plan(
         downstream re-evaluation reuses cached rank-probability state
         whenever possible.
     use_deltas:
-        With a session, derive each successful probe's database through
-        the incremental rank-delta path (default).  ``False`` keeps the
-        probes identical but falls back to one cold
-        ``session.derive(cleaned_db)`` at the end -- the baseline the
-        benchmarks compare against.
+        With a session over ``db``, derive the cleaned database through
+        one incremental rank delta (default).  ``False`` keeps the
+        probes identical but derives the session cold -- the baseline
+        the benchmarks compare against.
     """
     rng = rng or random.Random(0)
     records: List[ProbeRecord] = []
+    changes: Dict[str, Optional[XTuple]] = {}
     cost_assigned = 0
     cost_spent = 0
-    cleaned = db
-    # The delta path derives snapshots through the session's ranked
-    # view, so it only applies when the session actually covers ``db``;
-    # a foreign session falls back to the historical cold behaviour
-    # (probes applied to ``db``, one cold derive at the end).
-    current_session = (
-        session
-        if use_deltas and session is not None and session.ranked.db is db
-        else None
-    )
-    dropped: List[str] = []
 
     for xid in sorted(plan.operations):
         assigned = plan.operations[xid]
@@ -158,30 +152,9 @@ def execute_plan(
                     break
             if revealed_tid is None:
                 revealed_null = True
-                if current_session is not None:
-                    new_ranked, delta = (
-                        current_session.ranked.with_xtuple_removed(xid)
-                    )
-                    cleaned = new_ranked.db
-                    current_session = current_session.derive(
-                        new_ranked, delta=delta
-                    )
-                else:
-                    dropped.append(xid)
-            elif current_session is not None:
-                new_ranked, delta = (
-                    current_session.ranked.with_xtuple_replaced(
-                        xid, xt.collapsed_to(revealed_tid)
-                    )
-                )
-                cleaned = new_ranked.db
-                current_session = current_session.derive(
-                    new_ranked, delta=delta
-                )
+                changes[xid] = None
             else:
-                cleaned = cleaned.with_xtuple_replaced(
-                    xid, xt.collapsed_to(revealed_tid)
-                )
+                changes[xid] = xt.collapsed_to(revealed_tid)
         records.append(
             ProbeRecord(
                 xid=xid,
@@ -193,16 +166,22 @@ def execute_plan(
             )
         )
 
-    if dropped:
-        remaining = [xt for xt in cleaned.xtuples if xt.xid not in set(dropped)]
-        cleaned = ProbabilisticDatabase(remaining, name=cleaned.name)
-
-    if session is None:
-        outcome_session = None
-    elif current_session is not None:
-        outcome_session = current_session
+    # The delta path derives through the session's ranked view, so it
+    # only applies when the session covers ``db``; a foreign session
+    # derives cold from the cleaned database.
+    outcome_session: Optional[QuerySession]
+    if (
+        changes
+        and use_deltas
+        and session is not None
+        and session.ranked.db is db
+    ):
+        new_ranked, delta = session.ranked.with_xtuples_changed(changes)
+        cleaned = new_ranked.db
+        outcome_session = session.derive(new_ranked, delta=delta)
     else:
-        outcome_session = session.derive(cleaned)
+        cleaned = db.with_xtuples_changed(changes)
+        outcome_session = None if session is None else session.derive(cleaned)
     return CleaningOutcome(
         cleaned_db=cleaned,
         records=tuple(records),

@@ -25,13 +25,14 @@ every resulting database -- and exists to validate Theorem 2 in tests.
 from __future__ import annotations
 
 import itertools
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cleaning.model import CleaningPlan, CleaningProblem
 from repro.core.tp import compute_quality_tp
 from repro.db.database import ProbabilisticDatabase
+from repro.db.tuples import XTuple
 
 #: Success probabilities this close to 1 make (1-P)^j underflow cleanly;
 #: no special handling needed, listed for documentation.
@@ -117,42 +118,38 @@ def expected_improvement_bruteforce(
     before = problem.quality
     xids = sorted(plan.operations)
 
-    # Per-selected-x-tuple outcome lists: (replacement-or-None, probability).
-    # `None` replacement means the x-tuple stays as is; the sentinel
-    # "DROP" means a successful probe revealed the null outcome.
-    outcome_lists: List[List[Tuple[object, float]]] = []
+    # Per-selected-x-tuple outcome lists: (change, probability).  A
+    # failed probe changes nothing; a success collapses the x-tuple, or
+    # removes it when it reveals the null outcome.
+    outcome_lists: List[List[Tuple[Dict[str, Optional[XTuple]], float]]] = []
     for xid in xids:
         l = problem.xtuple_index(xid)
         xt = db.xtuple(xid)
         p_success = success_probability(
             problem.sc_probabilities[l], plan.operations[xid]
         )
-        outcomes: List[Tuple[object, float]] = [(None, 1.0 - p_success)]
+        outcomes: List[Tuple[Dict[str, Optional[XTuple]], float]] = [
+            ({}, 1.0 - p_success)
+        ]
         for t in xt.alternatives:
-            outcomes.append((xt.collapsed_to(t.tid), p_success * t.probability))
+            outcomes.append(
+                ({xid: xt.collapsed_to(t.tid)}, p_success * t.probability)
+            )
         null_mass = xt.null_probability
         if null_mass > 0.0:
-            outcomes.append(("DROP", p_success * null_mass))
+            outcomes.append(({xid: None}, p_success * null_mass))
         outcome_lists.append(outcomes)
 
     expected_after = 0.0
     for combo in itertools.product(*outcome_lists):
         probability = 1.0
-        cleaned = db
-        dropped: List[str] = []
-        for xid, (replacement, p) in zip(xids, combo):
+        changes: Dict[str, Optional[XTuple]] = {}
+        for change, p in combo:
             probability *= p
-            if replacement is None:
-                continue
-            if replacement == "DROP":
-                dropped.append(xid)
-            else:
-                cleaned = cleaned.with_xtuple_replaced(xid, replacement)
+            changes.update(change)
         if probability == 0.0:
             continue
-        if dropped:
-            remaining = [xt for xt in cleaned.xtuples if xt.xid not in set(dropped)]
-            cleaned = ProbabilisticDatabase(remaining, name=cleaned.name)
+        cleaned = db.with_xtuples_changed(changes)
         ranked = cleaned.ranked(problem.ranked.ranking)
         expected_after += probability * compute_quality_tp(ranked, problem.k).quality
     return expected_after - before

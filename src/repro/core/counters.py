@@ -41,9 +41,8 @@ SESSION_COUNTERS: Tuple[str, ...] = (
 #: quarantines are visible in result envelopes (and the CLI's JSON
 #: output) without log access.  The multi-writer counters follow:
 #: journal checkpoints performed, segment files reclaimed by two-phase
-#: GC, contended cross-process lock acquisitions (a first non-blocking
-#: attempt failed and the bounded wait ran), and coalesced group-commit
-#: journal flushes (``durability="batch"`` only).
+#: GC, and contended cross-process lock acquisitions (a first
+#: non-blocking attempt failed and the bounded wait ran).
 STORE_COUNTERS: Tuple[str, ...] = (
     "psr_store_writes",
     "psr_store_replays",
@@ -51,7 +50,6 @@ STORE_COUNTERS: Tuple[str, ...] = (
     "psr_store_compactions",
     "psr_store_gc_unlinks",
     "psr_store_lock_waits",
-    "psr_store_group_flushes",
 )
 
 #: Counter names with the ``psr_`` prefix REP007 polices.

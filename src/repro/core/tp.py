@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -111,19 +111,19 @@ def patch_quality_tp(
     """TP quality for a delta-patched view, from the old quality.
 
     A tuple's weight ``ω_i`` depends only on its own x-tuple's
-    higher-ranked siblings, so an x-tuple swap leaves every survivor's
-    weight bitwise unchanged -- the new weight vector is the old one
-    with the swapped x-tuple's rows spliced out and the replacement's
-    (computed scalar-style, O(|replacement|)) spliced in.  The quality
-    is then one dot product against the patched top-k vector, and the
-    result is labelled ``"numpy"`` like the patched PSR output.
+    higher-ranked siblings, so a change set leaves every unchanged
+    x-tuple's weights bitwise unchanged -- the new weight vector is the
+    old one with the changed x-tuples' rows spliced out and the
+    replacements' rows (computed scalar-style, O(|replacements|))
+    spliced in.  The quality is then one dot product against the
+    patched top-k vector, and the result is labelled ``"numpy"`` like
+    the patched PSR output.
 
-    Returns ``None`` when the patch does not apply (x-tuple removal can
-    *grow* the PSR cutoff past the old weight vector; rare) -- the
-    caller falls back to :func:`compute_quality_tp`.
+    Returns ``None`` when the spliced weights fall short of the new
+    cutoff (removing x-tuples can move the PSR stop below the rows the
+    old weights covered) -- the caller falls back to
+    :func:`compute_quality_tp`.
     """
-    if delta.new_index is None:
-        return None
     old_w = np.asarray(old_quality.weights_prefix)
     cutoff = rank_probabilities.cutoff
     spliced = np.delete(
@@ -132,13 +132,15 @@ def patch_quality_tp(
     inserted = delta.inserted_rows[delta.inserted_rows < cutoff]
     if inserted.size:
         ranked = rank_probabilities.ranked
-        probabilities = ranked.probabilities_array[delta.inserted_rows]
+        # Rows ascend, so each x-tuple's mass accumulates in rank order.
+        mass: Dict[int, float] = {}
         weights = []
-        mass = 0.0
-        for j, e in enumerate(probabilities.tolist()):
-            mass = min(1.0, mass + e)
-            if delta.inserted_rows[j] < cutoff:
-                weights.append(weight_of(e, mass))
+        for e, l in zip(
+            ranked.probabilities_array[inserted].tolist(),
+            ranked.xtuple_indices_array[inserted].tolist(),
+        ):
+            mass[l] = min(1.0, mass.get(l, 0.0) + e)
+            weights.append(weight_of(e, mass[l]))
         spliced = np.insert(
             spliced,
             np.minimum(inserted - np.arange(inserted.size), spliced.shape[0]),

@@ -34,17 +34,17 @@ on first use.
 
 Incremental derivation
 ----------------------
-Cleaning replaces exactly one x-tuple per successful probe, so the
-ranked view supports *patched* derivation: :meth:`RankedDatabase.\
-with_xtuple_replaced` / :meth:`RankedDatabase.with_xtuple_removed`
-splice the changed x-tuple's rows out of / into the columnar arrays in
-O(n) (``np.delete`` plus a ``np.searchsorted`` insert that replicates
-the full sort's exact ``(-score, insertion index)`` tie-breaking)
-instead of re-sorting, and return a :class:`RankDelta` describing the
-affected rank window.  The delta is what the incremental PSR kernels
-(:mod:`repro.queries.psr` / :mod:`repro.queries.psr_numpy`) and the
-query engine (:meth:`repro.queries.engine.QuerySession.derive`) consume
-to re-evaluate only the rows whose inputs moved.
+A cleaning round replaces or removes a few x-tuples -- one per
+successful probe -- so the ranked view supports *patched* derivation:
+:meth:`RankedDatabase.with_xtuples_changed` splices the changed
+x-tuples' rows out of / into the columnar arrays in O(n) (a boolean
+gather plus a ``np.searchsorted`` insert that replicates the full
+sort's exact ``(-score, insertion index)`` tie-breaking) instead of
+re-sorting, and returns one :class:`RankDelta` for the whole change
+set.  The delta is what the incremental PSR kernel
+(:func:`repro.queries.psr.apply_rank_delta`), the TP patch and the
+query engine (:meth:`repro.queries.engine.QuerySession.derive`)
+consume to re-evaluate only the rows from the first changed one down.
 """
 
 from __future__ import annotations
@@ -52,10 +52,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -66,8 +76,7 @@ from repro.exceptions import InvalidDatabaseError
 #: Mirror of :data:`repro.queries.psr.SATURATION_EPSILON` (the queries
 #: layer imports this one, so the two can never drift apart).  A factor
 #: whose cumulative mass reaches ``1 - ε`` behaves as a certain
-#: higher-ranked tuple in the PSR scan; the delta machinery uses the
-#: same threshold to decide where an x-tuple swap stops affecting rows.
+#: higher-ranked tuple in the PSR scan.
 SATURATION_EPSILON = 1e-12
 
 #: Memo key of an x-tuple's content-hash record (see :meth:`XTuple.encoded`).
@@ -102,7 +111,7 @@ class ProbabilisticDatabase:
     """An x-tuple probabilistic database.
 
     The database is immutable by convention: cleaning produces *new*
-    databases via :meth:`with_xtuple_replaced` rather than mutating in
+    databases via :meth:`with_xtuples_changed` rather than mutating in
     place, so that quality scores computed against one snapshot stay
     meaningful.
 
@@ -135,11 +144,11 @@ class ProbabilisticDatabase:
     ) -> "ProbabilisticDatabase":
         """Trusted fast-path constructor for cleaning derivations.
 
-        Swapping one already-validated x-tuple inside an
-        already-validated database cannot introduce duplicate ids, so
-        the duplicate check is skipped and the O(m) x-tuple map is
-        deferred to first use (:meth:`xtuple`), like the per-tuple maps
-        every database builds lazily.  Internal use only -- arbitrary
+        :meth:`RankedDatabase.with_xtuples_changed` has already checked
+        the replacements' ids against the database, so the duplicate
+        check is skipped and the O(m) x-tuple map is deferred to first
+        use (:meth:`xtuple`), like the per-tuple maps every database
+        builds lazily.  Internal use only -- arbitrary
         x-tuple collections must go through ``__init__``.
         """
         self = cls.__new__(cls)
@@ -257,7 +266,7 @@ class ProbabilisticDatabase:
 
         Two databases with the same x-tuples (ids, alternatives, values,
         probabilities, order) hash identically regardless of how they
-        were constructed -- cold load, :meth:`with_xtuple_replaced`
+        were constructed -- cold load, :meth:`with_xtuples_changed`
         derivation, or deserialization.  The name is deliberately
         excluded: snapshot identity is content identity.  The service
         layer (:mod:`repro.api`) uses this as the snapshot id under
@@ -269,8 +278,7 @@ class ProbabilisticDatabase:
         order.  Each record -- canonical JSON of ``[xid, [[tid, value,
         probability], ...]]`` plus a NUL separator -- is itself cached
         on its :class:`~repro.db.tuples.XTuple`, and a derived snapshot
-        (:meth:`RankedDatabase.with_xtuple_replaced` /
-        :meth:`RankedDatabase.with_xtuple_removed`) shares every
+        (:meth:`RankedDatabase.with_xtuples_changed`) shares every
         unchanged ``XTuple`` with its base.  Hashing a cleaning outcome
         therefore encodes only the x-tuples the cleaning changed, then
         pays one join and one SHA-256 over the whole database.
@@ -285,24 +293,36 @@ class ProbabilisticDatabase:
         self._content_hash = digest
         return digest
 
-    def with_xtuple_replaced(self, xid: str, replacement: XTuple) -> "ProbabilisticDatabase":
-        """Return a copy of the database with one x-tuple swapped out.
+    def with_xtuples_changed(
+        self, changes: Mapping[str, Optional[XTuple]]
+    ) -> "ProbabilisticDatabase":
+        """Return a copy with some x-tuples replaced or removed.
 
-        This is the primitive the cleaning executor uses: a successful
-        ``pclean(τ_l)`` replaces ``τ_l`` by a certain x-tuple (paper
-        Definition 5 -- compare Tables I and II, where cleaning ``S3``
-        turns ``udb1`` into ``udb2``).
+        ``changes`` maps x-tuple ids to a replacement, or to ``None``
+        for an x-tuple to delete -- a cleaning round's outcomes: a
+        successful ``pclean(τ_l)`` replaces ``τ_l`` by a certain x-tuple
+        (paper Definition 5 -- compare Tables I and II, where cleaning
+        ``S3`` turns ``udb1`` into ``udb2``), and a revealed null
+        removes it.  Returns ``self`` when ``changes`` is empty.
         """
-        if xid not in self._xid_map():
-            raise InvalidDatabaseError(f"unknown x-tuple id {xid!r}")
-        if replacement.xid != xid:
-            raise InvalidDatabaseError(
-                f"replacement x-tuple has id {replacement.xid!r}, expected {xid!r}"
-            )
-        new_xtuples = tuple(
-            replacement if xt.xid == xid else xt for xt in self._xtuples
+        if not changes:
+            return self
+        for xid, replacement in changes.items():
+            if xid not in self._xid_map():
+                raise InvalidDatabaseError(f"unknown x-tuple id {xid!r}")
+            if replacement is not None and replacement.xid != xid:
+                raise InvalidDatabaseError(
+                    f"replacement x-tuple has id {replacement.xid!r}, "
+                    f"expected {xid!r}"
+                )
+        kept = [changes.get(xt.xid, xt) for xt in self._xtuples]
+        return ProbabilisticDatabase(
+            [xt for xt in kept if xt is not None], name=self.name
         )
-        return ProbabilisticDatabase(new_xtuples, name=self.name)
+
+    def with_xtuple_replaced(self, xid: str, replacement: XTuple) -> "ProbabilisticDatabase":
+        """Return a copy of the database with one x-tuple swapped out."""
+        return self.with_xtuples_changed({xid: replacement})
 
     def ranked(self, ranking: Optional[RankingFunction] = None) -> "RankedDatabase":
         """Pre-sort the database under ``ranking`` (default: by value)."""
@@ -311,60 +331,46 @@ class ProbabilisticDatabase:
 
 @dataclass(frozen=True, eq=False)
 class RankDelta:
-    """How one x-tuple swap moved the ranked view's rows.
+    """How one change set -- a cleaning round's replaced and removed
+    x-tuples -- moved the ranked view's rows.
 
-    Produced by :meth:`RankedDatabase.with_xtuple_replaced` /
-    :meth:`RankedDatabase.with_xtuple_removed`; consumed by the delta
-    PSR kernels and :meth:`repro.queries.engine.QuerySession.derive`.
+    Produced by :meth:`RankedDatabase.with_xtuples_changed`; consumed by
+    :func:`repro.queries.psr.apply_rank_delta`,
+    :func:`repro.core.tp.patch_quality_tp` and
+    :meth:`repro.queries.engine.QuerySession.derive`.
 
     Attributes
     ----------
     old_ranked / new_ranked:
         The view the delta was derived from and the patched view.
-    xid:
-        Identifier of the swapped x-tuple.
-    old_index:
-        Its dense x-tuple index in the old view.
-    new_index:
-        Its dense index in the new view, or ``None`` when removed.  On
-        removal every dense index above ``old_index`` shifts down by
-        one (see :meth:`map_xtuple_index`).
     removed_rows / inserted_rows:
-        Rank positions of the old members (old coordinates) and the new
-        members (new coordinates), both ascending.
+        Rank positions of every changed x-tuple's old members (old
+        coordinates) and of the replacements' members (new
+        coordinates), both ascending.
+    removed_xtuples:
+        Old dense indices of the removed x-tuples, ascending.  Every
+        dense index above one of them shifts down by one (see
+        :meth:`map_xtuple_index`); a replaced x-tuple keeps its index.
     window_start:
-        First rank position whose PSR inputs moved; rows above it are
-        bitwise identical between the views.
-    tail_old / tail_new:
-        Matching rank positions from which the two views' scan states
-        coincide again -- every old row at or below ``tail_old`` equals
-        the new row shifted to ``tail_new`` coordinates.  ``None`` when
-        the swap's effect extends to the bottom of the ranking (the old
-        or new x-tuple never saturates, so its factor never leaves the
-        Poisson-binomial product).
+        The first changed row: rows above it are bitwise identical
+        between the views.
     """
 
     old_ranked: "RankedDatabase"
     new_ranked: "RankedDatabase"
-    xid: str
-    old_index: int
-    new_index: Optional[int]
     removed_rows: np.ndarray
     inserted_rows: np.ndarray
+    removed_xtuples: np.ndarray
     window_start: int
-    tail_old: Optional[int]
-    tail_new: Optional[int]
 
     @property
     def row_offset(self) -> int:
-        """``new row - old row`` for rows below the affected window."""
+        """``new row - old row`` for rows below the last changed one."""
         return int(self.inserted_rows.size - self.removed_rows.size)
 
     def map_xtuple_index(self, l: int) -> int:
-        """Old dense x-tuple index ``l`` expressed in new-view indexing."""
-        if self.new_index is None and l > self.old_index:
-            return l - 1
-        return l
+        """Old dense index ``l`` of a kept x-tuple in new-view indexing."""
+        return l - int(np.searchsorted(self.removed_xtuples, l))
 
 
 def _splice_list(items: List, removed: np.ndarray, positions: np.ndarray, values: List) -> List:
@@ -372,8 +378,7 @@ def _splice_list(items: List, removed: np.ndarray, positions: np.ndarray, values
 
     ``positions`` are insertion points relative to the survivor list
     (``np.insert`` semantics).  Slice-level copying keeps the whole
-    splice at C speed -- the per-probe cost that matters on the
-    cleaning hot path.
+    splice at C speed.
     """
     out: List = []
     prev = 0
@@ -390,9 +395,10 @@ class _OrderPatch:
     """A deferred splice of a ranked ``order`` list.
 
     The tuple-object list is the one column nothing on the cleaning hot
-    path reads -- the kernels consume the numeric arrays -- so patched
-    views record the splice and materialize only when (and if) someone
-    asks for ``order`` / ``position``.  Holds the *parent's order
+    path reads -- the kernels consume the numeric arrays -- so a patched
+    view records its change set's splice and materializes only when
+    (and if) someone asks for ``order`` / ``position``; reading the
+    view's length does not.  Holds the *parent's order
     state* (a list, or another pending patch), never the parent view
     itself, so dropped intermediate snapshots stay collectable.
     """
@@ -413,7 +419,8 @@ class _OrderPatch:
 
     def materialize(self) -> List[ProbabilisticTuple]:
         # Collapse the whole pending chain iteratively (chains grow one
-        # link per probe; recursion would hit limits on long runs).
+        # link per cleaning round; recursion would hit limits on long
+        # runs).
         chain = [self]
         parent = self.parent
         while isinstance(parent, _OrderPatch):
@@ -427,22 +434,9 @@ class _OrderPatch:
         return items
 
 
-def _scan_saturates(probabilities: np.ndarray) -> bool:
-    """Whether the PSR scan treats this member mass as saturated.
-
-    Replicates the scan's own accumulation (sequential adds in rank
-    order, clamped at one) rather than ``fsum``, so the delta layer's
-    saturation decision can never disagree with the kernels'.
-    """
-    mass = 0.0
-    for e in probabilities:
-        mass = min(1.0, mass + float(e))
-    return mass >= 1.0 - SATURATION_EPSILON
-
-
 #: Attribute names of the ranked view's canonical columnar arrays.
-#: Every array listed here is write-protected at rest; mutation must go
-#: through :meth:`RankedDatabase.mutable_view`.
+#: Every array listed here is write-protected at rest; patched views
+#: build fresh arrays instead of writing into these.
 CANONICAL_COLUMNS = (
     "scores_array",
     "insertion_array",
@@ -574,40 +568,10 @@ class RankedDatabase:
         arrays, so a stray in-place write would silently corrupt every
         cached result derived from the view.  With the flag cleared,
         such a write raises ``ValueError: assignment destination is
-        read-only`` at the offending line instead.  Deliberate patching
-        goes through :meth:`mutable_view`.
+        read-only`` at the offending line instead.
         """
         for column in CANONICAL_COLUMNS:
             getattr(self, column).setflags(write=False)
-
-    @contextmanager
-    def mutable_view(self, column: str) -> Iterator[np.ndarray]:
-        """Temporarily writable access to one canonical column.
-
-        The explicit escape hatch for code that *must* mutate a
-        canonical array in place (the delta engine's patch paths);
-        everything else reads the arrays or builds fresh ones.  The
-        column is re-frozen when the ``with`` block exits, error or
-        not::
-
-            with ranked.mutable_view("probabilities_array") as column:
-                column[rows] = new_masses
-
-        Mutating shared state invalidates any session cache built over
-        the view -- callers own that invalidation, which is why the
-        hatch is this loud.
-        """
-        if column not in CANONICAL_COLUMNS:
-            raise ValueError(
-                f"unknown canonical column {column!r}; "
-                f"expected one of {CANONICAL_COLUMNS}"
-            )
-        array: np.ndarray = getattr(self, column)
-        array.setflags(write=True)
-        try:
-            yield array
-        finally:
-            array.setflags(write=False)
 
     def psr_columns(self) -> Tuple[np.ndarray, np.ndarray]:
         """Zero-copy export of the PSR scan's input columns.
@@ -673,14 +637,16 @@ class RankedDatabase:
 
     @property
     def num_tuples(self) -> int:
-        return len(self.order)
+        # Read a canonical column, not ``order``: that would materialize
+        # a patched view's deferred splice.
+        return len(self.scores_array)
 
     @property
     def num_xtuples(self) -> int:
         return len(self.xtuple_ids)
 
     def __len__(self) -> int:
-        return len(self.order)
+        return self.num_tuples
 
     def rank_of(self, tid: str) -> int:
         """Zero-based rank position of tuple ``tid`` (0 = highest)."""
@@ -728,10 +694,6 @@ class RankedDatabase:
     # ------------------------------------------------------------------
     # Incremental derivation (array patching; no re-sort)
     # ------------------------------------------------------------------
-    def _member_rows(self, l: int) -> np.ndarray:
-        """Ascending rank positions of x-tuple ``l``'s members."""
-        return np.nonzero(self.xtuple_indices_array == l)[0]
-
     def _insert_positions(
         self,
         kept_scores: np.ndarray,
@@ -748,283 +710,174 @@ class RankedDatabase:
         where a full ``lexsort`` would put it.
         """
         negated = -kept_scores
-        positions = np.empty(len(scores), dtype=np.int64)
-        for j, (score, ins) in enumerate(zip(scores, insertion)):
-            lo = int(np.searchsorted(negated, -score, side="left"))
-            hi = int(np.searchsorted(negated, -score, side="right"))
+        positions = np.searchsorted(negated, -scores, side="left")
+        ends = np.searchsorted(negated, -scores, side="right")
+        for j in np.flatnonzero(ends > positions).tolist():
+            lo, hi = int(positions[j]), int(ends[j])
             positions[j] = lo + int(
-                np.searchsorted(kept_insertion[lo:hi], ins)
+                np.searchsorted(kept_insertion[lo:hi], insertion[j])
             )
         return positions
 
-    def _collapse_patch(
-        self,
-        replacement: XTuple,
-        l: int,
-        removed: np.ndarray,
-        offset_l: int,
-        r_rev: int,
-    ) -> Tuple["RankedDatabase", "RankDelta"]:
-        """Fast path for Definition 5's collapse-to-certain replacement.
+    def _check_tids(
+        self, replacements: Iterable[XTuple], old: Iterable[XTuple]
+    ) -> None:
+        """Mirror :class:`ProbabilisticDatabase`'s duplicate-tid check
+        for the replacements' members.
 
-        The revealed alternative keeps its tid, value and insertion
-        slot, so its rank is its old rank minus the siblings removed
-        above it -- no binary search needed, and every column outside
-        the member span is a contiguous shifted copy (two ``memcpy``
-        slices per column instead of whole-array fancy indexing).  This
-        is the per-probe O(n) patch on the cleaning hot path.
+        A tid one of the ``old`` (changed) x-tuples held -- a collapse
+        keeps its revealed alternative's -- cannot clash with an
+        unchanged x-tuple, so only fresh tids consult the database's
+        tuple map.
         """
-        member = replacement.alternatives[0]
-        c_old = int(removed.size)
-        p = r_rev - int(np.searchsorted(removed, r_rev))
-        n_old = len(self.scores_array)
-        n_new = n_old - c_old + 1
-        w0 = int(removed[0])
-        b_old = int(removed[-1]) + 1
-        b_new = b_old - c_old + 1
-        survivor_mask = np.ones(b_old - w0, dtype=bool)
-        survivor_mask[removed - w0] = False
+        own = set(chain.from_iterable([xt.tids for xt in old]))
+        seen: Set[str] = set()
+        for tid in chain.from_iterable([xt.tids for xt in replacements]):
+            if tid in seen or (tid not in own and tid in self.db):
+                raise InvalidDatabaseError(
+                    f"duplicate tuple id {tid!r} across x-tuples"
+                )
+            seen.add(tid)
 
-        def splice(arr: np.ndarray, value: Union[int, float]) -> np.ndarray:
-            out = np.empty(n_new, dtype=arr.dtype)
-            out[:w0] = arr[:w0]
-            out[b_new:] = arr[b_old:]
-            window = arr[w0:b_old][survivor_mask]
-            out[w0:p] = window[: p - w0]
-            out[p] = value
-            out[p + 1 : b_new] = window[p - w0 :]
-            return out
+    def with_xtuples_changed(
+        self, changes: Mapping[str, Optional[XTuple]]
+    ) -> Tuple["RankedDatabase", "RankDelta"]:
+        """Derive the ranked view with a set of x-tuples replaced or removed.
 
-        scores = splice(self.scores_array, self.scores_array[r_rev])
-        probabilities = splice(self.probabilities_array, 1.0)
-        xtuple_indices = splice(self.xtuple_indices_array, l)
-        insertion = splice(self.insertion_array, offset_l)
-        if c_old > 1:
-            insertion[insertion >= offset_l + c_old] += 1 - c_old
-        completion = self.completion_array.copy()
-        completion[l] = replacement.completion_probability
-
-        old_xtuples = self.db.xtuples
-        new_db = ProbabilisticDatabase._derived(
-            old_xtuples[:l] + (replacement,) + old_xtuples[l + 1 :],
-            self.db.name,
-            self.db.num_tuples - c_old + 1,
+        ``changes`` maps x-tuple ids to a replacement x-tuple, or to
+        ``None`` to delete the x-tuple outright -- one cleaning round's
+        probe outcomes (a collapse to the revealed alternative, or a
+        revealed null).  The columnar arrays are patched in O(n) instead
+        of re-ranked: the changed x-tuples' rows are dropped, the
+        replacements' rows binary-searched in (replicating the full
+        sort's ``(-score, insertion index)`` order), and the dense
+        indices above each removed x-tuple shift down.  The patched view
+        is bitwise the view a cold ``RankedDatabase`` over the changed
+        database builds; the :class:`RankDelta` says which rows moved.
+        """
+        xtuples = list(self.db.xtuples)
+        replaced: Dict[int, XTuple] = {}
+        removed: List[int] = []
+        for xid, replacement in changes.items():
+            l = self.xtuple_index_of(xid)
+            if replacement is None:
+                removed.append(l)
+            elif replacement.xid != xid:
+                raise InvalidDatabaseError(
+                    f"replacement x-tuple has id {replacement.xid!r}, "
+                    f"expected {xid!r}"
+                )
+            else:
+                replaced[l] = replacement
+        self._check_tids(
+            replaced.values(), [xtuples[l] for l in chain(replaced, removed)]
         )
-        inserted = np.array([p], dtype=np.int64)
+
+        # Rows of every changed x-tuple leave; the others survive in
+        # their relative order.
+        m = len(xtuples)
+        changed = np.zeros(m, dtype=bool)
+        changed[list(replaced) + removed] = True
+        row_changed = changed[self.xtuple_indices_array]
+        removed_rows = np.flatnonzero(row_changed)
+        survivors = np.flatnonzero(~row_changed)
+
+        # Insertion offsets and dense indices before and after, indexed
+        # by old dense index (a removed x-tuple's new size is zero).
+        sizes = np.bincount(self.xtuple_indices_array, minlength=m)
+        new_sizes = sizes.copy()
+        for l, replacement in replaced.items():
+            new_sizes[l] = len(replacement.alternatives)
+        new_sizes[removed] = 0
+        offsets = np.cumsum(sizes) - sizes
+        new_offsets = np.cumsum(new_sizes) - new_sizes
+        is_removed = np.zeros(m, dtype=bool)
+        is_removed[removed] = True
+        new_index = np.arange(m, dtype=np.int64) - np.cumsum(is_removed)
+
+        # The replacements' members in canonical (-score, insertion)
+        # order, as (-score, insertion, dense index, tuple).
+        score = self.ranking.score
+        entries = sorted(
+            (-float(value), int(new_offsets[l]) + j, int(new_index[l]), t)
+            for l, xt in replaced.items()
+            for j, (t, value) in enumerate(
+                zip(xt.alternatives, xt.scores(score))
+            )
+        )
+        members = [t for _, _, _, t in entries]
+        new_scores = np.array([-e[0] for e in entries], dtype=np.float64)
+        new_ins = np.array([e[1] for e in entries], dtype=np.int64)
+
+        kept_ins = self.insertion_array[survivors] + (new_offsets - offsets)[
+            self.xtuple_indices_array[survivors]
+        ]
+        positions = self._insert_positions(
+            self.scores_array[survivors], kept_ins, new_scores, new_ins
+        )
+        inserted_rows = positions + np.arange(len(members), dtype=np.int64)
+
+        # One source-index gather per column: new row i takes old row
+        # source[i], with the inserted rows scattered on top.
+        source = np.insert(survivors, positions, 0)
+        scores = self.scores_array[source]
+        scores[inserted_rows] = new_scores
+        probabilities = self.probabilities_array[source]
+        probabilities[inserted_rows] = [t.probability for t in members]
+        xtuple_indices = new_index[self.xtuple_indices_array[source]]
+        xtuple_indices[inserted_rows] = [e[2] for e in entries]
+        insertion = np.insert(kept_ins, positions, new_ins)
+
+        completion = self.completion_array.copy()
+        for l, replacement in replaced.items():
+            xtuples[l] = replacement
+            completion[l] = replacement.completion_probability
+        xtuple_ids = self.xtuple_ids
+        xid_to_index = self._xid_to_index_map
+        if removed:
+            keep = np.flatnonzero(~is_removed).tolist()
+            xtuples = [xtuples[l] for l in keep]
+            xtuple_ids = [xtuple_ids[l] for l in keep]
+            completion = completion[keep]
+            xid_to_index = None
         new_ranked = RankedDatabase._patched(
-            db=new_db,
+            db=ProbabilisticDatabase._derived(
+                tuple(xtuples), self.db.name, len(scores)
+            ),
             ranking=self.ranking,
-            order=_OrderPatch(self._order_state, removed, inserted, [member]),
+            order=_OrderPatch(self._order_state, removed_rows, positions, members),
             scores=scores,
             insertion=insertion,
             xtuple_indices=xtuple_indices,
             probabilities=probabilities,
             completion=completion,
-            xtuple_ids=self.xtuple_ids,
-            xid_to_index=self._xid_to_index_map,
+            xtuple_ids=xtuple_ids,
+            xid_to_index=xid_to_index,
         )
-        tail_old = tail_new = None
-        if _scan_saturates(self.probabilities_array[removed]):
-            # The certain replacement always saturates; equalization
-            # needs the old x-tuple to saturate too.
-            tail_old, tail_new = b_old, b_new
+        firsts = [
+            int(rows[0]) for rows in (removed_rows, inserted_rows) if rows.size
+        ]
         delta = RankDelta(
             old_ranked=self,
             new_ranked=new_ranked,
-            xid=replacement.xid,
-            old_index=l,
-            new_index=l,
-            removed_rows=removed,
-            inserted_rows=inserted,
-            window_start=w0,
-            tail_old=tail_old,
-            tail_new=tail_new,
+            removed_rows=removed_rows,
+            inserted_rows=inserted_rows,
+            removed_xtuples=np.array(sorted(removed), dtype=np.int64),
+            window_start=min(firsts, default=len(self.scores_array)),
         )
         return new_ranked, delta
 
     def with_xtuple_replaced(
         self, xid: str, replacement: XTuple
     ) -> Tuple["RankedDatabase", "RankDelta"]:
-        """Derive the ranked view of ``db.with_xtuple_replaced(...)``.
-
-        Patches the columnar arrays in O(n) -- delete the old members'
-        rows, binary-search the replacement's rows in -- instead of
-        re-ranking from scratch, and returns the patched view together
-        with the :class:`RankDelta` describing which rank window moved.
-        The patched view is exactly (bitwise) the view a cold
-        ``RankedDatabase`` construction over the new database would
-        produce.
-        """
-        if replacement.xid != xid:
-            raise InvalidDatabaseError(
-                f"replacement x-tuple has id {replacement.xid!r}, expected {xid!r}"
-            )
-        l = self.xtuple_index_of(xid)
-        removed = self._member_rows(l)
-        c_old = int(removed.size)
-        offset_l = int(self.insertion_array[removed].min())
-        alts = replacement.alternatives
-        c_new = len(alts)
-
-        if c_new == 1 and replacement.is_certain:
-            old_members = self.db.xtuple(xid).alternatives
-            member = alts[0]
-            for j, t in enumerate(old_members):
-                if t.tid == member.tid and t.value == member.value:
-                    rev_rows = removed[
-                        self.insertion_array[removed] == offset_l + j
-                    ]
-                    r_rev = int(rev_rows[0])
-                    if self.ranking(member) == self.scores_array[r_rev]:
-                        # Probability-blind ranking (the normal case):
-                        # the revealed alternative keeps its rank slot.
-                        return self._collapse_patch(
-                            replacement, l, removed, offset_l, r_rev
-                        )
-                    break
-
-        # General path: replacement members may carry fresh tids, so
-        # mirror ProbabilisticDatabase.__init__'s cross-x-tuple
-        # uniqueness check (the collapse fast path above reuses an own
-        # tid and needs none).
-        for t in alts:
-            if t.tid in self.db and self.db.tuple(t.tid).xtuple_id != xid:
-                raise InvalidDatabaseError(
-                    f"duplicate tuple id {t.tid!r} across x-tuples"
-                )
-
-        n_old = len(self.scores_array)
-        survivors = np.delete(np.arange(n_old, dtype=np.int64), removed)
-        kept_scores = self.scores_array[survivors]
-        kept_ins = self.insertion_array[survivors]
-        if c_new != c_old:
-            kept_ins = np.where(
-                kept_ins >= offset_l + c_old, kept_ins + (c_new - c_old), kept_ins
-            )
-
-        new_scores = np.array([self.ranking(t) for t in alts], dtype=np.float64)
-        new_ins = offset_l + np.arange(c_new, dtype=np.int64)
-        member_order = np.lexsort((new_ins, -new_scores))
-        new_scores = new_scores[member_order]
-        new_ins = new_ins[member_order]
-        new_probs = np.array(
-            [alts[j].probability for j in member_order], dtype=np.float64
-        )
-        members = [alts[j] for j in member_order]
-
-        positions = self._insert_positions(
-            kept_scores, kept_ins, new_scores, new_ins
-        )
-        inserted = positions + np.arange(c_new, dtype=np.int64)
-
-        # One source-index gather per float/int column: new row i takes
-        # old row source[i], with the inserted rows scattered on top.
-        source = np.insert(survivors, positions, 0)
-        scores = self.scores_array[source]
-        scores[inserted] = new_scores
-        insertion = np.insert(kept_ins, positions, new_ins)
-        xtuple_indices = self.xtuple_indices_array[source]
-        xtuple_indices[inserted] = l
-        probabilities = self.probabilities_array[source]
-        probabilities[inserted] = new_probs
-
-        completion = self.completion_array.copy()
-        completion[l] = replacement.completion_probability
-
-        old_xtuples = self.db.xtuples
-        new_db = ProbabilisticDatabase._derived(
-            old_xtuples[:l] + (replacement,) + old_xtuples[l + 1 :],
-            self.db.name,
-            self.db.num_tuples - c_old + c_new,
-        )
-        new_ranked = RankedDatabase._patched(
-            db=new_db,
-            ranking=self.ranking,
-            order=_OrderPatch(self._order_state, removed, positions, members),
-            scores=scores,
-            insertion=insertion,
-            xtuple_indices=xtuple_indices,
-            probabilities=probabilities,
-            completion=completion,
-            xtuple_ids=self.xtuple_ids,
-            xid_to_index=self._xid_to_index,
-        )
-
-        window_start = int(min(removed[0], inserted[0]))
-        tail_old = tail_new = None
-        if _scan_saturates(
-            self.probabilities_array[removed]
-        ) and _scan_saturates(new_probs):
-            # Both the old and the new x-tuple saturate once fully
-            # scanned: below the last member of either, each view sees
-            # the factor as one guaranteed higher-ranked tuple, so the
-            # scans coincide again.
-            tail_new = max(int(inserted[-1]) + 1, int(removed[-1]) + 1 - c_old + c_new)
-            tail_old = tail_new - c_new + c_old
-        delta = RankDelta(
-            old_ranked=self,
-            new_ranked=new_ranked,
-            xid=xid,
-            old_index=l,
-            new_index=l,
-            removed_rows=removed,
-            inserted_rows=inserted,
-            window_start=window_start,
-            tail_old=tail_old,
-            tail_new=tail_new,
-        )
-        return new_ranked, delta
+        """Derive the ranked view with one x-tuple swapped out: the
+        one-entry case of :meth:`with_xtuples_changed`."""
+        return self.with_xtuples_changed({xid: replacement})
 
     def with_xtuple_removed(
         self, xid: str
     ) -> Tuple["RankedDatabase", "RankDelta"]:
-        """Derive the ranked view with one x-tuple deleted outright.
-
-        The revealed-null outcome of a cleaning probe: the entity is
-        now certain to contribute nothing, so its rows are spliced out
-        of the arrays and its dense index vacated (indices above it
-        shift down by one).  Returns the patched view and the delta.
-        """
-        l = self.xtuple_index_of(xid)
-        removed = self._member_rows(l)
-        c_old = int(removed.size)
-        offset_l = int(self.insertion_array[removed].min())
-
-        kept_ins = np.delete(self.insertion_array, removed)
-        kept_ins[kept_ins >= offset_l + c_old] -= c_old
-        kept_xidx = np.delete(self.xtuple_indices_array, removed)
-        kept_xidx[kept_xidx > l] -= 1
-
-        old_xtuples = self.db.xtuples
-        new_db = ProbabilisticDatabase._derived(
-            old_xtuples[:l] + old_xtuples[l + 1 :],
-            self.db.name,
-            self.db.num_tuples - c_old,
-        )
-        new_ranked = RankedDatabase._patched(
-            db=new_db,
-            ranking=self.ranking,
-            order=_OrderPatch(
-                self._order_state, removed, np.zeros(0, dtype=np.int64), []
-            ),
-            scores=np.delete(self.scores_array, removed),
-            insertion=kept_ins,
-            xtuple_indices=kept_xidx,
-            probabilities=np.delete(self.probabilities_array, removed),
-            completion=np.delete(self.completion_array, l),
-            xtuple_ids=self.xtuple_ids[:l] + self.xtuple_ids[l + 1 :],
-            xid_to_index=None,
-        )
-        delta = RankDelta(
-            old_ranked=self,
-            new_ranked=new_ranked,
-            xid=xid,
-            old_index=l,
-            new_index=None,
-            removed_rows=removed,
-            inserted_rows=np.zeros(0, dtype=np.int64),
-            window_start=int(removed[0]),
-            tail_old=None,
-            tail_new=None,
-        )
-        return new_ranked, delta
+        """Derive the ranked view with one x-tuple deleted outright (a
+        revealed null): the one-entry case of
+        :meth:`with_xtuples_changed`."""
+        return self.with_xtuples_changed({xid: None})

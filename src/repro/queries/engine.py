@@ -26,17 +26,17 @@ Sharing semantics of :class:`QuerySession`
 A session is bound to one immutable database snapshot and one ranking.
 Cached state is only valid under the repository-wide convention that
 databases are never mutated in place (cleaning produces *new*
-databases via ``with_xtuple_replaced``).  To follow a database through
+databases via ``with_xtuples_changed``).  To follow a database through
 cleaning, call :meth:`QuerySession.derive` with the cleaned snapshot:
 it returns a fresh session sharing the ranking/kernel configuration
 -- or the *same* session (cache intact) when the snapshot is
 identical, which is what makes failed-probe rounds of adaptive
 cleaning O(answer-extraction).  When the snapshot was derived through
-``RankedDatabase.with_xtuple_replaced`` / ``with_xtuple_removed``,
-pass the resulting :class:`~repro.db.database.RankDelta` as
-``derive(..., delta=...)`` and the new session *patches* its memoized
-PSR state and quality instead of starting cold -- the incremental
-path the cleaning executor threads per successful probe.  Sessions are
+``RankedDatabase.with_xtuples_changed``, pass the resulting
+:class:`~repro.db.database.RankDelta` as ``derive(..., delta=...)`` and
+the new session *patches* its memoized PSR state and quality instead
+of starting cold -- the incremental path the cleaning executor takes
+once per round that changed the database.  Sessions are
 not thread-safe; share them within one evaluation pipeline, not
 across threads.
 """
@@ -171,13 +171,13 @@ class QuerySession:
         every probe failed.
 
         With a :class:`~repro.db.database.RankDelta` (produced by
-        ``RankedDatabase.with_xtuple_replaced`` / ``with_xtuple_removed``
-        against this session's ranked view), the derived session does
+        ``RankedDatabase.with_xtuples_changed`` against this session's
+        ranked view -- one per cleaning round), the derived session does
         not start cold: every memoized :class:`RankProbabilities` is
-        patched through :func:`~repro.queries.psr.apply_rank_delta`
-        (O(k · affected-window) instead of a fresh O(kn) pass) and the
-        quality / ``g(l, D)`` arrays are rebuilt from the patched PSR
-        output.  Counters (``psr_hits`` / ``psr_misses`` /
+        patched once through :func:`~repro.queries.psr.apply_rank_delta`
+        (a re-scan from the first changed row to the stop instead of a
+        fresh pass) and the quality / ``g(l, D)`` arrays are spliced
+        from the patched PSR output.  Counters (``psr_hits`` / ``psr_misses`` /
         ``psr_patches`` / ``cold_derives`` / ``delta_derives``) carry
         over cumulatively so the end of a cleaning run reports how many
         full passes the whole run cost.
@@ -208,8 +208,8 @@ class QuerySession:
             cached_quality = self._quality.get(k)
             if cached_quality is not None:
                 # Weights are row-local (own-sibling masses only), so
-                # the quality patches by splicing the swapped rows out
-                # of the weight vector -- O(n) memcpy plus one dot.
+                # the quality patches by splicing the changed x-tuples'
+                # rows in the weight vector -- O(n) memcpy plus one dot.
                 patched_quality = patch_quality_tp(cached_quality, patched, delta)
                 if patched_quality is not None:
                     derived._quality[k] = patched_quality

@@ -207,27 +207,24 @@ class _PendingRho:
     Nothing on the cleaning hot path reads full ρ rows -- quality and
     the cleaning inputs consume ``topk_prefix`` -- so a patched
     :class:`RankProbabilities` records *how* its matrix derives from
-    its parent's (prefix rows, re-scanned window rows, reused tail
-    rows) and materializes only when a query answer actually asks.
-    Holds the parent's ρ state (an ndarray, another pending splice, or
-    a kernel's deferred rows), never the parent object, so intermediate
-    snapshots stay collectable.
+    its parent's (the parent's rows above the delta's window, then the
+    re-scanned rows) and materializes only when a query answer actually
+    asks.  Holds the parent's ρ state (an ndarray, another pending
+    splice, or a kernel's deferred rows), never the parent object, so
+    intermediate snapshots stay collectable.
     """
 
-    __slots__ = ("parent", "prefix_end", "window", "tail")
+    __slots__ = ("parent", "prefix_end", "window")
 
     def __init__(
         self,
         parent: Union[np.ndarray, DeferredRho],
         prefix_end: int,
         window: Union[np.ndarray, DeferredRho],
-        tail: Optional[Tuple[int, int]],
     ) -> None:
         self.parent = parent
         self.prefix_end = prefix_end
         self.window = window
-        #: ``(start, end)`` rows of the parent matrix, or ``None``.
-        self.tail = tail
 
     def materialize(self) -> np.ndarray:
         chain = [self]
@@ -237,10 +234,9 @@ class _PendingRho:
             parent = parent.parent
         rho = _materialized(parent)
         for pending in reversed(chain):
-            parts = [rho[: pending.prefix_end], _materialized(pending.window)]
-            if pending.tail is not None:
-                parts.append(rho[pending.tail[0] : pending.tail[1]])
-            rho = np.vstack(parts)
+            rho = np.vstack(
+                [rho[: pending.prefix_end], _materialized(pending.window)]
+            )
         return rho
 
 
@@ -563,23 +559,20 @@ def compute_rank_probabilities(
     return _compute_rank_probabilities_python(ranked, k, tail_epsilon)
 
 
-def _remap_checkpoint(ck: ScanCheckpoint, delta: RankDelta, row: int) -> ScanCheckpoint:
-    """A checkpoint re-expressed in the patched view's coordinates.
-
-    Rows move by the delta's offset below the window; on a removal the
-    dense x-tuple indices above the vacated slot shift down by one.
-    The ``closed_dp`` array is shared -- checkpoints are immutable.
-    """
-    if delta.new_index is None:
-        masses = {
-            delta.map_xtuple_index(l): q for l, q in ck.open_masses.items()
-        }
-    else:
-        masses = ck.open_masses
-    if row == ck.row and masses is ck.open_masses:
+def _remap_checkpoint(ck: ScanCheckpoint, delta: RankDelta) -> ScanCheckpoint:
+    """A checkpoint above the delta's window in the patched view's
+    dense x-tuple indexing (indices above each removed x-tuple shift
+    down by one).  The ``closed_dp`` array is shared -- checkpoints are
+    immutable."""
+    if not delta.removed_xtuples.size:
         return ck
+    keys = np.fromiter(ck.open_masses, np.int64, len(ck.open_masses))
+    keys -= np.searchsorted(delta.removed_xtuples, keys)
     return ScanCheckpoint(
-        row=row, shift=ck.shift, closed_dp=ck.closed_dp, open_masses=masses
+        row=ck.row,
+        shift=ck.shift,
+        closed_dp=ck.closed_dp,
+        open_masses=dict(zip(keys.tolist(), ck.open_masses.values())),
     )
 
 
@@ -588,25 +581,23 @@ def apply_rank_delta(
 ) -> RankProbabilities:
     """PSR output for the patched view, from the old output + delta.
 
-    Rows above the delta's window and below its tail are carried over
-    verbatim; only the window ``[window_start, tail)`` is re-scanned by
-    the block kernel, starting from the nearest stored
-    :class:`ScanCheckpoint` (at most ``CHECKPOINT_INTERVAL`` replay rows
-    away) -- O(n) array splicing plus O(k·window) kernel work instead of
-    a fresh O(kn) pass.  When the swapped x-tuple never saturates
-    (incomplete entities, outright removal) there is no tail and the
-    re-scan runs from the window to the stop row; the prefix and the
-    checkpoint restore still apply.  A result without checkpoints (a
-    scalar pass, a restricted view) is re-scanned from row 0.  Whatever
-    kernel produced ``old_rp``, the patched result is the block
-    kernel's (``backend == "numpy"``).
+    Rows above the delta's window -- its first changed row -- are
+    carried over verbatim; the block kernel re-scans from the nearest
+    stored :class:`ScanCheckpoint` at or above the window (at most
+    ``CHECKPOINT_INTERVAL`` replay rows) to the patched view's stop.  A
+    delta covers a whole cleaning round, so one window pays for every
+    x-tuple the round changed.  No rows below the window are reused:
+    a change set moves every later row's mass above it unless each
+    changed x-tuple saturates before and after, which incomplete data
+    never offers, and on complete data Lemma 2 stops the re-scan a few
+    hundred rows below the window anyway.  A result without
+    checkpoints (a scalar pass, a restricted view) is re-scanned from
+    row 0.  Whatever kernel produced ``old_rp``, the patched result is
+    the block kernel's (``backend == "numpy"``).
 
     The patched view's tail stop comes from its own probability column
     (at the old result's ``tail_epsilon``), so it is the row a cold
-    pass stops at.  A probe can move it either way: when it falls above
-    the reusable tail the window ends there and no tail rows are
-    spliced, and when it falls below the rows the old pass kept the
-    tail is not reused.
+    pass stops at.
 
     Agrees with a from-scratch pass over the patched view, by either
     kernel, within 1e-9 (exercised by ``tests/test_delta_engine.py``).
@@ -622,7 +613,7 @@ def apply_rank_delta(
     start = delta.window_start
     stop = tail_stop(new_ranked, k, epsilon)
     prefix_ckpts = [
-        _remap_checkpoint(ck, delta, ck.row)
+        _remap_checkpoint(ck, delta)
         for ck in (old_rp.checkpoints or [])
         if ck.row <= min(start, old_rp.cutoff)
     ]
@@ -640,7 +631,7 @@ def apply_rank_delta(
             rho_prefix=(
                 old_rp._rho_state
                 if kept == old_rp.cutoff
-                else _PendingRho(old_rp._rho_state, kept, np.zeros((0, k)), None)
+                else _PendingRho(old_rp._rho_state, kept, np.zeros((0, k)))
             ),
             topk_prefix=old_rp.topk_prefix[:kept],
             backend="numpy",
@@ -648,59 +639,19 @@ def apply_rank_delta(
             tail_epsilon=epsilon,
         )
 
-    tail_old, tail_new = delta.tail_old, delta.tail_new
-    offset = delta.row_offset
-    if tail_old is not None and (
-        old_rp.cutoff < tail_old
-        or (
-            stop - offset > old_rp.cutoff
-            and old_rp.cutoff >= tail_stop(old_rp.ranked, k, epsilon)
-        )
-    ):
-        # The old pass never reached the equalization point, or its
-        # tail stop ended it above the new stop: the rows below the
-        # window that the patched view needs were never scanned.
-        tail_old = tail_new = None
-    window_end = stop if tail_new is None else min(stop, tail_new)
-
     from repro.queries.psr_numpy import _delta_window_numpy
 
-    window_rho, window_topk, end, fresh_ckpts = _delta_window_numpy(
-        old_rp, delta, start, window_end, prefix_ckpts
+    window_rho, window_topk, cutoff, fresh_ckpts = _delta_window_numpy(
+        old_rp, delta, start, stop, prefix_ckpts
     )
-
-    prefix_topk = old_rp.topk_prefix[:start]
-    # Branch on the tail, not the stop: a stop above the tail ends the
-    # window early, and then no tail row belongs to the new view.
-    if tail_new is None or end < tail_new:
-        cutoff = end
-        rho = _PendingRho(old_rp._rho_state, start, window_rho, None)
-        topk = np.concatenate([prefix_topk, window_topk])
-        checkpoints = prefix_ckpts + fresh_ckpts
-    else:
-        # The new stop can still fall inside the reused rows.
-        cutoff = min(old_rp.cutoff + offset, stop)
-        tail_end = cutoff - offset
-        rho = _PendingRho(
-            old_rp._rho_state, start, window_rho, (tail_old, tail_end)
-        )
-        topk = np.concatenate(
-            [prefix_topk, window_topk, old_rp.topk_prefix[tail_old:tail_end]]
-        )
-        tail_ckpts = [
-            _remap_checkpoint(ck, delta, ck.row + offset)
-            for ck in (old_rp.checkpoints or [])
-            if tail_old <= ck.row < tail_end
-        ]
-        checkpoints = prefix_ckpts + fresh_ckpts + tail_ckpts
     return RankProbabilities(
         k=k,
         ranked=new_ranked,
         cutoff=cutoff,
-        rho_prefix=rho,
-        topk_prefix=topk,
+        rho_prefix=_PendingRho(old_rp._rho_state, start, window_rho),
+        topk_prefix=np.concatenate([old_rp.topk_prefix[:start], window_topk]),
         backend="numpy",
-        checkpoints=checkpoints,
+        checkpoints=prefix_ckpts + fresh_ckpts,
         tail_epsilon=epsilon,
     )
 

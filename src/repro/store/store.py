@@ -75,14 +75,12 @@ discards the dead file, which recovery skipped unverified) *before*
 committing the new segment, so an acknowledged persist can never be
 unlinked by a later checkpoint or skipped by recovery.
 
-**Group commit** (``durability="batch"``) coalesces *journal* fsyncs:
-appends mark the journal dirty and a single fsync covers every append
-in a flush interval.  Reads (:meth:`journal_records`,
-:meth:`pending_cleanings`, :meth:`status`), ``checkpoint`` and
-``persist`` are flush barriers -- in particular the barrier in
-``persist`` preserves the write-ahead ordering (the journal record is
-durable before its outcome segment commits).  ``"fsync"`` (the
-default) keeps one fsync per append.
+**Durability.**  ``"fsync"`` (the default) syncs every journal append
+and every segment commit, so a journal record is durable before its
+outcome segment commits; ``"none"`` skips fsyncs.  There is no group
+commit: a durable clean journals its outcome and then persists it,
+and the persist needs the record durable first, so a coalescing
+window would have nothing to coalesce.
 
 Fault injection: every named step of the write / read protocols calls
 :func:`repro.testing.faults.draw_disk_fault`, so the crash-atomicity
@@ -111,7 +109,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -180,9 +177,6 @@ JOURNAL_SCHEMA = 1
 
 #: Environment knob for the automatic checkpoint threshold (records).
 JOURNAL_MAX_RECORDS_ENV = "REPRO_JOURNAL_MAX_RECORDS"
-
-#: Default group-commit flush interval, in milliseconds.
-DEFAULT_FLUSH_INTERVAL_MS = 50.0
 
 _SEGMENTS_DIR = "segments"
 _QUARANTINE_DIR = "quarantine"
@@ -343,11 +337,10 @@ class SnapshotStore:
         The store directory (created if absent).
     durability:
         ``"fsync"`` (default) syncs file and directory at every
-        commit point -- the crash-safe mode.  ``"batch"`` syncs every
-        segment commit but group-commits journal fsyncs (see the
-        module docstring).  ``"none"`` skips fsyncs: atomic
-        renames still give all-or-nothing *files*, but a power cut may
-        revert to pre-state; meant for tests and throwaway runs.
+        commit point -- the crash-safe mode.  ``"none"`` skips fsyncs:
+        atomic renames still give all-or-nothing *files*, but a power
+        cut may revert to pre-state; meant for tests and throwaway
+        runs.
     mode:
         ``"exclusive"`` (default) is the writer mode.  ``"readonly"``
         takes the shared lock, never repairs or mutates (status
@@ -360,16 +353,13 @@ class SnapshotStore:
     max_journal_records:
         Auto-checkpoint threshold for :meth:`maybe_checkpoint`
         (default: ``REPRO_JOURNAL_MAX_RECORDS``, else disabled).
-    flush_interval_ms:
-        Group-commit coalescing window for ``durability="batch"``.
 
     Operational counters (``psr_store_writes`` segments committed,
     ``psr_store_replays`` journal records re-executed,
     ``psr_store_quarantined`` files quarantined,
     ``psr_store_compactions`` journal checkpoints,
     ``psr_store_gc_unlinks`` segment files reclaimed,
-    ``psr_store_lock_waits`` contended lock acquisitions,
-    ``psr_store_group_flushes`` coalesced journal fsyncs) live on the
+    ``psr_store_lock_waits`` contended lock acquisitions) live on the
     store -- one per directory, shared by all sessions served over it
     -- and are declared in :data:`repro.core.counters.STORE_COUNTERS`.
     """
@@ -381,12 +371,10 @@ class SnapshotStore:
         mode: str = "exclusive",
         lock_timeout_ms: Optional[float] = None,
         max_journal_records: Optional[int] = None,
-        flush_interval_ms: float = DEFAULT_FLUSH_INTERVAL_MS,
     ) -> None:
-        if durability not in ("fsync", "batch", "none"):
+        if durability not in ("fsync", "none"):
             raise ValueError(
-                f"durability must be 'fsync', 'batch' or 'none', "
-                f"got {durability!r}"
+                f"durability must be 'fsync' or 'none', got {durability!r}"
             )
         if mode not in ("exclusive", "readonly"):
             raise ValueError(
@@ -395,7 +383,6 @@ class SnapshotStore:
         self.root = Path(root)
         self.durability = durability
         self.mode = mode
-        self.flush_interval_ms = float(flush_interval_ms)
         self.max_journal_records = (
             default_max_journal_records()
             if max_journal_records is None
@@ -411,14 +398,6 @@ class SnapshotStore:
         self.psr_store_compactions = 0
         self.psr_store_gc_unlinks = 0
         self.psr_store_lock_waits = 0
-        self.psr_store_group_flushes = 0
-        #: Journal fsyncs issued by this handle (fsync mode pays one
-        #: per append; batch mode one per coalesced flush).  Not a
-        #: ``psr_`` counter: it is a physical-I/O gauge for the
-        #: group-commit tests, not a service-envelope metric.
-        self.journal_fsyncs = 0
-        self._journal_dirty = False
-        self._last_journal_flush = time.monotonic()
         self._snapshots: Dict[str, RankedDatabase] = {}
         self._journal: List[Dict[str, Any]] = []
         self._segments_dir.mkdir(parents=True, exist_ok=True)
@@ -482,12 +461,8 @@ class SnapshotStore:
             return snapshot_id in self._snapshots
 
     def journal_records(self) -> List[Dict[str, Any]]:
-        """Every clean journal record, in append order (copies).
-
-        A flush barrier in batch mode: what this returns is durable.
-        """
+        """Every clean journal record, in append order (copies)."""
         with self._lock:
-            self._flush_journal()
             return [dict(r) for r in self._journal]
 
     def pending_cleanings(self) -> List[Dict[str, Any]]:
@@ -500,7 +475,6 @@ class SnapshotStore:
         nobody a replay.
         """
         with self._lock:
-            self._flush_journal()
             tombstoned = _tombstone_ids(self._journal)
             return [
                 dict(r)
@@ -522,10 +496,9 @@ class SnapshotStore:
         segment count and bytes, tombstones awaiting their unlink, the
         recorded cross-process lock holder, what recovery moved to
         ``quarantine/``, and the counters -- the payload behind
-        ``repro store status``.  A flush barrier in batch mode.
+        ``repro store status``.
         """
         with self._lock:
-            self._flush_journal()
             snapshot_ids = sorted(self._snapshots)
             journal = len(self._journal)
             tombstoned = _tombstone_ids(self._journal)
@@ -785,10 +758,6 @@ class SnapshotStore:
         no cleanup at all, leaving the on-disk state a crash would.
         The in-memory index is updated only after the commit point, so
         a failed persist is invisible both on disk and in memory.
-
-        A group-commit flush barrier runs first, preserving the
-        write-ahead ordering: the journal record that promised this
-        outcome is durable before its segment becomes visible.
         """
         self._require_writer("persist")
         descriptor = ranking_descriptor(ranked.ranking)
@@ -803,7 +772,6 @@ class SnapshotStore:
             if snapshot_id in self._snapshots:
                 return False
             with self._exclusive():
-                self._flush_journal()
                 final = self._segment_path(snapshot_id)
                 # Re-read the journal from disk: a tombstone for this
                 # id (ours or another process's) decides whether an
@@ -881,8 +849,7 @@ class SnapshotStore:
         """Append one cleaning outcome to the write-ahead journal.
 
         Called *before* the outcome segment is persisted: once this
-        returns (and, in batch mode, once the next flush barrier
-        passes), a crash at any later point is recoverable by
+        returns, a crash at any later point is recoverable by
         re-executing ``spec_payload`` against the base snapshot and
         checking the regenerated content hash against
         ``outcome_hash``.  A crash *during* the append leaves a torn
@@ -957,7 +924,6 @@ class SnapshotStore:
         return self.checkpoint()
 
     def _checkpoint_locked(self) -> Dict[str, Any]:
-        self._flush_journal()
         records = self._read_journal_from_disk()
         surviving: List[Dict[str, Any]] = []
         dropped = 0
@@ -1030,7 +996,7 @@ class SnapshotStore:
         final name, fsync the directory -- so a crash at any
         ``<step_prefix>:*`` fault step leaves the complete old journal
         or the complete new one; the rename is the commit point.
-        Caller holds both locks and has flushed any buffered appends.
+        Caller holds both locks.
         """
         _disk_step(step_prefix + ":begin")
         payload = encode_journal(records)
@@ -1040,8 +1006,7 @@ class SnapshotStore:
             with open(tmp, "wb") as f:
                 f.write(payload)
                 _disk_step(step_prefix + ":written")
-                if self.durability != "none":
-                    self._journal_fsync(f)
+                self._fsync_file(f)
             _disk_step(step_prefix + ":synced")
             os.replace(tmp, self._journal_path)
         except OSError as exc:
@@ -1055,7 +1020,6 @@ class SnapshotStore:
         _disk_step(step_prefix + ":renamed")
         self._fsync_dir(self.root)
         _disk_step(step_prefix + ":committed")
-        self._journal_dirty = False
 
     def _retire_tombstone(
         self, snapshot_id: str, records: List[Dict[str, Any]], final: Path
@@ -1171,7 +1135,6 @@ class SnapshotStore:
     def _gc_locked(
         self, policy: Optional[RetentionPolicy], in_use: frozenset
     ) -> Dict[str, Any]:
-        self._flush_journal()
         records = self._read_journal_from_disk()
         self._journal = records
         tombstoned = _tombstone_ids(records)
@@ -1255,7 +1218,7 @@ class SnapshotStore:
                 f.flush()
                 if fire_steps:
                     _disk_step("journal:written")
-                self._journal_sync_policy(f)
+                self._fsync_file(f)
             except OSError as exc:
                 try:
                     f.truncate(start)
@@ -1271,39 +1234,6 @@ class SnapshotStore:
             raise SimulatedCrashError(
                 "injected torn append to the cleaning journal"
             )
-
-    def _journal_sync_policy(self, f: Any) -> None:
-        """Apply this store's durability mode to one journal append."""
-        if self.durability == "fsync":
-            self._journal_fsync(f)
-        elif self.durability == "batch":
-            self._journal_dirty = True
-            now = time.monotonic()
-            elapsed_ms = (now - self._last_journal_flush) * 1000.0
-            if elapsed_ms >= self.flush_interval_ms:
-                self._journal_fsync(f)
-                self._journal_dirty = False
-                self._last_journal_flush = now
-                self.psr_store_group_flushes += 1
-
-    def _flush_journal(self) -> None:
-        """Group-commit barrier: make every buffered append durable."""
-        if self.durability != "batch" or not self._journal_dirty:
-            return
-        try:
-            with open(self._journal_path, "ab") as f:
-                self._journal_fsync(f)
-        except OSError as exc:
-            raise StoreWriteError(
-                f"could not flush the journal: {exc}"
-            ) from exc
-        self._journal_dirty = False
-        self._last_journal_flush = time.monotonic()
-        self.psr_store_group_flushes += 1
-
-    def _journal_fsync(self, f: Any) -> None:
-        os.fsync(f.fileno())
-        self.journal_fsyncs += 1
 
     def _read_journal_from_disk(self) -> List[Dict[str, Any]]:
         """The clean prefix of the on-disk journal, fresh.

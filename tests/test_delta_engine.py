@@ -130,8 +130,8 @@ class TestRankedPatching:
         _assert_ranked_equal(ranked, cold_db.ranked())
 
     def test_uncertain_single_alternative_replacement_not_collapsed(self):
-        # Same tid/value but probability < 1: must take the general
-        # path, not the collapse fast path that pins probability to 1.
+        # Same tid/value but probability < 1: the patched row must keep
+        # 0.6, not the 1.0 of a collapse to that alternative.
         from repro.db.tuples import make_xtuple
 
         db = generate_synthetic(num_xtuples=20, seed=4)
@@ -170,19 +170,15 @@ class TestRankedPatching:
             xt.xid, xt.collapsed_to(xt.alternatives[3].tid)
         )
         assert delta.window_start == int(delta.removed_rows[0])
-        # Complete x-tuple + certain replacement: the scans re-coincide
-        # right after the member span.
-        assert delta.tail_old == int(delta.removed_rows[-1]) + 1
-        assert delta.tail_new == delta.tail_old + delta.row_offset
-        # Rows above the window and below the tail are untouched.
-        n_new = patched.num_tuples
+        # Rows above the window and below the member span are untouched.
+        below = int(delta.removed_rows[-1]) + 1
         assert np.array_equal(
             patched.scores_array[: delta.window_start],
             ranked.scores_array[: delta.window_start],
         )
         assert np.array_equal(
-            patched.scores_array[delta.tail_new :],
-            ranked.scores_array[delta.tail_old :],
+            patched.scores_array[below + delta.row_offset :],
+            ranked.scores_array[below:],
         )
 
     def test_incomplete_xtuple_has_no_tail(self):
@@ -192,13 +188,11 @@ class TestRankedPatching:
         _, delta = ranked.with_xtuple_replaced(
             xt.xid, xt.collapsed_to(xt.alternatives[0].tid)
         )
-        assert delta.tail_old is None and delta.tail_new is None
+        assert delta.removed_xtuples.size == 0  # replaced: index kept
         _, removal = ranked.with_xtuple_removed(xt.xid)
-        assert removal.tail_old is None
-        assert removal.new_index is None
-        assert removal.map_xtuple_index(removal.old_index + 1) == (
-            removal.old_index
-        )
+        old_index = ranked.xtuple_index_of(xt.xid)
+        assert removal.removed_xtuples.tolist() == [old_index]
+        assert removal.map_xtuple_index(old_index + 1) == old_index
 
 
 class TestDeltaPSR:
@@ -267,8 +261,8 @@ class TestDeltaPSR:
     def test_window_start_on_and_off_a_block_boundary(self, first_row, mass):
         # The collapsed x-tuple's first member -- the window start --
         # sits on a block boundary (128) or mid-block (150).  Mass 0.5
-        # completes the x-tuple (the window ends at a reusable tail);
-        # 0.3 leaves it incomplete (the re-scan runs to the bottom).
+        # completes the x-tuple; 0.3 leaves it incomplete.  Either way
+        # the re-scan runs from the window to the stop.
         rows = [(f"f{i}", 0.3) for i in range(300)]
         rows[first_row] = rows[first_row + 40] = ("target", mass)
         db = ranked_rows_db(rows)
@@ -280,7 +274,6 @@ class TestDeltaPSR:
             "target", xt.collapsed_to(xt.alternatives[1].tid)
         )
         assert delta.window_start == first_row
-        assert (delta.tail_new is not None) == (mass == 0.5)
         patched = apply_rank_delta(rank_probs, delta)
         cold = compute_rank_probabilities(
             patched_ranked, k, backend="python"
@@ -345,7 +338,6 @@ class TestTailStopDeltas:
         _, delta = ranked.with_xtuple_replaced(
             "target", xt.collapsed_to(xt.alternatives[0].tid)
         )
-        assert delta.tail_new is None  # incomplete: re-scan to the stop
         patched, _ = _assert_delta_matches_cold(old_rp, delta, backend)
         assert patched.cutoff < old_rp.cutoff
 
@@ -393,15 +385,14 @@ class TestTailStopDeltas:
     def test_new_stop_above_the_reusable_tail(self, backend):
         # The collapse completes the x-tuple at row 10, so every row
         # below gains 0.7 of mass above it: the stop moves from 273 to
-        # 271, above the tail (273 -> 272).  The window must end at the
-        # stop with no tail row spliced.
+        # 271, above the old member at row 272.  The window must end at
+        # the new stop.
         ranked, old_rp = self._pass(_target_rows((10, 272), (0.3, 0.7)), backend)
         assert old_rp.cutoff == 273
         xt = ranked.db.xtuple("target")
         _, delta = ranked.with_xtuple_replaced(
             "target", xt.collapsed_to(xt.alternatives[0].tid)
         )
-        assert (delta.tail_old, delta.tail_new) == (273, 272)
         patched, _ = _assert_delta_matches_cold(old_rp, delta, backend)
         assert patched.cutoff == 271
 
@@ -429,14 +420,14 @@ class TestTailStopDeltas:
         _, delta = ranked.with_xtuple_replaced(
             "target", make_xtuple("target", members)
         )
-        assert delta.tail_new is not None and delta.row_offset == 0
+        assert delta.row_offset == 0
         return delta
 
     def test_new_stop_below_the_rows_the_old_pass_kept(self, backend):
         # The stop row's mass sits 2e-13 above μ*.  A replacement that
         # still saturates but holds 5e-13 less mass moves the stop one
-        # row down: the tail exists, but the old pass stopped one row
-        # short of what the patched view needs.
+        # row down: the old pass stopped one row short of what the
+        # patched view needs.
         rows, stop = self._near_tie((0.5, 0.5), 0, 2e-13)
         ranked, old_rp = self._pass(rows, backend)
         assert old_rp.cutoff == stop
@@ -447,7 +438,7 @@ class TestTailStopDeltas:
     def test_new_stop_inside_the_reused_tail(self, backend):
         # The mirror image: the row above the stop sits 2e-13 below μ*,
         # and 5e-13 more mass moves the stop one row up, into the rows
-        # spliced from the old pass.
+        # the old pass scanned.
         rows, stop = self._near_tie((0.5, 0.5 - 5e-13), 1, -2e-13)
         ranked, old_rp = self._pass(rows, backend)
         assert old_rp.cutoff == stop
@@ -662,11 +653,12 @@ class TestCleaningDeltaPath:
             use_deltas=True,
         )
         assert result.session is not None
-        # One full PSR pass for the whole run; every successful probe
-        # shows up as a patch instead.
+        # One full PSR pass for the whole run; every round that changed
+        # the database shows up as one patch instead.
         assert result.session.psr_misses == 1
-        succeeded = sum(r.outcome.num_succeeded for r in result.rounds)
-        assert result.session.psr_patches == succeeded
+        changed = sum(1 for r in result.rounds if r.outcome.num_succeeded)
+        assert changed
+        assert result.session.psr_patches == changed
         cold = compute_quality_tp(result.final_db.ranked(), 10).quality
         assert result.final_quality == pytest.approx(cold, abs=ABS)
 

@@ -7,8 +7,8 @@ tested here:
   write-protected the moment a view is built (construction and the
   ``_patched`` delta path alike); in-place mutation -- the one bug
   class that silently corrupts every memoized PSR row derived from the
-  view -- raises immediately.  :meth:`RankedDatabase.mutable_view` is
-  the audited escape hatch and re-freezes on exit, even on error.
+  view -- raises immediately.  Patched views build fresh arrays, so
+  nothing needs a write window.
 * The serving stack's lock hierarchy (admission < snapshot < store
   < store file < registry) is checked per-acquisition under
   ``REPRO_DEBUG_LOCKS=1`` / :func:`repro.core.lockcheck.enable`, so an
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro.core import lockcheck
@@ -66,24 +65,6 @@ class TestFrozenColumns:
         patched, _delta = ranked.with_xtuple_removed(ranked.xtuple_ids[0])
         for column in CANONICAL_COLUMNS:
             assert not getattr(patched, column).flags.writeable, column
-
-    def test_mutable_view_grants_and_refreezes(self, ranked):
-        before = ranked.scores_array.copy()
-        with ranked.mutable_view("scores_array") as scores:
-            scores[0] = before[0]  # write succeeds inside the window
-        assert not ranked.scores_array.flags.writeable
-        np.testing.assert_array_equal(ranked.scores_array, before)
-
-    def test_mutable_view_refreezes_on_error(self, ranked):
-        with pytest.raises(RuntimeError, match="boom"):
-            with ranked.mutable_view("probabilities_array"):
-                raise RuntimeError("boom")
-        assert not ranked.probabilities_array.flags.writeable
-
-    def test_mutable_view_rejects_non_canonical_names(self, ranked):
-        with pytest.raises(ValueError, match="unknown canonical column"):
-            with ranked.mutable_view("xtuple_ids"):
-                pass
 
 
 # ---------------------------------------------------------------------------

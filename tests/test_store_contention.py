@@ -260,78 +260,18 @@ class TestStoreModes:
 
 
 # ---------------------------------------------------------------------------
-# Group commit (durability="batch")
+# Durability modes (group commit was removed: "batch" is rejected)
 # ---------------------------------------------------------------------------
 
 
 class TestGroupCommit:
-    def append_records(self, store: SnapshotStore, n: int = 8) -> None:
-        for i in range(n):
-            store.journal_clean(
-                "base", {"k": K, "i": i}, f"outcome{i}", f"hash{i}"
-            )
-
-    def test_batch_coalesces_journal_fsyncs(self, tmp_path):
-        strict = SnapshotStore(tmp_path / "strict", durability="fsync")
-        self.append_records(strict)
-        assert strict.journal_fsyncs == 8
-
-        batch = SnapshotStore(
-            tmp_path / "batch",
-            durability="batch",
-            flush_interval_ms=60_000.0,
-        )
-        self.append_records(batch)
-        # Nothing forced a sync yet; the read barrier flushes once.
-        records = batch.journal_records()
-        assert len(records) == 8
-        assert batch.journal_fsyncs < strict.journal_fsyncs
-        assert batch.counters()["psr_store_group_flushes"] >= 1
-        # Batch trades latency, never content: the journals are
-        # byte-identical once flushed.
-        strict_bytes = (tmp_path / "strict" / "journal.wal").read_bytes()
-        batch_bytes = (tmp_path / "batch" / "journal.wal").read_bytes()
-        assert strict_bytes == batch_bytes
-
-    def test_zero_interval_flushes_every_append(self, tmp_path):
-        batch = SnapshotStore(
-            tmp_path / "store", durability="batch", flush_interval_ms=0.0
-        )
-        self.append_records(batch, n=3)
-        assert batch.journal_fsyncs == 3
-        assert batch.counters()["psr_store_group_flushes"] == 3
-
-    def test_persist_is_a_flush_barrier(self, tmp_path):
-        batch = SnapshotStore(
-            tmp_path / "store",
-            durability="batch",
-            flush_interval_ms=60_000.0,
-        )
-        batch.journal_clean("base", {"k": K}, "outcome", "hash")
-        assert batch.journal_fsyncs == 0
-        # WAL rule: the journal record must be durable before its
-        # outcome segment commits.
-        batch.persist("outcome-segment", ranked_db())
-        assert batch.journal_fsyncs >= 1
-
     def test_default_is_fsync_and_strict_is_rejected(self, tmp_path):
         assert SnapshotStore(tmp_path / "a").durability == "fsync"
-        with pytest.raises(ValueError, match="'fsync', 'batch' or 'none'"):
-            SnapshotStore(tmp_path / "b", durability="strict")
-        with pytest.raises(ValueError, match="'fsync', 'batch' or 'none'"):
-            TopKService(store_dir=tmp_path / "c", durability="strict")
-
-    def test_batch_journal_recovers_after_reopen(self, tmp_path):
-        root = tmp_path / "store"
-        batch = SnapshotStore(
-            root, durability="batch", flush_interval_ms=60_000.0
-        )
-        batch.journal_clean("base", {"k": K}, "outcome", "hash")
-        batch.journal_records()  # flush barrier
-        reopened = SnapshotStore(root, durability="none")
-        assert [r["outcome"] for r in reopened.journal_records()] == [
-            "outcome"
-        ]
+        for mode in ("strict", "batch"):
+            with pytest.raises(ValueError, match="'fsync' or 'none'"):
+                SnapshotStore(tmp_path / "b", durability=mode)
+            with pytest.raises(ValueError, match="'fsync' or 'none'"):
+                TopKService(store_dir=tmp_path / "c", durability=mode)
 
 
 # ---------------------------------------------------------------------------
