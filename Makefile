@@ -1,6 +1,8 @@
-# Developer entry points.  `make check` is the one command that runs
-# every gate CI runs (repro-lint, ruff, mypy, tier-1 tests); the other
-# targets run individual gates.
+# Developer entry points.  `make check` runs CI's code gates in one
+# command (scripts/check.sh); lint, ruff, typecheck and test run one
+# gate each.  `make bench` runs the service benchmark, BENCHMARK.json's
+# `python3 perfbench/run.py`, once per workload at its defaults
+# (seed 1, 12 s).
 
 .PHONY: check lint ruff typecheck test bench
 
@@ -20,4 +22,6 @@ test:
 	python -m pytest -q
 
 bench:
-	python benchmarks/run_all.py --smoke
+	for workload in serve-scan clean-durable store-reopen; do \
+		python3 perfbench/run.py --workload $$workload || exit 1; \
+	done

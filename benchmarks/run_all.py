@@ -4,24 +4,10 @@
 Usage::
 
     python benchmarks/run_all.py [--scale quick|default|full] [--only figXX ...]
-    python benchmarks/run_all.py --json BENCH_pr2.json [--quick]
-    python benchmarks/run_all.py --json bench-ci.json --smoke
 
-Without ``--json``: prints each experiment's series in the paper's
-layout and writes them to ``benchmarks/results/``.  This is the script
-EXPERIMENTS.md numbers come from.
-
-With ``--json PATH``: skips the figures and emits a machine-readable
-performance snapshot instead (PSR pass times per backend at
-n ∈ {1k, 10k, 100k} and k ∈ {15, 100}, QuerySession cold/warm timings,
-and the adaptive-cleaning delta-engine section with its per-round
-speedup over the cold-derive path) so successive PRs have a perf
-trajectory to compare against.
-
-``--smoke`` shrinks the snapshot to n = 500 so it finishes in seconds;
-the adaptive section still cross-validates the delta kernels against
-cold passes and makes the run fail on disagreement, which is what CI
-executes on every push.
+Prints each experiment's series in the paper's layout and writes them
+to ``benchmarks/results/``.  The service-level benchmark is
+``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -54,39 +40,8 @@ def main(argv=None) -> int:
         type=Path,
         help="directory for the .txt tables",
     )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="emit a machine-readable perf snapshot to PATH instead of "
-        "regenerating figures",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="with --json: skip the pure-python backend at n > 10k",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="with --json: tiny n=500 snapshot (seconds, not minutes) "
-        "that still cross-validates the incremental kernels -- the "
-        "per-push CI gate",
-    )
     args = parser.parse_args(argv)
     os.environ["REPRO_BENCH_SCALE"] = args.scale
-
-    if args.json is not None:
-        from repro.bench.perf import format_snapshot, write_perf_snapshot
-
-        start = time.perf_counter()
-        snapshot = write_perf_snapshot(args.json, quick=args.quick, smoke=args.smoke)
-        print(format_snapshot(snapshot))
-        print(
-            f"\nsnapshot written to {args.json} "
-            f"in {time.perf_counter() - start:.1f}s"
-        )
-        return 0
 
     from repro.bench import ALL_FIGURES, current_scale
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Single entry point for everything CI gates on: repro-lint, ruff,
-# mypy, the tier-1 test suite (its scalar-oracle checks included),
-# a committed schema-1 store opened through the CLI, the kernel
-# cross-check of CI's perf-smoke job, and the perfbench smoke (its own
-# tests plus a tiny run of each workload).  `make check` calls this.
+# mypy, the tier-1 test suite (its scalar-oracle, delta-vs-cold and
+# batch-vs-independent checks included), a committed schema-1 store
+# opened through the CLI, and the perfbench smoke (its own tests plus
+# a tiny run of each workload).  `make check` calls this.
 #
 # repro-lint and pytest always run (they ship with the repo).  ruff
 # and mypy run when installed and are reported as SKIPPED otherwise,
@@ -56,18 +56,6 @@ fixture_status() {
     return $status
 }
 step "schema-1 store opens through the CLI" fixture_status
-
-# CI's perf-smoke run at n=500: it exits non-zero when delta-derived
-# views disagree with cold ranks, or batched answers with independent
-# ones.  The snapshot it writes is thrown away.
-kernel_cross_check() {
-    out=$(mktemp)
-    python benchmarks/run_all.py --json "$out" --smoke
-    status=$?
-    rm -f "$out"
-    return $status
-}
-step "kernel cross-check (perf smoke)" kernel_cross_check
 
 step "perfbench tests" python -m pytest -q perfbench/tests
 for workload in serve-scan clean-durable store-reopen; do

@@ -88,16 +88,16 @@ def current_scale() -> BenchScale:
     return SCALES[name]
 
 
-def time_call(
-    fn: Callable[[], object],
-    repeats: int = 3,
-    time_budget_s: float = 2.0,
-) -> float:
+#: Wall clock (seconds) after which :func:`time_call` stops repeating.
+TIME_BUDGET_S = 2.0
+
+
+def time_call(fn: Callable[[], object], repeats: int = 3) -> float:
     """Best-of-``repeats`` wall-clock duration of ``fn()`` in milliseconds.
 
-    Repetition stops early once ``time_budget_s`` of total wall clock
-    has been spent, so slow sweep points are measured once instead of
-    stalling the whole figure.
+    Repetition stops early once :data:`TIME_BUDGET_S` of total wall
+    clock has been spent, so slow sweep points are measured once
+    instead of stalling the whole figure.
     """
     best = float("inf")
     total = 0.0
@@ -107,7 +107,7 @@ def time_call(
         duration = time.perf_counter() - start
         best = min(best, duration)
         total += duration
-        if total > time_budget_s:
+        if total > TIME_BUDGET_S:
             break
     return best * 1000.0
 

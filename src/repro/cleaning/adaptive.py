@@ -53,10 +53,10 @@ class AdaptiveCleaningResult:
     budget: int
     budget_spent: int
     #: The session over ``final_db`` the loop ended on.  Its cumulative
-    #: counters tell the run's whole evaluation cost -- with the delta
-    #: path on, ``psr_misses`` stays at the single initial full pass,
-    #: and every round that changed the database shows up as one
-    #: ``delta_derives`` and one ``psr_patches`` per cached ``k``.
+    #: counters tell the run's whole evaluation cost -- ``psr_misses``
+    #: stays at the single initial full pass, and every round that
+    #: changed the database shows up as one ``delta_derives`` and one
+    #: ``psr_patches`` per cached ``k``.
     session: Optional[QuerySession] = None
 
     @property
@@ -71,21 +71,17 @@ def clean_adaptively(
     rng: Optional[random.Random] = None,
     max_rounds: int = 100,
     session: Optional[QuerySession] = None,
-    use_deltas: bool = True,
 ) -> AdaptiveCleaningResult:
     """Run the plan/execute/re-plan loop until the budget is spent.
 
     Each round works through a :class:`QuerySession` derived from the
-    previous round's outcome.  With ``use_deltas`` on (the default) the
-    executor applies each round's successful probes as one
-    :class:`~repro.db.database.RankDelta`, so the whole run performs
-    **one** full PSR pass (the initial evaluation) and every later round
-    re-scans only from its first changed row to the stop; an
-    all-failures round (or a caller-provided warm session over ``db``)
-    is served entirely from cache either way.  ``use_deltas=False``
-    keeps the probes identical but re-derives every round's session
-    cold -- the baseline the benchmarks measure the delta engine
-    against.
+    previous round's outcome.  The executor applies each round's
+    successful probes as one :class:`~repro.db.database.RankDelta`, so
+    the whole run performs **one** full PSR pass (the initial
+    evaluation) and every later round re-scans only from its first
+    changed row to the stop; an all-failures round (or a
+    caller-provided warm session over ``db``) is served entirely from
+    cache.
 
     Parameters
     ----------
@@ -153,7 +149,6 @@ def clean_adaptively(
             plan,
             rng=rng,
             session=session,
-            use_deltas=use_deltas,
         )
         rounds.append(
             AdaptiveRound(

@@ -17,14 +17,15 @@ The plan is fixed before any probe runs, and each outcome depends only
 on the rng, so :func:`execute_plan` draws every probe first and applies
 the successful ones as one change set (``{xid: collapsed x-tuple or
 None}``).  When a :class:`~repro.queries.engine.QuerySession` over the
-database is threaded through (and ``use_deltas`` is left on), the
-change set derives the cleaned database through the session's *ranked
-view* -- ``RankedDatabase.with_xtuples_changed`` -- and hands the one
-resulting :class:`~repro.db.database.RankDelta` to ``session.derive``,
-so the session's cached rank probabilities are patched once per round
-instead of recomputed from scratch.  Otherwise the cleaned database is
-built once and any session derives cold.  The probe outcomes (and the
-rng stream) are identical either way.
+database is threaded through, the change set derives the cleaned
+database through the session's *ranked view* --
+``RankedDatabase.with_xtuples_changed`` -- and hands the one resulting
+:class:`~repro.db.database.RankDelta` to ``session.derive``, so the
+session's cached rank probabilities are patched once per round instead
+of recomputed from scratch.  Otherwise (no session, or a session over
+another database) the cleaned database is built once and any session
+derives cold.  The probe outcomes (and the rng stream) are identical
+either way.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ def execute_plan(
     plan: CleaningPlan,
     rng: Optional[random.Random] = None,
     session: Optional[QuerySession] = None,
-    use_deltas: bool = True,
 ) -> CleaningOutcome:
     """Simulate the cleaning agent executing ``plan`` on ``db``.
 
@@ -110,12 +110,8 @@ def execute_plan(
         Optional query session over ``db``; when given, the outcome
         carries a session over the cleaned database derived from it so
         downstream re-evaluation reuses cached rank-probability state
-        whenever possible.
-    use_deltas:
-        With a session over ``db``, derive the cleaned database through
-        one incremental rank delta (default).  ``False`` keeps the
-        probes identical but derives the session cold -- the baseline
-        the benchmarks compare against.
+        whenever possible.  A session over ``db`` derives through one
+        incremental rank delta; any other session derives cold.
     """
     rng = rng or random.Random(0)
     records: List[ProbeRecord] = []
@@ -170,12 +166,7 @@ def execute_plan(
     # only applies when the session covers ``db``; a foreign session
     # derives cold from the cleaned database.
     outcome_session: Optional[QuerySession]
-    if (
-        changes
-        and use_deltas
-        and session is not None
-        and session.ranked.db is db
-    ):
+    if changes and session is not None and session.ranked.db is db:
         new_ranked, delta = session.ranked.with_xtuples_changed(changes)
         cleaned = new_ranked.db
         outcome_session = session.derive(new_ranked, delta=delta)

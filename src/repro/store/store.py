@@ -351,8 +351,9 @@ class SnapshotStore:
         ``REPRO_STORE_LOCK_TIMEOUT_MS`` or 10s).  Scoped request
         deadlines tighten it further.
     max_journal_records:
-        Auto-checkpoint threshold for :meth:`maybe_checkpoint`
-        (default: ``REPRO_JOURNAL_MAX_RECORDS``, else disabled).
+        Auto-checkpoint threshold for :meth:`maybe_checkpoint`, at
+        least 1 (default: ``REPRO_JOURNAL_MAX_RECORDS``, else
+        disabled).
 
     Operational counters (``psr_store_writes`` segments committed,
     ``psr_store_replays`` journal records re-executed,
@@ -379,6 +380,11 @@ class SnapshotStore:
         if mode not in ("exclusive", "readonly"):
             raise ValueError(
                 f"mode must be 'exclusive' or 'readonly', got {mode!r}"
+            )
+        if max_journal_records is not None and max_journal_records < 1:
+            raise ValueError(
+                f"max_journal_records must be at least 1, "
+                f"got {max_journal_records!r}"
             )
         self.root = Path(root)
         self.durability = durability
@@ -475,14 +481,21 @@ class SnapshotStore:
         nobody a replay.
         """
         with self._lock:
-            tombstoned = _tombstone_ids(self._journal)
-            return [
-                dict(r)
-                for r in self._journal
-                if r.get("kind", "clean") == "clean"
-                and r.get("outcome") not in self._snapshots
-                and r.get("outcome") not in tombstoned
-            ]
+            return [dict(r) for r in self._pending_records()]
+
+    def _pending_records(self) -> List[Dict[str, Any]]:
+        """Clean records whose outcome is neither loaded nor tombstoned.
+
+        Caller holds the thread lock.
+        """
+        tombstoned = _tombstone_ids(self._journal)
+        return [
+            r
+            for r in self._journal
+            if r.get("kind", "clean") == "clean"
+            and r.get("outcome") not in self._snapshots
+            and r.get("outcome") not in tombstoned
+        ]
 
     def counters(self) -> Dict[str, int]:
         """The store's operational counters, in registry order."""
@@ -501,15 +514,8 @@ class SnapshotStore:
         with self._lock:
             snapshot_ids = sorted(self._snapshots)
             journal = len(self._journal)
-            tombstoned = _tombstone_ids(self._journal)
-            tombstones = len(tombstoned)
-            pending = [
-                r.get("outcome")
-                for r in self._journal
-                if r.get("kind", "clean") == "clean"
-                and r.get("outcome") not in self._snapshots
-                and r.get("outcome") not in tombstoned
-            ]
+            tombstones = len(_tombstone_ids(self._journal))
+            pending = [r.get("outcome") for r in self._pending_records()]
         try:
             journal_bytes = self._journal_path.stat().st_size
         except OSError:

@@ -33,16 +33,19 @@ class TestTimeCall:
     def test_returns_positive_milliseconds(self):
         assert time_call(lambda: sum(range(1000)), repeats=2) > 0.0
 
-    def test_time_budget_stops_repeats(self):
+    def test_time_budget_stops_repeats(self, monkeypatch):
         import time
 
+        from repro.bench import harness
+
+        monkeypatch.setattr(harness, "TIME_BUDGET_S", 0.01)
         calls = []
 
         def slow():
             calls.append(1)
             time.sleep(0.05)
 
-        time_call(slow, repeats=10, time_budget_s=0.01)
+        time_call(slow, repeats=10)
         assert len(calls) == 1
 
 

@@ -602,8 +602,7 @@ class TestCleaningDeltaPath:
         db, session, problem = self._setup(completion=completion)
         plan = GreedyCleaner().plan(problem)
         delta_outcome = execute_plan(
-            db, problem, plan, rng=random.Random(4), session=session,
-            use_deltas=True,
+            db, problem, plan, rng=random.Random(4), session=session
         )
         cold_outcome = execute_plan(
             db, problem, plan, rng=random.Random(4), session=None
@@ -633,8 +632,7 @@ class TestCleaningDeltaPath:
         foreign = QuerySession(other_db)
         plan = GreedyCleaner().plan(problem)
         outcome = execute_plan(
-            db, problem, plan, rng=random.Random(4), session=foreign,
-            use_deltas=True,
+            db, problem, plan, rng=random.Random(4), session=foreign
         )
         baseline = execute_plan(db, problem, plan, rng=random.Random(4))
         assert outcome.records == baseline.records
@@ -650,7 +648,6 @@ class TestCleaningDeltaPath:
             GreedyCleaner(),
             rng=random.Random(7),
             session=session,
-            use_deltas=True,
         )
         assert result.session is not None
         # One full PSR pass for the whole run; every round that changed
@@ -662,34 +659,63 @@ class TestCleaningDeltaPath:
         cold = compute_quality_tp(result.final_db.ranked(), 10).quality
         assert result.final_quality == pytest.approx(cold, abs=ABS)
 
-    def test_adaptive_delta_and_cold_agree(self):
-        db, session, problem = self._setup(budget=15)
-        delta_run = clean_adaptively(
-            db, problem, GreedyCleaner(), rng=random.Random(3),
-            session=session, use_deltas=True,
+    @pytest.mark.parametrize(
+        "m, completion, seed, k, budget, cost_seed, sc_seed, probe_seed",
+        [
+            (40, 1.0, 9, 10, 15, 1, 2, 3),
+            (50, 1.0, 7, 50, 20, 11, 13, 17),
+            (50, 0.85, 7, 50, 20, 11, 13, 17),
+        ],
+        ids=["m40-complete-k10", "m50-complete-k50", "m50-incomplete-k50"],
+    )
+    def test_adaptive_delta_and_cold_agree(
+        self, m, completion, seed, k, budget, cost_seed, sc_seed, probe_seed
+    ):
+        db = generate_synthetic(num_xtuples=m, completion=completion, seed=seed)
+        session = QuerySession(db)
+        problem = build_cleaning_problem(
+            session.quality(k),
+            generate_costs(db, seed=cost_seed),
+            generate_sc_probabilities(db, seed=sc_seed),
+            budget,
         )
-        db2, session2, problem2 = self._setup(budget=15)
-        cold_run = clean_adaptively(
-            db2, problem2, GreedyCleaner(), rng=random.Random(3),
-            session=session2, use_deltas=False,
+        run = clean_adaptively(
+            db, problem, GreedyCleaner(), rng=random.Random(probe_seed),
+            session=session,
         )
-        assert len(delta_run.rounds) == len(cold_run.rounds)
-        assert delta_run.budget_spent == cold_run.budget_spent
-        assert delta_run.final_quality == pytest.approx(
-            cold_run.final_quality, abs=ABS
-        )
-        assert cold_run.session.psr_misses > delta_run.session.psr_misses
+        # Every round after the initial pass derived through a delta.
+        assert run.session.psr_misses == 1
+        assert any(r.outcome.num_succeeded for r in run.rounds)
+        # Replay the run cold: each round's successful probes applied as
+        # one change set through the public constructor, then a cold
+        # rank and TP pass to check the quality the next round saw.
+        cold_db = db
+        for round_ in run.rounds:
+            cold = compute_quality_tp(cold_db.ranked(), k).quality
+            assert round_.quality_before == pytest.approx(cold, abs=ABS)
+            cold_db = cold_db.with_xtuples_changed({
+                r.xid: (
+                    None
+                    if r.revealed_null
+                    else cold_db.xtuple(r.xid).collapsed_to(r.revealed_tid)
+                )
+                for r in round_.outcome.records
+                if r.succeeded
+            })
+        cold = compute_quality_tp(cold_db.ranked(), k).quality
+        assert run.final_quality == pytest.approx(cold, abs=ABS)
+        assert run.final_db.content_hash() == cold_db.content_hash()
 
     def test_runs_reproducible_under_seeded_rng(self):
         db, session, problem = self._setup(budget=15)
         first = clean_adaptively(
             db, problem, GreedyCleaner(), rng=random.Random(21),
-            session=session, use_deltas=True,
+            session=session,
         )
         db2, session2, problem2 = self._setup(budget=15)
         second = clean_adaptively(
             db2, problem2, GreedyCleaner(), rng=random.Random(21),
-            session=session2, use_deltas=True,
+            session=session2,
         )
         assert [r.outcome.records for r in first.rounds] == [
             r.outcome.records for r in second.rounds

@@ -11,7 +11,11 @@ from repro.api import (
     TopKService,
     snapshot_id_of,
 )
-from repro.datasets.synthetic import generate_costs, generate_sc_probabilities
+from repro.datasets.synthetic import (
+    generate_costs,
+    generate_sc_probabilities,
+    generate_synthetic,
+)
 from repro.exceptions import UnknownSnapshotError, UnknownXTupleError
 from repro.queries.engine import QuerySession
 
@@ -129,13 +133,31 @@ class TestBatch:
         assert result.counters["psr_misses"] == 1
         assert result.counters["psr_prefills"] == 2
 
-    def test_batch_matches_serial_service_calls(self, service, small_synthetic):
-        sid = service.register(small_synthetic).snapshot_id
-        items = (QuerySpec(k=4), QualitySpec(k=9), QuerySpec(k=2))
-        batched = service.batch(sid, BatchSpec(items=items)).payload["items"]
+    @pytest.mark.parametrize(
+        "db_kwargs, items",
+        [
+            (
+                dict(num_xtuples=30, seed=42),
+                (QuerySpec(k=4), QualitySpec(k=9), QuerySpec(k=2)),
+            ),
+            (
+                dict(num_xtuples=50, completion=0.85, seed=7),
+                tuple(
+                    QuerySpec(k=k, threshold=0.1) for k in (15, 25, 50, 100) * 2
+                ),
+            ),
+        ],
+        ids=["m30-mixed-kinds", "m50-incomplete-mixed-k"],
+    )
+    def test_batch_matches_serial_service_calls(self, service, db_kwargs, items):
+        db = generate_synthetic(**db_kwargs)
+        sid = service.register(db).snapshot_id
+        result = service.batch(sid, BatchSpec(items=items))
+        assert result.counters["psr_misses"] == 1
+        batched = result.payload["items"]
 
         serial = TopKService()
-        serial_sid = serial.register(small_synthetic).snapshot_id
+        serial_sid = serial.register(db).snapshot_id
         for item, spec in zip(batched, items):
             if isinstance(spec, QuerySpec):
                 expected = serial.query(serial_sid, spec)

@@ -417,6 +417,21 @@ class TestSnapshotStore:
         with pytest.raises(ValueError, match="durability"):
             SnapshotStore(tmp_path / "store", durability="eventually")
 
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_journal_threshold_below_one_is_rejected(self, tmp_path, threshold):
+        # 0 or less would checkpoint after every append; the environment
+        # variable reads such values as "disabled", so refuse them here.
+        with pytest.raises(ValueError, match="max_journal_records"):
+            SnapshotStore(
+                tmp_path / "store", durability="none",
+                max_journal_records=threshold,
+            )
+        assert not (tmp_path / "store").exists()
+        store = SnapshotStore(
+            tmp_path / "store", durability="none", max_journal_records=1
+        )
+        assert store.max_journal_records == 1
+
     def test_enospc_cleans_up_and_raises_typed(self, tmp_path):
         store = SnapshotStore(tmp_path / "store", durability="none")
         plan = FaultPlan([FaultEvent(kind="enospc", step="segment:written")])
