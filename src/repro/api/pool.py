@@ -216,8 +216,9 @@ class SessionPool:
         rebuilt) serves the outcome snapshot's future requests.
 
         With a backing store, registration is **persist-first**: the
-        segment is durably committed before the in-memory entry is
-        published, so a write failure
+        ranking check runs before the write, so a rejected registration
+        persists nothing, and the segment is durably committed before
+        the in-memory entry is published, so a write failure
         (:class:`~repro.exceptions.StoreWriteError`) or a crash
         mid-write leaves the registry exactly as it was -- memory
         never advertises a snapshot disk does not hold.  ``durable``
@@ -229,7 +230,13 @@ class SessionPool:
         raw = ranked.db if ranked is not None else db
         assert isinstance(raw, ProbabilisticDatabase)
         snapshot_id = snapshot_id_of(raw)
+        incoming = ranked.ranking if ranked is not None else self.ranking
         if self.store is not None and durable is not False:
+            # A registration the pool would reject persists nothing:
+            # check before the write, and again at publication below
+            # for a concurrent registration that won the race.
+            with self._lock:
+                self._check_ranking(snapshot_id, incoming)
             if ranked is None:
                 ranked = raw.ranked(self.ranking)
             # Outside the registry lock: the store lock (RANK_STORE)
@@ -238,26 +245,33 @@ class SessionPool:
             self.store.persist(snapshot_id, ranked)
             if self.retention is not None:
                 self.sweep_store()
-        incoming = ranked.ranking if ranked is not None else self.ranking
         with self._lock:
-            stored = self._snapshots.get(snapshot_id)
-            if stored is None:
+            self._check_ranking(snapshot_id, incoming)
+            if snapshot_id not in self._snapshots:
                 if ranked is None:
                     ranked = raw.ranked(self.ranking)
                 self._snapshots[snapshot_id] = ranked
                 self._snapshot_locks[snapshot_id] = OrderedLock(
                     f"snapshot.{snapshot_id}", RANK_SNAPSHOT
                 )
-            elif not rankings_equivalent(stored.ranking, incoming):
-                raise ValueError(
-                    f"snapshot {snapshot_id!r} is already registered under "
-                    f"ranking {stored.ranking!r}; re-registering equal "
-                    f"content under {incoming!r} would silently answer "
-                    f"queries with the wrong ordering"
-                )
             if session is not None and snapshot_id not in self._sessions:
                 self._store_session(snapshot_id, session)
         return snapshot_id
+
+    def _check_ranking(
+        self, snapshot_id: str, incoming: Optional[RankingFunction]
+    ) -> None:
+        """Refuse equal content under another ranking (pool lock held)."""
+        stored = self._snapshots.get(snapshot_id)
+        if stored is not None and not rankings_equivalent(
+            stored.ranking, incoming
+        ):
+            raise ValueError(
+                f"snapshot {snapshot_id!r} is already registered under "
+                f"ranking {stored.ranking!r}; re-registering equal "
+                f"content under {incoming!r} would silently answer "
+                f"queries with the wrong ordering"
+            )
 
     def ranked(self, snapshot_id: str) -> RankedDatabase:
         """The registered ranked view for a snapshot id."""
@@ -379,11 +393,6 @@ class SessionPool:
             with self._lock:
                 self._store_session(snapshot_id, session)
         return session
-
-    def clear_sessions(self) -> None:
-        """Drop every memoized session (snapshots stay registered)."""
-        with self._lock:
-            self._sessions.clear()
 
     # ------------------------------------------------------------------
     # Store retention

@@ -180,11 +180,6 @@ class CleaningProblem:
         return np.array(self.g_by_xtuple, dtype=np.float64)
 
     @cached_property
-    def topk_mass_array(self) -> np.ndarray:
-        """Per-x-tuple top-k probability mass as a float64 array."""
-        return np.array(self.topk_mass_by_xtuple, dtype=np.float64)
-
-    @cached_property
     def costs_array(self) -> np.ndarray:
         """Probing costs as an int64 array."""
         return np.array(self.costs, dtype=np.int64)

@@ -10,11 +10,15 @@ workload ranks by ``normalized(date) + normalized(rating)``.
 A :class:`RankingFunction` wraps a score callable; tuples are ranked in
 *descending* score order, and equal scores are broken by the order the
 tuples were inserted into the database (smaller insertion index ranks
-higher), matching the paper.
+higher), matching the paper.  A ranking *is* its score callable: the
+factories build one callable per rule, and persistence
+(:func:`ranking_descriptor`) and equivalence
+(:func:`rankings_equivalent`) go by that callable, never by the name.
 """
 
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -35,7 +39,9 @@ class RankingFunction:
         view memoizes each x-tuple's scores under the callable's
         identity (:meth:`~repro.db.tuples.XTuple.scores`).
     name:
-        Human-readable name used in reprs and benchmark tables.
+        Human-readable name used in reprs and benchmark tables.  It
+        carries no identity: two rankings are the same rule only when
+        they share ``score``.
     """
 
     def __init__(self, score: Optional[ScoreFunction] = None, name: str = "") -> None:
@@ -59,6 +65,12 @@ def _value_score(t: ProbabilisticTuple) -> float:
     return float(t.value)
 
 
+#: The persistable rule of each factory score callable, keyed by the
+#: callable itself: a ranking's rule is whatever its score computes,
+#: never what its name says.
+_RULES: Dict[ScoreFunction, Dict[str, Any]] = {_value_score: {"kind": "value"}}
+
+
 def by_value() -> RankingFunction:
     """Rank tuples by their numeric ``value``, larger is higher.
 
@@ -75,6 +87,7 @@ def _key_score(key: str) -> ScoreFunction:
     def score(t: ProbabilisticTuple) -> float:
         return float(t.value[key])
 
+    _RULES[score] = {"kind": "key", "key": key}
     return score
 
 
@@ -83,6 +96,7 @@ def _sum_of_keys_score(keys: Tuple[str, ...]) -> ScoreFunction:
     def score(t: ProbabilisticTuple) -> float:
         return float(sum(t.value[k] for k in keys))
 
+    _RULES[score] = {"kind": "sum_of_keys", "keys": list(keys)}
     return score
 
 
@@ -113,26 +127,20 @@ def ranking_descriptor(
     """A JSON-serializable description of a factory-built ranking.
 
     The durable snapshot store persists rankings *by rule*, not by
-    code object: the factory rankings (:func:`by_value`,
-    :func:`by_key`, :func:`by_sum_of_keys`) encode their scoring rule
-    in their name, so the rule round-trips through a plain dict and
-    :func:`ranking_from_descriptor` rebuilds an equivalent function in
-    a fresh process.  ``None`` (the by-value default) descriptors as
-    by-value.  Returns ``None`` for rankings whose rule is *not*
-    recoverable from their name (``custom`` / lambdas) -- such
-    snapshots cannot be persisted, and the store refuses them with a
-    typed error instead of silently re-ranking under the wrong order.
+    code object: each factory (:func:`by_value`, :func:`by_key`,
+    :func:`by_sum_of_keys`) builds one score callable per rule and
+    records the rule against it, so the rule round-trips through a
+    plain dict and :func:`ranking_from_descriptor` rebuilds the same
+    callable in a fresh process.  ``None`` (the by-value default)
+    descriptors as by-value.  Returns ``None`` for any other score
+    callable (``custom`` / lambdas), whatever the ranking's name --
+    such snapshots cannot be persisted, and the store refuses them
+    with a typed error instead of silently re-ranking under another
+    order.
     """
-    ranking = ranking if ranking is not None else by_value()
-    name = ranking.name
-    if name == "by_value":
-        return {"kind": "value"}
-    if name.startswith("by_key(") and name.endswith(")"):
-        return {"kind": "key", "key": name[len("by_key(") : -1]}
-    if name.startswith("by_sum_of_keys(") and name.endswith(")"):
-        keys = name[len("by_sum_of_keys(") : -1]
-        return {"kind": "sum_of_keys", "keys": keys.split(",")}
-    return None
+    score = ranking.score if ranking is not None else _value_score
+    rule = _RULES.get(score)
+    return copy.deepcopy(rule) if rule is not None else None
 
 
 def ranking_from_descriptor(payload: Mapping[str, Any]) -> RankingFunction:
@@ -164,27 +172,17 @@ def ranking_from_descriptor(payload: Mapping[str, Any]) -> RankingFunction:
     raise ValueError(f"unknown ranking descriptor {payload!r}")
 
 
-#: Names that carry no identity (the constructor defaults) -- two
-#: rankings sharing one of these must not be treated as equivalent.
-_ANONYMOUS_NAMES = frozenset({"", "score", "custom", "<lambda>"})
-
-
 def rankings_equivalent(a: Optional[RankingFunction], b: Optional[RankingFunction]) -> bool:
     """Whether two ranking functions demonstrably order tuples the same.
 
-    ``None`` stands for the by-value default.  Equivalence is
-    establishable two ways: the rankings share the same underlying
-    score callable, or they carry the same *descriptive* name (the
-    factory-assigned ones -- ``by_value``, ``by_key(date)``, ... --
-    which encode the scoring rule; anonymous defaults like
-    ``"custom"`` or ``"<lambda>"`` never match).  Used by the snapshot
-    registry to reject re-registration of one database under a
-    conflicting ranking, so the check errs toward *false*: two
-    semantically equal but unrelated callables are reported as
-    different.
+    ``None`` stands for the by-value default.  Equivalence means the
+    rankings share one score callable -- every factory ranking of one
+    rule does (see :func:`ranking_descriptor`); names never count.
+    Used by the snapshot registry to reject re-registration of one
+    database under a conflicting ranking, so the check errs toward
+    *false*: two semantically equal but unrelated callables are
+    reported as different.
     """
-    a = a if a is not None else by_value()
-    b = b if b is not None else by_value()
-    if a is b or a._score is b._score:
-        return True
-    return a.name == b.name and a.name not in _ANONYMOUS_NAMES
+    a_score = a.score if a is not None else _value_score
+    b_score = b.score if b is not None else _value_score
+    return a_score is b_score

@@ -1,10 +1,11 @@
 """Brute-force oracles via exhaustive possible-world enumeration.
 
 Everything here is exponential in the number of x-tuples and exists for
-two purposes: (1) it *is* the paper's naive ``PW`` pipeline (Fig. 1(a),
-Steps 1-3), which the benchmarks of Figure 4(d) time against PWR and
-TP; (2) it is the ground truth that every efficient algorithm in this
-library is tested against.
+two purposes: (1) :func:`pw_result_distribution` is the enumeration
+half of the paper's naive ``PW`` pipeline (Fig. 1(a)), which
+:mod:`repro.core.pw` scores and the benchmarks of Figure 4(d) time
+against PWR and TP; (2) it is the ground truth that every efficient
+algorithm in this library is tested against.
 """
 
 from __future__ import annotations
@@ -57,26 +58,6 @@ def topk_probabilities_by_enumeration(
     """``p_i`` for every tuple, straight from Definition 3."""
     rho = rank_probabilities_by_enumeration(ranked, k)
     return {tid: math.fsum(vector) for tid, vector in rho.items()}
-
-
-def quality_by_enumeration(ranked: RankedDatabase, k: int) -> float:
-    """PWS-quality from Definition 4 (the PW algorithm's final step)."""
-    total = 0.0
-    for probability in pw_result_distribution(ranked, k).values():
-        if probability > 0.0:
-            total += probability * math.log2(probability)
-    return total
-
-
-def result_entropy(distribution: Dict[PWResult, float]) -> float:
-    """Shannon entropy (bits) of a pw-result distribution.
-
-    The PWS-quality is the negated entropy; exposing the entropy makes
-    the figures' captions (e.g. "quality = -2.55") easy to regenerate.
-    """
-    return -math.fsum(
-        p * math.log2(p) for p in distribution.values() if p > 0.0
-    )
 
 
 def most_probable_results(

@@ -33,8 +33,10 @@ spec, outcome snapshot id and content hash) *before* the outcome
 segment is written.  On open, a journaled outcome whose segment is
 missing is *pending*: the serving layer
 (:meth:`repro.api.service.TopKService._replay_journal`) re-executes the
-spec -- cleaning is deterministic given the spec's seed -- and verifies
-the regenerated content hash against the journaled one.  A torn tail
+spec -- cleaning is deterministic given the spec's seed -- verifies the
+regenerated snapshot id and content hash against the journaled ones,
+and only then persists the outcome, appending no record of its own; a
+diverging replay writes nothing.  A torn tail
 (crash mid-append) is truncated back out; the journal is the WAL, so
 losing an un-fsynced tail record merely reverts to pre-state.
 
@@ -854,14 +856,17 @@ class SnapshotStore:
     ) -> Dict[str, Any]:
         """Append one cleaning outcome to the write-ahead journal.
 
-        Called *before* the outcome segment is persisted: once this
-        returns, a crash at any later point is recoverable by
-        re-executing ``spec_payload`` against the base snapshot and
-        checking the regenerated content hash against
-        ``outcome_hash``.  A crash *during* the append leaves a torn
-        tail the next open truncates away -- the cleaning then simply
-        never happened durably (pre-state), which is correct because
-        the caller had not yet acknowledged it.
+        Called *before* the outcome segment is persisted, by an
+        executed clean only -- journal replay never calls it, since
+        the record it replays already covers the outcome.  Once this
+        returns, a crash at any later point is recoverable: replay
+        re-executes ``spec_payload`` against the base snapshot, checks
+        the regenerated id and content hash against
+        ``outcome_snapshot_id`` and ``outcome_hash``, and persists the
+        outcome only if both match.  A crash *during* the append
+        leaves a torn tail the next open truncates away -- the
+        cleaning then simply never happened durably (pre-state), which
+        is correct because the caller had not yet acknowledged it.
 
         Past the ``max_journal_records`` threshold the journal is
         checkpointed automatically (:meth:`maybe_checkpoint`).

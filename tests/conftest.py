@@ -95,6 +95,20 @@ def assert_payloads_close(got, expected, tol=1e-9, tie_tol=1e-12):
         assert got == expected, (got, expected)
 
 
+def open_service(root):
+    """A service over a ``SnapshotStore`` at ``root`` that skips fsyncs.
+
+    The service replays the store's pending journal records as it
+    opens, exactly like ``TopKService(store_dir=root)``.
+    """
+    from repro.api import SessionPool, TopKService
+    from repro.store import SnapshotStore
+
+    return TopKService(
+        pool=SessionPool(store=SnapshotStore(root, durability="none"))
+    )
+
+
 @pytest.fixture
 def udb1():
     from repro.datasets.paper import udb1 as factory

@@ -72,6 +72,12 @@ class TestFactoryIdentity:
         assert rebuilt.score is ranking.score
         assert rebuilt.name == ranking.name
 
+    def test_descriptor_keeps_each_key(self):
+        ranking = by_sum_of_keys("a,b", "c")
+        descriptor = ranking_descriptor(ranking)
+        assert descriptor == {"kind": "sum_of_keys", "keys": ["a,b", "c"]}
+        assert ranking_from_descriptor(descriptor).score is ranking.score
+
     def test_distinct_rules_keep_distinct_callables(self):
         assert by_key("date").score is not by_key("rating").score
         assert (
@@ -102,9 +108,10 @@ class TestRankingsEquivalent:
             (by_key("date"), by_sum_of_keys("date"), False),
             (custom(_neg), custom(_neg), True),
             (custom(_neg), custom(_pos), False),
-            (custom(_neg, name="asc"), custom(_pos, name="asc"), True),
-            (by_key("date"), custom(_pos, name="by_key(date)"), True),
+            (custom(_neg, name="asc"), custom(_pos, name="asc"), False),
+            (by_key("date"), custom(_pos, name="by_key(date)"), False),
             (by_value(), custom(_pos), False),
+            (by_value(), custom(_neg, name="by_value"), False),
         ],
     )
     def test_answers(self, a, b, expected):

@@ -165,7 +165,9 @@ class TestServiceDeadlines:
 
 class TestAdmissionGate:
     def test_saturated_pool_sheds(self, small_synthetic):
-        service = TopKService(max_in_flight=1, admission_timeout_ms=50.0)
+        service = TopKService(
+            pool=SessionPool(max_in_flight=1, admission_timeout_ms=50.0)
+        )
         sid = service.register(small_synthetic).snapshot_id
         entered = threading.Event()
         release = threading.Event()
@@ -198,7 +200,7 @@ class TestAdmissionGate:
 
     def test_tight_deadline_bounds_admission_wait(self, small_synthetic):
         service = TopKService(
-            max_in_flight=1, admission_timeout_ms=30_000.0
+            pool=SessionPool(max_in_flight=1, admission_timeout_ms=30_000.0)
         )
         sid = service.register(small_synthetic).snapshot_id
         entered = threading.Event()

@@ -308,9 +308,19 @@ class TestPoolSharing:
         sid = a.register(udb1).snapshot_id
         assert b.query(sid, QuerySpec(k=2)).payload["quality"] is not None
 
-    def test_pool_kwargs_rejected_with_explicit_pool(self):
-        with pytest.raises(ValueError):
-            TopKService(pool=SessionPool(), max_sessions=3)
+    def test_pool_kwargs_rejected_with_explicit_pool(self, tmp_path):
+        from repro.db.ranking import by_value
+
+        for kwargs in ({"ranking": by_value()}, {"store_dir": tmp_path / "s"}):
+            with pytest.raises(ValueError, match="own pool"):
+                TopKService(pool=SessionPool(), **kwargs)
+        assert not (tmp_path / "s").exists()
+
+    def test_constructor_takes_pool_ranking_and_store_dir_only(self):
+        import inspect
+
+        parameters = inspect.signature(TopKService.__init__).parameters
+        assert list(parameters) == ["self", "pool", "ranking", "store_dir"]
 
 
 class TestDeprecatedEntryPoints:

@@ -118,14 +118,14 @@ class TestConcurrency:
     def test_threaded_matches_serial(self, workload):
         dbs, requests = workload
 
-        serial = TopKService(max_sessions=16)
+        serial = TopKService(pool=SessionPool(max_sessions=16))
         serial_sids = [serial.register(db).snapshot_id for db in dbs]
         expected = [
             self._run(serial, serial_sids, request) for request in requests
         ]
 
         max_sessions = 3
-        service = TopKService(max_sessions=max_sessions)
+        service = TopKService(pool=SessionPool(max_sessions=max_sessions))
         sids = [service.register(db).snapshot_id for db in dbs]
         results = {}
         errors = []

@@ -413,6 +413,22 @@ class TestSnapshotStore:
             store.persist("s1", ranked)
         assert store.snapshots() == {}
 
+    def test_factory_name_on_a_custom_ranking_is_refused(self, tmp_path):
+        # A ranking's rule is its score callable: a reversed ranking
+        # named "by_value" must not persist, or the next open would
+        # re-rank the segment by value and quarantine it.
+        from repro.db.ranking import custom
+
+        root = tmp_path / "store"
+        service = TopKService(
+            ranking=custom(lambda t: -float(t.value), name="by_value"),
+            store_dir=root,
+        )
+        with pytest.raises(StoreWriteError, match="descriptor"):
+            service.register(generate_synthetic(num_xtuples=5, seed=1))
+        assert service.pool.num_snapshots == 0
+        assert os.listdir(root / "segments") == []
+
     def test_bad_durability_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="durability"):
             SnapshotStore(tmp_path / "store", durability="eventually")

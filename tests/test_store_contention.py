@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import assert_payloads_close
+from conftest import assert_payloads_close, open_service
 from repro.api.service import TopKService
 from repro.api.specs import CleaningSpec, QuerySpec
 from repro.datasets.synthetic import generate_synthetic
@@ -270,8 +270,6 @@ class TestGroupCommit:
         for mode in ("strict", "batch"):
             with pytest.raises(ValueError, match="'fsync' or 'none'"):
                 SnapshotStore(tmp_path / "b", durability=mode)
-            with pytest.raises(ValueError, match="'fsync' or 'none'"):
-                TopKService(store_dir=tmp_path / "c", durability=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +384,7 @@ class TestTwoProcessConvergence:
             outcome = oracle.clean(base_id, spec).payload["new_snapshot_id"]
             expected[outcome] = oracle.query(outcome, QUERY_SPEC).payload
 
-        reopened = TopKService(store_dir=root, durability="none")
+        reopened = open_service(root)
         # Zero quarantines, nothing left to replay.
         assert reopened.store.recovery.quarantined == ()
         assert reopened.store.pending_cleanings() == []
@@ -455,7 +453,7 @@ class TestTwoProcessConvergence:
             outcome = oracle.clean(base_id, spec).payload["new_snapshot_id"]
             expected[outcome] = oracle.query(outcome, QUERY_SPEC).payload
 
-        reopened = TopKService(store_dir=root, durability="none")
+        reopened = open_service(root)
         # The crash corrupted nothing: no quarantine, no torn journal,
         # every acknowledged cleaning either durable or replayed.
         assert reopened.store.recovery.quarantined == ()

@@ -22,13 +22,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import assert_payloads_close
+from conftest import assert_payloads_close, open_service
+from repro.api.pool import SessionPool
 from repro.api.service import TopKService
 from repro.api.specs import CleaningSpec, QuerySpec
+from repro.datasets.mov import generate_mov
 from repro.datasets.synthetic import generate_synthetic
 from repro.db import io
 from repro.db.database import RankedDatabase
-from repro.db.ranking import by_value
+from repro.db.ranking import by_key, by_value
 from repro.exceptions import (
     JournalReplayError,
     SimulatedCrashError,
@@ -62,16 +64,14 @@ def oracle():
 class TestDurableRoundTrip:
     def test_snapshots_survive_a_restart(self, tmp_path, oracle):
         base_id, outcome_id, oracle_payload = oracle
-        service = TopKService(store_dir=tmp_path / "store", durability="none")
+        service = open_service(tmp_path / "store")
         assert service.register(small_db()).snapshot_id == base_id
         result = service.clean(base_id, CLEAN_SPEC)
         assert result.payload["new_snapshot_id"] == outcome_id
         assert result.counters["psr_store_writes"] == 1
 
         # "Restart": a brand-new service over the same directory.
-        reopened = TopKService(
-            store_dir=tmp_path / "store", durability="none"
-        )
+        reopened = open_service(tmp_path / "store")
         assert reopened.store.recovery.loaded == tuple(
             sorted((base_id, outcome_id))
         )
@@ -84,7 +84,7 @@ class TestDurableRoundTrip:
         assert reopened.store.counters()["psr_store_replays"] == 0
 
     def test_register_envelope_carries_store_deltas(self, tmp_path):
-        service = TopKService(store_dir=tmp_path / "store", durability="none")
+        service = open_service(tmp_path / "store")
         result = service.register(small_db())
         assert result.counters["psr_store_writes"] == 1
         again = service.register(small_db())
@@ -92,7 +92,7 @@ class TestDurableRoundTrip:
 
     def test_durable_false_keeps_cleaning_memory_only(self, tmp_path, oracle):
         base_id, outcome_id, _ = oracle
-        service = TopKService(store_dir=tmp_path / "store", durability="none")
+        service = open_service(tmp_path / "store")
         service.register(small_db())
         spec = CleaningSpec(
             k=K, budget=40, execute=True, seed=7, durable=False
@@ -104,8 +104,22 @@ class TestDurableRoundTrip:
         assert not service.store.has_segment(outcome_id)
         assert service.store.journal_records() == []
 
+    def test_rejected_registration_persists_nothing(self, tmp_path):
+        # Equal content under a conflicting ranking is refused before
+        # the write: no segment may serve by_key(rating) to later opens
+        # while this pool serves by_key(date).
+        db = generate_mov(num_xtuples=12, seed=5)
+        root = tmp_path / "store"
+        pool = SessionPool(store=SnapshotStore(root, durability="none"))
+        snapshot_id = pool.register(db.ranked(by_key("date")), durable=False)
+        with pytest.raises(ValueError, match="already registered"):
+            pool.register(db.ranked(by_key("rating")))
+        assert os.listdir(root / "segments") == []
+        assert pool.ranked(snapshot_id).ranking.score is by_key("date").score
+        assert SnapshotStore(root, durability="none").snapshots() == {}
+
     def test_pool_and_store_never_disagree_on_failed_persist(self, tmp_path):
-        service = TopKService(store_dir=tmp_path / "store", durability="none")
+        service = open_service(tmp_path / "store")
         plan = FaultPlan([FaultEvent(kind="enospc", step="segment:written")])
         with use_faults(plan):
             with pytest.raises(StoreWriteError):
@@ -149,7 +163,7 @@ class TestCrashSweep:
         self, tmp_path, oracle, step, expected
     ):
         base_id, outcome_id, oracle_payload = oracle
-        service = TopKService(store_dir=tmp_path / "store", durability="none")
+        service = open_service(tmp_path / "store")
         service.register(small_db())
 
         plan = FaultPlan([FaultEvent(kind="crash", step=step)])
@@ -159,9 +173,7 @@ class TestCrashSweep:
         assert plan.drawn, f"no disk fault fired at {step}"
 
         # The "process" died; reopen the directory from scratch.
-        reopened = TopKService(
-            store_dir=tmp_path / "store", durability="none"
-        )
+        reopened = open_service(tmp_path / "store")
         assert base_id in reopened.pool
         if expected == "pre":
             assert outcome_id not in reopened.pool
@@ -181,18 +193,20 @@ class TestCrashSweep:
         # Journal durable, segment missing: the reopened service must
         # re-execute the journaled spec, and count it as a replay.
         base_id, outcome_id, oracle_payload = oracle
-        service = TopKService(store_dir=tmp_path / "store", durability="none")
+        service = open_service(tmp_path / "store")
         service.register(small_db())
         plan = FaultPlan([FaultEvent(kind="crash", step="segment:begin")])
         with use_faults(plan):
             with pytest.raises(SimulatedCrashError):
                 service.clean(base_id, CLEAN_SPEC)
 
-        reopened = TopKService(
-            store_dir=tmp_path / "store", durability="none"
-        )
+        reopened = open_service(tmp_path / "store")
         assert reopened.store.counters()["psr_store_replays"] == 1
         assert reopened.store.has_segment(outcome_id)
+        # Replay appends no journal record of its own: the crashed
+        # clean's record is the only one.
+        (record,) = reopened.store.journal_records()
+        assert (record["base"], record["outcome"]) == (base_id, outcome_id)
         assert_payloads_close(
             reopened.query(outcome_id, QUERY_SPEC).payload, oracle_payload
         )
@@ -204,16 +218,14 @@ class TestCrashSweep:
         # dies: the reopen must detect it, quarantine it, and heal the
         # snapshot from the journal -- zero silent corruption.
         base_id, outcome_id, oracle_payload = oracle
-        service = TopKService(store_dir=tmp_path / "store", durability="none")
+        service = open_service(tmp_path / "store")
         service.register(small_db())
         plan = FaultPlan([FaultEvent(kind="torn", step="segment:payload")])
         with use_faults(plan):
             with pytest.raises(SimulatedCrashError):
                 service.clean(base_id, CLEAN_SPEC)
 
-        reopened = TopKService(
-            store_dir=tmp_path / "store", durability="none"
-        )
+        reopened = open_service(tmp_path / "store")
         report = reopened.store.recovery
         assert [name for name, _ in report.quarantined] == [
             outcome_id + ".seg"
@@ -226,16 +238,14 @@ class TestCrashSweep:
 
     def test_torn_journal_append_reverts_to_pre_state(self, tmp_path, oracle):
         base_id, outcome_id, _ = oracle
-        service = TopKService(store_dir=tmp_path / "store", durability="none")
+        service = open_service(tmp_path / "store")
         service.register(small_db())
         plan = FaultPlan([FaultEvent(kind="torn", step="journal:payload")])
         with use_faults(plan):
             with pytest.raises(SimulatedCrashError):
                 service.clean(base_id, CLEAN_SPEC)
 
-        reopened = TopKService(
-            store_dir=tmp_path / "store", durability="none"
-        )
+        reopened = open_service(tmp_path / "store")
         assert reopened.store.recovery.journal_truncated_bytes > 0
         assert reopened.store.journal_records() == []
         assert not reopened.store.has_segment(outcome_id)
@@ -247,16 +257,14 @@ class TestCrashSweep:
         # must: checksums catch it, quarantine isolates it, replay
         # regenerates it.
         base_id, outcome_id, oracle_payload = oracle
-        service = TopKService(store_dir=tmp_path / "store", durability="none")
+        service = open_service(tmp_path / "store")
         service.register(small_db())
         plan = FaultPlan([FaultEvent(kind="bitflip", step="segment:payload")])
         with use_faults(plan):
             result = service.clean(base_id, CLEAN_SPEC)  # no error!
         assert result.payload["new_snapshot_id"] == outcome_id
 
-        reopened = TopKService(
-            store_dir=tmp_path / "store", durability="none"
-        )
+        reopened = open_service(tmp_path / "store")
         assert len(reopened.store.recovery.quarantined) == 1
         assert reopened.store.counters()["psr_store_replays"] == 1
         assert_payloads_close(
@@ -284,7 +292,7 @@ CHECKPOINT_CRASH_POINTS = [
 class TestCheckpointCrashSweep:
     def cleaned_service(self, tmp_path, base_id):
         """A store whose journal holds one droppable clean record."""
-        service = TopKService(store_dir=tmp_path / "store", durability="none")
+        service = open_service(tmp_path / "store")
         service.register(small_db())
         service.clean(base_id, CLEAN_SPEC)
         assert len(service.store.journal_records()) == 1
@@ -306,9 +314,7 @@ class TestCheckpointCrashSweep:
                 service.store.checkpoint()
         assert plan.drawn, f"no disk fault fired at {step}"
 
-        reopened = TopKService(
-            store_dir=tmp_path / "store", durability="none"
-        )
+        reopened = open_service(tmp_path / "store")
         # Never a torn journal, never a quarantine, never data loss.
         assert reopened.store.recovery.quarantined == ()
         assert reopened.store.recovery.journal_truncated_bytes == 0
@@ -375,7 +381,7 @@ class TestCheckpointCrashSweep:
 
     def test_crash_at_lock_acquire_is_pure_pre_state(self, tmp_path, oracle):
         base_id, outcome_id, _ = oracle
-        service = TopKService(store_dir=tmp_path / "store", durability="none")
+        service = open_service(tmp_path / "store")
         service.register(small_db())
         plan = FaultPlan([FaultEvent(kind="crash", step="lock:acquire")])
         with use_faults(plan):
@@ -506,19 +512,25 @@ class TestReplayFailures:
             "snap-never-registered", CLEAN_SPEC.to_dict(), "snap-out", "hash"
         )
         with pytest.raises(JournalReplayError, match="snap-never-registered"):
-            TopKService(store=store)
+            TopKService(pool=SessionPool(store=store))
 
     def test_tampered_outcome_raises_typed_error(self, tmp_path, oracle):
         base_id, _, _ = oracle
-        service = TopKService(store_dir=tmp_path / "store", durability="none")
+        service = open_service(tmp_path / "store")
         service.register(small_db())
         # A journal record promising an outcome the spec cannot
         # regenerate: replay must refuse, not serve divergent history.
         service.store.journal_clean(
             base_id, CLEAN_SPEC.to_dict(), "snap-forged", "not-a-real-hash"
         )
+        segments = sorted(os.listdir(tmp_path / "store" / "segments"))
+        journal = (tmp_path / "store" / "journal.wal").read_bytes()
         with pytest.raises(JournalReplayError, match="inconsistent"):
-            TopKService(store_dir=tmp_path / "store", durability="none")
+            open_service(tmp_path / "store")
+        # Verified before registered: the diverging replay wrote no
+        # segment and no journal record.
+        assert sorted(os.listdir(tmp_path / "store" / "segments")) == segments
+        assert (tmp_path / "store" / "journal.wal").read_bytes() == journal
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +654,7 @@ class TestCliStore:
         from repro.cli import main
 
         base_id, outcome_id, _ = oracle
-        service = TopKService(store_dir=tmp_path / "store", durability="none")
+        service = open_service(tmp_path / "store")
         service.register(small_db())
         service.clean(base_id, CLEAN_SPEC)
         store_dir = str(tmp_path / "store")
