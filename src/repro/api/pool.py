@@ -198,6 +198,7 @@ class SessionPool:
         db: Union[ProbabilisticDatabase, RankedDatabase],
         session: Optional[QuerySession] = None,
         durable: Optional[bool] = None,
+        base: Optional[str] = None,
     ) -> str:
         """Register an immutable snapshot; returns its content-hash id.
 
@@ -224,7 +225,10 @@ class SessionPool:
         never advertises a snapshot disk does not hold.  ``durable``
         ``False`` opts one registration out of persistence (the
         snapshot stays memory-only); ``None``/``True`` persist
-        whenever a store is attached.
+        whenever a store is attached.  ``base`` names the snapshot a
+        cleaning outcome derives from and is only forwarded to
+        :meth:`~repro.store.SnapshotStore.persist`, which alone picks
+        the segment kind.
         """
         ranked = db if isinstance(db, RankedDatabase) else None
         raw = ranked.db if ranked is not None else db
@@ -242,7 +246,7 @@ class SessionPool:
             # Outside the registry lock: the store lock (RANK_STORE)
             # ranks below the registry lock, and a slow disk must not
             # block unrelated leases.  The store serializes itself.
-            self.store.persist(snapshot_id, ranked)
+            self.store.persist(snapshot_id, ranked, base=base)
             if self.retention is not None:
                 self.sweep_store()
         with self._lock:

@@ -43,9 +43,13 @@ from repro.core.counters import SESSION_COUNTERS
 from repro.core.quality import compute_quality_detailed
 from repro.core.resilience import Deadline, check_deadline, scoped
 from repro.datasets.synthetic import generate_costs, generate_sc_probabilities
-from repro.db.database import ProbabilisticDatabase, RankedDatabase
+from repro.db.database import ProbabilisticDatabase, RankedDatabase, change_set
 from repro.db.ranking import RankingFunction
-from repro.exceptions import InvalidSpecError, JournalReplayError
+from repro.exceptions import (
+    InvalidDatabaseError,
+    InvalidSpecError,
+    JournalReplayError,
+)
 from repro.queries.engine import QuerySession
 from repro.store import SnapshotStore
 
@@ -115,20 +119,30 @@ class TopKService:
     # Durability
     # ------------------------------------------------------------------
     def _replay_journal(self) -> None:
-        """Re-execute journaled cleanings whose segments are missing.
+        """Rebuild journaled cleanings whose segments are missing.
 
         Runs once, at construction, in journal order.  A pending record
         means a crash struck after the journal append but before the
-        outcome segment's commit; cleaning is deterministic given the
-        spec's seed, so re-executing it on the base snapshot's leased
-        session regenerates bit-identical content.  The regenerated
-        snapshot id *and* content hash are checked against the record
-        before anything is written:
+        outcome segment's commit.  The outcome comes from one of two
+        sources, by the record's schema:
 
-        * a match registers the outcome with its warm session, which
-          persists its segment; no journal record is appended, since
-          the replayed record already covers the outcome;
-        * a mismatch raises
+        * **schema 2** records carry the outcome as its base plus a
+          change set: replay applies it to the base's registered view
+          (:meth:`~repro.db.database.RankedDatabase.with_change_set`).
+          It leases nothing, plans nothing, runs no PSR or TP kernel
+          and never decodes the spec, so a kernel change cannot make a
+          store refuse to open;
+        * **schema 1** records (stores written before change sets were
+          journaled) re-execute the spec on the base snapshot's leased
+          session -- cleaning is deterministic given the spec's seed.
+
+        Either way, the outcome's snapshot id *and* content hash are
+        checked against the record before anything is written:
+
+        * a match registers the outcome (with ``base=``, so the store
+          may persist it as a delta segment); no journal record is
+          appended, since the replayed record already covers it;
+        * a mismatch, or a malformed change set, raises
           :class:`~repro.exceptions.JournalReplayError` and leaves the
           store as it found it -- opening fails rather than serving
           state that contradicts the journal.
@@ -146,37 +160,43 @@ class TopKService:
                     f"journaled cleaning of base snapshot {base!r} cannot "
                     f"be replayed: its segment is missing or quarantined"
                 )
-            spec_payload = dict(record.get("spec") or {})
-            # Older journals carry a ``retry_policy`` (null), a field
-            # specs no longer have; strip it or the spec would not
-            # decode.  Snapshot ids hash content, not specs, so no
-            # journaled id changes.
-            spec_payload.pop("retry_policy", None)
-            try:
-                spec = CleaningSpec.from_dict(spec_payload)
-            except InvalidSpecError as exc:
-                raise JournalReplayError(
-                    f"journaled cleaning spec of base {base!r} does not "
-                    f"decode: {exc}"
-                ) from exc
-            with self.pool.lease(base) as session:
-                payload, outcome = self._plan_and_execute(session, spec)
-                regenerated = payload.get("new_snapshot_id")
-                if (
-                    regenerated != record.get("outcome")
-                    or outcome.db.content_hash() != record.get("outcome_hash")
-                ):
-                    raise JournalReplayError(
-                        f"replaying the journaled cleaning of {base!r} "
-                        f"produced snapshot {regenerated!r}, but the "
-                        f"journal recorded {record.get('outcome')!r} (hash "
-                        f"{record.get('outcome_hash')!r}); the durable "
-                        f"history is inconsistent"
+            if record.get("schema") == 1:
+                self._reexecute(base, record)
+            else:
+                try:
+                    outcome = self.pool.ranked(base).with_change_set(
+                        record.get("changes")
                     )
-                self.pool.register(
-                    outcome.ranked, session=outcome, durable=spec.durable
-                )
+                except InvalidDatabaseError as exc:
+                    raise JournalReplayError(
+                        f"journaled change set of base {base!r} does not "
+                        f"apply: {exc}"
+                    ) from exc
+                _check_replayed(base, record, outcome.db)
+                self.pool.register(outcome, base=base)
             self.store.note_replayed()
+
+    def _reexecute(self, base: str, record: Mapping[str, Any]) -> None:
+        """Replay one schema-1 record by re-executing its spec."""
+        spec_payload = dict(record.get("spec") or {})
+        # Older journals carry a ``retry_policy`` (null), a field specs
+        # no longer have; strip it or the spec would not decode.
+        # Snapshot ids hash content, not specs, so no journaled id
+        # changes.
+        spec_payload.pop("retry_policy", None)
+        try:
+            spec = CleaningSpec.from_dict(spec_payload)
+        except InvalidSpecError as exc:
+            raise JournalReplayError(
+                f"journaled cleaning spec of base {base!r} does not "
+                f"decode: {exc}"
+            ) from exc
+        with self.pool.lease(base) as session:
+            _, outcome = self._plan_and_execute(session, spec)
+            _check_replayed(base, record, outcome.db)
+            self.pool.register(
+                outcome.ranked, session=outcome, durable=spec.durable, base=base
+            )
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -268,12 +288,12 @@ register`), and the envelope's ``counters`` reports the store's
 
         With a store attached (and ``spec.durable`` not ``False``),
         the outcome is **write-ahead journaled** before it is
-        registered: the journal records the base snapshot, the full
-        spec and the outcome's content hash, and only then is the
-        outcome segment persisted and published.  A crash anywhere in
-        between is recovered at the next open by re-executing the
-        journaled spec -- the execution is deterministic given
-        ``spec.seed`` -- so callers observe either the pre-clean or
+        registered: the journal records the base snapshot, the
+        outcome's change set against it, its content hash and the spec
+        (as provenance), and only then is the outcome segment
+        persisted and published.  A crash anywhere in between is
+        recovered at the next open by applying the journaled change
+        set to the base, so callers observe either the pre-clean or
         the post-clean state, never a half-applied one.
         """
         return self._serve(
@@ -566,16 +586,41 @@ register`), and the envelope's ``counters`` reports the store's
         """Journal an executed outcome, then register it warm.
 
         WAL ordering: with a store (and ``spec.durable`` not
-        ``False``) the journal record is durable before the outcome
-        segment or the in-memory entry exists, so a crash after the
-        append is recoverable by deterministic re-execution.
+        ``False``) the journal record -- the outcome as its base plus
+        its change set -- is durable before the outcome segment or the
+        in-memory entry exists, so a crash after the append is
+        recoverable by applying the change set again.  The outcome
+        registers with its base, which lets the store persist it as a
+        delta segment.
         """
         ranked = outcome.ranked
         if self.store is not None and spec.durable is not False:
+            changes = change_set(self.pool.database(snapshot_id), ranked.db)
+            assert changes is not None, "a clean only collapses or removes"
             self.store.journal_clean(
                 snapshot_id,
                 spec.to_dict(),
                 snapshot_id_of(ranked.db),
                 ranked.db.content_hash(),
+                changes,
             )
-        self.pool.register(ranked, session=outcome, durable=spec.durable)
+        self.pool.register(
+            ranked, session=outcome, durable=spec.durable, base=snapshot_id
+        )
+
+
+def _check_replayed(
+    base: str, record: Mapping[str, Any], outcome: ProbabilisticDatabase
+) -> None:
+    """Refuse a replayed outcome whose id or hash the record contradicts."""
+    regenerated = snapshot_id_of(outcome)
+    if (
+        regenerated != record.get("outcome")
+        or outcome.content_hash() != record.get("outcome_hash")
+    ):
+        raise JournalReplayError(
+            f"replaying the journaled cleaning of {base!r} produced "
+            f"snapshot {regenerated!r}, but the journal recorded "
+            f"{record.get('outcome')!r} (hash {record.get('outcome_hash')!r}); "
+            f"the durable history is inconsistent"
+        )

@@ -275,7 +275,8 @@ def _print_store_status(status: Dict[str, Any]) -> None:
     )
     print(
         f"  segments: {status['segment_files']} files, "
-        f"{status['segment_bytes']} bytes"
+        f"{status['segment_bytes']} bytes; loaded {status['full_segments']} "
+        f"full, {status['delta_segments']} delta"
     )
     if status["tombstones"]:
         print(f"  tombstones awaiting unlink: {status['tombstones']}")
@@ -322,7 +323,8 @@ def cmd_store(args: argparse.Namespace) -> int:
     with ``--force``, clears a stale record (a verifiably live holder
     is never broken).  Every action writes a JSON envelope with
     ``--json``; lock contention surfaces as the typed
-    ``StoreLockedError`` error envelope, exit 1.
+    ``StoreLockedError`` error envelope, exit 1, and ``status`` of a
+    directory that holds no store as ``StoreError``, creating nothing.
     """
     from repro.store import RetentionPolicy, SnapshotStore, StoreLock
 

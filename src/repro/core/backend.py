@@ -16,9 +16,10 @@ The oracle is reached only through an explicit ``backend="python"`` on
 :func:`repro.core.weights.compute_weights`,
 :func:`repro.core.tp.compute_quality_tp` or
 :class:`repro.queries.engine.QuerySession`.  There is deliberately no
-process-wide switch (environment variable or setter): a journal replays
-by re-executing cleanings, so a kernel picked by the environment could
-flip a near-tie and make a store refuse to open.
+process-wide switch (environment variable or setter): a schema-1
+journal record replays by re-executing its cleaning, so a kernel picked
+by the environment could flip a near-tie and make a store refuse to
+open.
 """
 
 from __future__ import annotations

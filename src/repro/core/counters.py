@@ -34,7 +34,7 @@ SESSION_COUNTERS: Tuple[str, ...] = (
 #: Cumulative counters of one :class:`~repro.store.SnapshotStore`, in
 #: envelope reporting order.  Unlike the session counters these live on
 #: the *store* (one per store directory, shared by every session served
-#: over it): segments durably committed, journal records re-executed at
+#: over it): segments durably committed, journal records replayed at
 #: open, and files quarantined by verification failures.  The service
 #: façade surfaces them as per-request deltas next to the session
 #: counters whenever the pool is store-backed, so replays and

@@ -45,6 +45,12 @@ set.  The delta is what the incremental PSR kernel
 (:func:`repro.queries.psr.apply_rank_delta`), the TP patch and the
 query engine (:meth:`repro.queries.engine.QuerySession.derive`)
 consume to re-evaluate only the rows from the first changed one down.
+
+Durable state stores a cleaning outcome as its base plus a *change
+set*, ``{xid: revealed tid, or None for a revealed null}``:
+:func:`change_set` extracts it from a base and an outcome, and
+:meth:`RankedDatabase.with_change_set` applies it through the same
+splice.
 """
 
 from __future__ import annotations
@@ -327,6 +333,51 @@ class ProbabilisticDatabase:
     def ranked(self, ranking: Optional[RankingFunction] = None) -> "RankedDatabase":
         """Pre-sort the database under ``ranking`` (default: by value)."""
         return RankedDatabase(self, ranking or by_value())
+
+
+#: A cleaning outcome relative to its base: x-tuple id -> the revealed
+#: tuple id it collapsed to, or ``None`` for a revealed null (removed).
+ChangeSet = Dict[str, Optional[str]]
+
+
+def _same_content(a: XTuple, b: XTuple) -> bool:
+    """Whether two x-tuples hash as one: identity, else equal records."""
+    return a is b or a.encoded(_HASH_RECORD, _hash_record) == b.encoded(
+        _HASH_RECORD, _hash_record
+    )
+
+
+def change_set(
+    base: ProbabilisticDatabase, outcome: ProbabilisticDatabase
+) -> Optional[ChangeSet]:
+    """``outcome`` as its ``base`` plus a change set, or ``None``.
+
+    The change set exists when ``outcome`` is ``base`` with some
+    x-tuples collapsed to one of their alternatives (paper Definition
+    5) or removed (a revealed null), every other x-tuple kept in base
+    order -- what any executed cleaning produces.  One O(m) walk of
+    both x-tuple sequences; a kept x-tuple is matched by identity
+    first, then by its content-hash record, so ``base.ranked(r)
+    .with_change_set(changes)`` hashes exactly as ``outcome``.
+    """
+    changes: ChangeSet = {}
+    kept = outcome.xtuples
+    j = 0
+    for xt in base.xtuples:
+        other = kept[j] if j < len(kept) else None
+        if other is None or other.xid != xt.xid:
+            changes[xt.xid] = None
+            continue
+        j += 1
+        if _same_content(other, xt):
+            continue
+        tid = other.alternatives[0].tid
+        if len(other.alternatives) != 1 or tid not in xt.tids:
+            return None
+        if not _same_content(other, xt.collapsed_to(tid)):
+            return None
+        changes[xt.xid] = tid
+    return changes if j == len(kept) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -866,6 +917,33 @@ class RankedDatabase:
             window_start=min(firsts, default=len(self.scores_array)),
         )
         return new_ranked, delta
+
+    def with_change_set(self, changes: Mapping[str, Optional[str]]) -> "RankedDatabase":
+        """The ranked view of this base with a change set applied.
+
+        ``changes`` maps x-tuple ids to the revealed tuple id (the
+        x-tuple collapses to it) or to ``None`` (it is removed), as
+        :func:`change_set` returns and durable state stores it; the
+        view derives through :meth:`with_xtuples_changed`.  An unknown
+        x-tuple or tuple id, or a value that is neither a string nor
+        ``None``, raises :class:`~repro.exceptions.InvalidDatabaseError`.
+        """
+        if not isinstance(changes, Mapping):
+            raise InvalidDatabaseError(
+                f"a change set must be a mapping, got {type(changes).__name__}"
+            )
+        replacements: Dict[str, Optional[XTuple]] = {}
+        for xid, tid in changes.items():
+            if tid is not None and not isinstance(tid, str):
+                raise InvalidDatabaseError(
+                    f"change of x-tuple {xid!r} must be a tuple id or null, "
+                    f"got {tid!r}"
+                )
+            xt = self.db.xtuple(xid)
+            replacements[xid] = None if tid is None else xt.collapsed_to(tid)
+        if not replacements:
+            return self
+        return self.with_xtuples_changed(replacements)[0]
 
     def with_xtuple_replaced(
         self, xid: str, replacement: XTuple

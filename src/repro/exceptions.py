@@ -146,10 +146,12 @@ class JournalReplayError(StoreError):
     """A write-ahead journal record could not be replayed.
 
     Raised at store open when a journaled cleaning outcome has no
-    surviving segment and re-executing the journaled spec is
-    impossible (its base snapshot was lost or quarantined) or
-    divergent (the re-executed outcome's content hash does not match
-    the journaled hash).  Either way the durable history is
+    surviving segment and rebuilding it -- applying the journaled
+    change set, or re-executing the spec of a schema-1 record -- is
+    impossible (its base snapshot was lost or quarantined, or the
+    change set does not apply) or divergent (the rebuilt outcome's id
+    or content hash does not match the journal).  Either way the
+    durable history is
     inconsistent and the operator must intervene; opening proceeds no
     further rather than serving a state that contradicts the journal.
     """

@@ -14,10 +14,10 @@ between the data layer and the serving layer -- it imports
   advisory ``fcntl.flock`` on the store root (bounded wait, stale-
   holder detection, ``unlock --force``).  All ``fcntl`` use in the
   codebase lives here (lint rule REP012).
-* :mod:`repro.store.store` -- :class:`SnapshotStore`: atomic segment
-  writes, the write-ahead cleaning journal, journal checkpoint /
-  compaction, retention-policy GC with two-phase deletes, group
-  commit, and recovery-on-open with quarantine of anything that fails
+* :mod:`repro.store.store` -- :class:`SnapshotStore`: atomic writes of
+  full and delta segments, the write-ahead cleaning journal, journal
+  checkpoint / compaction, retention-policy GC with two-phase deletes,
+  and recovery-on-open with quarantine of anything that fails
   verification.
 
 See the README's "Durability & crash recovery" section for the

@@ -8,7 +8,7 @@ corruption tests trivial (flip a bit in the encoded bytes, decode, get
 honest: every code path out of :func:`decode_segment` either returns a
 fully verified payload or raises the typed error.
 
-Segment layout (all integers big-endian)::
+Full-segment layout (all integers big-endian)::
 
     offset 0   magic            b"RPROSEG1"
     offset 8   header length    u32
@@ -45,6 +45,25 @@ frame table; the store parses its structure whole
 store written before schema 2 keeps opening.  Any other version is
 refused.
 
+**Delta segments** (schema :data:`DELTA_SCHEMA`, 3) store a cleaning
+outcome as its base plus a change set::
+
+    offset 0   magic            b"RPROSEG1"
+    offset 8   header length    u32
+    offset 12  header JSON      schema version, snapshot id, content
+                                hash, base snapshot id, depth (links
+                                down to the nearest full segment) and
+                                the change set {xid: revealed tid, or
+                                null for a removal}
+    tail       SHA-256 digest   over every preceding byte (32 bytes)
+
+There is no structure, frame table or column: the name and the ranking
+are the base's, and the store rebuilds the view from the base.  The
+``"base"`` key marks a header as a delta's; each layout reads only its
+own schema versions, so a full layout labelled 3 is refused as an
+unknown schema.  :func:`read_header` reads a header alone, without the
+digest, for bookkeeping such as which base a delta names.
+
 Two layers of verification are deliberate: the per-column CRCs localize
 *which* column a flipped bit landed in (diagnostics), while the
 whole-file digest catches anything the CRCs structurally cannot --
@@ -60,9 +79,11 @@ log needs.
 Journal record kinds (the ``"kind"`` field of the JSON payload):
 
 ``"clean"``
-    An executed cleaning outcome -- base snapshot, full spec, outcome
-    id and content hash -- appended *before* the outcome segment is
-    written (the write-ahead contract).
+    An executed cleaning outcome, appended *before* the outcome segment
+    is written (the write-ahead contract): the base snapshot, the
+    outcome's change set against it (journal schema 2; schema-1
+    records have none and replay by re-executing the spec), and the
+    outcome id, content hash and spec as provenance.
 ``"tombstone"``
     Phase one of the two-phase segment delete: the named segment is
     logically dead (retention/GC chose it) but its file may still be
@@ -87,7 +108,17 @@ import hashlib
 import json
 import struct
 import zlib
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.db.io import structure_head
 from repro.exceptions import CorruptSnapshotError
@@ -95,13 +126,18 @@ from repro.exceptions import CorruptSnapshotError
 #: First eight bytes of every segment file.
 MAGIC = b"RPROSEG1"
 
-#: The schema :func:`encode_segment` writes.  Bumped on any
-#: incompatible layout change; the decoder refuses versions it does
-#: not know rather than guessing.
+#: The schema :func:`encode_segment` writes for a full segment.
+#: Bumped on any incompatible layout change; the decoder refuses
+#: versions it does not know rather than guessing.
 SCHEMA_VERSION = 2
 
-#: Every schema :func:`decode_segment` reads.
+#: Every full-segment schema :func:`decode_segment` reads.
 READABLE_SCHEMAS = (1, 2)
+
+#: The schema of a delta segment: a header that names its base (the
+#: ``"base"`` key marks the layout) and carries its change set, and
+#: nothing else.
+DELTA_SCHEMA = 3
 
 _U32 = struct.Struct(">I")
 _DIGEST_BYTES = 32
@@ -122,39 +158,92 @@ def _canonical_json(payload: Mapping[str, Any]) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+class DeltaLink(NamedTuple):
+    """What a delta segment stores besides its id and content hash."""
+
+    #: The snapshot id of the segment the change set applies to.
+    base: str
+    #: Links down to the nearest full segment (1 on a full base).
+    depth: int
+    #: x-tuple id -> revealed tuple id, or ``None`` for a removal.
+    changes: Dict[str, Optional[str]]
+
+
 class Segment(NamedTuple):
     """One segment's verified parts, as :func:`decode_segment` returns
     them; nothing in the structure has been parsed yet."""
 
     header: Dict[str, Any]
-    #: The canonical structure JSON, as framed.
+    #: The canonical structure JSON, as framed (empty for a delta).
     structure_json: bytes
     #: Each x-tuple's fragment of ``structure_json`` (schema 2), or
-    #: ``None`` for a schema-1 segment, which has no frame table.
+    #: ``None`` for a schema-1 segment, which has no frame table, or
+    #: a delta, which has no structure.
     fragments: Optional[List[bytes]]
-    #: Column name -> raw bytes.
+    #: Column name -> raw bytes (empty for a delta).
     columns: Dict[str, bytes]
+
+    @property
+    def link(self) -> Optional[DeltaLink]:
+        """The base and change set of a delta segment; ``None`` for a
+        full one."""
+        return header_link(self.header)
+
+
+def header_link(header: Mapping[str, Any]) -> Optional[DeltaLink]:
+    """The :class:`DeltaLink` a decoded header carries, or ``None``
+    when it is a full segment's."""
+    if "base" not in header:
+        return None
+    return DeltaLink(header["base"], header["depth"], header["changes"])
 
 
 def encode_segment(
     snapshot_id: str,
     content_hash: str,
-    name: str,
-    ranking: Mapping[str, Any],
-    structure_json: bytes,
-    fragment_lengths: Sequence[int],
     columns: Mapping[str, Tuple[str, bytes]],
+    name: Optional[str] = None,
+    ranking: Optional[Mapping[str, Any]] = None,
+    structure_json: bytes = b"",
+    fragment_lengths: Sequence[int] = (),
+    delta: Optional[DeltaLink] = None,
 ) -> bytes:
-    """Encode one snapshot segment (schema :data:`SCHEMA_VERSION`).
+    """Encode one snapshot segment: full, or a delta when ``delta`` is
+    given.
 
-    ``structure_json`` is the database's canonical structure JSON and
-    ``fragment_lengths`` the byte length of each x-tuple's fragment in
-    it (:func:`repro.db.io.database_structure_frames`), both framed
+    A full segment (schema :data:`SCHEMA_VERSION`) holds everything a
+    snapshot needs.  ``structure_json`` is the database's canonical
+    structure JSON and ``fragment_lengths`` the byte length of each
+    x-tuple's fragment in it
+    (:func:`repro.db.io.database_structure_frames`), both framed
     verbatim.  ``columns`` maps column name to ``(dtype_str,
     raw_bytes)``; the header records their order, dtypes, lengths and
     CRCs so the decoder can slice and verify them without trusting
     anything but the magic.
+
+    A delta segment (schema :data:`DELTA_SCHEMA`) is a header alone --
+    id, content hash, base, depth and change set -- so ``columns``
+    must be empty and no name, ranking or structure may be given: the
+    store rebuilds the snapshot from its base.
     """
+    if delta is not None:
+        if columns or name is not None or ranking is not None or (
+            structure_json or fragment_lengths
+        ):
+            raise ValueError("a delta segment holds a header and nothing else")
+        header: Dict[str, Any] = {
+            "schema": DELTA_SCHEMA,
+            "snapshot_id": snapshot_id,
+            "content_hash": content_hash,
+            "base": delta.base,
+            "depth": delta.depth,
+            "changes": dict(delta.changes),
+        }
+        header_json = _canonical_json(header)
+        body = MAGIC + _U32.pack(len(header_json)) + header_json
+        return body + hashlib.sha256(body).digest()
+    if name is None or ranking is None:
+        raise ValueError("a full segment needs its name and ranking")
     column_meta: List[Dict[str, Any]] = []
     column_blobs: List[bytes] = []
     for column_name, (dtype, blob) in columns.items():
@@ -192,6 +281,50 @@ def _corrupt(reason: str) -> CorruptSnapshotError:
     return CorruptSnapshotError(f"segment corrupt: {reason}")
 
 
+def _parse_header(header_json: bytes) -> Dict[str, Any]:
+    """Parse a header JSON and check its schema, and a delta's link."""
+    try:
+        header = json.loads(header_json)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise _corrupt(f"header is not valid JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise _corrupt("header is not an object")
+    schema = header.get("schema")
+    delta = "base" in header
+    readable = (DELTA_SCHEMA,) if delta else READABLE_SCHEMAS
+    if type(schema) is not int or schema not in readable:
+        raise _corrupt(
+            f"unknown schema version {schema!r} (expected one of {readable})"
+        )
+    if delta:
+        base, depth = header.get("base"), header.get("depth")
+        if not isinstance(base, str) or not base:
+            raise _corrupt(f"bad delta base {base!r}")
+        if type(depth) is not int or depth < 1:
+            raise _corrupt(f"bad delta depth {depth!r}")
+        if not isinstance(header.get("changes"), dict):
+            raise _corrupt("delta header lacks a change set")
+    return header
+
+
+def read_header(read: Callable[[int], bytes]) -> Dict[str, Any]:
+    """A segment's header, read from the start of the file through
+    ``read(size)`` (e.g. an open file's ``read``).
+
+    Only the header is read, so the whole-file digest is *not*
+    checked: this serves bookkeeping that must not pay for a full
+    segment's bytes (which base a delta names), never a load.
+    """
+    prefix = read(len(MAGIC) + _U32.size)
+    if len(prefix) < len(MAGIC) + _U32.size or prefix[: len(MAGIC)] != MAGIC:
+        raise _corrupt("no segment header")
+    (length,) = _U32.unpack_from(prefix, len(MAGIC))
+    header_json = read(length)
+    if len(header_json) < length:
+        raise _corrupt("header frame overruns file")
+    return _parse_header(header_json)
+
+
 def decode_segment(data: bytes) -> Segment:
     """Decode and fully verify one segment's bytes.
 
@@ -200,7 +333,9 @@ def decode_segment(data: bytes) -> Segment:
     mismatch, whole-file digest mismatch, a malformed header, frames
     that do not tile the structure -- never a partial or guessed
     payload.  The structure comes back unparsed: as its fragments
-    (schema 2) or whole (schema 1; see :func:`decode_structure`).
+    (schema 2) or whole (schema 1; see :func:`decode_structure`).  A
+    delta (schema 3) comes back as its header alone; see
+    :attr:`Segment.link`.
     """
     if len(data) < len(MAGIC) + _U32.size + _DIGEST_BYTES:
         raise _corrupt(f"file too short ({len(data)} bytes)")
@@ -215,19 +350,13 @@ def decode_segment(data: bytes) -> Segment:
     offset += _U32.size
     if offset + header_length > len(body):
         raise _corrupt("header frame overruns file")
-    try:
-        header = json.loads(body[offset : offset + header_length])
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise _corrupt(f"header is not valid JSON ({exc})") from None
+    header = _parse_header(body[offset : offset + header_length])
     offset += header_length
-    if not isinstance(header, dict):
-        raise _corrupt("header is not an object")
-    schema = header.get("schema")
-    if type(schema) is not int or schema not in READABLE_SCHEMAS:
-        raise _corrupt(
-            f"unknown schema version {schema!r} "
-            f"(expected one of {READABLE_SCHEMAS})"
-        )
+    schema = header["schema"]
+    if "base" in header:
+        if offset != len(body):
+            raise _corrupt(f"{len(body) - offset} trailing bytes after a delta header")
+        return Segment(header, b"", None, {})
 
     structure_length = header.get("structure_length")
     if not isinstance(structure_length, int) or structure_length < 0:

@@ -3,7 +3,8 @@
 :class:`SnapshotStore` owns one directory::
 
     <root>/
-        segments/<snapshot-id>.seg   one verified segment per snapshot
+        segments/<snapshot-id>.seg   one segment per snapshot: full, or
+                                     a delta on another segment
         journal.wal                  write-ahead log of cleaning outcomes
         store.lock                   cross-process advisory lock file
         quarantine/                  segments that failed verification
@@ -13,32 +14,47 @@ that the next open recovers either the complete pre-write state or the
 complete post-write state -- never a torn hybrid, and never silently
 wrong data.
 
-**Segments** are written atomically: encode fully in memory, write to a
-``.tmp-*`` sibling, fsync, rename over the final name, fsync the
-directory.  A crash before the rename leaves only a temp file (swept on
-open -> pre-state); after it, a fully durable segment (post-state).
-Every decoded byte is checksummed (:mod:`repro.store.format`) and the
-rebuilt ranked view is cross-checked column-by-column against the
-stored bytes and the content hash, so corruption is *detected*, and
-detected corruption is *quarantined* -- moved aside with a typed
-:class:`~repro.exceptions.CorruptSnapshotError`, never served.  Every
-segment gets that whole check at open, but one open decodes, validates
-and hashes each *distinct* x-tuple once: a schema-2 segment frames its
-x-tuples, and a cleaning chain's segments repeat nearly all of them,
-so its snapshots share one ``XTuple`` per distinct fragment (see
-:meth:`SnapshotStore._load_segment`).
+**Segments** come in two kinds.  A *full* segment holds a snapshot's
+structure and ranked columns.  A *delta* segment holds only a cleaning
+outcome's base id and its change set (``{xid: revealed tid, or null
+for a revealed null}``; :func:`~repro.db.database.change_set`), a few
+hundred bytes where its full segment would be megabytes: the store
+writes one when the outcome's base is live, verified and fewer than
+:data:`MAX_DELTA_DEPTH` links above a full segment (see
+:meth:`SnapshotStore.persist`).  Both are written atomically: encode
+fully in memory, write to a ``.tmp-*`` sibling, fsync, rename over the
+final name, fsync the directory.  A crash before the rename leaves only
+a temp file (swept on open -> pre-state); after it, a fully durable
+segment (post-state).  Every decoded byte is checksummed
+(:mod:`repro.store.format`).  A full segment's rebuilt ranked view is
+cross-checked column-by-column against the stored bytes and the content
+hash; a delta loads after its base, from the base's view spliced with
+the change set, and must hash to its header's content hash.  So
+corruption is *detected*, and detected corruption is *quarantined* --
+moved aside with a typed :class:`~repro.exceptions.CorruptSnapshotError`,
+never served.  A delta whose base is missing, tombstoned or quarantined
+is quarantined too, its reason naming the base: a corrupt full segment
+takes the deltas above it along, at most :data:`MAX_DELTA_DEPTH` links
+of a chain.  Every segment gets its whole check at open, but one open
+decodes, validates and hashes each *distinct* x-tuple once: a schema-2
+segment frames its x-tuples, and a cleaning chain's full segments
+repeat nearly all of them, so its snapshots share one ``XTuple`` per
+distinct fragment (see :meth:`SnapshotStore._rebuild_full`).
 
-**The journal** records each executed cleaning (base snapshot, full
-spec, outcome snapshot id and content hash) *before* the outcome
-segment is written.  On open, a journaled outcome whose segment is
-missing is *pending*: the serving layer
-(:meth:`repro.api.service.TopKService._replay_journal`) re-executes the
-spec -- cleaning is deterministic given the spec's seed -- verifies the
-regenerated snapshot id and content hash against the journaled ones,
-and only then persists the outcome, appending no record of its own; a
-diverging replay writes nothing.  A torn tail
-(crash mid-append) is truncated back out; the journal is the WAL, so
-losing an un-fsynced tail record merely reverts to pre-state.
+**The journal** records each executed cleaning *before* the outcome
+segment is written.  A schema-2 record holds the outcome as its base
+snapshot plus its change set, with the outcome's id and content hash
+and the spec as provenance.  On open, a journaled outcome whose segment
+is missing is *pending*: the serving layer
+(:meth:`repro.api.service.TopKService._replay_journal`) applies the
+change set to the base -- no planner, no kernel -- verifies the
+snapshot id and content hash against the journaled ones, and only then
+persists the outcome, appending no record of its own; a diverging
+replay writes nothing.  Schema-1 records (no change set; the committed
+fixture stores hold them) replay by re-executing the spec, which is
+deterministic given its seed.  A torn tail (crash mid-append) is
+truncated back out; the journal is the WAL, so losing an un-fsynced
+tail record merely reverts to pre-state.
 
 **Multi-process safety.**  Every operation that reads or writes the
 directory holds the cross-process advisory lock
@@ -58,7 +74,8 @@ not raced.
 
 **Checkpoint / compaction** (:meth:`SnapshotStore.checkpoint`) bounds
 the journal: records whose outcome segment is durably committed and
-verified are dropped, the survivors are rewritten through the same
+verified (for a delta, down its base chain) are dropped, the survivors
+are rewritten through the same
 atomic temp+fsync+rename discipline as segments, and a crash at any
 step leaves the complete old journal or the complete new one.
 :meth:`SnapshotStore.maybe_checkpoint` triggers it automatically past
@@ -71,7 +88,8 @@ recovery stops loading it), phase two unlinks the file only after the
 next successful checkpoint has made the tombstone durable.  A crash
 between the phases leaves either the pre-GC state or a durable
 tombstone whose file is swept by the next checkpoint -- never a
-half-deleted store.  Re-persisting a tombstoned id *resurrects* it:
+half-deleted store.  Retention never collects a base that a kept delta
+is rebuilt from.  Re-persisting a tombstoned id *resurrects* it:
 ``persist`` retires the tombstone with an atomic journal rewrite (and
 discards the dead file, which recovery skipped unverified) *before*
 committing the new segment, so an acknowledged persist can never be
@@ -132,7 +150,13 @@ import numpy as np
 
 from repro.core.counters import STORE_COUNTERS
 from repro.core.lockcheck import RANK_STORE, OrderedLock
-from repro.db.database import CANONICAL_COLUMNS, ProbabilisticDatabase, RankedDatabase
+from repro.db.database import (
+    CANONICAL_COLUMNS,
+    ChangeSet,
+    ProbabilisticDatabase,
+    RankedDatabase,
+    change_set,
+)
 from repro.db.io import (
     database_from_dict,
     database_structure_frames,
@@ -145,16 +169,21 @@ from repro.exceptions import (
     CorruptSnapshotError,
     InvalidDatabaseError,
     SimulatedCrashError,
+    StoreError,
     StoreReadOnlyError,
     StoreWriteError,
 )
 from repro.store.format import (
+    DeltaLink,
+    Segment,
     decode_journal,
     decode_segment,
     decode_structure,
     encode_journal,
     encode_journal_record,
     encode_segment,
+    header_link,
+    read_header,
 )
 from repro.store.locks import StoreLock
 from repro.testing.faults import (
@@ -174,8 +203,18 @@ TMP_PREFIX = ".tmp-"
 #: The write-ahead journal's file name inside the store root.
 JOURNAL_NAME = "journal.wal"
 
-#: Journal record schema version.
-JOURNAL_SCHEMA = 1
+#: Journal record schema version.  Schema-2 clean records carry the
+#: outcome's change set and replay physically; schema-1 records (no
+#: change set) replay by re-executing their spec.
+JOURNAL_SCHEMA = 2
+
+#: Longest chain of delta segments above a full one: an outcome whose
+#: base is this deep is written full, so every ninth link of a
+#: cleaning chain is a full segment.  It bounds two costs of a chain:
+#: an open rebuilds a delta through at most this many splices from its
+#: full segment, and a corrupt full segment quarantines at most this
+#: many links of one chain with it.
+MAX_DELTA_DEPTH = 8
 
 #: Environment knob for the automatic checkpoint threshold (records).
 JOURNAL_MAX_RECORDS_ENV = "REPRO_JOURNAL_MAX_RECORDS"
@@ -260,8 +299,12 @@ class RetentionPolicy:
     (by file modification time; ``None`` keeps everything -- GC is a
     no-op).  ``pinned`` segments are never collected regardless of
     age.  Base and outcome segments of journal records that have not
-    yet been checkpointed away, and anything the caller reports as in
-    use, are always protected on top of this policy.
+    yet been checkpointed away, anything the caller reports as in
+    use, and every base a kept delta segment is rebuilt from
+    (transitively, down to its full segment) are always protected on
+    top of this policy -- so a store keeps up to
+    :data:`MAX_DELTA_DEPTH` more segments than ``keep_last_n`` per
+    cleaning chain.
     """
 
     keep_last_n: Optional[int] = None
@@ -331,12 +374,14 @@ class SnapshotStore:
     the verified snapshots in :meth:`snapshots` and the findings in
     :attr:`recovery`.  Journal records whose outcome segment is
     missing surface through :meth:`pending_cleanings` for the serving
-    layer to re-execute.
+    layer to replay.
 
     Parameters
     ----------
     root:
-        The store directory (created if absent).
+        The store directory (created if absent, by an exclusive open;
+        a read-only open of a directory without ``segments/`` raises
+        :class:`~repro.exceptions.StoreError` and creates nothing).
     durability:
         ``"fsync"`` (default) syncs file and directory at every
         commit point -- the crash-safe mode.  ``"none"`` skips fsyncs:
@@ -358,7 +403,7 @@ class SnapshotStore:
         disabled).
 
     Operational counters (``psr_store_writes`` segments committed,
-    ``psr_store_replays`` journal records re-executed,
+    ``psr_store_replays`` journal records replayed,
     ``psr_store_quarantined`` files quarantined,
     ``psr_store_compactions`` journal checkpoints,
     ``psr_store_gc_unlinks`` segment files reclaimed,
@@ -407,7 +452,19 @@ class SnapshotStore:
         self.psr_store_gc_unlinks = 0
         self.psr_store_lock_waits = 0
         self._snapshots: Dict[str, RankedDatabase] = {}
+        #: Segment kind by id, for every segment this handle loaded,
+        #: wrote, adopted or verified: a delta's link, ``None`` if full.
+        self._link_of: Dict[str, Optional[DeltaLink]] = {}
+        #: Segments whose on-disk bytes this handle has verified: at
+        #: open, at a checkpoint, or as a delta's base (see persist).
+        self._verified: Set[str] = set()
         self._journal: List[Dict[str, Any]] = []
+        if mode == "readonly" and not self._segments_dir.is_dir():
+            raise StoreError(
+                f"no snapshot store at {str(self.root)!r}: it has no "
+                f"{_SEGMENTS_DIR}/ directory (a read-only open creates "
+                f"nothing)"
+            )
         self._segments_dir.mkdir(parents=True, exist_ok=True)
         self._quarantine_dir.mkdir(parents=True, exist_ok=True)
         self._file_lock = StoreLock(self.root, timeout_ms=lock_timeout_ms)
@@ -478,7 +535,7 @@ class SnapshotStore:
 
         These are the writes a crash interrupted after the journal
         append but before the segment commit; the serving layer
-        re-executes them deterministically at open.  Tombstoned
+        replays them at open.  Tombstoned
         outcomes are excluded -- a logically deleted segment owes
         nobody a replay.
         """
@@ -508,13 +565,17 @@ class SnapshotStore:
 
         Everything an operator needs after an incident: what is
         durable, what the journal still owes (records *and* bytes),
-        segment count and bytes, tombstones awaiting their unlink, the
+        segment count and bytes, how many loaded segments are full and
+        how many are deltas, tombstones awaiting their unlink, the
         recorded cross-process lock holder, what recovery moved to
         ``quarantine/``, and the counters -- the payload behind
         ``repro store status``.
         """
         with self._lock:
             snapshot_ids = sorted(self._snapshots)
+            deltas = sum(
+                1 for sid in snapshot_ids if self._link_of.get(sid) is not None
+            )
             journal = len(self._journal)
             tombstones = len(_tombstone_ids(self._journal))
             pending = [r.get("outcome") for r in self._pending_records()]
@@ -542,6 +603,8 @@ class SnapshotStore:
             "journal_bytes": journal_bytes,
             "segment_files": segment_files,
             "segment_bytes": segment_bytes,
+            "full_segments": len(snapshot_ids) - deltas,
+            "delta_segments": deltas,
             "tombstones": tombstones,
             "pending_cleanings": pending,
             "quarantined_files": quarantined,
@@ -587,28 +650,70 @@ class SnapshotStore:
         loaded: List[str] = []
         quarantined: List[Tuple[str, str]] = []
         skipped_tombstoned = 0
-        # Lives for this open only: see _load_segment.
+        # Lives for this open only: see _rebuild_full.
         interned: Dict[bytes, XTuple] = {}
+        # Deltas wait for their base: full segments load in the first
+        # pass, then each delta once its base has loaded.
+        deltas: Dict[str, Tuple[Path, Segment, DeltaLink]] = {}
+        # Quarantined id -> the segment its chain broke at (itself, or
+        # the quarantined segment a delta's base chain leads down to).
+        broken: Dict[str, str] = {}
+
+        def refuse(path: Path, reason: str, root: Optional[str] = None) -> None:
+            snapshot_id = path.name[: -len(SEGMENT_SUFFIX)]
+            broken[snapshot_id] = root or snapshot_id
+            quarantined.append((path.name, reason))
+            if repair:
+                self._quarantine_file(path)
+
         for path in sorted(self._segments_dir.glob("*" + SEGMENT_SUFFIX)):
-            if path.name[: -len(SEGMENT_SUFFIX)] in tombstoned:
+            snapshot_id = path.name[: -len(SEGMENT_SUFFIX)]
+            if snapshot_id in tombstoned:
                 skipped_tombstoned += 1
                 continue
             try:
-                snapshot_id, ranked = self._load_segment(path, interned)
-                if snapshot_id != path.name[: -len(SEGMENT_SUFFIX)]:
-                    raise CorruptSnapshotError(
-                        f"segment corrupt: header names snapshot "
-                        f"{snapshot_id!r} but the file is {path.name!r}"
-                    )
+                segment = self._read_segment(path)
+                link = segment.link
+                if link is not None:
+                    deltas[snapshot_id] = (path, segment, link)
+                    continue
+                ranked = self._rebuild_full(segment, interned)
             except (CorruptSnapshotError, OSError) as exc:
-                quarantined.append((path.name, str(exc)))
-                if repair:
-                    self._quarantine_file(path)
+                refuse(path, str(exc))
                 continue
-            self._snapshots[snapshot_id] = ranked
+            self._adopt_loaded(snapshot_id, ranked, None)
             loaded.append(snapshot_id)
+        while deltas:
+            ready = sorted(
+                sid for sid, (_, _, link) in deltas.items() if link.base not in deltas
+            )
+            if not ready:
+                # Every remaining delta waits on another: a cycle, which
+                # no writer produces; none of them can be rebuilt.
+                for path, _, _ in deltas.values():
+                    refuse(path, "segment corrupt: its base chain is cyclic")
+                break
+            for snapshot_id in ready:
+                path, segment, link = deltas.pop(snapshot_id)
+                root = broken.get(link.base)
+                if root is not None:
+                    refuse(
+                        path,
+                        f"segment corrupt: its base {link.base!r} was "
+                        f"quarantined"
+                        + ("" if root == link.base else f" with {root!r}"),
+                        root,
+                    )
+                    continue
+                try:
+                    ranked = self._rebuild_delta(segment, link)
+                except CorruptSnapshotError as exc:
+                    refuse(path, str(exc))
+                    continue
+                self._adopt_loaded(snapshot_id, ranked, link)
+                loaded.append(snapshot_id)
         return RecoveryReport(
-            loaded=tuple(loaded),
+            loaded=tuple(sorted(loaded)),
             quarantined=tuple(quarantined),
             swept_temp_files=swept,
             journal_records=len(self._journal),
@@ -617,18 +722,53 @@ class SnapshotStore:
             tombstoned_segments=skipped_tombstoned,
         )
 
-    def _load_segment(
-        self, path: Path, interned: Dict[bytes, XTuple]
-    ) -> Tuple[str, RankedDatabase]:
-        """Decode, verify, and rebuild one segment -- or raise.
+    def _adopt_loaded(
+        self, snapshot_id: str, ranked: RankedDatabase, link: Optional[DeltaLink]
+    ) -> None:
+        """Record one segment that verified at open."""
+        self._snapshots[snapshot_id] = ranked
+        self._link_of[snapshot_id] = link
+        self._verified.add(snapshot_id)
 
-        Verification is belt *and* suspenders: the codec checks the
-        framing, the CRCs and the whole-file digest; this layer then
-        rebuilds the database from the structure, recomputes its
-        content hash against the header's, re-ranks it cold, and
-        compares every canonical column bitwise against the stored
-        bytes.  A segment that passes cannot silently disagree with
-        the view a fresh construction would produce.
+    def _read_segment(self, path: Path) -> Segment:
+        """Read and decode one segment file at open -- or raise.
+
+        The codec checks the framing, the CRCs, the whole-file digest
+        and the header (:func:`~repro.store.format.decode_segment`);
+        the header must name the file's own snapshot id.
+        """
+        directive = _disk_step("segment:read")
+        data = path.read_bytes()
+        if directive is not None:
+            kind = directive.get("kind")
+            if kind == "shortread":
+                data = data[: len(data) // 2]
+            elif kind == "bitflip":
+                data = flip_one_bit(data)
+        segment = decode_segment(data)
+        snapshot_id = segment.header.get("snapshot_id")
+        if not isinstance(snapshot_id, str) or not snapshot_id:
+            raise CorruptSnapshotError(
+                f"segment corrupt: bad snapshot id {snapshot_id!r}"
+            )
+        if snapshot_id != path.name[: -len(SEGMENT_SUFFIX)]:
+            raise CorruptSnapshotError(
+                f"segment corrupt: header names snapshot "
+                f"{snapshot_id!r} but the file is {path.name!r}"
+            )
+        return segment
+
+    def _rebuild_full(
+        self, segment: Segment, interned: Dict[bytes, XTuple]
+    ) -> RankedDatabase:
+        """Verify and rebuild one full segment's ranked view -- or raise.
+
+        Verification is belt *and* suspenders: beyond the codec's
+        checks, this rebuilds the database from the structure,
+        recomputes its content hash against the header's, re-ranks it
+        cold, and compares every canonical column bitwise against the
+        stored bytes.  A segment that passes cannot silently disagree
+        with the view a fresh construction would produce.
 
         ``interned`` maps every x-tuple fragment this open has already
         parsed and validated to the :class:`~repro.db.tuples.XTuple`
@@ -642,15 +782,7 @@ class SnapshotStore:
         columns -- still runs on each segment.  Schema-1 segments have
         no frames; they are parsed whole and validated as ingest does.
         """
-        directive = _disk_step("segment:read")
-        data = path.read_bytes()
-        if directive is not None:
-            kind = directive.get("kind")
-            if kind == "shortread":
-                data = data[: len(data) // 2]
-            elif kind == "bitflip":
-                data = flip_one_bit(data)
-        header, structure_json, fragments, columns = decode_segment(data)
+        header, structure_json, fragments, columns = segment
         try:
             if fragments is None:
                 db = database_from_dict(decode_structure(structure_json))
@@ -697,12 +829,37 @@ class SnapshotStore:
                     f"segment corrupt: column {column!r} does not match "
                     f"the re-ranked view"
                 )
-        snapshot_id = header.get("snapshot_id")
-        if not isinstance(snapshot_id, str) or not snapshot_id:
+        return ranked
+
+    def _rebuild_delta(self, segment: Segment, link: DeltaLink) -> RankedDatabase:
+        """Rebuild one delta segment from its loaded base -- or raise.
+
+        The change set is applied to the base's view through
+        :meth:`~repro.db.database.RankedDatabase.with_change_set`, and
+        the result must hash to the header's content hash.  A delta
+        holds no columns to compare: its view is the splice, which is
+        bitwise the cold rank of the changed database.  A base that did
+        not load takes the delta with it.
+        """
+        base = self._snapshots.get(link.base)
+        if base is None:
             raise CorruptSnapshotError(
-                f"segment corrupt: bad snapshot id {snapshot_id!r}"
+                f"segment corrupt: its base {link.base!r} is missing or "
+                f"tombstoned"
             )
-        return snapshot_id, ranked
+        try:
+            ranked = base.with_change_set(link.changes)
+        except InvalidDatabaseError as exc:
+            raise CorruptSnapshotError(
+                f"segment corrupt: its change set does not apply to base "
+                f"{link.base!r} ({exc})"
+            ) from None
+        if ranked.db.content_hash() != segment.header.get("content_hash"):
+            raise CorruptSnapshotError(
+                f"segment corrupt: content hash of base {link.base!r} with "
+                f"the change set does not match the header"
+            )
+        return ranked
 
     def _quarantine_file(self, path: Path) -> str:
         """Move a failing file into ``quarantine/``; returns its name."""
@@ -733,7 +890,7 @@ class SnapshotStore:
         with self._lock:
             self._require_writer("quarantine_segment")
             with self._exclusive():
-                self._snapshots.pop(snapshot_id, None)
+                self._forget(snapshot_id)
                 path = self._segment_path(snapshot_id)
                 if path.exists():
                     self._quarantine_file(path)
@@ -744,23 +901,49 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def persist(self, snapshot_id: str, ranked: RankedDatabase) -> bool:
+    def persist(
+        self,
+        snapshot_id: str,
+        ranked: RankedDatabase,
+        base: Optional[str] = None,
+    ) -> bool:
         """Durably write one snapshot segment; idempotent by id.
 
         Returns ``False`` (writing nothing) when the segment already
         exists -- including when *another process* committed it
         between our operations: segments are content-addressed, so a
-        same-id file is the same bytes, and this handle simply adopts
-        it.  A *tombstoned* id is the exception: its journal tombstone
-        (from :meth:`gc`, possibly another process's) is first retired
-        by an atomic journal rewrite, and any file it left behind is
-        discarded rather than adopted -- recovery skipped it
-        unverified and the next checkpoint was about to unlink it.
-        Only then does the segment commit, so a ``True`` return is an
-        acknowledged durable write that no later checkpoint can sweep
-        and no recovery will skip.  Any ``OSError`` on the write path
-        -- disk full,
-        permissions -- cleans up the temp file and re-raises as
+        same-id file holds the same snapshot, and this handle simply
+        adopts it.  A *tombstoned* id is the exception: its journal
+        tombstone (from :meth:`gc`, possibly another process's) is
+        first retired by an atomic journal rewrite, and any file it
+        left behind is discarded rather than adopted -- recovery
+        skipped it unverified and the next checkpoint was about to
+        unlink it.  Only then does the segment commit, so a ``True``
+        return is an acknowledged durable write that no later
+        checkpoint can sweep and no recovery will skip.
+
+        ``base`` names the snapshot ``ranked`` was derived from (a
+        cleaning outcome's base).  It is provenance, not a switch: the
+        store writes a small *delta segment* -- the base id and the
+        change set (:func:`~repro.db.database.change_set`) -- only
+        when, under the exclusive lock, all of these hold:
+
+        * the base's file exists and no tombstone names it;
+        * this handle has verified the base's bytes and its own base
+          chain -- it loaded them at open, checked them at a
+          checkpoint, or reads them back now, once per segment
+          (:meth:`_verify_once`), so a base bit-flipped on its way to
+          disk is caught before anything depends on it;
+        * the delta would sit at most :data:`MAX_DELTA_DEPTH` links
+          above a full segment;
+        * ``ranked`` is the base with some x-tuples collapsed or
+          removed, under the base's name and ranking.
+
+        Otherwise it writes a full segment.  Both kinds share one
+        protocol and its ``segment:*`` fault steps: encode in memory,
+        write a temp file, fsync, rename, fsync the directory.  Any
+        ``OSError`` on the write path -- disk full, permissions --
+        cleans up the temp file and re-raises as
         :class:`~repro.exceptions.StoreWriteError`; injected
         :class:`~repro.exceptions.SimulatedCrashError` propagates with
         no cleanup at all, leaving the on-disk state a crash would.
@@ -786,31 +969,44 @@ class SnapshotStore:
                 # existing file is adoptable or dead.
                 records = self._read_journal_from_disk()
                 self._journal = records
-                if snapshot_id in _tombstone_ids(records):
+                tombstoned = _tombstone_ids(records)
+                if snapshot_id in tombstoned:
                     self._retire_tombstone(snapshot_id, records, final)
+                    tombstoned.discard(snapshot_id)
                 elif final.exists():
                     self._snapshots[snapshot_id] = ranked
+                    self._link_of[snapshot_id] = _link_on_disk(final)
                     return False
                 _disk_step("segment:begin")
-                columns = {
-                    name: (
-                        getattr(ranked, name).dtype.str,
-                        np.ascontiguousarray(getattr(ranked, name)).tobytes(),
+                link = self._delta_link(ranked, descriptor, base, tombstoned)
+                if link is not None:
+                    payload = encode_segment(
+                        snapshot_id=snapshot_id,
+                        content_hash=ranked.db.content_hash(),
+                        columns={},
+                        delta=link,
                     )
-                    for name in CANONICAL_COLUMNS
-                }
-                structure_json, fragment_lengths = database_structure_frames(
-                    ranked.db
-                )
-                payload = encode_segment(
-                    snapshot_id=snapshot_id,
-                    content_hash=ranked.db.content_hash(),
-                    name=ranked.db.name,
-                    ranking=descriptor,
-                    structure_json=structure_json,
-                    fragment_lengths=fragment_lengths,
-                    columns=columns,
-                )
+                else:
+                    structure_json, fragment_lengths = (
+                        database_structure_frames(ranked.db)
+                    )
+                    payload = encode_segment(
+                        snapshot_id=snapshot_id,
+                        content_hash=ranked.db.content_hash(),
+                        name=ranked.db.name,
+                        ranking=descriptor,
+                        structure_json=structure_json,
+                        fragment_lengths=fragment_lengths,
+                        columns={
+                            name: (
+                                getattr(ranked, name).dtype.str,
+                                np.ascontiguousarray(
+                                    getattr(ranked, name)
+                                ).tobytes(),
+                            )
+                            for name in CANONICAL_COLUMNS
+                        },
+                    )
                 crash_after = False
                 directive = _disk_step("segment:payload")
                 if directive is not None:
@@ -843,9 +1039,62 @@ class SnapshotStore:
                         f"injected torn write of segment {snapshot_id!r}"
                     )
                 _disk_step("segment:committed")
+                # New bytes: verified only once read back.
+                self._verified.discard(snapshot_id)
                 self._snapshots[snapshot_id] = ranked
+                self._link_of[snapshot_id] = link
                 self.psr_store_writes += 1
                 return True
+
+    def _delta_link(
+        self,
+        ranked: RankedDatabase,
+        descriptor: Mapping[str, Any],
+        base: Optional[str],
+        tombstoned: Set[str],
+    ) -> Optional[DeltaLink]:
+        """The link of a delta segment for ``ranked`` on ``base``, or
+        ``None`` when it must be written full (see :meth:`persist`).
+        Caller holds both locks."""
+        held = self._snapshots.get(base) if base is not None else None
+        if (
+            base is None
+            or held is None
+            or held.db.name != ranked.db.name
+            or ranking_descriptor(held.ranking) != descriptor
+            or not self._verify_once(base, tombstoned)
+        ):
+            return None
+        base_link = self._link_of.get(base)
+        depth = 1 + (base_link.depth if base_link is not None else 0)
+        if depth > MAX_DELTA_DEPTH:
+            return None
+        changes = change_set(held.db, ranked.db)
+        if changes is None:
+            return None
+        return DeltaLink(base, depth, changes)
+
+    def _verify_once(
+        self, snapshot_id: str, tombstoned: Set[str], chain: Tuple[str, ...] = ()
+    ) -> bool:
+        """Whether the segment is live and this handle has verified its
+        bytes and its base chain, reading them at most once.
+
+        Live means its file exists and no tombstone names it.  A
+        segment verified before (at open, at a checkpoint, or by an
+        earlier call) is not read again.  Caller holds both locks.
+        """
+        if snapshot_id in tombstoned or snapshot_id in chain:
+            return False
+        if snapshot_id in self._verified:
+            return self._segment_path(snapshot_id).exists()
+        return self._segment_verified(snapshot_id, tombstoned, chain)
+
+    def _forget(self, snapshot_id: str) -> None:
+        """Drop a segment from this handle's index and bookkeeping."""
+        self._snapshots.pop(snapshot_id, None)
+        self._link_of.pop(snapshot_id, None)
+        self._verified.discard(snapshot_id)
 
     def journal_clean(
         self,
@@ -853,20 +1102,25 @@ class SnapshotStore:
         spec_payload: Mapping[str, Any],
         outcome_snapshot_id: str,
         outcome_hash: str,
+        changes: Optional[ChangeSet] = None,
     ) -> Dict[str, Any]:
         """Append one cleaning outcome to the write-ahead journal.
 
         Called *before* the outcome segment is persisted, by an
         executed clean only -- journal replay never calls it, since
-        the record it replays already covers the outcome.  Once this
-        returns, a crash at any later point is recoverable: replay
-        re-executes ``spec_payload`` against the base snapshot, checks
-        the regenerated id and content hash against
-        ``outcome_snapshot_id`` and ``outcome_hash``, and persists the
-        outcome only if both match.  A crash *during* the append
-        leaves a torn tail the next open truncates away -- the
-        cleaning then simply never happened durably (pre-state), which
-        is correct because the caller had not yet acknowledged it.
+        the record it replays already covers the outcome.  The
+        schema-2 record holds the outcome as its base plus its change
+        set (``changes``, :func:`~repro.db.database.change_set`;
+        omitted means nothing changed), with ``spec_payload``,
+        ``outcome_snapshot_id`` and ``outcome_hash`` kept as
+        provenance.  Once this returns, a crash at any later point is
+        recoverable: replay applies the change set to the base
+        snapshot -- no planner, no kernel -- checks the result's id
+        and content hash against the record, and persists the outcome
+        only if both match.  A crash *during* the append leaves a torn
+        tail the next open truncates away -- the cleaning then simply
+        never happened durably (pre-state), which is correct because
+        the caller had not yet acknowledged it.
 
         Past the ``max_journal_records`` threshold the journal is
         checkpointed automatically (:meth:`maybe_checkpoint`).
@@ -878,6 +1132,7 @@ class SnapshotStore:
             "outcome": outcome_snapshot_id,
             "outcome_hash": outcome_hash,
             "spec": dict(spec_payload),
+            "changes": dict(changes or {}),
         }
         with self._lock:
             self._require_writer("journal_clean")
@@ -889,7 +1144,7 @@ class SnapshotStore:
         return dict(record)
 
     def note_replayed(self) -> None:
-        """Count one journal record successfully re-executed at open."""
+        """Count one journal record successfully replayed at open."""
         with self._lock:
             self.psr_store_replays += 1
 
@@ -901,8 +1156,11 @@ class SnapshotStore:
 
         Under the exclusive lock, re-reads the journal *from disk*
         (another process may have appended), drops ``clean`` records
-        whose outcome segment is durably committed and verifies, drops
-        ``tombstone`` records whose file is already gone, and rewrites
+        whose outcome segment is durably committed and verifies -- for
+        a delta, its own bytes plus its base chain, every base live and
+        verified; a segment this handle already verified is not read
+        again (:meth:`_verify_once`) -- drops ``tombstone``
+        records whose file is already gone, and rewrites
         the survivors atomically (temp + fsync + rename + dir fsync)
         -- a crash at any step leaves the complete old journal or the
         complete new one.  After the rewrite commits, tombstoned
@@ -936,12 +1194,16 @@ class SnapshotStore:
 
     def _checkpoint_locked(self) -> Dict[str, Any]:
         records = self._read_journal_from_disk()
+        tombstoned = _tombstone_ids(records)
         surviving: List[Dict[str, Any]] = []
         dropped = 0
         for record in records:
             kind = record.get("kind", "clean")
             if kind == "clean":
-                if self._segment_verified(record.get("outcome")):
+                outcome = record.get("outcome")
+                if isinstance(outcome, str) and self._verify_once(
+                    outcome, tombstoned
+                ):
                     dropped += 1
                 else:
                     surviving.append(record)
@@ -1074,19 +1336,25 @@ class SnapshotStore:
         self._rewrite_journal(surviving, "resurrect")
         self._journal = surviving
 
-    def _segment_verified(self, snapshot_id: Any) -> bool:
+    def _segment_verified(
+        self, snapshot_id: str, tombstoned: Set[str], chain: Tuple[str, ...] = ()
+    ) -> bool:
         """Whether the segment file is committed and decodes cleanly.
 
-        The digest, CRCs, header, framing and id are always checked.
-        When this handle holds the snapshot and the segment's structure
-        is byte for byte its canonical encoding (a join of memoized
-        fragments), the structure is not parsed again: a canonical
-        encoding of a valid in-memory database always parses.  Any
-        other structure -- a segment another process wrote, or bytes
-        that differ -- is parsed whole.
+        Reads the file.  The digest, CRCs, header, framing and id are
+        always checked.  For a full segment, when this handle holds the
+        snapshot and the structure is byte for byte its canonical
+        encoding (a join of memoized fragments), the structure is not
+        parsed again: a canonical encoding of a valid in-memory
+        database always parses.  Any other structure -- a segment
+        another process wrote, or bytes that differ -- is parsed whole.
+        A delta must name the content hash of the snapshot this handle
+        holds (if it holds it), and its base must be live and verified
+        in turn (:meth:`_verify_once`; ``chain`` holds the deltas
+        above it, so a cyclic chain fails instead of recursing).  A
+        segment that verifies is remembered as verified, with its
+        kind.  Caller holds both locks.
         """
-        if not isinstance(snapshot_id, str) or not snapshot_id:
-            return False
         try:
             data = self._segment_path(snapshot_id).read_bytes()
         except OSError:
@@ -1096,13 +1364,24 @@ class SnapshotStore:
             if segment.header.get("snapshot_id") != snapshot_id:
                 return False
             held = self._snapshots.get(snapshot_id)
-            if (
-                held is None
-                or database_structure_json(held.db) != segment.structure_json
+            link = segment.link
+            if link is None:
+                if (
+                    held is None
+                    or database_structure_json(held.db) != segment.structure_json
+                ):
+                    decode_structure(segment.structure_json)
+            elif (
+                held is not None
+                and held.db.content_hash() != segment.header.get("content_hash")
+            ) or not self._verify_once(
+                link.base, tombstoned, chain + (snapshot_id,)
             ):
-                decode_structure(segment.structure_json)
+                return False
         except CorruptSnapshotError:
             return False
+        self._link_of[snapshot_id] = link
+        self._verified.add(snapshot_id)
         return True
 
     # ------------------------------------------------------------------
@@ -1124,7 +1403,12 @@ class SnapshotStore:
         ``pinned`` ids, and every base or outcome named by a journal
         record that has not been checkpointed away (replay must stay
         possible).  Candidates are ordered by file modification time;
-        the newest ``keep_last_n`` survive.
+        the newest ``keep_last_n`` survive.  On top of all of these, every
+        base a survivor needs is kept, transitively: a delta segment
+        is rebuilt from its base at open, so collecting the base would
+        lose the delta.  Which base a live segment names is read from
+        its header on disk, under the lock, so the deltas of another
+        process are protected too.
 
         ``in_use`` may be a callable instead of an id collection; it
         is then evaluated *under the store's exclusive lock*, at the
@@ -1174,11 +1458,18 @@ class SnapshotStore:
         if keep_n is None:
             victims: List[str] = []
         else:
-            newest = set(live[len(live) - keep_n :]) if keep_n > 0 else set()
+            newest = set(live[max(len(live) - keep_n, 0) :])
+            keep = (newest | protected) & set(live)
+            # Every base a survivor needs, transitively.
+            stack = list(keep)
+            while stack:
+                link = _link_on_disk(self._segment_path(stack.pop()))
+                if link is not None and link.base not in keep:
+                    keep.add(link.base)
+                    protected.add(link.base)
+                    stack.append(link.base)
             victims = [
-                segment_id
-                for segment_id in live
-                if segment_id not in newest and segment_id not in protected
+                segment_id for segment_id in live if segment_id not in keep
             ]
         for segment_id in victims:
             _disk_step("gc:tombstone")
@@ -1189,7 +1480,7 @@ class SnapshotStore:
             }
             self._append_journal_frame(record, fire_steps=False)
             self._journal.append(record)
-            self._snapshots.pop(segment_id, None)
+            self._forget(segment_id)
         return {
             "tombstoned": victims,
             "live": [s for s in live if s not in victims],
@@ -1280,11 +1571,21 @@ class SnapshotStore:
             os.close(fd)
 
 
+def _link_on_disk(path: Path) -> Optional[DeltaLink]:
+    """The base and change set a segment file's header names (``None``
+    for a full segment, or a file whose header does not read)."""
+    try:
+        with open(path, "rb") as f:
+            return header_link(read_header(f.read))
+    except (OSError, CorruptSnapshotError):
+        return None
+
+
 def _interned_xtuple(
     fragment: bytes, position: int, interned: Dict[bytes, XTuple]
 ) -> XTuple:
     """The x-tuple of one schema-2 fragment, parsed and validated on
-    its first appearance in this open only (see ``_load_segment``)."""
+    its first appearance in this open only (see ``_rebuild_full``)."""
     xt = interned.get(fragment)
     if xt is None:
         xt = xtuple_from_entry(json.loads(fragment), position)

@@ -11,6 +11,7 @@ pytest-timeout is installed.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from strategies import (  # noqa: F401 - re-exported for back-compat
     cleaning_problems,
@@ -22,6 +23,15 @@ from timeout_fallback import (  # noqa: F401 - pytest hooks
     pytest_configure,
     pytest_runtest_protocol,
     pytest_unconfigure,
+)
+
+#: The larger budget of ``test_store_model.py``, for
+#: ``--hypothesis-profile store-model`` (CI's fault-smoke job); tier-1
+#: runs that file on a small budget of its own.  Registered here, before
+#: the hypothesis plugin loads a profile named on the command line.
+STORE_MODEL_PROFILE = "store-model"
+settings.register_profile(
+    STORE_MODEL_PROFILE, max_examples=150, stateful_step_count=30, deadline=None
 )
 
 

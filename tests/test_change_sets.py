@@ -12,12 +12,14 @@ the database, and its outcomes (snapshot ids) must not move.
 
 import json
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.pool import snapshot_id_of
 from repro.api.service import TopKService
 from repro.api.specs import CleaningSpec
 from repro.cleaning.adaptive import clean_adaptively
@@ -29,7 +31,14 @@ from repro.datasets.synthetic import (
     generate_sc_probabilities,
     generate_synthetic,
 )
-from repro.db.database import ProbabilisticDatabase, RankedDatabase, _OrderPatch
+from repro.db.database import (
+    ProbabilisticDatabase,
+    RankedDatabase,
+    _OrderPatch,
+    change_set,
+)
+from repro.db.io import database_from_dict, database_to_dict
+from repro.db.ranking import by_key, by_sum_of_keys, by_value
 from repro.db.tuples import make_xtuple
 from repro.exceptions import InvalidDatabaseError
 from repro.queries.engine import QuerySession
@@ -41,6 +50,8 @@ from repro.queries.psr import (
     nearest_checkpoint,
     tail_stop,
 )
+from repro.store import SnapshotStore
+from repro.store.store import MAX_DELTA_DEPTH
 
 from strategies import databases
 
@@ -232,6 +243,79 @@ class TestChangeSets:
                 patched,
                 compute_rank_probabilities(new_ranked, k, backend=backend),
             )
+
+
+@st.composite
+def cleaning_chains(draw):
+    """A random database, a ranking for its values, and a chain of
+    change sets -- each collapsing or removing some x-tuples of the
+    previous link, as cleaning rounds do."""
+    values = draw(st.sampled_from(["float", "mapping"]))
+    db = draw(databases(max_xtuples=6, max_alternatives=4, values=values))
+    ranking = (
+        by_value()
+        if values == "float"
+        else draw(st.sampled_from([by_key("a"), by_sum_of_keys("a", "b")]))
+    )
+    steps = []
+    current = db
+    for _ in range(draw(st.integers(1, MAX_DELTA_DEPTH + 2))):
+        xtuples = current.xtuples
+        picks = draw(
+            st.lists(
+                st.integers(0, len(xtuples) - 1),
+                unique=True,
+                max_size=len(xtuples),
+            )
+        )
+        changes = {}
+        for l in picks:
+            xt = xtuples[l]
+            # Keep at least one x-tuple: removals only beside survivors.
+            removable = len(xtuples) - sum(v is None for v in changes.values()) > 1
+            options = list(xt.tids) + ([None] if removable else [])
+            changes[xt.xid] = draw(st.sampled_from(options))
+        steps.append(changes)
+        current = RankedDatabase(current, ranking).with_change_set(changes).db
+    return db, ranking, steps
+
+
+class TestDurableChangeSets:
+    @settings(max_examples=40, deadline=None)
+    @given(cleaning_chains())
+    def test_reopened_delta_chain_is_bitwise_cold(self, case):
+        db, ranking, steps = case
+        views = [RankedDatabase(db, ranking)]
+        for changes in steps:
+            views.append(views[-1].with_change_set(changes))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "store"
+            store = SnapshotStore(root, durability="none")
+            ids = []
+            for view in views:
+                sid = snapshot_id_of(view.db)
+                store.persist(sid, view, base=ids[-1] if ids else None)
+                if ids:
+                    # The change set round-trips against the base.
+                    base = store.snapshots()[ids[-1]]
+                    assert base.with_change_set(
+                        change_set(base.db, view.db)
+                    ).db.content_hash() == view.db.content_hash()
+                ids.append(sid)
+            reopened = SnapshotStore(root, mode="readonly")
+            assert reopened.recovery.quarantined == ()
+            loaded = reopened.snapshots()
+            for sid, view in zip(ids, views):
+                # Fresh x-tuples, no memo shared with the chain.
+                cold = RankedDatabase(
+                    database_from_dict(database_to_dict(view.db)), ranking
+                )
+                _assert_ranked_bitwise(loaded[sid], cold)
+            status = reopened.status()
+            assert status["full_segments"] + status["delta_segments"] == len(
+                set(ids)
+            )
+            assert status["full_segments"] >= 1
 
 
 class TestDeferredOrder:

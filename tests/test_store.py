@@ -1000,8 +1000,9 @@ class TestMixedSchemaStore:
         (record,) = SnapshotStore(root, mode="readonly").pending_cleanings()
         spec = record["spec"]
         # The first open replays the fixture's cleaning and persists
-        # its outcome, a schema-2 segment on the schema-1 base; one more
-        # durable clean on top then "crashes" before its segment lands.
+        # its outcome, a delta segment (schema 3) on the schema-1 base;
+        # one more durable clean on top then "crashes" before its
+        # segment lands.
         service = TopKService(store_dir=root)
         for seed in range(10):
             result = service.clean(
@@ -1027,7 +1028,7 @@ class TestMixedSchemaStore:
             sid: segment_header(root / "segments" / (sid + SEGMENT_SUFFIX))["schema"]
             for sid in store.snapshots()
         }
-        assert schemas == {record["base"]: 1, record["outcome"]: 2, newest: 2}
+        assert schemas == {record["base"]: 1, record["outcome"]: 3, newest: 3}
         assert service.pool.database(newest).content_hash() == newest_hash
         outcome = service.pool.database(record["outcome"])
         assert outcome.content_hash() == record["outcome_hash"]

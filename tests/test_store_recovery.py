@@ -339,7 +339,11 @@ class TestCheckpointCrashSweep:
         plan = FaultPlan([FaultEvent(kind="crash", step="gc:tombstone")])
         with use_faults(plan):
             with pytest.raises(SimulatedCrashError):
-                service.store.gc(RetentionPolicy(keep_last_n=1))
+                # The outcome is a delta on the base, so only the
+                # outcome is collectable.
+                service.store.gc(
+                    RetentionPolicy(keep_last_n=0, pinned=(base_id,))
+                )
         assert plan.drawn
 
         reopened = SnapshotStore(tmp_path / "store", durability="none")
@@ -356,8 +360,10 @@ class TestCheckpointCrashSweep:
         base_id, outcome_id, _ = oracle
         service = self.cleaned_service(tmp_path, base_id)
         service.store.checkpoint()
-        report = service.store.gc(RetentionPolicy(keep_last_n=1))
-        assert report["tombstoned"] == [base_id]
+        report = service.store.gc(
+            RetentionPolicy(keep_last_n=0, pinned=(base_id,))
+        )
+        assert report["tombstoned"] == [outcome_id]
         plan = FaultPlan([FaultEvent(kind="crash", step="gc:unlink")])
         with use_faults(plan):
             with pytest.raises(SimulatedCrashError):
@@ -372,12 +378,12 @@ class TestCheckpointCrashSweep:
             "tombstone"
         ]
         assert reopened.recovery.tombstoned_segments == 1
-        assert not reopened.has_segment(base_id)  # not loaded
+        assert not reopened.has_segment(outcome_id)  # not loaded
         first = reopened.checkpoint()
-        assert first["unlinked"] == [base_id]
+        assert first["unlinked"] == [outcome_id]
         second = reopened.checkpoint()
         assert second["records_after"] == 0
-        assert reopened.has_segment(outcome_id)
+        assert reopened.has_segment(base_id)
 
     def test_crash_at_lock_acquire_is_pure_pre_state(self, tmp_path, oracle):
         base_id, outcome_id, _ = oracle
@@ -681,9 +687,9 @@ class TestCliStore:
                     "--dir",
                     store_dir,
                     "--keep-last-n",
-                    "1",
+                    "0",
                     "--pin",
-                    outcome_id,
+                    base_id,
                     "--json",
                     str(gc_json),
                 ]
@@ -692,8 +698,9 @@ class TestCliStore:
         )
         gc = json.loads(gc_json.read_text())
         assert gc["action"] == "gc"
-        assert gc["report"]["gc"]["tombstoned"] == [base_id]
-        assert gc["report"]["checkpoint"]["unlinked"] == [base_id]
+        # The outcome is a delta on the base: only the outcome goes.
+        assert gc["report"]["gc"]["tombstoned"] == [outcome_id]
+        assert gc["report"]["checkpoint"]["unlinked"] == [outcome_id]
         assert gc["status"]["segment_files"] == 1
 
         unlock_json = tmp_path / "unlock.json"
@@ -735,7 +742,7 @@ class TestCliStore:
             == 0
         )
         status = json.loads(status_json.read_text())["status"]
-        assert status["snapshots"] == [outcome_id]
+        assert status["snapshots"] == [base_id]
         assert status["tombstones"] == 0
         assert status["journal_records"] == 0
 
