@@ -589,9 +589,13 @@ register`), and the envelope's ``counters`` reports the store's
         ``False``) the journal record -- the outcome as its base plus
         its change set -- is durable before the outcome segment or the
         in-memory entry exists, so a crash after the append is
-        recoverable by applying the change set again.  The outcome
-        registers with its base, which lets the store persist it as a
-        delta segment.
+        recoverable by applying the change set again.  The store
+        journals only on a base it holds durably and live
+        (:meth:`~repro.store.SnapshotStore.journal_clean`): the outcome
+        of a memory-only snapshot gets no record and persists as a
+        full segment, so a crash before that commit loses only a clean
+        nobody was told about.  The outcome registers with its base,
+        which lets the store persist it as a delta segment.
         """
         ranked = outcome.ranked
         if self.store is not None and spec.durable is not False:

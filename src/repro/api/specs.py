@@ -241,8 +241,11 @@ class CleaningSpec:
         produced, so a crash at any point recovers either the
         pre-clean or the post-clean state.  ``False`` opts this
         request out -- the outcome stays memory-only (gone on
-        restart).  Ignored (and harmless) without a store or without
-        ``execute``.
+        restart).  A durable clean *of* a memory-only snapshot has no
+        durable base to journal against: its outcome is persisted as a
+        full segment before the response, with no journal record, so
+        a crash before that write reverts to the pre-clean state.
+        Ignored (and harmless) without a store or without ``execute``.
     deadline_ms:
         Relative completion budget (see :class:`QuerySpec`).  It
         covers the whole cleaning run, re-planning rounds included.

@@ -64,6 +64,15 @@ from repro.db import io
 from repro.db.ranking import RankingFunction, by_sum_of_keys, by_value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: a non-negative integer (a usage error otherwise)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _ranking_for(name: str) -> RankingFunction:
     if name == "value":
         return by_value()
@@ -323,10 +332,16 @@ def cmd_store(args: argparse.Namespace) -> int:
     with ``--force``, clears a stale record (a verifiably live holder
     is never broken).  Every action writes a JSON envelope with
     ``--json``; lock contention surfaces as the typed
-    ``StoreLockedError`` error envelope, exit 1, and ``status`` of a
-    directory that holds no store as ``StoreError``, creating nothing.
+    ``StoreLockedError`` error envelope, exit 1, and ``status``,
+    ``compact`` or ``gc`` of a directory that holds no store as
+    ``StoreError``, creating nothing.
     """
-    from repro.store import RetentionPolicy, SnapshotStore, StoreLock
+    from repro.store import (
+        RetentionPolicy,
+        SnapshotStore,
+        StoreLock,
+        require_store,
+    )
 
     action = args.action
     if action == "unlock":
@@ -371,6 +386,7 @@ def cmd_store(args: argparse.Namespace) -> int:
         )
         return 0
 
+    require_store(args.dir)
     store = SnapshotStore(args.dir, durability="fsync")
     if action == "compact":
         report = store.checkpoint()
@@ -527,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json", help="write the action's envelope here")
     s.add_argument(
         "--keep-last-n",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="gc: keep only the newest N segments (plus pins)",
     )

@@ -38,6 +38,7 @@ from repro.store.store import (
     RecoveryReport,
     RetentionPolicy,
     SnapshotStore,
+    require_store,
     stranded_temp_files,
     tracked_store_roots,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "RetentionPolicy",
     "SnapshotStore",
     "StoreLock",
+    "require_store",
     "stranded_temp_files",
     "tracked_store_roots",
 ]

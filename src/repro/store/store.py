@@ -459,12 +459,8 @@ class SnapshotStore:
         #: open, at a checkpoint, or as a delta's base (see persist).
         self._verified: Set[str] = set()
         self._journal: List[Dict[str, Any]] = []
-        if mode == "readonly" and not self._segments_dir.is_dir():
-            raise StoreError(
-                f"no snapshot store at {str(self.root)!r}: it has no "
-                f"{_SEGMENTS_DIR}/ directory (a read-only open creates "
-                f"nothing)"
-            )
+        if mode == "readonly":
+            require_store(self.root)
         self._segments_dir.mkdir(parents=True, exist_ok=True)
         self._quarantine_dir.mkdir(parents=True, exist_ok=True)
         self._file_lock = StoreLock(self.root, timeout_ms=lock_timeout_ms)
@@ -1103,7 +1099,7 @@ class SnapshotStore:
         outcome_snapshot_id: str,
         outcome_hash: str,
         changes: Optional[ChangeSet] = None,
-    ) -> Dict[str, Any]:
+    ) -> Optional[Dict[str, Any]]:
         """Append one cleaning outcome to the write-ahead journal.
 
         Called *before* the outcome segment is persisted, by an
@@ -1113,14 +1109,28 @@ class SnapshotStore:
         set (``changes``, :func:`~repro.db.database.change_set`;
         omitted means nothing changed), with ``spec_payload``,
         ``outcome_snapshot_id`` and ``outcome_hash`` kept as
-        provenance.  Once this returns, a crash at any later point is
-        recoverable: replay applies the change set to the base
-        snapshot -- no planner, no kernel -- checks the result's id
-        and content hash against the record, and persists the outcome
-        only if both match.  A crash *during* the append leaves a torn
-        tail the next open truncates away -- the cleaning then simply
-        never happened durably (pre-state), which is correct because
-        the caller had not yet acknowledged it.
+        provenance.  Once this returns the record, a crash at any
+        later point is recoverable: replay applies the change set to
+        the base snapshot -- no planner, no kernel -- checks the
+        result's id and content hash against the record, and persists
+        the outcome only if both match.  A crash *during* the append
+        leaves a torn tail the next open truncates away -- the
+        cleaning then simply never happened durably (pre-state), which
+        is correct because the caller had not yet acknowledged it.
+
+        Replay needs the base, so the record is appended only on a
+        durable, live base: under the exclusive lock, against the
+        journal re-read from disk, this handle must hold the base and
+        have verified it live -- its file exists, no tombstone (ours or
+        another process's) names it, and its bytes and base chain read
+        back clean (:meth:`_verify_once`, the check :meth:`persist`
+        makes of a delta's base, so the read is not repeated there).
+        Otherwise -- a memory-only base, one GC has just collected, or
+        one whose bytes went bad -- nothing is appended and this
+        returns ``None``.  The outcome then persists as a full
+        segment, and a crash before that commit reverts to the
+        pre-state, correct for the same reason: the clean was never
+        acknowledged.
 
         Past the ``max_journal_records`` threshold the journal is
         checkpointed automatically (:meth:`maybe_checkpoint`).
@@ -1137,6 +1147,12 @@ class SnapshotStore:
         with self._lock:
             self._require_writer("journal_clean")
             with self._exclusive():
+                records = self._read_journal_from_disk()
+                self._journal = records
+                if base_snapshot_id not in self._snapshots or not (
+                    self._verify_once(base_snapshot_id, _tombstone_ids(records))
+                ):
+                    return None
                 _disk_step("journal:begin")
                 self._append_journal_frame(record, fire_steps=True)
                 self._journal.append(record)
@@ -1540,9 +1556,10 @@ class SnapshotStore:
     def _read_journal_from_disk(self) -> List[Dict[str, Any]]:
         """The clean prefix of the on-disk journal, fresh.
 
-        ``checkpoint`` and ``gc`` trust this, not the in-memory
-        mirror: between per-operation locks another process may have
-        appended records this handle never saw.
+        ``persist``, ``journal_clean``, ``checkpoint`` and ``gc`` trust
+        this, not the in-memory mirror: between per-operation locks
+        another process may have appended records this handle never
+        saw.
         """
         try:
             data = self._journal_path.read_bytes()
@@ -1569,6 +1586,20 @@ class SnapshotStore:
             os.fsync(fd)
         finally:
             os.close(fd)
+
+
+def require_store(root: Union[str, Path]) -> None:
+    """Raise :class:`~repro.exceptions.StoreError` unless ``root``
+    holds a snapshot store (its ``segments/`` directory).
+
+    Creates nothing: a read-only open, and maintenance that must not
+    turn a mistyped directory into an empty store, check this first.
+    """
+    if not (Path(root) / _SEGMENTS_DIR).is_dir():
+        raise StoreError(
+            f"no snapshot store at {str(root)!r}: it has no "
+            f"{_SEGMENTS_DIR}/ directory"
+        )
 
 
 def _link_on_disk(path: Path) -> Optional[DeltaLink]:

@@ -6,8 +6,8 @@ seeded-RNG-only randomness, no shared-memory segments,
 deterministic kernels (no wall clock, no float equality), frozen
 round-tripping API specs, registry-declared counters, exception
 hygiene, import layering -- as machine-checked rules (REP001...).
-Run it as ``repro-lint`` or ``python -m repro.tooling.lint``; configure
-it under ``[tool.repro-lint]`` in ``pyproject.toml``.
+Run it as ``repro-lint`` or ``python -m repro.tooling.lint``; each
+rule declares its own scope, and nothing else configures it.
 
 The package deliberately sits at the edge of the import graph: it may
 import :mod:`repro.core.counters` (the registry REP007 checks against)

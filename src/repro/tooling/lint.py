@@ -15,29 +15,21 @@ code, so every future change is checked by machine instead of memory.
 
 Usage::
 
-    repro-lint [paths ...] [--json] [--list-rules]
+    repro-lint [paths ...] [--root DIR] [--json] [--list-rules]
     python -m repro.tooling.lint src
 
-Configuration lives in ``pyproject.toml``::
+There is nothing to configure.  A rule's scope is declared once, in
+its own ``@rule(include=..., exclude=...)``: ``fnmatch`` globs matched
+against the file's path relative to ``--root`` (default: the current
+directory).  A module whose job a rule forbids elsewhere is exempted
+there, next to the checker: REP008 exempts the CLI, which prints by
+design; REP011 the modules that own file writes; REP012 the store,
+which owns the lock protocol.  So every exemption is read in one place
+and changes only in review.  The positional paths default to
+:data:`DEFAULT_PATHS`.
 
-    [tool.repro-lint]
-    paths = ["src"]              # default lint roots
-    exclude = ["src/gen/*"]      # global path excludes (fnmatch)
-
-    [tool.repro-lint.REP008]
-    exclude = ["src/repro/cli.py"]   # extend one rule's scope
-    # severity = "warning"           # or downgrade it
-    # enabled = false                # or switch it off
-
-Paths in ``include`` / ``exclude`` are ``fnmatch`` globs matched
-against the file's path relative to the project root (the directory
-holding ``pyproject.toml``, or ``--root``).  A finding on a line whose
-source carries ``# repro-lint: disable=REPnnn`` is suppressed; the
-project's policy is to prefer config-level excludes, which leave an
-auditable trail here instead of scattering pragmas.
-
-Exit status: 0 when no error-severity findings remain (warnings do not
-fail the run), 1 otherwise, 2 on usage errors.
+Every finding is an error.  Exit status: 0 when there are no findings,
+1 otherwise, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -47,7 +39,7 @@ import ast
 import fnmatch
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Callable,
@@ -60,18 +52,10 @@ from typing import (
     Tuple,
 )
 
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - 3.9/3.10 fallback
-    tomllib = None  # type: ignore[assignment]
-
 from repro.core.counters import SESSION_COUNTERS, STORE_COUNTERS
 
-#: Severities a rule (or a config override) may use.
-SEVERITIES = ("error", "warning")
-
-#: Inline suppression marker checked on the finding's source line.
-PRAGMA = "repro-lint:"
+#: What ``repro-lint`` lints when no path is given.
+DEFAULT_PATHS = ("src",)
 
 
 @dataclass(frozen=True)
@@ -79,7 +63,6 @@ class Finding:
     """One rule violation at one source location."""
 
     code: str
-    severity: str
     path: str
     line: int
     column: int
@@ -89,7 +72,6 @@ class Finding:
         """Plain JSON encoding (the ``--json`` wire shape)."""
         return {
             "code": self.code,
-            "severity": self.severity,
             "path": self.path,
             "line": self.line,
             "column": self.column,
@@ -97,10 +79,10 @@ class Finding:
         }
 
     def render(self) -> str:
-        """The human one-liner (``path:line:col: CODE severity: msg``)."""
+        """The human one-liner (``path:line:col: CODE error: msg``)."""
         return (
             f"{self.path}:{self.line}:{self.column}: "
-            f"{self.code} {self.severity}: {self.message}"
+            f"{self.code} error: {self.message}"
         )
 
 
@@ -110,7 +92,6 @@ class ModuleSource:
 
     path: str  # project-root-relative, POSIX separators
     tree: ast.Module
-    lines: List[str]
 
     @property
     def package_parts(self) -> Tuple[str, ...]:
@@ -131,13 +112,12 @@ Checker = Callable[[ModuleSource], Iterator[Tuple[ast.AST, str]]]
 
 @dataclass(frozen=True)
 class Rule:
-    """A registered lint rule with its default scope and severity."""
+    """A registered lint rule and the files it covers."""
 
     code: str
     name: str
     description: str
     checker: Checker
-    severity: str = "error"
     include: Tuple[str, ...] = ("src/*",)
     exclude: Tuple[str, ...] = ()
 
@@ -151,23 +131,24 @@ def rule(
     name: str,
     description: str,
     *,
-    severity: str = "error",
     include: Tuple[str, ...] = ("src/*",),
     exclude: Tuple[str, ...] = (),
 ) -> Callable[[Checker], Checker]:
-    """Register a checker function under a ``REPnnn`` code."""
+    """Register a checker function under a ``REPnnn`` code.
+
+    ``include`` and ``exclude`` are the rule's whole scope: the files
+    it checks are those matching an ``include`` glob and no ``exclude``
+    glob.
+    """
 
     def decorate(checker: Checker) -> Checker:
         if code in RULES:
             raise ValueError(f"duplicate rule code {code!r}")
-        if severity not in SEVERITIES:
-            raise ValueError(f"severity must be one of {SEVERITIES}")
         RULES[code] = Rule(
             code=code,
             name=name,
             description=description,
             checker=checker,
-            severity=severity,
             include=include,
             exclude=exclude,
         )
@@ -470,7 +451,7 @@ def _check_frozen_specs(source: ModuleSource) -> Iterator[Tuple[ast.AST, str]]:
 
 
 # ---------------------------------------------------------------------------
-# REP006 -- exception hygiene on worker/supervisor paths
+# REP006 -- exception hygiene
 # ---------------------------------------------------------------------------
 
 
@@ -488,8 +469,8 @@ def _names_base_exception(annotation: Optional[ast.expr]) -> bool:
     "REP006",
     "swallowed-base-exception",
     "No bare except:, and an except BaseException: handler must re-raise; "
-    "swallowing KeyboardInterrupt/SystemExit turns worker supervision "
-    "into silent hangs.",
+    "swallowing KeyboardInterrupt/SystemExit turns a shutdown request "
+    "into a silent hang.",
 )
 def _check_exception_hygiene(source: ModuleSource) -> Iterator[Tuple[ast.AST, str]]:
     for node in ast.walk(source.tree):
@@ -558,7 +539,8 @@ def _check_counter_registry(source: ModuleSource) -> Iterator[Tuple[ast.AST, str
     "print-in-library",
     "Library modules must not print(); output belongs to the CLI's JSON "
     "envelopes (and the lint tool's own reporter).",
-    exclude=("src/repro/tooling/*",),
+    # The CLI and the lint tool are the modules whose job is stdout.
+    exclude=("src/repro/tooling/*", "src/repro/cli.py"),
 )
 def _check_no_print(source: ModuleSource) -> Iterator[Tuple[ast.AST, str]]:
     for node in _calls(source):
@@ -849,92 +831,12 @@ def _check_scoped_locking(source: ModuleSource) -> Iterator[Tuple[ast.AST, str]]
 
 
 # ---------------------------------------------------------------------------
-# Configuration
+# Engine
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RuleConfig:
-    """Per-rule overrides from ``[tool.repro-lint.REPnnn]``."""
-
-    enabled: bool = True
-    severity: Optional[str] = None
-    include: Tuple[str, ...] = ()
-    exclude: Tuple[str, ...] = ()
-
-
-@dataclass
-class LintConfig:
-    """The resolved ``[tool.repro-lint]`` table."""
-
-    paths: Tuple[str, ...] = ("src",)
-    exclude: Tuple[str, ...] = ()
-    rules: Dict[str, RuleConfig] = field(default_factory=dict)
-
-    @classmethod
-    def from_pyproject(cls, pyproject: Path) -> "LintConfig":
-        """Load the ``[tool.repro-lint]`` table (absent table = defaults)."""
-        if tomllib is None or not pyproject.is_file():
-            return cls()
-        with pyproject.open("rb") as handle:
-            data = tomllib.load(handle)
-        table = data.get("tool", {}).get("repro-lint", {})
-        if not isinstance(table, dict):
-            raise ValueError("[tool.repro-lint] must be a table")
-        rules: Dict[str, RuleConfig] = {}
-        for key, value in table.items():
-            if not isinstance(value, dict):
-                continue
-            severity = value.get("severity")
-            if severity is not None and severity not in SEVERITIES:
-                raise ValueError(
-                    f"[tool.repro-lint.{key}] severity must be one of "
-                    f"{SEVERITIES}, got {severity!r}"
-                )
-            rules[key] = RuleConfig(
-                enabled=bool(value.get("enabled", True)),
-                severity=severity,
-                include=tuple(value.get("include", ())),
-                exclude=tuple(value.get("exclude", ())),
-            )
-        return cls(
-            paths=tuple(table.get("paths", ("src",))),
-            exclude=tuple(table.get("exclude", ())),
-            rules=rules,
-        )
 
 
 def _matches(path: str, patterns: Iterable[str]) -> bool:
     return any(fnmatch.fnmatch(path, pattern) for pattern in patterns)
-
-
-def _rule_applies(rule_: Rule, override: RuleConfig, path: str) -> bool:
-    include = tuple(rule_.include) + tuple(override.include)
-    exclude = tuple(rule_.exclude) + tuple(override.exclude)
-    return _matches(path, include) and not _matches(path, exclude)
-
-
-def _suppressed(source: ModuleSource, finding_line: int, code: str) -> bool:
-    """Whether the finding's source line carries a disable pragma."""
-    if not 1 <= finding_line <= len(source.lines):
-        return False
-    line = source.lines[finding_line - 1]
-    marker = line.find(PRAGMA)
-    if marker < 0:
-        return False
-    directive = line[marker + len(PRAGMA) :].strip()
-    if not directive.startswith("disable"):
-        return False
-    _, _, codes = directive.partition("=")
-    codes = codes.strip()
-    if not codes:
-        return True  # bare "disable" suppresses every rule on the line
-    return code in {c.strip() for c in codes.split(",")}
-
-
-# ---------------------------------------------------------------------------
-# Engine
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -946,19 +848,15 @@ class LintReport:
 
     @property
     def errors(self) -> int:
-        return sum(1 for f in self.findings if f.severity == "error")
-
-    @property
-    def warnings(self) -> int:
-        return sum(1 for f in self.findings if f.severity == "warning")
+        return len(self.findings)
 
     def to_dict(self) -> Dict[str, object]:
         """The ``--json`` payload."""
         return {
-            "version": 1,
+            "version": 2,
             "files_checked": self.files_checked,
             "findings": [f.to_dict() for f in self.findings],
-            "summary": {"errors": self.errors, "warnings": self.warnings},
+            "summary": {"errors": self.errors},
         }
 
 
@@ -979,15 +877,9 @@ def _python_files(root: Path, paths: Sequence[str]) -> Iterator[Path]:
             yield candidate
 
 
-def lint_paths(
-    paths: Sequence[str],
-    root: Optional[Path] = None,
-    config: Optional[LintConfig] = None,
-) -> LintReport:
-    """Lint ``paths`` (files or directories) against every enabled rule."""
+def lint_paths(paths: Sequence[str], root: Optional[Path] = None) -> LintReport:
+    """Lint ``paths`` (files or directories) against every rule."""
     root = (root or Path.cwd()).resolve()
-    if config is None:
-        config = LintConfig.from_pyproject(root / "pyproject.toml")
     findings: List[Finding] = []
     files = 0
     for file_path in _python_files(root, paths):
@@ -996,8 +888,6 @@ def lint_paths(
             rel = file_path.relative_to(root).as_posix()
         except ValueError:
             rel = file_path.as_posix()
-        if _matches(rel, config.exclude):
-            continue
         text = file_path.read_text(encoding="utf-8")
         try:
             tree = ast.parse(text, filename=str(file_path))
@@ -1005,7 +895,6 @@ def lint_paths(
             findings.append(
                 Finding(
                     code="REP000",
-                    severity="error",
                     path=rel,
                     line=exc.lineno or 1,
                     column=(exc.offset or 1) - 1,
@@ -1013,34 +902,22 @@ def lint_paths(
                 )
             )
             continue
-        source = ModuleSource(path=rel, tree=tree, lines=text.splitlines())
+        source = ModuleSource(path=rel, tree=tree)
         for rule_ in RULES.values():
-            override = config.rules.get(rule_.code, _NO_OVERRIDE)
-            if not override.enabled:
+            if not _matches(rel, rule_.include) or _matches(rel, rule_.exclude):
                 continue
-            if not _rule_applies(rule_, override, rel):
-                continue
-            severity = override.severity or rule_.severity
             for node, message in rule_.checker(source):
-                line = getattr(node, "lineno", 1)
-                column = getattr(node, "col_offset", 0)
-                if _suppressed(source, line, rule_.code):
-                    continue
                 findings.append(
                     Finding(
                         code=rule_.code,
-                        severity=severity,
                         path=rel,
-                        line=line,
-                        column=column,
+                        line=getattr(node, "lineno", 1),
+                        column=getattr(node, "col_offset", 0),
                         message=message,
                     )
                 )
     findings.sort(key=lambda f: (f.path, f.line, f.column, f.code))
     return LintReport(findings=findings, files_checked=files)
-
-
-_NO_OVERRIDE = RuleConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -1051,7 +928,7 @@ _NO_OVERRIDE = RuleConfig()
 def _render_rule_list() -> str:
     lines = []
     for rule_ in RULES.values():
-        lines.append(f"{rule_.code}  {rule_.name}  [{rule_.severity}]")
+        lines.append(f"{rule_.code}  {rule_.name}")
         lines.append(f"    {rule_.description}")
         lines.append(f"    include: {list(rule_.include)}")
         if rule_.exclude:
@@ -1071,21 +948,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to lint (default: [tool.repro-lint] "
-        "paths, falling back to 'src')",
+        help=f"files or directories to lint (default: {' '.join(DEFAULT_PATHS)})",
     )
     parser.add_argument(
         "--root",
         default=".",
-        help="project root holding pyproject.toml (default: cwd)",
+        help="project root that paths and rule scopes are relative to "
+        "(default: cwd)",
     )
     parser.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
-    )
-    parser.add_argument(
-        "--no-config",
-        action="store_true",
-        help="ignore [tool.repro-lint] and run every rule at its defaults",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="describe every rule and exit"
@@ -1096,15 +968,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_render_rule_list())
         return 0
 
-    root = Path(args.root).resolve()
-    config = (
-        LintConfig()
-        if args.no_config
-        else LintConfig.from_pyproject(root / "pyproject.toml")
-    )
-    paths = list(args.paths) or list(config.paths)
     try:
-        report = lint_paths(paths, root=root, config=config)
+        report = lint_paths(
+            list(args.paths) or list(DEFAULT_PATHS), root=Path(args.root)
+        )
     except FileNotFoundError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
@@ -1116,15 +983,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(finding.render())
         if report.findings:
             print(
-                f"repro-lint: {report.errors} error(s), "
-                f"{report.warnings} warning(s) in {report.files_checked} file(s)"
+                f"repro-lint: {report.errors} error(s) in "
+                f"{report.files_checked} file(s)"
             )
         else:
             print(
                 f"repro-lint: clean ({report.files_checked} files, "
                 f"{len(RULES)} rules)"
             )
-    return 1 if report.errors else 0
+    return 1 if report.findings else 0
 
 
 if __name__ == "__main__":

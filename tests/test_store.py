@@ -659,6 +659,7 @@ class TestSnapshotStore:
     def test_torn_journal_tail_is_truncated_on_open(self, tmp_path):
         root = tmp_path / "store"
         store = SnapshotStore(root, durability="none")
+        store.persist("s-base", ranked_db())
         record = store.journal_clean("s-base", {"k": 5}, "s-out", "hash")
         assert record["base"] == "s-base"
         journal = root / JOURNAL_NAME
@@ -1058,7 +1059,9 @@ def structure_loads(monkeypatch):
 
 
 def journaled_outcome(store: SnapshotStore, ranked: RankedDatabase) -> None:
-    """Journal, then persist, ``ranked`` as the cleaning outcome "s1"."""
+    """Persist a base, then journal and persist ``ranked`` as its
+    cleaning outcome "s1"."""
+    store.persist("base", ranked_db(seed=4))
     store.journal_clean("base", {"k": 5}, "s1", ranked.db.content_hash())
     store.persist("s1", ranked)
 

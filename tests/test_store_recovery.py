@@ -37,7 +37,7 @@ from repro.exceptions import (
     StoreWriteError,
 )
 from repro.store import RetentionPolicy, SnapshotStore
-from repro.testing import FaultEvent, FaultPlan, use_faults
+from repro.testing import FaultEvent, FaultPlan, flip_one_bit, use_faults
 
 K = 5
 CLEAN_SPEC = CleaningSpec(k=K, budget=40, execute=True, seed=7)
@@ -270,6 +270,102 @@ class TestCrashSweep:
         assert_payloads_close(
             reopened.query(outcome_id, QUERY_SPEC).payload, oracle_payload
         )
+
+
+# ---------------------------------------------------------------------------
+# A durable clean journals only on a durable, live base
+# ---------------------------------------------------------------------------
+
+
+def crash_at_segment_begin(service, snapshot_id):
+    """Run ``CLEAN_SPEC`` on ``snapshot_id``; the process "dies" just
+    before the outcome segment is written."""
+    plan = FaultPlan([FaultEvent(kind="crash", step="segment:begin")])
+    with use_faults(plan):
+        with pytest.raises(SimulatedCrashError):
+            service.clean(snapshot_id, CLEAN_SPEC)
+    assert plan.drawn
+
+
+class TestJournalNeedsALiveBase:
+    """Replay starts from the journaled base, so a clean whose base is
+    not durable and live is persisted without a record, and a crash
+    before its segment commits reverts to the pre-state."""
+
+    def memory_only_outcome(self, root):
+        service = open_service(root)
+        base = service.register(
+            generate_synthetic(num_xtuples=60, seed=1)
+        ).snapshot_id
+        spec = CleaningSpec(k=K, budget=40, seed=7, durable=False)
+        outcome = service.clean(base, spec).payload["new_snapshot_id"]
+        assert outcome != base and not service.store.has_segment(outcome)
+        return service, base, outcome
+
+    def test_crashed_clean_of_a_memory_only_outcome_is_pre_state(
+        self, tmp_path
+    ):
+        root = tmp_path / "store"
+        service, base, memory_only = self.memory_only_outcome(root)
+        crash_at_segment_begin(service, memory_only)
+        # A record naming the memory-only base would make every later
+        # open fail: replay could not find the base.
+        reopened = open_service(root)
+        assert sorted(reopened.store.snapshots()) == [base]
+        assert reopened.store.journal_records() == []
+        assert reopened.store.checkpoint()["records_after"] == 0
+
+    def test_clean_of_a_memory_only_outcome_persists_full_unjournaled(
+        self, tmp_path
+    ):
+        root = tmp_path / "store"
+        service, base, memory_only = self.memory_only_outcome(root)
+        outcome = service.clean(memory_only, CLEAN_SPEC).payload[
+            "new_snapshot_id"
+        ]
+        assert service.store.journal_records() == []
+        reopened = open_service(root)
+        assert sorted(reopened.store.snapshots()) == sorted((base, outcome))
+        status = reopened.store.status()
+        assert (status["full_segments"], status["delta_segments"]) == (2, 0)
+
+    def test_crashed_clean_of_a_base_another_handle_collected_is_pre_state(
+        self, tmp_path
+    ):
+        root = tmp_path / "store"
+        service = open_service(root)
+        base = service.register(
+            generate_synthetic(num_xtuples=60, seed=1)
+        ).snapshot_id
+        # Another process's GC tombstones the base this handle holds.
+        other = SnapshotStore(root, durability="none")
+        assert other.gc(RetentionPolicy(keep_last_n=0))["tombstoned"] == [base]
+        crash_at_segment_begin(service, base)
+        reopened = open_service(root)
+        assert reopened.store.snapshots() == {}
+        assert reopened.store.pending_cleanings() == []
+        assert [r["kind"] for r in reopened.store.journal_records()] == [
+            "tombstone"
+        ]
+
+    def test_crashed_clean_of_a_base_whose_bytes_went_bad_is_pre_state(
+        self, tmp_path
+    ):
+        root = tmp_path / "store"
+        service = open_service(root)
+        base = service.register(
+            generate_synthetic(num_xtuples=60, seed=1)
+        ).snapshot_id
+        # The base's bytes rot after the write, before this handle has
+        # read them back; the next open quarantines it.
+        path = root / "segments" / (base + ".seg")
+        path.write_bytes(flip_one_bit(path.read_bytes()))
+        crash_at_segment_begin(service, base)
+        reopened = open_service(root)
+        quarantined = [name for name, _ in reopened.store.recovery.quarantined]
+        assert quarantined == [base + ".seg"]
+        assert reopened.store.snapshots() == {}
+        assert reopened.store.journal_records() == []
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +609,17 @@ class TestResurrection:
 
 class TestReplayFailures:
     def test_missing_base_raises_typed_error(self, tmp_path):
-        store = SnapshotStore(tmp_path / "store", durability="none")
-        store.journal_clean(
-            "snap-never-registered", CLEAN_SPEC.to_dict(), "snap-out", "hash"
+        # The base was durable and live when its clean was journaled;
+        # its segment vanished behind the store's back afterwards.
+        root = tmp_path / "store"
+        store = SnapshotStore(root, durability="none")
+        store.persist("snap-lost-base", RankedDatabase(small_db(), by_value()))
+        assert store.journal_clean(
+            "snap-lost-base", CLEAN_SPEC.to_dict(), "snap-out", "hash"
         )
-        with pytest.raises(JournalReplayError, match="snap-never-registered"):
-            TopKService(pool=SessionPool(store=store))
+        (root / "segments" / "snap-lost-base.seg").unlink()
+        with pytest.raises(JournalReplayError, match="snap-lost-base"):
+            open_service(root)
 
     def test_tampered_outcome_raises_typed_error(self, tmp_path, oracle):
         base_id, _, _ = oracle
@@ -769,3 +870,29 @@ class TestCliStore:
             == 0
         )
         assert "PWS-quality" in capsys.readouterr().out
+
+    def test_gc_rejects_a_negative_keep_last_n_before_opening(self, tmp_path):
+        from repro.cli import main
+
+        root = tmp_path / "new"
+        with pytest.raises(SystemExit) as exc:
+            main(["store", "gc", "--dir", str(root), "--keep-last-n", "-1"])
+        assert exc.value.code == 2
+        assert not root.exists()
+
+    @pytest.mark.parametrize(
+        "action", [["compact"], ["gc", "--keep-last-n", "1"]], ids=["compact", "gc"]
+    )
+    def test_maintenance_of_no_store_is_a_typed_error(
+        self, tmp_path, capsys, action
+    ):
+        from repro.cli import main
+
+        root = tmp_path / "typo"
+        out = tmp_path / "out.json"
+        argv = ["store", *action, "--dir", str(root), "--json", str(out)]
+        assert main(argv) == 1
+        assert not root.exists()
+        error = json.loads(out.read_text())["error"]
+        assert error["type"] == "StoreError"
+        assert "no snapshot store" in capsys.readouterr().err
