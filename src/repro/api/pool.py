@@ -212,9 +212,9 @@ class SessionPool:
         ``ValueError`` -- silently answering under the first-registered
         ranking would return wrong query results.  ``session``
         optionally seeds the session cache with an already-warm session
-        over the snapshot -- the cleaning path uses this so a
-        delta-derived session (one whose PSR cache was patched, not
-        rebuilt) serves the outcome snapshot's future requests.
+        over the snapshot -- the cleaning path uses this so the
+        delta-derived session, whose quality the clean already read,
+        serves the outcome snapshot's future requests.
 
         With a backing store, registration is **persist-first**: the
         ranking check runs before the write, so a rejected registration

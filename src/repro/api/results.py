@@ -47,8 +47,9 @@ class ServiceResult:
     counters:
         Cache/cost counters consumed by this request, as per-request
         deltas of the session's cumulative totals: ``psr_hits`` /
-        ``psr_misses`` / ``psr_patches`` / ``psr_prefills`` /
-        ``cold_derives`` / ``delta_derives``.  Store-backed services
+        ``psr_misses`` (full passes) / ``psr_patches`` (cached passes
+        carried over a cleaning round's change set) / ``psr_prefills``
+        / ``cold_derives`` / ``delta_derives``.  Store-backed services
         add the store counters' deltas
         (:data:`~repro.core.counters.STORE_COUNTERS`).
     """

@@ -17,8 +17,8 @@ content-hash ids with per-snapshot session leases, so the service is
 safe to call from many threads.  Cleaning never mutates a snapshot:
 an executed outcome is derived from its base one change set per round
 (:meth:`~repro.db.database.RankedDatabase.with_xtuples_changed`) and
-registered as a *new* snapshot whose warm (PSR-patched) session is
-seeded into the pool.
+registered as a *new* snapshot whose warm session (derived through
+the change set) is seeded into the pool.
 """
 
 from __future__ import annotations
@@ -280,8 +280,8 @@ register`), and the envelope's ``counters`` reports the store's
         """Plan -- and with ``spec.execute``, simulate -- cleaning.
 
         Never mutates the input snapshot.  An executed outcome is
-        registered as a **new** snapshot (its warm, PSR-patched session
-        seeded into the pool); the payload names it under
+        registered as a **new** snapshot (its warm, delta-derived
+        session seeded into the pool); the payload names it under
         ``"new_snapshot_id"``, which is the input snapshot's own id
         when every probe failed.  Plan-only requests leave the registry
         untouched and report the plan and its expected improvement.

@@ -53,10 +53,10 @@ class AdaptiveCleaningResult:
     budget: int
     budget_spent: int
     #: The session over ``final_db`` the loop ended on.  Its cumulative
-    #: counters tell the run's whole evaluation cost -- ``psr_misses``
-    #: stays at the single initial full pass, and every round that
-    #: changed the database shows up as one ``delta_derives`` and one
-    #: ``psr_patches`` per cached ``k``.
+    #: counters tell the run's whole evaluation cost: every round that
+    #: changed the database shows up as one ``delta_derives``, and as
+    #: one fresh pass in ``psr_misses`` -- or one ``psr_patches`` when
+    #: the cached pass ended above every change.
     session: Optional[QuerySession] = None
 
     @property
@@ -77,11 +77,10 @@ def clean_adaptively(
     Each round works through a :class:`QuerySession` derived from the
     previous round's outcome.  The executor applies each round's
     successful probes as one :class:`~repro.db.database.RankDelta`, so
-    the whole run performs **one** full PSR pass (the initial
-    evaluation) and every later round re-scans only from its first
-    changed row to the stop; an all-failures round (or a
-    caller-provided warm session over ``db``) is served entirely from
-    cache.
+    every round that changed the database costs one splice of the
+    ranked view and one PSR pass (none when the cached pass ended
+    above every change); an all-failures round (or a caller-provided
+    warm session over ``db``) is served entirely from cache.
 
     Parameters
     ----------

@@ -21,10 +21,11 @@ database is threaded through, the change set derives the cleaned
 database through the session's *ranked view* --
 ``RankedDatabase.with_xtuples_changed`` -- and hands the one resulting
 :class:`~repro.db.database.RankDelta` to ``session.derive``, so the
-session's cached rank probabilities are patched once per round instead
-of recomputed from scratch.  Otherwise (no session, or a session over
-another database) the cleaned database is built once and any session
-derives cold.  The probe outcomes (and the rng stream) are identical
+cleaned view is spliced instead of re-ranked, and the derived session
+runs one fresh PSR pass when the round's quality is next read (a
+cached pass that ended above every change moves over as it is).
+Otherwise (no session, or a session over another database) the cleaned
+database is built once and any session derives cold.  The probe outcomes (and the rng stream) are identical
 either way.
 """
 

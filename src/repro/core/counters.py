@@ -21,7 +21,9 @@ from __future__ import annotations
 from typing import Tuple
 
 #: Cumulative counters of one :class:`~repro.queries.engine.QuerySession`,
-#: in envelope reporting order.
+#: in envelope reporting order: PSR cache hits and misses (a miss is a
+#: full pass), cached passes carried across a delta derivation, cache
+#: entries prefilled from a larger pass, and cold / delta derivations.
 SESSION_COUNTERS: Tuple[str, ...] = (
     "psr_hits",
     "psr_misses",

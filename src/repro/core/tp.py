@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.weights import compute_weights, weight_of
-from repro.db.database import RankDelta, RankedDatabase
+from repro.core.weights import compute_weights
+from repro.db.database import RankedDatabase
 from repro.exceptions import InvalidQueryError
 from repro.queries.psr import RankProbabilities, compute_rank_probabilities
 
@@ -104,56 +104,22 @@ class TPQualityResult:
 
 
 def patch_quality_tp(
-    old_quality: TPQualityResult,
-    rank_probabilities: RankProbabilities,
-    delta: RankDelta,
-) -> Optional[TPQualityResult]:
-    """TP quality for a delta-patched view, from the old quality.
+    old_quality: TPQualityResult, carried: RankProbabilities
+) -> TPQualityResult:
+    """``old_quality`` rebound to a PSR pass carried over a change set.
 
-    A tuple's weight ``ω_i`` depends only on its own x-tuple's
-    higher-ranked siblings, so a change set leaves every unchanged
-    x-tuple's weights bitwise unchanged -- the new weight vector is the
-    old one with the changed x-tuples' rows spliced out and the
-    replacements' rows (computed scalar-style, O(|replacements|))
-    spliced in.  The quality is then one dot product against the
-    patched top-k vector, and the result is labelled ``"numpy"`` like
-    the patched PSR output.
-
-    Returns ``None`` when the spliced weights fall short of the new
-    cutoff (removing x-tuples can move the PSR stop below the rows the
-    old weights covered) -- the caller falls back to
-    :func:`compute_quality_tp`.
+    ``carried`` is ``old_quality``'s pass moved to the patched view by
+    :func:`repro.queries.psr.apply_rank_delta`: the same rows, all
+    above the first changed row.  A weight ``ω_i`` reads only row ``i``
+    and its own x-tuple's rows above it, and none of those changed, so
+    the weights, the quality and every ``g(l, D)`` carry over as they
+    are.
     """
-    old_w = np.asarray(old_quality.weights_prefix)
-    cutoff = rank_probabilities.cutoff
-    spliced = np.delete(
-        old_w, delta.removed_rows[delta.removed_rows < old_w.shape[0]]
-    )
-    inserted = delta.inserted_rows[delta.inserted_rows < cutoff]
-    if inserted.size:
-        ranked = rank_probabilities.ranked
-        # Rows ascend, so each x-tuple's mass accumulates in rank order.
-        mass: Dict[int, float] = {}
-        weights = []
-        for e, l in zip(
-            ranked.probabilities_array[inserted].tolist(),
-            ranked.xtuple_indices_array[inserted].tolist(),
-        ):
-            mass[l] = min(1.0, mass.get(l, 0.0) + e)
-            weights.append(weight_of(e, mass[l]))
-        spliced = np.insert(
-            spliced,
-            np.minimum(inserted - np.arange(inserted.size), spliced.shape[0]),
-            weights,
-        )
-    if spliced.shape[0] < cutoff:
-        return None
-    weights_prefix = np.ascontiguousarray(spliced[:cutoff])
     return TPQualityResult(
-        quality=float(weights_prefix @ rank_probabilities.topk_prefix),
-        rank_probabilities=rank_probabilities,
-        weights_prefix=weights_prefix,
-        backend="numpy",
+        quality=old_quality.quality,
+        rank_probabilities=carried,
+        weights_prefix=old_quality.weights_prefix,
+        backend=old_quality.backend,
     )
 
 

@@ -41,10 +41,9 @@ x-tuples' rows out of / into the columnar arrays in O(n) (a boolean
 gather plus a ``np.searchsorted`` insert that replicates the full
 sort's exact ``(-score, insertion index)`` tie-breaking) instead of
 re-sorting, and returns one :class:`RankDelta` for the whole change
-set.  The delta is what the incremental PSR kernel
-(:func:`repro.queries.psr.apply_rank_delta`), the TP patch and the
-query engine (:meth:`repro.queries.engine.QuerySession.derive`)
-consume to re-evaluate only the rows from the first changed one down.
+set.  The query engine (:meth:`repro.queries.engine.QuerySession.derive`)
+reads its first changed row to decide which cached PSR passes still
+hold for the patched view.
 
 Durable state stores a cleaning outcome as its base plus a *change
 set*, ``{xid: revealed tid, or None for a revealed null}``:
@@ -382,46 +381,24 @@ def change_set(
 
 @dataclass(frozen=True, eq=False)
 class RankDelta:
-    """How one change set -- a cleaning round's replaced and removed
-    x-tuples -- moved the ranked view's rows.
+    """Where one change set -- a cleaning round's replaced and removed
+    x-tuples -- first moved the ranked view's rows.
 
     Produced by :meth:`RankedDatabase.with_xtuples_changed`; consumed by
-    :func:`repro.queries.psr.apply_rank_delta`,
-    :func:`repro.core.tp.patch_quality_tp` and
     :meth:`repro.queries.engine.QuerySession.derive`.
 
     Attributes
     ----------
     old_ranked / new_ranked:
         The view the delta was derived from and the patched view.
-    removed_rows / inserted_rows:
-        Rank positions of every changed x-tuple's old members (old
-        coordinates) and of the replacements' members (new
-        coordinates), both ascending.
-    removed_xtuples:
-        Old dense indices of the removed x-tuples, ascending.  Every
-        dense index above one of them shifts down by one (see
-        :meth:`map_xtuple_index`); a replaced x-tuple keeps its index.
     window_start:
         The first changed row: rows above it are bitwise identical
-        between the views.
+        between the views (the old row count when nothing changed).
     """
 
     old_ranked: "RankedDatabase"
     new_ranked: "RankedDatabase"
-    removed_rows: np.ndarray
-    inserted_rows: np.ndarray
-    removed_xtuples: np.ndarray
     window_start: int
-
-    @property
-    def row_offset(self) -> int:
-        """``new row - old row`` for rows below the last changed one."""
-        return int(self.inserted_rows.size - self.removed_rows.size)
-
-    def map_xtuple_index(self, l: int) -> int:
-        """Old dense index ``l`` of a kept x-tuple in new-view indexing."""
-        return l - int(np.searchsorted(self.removed_xtuples, l))
 
 
 def _splice_list(items: List, removed: np.ndarray, positions: np.ndarray, values: List) -> List:
@@ -615,7 +592,7 @@ class RankedDatabase:
     def _freeze_columns(self) -> None:
         """Write-protect the canonical arrays (shared-state armor).
 
-        Sessions, the numpy kernel and delta checkpoints all alias these
+        Sessions and the numpy kernel alias these
         arrays, so a stray in-place write would silently corrupt every
         cached result derived from the view.  With the flag cleared,
         such a write raises ``ValueError: assignment destination is
@@ -804,7 +781,8 @@ class RankedDatabase:
         sort's ``(-score, insertion index)`` order), and the dense
         indices above each removed x-tuple shift down.  The patched view
         is bitwise the view a cold ``RankedDatabase`` over the changed
-        database builds; the :class:`RankDelta` says which rows moved.
+        database builds; the :class:`RankDelta` names the first row
+        that changed.
         """
         xtuples = list(self.db.xtuples)
         replaced: Dict[int, XTuple] = {}
@@ -911,9 +889,6 @@ class RankedDatabase:
         delta = RankDelta(
             old_ranked=self,
             new_ranked=new_ranked,
-            removed_rows=removed_rows,
-            inserted_rows=inserted_rows,
-            removed_xtuples=np.array(sorted(removed), dtype=np.int64),
             window_start=min(firsts, default=len(self.scores_array)),
         )
         return new_ranked, delta

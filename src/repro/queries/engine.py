@@ -33,12 +33,13 @@ it returns a fresh session sharing the ranking/kernel configuration
 identical, which is what makes failed-probe rounds of adaptive
 cleaning O(answer-extraction).  When the snapshot was derived through
 ``RankedDatabase.with_xtuples_changed``, pass the resulting
-:class:`~repro.db.database.RankDelta` as ``derive(..., delta=...)`` and
-the new session *patches* its memoized PSR state and quality instead
-of starting cold -- the incremental path the cleaning executor takes
-once per round that changed the database.  Sessions are
-not thread-safe; share them within one evaluation pipeline, not
-across threads.
+:class:`~repro.db.database.RankDelta` as ``derive(..., delta=...)``:
+the new session shares the patched ranked view (no re-sort), keeps
+every memoized PSR pass that ended above the first changed row, and
+runs one fresh block-kernel pass for any other ``k`` the first time a
+read needs it -- the path the cleaning executor takes once per round
+that changed the database.  Sessions are not thread-safe; share them
+within one evaluation pipeline, not across threads.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from repro.core.tp import (
 from repro.exceptions import InvalidQueryError
 from repro.db.database import ProbabilisticDatabase, RankDelta, RankedDatabase
 from repro.db.ranking import RankingFunction
+from repro.queries.deterministic import require_valid_k
 
 if TYPE_CHECKING:  # deferred: repro.cleaning imports repro.queries
     from repro.cleaning.model import CleaningProblem
@@ -109,8 +111,8 @@ class QuerySession:
     backend:
         ``"python"`` runs this session's cold PSR passes and TP quality
         on the scalar oracle, for cross-validation; ``"numpy"`` (the
-        default) is the production kernel.  Delta derivations patch
-        through the block kernel either way.
+        default) is the production kernel.  Sessions derived from this
+        one inherit it.
     """
 
     def __init__(
@@ -139,10 +141,11 @@ class QuerySession:
         #: session of a cleaning run reports the whole run's cost.
         self.psr_hits = 0
         self.psr_misses = 0
-        #: Cached PSR results carried across a delta derivation by
-        #: incremental patching (one count per cached ``k``).
+        #: Cached PSR passes carried across a delta derivation (one
+        #: count per cached ``k`` whose scan ended above the change).
         self.psr_patches = 0
-        #: ``derive`` calls that started a cold session / patched one.
+        #: ``derive`` calls that started a cold session / derived one
+        #: through a delta.
         self.cold_derives = 0
         self.delta_derives = 0
         #: Smaller-``k`` cache entries seeded from a larger pass by
@@ -172,15 +175,16 @@ class QuerySession:
 
         With a :class:`~repro.db.database.RankDelta` (produced by
         ``RankedDatabase.with_xtuples_changed`` against this session's
-        ranked view -- one per cleaning round), the derived session does
-        not start cold: every memoized :class:`RankProbabilities` is
-        patched once through :func:`~repro.queries.psr.apply_rank_delta`
-        (a re-scan from the first changed row to the stop instead of a
-        fresh pass) and the quality / ``g(l, D)`` arrays are spliced
-        from the patched PSR output.  Counters (``psr_hits`` / ``psr_misses`` /
-        ``psr_patches`` / ``cold_derives`` / ``delta_derives``) carry
-        over cumulatively so the end of a cleaning run reports how many
-        full passes the whole run cost.
+        ranked view -- one per cleaning round), the derived session is
+        built on the delta's patched view, and every memoized pass whose
+        scan ended at or above the first changed row moves over with
+        its quality (:func:`~repro.queries.psr.apply_rank_delta`,
+        :func:`~repro.core.tp.patch_quality_tp`); each counts one
+        ``psr_patches``.  Every other pass, and every answer, is
+        recomputed on first read.  Counters (``psr_hits`` /
+        ``psr_misses`` / ``psr_patches`` / ``cold_derives`` /
+        ``delta_derives``) carry over cumulatively so the end of a
+        cleaning run reports how many full passes the whole run cost.
         """
         if db is self.ranked.db or db is self.ranked:
             return self
@@ -202,20 +206,14 @@ class QuerySession:
         derived._adopt_counters(self)
         derived.delta_derives += 1
         for k, rank_probs in self._rank_probabilities.items():
-            patched = apply_rank_delta(rank_probs, delta)
-            derived._rank_probabilities[k] = patched
+            carried = apply_rank_delta(rank_probs, delta)
+            if carried is None:
+                continue
+            derived._rank_probabilities[k] = carried
             derived.psr_patches += 1
             cached_quality = self._quality.get(k)
             if cached_quality is not None:
-                # Weights are row-local (own-sibling masses only), so
-                # the quality patches by splicing the changed x-tuples'
-                # rows in the weight vector -- O(n) memcpy plus one dot.
-                patched_quality = patch_quality_tp(cached_quality, patched, delta)
-                if patched_quality is not None:
-                    derived._quality[k] = patched_quality
-        # Whatever was not patched (answers, the rare unsupported
-        # quality case) rebuilds lazily from the patched PSR output on
-        # first use.
+                derived._quality[k] = patch_quality_tp(cached_quality, carried)
         return derived
 
     def prefill(self, ks: Iterable[int]) -> int:
@@ -231,8 +229,14 @@ class QuerySession:
 
         Returns the number of cache entries seeded (``psr_prefills``
         accumulates the same count across the session's lifetime).
+        Every ``k`` is validated before any pass runs: an invalid one
+        raises :class:`~repro.exceptions.InvalidQueryError` and leaves
+        the cache untouched.
         """
-        distinct = sorted({int(k) for k in ks})
+        requested = list(ks)
+        for k in requested:
+            require_valid_k(k)
+        distinct = sorted(set(requested))
         if not distinct:
             return 0
         k_max = distinct[-1]

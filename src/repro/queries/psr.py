@@ -25,17 +25,17 @@ out the current x-tuple's own factor.
 Kernels
 -------
 The production kernel is the division-free block kernel in
-:mod:`repro.queries.psr_numpy`: per block of :data:`CHECKPOINT_INTERVAL`
-rows, each row's exclusion product is the block's closed product times
-the row's live factors, built with array operations vectorized across a
-group of blocks.  It serves every full pass and every delta window
-(:func:`apply_rank_delta`).
+:mod:`repro.queries.psr_numpy`: per block of
+:data:`~repro.queries.psr_numpy.BLOCK_ROWS` rows, each row's exclusion
+product is the block's closed product times the row's live factors,
+built with array operations vectorized across a group of blocks.  It
+runs every pass, including the fresh pass of a session derived through
+a cleaning round's change set.
 
 The scalar kernel below is its reference oracle, reached only through
-an explicit ``backend="python"``: one cold pass, no checkpoints and no
-delta windows.  There is no process-wide switch, so what a service
-answers -- and what its journal replays -- does not depend on the
-environment.
+an explicit ``backend="python"``.  There is no process-wide switch, so
+what a service answers -- and what its journal replays -- does not
+depend on the environment.
 
 Both produce a :class:`RankProbabilities` whose canonical storage is a
 ``(cutoff, k)`` float64 ``rho_prefix`` matrix plus a ``topk_prefix``
@@ -70,9 +70,8 @@ tuple at or below row ``i`` that exists has no sibling above row
 for ``μ_i > k``.  The right side is below ``ε`` exactly when
 ``μ_i > μ* = k + L + √(L² + 2kL)`` with ``L = ln(k/ε)``, so
 :func:`tail_stop` is one ``searchsorted`` into the prefix sums.  Both
-kernels and :func:`apply_rank_delta` scan to ``min(n, stop)``.  At
-``ε = TAIL_EPSILON`` the stop needs ``μ > 71`` even at ``k = 1``;
-``ε = 0`` turns it off.
+kernels scan to ``min(n, stop)``.  At ``ε = TAIL_EPSILON`` the stop
+needs ``μ > 71`` even at ``k = 1``; ``ε = 0`` turns it off.
 
 Every answer stays exact:
 
@@ -96,7 +95,6 @@ Every answer stays exact:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Protocol, Tuple, Union
 
 import numpy as np
@@ -109,14 +107,6 @@ from repro.queries.deterministic import require_valid_k
 #: Threshold above which factor removal falls back to a from-scratch
 #: rebuild (forward deconvolution is stable only for q <= 1/2).
 DECONVOLUTION_LIMIT = 0.5
-
-#: The block kernel's blocks are this many rows long, and it snapshots
-#: its scan state at every block boundary.  A delta re-evaluation
-#: restores the nearest checkpoint at or above the affected window and
-#: replays at most this many rows to reach it, instead of rescanning
-#: from the top.  Storage is O(n/interval · k); the interval trades
-#: that against the per-delta replay length.
-CHECKPOINT_INTERVAL = 64
 
 #: Top-k probability mass the certified tail stop may leave unscanned
 #: (see the module docstring).  Must stay below
@@ -140,26 +130,6 @@ def tail_stop(ranked: RankedDatabase, k: int, epsilon: float) -> int:
     # mass[j] = μ_{j+1}, so the stop is one past the first such prefix.
     mass = np.cumsum(ranked.probabilities_array)
     return min(n, int(np.searchsorted(mass, threshold, side="right")) + 1)
-
-
-@dataclass(frozen=True)
-class ScanCheckpoint:
-    """Block-kernel scan state at the top of row ``row`` (before it).
-
-    ``closed_dp`` is the capped product over factors of closed,
-    non-saturated x-tuples; ``open_masses`` maps dense x-tuple indices
-    of partially scanned x-tuples to their accumulated mass (saturated
-    entries hold exactly 1.0 and are accounted for by ``shift``).  The
-    remaining per-x-tuple member counts are *not* stored -- they are an
-    O(n) ``bincount`` over the suffix at restore time.  Checkpoints are
-    value objects shared across patched :class:`RankProbabilities`
-    instances; never mutate their arrays.
-    """
-
-    row: int
-    shift: int
-    closed_dp: np.ndarray
-    open_masses: Dict[int, float]
 
 
 def _add_factor(dp: List[float], q: float) -> None:
@@ -191,58 +161,14 @@ def _remove_factor_forward(dp: List[float], q: float) -> List[float]:
 class DeferredRho(Protocol):
     """A deferred ρ matrix: anything that materializes to one.
 
-    The numpy kernel's ``BlockRho`` and :class:`_PendingRho` satisfy
-    this without psr.py importing :mod:`repro.queries.psr_numpy`
-    (which imports this module).
+    The numpy kernel's ``BlockRho`` satisfies this without psr.py
+    importing :mod:`repro.queries.psr_numpy` (which imports this
+    module).
     """
 
     def materialize(self) -> np.ndarray:
         """The ``(rows, k)`` ρ matrix."""
         ...
-
-
-class _PendingRho:
-    """A deferred splice of a ρ matrix after a rank delta.
-
-    Nothing on the cleaning hot path reads full ρ rows -- quality and
-    the cleaning inputs consume ``topk_prefix`` -- so a patched
-    :class:`RankProbabilities` records *how* its matrix derives from
-    its parent's (the parent's rows above the delta's window, then the
-    re-scanned rows) and materializes only when a query answer actually
-    asks.  Holds the parent's ρ state (an ndarray, another pending
-    splice, or a kernel's deferred rows), never the parent object, so
-    intermediate snapshots stay collectable.
-    """
-
-    __slots__ = ("parent", "prefix_end", "window")
-
-    def __init__(
-        self,
-        parent: Union[np.ndarray, DeferredRho],
-        prefix_end: int,
-        window: Union[np.ndarray, DeferredRho],
-    ) -> None:
-        self.parent = parent
-        self.prefix_end = prefix_end
-        self.window = window
-
-    def materialize(self) -> np.ndarray:
-        chain = [self]
-        parent = self.parent
-        while isinstance(parent, _PendingRho):
-            chain.append(parent)
-            parent = parent.parent
-        rho = _materialized(parent)
-        for pending in reversed(chain):
-            rho = np.vstack(
-                [rho[: pending.prefix_end], _materialized(pending.window)]
-            )
-        return rho
-
-
-def _materialized(rho: Union[np.ndarray, DeferredRho]) -> np.ndarray:
-    """``rho`` as a matrix (materializing a deferred one)."""
-    return rho if isinstance(rho, np.ndarray) else rho.materialize()
 
 
 class RankProbabilities:
@@ -255,8 +181,7 @@ class RankProbabilities:
     zero: exactly zero where Lemma 2 fired, and together at most
     ``tail_epsilon`` of top-k mass where the certified tail stop did.
     The matrix may be deferred -- a numpy-kernel pass emits only
-    ``topk_prefix`` eagerly, and a delta derivation records a
-    :class:`_PendingRho` splice; it materializes transparently on first
+    ``topk_prefix`` eagerly -- and materializes transparently on first
     access.
     """
 
@@ -268,7 +193,6 @@ class RankProbabilities:
         rho_prefix: Union[np.ndarray, DeferredRho],
         topk_prefix: np.ndarray,
         backend: str,
-        checkpoints: Optional[List[ScanCheckpoint]] = None,
         tail_epsilon: float = TAIL_EPSILON,
     ) -> None:
         self.k = k
@@ -277,21 +201,17 @@ class RankProbabilities:
         self._rho_state = rho_prefix
         self.topk_prefix = topk_prefix
         #: The kernel that produced the rows: ``"numpy"`` for block
-        #: passes and every delta-patched result, ``"python"`` for the
-        #: scalar oracle's cold passes.
+        #: passes, ``"python"`` for the scalar oracle's.
         self.backend = backend
-        #: Block-kernel scan states enabling O(window) delta
-        #: re-evaluation (see :func:`apply_rank_delta`); ``None`` for
-        #: scalar passes and restricted views, which a delta rescans
-        #: from the top.
-        self.checkpoints = checkpoints
         #: The ``ε`` of the tail stop this scan ran under (0 = none).
         self.tail_epsilon = tail_epsilon
 
     @property
     def rho_prefix(self) -> np.ndarray:
         """The ``(cutoff, k)`` ρ matrix (materialized lazily)."""
-        rho = self._rho_state = _materialized(self._rho_state)
+        rho = self._rho_state
+        if not isinstance(rho, np.ndarray):
+            rho = self._rho_state = rho.materialize()
         return rho
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -331,10 +251,7 @@ class RankProbabilities:
         the sliced columns; rows it would have left to its earlier tail
         stop hold less than ``tail_epsilon`` of top-k mass at ``k``
         (the bound at ``k`` is at most the one at ``k_max``), so every
-        derived answer is identical.  Scan checkpoints are not carried
-        over (they snapshot ``k_max`` column state), so delta-patching
-        a restricted result falls back to a window re-scan from the
-        top.
+        derived answer is identical.
         """
         if k == self.k:
             return self
@@ -350,7 +267,6 @@ class RankProbabilities:
             rho_prefix=rho,
             topk_prefix=rho.sum(axis=1),
             backend=self.backend,
-            checkpoints=None,
             tail_epsilon=self.tail_epsilon,
         )
 
@@ -429,17 +345,6 @@ def _rebuild_from_base(
     return dp
 
 
-def nearest_checkpoint(
-    checkpoints: List[ScanCheckpoint], row: int
-) -> Optional[ScanCheckpoint]:
-    """The latest checkpoint at or above ``row`` (``None`` = scan top)."""
-    best = None
-    for ck in checkpoints:
-        if ck.row <= row and (best is None or ck.row > best.row):
-            best = ck
-    return best
-
-
 def _compute_rank_probabilities_python(
     ranked: RankedDatabase, k: int, tail_epsilon: float
 ) -> RankProbabilities:
@@ -448,8 +353,6 @@ def _compute_rank_probabilities_python(
     Keeps one running Poisson-binomial product over the non-saturated
     x-tuples seen so far and divides each row's own factor out of it,
     or rebuilds it without that factor where the division is unstable.
-    Records no checkpoints: a delta on its result rescans from the top
-    through the block kernel.
     """
     probabilities = ranked.probabilities
     xtuple_indices = ranked.xtuple_indices
@@ -559,100 +462,35 @@ def compute_rank_probabilities(
     return _compute_rank_probabilities_python(ranked, k, tail_epsilon)
 
 
-def _remap_checkpoint(ck: ScanCheckpoint, delta: RankDelta) -> ScanCheckpoint:
-    """A checkpoint above the delta's window in the patched view's
-    dense x-tuple indexing (indices above each removed x-tuple shift
-    down by one).  The ``closed_dp`` array is shared -- checkpoints are
-    immutable."""
-    if not delta.removed_xtuples.size:
-        return ck
-    keys = np.fromiter(ck.open_masses, np.int64, len(ck.open_masses))
-    keys -= np.searchsorted(delta.removed_xtuples, keys)
-    return ScanCheckpoint(
-        row=ck.row,
-        shift=ck.shift,
-        closed_dp=ck.closed_dp,
-        open_masses=dict(zip(keys.tolist(), ck.open_masses.values())),
-    )
-
-
 def apply_rank_delta(
     old_rp: RankProbabilities, delta: RankDelta
-) -> RankProbabilities:
-    """PSR output for the patched view, from the old output + delta.
+) -> Optional[RankProbabilities]:
+    """``old_rp`` carried over to the patched view, if it still holds.
 
-    Rows above the delta's window -- its first changed row -- are
-    carried over verbatim; the block kernel re-scans from the nearest
-    stored :class:`ScanCheckpoint` at or above the window (at most
-    ``CHECKPOINT_INTERVAL`` replay rows) to the patched view's stop.  A
-    delta covers a whole cleaning round, so one window pays for every
-    x-tuple the round changed.  No rows below the window are reused:
-    a change set moves every later row's mass above it unless each
-    changed x-tuple saturates before and after, which incomplete data
-    never offers, and on complete data Lemma 2 stops the re-scan a few
-    hundred rows below the window anyway.  A result without
-    checkpoints (a scalar pass, a restricted view) is re-scanned from
-    row 0.  Whatever kernel produced ``old_rp``, the patched result is
-    the block kernel's (``backend == "numpy"``).
-
-    The patched view's tail stop comes from its own probability column
-    (at the old result's ``tail_epsilon``), so it is the row a cold
-    pass stops at.
-
-    Agrees with a from-scratch pass over the patched view, by either
-    kernel, within 1e-9 (exercised by ``tests/test_delta_engine.py``).
+    A scan that ended at or above the delta's first changed row
+    (``old_rp.cutoff <= delta.window_start``) read only rows the change
+    set left bitwise unchanged, and those rows also place the patched
+    view's Lemma 2 row and tail stop.  So the pass is the patched
+    view's pass: the same rows, rebound to ``delta.new_ranked``, with
+    their ``backend`` label.  A restricted result keeps its cutoff, as
+    :meth:`RankProbabilities.restricted_to` does.  Any other pass
+    returns ``None``; the caller runs a fresh one when it is read.
     """
     if delta.old_ranked is not old_rp.ranked:
         raise ValueError(
             "delta was derived from a different ranked view than the "
-            "rank probabilities being patched"
+            "rank probabilities being carried"
         )
-    k = old_rp.k
-    epsilon = old_rp.tail_epsilon
-    new_ranked = delta.new_ranked
-    start = delta.window_start
-    stop = tail_stop(new_ranked, k, epsilon)
-    prefix_ckpts = [
-        _remap_checkpoint(ck, delta)
-        for ck in (old_rp.checkpoints or [])
-        if ck.row <= min(start, old_rp.cutoff)
-    ]
-
-    kept = min(old_rp.cutoff, stop)
-    if kept <= start:
-        # The scan ends above the affected window: the rows above it
-        # are bitwise identical, and so are Lemma 2's row and the mass
-        # that places the stop.  Only a restricted result (cutoff of
-        # its k_max pass) can keep fewer rows than before.
-        return RankProbabilities(
-            k=k,
-            ranked=new_ranked,
-            cutoff=kept,
-            rho_prefix=(
-                old_rp._rho_state
-                if kept == old_rp.cutoff
-                else _PendingRho(old_rp._rho_state, kept, np.zeros((0, k)))
-            ),
-            topk_prefix=old_rp.topk_prefix[:kept],
-            backend="numpy",
-            checkpoints=prefix_ckpts,
-            tail_epsilon=epsilon,
-        )
-
-    from repro.queries.psr_numpy import _delta_window_numpy
-
-    window_rho, window_topk, cutoff, fresh_ckpts = _delta_window_numpy(
-        old_rp, delta, start, stop, prefix_ckpts
-    )
+    if old_rp.cutoff > delta.window_start:
+        return None
     return RankProbabilities(
-        k=k,
-        ranked=new_ranked,
-        cutoff=cutoff,
-        rho_prefix=_PendingRho(old_rp._rho_state, start, window_rho),
-        topk_prefix=np.concatenate([old_rp.topk_prefix[:start], window_topk]),
-        backend="numpy",
-        checkpoints=prefix_ckpts + fresh_ckpts,
-        tail_epsilon=epsilon,
+        k=old_rp.k,
+        ranked=delta.new_ranked,
+        cutoff=old_rp.cutoff,
+        rho_prefix=old_rp._rho_state,
+        topk_prefix=old_rp.topk_prefix,
+        backend=old_rp.backend,
+        tail_epsilon=old_rp.tail_epsilon,
     )
 
 

@@ -1,19 +1,17 @@
 """Columnar NumPy kernel for the PSR scan: division-free row blocks.
 
-This is the production PSR kernel: every full pass and every delta
-window runs it.  The scalar oracle in :mod:`repro.queries.psr`, reached
-only through ``backend="python"``, keeps one running Poisson-binomial
-product and divides each row's own factor out of it -- O(k)
-interpreted work per row, plus rebuilds wherever the division is
-unstable.  This kernel never divides.  It cuts the ranked
-rows into blocks of :data:`~repro.queries.psr.CHECKPOINT_INTERVAL` rows,
-aligned to multiples of the interval, and splits each row's exclusion
-product in two:
+This is the production PSR kernel: every pass runs it.  The scalar
+oracle in :mod:`repro.queries.psr`, reached only through
+``backend="python"``, keeps one running Poisson-binomial product and
+divides each row's own factor out of it -- O(k) interpreted work per
+row, plus rebuilds wherever the division is unstable.  This kernel
+never divides.  It cuts the ranked rows into blocks of
+:data:`BLOCK_ROWS` rows, aligned to multiples of it, and splits each
+row's exclusion product in two:
 
 * the block's **closed product** -- the capped product over factors of
-  x-tuples whose last member lies above the block.  It is exactly the
-  ``closed_dp`` of a :class:`~repro.queries.psr.ScanCheckpoint` at the
-  block's first row;
+  x-tuples whose last member lies above the block (the scalar oracle's
+  ``closed_dp`` at the block's first row);
 * the block's **live factors** -- every other non-saturated x-tuple
   open at the block's start or appearing in it.  A live x-tuple's mass
   before each row is its block-start mass plus an exclusive cumulative
@@ -38,8 +36,6 @@ Groups start at two blocks and double, so a scan that Lemma 2 stops
 early touches at most about twice the rows it keeps.  The certified
 tail stop (:func:`~repro.queries.psr.tail_stop`) arrives as
 :func:`scan_blocks`'s ``stop`` row and clips the last group exactly.
-The full pass and delta windows (:func:`_delta_window_numpy`) both run
-:func:`scan_blocks`.
 """
 
 from __future__ import annotations
@@ -48,15 +44,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.db.database import SATURATION_EPSILON, RankDelta, RankedDatabase
+from repro.db.database import SATURATION_EPSILON, RankedDatabase
 from repro.queries.deterministic import require_valid_k
-from repro.queries.psr import (
-    CHECKPOINT_INTERVAL,
-    RankProbabilities,
-    ScanCheckpoint,
-    nearest_checkpoint,
-    tail_stop,
-)
+from repro.queries.psr import RankProbabilities, tail_stop
+
+#: Rows per block.  Blocks start at multiples of this row count; every
+#: row of a block shares the block's closed product.
+BLOCK_ROWS = 64
 
 #: Most blocks one group vectorizes over.  Larger groups amortize the
 #: per-operation overhead over more rows, but the padded factor count
@@ -72,41 +66,32 @@ _SATURATED = 1.0 - SATURATION_EPSILON
 
 
 class ScanState:
-    """Scan state at the top of row ``row``.
+    """Scan state at the top of row ``row`` (a scan starts at row 0).
 
-    ``shift``, ``open_masses`` and ``closed_dp`` are a
-    :class:`~repro.queries.psr.ScanCheckpoint`'s fields; ``remaining``
-    counts each x-tuple's members at or below ``row``.
+    ``shift`` counts the saturated x-tuples above ``row``;
+    ``open_masses`` maps each partially scanned x-tuple's dense index
+    to its mass so far (1.0 once saturated); ``closed_dp`` is the
+    capped product over the closed, non-saturated x-tuples' factors;
+    ``remaining`` counts each x-tuple's members at or below ``row``.
     """
 
     __slots__ = ("row", "shift", "open_masses", "closed_dp", "remaining")
 
     def __init__(
-        self,
-        xtuple_indices: np.ndarray,
-        num_xtuples: int,
-        k: int,
-        checkpoint: Optional[ScanCheckpoint] = None,
+        self, xtuple_indices: np.ndarray, num_xtuples: int, k: int
     ) -> None:
-        if checkpoint is None:
-            self.row, self.shift = 0, 0
-            self.open_masses: Dict[int, float] = {}
-            self.closed_dp = np.zeros(k)
-            self.closed_dp[0] = 1.0
-        else:
-            self.row, self.shift = checkpoint.row, checkpoint.shift
-            self.open_masses = checkpoint.open_masses
-            self.closed_dp = checkpoint.closed_dp
-        self.remaining = np.bincount(
-            xtuple_indices[self.row :], minlength=num_xtuples
-        )
+        self.row, self.shift = 0, 0
+        self.open_masses: Dict[int, float] = {}
+        self.closed_dp = np.zeros(k)
+        self.closed_dp[0] = 1.0
+        self.remaining = np.bincount(xtuple_indices, minlength=num_xtuples)
 
 
 class _Group:
     """The deferred ρ rows of one scanned group.
 
     ``poly[:, slot]`` is the live-factor polynomial of a padded row slot
-    (block ``slot // CHECKPOINT_INTERVAL``), ``closed[b]`` block ``b``'s
+    (block ``slot // BLOCK_ROWS``), ``closed[b]`` block ``b``'s
     closed product, and ``slots`` / ``shifts`` / ``weights`` the slot,
     saturation shift and ``e_i`` (0 for saturated rows) of each emitted
     row.
@@ -142,7 +127,7 @@ class _Group:
             shape=(blocks, width, k),
             strides=(buffer.strides[0], -step, step),
         )
-        rows = self.poly.T.reshape(blocks, CHECKPOINT_INTERVAL, width)
+        rows = self.poly.T.reshape(blocks, BLOCK_ROWS, width)
         exclusion = np.matmul(rows, toeplitz).reshape(-1, k)
         if self.slots.size < exclusion.shape[0]:
             exclusion = exclusion[self.slots]
@@ -163,15 +148,14 @@ class _Group:
 
 
 class BlockRho:
-    """Deferred ρ rows of one block scan (see ``_PendingRho`` in
-    :mod:`repro.queries.psr`); ``skip`` leading rows are dropped."""
+    """Deferred ρ rows of one block scan (a
+    :class:`~repro.queries.psr.DeferredRho`)."""
 
-    __slots__ = ("groups", "k", "skip")
+    __slots__ = ("groups", "k")
 
-    def __init__(self, groups: List[_Group], k: int, skip: int = 0) -> None:
+    def __init__(self, groups: List[_Group], k: int) -> None:
         self.groups = groups
         self.k = k
-        self.skip = skip
 
     def materialize(self) -> np.ndarray:
         """The ``(rows, k)`` ρ matrix of the scanned rows."""
@@ -182,7 +166,7 @@ class BlockRho:
             high = low + group.slots.size
             group.emit(rho[low:high])
             low = high
-        return rho[self.skip :]
+        return rho
 
 
 def _factor_product(
@@ -215,29 +199,25 @@ def _scan_group(
     k: int,
     state: ScanState,
     end: int,
-    checkpoints: Optional[List[ScanCheckpoint]],
-    record_first: bool,
 ) -> Tuple[_Group, np.ndarray]:
     """Scan rows ``[state.row, end)`` as one group and advance ``state``.
 
     Stops early where Lemma 2 fires (``state.shift`` then reaches
     ``k``).  Returns the group's deferred ρ rows and its top-k vector.
     """
-    B = CHECKPOINT_INTERVAL
+    B = BLOCK_ROWS
     row0 = state.row
     size = end - row0
     members = xtuple_indices[row0:end]
     e = probabilities[row0:end]
 
-    # Block layout: boundaries at multiples of B, the first block may
-    # be partial.  Each row has a block and a slot inside it.
-    bstart = np.concatenate(
-        ([0], np.arange((row0 // B + 1) * B, end, B) - row0)
-    ).astype(np.int64)
+    # Block layout: every group starts on a block boundary (a multiple
+    # of B), so only its last block may be short.  Each row has a block
+    # and a slot inside it.
+    bstart = np.arange(0, size, B)
     G = bstart.size
     lengths = np.diff(np.append(bstart, size))
-    block = np.repeat(np.arange(G), lengths)
-    slot = np.arange(size) - bstart[block]
+    block, slot = np.divmod(np.arange(size), B)
 
     # Columns: the x-tuples open at the group's start or appearing in it.
     n_open = len(state.open_masses)
@@ -266,7 +246,6 @@ def _scan_group(
     np.cumsum(mass, axis=0, out=mass)
     saturated = mass >= _SATURATED
     block_shift = state.shift + saturated.sum(axis=1) - saturated[0].sum()
-    opened = first_row[None, :] < bstart[:, None]
     closed_above = closes[None, :] & (last_row[None, :] < bstart[:, None])
 
     # Live factors of each block, at local positions 0..L-1; position L
@@ -355,20 +334,6 @@ def _scan_group(
         "ij,ij->j", poly[:, slots], prefix[block[emitted][None, :], reach]
     )
 
-    if checkpoints is not None:
-        for b in range(0 if record_first else 1, used):
-            if bstart[b] >= count or (row0 + bstart[b]) % B:
-                continue
-            keep = opened[b] & ~closed_above[b]
-            checkpoints.append(
-                ScanCheckpoint(
-                    row=row0 + int(bstart[b]),
-                    shift=int(block_shift[b]),
-                    closed_dp=closed[b],
-                    open_masses=_masses(ids, mass[b], saturated[b], keep),
-                )
-            )
-
     if count < size:
         state.row = row0 + count
         state.shift = int(row_shift[count])
@@ -396,27 +361,20 @@ def scan_blocks(
     k: int,
     state: ScanState,
     stop: int,
-    checkpoints: Optional[List[ScanCheckpoint]],
 ) -> Tuple[BlockRho, np.ndarray, int]:
     """Scan rows ``[state.row, stop)`` and emit every one of them.
 
     Returns the deferred ρ rows, the top-k vector and the row where the
-    scan ended: ``stop`` (the tail stop, or the end of a delta window),
-    or where Lemma 2's early stop fired.  Appends a checkpoint at every
-    block boundary after the first row to ``checkpoints`` when given.
+    scan ended: ``stop`` (the tail stop), or where Lemma 2's early stop
+    fired.
     """
-    first = state.row
     groups: List[_Group] = []
     topk: List[np.ndarray] = []
     blocks = 2
     while state.row < stop and state.shift < k:
-        end = min(
-            (state.row // CHECKPOINT_INTERVAL + blocks) * CHECKPOINT_INTERVAL,
-            stop,
-        )
+        end = min((state.row // BLOCK_ROWS + blocks) * BLOCK_ROWS, stop)
         group, group_topk = _scan_group(
-            probabilities, xtuple_indices, k, state, end, checkpoints,
-            record_first=state.row != first,
+            probabilities, xtuple_indices, k, state, end
         )
         groups.append(group)
         topk.append(group_topk)
@@ -432,10 +390,9 @@ def compute_rank_probabilities_numpy(
     require_valid_k(k)
     probabilities, xtuple_indices = ranked.psr_columns()
     state = ScanState(xtuple_indices, ranked.num_xtuples, k)
-    checkpoints: List[ScanCheckpoint] = []
     rho, topk, cutoff = scan_blocks(
         probabilities, xtuple_indices, k, state,
-        tail_stop(ranked, k, tail_epsilon), checkpoints,
+        tail_stop(ranked, k, tail_epsilon),
     )
     return RankProbabilities(
         k=k,
@@ -444,35 +401,6 @@ def compute_rank_probabilities_numpy(
         rho_prefix=rho,
         topk_prefix=topk,
         backend="numpy",
-        checkpoints=checkpoints,
         tail_epsilon=tail_epsilon,
     )
 
-
-def _delta_window_numpy(
-    old_rp: RankProbabilities,
-    delta: RankDelta,
-    start: int,
-    stop: int,
-    checkpoints: List[ScanCheckpoint],
-) -> Tuple[BlockRho, np.ndarray, int, List[ScanCheckpoint]]:
-    """Re-emit rows ``[start, stop)`` of the patched view (columnar).
-
-    Restores the nearest checkpoint at or above ``start`` (row 0 when
-    ``checkpoints`` has none there) and scans from there; the rows
-    between the checkpoint and ``start`` are unchanged and dropped from
-    the output.
-    """
-    new_ranked = delta.new_ranked
-    k = old_rp.k
-    probabilities, xtuple_indices = new_ranked.psr_columns()
-    state = ScanState(
-        xtuple_indices, new_ranked.num_xtuples, k,
-        nearest_checkpoint(checkpoints, start),
-    )
-    skip = start - state.row
-    fresh: List[ScanCheckpoint] = []
-    rho, topk, end = scan_blocks(
-        probabilities, xtuple_indices, k, state, stop, fresh
-    )
-    return BlockRho(rho.groups, k, skip), topk[skip:], end, fresh

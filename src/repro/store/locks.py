@@ -12,7 +12,10 @@ locks.  :class:`StoreLock` closes that hole with an advisory
   whole operations instead of corrupting each other mid-write.
 * **Shared** mode is the reader lock: a read-only open (status
   tooling) holds it across recovery reads, excluding writers without
-  excluding other readers.
+  excluding other readers.  ``flock`` needs no write access, so a
+  reader opens an existing lock file read-only and creates it only
+  when it is absent; a lock file that cannot be opened raises
+  :class:`~repro.exceptions.StoreError`.
 * Acquisition is a **bounded wait**: a non-blocking attempt first,
   then a poll loop capped by ``timeout_ms`` *and* the request's scoped
   deadline (:func:`repro.core.resilience.current_deadline`), whichever
@@ -64,7 +67,7 @@ from repro.core.lockcheck import (
     note_released,
 )
 from repro.core.resilience import current_deadline
-from repro.exceptions import StoreLockedError
+from repro.exceptions import StoreError, StoreLockedError
 from repro.store.format import decode_lock_record, encode_lock_record
 
 #: File name of the advisory lock inside the store root.
@@ -206,7 +209,7 @@ class StoreLock:
     def _acquire(self, operation: int, mode: str) -> None:
         assert self._fd is None, "StoreLock is not reentrant"
         check_acquirable(RANK_STORE_FILE, f"store-file.{self.path}", id(self))
-        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        fd = self._open(mode)
         try:
             waited = self._flock_bounded(fd, operation, mode)
         except BaseException:
@@ -219,6 +222,18 @@ class StoreLock:
         if mode == "exclusive":
             self._write_record(fd, mode)
             self._wrote_record = True
+
+    def _open(self, mode: str) -> int:
+        """A descriptor of the lock file: read-only for a shared hold of
+        an existing file, else read-write, creating the file."""
+        try:
+            if mode == "shared" and self.path.exists():
+                return os.open(self.path, os.O_RDONLY)
+            return os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        except OSError as exc:
+            raise StoreError(
+                f"cannot open the store lock {str(self.path)!r}: {exc}"
+            ) from exc
 
     def _flock_bounded(self, fd: int, operation: int, mode: str) -> bool:
         """Bounded-wait flock; returns whether any waiting happened."""

@@ -392,7 +392,9 @@ class SnapshotStore:
         ``"exclusive"`` (default) is the writer mode.  ``"readonly"``
         takes the shared lock, never repairs or mutates (status
         tooling next to a live writer); mutations raise
-        :class:`~repro.exceptions.StoreReadOnlyError`.
+        :class:`~repro.exceptions.StoreReadOnlyError`.  It writes
+        nothing to an existing store: no directory, and ``store.lock``
+        only when the file is absent.
     lock_timeout_ms:
         Bounded wait for the cross-process lock (default:
         ``REPRO_STORE_LOCK_TIMEOUT_MS`` or 10s).  Scoped request
@@ -461,8 +463,9 @@ class SnapshotStore:
         self._journal: List[Dict[str, Any]] = []
         if mode == "readonly":
             require_store(self.root)
-        self._segments_dir.mkdir(parents=True, exist_ok=True)
-        self._quarantine_dir.mkdir(parents=True, exist_ok=True)
+        else:
+            self._segments_dir.mkdir(parents=True, exist_ok=True)
+            self._quarantine_dir.mkdir(parents=True, exist_ok=True)
         self._file_lock = StoreLock(self.root, timeout_ms=lock_timeout_ms)
         _TRACKED_ROOTS.add(self.root)
         with self._lock:
@@ -587,9 +590,12 @@ class SnapshotStore:
             except OSError:
                 continue
             segment_files += 1
-        quarantined = sorted(
-            p.name for p in self._quarantine_dir.iterdir() if p.is_file()
-        )
+        try:
+            quarantined = sorted(
+                p.name for p in self._quarantine_dir.iterdir() if p.is_file()
+            )
+        except FileNotFoundError:
+            quarantined = []  # a read-only open creates no directory
         return {
             "root": str(self.root),
             "durability": self.durability,

@@ -11,7 +11,7 @@ one), with controllable size -- used to cross-validate every efficient
 algorithm against the exponential possible-world oracles.
 
 :data:`BLOCK_BOUNDARY_CASES` are fixed databases shaped around the
-numpy kernel's row blocks (``CHECKPOINT_INTERVAL`` = 64 rows), shared
+numpy kernel's row blocks (``BLOCK_ROWS`` = 64 rows), shared
 by the cross-backend suites.
 """
 

@@ -31,12 +31,11 @@ from repro.queries.brute_force import (
 )
 from repro.queries.engine import QuerySession
 from repro.queries.psr import (
-    CHECKPOINT_INTERVAL,
     TAIL_EPSILON,
     compute_rank_probabilities,
     tail_stop,
 )
-from repro.queries.psr_numpy import ScanState, scan_blocks
+from repro.queries.psr_numpy import BLOCK_ROWS
 
 from strategies import BLOCK_BOUNDARY_CASES, databases_with_k, ranked_rows_db
 
@@ -167,12 +166,12 @@ class TestBlockBoundaries:
         def rows_of(case):
             return len(BLOCK_BOUNDARY_CASES[case][0])
 
-        assert rows_of("n_below_block") < CHECKPOINT_INTERVAL
-        assert rows_of("n_not_block_multiple") % CHECKPOINT_INTERVAL
-        assert rows_of("spans_four_blocks") > 4 * CHECKPOINT_INTERVAL
+        assert rows_of("n_below_block") < BLOCK_ROWS
+        assert rows_of("n_not_block_multiple") % BLOCK_ROWS
+        assert rows_of("spans_four_blocks") > 4 * BLOCK_ROWS
         db = ranked_rows_db(BLOCK_BOUNDARY_CASES["lemma2_mid_block"][0])
         cutoff = compute_rank_probabilities(db.ranked(), 5, backend="numpy").cutoff
-        assert cutoff == 105 and cutoff // CHECKPOINT_INTERVAL == 1
+        assert cutoff == 105 and cutoff // BLOCK_ROWS == 1
         for case, row in (
             ("tail_stop_on_block_boundary", 256),
             ("tail_stop_mid_block", 237),
@@ -183,35 +182,7 @@ class TestBlockBoundaries:
             for backend in ("numpy", "python"):
                 result = compute_rank_probabilities(ranked, k, backend=backend)
                 assert result.cutoff == row
-        assert 256 % CHECKPOINT_INTERVAL == 0 and 237 % CHECKPOINT_INTERVAL
-
-    @pytest.mark.parametrize("case", sorted(BLOCK_BOUNDARY_CASES))
-    def test_checkpoints_match_scalar_kernel(self, case):
-        # The block kernel snapshots every block boundary it scans, and
-        # a block scan resumed from any snapshot (or from the top, for
-        # ``None``) reproduces the scalar cold pass from that row on.
-        rows, ks = BLOCK_BOUNDARY_CASES[case]
-        ranked = ranked_rows_db(rows).ranked()
-        k = ks[-1]
-        scalar = compute_rank_probabilities(ranked, k, backend="python")
-        blocks = compute_rank_probabilities(ranked, k, backend="numpy")
-        assert scalar.checkpoints is None
-        assert [c.row for c in blocks.checkpoints] == list(
-            range(CHECKPOINT_INTERVAL, blocks.cutoff, CHECKPOINT_INTERVAL)
-        )
-        probabilities, xtuple_indices = ranked.psr_columns()
-        stop = tail_stop(ranked, k, TAIL_EPSILON)
-        for checkpoint in [None, *blocks.checkpoints]:
-            state = ScanState(xtuple_indices, ranked.num_xtuples, k, checkpoint)
-            row = state.row
-            rho, topk, end = scan_blocks(
-                probabilities, xtuple_indices, k, state, stop, None
-            )
-            assert end == scalar.cutoff
-            assert topk == pytest.approx(scalar.topk_prefix[row:], abs=ABS)
-            assert rho.materialize() == pytest.approx(
-                scalar.rho_prefix[row:], abs=ABS
-            )
+        assert 256 % BLOCK_ROWS == 0 and 237 % BLOCK_ROWS
 
     def test_rho_stays_deferred_until_read(self):
         rows, _ = BLOCK_BOUNDARY_CASES["n_not_block_multiple"]

@@ -4,10 +4,12 @@ A cleaning round applies every successful probe of its plan as one
 change set (``{xid: replacement or None}``) through
 :meth:`RankedDatabase.with_xtuples_changed`.  The patched view must be
 bitwise the cold rank of the changed database -- a store reopen
-compares persisted columns bitwise -- and the one delta must patch
-rank probabilities and TP quality to within 1e-9 of cold passes by
-either kernel.  The executor must derive once per round that changed
-the database, and its outcomes (snapshot ids) must not move.
+compares persisted columns bitwise.  A session derived through the one
+delta carries a cached pass exactly when its scan ended at or above
+the first changed row, runs a fresh pass for every other ``k``, and
+agrees with a cold session to within 1e-9 either way.  The executor
+must derive once per round that changed the database, and its outcomes
+(snapshot ids) must not move.
 """
 
 import json
@@ -15,6 +17,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,13 +46,12 @@ from repro.db.tuples import make_xtuple
 from repro.exceptions import InvalidDatabaseError
 from repro.queries.engine import QuerySession
 from repro.queries.psr import (
-    CHECKPOINT_INTERVAL,
     TAIL_EPSILON,
     apply_rank_delta,
     compute_rank_probabilities,
-    nearest_checkpoint,
     tail_stop,
 )
+from repro.queries.psr_numpy import BLOCK_ROWS
 from repro.store import SnapshotStore
 from repro.store.store import MAX_DELTA_DEPTH
 
@@ -175,21 +177,24 @@ class TestChangeSets:
         }
         for backend in BACKENDS:
             old_rp = compute_rank_probabilities(ranked, k, backend=backend)
-            patched = apply_rank_delta(old_rp, delta)
+            carried = apply_rank_delta(old_rp, delta)
+            assert (carried is None) == (old_rp.cutoff > delta.window_start)
+            if carried is None:
+                continue
             old_quality = compute_quality_tp(
                 ranked, k, rank_probabilities=old_rp, backend=backend
             )
-            quality = patch_quality_tp(old_quality, patched, delta)
+            quality = patch_quality_tp(old_quality, carried)
+            assert quality.rank_probabilities is carried
             for cold_backend in BACKENDS:
-                _assert_rank_probabilities_close(patched, cold_rps[cold_backend])
-                if quality is not None:
-                    expected = cold_quality[cold_backend]
-                    assert quality.quality == pytest.approx(
-                        expected.quality, abs=ABS
-                    )
-                    assert quality.g_by_xtuple() == pytest.approx(
-                        expected.g_by_xtuple(), abs=ABS
-                    )
+                _assert_rank_probabilities_close(carried, cold_rps[cold_backend])
+                expected = cold_quality[cold_backend]
+                assert quality.quality == pytest.approx(
+                    expected.quality, abs=ABS
+                )
+                assert quality.g_by_xtuple() == pytest.approx(
+                    expected.g_by_xtuple(), abs=ABS
+                )
 
     @settings(max_examples=40, deadline=None)
     @given(databases(max_xtuples=5, min_xtuples=2), st.data())
@@ -212,19 +217,22 @@ class TestChangeSets:
 
     @pytest.mark.parametrize("completion", [1.0, 0.85])
     def test_mixed_change_set_patches_from_a_checkpoint(self, completion):
-        # The change set starts two blocks down, so the window restores
-        # a stored checkpoint, and removals remap its dense indices.
+        # The change set starts two blocks down, inside the cached pass,
+        # and removals renumber the dense indices above them: the
+        # derived session drops the pass and its fresh one matches a
+        # cold pass by either kernel.
         db = generate_synthetic(num_xtuples=80, completion=completion, seed=5)
-        ranked = db.ranked()
+        session = QuerySession(db)
         k = 40
-        old_rp = compute_rank_probabilities(ranked, k)
+        old_rp = session.rank_probabilities(k)
+        ranked = session.ranked
         first_row = {}
         for row, l in enumerate(ranked.xtuple_indices_array.tolist()):
             first_row.setdefault(l, row)
         deep = [
             db.xtuples[l]
             for l, row in sorted(first_row.items())
-            if 2 * CHECKPOINT_INTERVAL <= row < old_rp.cutoff
+            if 2 * BLOCK_ROWS <= row < old_rp.cutoff
         ]
         rng = random.Random(3)
         changes = {}
@@ -235,14 +243,130 @@ class TestChangeSets:
                 changes[xt.xid] = xt.collapsed_to(rng.choice(xt.tids))
         new_ranked, delta = ranked.with_xtuples_changed(changes)
         _assert_ranked_bitwise(new_ranked, _cold(db, changes).ranked())
-        assert nearest_checkpoint(old_rp.checkpoints, delta.window_start)
-        assert delta.removed_xtuples.size == (0 if completion == 1.0 else 3)
-        patched = apply_rank_delta(old_rp, delta)
+        assert 2 * BLOCK_ROWS <= delta.window_start < old_rp.cutoff
+        assert len(new_ranked.xtuple_ids) == len(db.xtuples) - (
+            0 if completion == 1.0 else 3
+        )
+        derived = session.derive(new_ranked, delta=delta)
+        patched = derived.rank_probabilities(k)
+        assert (derived.psr_patches, derived.psr_misses) == (0, 2)
         for backend in BACKENDS:
             _assert_rank_probabilities_close(
                 patched,
                 compute_rank_probabilities(new_ranked, k, backend=backend),
             )
+
+
+def _xtuples_placed(ranked, cutoff, placement):
+    """X-tuples of ``ranked`` wholly above row ``cutoff``, straddling
+    it, or wholly at or below it."""
+    rows = ranked.xtuple_indices_array
+    first = np.full(ranked.num_xtuples, rows.size)
+    last = np.full(ranked.num_xtuples, -1)
+    np.minimum.at(first, rows, np.arange(rows.size))
+    np.maximum.at(last, rows, np.arange(rows.size))
+    chosen = {
+        "above": last < cutoff,
+        "straddle": (first < cutoff) & (last >= cutoff),
+        "below": first >= cutoff,
+    }[placement]
+    return [ranked.db.xtuples[l] for l in np.flatnonzero(chosen)]
+
+
+@st.composite
+def carry_cases(draw):
+    """A database, two cached ``k`` (the smaller one prefilled from the
+    larger pass) and a change set placed above, across or below the
+    larger pass's stop."""
+    if draw(st.booleans()):
+        db = draw(databases(max_xtuples=8, max_alternatives=4))
+    else:
+        # Large enough for the certified tail stop to end a pass early
+        # on incomplete data.
+        db = generate_synthetic(
+            num_xtuples=draw(st.integers(90, 150)),
+            completion=draw(st.sampled_from([1.0, 0.85])),
+            seed=draw(st.integers(0, 50)),
+        )
+    k = draw(st.integers(2, 8))
+    k_small = draw(st.integers(1, k - 1))
+    placement = draw(st.sampled_from(["above", "straddle", "below"]))
+    return db, k, k_small, placement
+
+
+def _assert_sessions_agree(mine, theirs, k):
+    """Answers, quality and ``g(l, D)`` within 1e-9.  Winners compare by
+    their defining probabilities: a tie within the tolerance may pick
+    different tuples."""
+    assert mine.quality(k).quality == pytest.approx(
+        theirs.quality(k).quality, abs=ABS
+    )
+    assert mine.g_by_xtuple(k) == pytest.approx(theirs.g_by_xtuple(k), abs=ABS)
+    ranks = [
+        {w.rank: w.probability for w in session.ukranks(k).winners}
+        for session in (mine, theirs)
+    ]
+    for rank in set(ranks[0]) | set(ranks[1]):
+        assert ranks[0].get(rank, 0.0) == pytest.approx(
+            ranks[1].get(rank, 0.0), abs=ABS
+        )
+    threshold = 0.25
+    members = [dict(session.ptk(k, threshold).members) for session in (mine, theirs)]
+    for tid in set(members[0]) | set(members[1]):
+        present = [m[tid] for m in members if tid in m]
+        if len(present) == 1:  # in one answer only: a tie at the threshold
+            assert present[0] == pytest.approx(threshold, abs=ABS)
+        else:
+            assert present[0] == pytest.approx(present[1], abs=ABS)
+    assert [p for _, p in mine.global_topk(k).members] == pytest.approx(
+        [p for _, p in theirs.global_topk(k).members], abs=ABS
+    )
+
+
+class TestCarryRule:
+    @settings(max_examples=60, deadline=None)
+    @given(carry_cases(), st.data())
+    def test_derived_session_carries_exactly_what_still_holds(self, case, data):
+        db, k, k_small, placement = case
+        session = QuerySession(db)
+        session.prefill([k_small, k])
+        session.quality(k)
+        if data.draw(st.booleans(), label="quality at k_small"):
+            session.quality(k_small)
+        cutoff = session.rank_probabilities(k).cutoff
+        assert session.rank_probabilities(k_small).cutoff == cutoff
+        candidates = _xtuples_placed(session.ranked, cutoff, placement)
+        if not candidates:
+            candidates = list(db.xtuples)
+        picks = data.draw(
+            st.lists(
+                st.sampled_from(candidates),
+                min_size=1,
+                max_size=min(3, len(candidates)),
+                unique_by=lambda xt: xt.xid,
+            ),
+            label="changed x-tuples",
+        )
+        changes = {}
+        for xt in picks:
+            survivors = db.num_xtuples - sum(v is None for v in changes.values())
+            options = list(xt.tids) + ([None] if survivors > 1 else [])
+            tid = data.draw(st.sampled_from(options), label=xt.xid)
+            changes[xt.xid] = None if tid is None else xt.collapsed_to(tid)
+        new_ranked, delta = session.ranked.with_xtuples_changed(changes)
+        below = _xtuples_placed(session.ranked, cutoff, "below")
+        carries = cutoff <= delta.window_start
+        assert carries == all(xt in below for xt in picks)
+
+        derived = session.derive(new_ranked, delta=delta)
+        assert derived.psr_patches == (2 if carries else 0)
+        for kk in (k_small, k):
+            misses = derived.psr_misses
+            derived.rank_probabilities(kk)
+            assert (derived.psr_misses == misses) == carries
+        cold = QuerySession(new_ranked)
+        for kk in (k_small, k):
+            _assert_sessions_agree(derived, cold, kk)
 
 
 @st.composite
@@ -354,13 +478,15 @@ class TestOneDeltaPerRound:
         succeeded = sum(r.outcome.num_succeeded for r in result.rounds)
         # Several changed rounds, one that changed nothing, and rounds
         # with several successful probes (one derive per probe would
-        # read differently).
+        # read differently).  Each changed round changed rows inside
+        # the cached passes, so it carried neither k and the next read
+        # of k=10 ran one fresh pass.
         assert len(result.rounds) > changed > 1
         assert succeeded > changed
         assert result.session.delta_derives == changed
-        assert result.session.psr_patches == 2 * changed
+        assert result.session.psr_patches == 0
         assert result.session.cold_derives == 0
-        assert result.session.psr_misses == 1
+        assert result.session.psr_misses == 1 + changed
 
     def test_service_clean_reports_one_derive(self):
         db = generate_synthetic(num_xtuples=60, seed=4)

@@ -6,10 +6,10 @@ identical to a cold re-rank, and a delta-derived
 :class:`~repro.queries.engine.QuerySession` has to agree with a cold
 session to 1e-9 on rank probabilities, quality and all three query
 answers -- under arbitrary chains of probe outcomes (collapse /
-failure / revealed-null).  Every delta window runs the block kernel;
-the ``[python]`` cases patch a scalar pass through it (the scalar pass
-has no checkpoints, so its first window rescans from row 0) and compare
-with a scalar cold pass.
+failure / revealed-null).  A derived session carries a cached pass only
+when its scan ended at or above the first changed row, and otherwise
+runs one fresh pass on the patched view; the ``[python]`` cases run
+the scalar oracle on both sides.
 """
 
 import random
@@ -23,17 +23,16 @@ from repro.cleaning.adaptive import clean_adaptively
 from repro.cleaning.executor import execute_plan
 from repro.cleaning.greedy import GreedyCleaner
 from repro.cleaning.model import build_cleaning_problem
-from repro.core.tp import compute_quality_tp, patch_quality_tp
+from repro.core.tp import compute_quality_tp
 from repro.datasets.synthetic import (
     generate_costs,
     generate_sc_probabilities,
     generate_synthetic,
 )
 from repro.db.database import ProbabilisticDatabase, RankedDatabase
-from repro.queries import psr_numpy
+from repro.queries import engine
 from repro.queries.engine import QuerySession
 from repro.queries.psr import (
-    CHECKPOINT_INTERVAL,
     TAIL_EPSILON,
     apply_rank_delta,
     compute_rank_probabilities,
@@ -160,7 +159,12 @@ class TestRankedPatching:
         patched, delta = ranked.with_xtuple_replaced(xid, replacement)
         cold = db.with_xtuple_replaced(xid, replacement).ranked()
         _assert_ranked_equal(patched, cold)
-        assert delta.inserted_rows.size == 2
+        # The first changed row: an old member's row or a new member's.
+        old_rows = np.flatnonzero(
+            ranked.xtuple_indices_array == ranked.xtuple_index_of(xid)
+        )
+        new_rows = [patched.rank_of(f"{xid}.n{j}") for j in range(2)]
+        assert delta.window_start == min(int(old_rows[0]), *new_rows)
 
     def test_delta_window_bounds(self):
         db = generate_synthetic(num_xtuples=50, seed=2)
@@ -169,30 +173,46 @@ class TestRankedPatching:
         patched, delta = ranked.with_xtuple_replaced(
             xt.xid, xt.collapsed_to(xt.alternatives[3].tid)
         )
-        assert delta.window_start == int(delta.removed_rows[0])
-        # Rows above the window and below the member span are untouched.
-        below = int(delta.removed_rows[-1]) + 1
+        members = np.flatnonzero(
+            ranked.xtuple_indices_array == ranked.xtuple_index_of(xt.xid)
+        )
+        assert delta.window_start == int(members[0])
+        # Rows above the window and below the member span are untouched;
+        # the collapse keeps one of the x-tuple's rows.
+        below = int(members[-1]) + 1
+        offset = 1 - members.size
         assert np.array_equal(
             patched.scores_array[: delta.window_start],
             ranked.scores_array[: delta.window_start],
         )
         assert np.array_equal(
-            patched.scores_array[below + delta.row_offset :],
+            patched.scores_array[below + offset :],
             ranked.scores_array[below:],
         )
 
     def test_incomplete_xtuple_has_no_tail(self):
+        # A replaced x-tuple keeps its dense index; a removed one shifts
+        # every index above it down by one, exactly as a cold rank of
+        # the smaller database numbers them.
         db = generate_synthetic(num_xtuples=40, completion=0.8, seed=3)
         ranked = db.ranked()
         xt = db.xtuples[10]
-        _, delta = ranked.with_xtuple_replaced(
-            xt.xid, xt.collapsed_to(xt.alternatives[0].tid)
-        )
-        assert delta.removed_xtuples.size == 0  # replaced: index kept
-        _, removal = ranked.with_xtuple_removed(xt.xid)
         old_index = ranked.xtuple_index_of(xt.xid)
-        assert removal.removed_xtuples.tolist() == [old_index]
-        assert removal.map_xtuple_index(old_index + 1) == old_index
+        replacement = xt.collapsed_to(xt.alternatives[0].tid)
+        replaced, _ = ranked.with_xtuple_replaced(xt.xid, replacement)
+        _assert_ranked_equal(
+            replaced, db.with_xtuple_replaced(xt.xid, replacement).ranked()
+        )
+        assert replaced.xtuple_index_of(xt.xid) == old_index
+        removed, _ = ranked.with_xtuple_removed(xt.xid)
+        _assert_ranked_equal(
+            removed,
+            ProbabilisticDatabase(
+                [x for x in db.xtuples if x.xid != xt.xid], name=db.name
+            ).ranked(),
+        )
+        after = db.xtuples[old_index + 1].xid
+        assert removed.xtuple_index_of(after) == old_index
 
 
 class TestDeltaPSR:
@@ -200,6 +220,9 @@ class TestDeltaPSR:
     @settings(max_examples=40, deadline=None)
     @given(probe_chains())
     def test_chained_deltas_match_cold_psr(self, backend, chain):
+        # Each step carries the pass exactly when its scan ended at or
+        # above the first changed row; a carried pass is the patched
+        # view's cold pass, and any other is replaced by one.
         db, steps, k = chain
         ranked = db.ranked()
         rank_probs = compute_rank_probabilities(ranked, k, backend=backend)
@@ -214,73 +237,20 @@ class TestDeltaPSR:
                 ranked, delta = ranked.with_xtuple_replaced(
                     xid, xt.collapsed_to(tid)
                 )
-            rank_probs = apply_rank_delta(rank_probs, delta)
-        cold = compute_rank_probabilities(ranked, k, backend=backend)
-        assert rank_probs.cutoff == cold.cutoff
-        assert rank_probs.topk_prefix == pytest.approx(
-            cold.topk_prefix, abs=ABS
-        )
-        assert rank_probs.rho_prefix == pytest.approx(cold.rho_prefix, abs=ABS)
-
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    @pytest.mark.parametrize("completion", [1.0, 0.85])
-    def test_checkpoint_restore_beyond_interval(self, backend, completion):
-        # n >> CHECKPOINT_INTERVAL so the delta resumes mid-scan from a
-        # stored checkpoint instead of replaying from the top.  Only a
-        # block pass records checkpoints; a scalar pass's first delta
-        # rescans from row 0 and keeps the window's checkpoints.
-        db = generate_synthetic(
-            num_xtuples=60, completion=completion, seed=5
-        )
-        ranked = db.ranked()
-        assert ranked.num_tuples > 2 * CHECKPOINT_INTERVAL
-        k = 40
-        rank_probs = compute_rank_probabilities(ranked, k, backend=backend)
-        assert bool(rank_probs.checkpoints) == (backend == "numpy")
-        rng = random.Random(11)
-        for _ in range(4):
-            xid = rng.choice(
-                [x.xid for x in ranked.db.xtuples if len(x.alternatives) > 1]
-            )
-            xt = ranked.db.xtuple(xid)
-            tid = rng.choice([t.tid for t in xt.alternatives])
-            ranked, delta = ranked.with_xtuple_replaced(
-                xid, xt.collapsed_to(tid)
-            )
-            rank_probs = apply_rank_delta(rank_probs, delta)
-            assert rank_probs.checkpoints
-        cold = compute_rank_probabilities(ranked, k, backend=backend)
-        assert rank_probs.cutoff == cold.cutoff
-        assert rank_probs.topk_prefix == pytest.approx(
-            cold.topk_prefix, abs=ABS
-        )
-        assert rank_probs.rho_prefix == pytest.approx(cold.rho_prefix, abs=ABS)
-
-    @pytest.mark.parametrize("first_row", [128, 150])
-    @pytest.mark.parametrize("mass", [0.5, 0.3])
-    def test_window_start_on_and_off_a_block_boundary(self, first_row, mass):
-        # The collapsed x-tuple's first member -- the window start --
-        # sits on a block boundary (128) or mid-block (150).  Mass 0.5
-        # completes the x-tuple; 0.3 leaves it incomplete.  Either way
-        # the re-scan runs from the window to the stop.
-        rows = [(f"f{i}", 0.3) for i in range(300)]
-        rows[first_row] = rows[first_row + 40] = ("target", mass)
-        db = ranked_rows_db(rows)
-        ranked = db.ranked()
-        k = 30
-        rank_probs = compute_rank_probabilities(ranked, k, backend="numpy")
-        xt = db.xtuple("target")
-        patched_ranked, delta = ranked.with_xtuple_replaced(
-            "target", xt.collapsed_to(xt.alternatives[1].tid)
-        )
-        assert delta.window_start == first_row
-        patched = apply_rank_delta(rank_probs, delta)
-        cold = compute_rank_probabilities(
-            patched_ranked, k, backend="python"
-        )
-        assert patched.cutoff == cold.cutoff
-        assert patched.topk_prefix == pytest.approx(cold.topk_prefix, abs=ABS)
-        assert patched.rho_prefix == pytest.approx(cold.rho_prefix, abs=ABS)
+            carried = apply_rank_delta(rank_probs, delta)
+            cold = compute_rank_probabilities(ranked, k, backend=backend)
+            assert (carried is None) == (rank_probs.cutoff > delta.window_start)
+            if carried is not None:
+                assert carried.ranked is ranked
+                assert carried.backend == backend
+                assert carried.cutoff == cold.cutoff
+                assert carried.topk_prefix == pytest.approx(
+                    cold.topk_prefix, abs=ABS
+                )
+                assert carried.rho_prefix == pytest.approx(
+                    cold.rho_prefix, abs=ABS
+                )
+            rank_probs = cold
 
     def test_delta_from_foreign_view_rejected(self):
         db = generate_synthetic(num_xtuples=10, seed=6)
@@ -295,16 +265,27 @@ class TestDeltaPSR:
             apply_rank_delta(rank_probs, delta)
 
 
-def _assert_delta_matches_cold(old_rp, delta, backend):
-    """Patch ``old_rp`` by ``delta`` and compare with a cold pass."""
-    patched = apply_rank_delta(old_rp, delta)
-    cold = compute_rank_probabilities(
-        delta.new_ranked, old_rp.k, backend=backend
+def _assert_derived_matches_cold(old_rp, delta, backend):
+    """Derive a session holding ``old_rp``'s pass and its quality
+    through ``delta``; its pass, quality and answers must equal a cold
+    session's.  Returns the derived session and its pass."""
+    k = old_rp.k
+    session = QuerySession(old_rp.ranked, backend=backend)
+    session.quality(k)
+    derived = session.derive(delta.new_ranked, delta=delta)
+    cold = QuerySession(delta.new_ranked, backend=backend)
+    patched = derived.rank_probabilities(k)
+    cold_rp = cold.rank_probabilities(k)
+    assert patched.cutoff == cold_rp.cutoff
+    assert patched.topk_prefix == pytest.approx(cold_rp.topk_prefix, abs=ABS)
+    assert patched.rho_prefix == pytest.approx(cold_rp.rho_prefix, abs=ABS)
+    assert derived.quality(k).quality == pytest.approx(
+        cold.quality(k).quality, abs=ABS
     )
-    assert patched.cutoff == cold.cutoff
-    assert patched.topk_prefix == pytest.approx(cold.topk_prefix, abs=ABS)
-    assert patched.rho_prefix == pytest.approx(cold.rho_prefix, abs=ABS)
-    return patched, cold
+    assert derived.ukranks(k) == cold.ukranks(k)
+    assert derived.ptk(k, 0.1) == cold.ptk(k, 0.1)
+    assert derived.global_topk(k) == cold.global_topk(k)
+    return derived, patched
 
 
 def _target_rows(rows_at, masses, filler=0.3, n=400):
@@ -318,10 +299,11 @@ def _target_rows(rows_at, masses, filler=0.3, n=400):
 
 @pytest.mark.parametrize("backend", ["numpy", "python"])
 class TestTailStopDeltas:
-    """A probe moves the certified tail stop; the delta path follows it.
+    """A probe moves the certified tail stop; a derived session follows it.
 
     400 singleton rows of mass 0.3 put the stop at row 274 for k = 5
-    (μ* ≈ 81.99), far above the bottom row.
+    (μ* ≈ 81.99), far above the bottom row.  The derived session's
+    cutoff and answers must equal a cold session's.
     """
 
     K = 5
@@ -338,29 +320,17 @@ class TestTailStopDeltas:
         _, delta = ranked.with_xtuple_replaced(
             "target", xt.collapsed_to(xt.alternatives[0].tid)
         )
-        patched, _ = _assert_delta_matches_cold(old_rp, delta, backend)
+        _, patched = _assert_derived_matches_cold(old_rp, delta, backend)
         assert patched.cutoff < old_rp.cutoff
 
     def test_null_reveal_moves_it_down_past_the_old_cutoff(self, backend):
         ranked, old_rp = self._pass(_target_rows((20, 60), (0.4, 0.5)), backend)
-        old_quality = compute_quality_tp(
-            ranked, self.K, rank_probabilities=old_rp, backend=backend
-        )
         _, delta = ranked.with_xtuple_removed("target")
-        patched, cold = _assert_delta_matches_cold(old_rp, delta, backend)
+        derived, patched = _assert_derived_matches_cold(old_rp, delta, backend)
         assert patched.cutoff > old_rp.cutoff
-        # The spliced weight vector is too short: a full TP runs.
-        assert patch_quality_tp(old_quality, patched, delta) is None
-        session = QuerySession(ranked, backend=backend)
-        session.quality(self.K)
-        derived = session.derive(delta.new_ranked, delta=delta)
-        assert derived.quality(self.K).quality == pytest.approx(
-            compute_quality_tp(
-                delta.new_ranked, self.K, rank_probabilities=cold,
-                backend=backend,
-            ).quality,
-            abs=ABS,
-        )
+        # The change lies inside the cached pass: nothing carried, and
+        # the derived session ran one fresh pass after the base's.
+        assert (derived.psr_patches, derived.psr_misses) == (0, 2)
 
     def test_window_below_the_stop_scans_nothing(self, backend, monkeypatch):
         ranked, old_rp = self._pass(
@@ -373,14 +343,22 @@ class TestTailStopDeltas:
         assert delta.window_start >= old_rp.cutoff
 
         def no_kernel(*args, **kwargs):
-            raise AssertionError("a window below the stop scanned rows")
+            raise AssertionError("a change below the stop ran a pass")
 
-        monkeypatch.setattr(psr_numpy, "scan_blocks", no_kernel)
-        patched = apply_rank_delta(old_rp, delta)
+        session = QuerySession(ranked, backend=backend)
+        cached = session.rank_probabilities(self.K)
+        session.quality(self.K)
+        monkeypatch.setattr(engine, "compute_rank_probabilities", no_kernel)
+        monkeypatch.setattr(engine, "compute_quality_tp", no_kernel)
+        derived = session.derive(delta.new_ranked, delta=delta)
+        patched = derived.rank_probabilities(self.K)
+        derived.quality(self.K)
         monkeypatch.undo()
-        assert patched._rho_state is old_rp._rho_state
-        assert np.shares_memory(patched.topk_prefix, old_rp.topk_prefix)
-        _assert_delta_matches_cold(old_rp, delta, backend)
+        assert (derived.psr_patches, derived.psr_misses) == (1, 1)
+        assert patched.ranked is delta.new_ranked
+        assert patched._rho_state is cached._rho_state
+        assert patched.topk_prefix is cached.topk_prefix
+        _assert_derived_matches_cold(old_rp, delta, backend)
 
     def test_new_stop_above_the_reusable_tail(self, backend):
         # The collapse completes the x-tuple at row 10, so every row
@@ -393,7 +371,7 @@ class TestTailStopDeltas:
         _, delta = ranked.with_xtuple_replaced(
             "target", xt.collapsed_to(xt.alternatives[0].tid)
         )
-        patched, _ = _assert_delta_matches_cold(old_rp, delta, backend)
+        _, patched = _assert_derived_matches_cold(old_rp, delta, backend)
         assert patched.cutoff == 271
 
     def _near_tie(self, masses, row_from_stop, excess):
@@ -420,7 +398,7 @@ class TestTailStopDeltas:
         _, delta = ranked.with_xtuple_replaced(
             "target", make_xtuple("target", members)
         )
-        assert delta.row_offset == 0
+        assert delta.new_ranked.num_tuples == ranked.num_tuples
         return delta
 
     def test_new_stop_below_the_rows_the_old_pass_kept(self, backend):
@@ -432,7 +410,7 @@ class TestTailStopDeltas:
         ranked, old_rp = self._pass(rows, backend)
         assert old_rp.cutoff == stop
         delta = self._replace_second_member(ranked, 0.5 - 5e-13)
-        patched, _ = _assert_delta_matches_cold(old_rp, delta, backend)
+        _, patched = _assert_derived_matches_cold(old_rp, delta, backend)
         assert patched.cutoff == stop + 1
 
     def test_new_stop_inside_the_reused_tail(self, backend):
@@ -443,14 +421,15 @@ class TestTailStopDeltas:
         ranked, old_rp = self._pass(rows, backend)
         assert old_rp.cutoff == stop
         delta = self._replace_second_member(ranked, 0.5)
-        patched, _ = _assert_delta_matches_cold(old_rp, delta, backend)
+        _, patched = _assert_derived_matches_cold(old_rp, delta, backend)
         assert patched.cutoff == stop - 1
 
     @pytest.mark.parametrize("rows_at", [(100, 120), (250, 260)])
     def test_restricted_result_follows_its_own_stop(self, backend, rows_at):
         # A prefill's restricted k=1 result keeps the k=5 cutoff (274).
-        # A delta gives it k=1's own stop (237 before the probe), for a
-        # window above that stop and for one between the two stops.
+        # A change above that cutoff -- above k=1's own stop (237 before
+        # the probe), or between the two stops -- drops it, and the
+        # derived session's fresh k=1 pass has k=1's own stop.
         ranked = ranked_rows_db(_target_rows(rows_at, (0.3, 0.3))).ranked()
         session = QuerySession(ranked, backend=backend)
         session.prefill([1, self.K])
@@ -564,10 +543,14 @@ class TestDeltaSessions:
         )
         derived = session.derive(new_ranked, delta=delta)
         assert derived.delta_derives == 1
-        assert derived.psr_patches == 1
+        # The k=2 pass kept 5 rows and S3 first changed row 2: nothing
+        # carries, and the first read runs one fresh pass.
+        assert derived.psr_patches == 0
         assert derived.psr_misses == session.psr_misses == 1
-        derived.quality(2)  # patched: no new full pass
-        assert derived.psr_misses == 1
+        derived.quality(2)
+        assert derived.psr_misses == 2
+        derived.quality(2)
+        assert derived.psr_misses == 2
         cold = derived.derive(udb1)
         assert cold.cold_derives == 1
         assert cold.delta_derives == 1
@@ -620,8 +603,11 @@ class TestCleaningDeltaPath:
             cold_outcome.cleaned_db.ranked(), 10
         ).quality
         assert quality == pytest.approx(cold_quality, abs=ABS)
-        if delta_outcome.num_succeeded:
-            assert delta_outcome.session.psr_patches > 0
+        # The round changed rows inside the cached pass, so the outcome
+        # session ran one fresh pass for the quality read.
+        assert delta_outcome.num_succeeded
+        assert delta_outcome.session.psr_patches == 0
+        assert delta_outcome.session.psr_misses == 2
 
     def test_foreign_session_falls_back_to_cold_derive(self):
         # A session over a different database must not hijack the delta
@@ -650,12 +636,13 @@ class TestCleaningDeltaPath:
             session=session,
         )
         assert result.session is not None
-        # One full PSR pass for the whole run; every round that changed
-        # the database shows up as one patch instead.
-        assert result.session.psr_misses == 1
+        # One full PSR pass for the initial evaluation, then one fresh
+        # pass for each round that changed the database.
         changed = sum(1 for r in result.rounds if r.outcome.num_succeeded)
         assert changed
-        assert result.session.psr_patches == changed
+        assert result.session.delta_derives == changed
+        assert result.session.psr_patches == 0
+        assert result.session.psr_misses == 1 + changed
         cold = compute_quality_tp(result.final_db.ranked(), 10).quality
         assert result.final_quality == pytest.approx(cold, abs=ABS)
 
@@ -683,9 +670,13 @@ class TestCleaningDeltaPath:
             db, problem, GreedyCleaner(), rng=random.Random(probe_seed),
             session=session,
         )
-        # Every round after the initial pass derived through a delta.
-        assert run.session.psr_misses == 1
-        assert any(r.outcome.num_succeeded for r in run.rounds)
+        # Every round that changed the database derived through a
+        # delta and cost one pass: a carried one or a fresh one.
+        changed = sum(1 for r in run.rounds if r.outcome.num_succeeded)
+        assert changed
+        assert run.session.delta_derives == changed
+        assert run.session.cold_derives == 0
+        assert run.session.psr_misses + run.session.psr_patches == 1 + changed
         # Replay the run cold: each round's successful probes applied as
         # one change set through the public constructor, then a cold
         # rank and TP pass to check the quality the next round saw.

@@ -10,6 +10,7 @@ from repro.cleaning.greedy import GreedyCleaner
 from repro.cleaning.adaptive import clean_adaptively
 from repro.cleaning.model import CleaningPlan, build_cleaning_problem
 from repro.core.tp import compute_quality_tp
+from repro.exceptions import InvalidQueryError
 from repro.queries.engine import QuerySession, evaluate
 
 from strategies import databases_with_k
@@ -146,6 +147,19 @@ class TestPrefill:
         session = QuerySession(udb1)
         assert session.prefill([]) == 0
         assert session.psr_misses == 0
+
+    @pytest.mark.parametrize(
+        "ks", [[0, 2], [2.5, 3], [True, 3], [3, -1]], ids=repr
+    )
+    def test_prefill_rejects_any_invalid_k_before_a_pass(self, udb1, ks):
+        # Each k is checked before the k_max pass runs: no pass, no
+        # cache entry, and no float or bool silently cast to an int.
+        session = QuerySession(udb1)
+        with pytest.raises(InvalidQueryError):
+            session.prefill(ks)
+        assert session.psr_misses == 0
+        assert session.psr_prefills == 0
+        assert session._rank_probabilities == {}
 
 
 class TestDerive:

@@ -13,6 +13,7 @@ sweep.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -30,7 +31,7 @@ from repro.api.specs import CleaningSpec, QuerySpec
 from repro.datasets.synthetic import generate_synthetic
 from repro.db.database import RankedDatabase
 from repro.db.ranking import by_value
-from repro.exceptions import StoreLockedError, StoreReadOnlyError
+from repro.exceptions import StoreError, StoreLockedError, StoreReadOnlyError
 from repro.store import SnapshotStore, StoreLock
 from repro.store.format import encode_lock_record
 from repro.store.locks import boot_nonce
@@ -48,6 +49,19 @@ def small_db(seed: int = 3):
 
 def ranked_db(seed: int = 3) -> RankedDatabase:
     return RankedDatabase(small_db(seed), by_value())
+
+
+def read_only_mount(monkeypatch) -> None:
+    """Make every writable ``os.open`` fail as on a read-only mount."""
+    real_open = os.open
+    writable = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_TRUNC | os.O_APPEND
+
+    def open_read_only(path, flags, *args, **kwargs):
+        if flags & writable:
+            raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr("repro.store.locks.os.open", open_read_only)
 
 
 def dead_pid() -> int:
@@ -223,6 +237,39 @@ class TestStoreModes:
             reader.checkpoint()
         with pytest.raises(StoreReadOnlyError):
             reader.gc()
+
+    def test_readonly_open_leaves_the_listing_unchanged(self, tmp_path):
+        root = tmp_path / "store"
+        SnapshotStore(root).persist("s1", ranked_db())
+        (root / "quarantine").rmdir()
+        before = sorted(p.relative_to(root) for p in root.rglob("*"))
+        reader = SnapshotStore(root, mode="readonly")
+        assert reader.status()["quarantined_files"] == []
+        assert sorted(p.relative_to(root) for p in root.rglob("*")) == before
+
+    def test_readonly_open_needs_no_write_access(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        SnapshotStore(root).persist("s1", ranked_db())
+        read_only_mount(monkeypatch)
+        reader = SnapshotStore(root, mode="readonly")
+        assert reader.has_segment("s1")
+        assert reader.status()["snapshots"] == ["s1"]
+
+    def test_readonly_open_that_must_create_the_lock_is_typed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        root = tmp_path / "store"
+        SnapshotStore(root).persist("s1", ranked_db())
+        (root / "store.lock").unlink()
+        read_only_mount(monkeypatch)
+        with pytest.raises(StoreError, match="cannot open the store lock"):
+            SnapshotStore(root, mode="readonly")
+        out = tmp_path / "out.json"
+        assert main(["store", "--dir", str(root), "--json", str(out)]) == 1
+        assert json.loads(out.read_text())["error"]["type"] == "StoreError"
+        assert "store.lock" in capsys.readouterr().err
 
     def test_lock_waits_surface_as_a_counter(self, tmp_path):
         root = tmp_path / "store"

@@ -3,10 +3,11 @@
 Hypothesis drives a durable service through random sequences of the
 operations that change which segments exist and how they depend on
 each other -- register, executed clean (durable or memory-only), a
-durable clean that crashes before its segment is written, GC plus
-checkpoint, checkpoint, re-registering a GC victim's content
-(resurrection) and reopening -- and after every step checks the store
-on disk against an in-memory model of what was acknowledged:
+durable clean that crashes at a journal step or before its segment is
+written, GC plus checkpoint, checkpoint, re-registering a GC victim's
+content (resurrection) and reopening -- and after every step checks
+the store on disk against an in-memory model of what was
+acknowledged:
 
 * every acknowledged snapshot that GC has not tombstoned loads, with
   its acknowledged content hash;
@@ -14,10 +15,15 @@ on disk against an in-memory model of what was acknowledged:
 * nothing is quarantined and no journal replay is owed;
 * every loaded delta segment's base is loaded too.
 
-The crash rule reopens at once: the crashed clean's outcome must then
-load through journal replay when its base was durable, and must not
-load when its base was memory-only.  Crashes at the other named write
-steps stay with the hand-written sweeps in ``test_store_recovery.py``.
+The crash rule reads the journal from disk, then reopens.  A crash
+before the journal frame is written leaves the pre-state.  From
+``journal:written`` on, a read-only open lists the clean's record as
+pending without loading its outcome, and the next exclusive open loads
+the outcome through exactly one replay.  A memory-only base journals
+nothing: a crash armed at a journal step never fires and the outcome
+persists full, and one armed at ``segment:begin`` leaves the
+pre-state.  Crashes at the checkpoint, GC and resurrection steps stay
+with the hand-written sweeps in ``test_store_recovery.py``.
 Tier-1 runs a small budget; CI's fault-smoke job reruns this file with
 ``--hypothesis-profile store-model`` (registered in ``conftest.py``)
 for a larger one.
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Set
+from typing import Any, Dict, List, Set
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -51,6 +57,19 @@ from repro.testing import FaultEvent, FaultPlan, use_faults
 #: Tiny databases to register: distinct contents, cheap cleans.
 DATABASES = [generate_synthetic(num_xtuples=6, seed=seed) for seed in range(3)]
 
+#: Write steps of a durable clean a crash is armed at, in protocol
+#: order: the journal append, then the outcome segment.
+CRASH_STEPS = (
+    "journal:begin",
+    "journal:payload",
+    "journal:written",
+    "journal:synced",
+    "segment:begin",
+)
+
+#: Crash steps at which the journal frame is already in the file.
+FRAME_WRITTEN = CRASH_STEPS[2:]
+
 
 def cleaning_specs(durable: st.SearchStrategy, k: int = 2) -> st.SearchStrategy:
     """Executed cleans on the tiny databases.  Rules draw a whole spec
@@ -64,6 +83,11 @@ def cleaning_specs(durable: st.SearchStrategy, k: int = 2) -> st.SearchStrategy:
         adaptive=st.booleans(),
         durable=durable,
     )
+
+
+def clean_records(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The clean records among a journal's records."""
+    return [r for r in records if r.get("kind", "clean") == "clean"]
 
 
 class StoreModel(RuleBasedStateMachine):
@@ -154,7 +178,11 @@ class StoreModel(RuleBasedStateMachine):
         # A larger k than the other cleans', so a just-cleaned snapshot
         # usually has something left to clean (and a segment to write).
         spec = data.draw(cleaning_specs(durable=st.none(), k=4), label="spec")
-        plan = FaultPlan([FaultEvent(kind="crash", step="segment:begin")])
+        step = data.draw(st.sampled_from(CRASH_STEPS), label="step")
+        cleans_before = len(
+            clean_records(SnapshotStore(self.root, mode="readonly").journal_records())
+        )
+        plan = FaultPlan([FaultEvent(kind="crash", step=step)])
         with use_faults(plan):
             try:
                 outcome = self.service.clean(base, spec).payload[
@@ -162,30 +190,53 @@ class StoreModel(RuleBasedStateMachine):
                 ]
             except SimulatedCrashError:
                 outcome = None
-        journaled = None
         if outcome is not None:
-            # Nothing new to write -- nothing changed, or the outcome
-            # was durable already -- so the armed crash never fired.
+            # The armed crash never fired: nothing new was written
+            # (nothing changed, or the outcome was durable already), or
+            # a memory-only base journaled nothing and its outcome
+            # persisted full.
             assert not plan.drawn
-            assert outcome == base or outcome in self.live()
-        elif base_is_durable:
-            journaled = self.service.store.journal_records()[-1]
-            assert (journaled["kind"], journaled["base"]) == ("clean", base)
+            if outcome != base:
+                assert self.service.store.has_segment(outcome)
+                self.acknowledge(outcome)
+            return
+        # Read the journal from disk: a crash at journal:written fires
+        # before the crashed handle appends the record in memory.
+        reader = SnapshotStore(self.root, mode="readonly")
+        records = reader.journal_records()
+        cleans = clean_records(records)
+        owed = None
+        if base_is_durable and step in FRAME_WRITTEN:
+            assert len(cleans) == cleans_before + 1
+            journaled = cleans[-1]
+            assert journaled["base"] == base
+            tombstoned = {
+                r["segment"] for r in records if r.get("kind") == "tombstone"
+            }
+            outcome = journaled["outcome"]
+            if outcome not in self.live() and outcome not in tombstoned:
+                owed = journaled
+        else:
+            # Pre-state: the frame never reached the file, or a
+            # memory-only base journaled nothing.
+            assert len(cleans) == cleans_before
+        if owed is None:
+            assert reader.pending_cleanings() == []
+        else:
+            # Pending, and a read-only open does not replay it.
+            assert reader.pending_cleanings() == [owed]
+            assert owed["outcome"] not in reader.snapshots()
             # An earlier memory-only copy of the outcome is replayed too.
-            self.memory_only.discard(journaled["outcome"])
-        # Otherwise no record may name a base that is not on disk: the
-        # clean was never acknowledged, and nothing replays.
+            self.memory_only.discard(owed["outcome"])
         self.reopen_service()
         replays = self.service.store.counters()["psr_store_replays"]
-        if journaled is None:
-            assert replays == 0
-            return
-        assert replays == 1
-        outcome = journaled["outcome"]
-        assert self.service.database(outcome).content_hash() == (
-            journaled["outcome_hash"]
-        )
-        self.acknowledge(outcome)
+        assert replays == (0 if owed is None else 1)
+        if owed is not None:
+            outcome = owed["outcome"]
+            assert self.service.database(outcome).content_hash() == (
+                owed["outcome_hash"]
+            )
+            self.acknowledge(outcome)
 
     @rule(data=st.data(), keep=st.integers(0, 4))
     def gc(self, data: st.DataObject, keep: int) -> None:
