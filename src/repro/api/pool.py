@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Set, Union
+from typing import Dict, Iterator, Mapping, Optional, Set, Union
 
 from repro.core.lockcheck import (
     RANK_ADMISSION,
@@ -199,6 +199,7 @@ class SessionPool:
         session: Optional[QuerySession] = None,
         durable: Optional[bool] = None,
         base: Optional[str] = None,
+        changes: Optional[Mapping[str, Optional[str]]] = None,
     ) -> str:
         """Register an immutable snapshot; returns its content-hash id.
 
@@ -226,9 +227,14 @@ class SessionPool:
         ``False`` opts one registration out of persistence (the
         snapshot stays memory-only); ``None``/``True`` persist
         whenever a store is attached.  ``base`` names the snapshot a
-        cleaning outcome derives from and is only forwarded to
+        cleaning outcome derives from and ``changes`` the change set
+        the clean carried from it (``{xid: revealed tid, or None}``);
+        both are only forwarded to
         :meth:`~repro.store.SnapshotStore.persist`, which alone picks
-        the segment kind.
+        the segment kind and checks ``changes`` in O(change).  The
+        snapshot id costs one SHA-256 of the content: a cleaning
+        outcome's hash records are spliced from its base's
+        (:meth:`~repro.db.database.ProbabilisticDatabase.content_hash`).
         """
         ranked = db if isinstance(db, RankedDatabase) else None
         raw = ranked.db if ranked is not None else db
@@ -246,7 +252,7 @@ class SessionPool:
             # Outside the registry lock: the store lock (RANK_STORE)
             # ranks below the registry lock, and a slow disk must not
             # block unrelated leases.  The store serializes itself.
-            self.store.persist(snapshot_id, ranked, base=base)
+            self.store.persist(snapshot_id, ranked, base=base, changes=changes)
             if self.retention is not None:
                 self.sweep_store()
         with self._lock:

@@ -26,7 +26,9 @@ from __future__ import annotations
 import random
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.api.pool import SessionPool, snapshot_id_of
 from repro.api.results import ServiceResult
@@ -42,8 +44,8 @@ from repro.cleaning.random_cleaners import RandPCleaner, RandUCleaner
 from repro.core.counters import SESSION_COUNTERS
 from repro.core.quality import compute_quality_detailed
 from repro.core.resilience import Deadline, check_deadline, scoped
-from repro.datasets.synthetic import generate_costs, generate_sc_probabilities
-from repro.db.database import ProbabilisticDatabase, RankedDatabase, change_set
+from repro.datasets.synthetic import draw_costs, draw_sc_probabilities
+from repro.db.database import ChangeSet, ProbabilisticDatabase, RankedDatabase
 from repro.db.ranking import RankingFunction
 from repro.exceptions import (
     InvalidDatabaseError,
@@ -139,9 +141,11 @@ class TopKService:
         Either way, the outcome's snapshot id *and* content hash are
         checked against the record before anything is written:
 
-        * a match registers the outcome (with ``base=``, so the store
-          may persist it as a delta segment); no journal record is
-          appended, since the replayed record already covers it;
+        * a match registers the outcome with ``base=`` and its change
+          set -- the record's, or the one the re-execution carried --
+          so the store may persist it as a delta segment; no journal
+          record is appended, since the replayed record already covers
+          it;
         * a mismatch, or a malformed change set, raises
           :class:`~repro.exceptions.JournalReplayError` and leaves the
           store as it found it -- opening fails rather than serving
@@ -163,17 +167,16 @@ class TopKService:
             if record.get("schema") == 1:
                 self._reexecute(base, record)
             else:
+                changes = record.get("changes")
                 try:
-                    outcome = self.pool.ranked(base).with_change_set(
-                        record.get("changes")
-                    )
+                    outcome = self.pool.ranked(base).with_change_set(changes)
                 except InvalidDatabaseError as exc:
                     raise JournalReplayError(
                         f"journaled change set of base {base!r} does not "
                         f"apply: {exc}"
                     ) from exc
                 _check_replayed(base, record, outcome.db)
-                self.pool.register(outcome, base=base)
+                self.pool.register(outcome, base=base, changes=changes)
             self.store.note_replayed()
 
     def _reexecute(self, base: str, record: Mapping[str, Any]) -> None:
@@ -192,10 +195,14 @@ class TopKService:
                 f"decode: {exc}"
             ) from exc
         with self.pool.lease(base) as session:
-            _, outcome = self._plan_and_execute(session, spec)
+            _, outcome, changes = self._plan_and_execute(session, spec)
             _check_replayed(base, record, outcome.db)
             self.pool.register(
-                outcome.ranked, session=outcome, durable=spec.durable, base=base
+                outcome.ranked,
+                session=outcome,
+                durable=spec.durable,
+                base=base,
+                changes=changes,
             )
 
     # ------------------------------------------------------------------
@@ -296,12 +303,21 @@ register`), and the envelope's ``counters`` reports the store's
         set to the base, so callers observe either the pre-clean or
         the post-clean state, never a half-applied one.
         """
+        applied: List[ChangeSet] = []
+
+        def work(session: QuerySession) -> Tuple[Dict[str, Any], QuerySession]:
+            payload, outcome, changes = self._plan_and_execute(session, spec)
+            applied.append(changes)
+            return payload, outcome
+
         return self._serve(
             "clean",
             snapshot_id,
             spec,
-            lambda session: self._plan_and_execute(session, spec),
-            publish=lambda outcome: self._publish(snapshot_id, spec, outcome),
+            work,
+            publish=lambda outcome: self._publish(
+                snapshot_id, spec, outcome, applied[0]
+            ),
         )
 
     def _serve(
@@ -322,7 +338,9 @@ register`), and the envelope's ``counters`` reports the store's
            :class:`~repro.exceptions.DeadlineExceededError` before the
            lease, the admission gate or any PSR work is touched.
         2. The snapshot's session is leased, and the deadline is
-           re-checked after the queueing.
+           re-checked after the queueing (an adaptive clean checks it
+           again before every round,
+           :func:`~repro.cleaning.adaptive.clean_adaptively`).
         3. ``work`` runs on the leased session and returns the payload
            and the session it ended on: the leased one, unless an
            executed clean derived another.  The envelope reports that
@@ -453,39 +471,50 @@ register`), and the envelope's ``counters`` reports the store's
     # ------------------------------------------------------------------
     def _cleaning_inputs(
         self, ranked: RankedDatabase, spec: CleaningSpec
-    ) -> Tuple[Dict[str, int], Dict[str, float]]:
+    ) -> Tuple[
+        Union[Mapping[str, int], np.ndarray],
+        Union[Mapping[str, float], np.ndarray],
+    ]:
         """Resolve the spec's costs / sc-probabilities against a snapshot.
 
-        Explicit mappings pass through unchanged -- coverage against
-        the snapshot's x-tuples is validated by
-        :func:`~repro.cleaning.model.build_cleaning_problem`, which
-        raises :class:`~repro.exceptions.UnknownXTupleError` naming the
-        offending identifier.  Omitted mappings are generated from the
-        spec's seeds (the paper's experimental setup).
+        Omitted ones are drawn from the spec's seeds as arrays in the
+        snapshot's x-tuple order (the paper's experimental setup: costs
+        uniform in ``[1, 10]``, sc-probabilities uniform in ``[0,
+        1]``), bit for bit the values ``random.Random(seed)`` draws
+        (:func:`~repro.datasets.synthetic.draw_costs`,
+        :func:`~repro.datasets.synthetic.draw_sc_probabilities`) and
+        with no per-x-tuple Python loop.  Explicit mappings pass
+        through: :func:`~repro.cleaning.model.build_cleaning_problem`
+        checks them against the snapshot's x-tuples, raising
+        :class:`~repro.exceptions.UnknownXTupleError` naming the
+        offending identifier, and gathers them into x-tuple order.
         """
-        db = ranked.db
-        costs = (
-            dict(spec.costs)
+        m = ranked.num_xtuples
+        costs: Union[Mapping[str, int], np.ndarray] = (
+            spec.costs
             if spec.costs is not None
-            else generate_costs(db, seed=spec.cost_seed)
+            else draw_costs(m, seed=spec.cost_seed)
         )
-        sc = (
-            dict(spec.sc_probabilities)
+        sc: Union[Mapping[str, float], np.ndarray] = (
+            spec.sc_probabilities
             if spec.sc_probabilities is not None
-            else generate_sc_probabilities(db, seed=spec.sc_seed)
+            else draw_sc_probabilities(m, seed=spec.sc_seed)
         )
         return costs, sc
 
     def _plan_and_execute(
         self, session: QuerySession, spec: CleaningSpec
-    ) -> Tuple[Dict[str, Any], QuerySession]:
+    ) -> Tuple[Dict[str, Any], QuerySession, ChangeSet]:
         """Plan -- and with ``spec.execute``, simulate -- one cleaning.
 
         Side-effect free: nothing is journaled, persisted or
         registered, so :meth:`clean` publishes the outcome afterwards
-        (:meth:`_publish`) and journal replay verifies it first.
-        Returns the payload and the end-of-chain session, which is
-        ``session`` itself unless a probe changed the database.
+        (:meth:`_publish`) and journal replay verifies it first; an
+        adaptive run past the request's deadline raises between
+        rounds with nothing to undo.  Returns the payload, the
+        end-of-chain session, which is ``session`` itself unless a
+        probe changed the database, and the change set the execution
+        carried from the probes (empty for a plan-only request).
         """
         db = session.db
         costs, sc = self._cleaning_inputs(session.ranked, spec)
@@ -516,7 +545,7 @@ register`), and the envelope's ``counters`` reports the store's
                 problem, plan
             )
         if not spec.execute:
-            return payload, session
+            return payload, session, {}
         rng = random.Random(spec.seed)
         if plan is None:
             result = clean_adaptively(
@@ -524,6 +553,7 @@ register`), and the envelope's ``counters`` reports the store's
             )
             outcome = result.session
             assert outcome is not None
+            changes = result.changes
             records = [
                 r for round_ in result.rounds for r in round_.outcome.records
             ]
@@ -556,6 +586,7 @@ register`), and the envelope's ``counters`` reports the store's
             executed = execute_plan(db, problem, plan, rng=rng, session=session)
             outcome = executed.session
             assert outcome is not None
+            changes = executed.changes
             records = list(executed.records)
             payload.update(
                 {
@@ -578,29 +609,37 @@ register`), and the envelope's ``counters`` reports the store's
         ]
         payload["num_succeeded"] = sum(1 for r in records if r.succeeded)
         payload["new_snapshot_id"] = snapshot_id_of(outcome.db)
-        return payload, outcome
+        return payload, outcome, changes
 
     def _publish(
-        self, snapshot_id: str, spec: CleaningSpec, outcome: QuerySession
+        self,
+        snapshot_id: str,
+        spec: CleaningSpec,
+        outcome: QuerySession,
+        changes: ChangeSet,
     ) -> None:
         """Journal an executed outcome, then register it warm.
 
+        ``changes`` is the change set the execution carried: the
+        outcome is the ``snapshot_id`` snapshot plus ``changes``
+        (:attr:`~repro.cleaning.executor.CleaningOutcome.changes`), so
+        nothing here walks the database to recompute it.
+
         WAL ordering: with a store (and ``spec.durable`` not
         ``False``) the journal record -- the outcome as its base plus
-        its change set -- is durable before the outcome segment or the
+        ``changes`` -- is durable before the outcome segment or the
         in-memory entry exists, so a crash after the append is
         recoverable by applying the change set again.  The store
         journals only on a base it holds durably and live
         (:meth:`~repro.store.SnapshotStore.journal_clean`): the outcome
         of a memory-only snapshot gets no record and persists as a
         full segment, so a crash before that commit loses only a clean
-        nobody was told about.  The outcome registers with its base,
-        which lets the store persist it as a delta segment.
+        nobody was told about.  The outcome registers with its base
+        and ``changes``, which lets the store persist it as a delta
+        segment.
         """
         ranked = outcome.ranked
         if self.store is not None and spec.durable is not False:
-            changes = change_set(self.pool.database(snapshot_id), ranked.db)
-            assert changes is not None, "a clean only collapses or removes"
             self.store.journal_clean(
                 snapshot_id,
                 spec.to_dict(),
@@ -609,7 +648,11 @@ register`), and the envelope's ``counters`` reports the store's
                 changes,
             )
         self.pool.register(
-            ranked, session=outcome, durable=spec.durable, base=snapshot_id
+            ranked,
+            session=outcome,
+            durable=spec.durable,
+            base=snapshot_id,
+            changes=changes,
         )
 
 

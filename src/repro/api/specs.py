@@ -247,8 +247,13 @@ class CleaningSpec:
         a crash before that write reverts to the pre-clean state.
         Ignored (and harmless) without a store or without ``execute``.
     deadline_ms:
-        Relative completion budget (see :class:`QuerySpec`).  It
-        covers the whole cleaning run, re-planning rounds included.
+        Relative completion budget (see :class:`QuerySpec`).  It is
+        checked at admission, after the session lease is acquired and,
+        for an adaptive run, before every re-planning round
+        (:func:`~repro.cleaning.adaptive.clean_adaptively`).  A run
+        that misses it raises
+        :class:`~repro.exceptions.DeadlineExceededError` there and
+        publishes nothing; a round already under way runs to its end.
     """
 
     TYPE = "cleaning"

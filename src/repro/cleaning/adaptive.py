@@ -18,13 +18,16 @@ kept failing can be retried.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.cleaning.base import Cleaner
 from repro.cleaning.executor import CleaningOutcome, execute_plan
 from repro.cleaning.model import CleaningProblem, build_cleaning_problem
-from repro.db.database import ProbabilisticDatabase
+from repro.core.resilience import check_deadline
+from repro.db.database import ChangeSet, ProbabilisticDatabase
 from repro.queries.engine import QuerySession
 
 
@@ -58,6 +61,10 @@ class AdaptiveCleaningResult:
     #: one fresh pass in ``psr_misses`` -- or one ``psr_patches`` when
     #: the cached pass ended above every change.
     session: Optional[QuerySession] = None
+    #: ``final_db`` as the input database plus one change set: the
+    #: rounds' sets (:attr:`CleaningOutcome.changes`) composed, equal
+    #: to :func:`~repro.db.database.change_set` of the two.
+    changes: ChangeSet = field(default_factory=dict)
 
     @property
     def realized_improvement(self) -> float:
@@ -82,14 +89,27 @@ def clean_adaptively(
     above every change); an all-failures round (or a caller-provided
     warm session over ``db``) is served entirely from cache.
 
+    Each round's costs and sc-probabilities are gathered from the
+    initial problem's arrays through the surviving x-tuples' initial
+    indices (a removal drops its index), and the rounds' change sets
+    compose into :attr:`AdaptiveCleaningResult.changes`.  So apart
+    from the splice and the PSR pass, a round costs in proportion to
+    its change.
+
+    The request deadline in scope (:func:`repro.core.resilience.\
+scoped`) is checked before every round, the first included, with
+    :func:`~repro.core.resilience.check_deadline`: a run past it raises
+    :class:`~repro.exceptions.DeadlineExceededError` between rounds
+    and returns nothing.  With no deadline in scope the check is free.
+
     Parameters
     ----------
     db:
         The database to clean (must be the one ``problem`` was built on).
     problem:
         The initial cleaning instance; supplies budget, costs and
-        sc-probabilities.  Costs/sc-probabilities of an x-tuple are
-        looked up by id, so they survive across rounds.
+        sc-probabilities.  An x-tuple keeps its cost and
+        sc-probability across rounds.
     planner:
         Any :class:`~repro.cleaning.base.Cleaner` (DP, Greedy, ...).
     rng:
@@ -103,15 +123,9 @@ def clean_adaptively(
     rng = rng or random.Random(0)
     ranking = problem.ranked.ranking
     k = problem.k
-
-    cost_by_xid = {
-        problem.xtuple_id(l): problem.costs[l]
-        for l in range(problem.num_xtuples)
-    }
-    sc_by_xid = {
-        problem.xtuple_id(l): problem.sc_probabilities[l]
-        for l in range(problem.num_xtuples)
-    }
+    #: Initial index of each x-tuple of the current database, in order.
+    alive = np.arange(problem.num_xtuples)
+    applied: ChangeSet = {}
 
     if session is None:
         session = QuerySession(db, ranking=ranking)
@@ -129,14 +143,13 @@ def clean_adaptively(
     for round_index in range(max_rounds):
         if remaining <= 0:
             break
+        check_deadline(f"before cleaning round {round_index}")
         quality = session.quality(k)
         current_quality = quality.quality
         round_problem = build_cleaning_problem(
             quality,
-            costs={xt.xid: cost_by_xid[xt.xid] for xt in current_db.xtuples},
-            sc_probabilities={
-                xt.xid: sc_by_xid[xt.xid] for xt in current_db.xtuples
-            },
+            costs=problem.costs_array[alive],
+            sc_probabilities=problem.sc_array[alive],
             budget=remaining,
         )
         plan = planner.plan(round_problem)
@@ -160,6 +173,18 @@ def clean_adaptively(
         if outcome.cost_spent == 0:  # pragma: no cover - defensive
             break
         remaining -= outcome.cost_spent
+        # No round changes an x-tuple an earlier round changed: a
+        # collapsed one is certain, so probing it again is a no-op the
+        # round's set leaves out, and a removed one is gone.  The sets
+        # therefore compose by union.
+        applied.update(outcome.changes)
+        removed = [
+            round_problem.xtuple_index(xid)
+            for xid, tid in outcome.changes.items()
+            if tid is None
+        ]
+        if removed:
+            alive = np.delete(alive, removed)
         current_db = outcome.cleaned_db
         session = outcome.session
 
@@ -173,4 +198,5 @@ def clean_adaptively(
         budget=problem.budget,
         budget_spent=problem.budget - remaining,
         session=session,
+        changes=applied,
     )

@@ -25,8 +25,14 @@ cleaned view is spliced instead of re-ranked, and the derived session
 runs one fresh PSR pass when the round's quality is next read (a
 cached pass that ended above every change moves over as it is).
 Otherwise (no session, or a session over another database) the cleaned
-database is built once and any session derives cold.  The probe outcomes (and the rng stream) are identical
-either way.
+database is built once and any session derives cold.  The probe
+outcomes (and the rng stream) are identical either way.
+
+The outcome also carries the change set it applied in durable form,
+``{xid: revealed tid, or None for a revealed null}``, built from the
+successful probes alone: it equals
+:func:`~repro.db.database.change_set` of the database and the cleaned
+database, without walking either.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cleaning.model import CleaningPlan, CleaningProblem
-from repro.db.database import ProbabilisticDatabase
+from repro.db.database import ChangeSet, ProbabilisticDatabase, same_content
 from repro.db.tuples import XTuple
 from repro.queries.engine import QuerySession
 
@@ -67,6 +73,13 @@ class CleaningOutcome:
     ``cleaned_db`` derived from it -- the *same* session object (cache
     intact) when no probe changed the database, so re-evaluating the
     quality after an all-failure round costs no new PSR pass.
+
+    ``changes`` is the change set the execution applied: a successful
+    probe's x-tuple maps to its revealed tuple id, or to ``None`` when
+    it revealed a null and was removed.  A collapse that leaves the
+    x-tuple's content as it was (probing an already-certain x-tuple)
+    is left out, so ``changes`` equals
+    ``change_set(db, cleaned_db)`` (:func:`~repro.db.database.change_set`).
     """
 
     cleaned_db: ProbabilisticDatabase
@@ -74,6 +87,7 @@ class CleaningOutcome:
     cost_assigned: int
     cost_spent: int
     session: Optional[QuerySession] = field(default=None, compare=False)
+    changes: ChangeSet = field(default_factory=dict)
 
     @property
     def cost_saved(self) -> int:
@@ -93,6 +107,12 @@ def execute_plan(
     session: Optional[QuerySession] = None,
 ) -> CleaningOutcome:
     """Simulate the cleaning agent executing ``plan`` on ``db``.
+
+    Besides the cleaned database and the probe records, the outcome
+    carries the change set the execution applied
+    (:attr:`CleaningOutcome.changes`), built from the successful
+    probes as they run: the work outside the ranked-view splice grows
+    with the plan, not with the database.
 
     Parameters
     ----------
@@ -117,6 +137,7 @@ def execute_plan(
     rng = rng or random.Random(0)
     records: List[ProbeRecord] = []
     changes: Dict[str, Optional[XTuple]] = {}
+    applied: ChangeSet = {}
     cost_assigned = 0
     cost_spent = 0
 
@@ -150,8 +171,11 @@ def execute_plan(
             if revealed_tid is None:
                 revealed_null = True
                 changes[xid] = None
+                applied[xid] = None
             else:
-                changes[xid] = xt.collapsed_to(revealed_tid)
+                collapsed = changes[xid] = xt.collapsed_to(revealed_tid)
+                if not same_content(collapsed, xt):
+                    applied[xid] = revealed_tid
         records.append(
             ProbeRecord(
                 xid=xid,
@@ -180,4 +204,5 @@ def execute_plan(
         cost_assigned=cost_assigned,
         cost_spent=cost_spent,
         session=outcome_session,
+        changes=applied,
     )

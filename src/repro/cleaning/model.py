@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, List, Mapping, Tuple, Union
+from typing import Iterable, List, Mapping, Sequence, TypeVar, Union
 
 import numpy as np
 
 from repro.core.tp import TPQualityResult
 from repro.db.database import RankedDatabase
+from repro.db.tuples import COMPLETENESS_TOLERANCE
 from repro.exceptions import InvalidCleaningProblemError, UnknownXTupleError
 
 #: |g(l, D)| below this is treated as zero: cleaning the x-tuple cannot
@@ -37,12 +38,27 @@ G_TOLERANCE = 1e-15
 SC_TOLERANCE = 1e-15
 
 
+_T = TypeVar("_T")
+
+#: A per-x-tuple column as the problem accepts it: a sequence of Python
+#: numbers or a numpy array, in database x-tuple order.
+Column = Union[Sequence[_T], np.ndarray]
+
+
 @dataclass(frozen=True)
 class CleaningProblem:
     """A fully specified instance of the paper's cleaning problem.
 
     All per-x-tuple arrays are indexed by the x-tuple's position in the
-    database (the same indexing :class:`RankedDatabase` uses).
+    database (the same indexing :class:`RankedDatabase` uses).  Each
+    column may be given as a sequence or as a numpy array.  A numpy
+    array is validated as an array -- its dtype and one vectorized
+    range check, no per-element Python loop -- and every column lands
+    twice: as a cached array (``g_array``, ``topk_mass_array``,
+    ``costs_array``, ``sc_array``) for the vectorized planners, and as
+    the tuple field of Python ints and floats that scalar readers such
+    as ``problem.costs[l]`` index, so nothing read from a problem puts
+    a numpy scalar into a JSON payload.
 
     Attributes
     ----------
@@ -66,23 +82,24 @@ class CleaningProblem:
 
     ranked: RankedDatabase
     k: int
-    g_by_xtuple: Tuple[float, ...]
-    topk_mass_by_xtuple: Tuple[float, ...]
-    costs: Tuple[int, ...]
-    sc_probabilities: Tuple[float, ...]
+    g_by_xtuple: Column[float]
+    topk_mass_by_xtuple: Column[float]
+    costs: Column[int]
+    sc_probabilities: Column[float]
     budget: int
 
     def __post_init__(self) -> None:
         m = self.ranked.num_xtuples
-        for label, arr in (
-            ("g_by_xtuple", self.g_by_xtuple),
-            ("topk_mass_by_xtuple", self.topk_mass_by_xtuple),
-            ("costs", self.costs),
-            ("sc_probabilities", self.sc_probabilities),
+        for label in (
+            "g_by_xtuple",
+            "topk_mass_by_xtuple",
+            "costs",
+            "sc_probabilities",
         ):
-            if len(arr) != m:
+            size = len(getattr(self, label))
+            if size != m:
                 raise InvalidCleaningProblemError(
-                    f"{label} has {len(arr)} entries for {m} x-tuples"
+                    f"{label} has {size} entries for {m} x-tuples"
                 )
         if not isinstance(self.budget, int) or isinstance(self.budget, bool):
             raise InvalidCleaningProblemError(
@@ -92,28 +109,7 @@ class CleaningProblem:
             raise InvalidCleaningProblemError(
                 f"budget must be non-negative, got {self.budget}"
             )
-        # Range/type checks run as single array expressions (the
-        # problem is rebuilt once per adaptive round, so O(m)
-        # Python-level loops here used to show up on profiles); the
-        # offending entry is only hunted down scalar-style on failure.
-        costs = np.asarray(self.costs, dtype=np.int64 if not self.costs else None)
-        if self.costs and (
-            costs.dtype.kind != "i"
-            or any(type(c) is bool for c in self.costs)
-        ):
-            # Pin down a scalar offender for the message; an oversized
-            # int (object dtype, every element a true int) has none.
-            bad = next(
-                (
-                    c
-                    for c in self.costs
-                    if not isinstance(c, int) or isinstance(c, bool)
-                ),
-                max(self.costs),
-            )
-            raise InvalidCleaningProblemError(
-                f"costs must be positive integers, got {bad!r}"
-            )
+        costs = self._costs_column()
         if costs.size and int(costs.min()) < 1:
             raise InvalidCleaningProblemError(
                 f"costs must be positive integers, got {int(costs.min())!r}"
@@ -125,14 +121,9 @@ class CleaningProblem:
                 f"sc-probabilities must lie in [0, 1], got "
                 f"{self.sc_probabilities!r}"
             ) from None
-        if sc.size and not bool(
-            ((sc >= 0.0) & (sc <= 1.0)).all()
-        ):  # NaN fails both comparisons
-            bad_sc = next(
-                p
-                for p in self.sc_probabilities
-                if math.isnan(p) or not 0.0 <= p <= 1.0
-            )
+        in_range = (sc >= 0.0) & (sc <= 1.0)  # NaN fails both comparisons
+        if not bool(in_range.all()):
+            bad_sc = sc[np.flatnonzero(~in_range)[0]].item()
             raise InvalidCleaningProblemError(
                 f"sc-probabilities must lie in [0, 1], got {bad_sc!r}"
             )
@@ -142,10 +133,50 @@ class CleaningProblem:
                 f"g(l, D) values are weighted quality contributions and "
                 f"must be <= 0, got {float(g.max())!r}"
             )
-        # The validation arrays double as the columnar caches below.
-        self.__dict__["costs_array"] = costs.astype(np.int64, copy=False)
-        self.__dict__["sc_array"] = sc
-        self.__dict__["g_array"] = g
+        topk_mass = np.asarray(self.topk_mass_by_xtuple, dtype=np.float64)
+        for label, column, array in (
+            ("g_by_xtuple", "g_array", g),
+            ("topk_mass_by_xtuple", "topk_mass_array", topk_mass),
+            ("costs", "costs_array", costs),
+            ("sc_probabilities", "sc_array", sc),
+        ):
+            self.__dict__[column] = array
+            values = getattr(self, label)
+            if isinstance(values, np.ndarray):
+                # ``tolist`` yields Python ints and floats, at C speed.
+                object.__setattr__(self, label, tuple(array.tolist()))
+            elif not isinstance(values, tuple):
+                object.__setattr__(self, label, tuple(values))
+
+    def _costs_column(self) -> np.ndarray:
+        """The costs as an int64 array, or raise: an array by its dtype,
+        a sequence also element by element (``True`` is no cost)."""
+        costs = self.costs
+        if isinstance(costs, np.ndarray):
+            if costs.dtype.kind not in "iu":
+                raise InvalidCleaningProblemError(
+                    f"costs must be positive integers, got a {costs.dtype} "
+                    f"array"
+                )
+            return costs.astype(np.int64, copy=False)
+        array = np.asarray(costs, dtype=np.int64 if not costs else None)
+        if costs and (
+            array.dtype.kind != "i" or any(type(c) is bool for c in costs)
+        ):
+            # Pin down a scalar offender for the message; an oversized
+            # int (object dtype, every element a true int) has none.
+            bad = next(
+                (
+                    c
+                    for c in costs
+                    if not isinstance(c, int) or isinstance(c, bool)
+                ),
+                max(costs),
+            )
+            raise InvalidCleaningProblemError(
+                f"costs must be positive integers, got {bad!r}"
+            )
+        return array.astype(np.int64, copy=False)
 
     # ------------------------------------------------------------------
     @property
@@ -171,13 +202,18 @@ class CleaningProblem:
             raise InvalidCleaningProblemError(f"unknown x-tuple id {xid!r}") from None
 
     # ------------------------------------------------------------------
-    # Columnar views (cached; frozen dataclasses still allow
-    # cached_property because it writes to __dict__ directly)
+    # Columnar views: set by ``__post_init__`` (a frozen dataclass may
+    # still write its own ``__dict__``, as ``cached_property`` does)
     # ------------------------------------------------------------------
     @cached_property
     def g_array(self) -> np.ndarray:
         """``g(l, D)`` as a float64 array."""
         return np.array(self.g_by_xtuple, dtype=np.float64)
+
+    @cached_property
+    def topk_mass_array(self) -> np.ndarray:
+        """The top-k masses as a float64 array."""
+        return np.array(self.topk_mass_by_xtuple, dtype=np.float64)
 
     @cached_property
     def costs_array(self) -> np.ndarray:
@@ -191,8 +227,19 @@ class CleaningProblem:
 
     @cached_property
     def _candidate_mask(self) -> np.ndarray:
+        ranked = self.ranked
+        sizes = np.bincount(
+            ranked.xtuple_indices_array, minlength=ranked.num_xtuples
+        )
+        # One alternative and completion 1 (``XTuple.is_certain``):
+        # cleaning cannot change the database, whatever float residue
+        # a fresh TP pass leaves in its g(l, D).
+        certain = (sizes == 1) & (
+            1.0 - ranked.completion_array <= COMPLETENESS_TOLERANCE
+        )
         return (
             (self.g_array < -G_TOLERANCE)
+            & ~certain
             & (self.sc_array > SC_TOLERANCE)
             & (self.costs_array <= self.budget)
         )
@@ -201,8 +248,9 @@ class CleaningProblem:
         """The candidate set ``Z``: x-tuples worth probing at all.
 
         Excludes x-tuples whose cleaning provably cannot improve the
-        expected quality: ``g(l, D) = 0`` (Lemma 5), zero
-        sc-probability, or cost exceeding the whole budget.
+        expected quality: ``g(l, D) = 0`` (Lemma 5), a certain x-tuple
+        (one alternative, completion 1: Definition 5 leaves it as it
+        is), zero sc-probability, or cost exceeding the whole budget.
         """
         return np.nonzero(self._candidate_mask)[0].tolist()
 
@@ -215,12 +263,45 @@ class CleaningProblem:
         return CleaningProblem(
             ranked=self.ranked,
             k=self.k,
-            g_by_xtuple=self.g_by_xtuple,
-            topk_mass_by_xtuple=self.topk_mass_by_xtuple,
-            costs=self.costs,
-            sc_probabilities=self.sc_probabilities,
+            g_by_xtuple=self.g_array,
+            topk_mass_by_xtuple=self.topk_mass_array,
+            costs=self.costs_array,
+            sc_probabilities=self.sc_array,
             budget=budget,
         )
+
+
+def _by_xtuple(
+    ranked: RankedDatabase,
+    source: Union[Mapping[str, _T], Iterable[_T]],
+    label: str,
+) -> Column[_T]:
+    """``source`` as a column in ``ranked``'s x-tuple order.
+
+    A mapping is checked and gathered in x-tuple order (see
+    :func:`build_cleaning_problem`); a numpy array or any other
+    iterable is already in that order and must have one entry per
+    x-tuple.
+    """
+    m = ranked.num_xtuples
+    if isinstance(source, Mapping):
+        ids = ranked.xtuple_ids
+        missing = [xid for xid in ids if xid not in source]
+        if missing:
+            raise UnknownXTupleError(label, missing[0])
+        if len(source) != m:
+            known = set(ids)
+            unknown = [xid for xid in source if xid not in known]
+            raise UnknownXTupleError(label, unknown[0], reason="names unknown")
+        return [source[xid] for xid in ids]
+    values: Column[_T] = (
+        source if isinstance(source, np.ndarray) else tuple(source)
+    )
+    if len(values) != m:
+        raise InvalidCleaningProblemError(
+            f"{label} sequence has {len(values)} entries for {m} x-tuples"
+        )
+    return values
 
 
 def build_cleaning_problem(
@@ -232,41 +313,29 @@ def build_cleaning_problem(
     """Assemble a :class:`CleaningProblem` from a TP quality result.
 
     ``costs`` and ``sc_probabilities`` may be mappings keyed by x-tuple
-    id, or sequences in database x-tuple order.
+    id, which must name every x-tuple and nothing else (else
+    :class:`~repro.exceptions.UnknownXTupleError` names the first
+    offender), or sequences or numpy arrays in database x-tuple order
+    -- the service passes the arrays its seeded draws produce.
+    ``g(l, D)`` and the top-k masses come from the TP result as arrays
+    (``g_by_xtuple_array``, ``topk_mass_by_xtuple_array``); only the
+    scalar oracle (``backend="python"``) keeps its scalar ``g``.
     """
     ranked = quality.ranked
-    m = ranked.num_xtuples
-
-    def as_array(
-        source: Union[Mapping[str, float], Iterable[float]], label: str
-    ) -> Tuple[float, ...]:
-        if isinstance(source, Mapping):
-            missing = [xid for xid in ranked.xtuple_ids if xid not in source]
-            if missing:
-                raise UnknownXTupleError(label, missing[0])
-            if len(source) != m:
-                known = set(ranked.xtuple_ids)
-                unknown = [xid for xid in source if xid not in known]
-                raise UnknownXTupleError(
-                    label, unknown[0], reason="names unknown"
-                )
-            return tuple(source[xid] for xid in ranked.xtuple_ids)
-        values = tuple(source)
-        if len(values) != m:
-            raise InvalidCleaningProblemError(
-                f"{label} sequence has {len(values)} entries for {m} x-tuples"
-            )
-        return values
-
+    g: Column[float] = (
+        quality.g_by_xtuple()
+        if quality.backend == "python"
+        else quality.g_by_xtuple_array()
+    )
     return CleaningProblem(
         ranked=ranked,
         k=quality.k,
-        g_by_xtuple=tuple(quality.g_by_xtuple()),
-        topk_mass_by_xtuple=tuple(
-            quality.rank_probabilities.topk_probability_by_xtuple()
+        g_by_xtuple=g,
+        topk_mass_by_xtuple=(
+            quality.rank_probabilities.topk_mass_by_xtuple_array()
         ),
-        costs=as_array(costs, "costs"),
-        sc_probabilities=as_array(sc_probabilities, "sc_probabilities"),
+        costs=_by_xtuple(ranked, costs, "costs"),
+        sc_probabilities=_by_xtuple(ranked, sc_probabilities, "sc_probabilities"),
         budget=budget,
     )
 

@@ -2,7 +2,8 @@
 
 :class:`Deadline` is an absolute expiry derived from a request's
 ``deadline_ms``.  The service checks it at admission and after
-queueing for a session lease, raising
+queueing for a session lease, and an adaptive clean before every
+round, raising
 :class:`~repro.exceptions.DeadlineExceededError` the moment the budget
 is gone instead of finishing an answer nobody is waiting for; the
 admission gate and the store lock cap their bounded waits at it.

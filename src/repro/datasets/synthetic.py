@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.db.database import ProbabilisticDatabase
 from repro.db.tuples import ProbabilisticTuple, XTuple
@@ -150,6 +153,87 @@ def generate_synthetic(
 # ----------------------------------------------------------------------
 # Cleaning-experiment knobs (Section VI, "Cleaning Problem")
 # ----------------------------------------------------------------------
+#: One numpy Mersenne Twister per thread, reused by every draw: its
+#: constructor seeds through a ``SeedSequence`` (about 0.2 ms, several
+#: times the 3,000 draws a clean needs).  Each draw overwrites the whole
+#: state before reading any, so no draw sees another's state, and no
+#: thread shares one.
+_GENERATORS = threading.local()
+
+
+def _mersenne_twister(seed: int) -> np.random.MT19937:
+    """A numpy Mersenne Twister in ``random.Random(seed)``'s exact state.
+
+    Its raw 32-bit outputs (``random_raw``) are the words
+    ``random.Random(seed)`` would draw from, in the same order.  The
+    generator is this thread's, so use it before the next call.
+    """
+    state = random.Random(seed).getstate()[1]
+    generator: Optional[np.random.MT19937] = getattr(_GENERATORS, "mt", None)
+    if generator is None:
+        generator = _GENERATORS.mt = np.random.MT19937(0)
+    generator.state = {
+        "bit_generator": "MT19937",
+        "state": {
+            "key": np.array(state[:-1], dtype=np.uint32),
+            "pos": state[-1],
+        },
+    }
+    return generator
+
+
+def draw_costs(
+    num_xtuples: int, low: int = 1, high: int = 10, seed: int = 0
+) -> np.ndarray:
+    """Integer probing costs uniform in ``[low, high]``, as an int64 array.
+
+    Bit for bit ``[random.Random(seed).randint(low, high) for _ in
+    range(num_xtuples)]``, drawn as one vector: ``randint`` takes the
+    top ``(high - low + 1).bit_length()`` bits of one 32-bit output and
+    rejects a value past the range, and so does this, over a block of
+    raw outputs.  A range of ``2**32`` values or more would take more
+    than one output per draw and raises ``ValueError``.
+    """
+    if low < 1 or high < low:
+        raise ValueError("need 1 <= low <= high")
+    width = high - low + 1
+    bits = width.bit_length()
+    if bits > 32:
+        raise ValueError(
+            f"a cost range of {width} values needs more than 32 random bits"
+        )
+    generator = _mersenne_twister(seed)
+    accepted = [np.zeros(0, dtype=np.uint64)]
+    count = 0
+    while count < num_xtuples:
+        # The expected number of outputs for the draws still owed, plus
+        # slack; a short block just draws another.
+        wanted = ((num_xtuples - count) << bits) // width + 16
+        candidates = generator.random_raw(wanted) >> (32 - bits)
+        accepted.append(candidates[candidates < width])
+        count += accepted[-1].size
+    return np.concatenate(accepted)[:num_xtuples].astype(np.int64) + low
+
+
+def draw_sc_probabilities(
+    num_xtuples: int, low: float = 0.0, high: float = 1.0, seed: int = 0
+) -> np.ndarray:
+    """sc-probabilities uniform in ``[low, high]``, as a float64 array.
+
+    Bit for bit ``[random.Random(seed).uniform(low, high) for _ in
+    range(num_xtuples)]``: each draw is ``low + (high - low) * r`` with
+    ``random()``'s 53-bit ``r = (a * 2**26 + b) / 2**53``, where ``a``
+    and ``b`` are the top 27 and 26 bits of two consecutive outputs.
+    """
+    if not 0.0 <= low <= high <= 1.0:
+        raise ValueError("need 0 <= low <= high <= 1")
+    words = _mersenne_twister(seed).random_raw(2 * num_xtuples)
+    r = ((words[0::2] >> 5) * 67108864 + (words[1::2] >> 6)) * (
+        1.0 / 9007199254740992.0
+    )
+    return low + (high - low) * r
+
+
 def generate_costs(
     db: ProbabilisticDatabase,
     low: int = 1,
@@ -157,11 +241,10 @@ def generate_costs(
     seed: int = 0,
 ) -> Dict[str, int]:
     """Integer probing costs, uniform in ``[low, high]`` (paper default
-    ``[1, 10]``), keyed by x-tuple id."""
-    if low < 1 or high < low:
-        raise ValueError("need 1 <= low <= high")
-    rng = random.Random(seed)
-    return {xt.xid: rng.randint(low, high) for xt in db.xtuples}
+    ``[1, 10]``), keyed by x-tuple id: :func:`draw_costs` in the
+    database's x-tuple order."""
+    costs = draw_costs(db.num_xtuples, low, high, seed)
+    return dict(zip([xt.xid for xt in db.xtuples], costs.tolist()))
 
 
 def generate_sc_probabilities(
@@ -180,21 +263,21 @@ def generate_sc_probabilities(
     distribution:
         ``"uniform"`` draws from ``U[low, high]`` (paper default
         ``[0, 1]``; the average-sc sweep of Figure 6(c) uses
-        ``[x, 1]``).  ``"normal"`` draws from ``N(mean, sigma²)``
-        clipped to ``[0, 1]`` (Figure 6(b) uses mean 0.5 and
-        σ ∈ {0.13, 0.167, 0.3}).
+        ``[x, 1]``) through :func:`draw_sc_probabilities`.
+        ``"normal"`` draws from ``N(mean, sigma²)`` clipped to
+        ``[0, 1]`` (Figure 6(b) uses mean 0.5 and σ ∈ {0.13, 0.167,
+        0.3}), one ``random.Random(seed).gauss`` call per x-tuple.
     """
-    rng = random.Random(seed)
+    xids = [xt.xid for xt in db.xtuples]
     if distribution == "uniform":
-        if not 0.0 <= low <= high <= 1.0:
-            raise ValueError("need 0 <= low <= high <= 1")
-        return {xt.xid: rng.uniform(low, high) for xt in db.xtuples}
+        sc = draw_sc_probabilities(len(xids), low, high, seed)
+        return dict(zip(xids, sc.tolist()))
     if distribution == "normal":
         if sigma <= 0.0:
             raise ValueError("sigma must be positive")
+        rng = random.Random(seed)
         return {
-            xt.xid: min(1.0, max(0.0, rng.gauss(mean, sigma)))
-            for xt in db.xtuples
+            xid: min(1.0, max(0.0, rng.gauss(mean, sigma))) for xid in xids
         }
     raise ValueError(
         f"distribution must be 'uniform' or 'normal', got {distribution!r}"

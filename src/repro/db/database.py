@@ -142,27 +142,53 @@ class ProbabilisticDatabase:
             Tuple[Dict[str, ProbabilisticTuple], Dict[str, int]]
         ] = None
         self._num_tuples = len(tids)
+        self._hash_records: Optional[List[bytes]] = None
+        self._content_hash: Optional[str] = None
 
-    @classmethod
-    def _derived(
-        cls, xtuples: Tuple[XTuple, ...], name: str, num_tuples: int
+    def _spliced(
+        self,
+        xtuples: Tuple[XTuple, ...],
+        num_tuples: int,
+        replaced: Mapping[int, XTuple],
+        removed: Sequence[int],
     ) -> "ProbabilisticDatabase":
-        """Trusted fast-path constructor for cleaning derivations.
+        """Trusted fast-path constructor of a cleaning derivation.
 
+        ``xtuples`` is this database with the x-tuples at the
+        ``replaced`` indices swapped for their replacements and the
+        ``removed`` indices dropped.
         :meth:`RankedDatabase.with_xtuples_changed` has already checked
         the replacements' ids against the database, so the duplicate
-        check is skipped and the O(m) x-tuple map is deferred to first
-        use (:meth:`xtuple`), like the per-tuple maps every database
-        builds lazily.  Internal use only -- arbitrary
-        x-tuple collections must go through ``__init__``.
+        check is skipped.  The x-tuple map and the content-hash
+        records (:meth:`content_hash`) are spliced from this
+        database's, when it has built them, at C speed: one dict or
+        list copy plus the changed entries.  Otherwise they, like the
+        per-tuple maps every database builds, are built on first use.
+        Internal use only -- arbitrary x-tuple collections must go
+        through ``__init__``.
         """
-        self = cls.__new__(cls)
-        self._xtuples = tuple(xtuples)
-        self.name = name
-        self._by_xid = None
-        self._tid_maps = None
-        self._num_tuples = num_tuples
-        return self
+        derived = ProbabilisticDatabase.__new__(ProbabilisticDatabase)
+        derived._xtuples = xtuples
+        derived.name = self.name
+        derived._tid_maps = None
+        derived._num_tuples = num_tuples
+        derived._content_hash = None
+        by_xid = self._by_xid
+        if by_xid is not None:
+            by_xid = by_xid.copy()
+            by_xid.update({xt.xid: xt for xt in replaced.values()})
+            for l in removed:
+                del by_xid[self._xtuples[l].xid]
+        derived._by_xid = by_xid
+        records = self._hash_records
+        if records is not None:
+            records = records.copy()
+            for l, xt in replaced.items():
+                records[l] = xt.encoded(_HASH_RECORD, _hash_record)
+            for l in sorted(removed, reverse=True):
+                del records[l]
+        derived._hash_records = records
+        return derived
 
     def _xid_map(self) -> Dict[str, XTuple]:
         if self._by_xid is None:
@@ -282,19 +308,24 @@ class ProbabilisticDatabase:
         The digest is one SHA-256 over the x-tuples' records joined in
         order.  Each record -- canonical JSON of ``[xid, [[tid, value,
         probability], ...]]`` plus a NUL separator -- is itself cached
-        on its :class:`~repro.db.tuples.XTuple`, and a derived snapshot
-        (:meth:`RankedDatabase.with_xtuples_changed`) shares every
-        unchanged ``XTuple`` with its base.  Hashing a cleaning outcome
-        therefore encodes only the x-tuples the cleaning changed, then
-        pays one join and one SHA-256 over the whole database.
+        on its :class:`~repro.db.tuples.XTuple`, and once a database
+        has hashed it keeps the list of its records (one reference per
+        x-tuple; no bytes are copied).  A snapshot derived from it by
+        :meth:`RankedDatabase.with_xtuples_changed` builds its own list
+        from that one, changed records replaced and removed ones
+        dropped, at C speed.  Hashing a cleaning outcome therefore
+        encodes only the x-tuples the cleaning changed, then pays one
+        join and one SHA-256 over the whole database.
         """
-        cached = getattr(self, "_content_hash", None)
+        cached = self._content_hash
         if cached is not None:
             return cached
-        records = b"".join(
-            [xt.encoded(_HASH_RECORD, _hash_record) for xt in self._xtuples]
-        )
-        digest = hashlib.sha256(records).hexdigest()
+        records = self._hash_records
+        if records is None:
+            records = self._hash_records = [
+                xt.encoded(_HASH_RECORD, _hash_record) for xt in self._xtuples
+            ]
+        digest = hashlib.sha256(b"".join(records)).hexdigest()
         self._content_hash = digest
         return digest
 
@@ -339,8 +370,12 @@ class ProbabilisticDatabase:
 ChangeSet = Dict[str, Optional[str]]
 
 
-def _same_content(a: XTuple, b: XTuple) -> bool:
-    """Whether two x-tuples hash as one: identity, else equal records."""
+def same_content(a: XTuple, b: XTuple) -> bool:
+    """Whether two x-tuples hash as one: identity, else equal records.
+
+    Each record is memoized on its x-tuple, so the check costs at most
+    one encoding per x-tuple.
+    """
     return a is b or a.encoded(_HASH_RECORD, _hash_record) == b.encoded(
         _HASH_RECORD, _hash_record
     )
@@ -368,12 +403,12 @@ def change_set(
             changes[xt.xid] = None
             continue
         j += 1
-        if _same_content(other, xt):
+        if same_content(other, xt):
             continue
         tid = other.alternatives[0].tid
         if len(other.alternatives) != 1 or tid not in xt.tids:
             return None
-        if not _same_content(other, xt.collapsed_to(tid)):
+        if not same_content(other, xt.collapsed_to(tid)):
             return None
         changes[xt.xid] = tid
     return changes if j == len(kept) else None
@@ -631,9 +666,8 @@ class RankedDatabase:
     @property
     def _xid_to_index(self) -> Dict[str, int]:
         if self._xid_to_index_map is None:
-            self._xid_to_index_map = {
-                xid: l for l, xid in enumerate(self.xtuple_ids)
-            }
+            ids = self.xtuple_ids
+            self._xid_to_index_map = dict(zip(ids, range(len(ids))))
         return self._xid_to_index_map
     @property
     def scores(self) -> List[float]:
@@ -864,15 +898,14 @@ class RankedDatabase:
         xtuple_ids = self.xtuple_ids
         xid_to_index = self._xid_to_index_map
         if removed:
-            keep = np.flatnonzero(~is_removed).tolist()
-            xtuples = [xtuples[l] for l in keep]
-            xtuple_ids = [xtuple_ids[l] for l in keep]
-            completion = completion[keep]
+            xtuple_ids = list(xtuple_ids)
+            for l in sorted(removed, reverse=True):
+                del xtuples[l]
+                del xtuple_ids[l]
+            completion = np.delete(completion, removed)
             xid_to_index = None
         new_ranked = RankedDatabase._patched(
-            db=ProbabilisticDatabase._derived(
-                tuple(xtuples), self.db.name, len(scores)
-            ),
+            db=self.db._spliced(tuple(xtuples), len(scores), replaced, removed),
             ranking=self.ranking,
             order=_OrderPatch(self._order_state, removed_rows, positions, members),
             scores=scores,

@@ -17,13 +17,14 @@ wrong data.
 **Segments** come in two kinds.  A *full* segment holds a snapshot's
 structure and ranked columns.  A *delta* segment holds only a cleaning
 outcome's base id and its change set (``{xid: revealed tid, or null
-for a revealed null}``; :func:`~repro.db.database.change_set`), a few
-hundred bytes where its full segment would be megabytes: the store
-writes one when the outcome's base is live, verified and fewer than
-:data:`MAX_DELTA_DEPTH` links above a full segment (see
-:meth:`SnapshotStore.persist`).  Both are written atomically: encode
-fully in memory, write to a ``.tmp-*`` sibling, fsync, rename over the
-final name, fsync the directory.  A crash before the rename leaves only
+for a revealed null}``, as the clean carried it), a few hundred bytes
+where its full segment would be megabytes: the store writes one when
+the outcome's base is live, verified and fewer than
+:data:`MAX_DELTA_DEPTH` links above a full segment, and the carried
+set passes its O(change) checks (see :meth:`SnapshotStore.persist`).
+Both are written atomically: encode fully in memory, write to a
+``.tmp-*`` sibling, fsync, rename over the final name, fsync the
+directory.  A crash before the rename leaves only
 a temp file (swept on open -> pre-state); after it, a fully durable
 segment (post-state).  Every decoded byte is checksummed
 (:mod:`repro.store.format`).  A full segment's rebuilt ranked view is
@@ -155,7 +156,6 @@ from repro.db.database import (
     ChangeSet,
     ProbabilisticDatabase,
     RankedDatabase,
-    change_set,
 )
 from repro.db.io import (
     database_from_dict,
@@ -908,6 +908,7 @@ class SnapshotStore:
         snapshot_id: str,
         ranked: RankedDatabase,
         base: Optional[str] = None,
+        changes: Optional[Mapping[str, Optional[str]]] = None,
     ) -> bool:
         """Durably write one snapshot segment; idempotent by id.
 
@@ -925,10 +926,13 @@ class SnapshotStore:
         checkpoint can sweep and no recovery will skip.
 
         ``base`` names the snapshot ``ranked`` was derived from (a
-        cleaning outcome's base).  It is provenance, not a switch: the
-        store writes a small *delta segment* -- the base id and the
-        change set (:func:`~repro.db.database.change_set`) -- only
-        when, under the exclusive lock, all of these hold:
+        cleaning outcome's base) and ``changes`` the change set that
+        derived it, ``{xid: revealed tid, or None for a removal}``, as
+        the clean carried it
+        (:attr:`~repro.cleaning.executor.CleaningOutcome.changes`).
+        They are provenance, not a switch: the store writes a small
+        *delta segment* -- the base id and ``changes`` -- only when,
+        under the exclusive lock, all of these hold:
 
         * the base's file exists and no tombstone names it;
         * this handle has verified the base's bytes and its own base
@@ -938,10 +942,19 @@ class SnapshotStore:
           disk is caught before anything depends on it;
         * the delta would sit at most :data:`MAX_DELTA_DEPTH` links
           above a full segment;
-        * ``ranked`` is the base with some x-tuples collapsed or
-          removed, under the base's name and ranking.
+        * ``ranked`` has the base's name and ranking;
+        * ``changes`` passes three checks that cost O(change), not a
+          walk of either database: every x-tuple it names is in the
+          held base, every tuple id is one of that x-tuple's
+          alternatives, and the base's x-tuple count less the removals
+          is ``ranked``'s.
 
-        Otherwise it writes a full segment.  Both kinds share one
+        Otherwise -- ``base`` or ``changes`` omitted included -- it
+        writes a full segment.  The content hash in a delta's header
+        is ``ranked``'s, and every open rebuilds the delta from its
+        base and checks that hash, so a change set that does not lead
+        to ``ranked`` is caught there (and quarantined) rather than
+        served.  Both kinds share one
         protocol and its ``segment:*`` fault steps: encode in memory,
         write a temp file, fsync, rename, fsync the directory.  Any
         ``OSError`` on the write path -- disk full, permissions --
@@ -980,7 +993,9 @@ class SnapshotStore:
                     self._link_of[snapshot_id] = _link_on_disk(final)
                     return False
                 _disk_step("segment:begin")
-                link = self._delta_link(ranked, descriptor, base, tombstoned)
+                link = self._delta_link(
+                    ranked, descriptor, base, changes, tombstoned
+                )
                 if link is not None:
                     payload = encode_segment(
                         snapshot_id=snapshot_id,
@@ -1053,11 +1068,12 @@ class SnapshotStore:
         ranked: RankedDatabase,
         descriptor: Mapping[str, Any],
         base: Optional[str],
+        changes: Optional[Mapping[str, Optional[str]]],
         tombstoned: Set[str],
     ) -> Optional[DeltaLink]:
-        """The link of a delta segment for ``ranked`` on ``base``, or
-        ``None`` when it must be written full (see :meth:`persist`).
-        Caller holds both locks."""
+        """The link of a delta segment for ``ranked`` on ``base`` with
+        ``changes``, or ``None`` when it must be written full (see
+        :meth:`persist`).  Caller holds both locks."""
         held = self._snapshots.get(base) if base is not None else None
         if (
             base is None
@@ -1069,12 +1085,13 @@ class SnapshotStore:
             return None
         base_link = self._link_of.get(base)
         depth = 1 + (base_link.depth if base_link is not None else 0)
-        if depth > MAX_DELTA_DEPTH:
+        if (
+            depth > MAX_DELTA_DEPTH
+            or changes is None
+            or not _applies_to(changes, held, ranked)
+        ):
             return None
-        changes = change_set(held.db, ranked.db)
-        if changes is None:
-            return None
-        return DeltaLink(base, depth, changes)
+        return DeltaLink(base, depth, dict(changes))
 
     def _verify_once(
         self, snapshot_id: str, tombstoned: Set[str], chain: Tuple[str, ...] = ()
@@ -1112,8 +1129,8 @@ class SnapshotStore:
         executed clean only -- journal replay never calls it, since
         the record it replays already covers the outcome.  The
         schema-2 record holds the outcome as its base plus its change
-        set (``changes``, :func:`~repro.db.database.change_set`;
-        omitted means nothing changed), with ``spec_payload``,
+        set (``changes``, as the clean carried it; omitted means
+        nothing changed), with ``spec_payload``,
         ``outcome_snapshot_id`` and ``outcome_hash`` kept as
         provenance.  Once this returns the record, a crash at any
         later point is recoverable: replay applies the change set to
@@ -1606,6 +1623,27 @@ def require_store(root: Union[str, Path]) -> None:
             f"no snapshot store at {str(root)!r}: it has no "
             f"{_SEGMENTS_DIR}/ directory"
         )
+
+
+def _applies_to(
+    changes: Mapping[str, Optional[str]],
+    held: RankedDatabase,
+    ranked: RankedDatabase,
+) -> bool:
+    """Whether ``changes`` can lead from ``held`` to ``ranked``, by
+    the checks that cost O(change): every x-tuple it names is in
+    ``held``, every tuple id is one of that x-tuple's alternatives,
+    and ``held``'s x-tuple count less the removals is ``ranked``'s."""
+    db = held.db
+    nulls = 0
+    for xid, tid in changes.items():
+        if not db.has_xtuple(xid):
+            return False
+        if tid is None:
+            nulls += 1
+        elif tid not in db.xtuple(xid).tids:
+            return False
+    return held.num_xtuples - nulls == ranked.num_xtuples
 
 
 def _link_on_disk(path: Path) -> Optional[DeltaLink]:

@@ -416,9 +416,11 @@ class TestDurableChangeSets:
             root = Path(tmp) / "store"
             store = SnapshotStore(root, durability="none")
             ids = []
-            for view in views:
+            for view, changes in zip(views, [None] + steps):
                 sid = snapshot_id_of(view.db)
-                store.persist(sid, view, base=ids[-1] if ids else None)
+                store.persist(
+                    sid, view, base=ids[-1] if ids else None, changes=changes
+                )
                 if ids:
                     # The change set round-trips against the base.
                     base = store.snapshots()[ids[-1]]

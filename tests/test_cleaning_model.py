@@ -1,16 +1,25 @@
 """Validation and value-object behaviour of the cleaning model."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 
+from repro.api.service import TopKService
+from repro.api.specs import CleaningSpec
+from repro.cleaning.greedy import GreedyCleaner
 from repro.cleaning.model import (
     CleaningPlan,
     CleaningProblem,
     EMPTY_PLAN,
     build_cleaning_problem,
 )
+from repro.cleaning.random_cleaners import RandPCleaner, RandUCleaner
 from repro.core.tp import compute_quality_tp
+from repro.datasets.synthetic import generate_synthetic
+from repro.db.database import ProbabilisticDatabase
+from repro.db.tuples import make_xtuple
 from repro.exceptions import InvalidCleaningProblemError
 
 
@@ -147,3 +156,108 @@ class TestCleaningPlan:
         plan = CleaningPlan(operations=source)
         source["S2"] = 5
         assert "S2" not in plan
+
+
+class TestArrayColumns:
+    def _arrays(self, quality, **override):
+        columns = {
+            "g_by_xtuple": quality.g_by_xtuple_array(),
+            "topk_mass_by_xtuple": (
+                quality.rank_probabilities.topk_mass_by_xtuple_array()
+            ),
+            "costs": np.array([1, 2, 3, 4], dtype=np.int64),
+            "sc_probabilities": np.array([0.5, 0.25, 0.75, 1.0]),
+        }
+        columns.update(override)
+        return CleaningProblem(
+            ranked=quality.ranked, k=2, budget=10, **columns
+        )
+
+    def test_scalar_readers_get_python_numbers(self, quality):
+        problem = self._arrays(quality)
+        assert problem.costs == (1, 2, 3, 4)
+        assert all(type(c) is int for c in problem.costs)
+        assert all(type(p) is float for p in problem.sc_probabilities)
+        assert all(type(g) is float for g in problem.g_by_xtuple)
+        assert all(type(p) is float for p in problem.topk_mass_by_xtuple)
+        assert problem.costs_array.dtype == np.int64
+        assert problem == _problem(
+            quality, sc={"S1": 0.5, "S2": 0.25, "S3": 0.75, "S4": 1.0}
+        )
+
+    @pytest.mark.parametrize(
+        "column, values",
+        [
+            ("costs", np.array([1.0, 2.0, 3.0, 4.0])),
+            ("costs", np.array([True, True, True, True])),
+            ("costs", np.array([1, 0, 1, 1])),
+            ("costs", np.array([1, 1, 1])),
+            ("sc_probabilities", np.array([0.5, 1.5, 0.5, 0.5])),
+            ("sc_probabilities", np.array([0.5, np.nan, 0.5, 0.5])),
+            ("g_by_xtuple", np.array([0.5, 0.0, 0.0, 0.0])),
+        ],
+        ids=["float-costs", "bool-costs", "zero-cost", "short", "sc-1.5",
+             "sc-nan", "positive-g"],
+    )
+    def test_arrays_validated_as_arrays(self, quality, column, values):
+        with pytest.raises(InvalidCleaningProblemError):
+            self._arrays(quality, **{column: values})
+
+    def test_bad_sc_value_named(self, quality):
+        with pytest.raises(InvalidCleaningProblemError, match="1.5"):
+            self._arrays(
+                quality, sc_probabilities=np.array([0.5, 1.5, 0.5, 0.5])
+            )
+
+    def test_payload_holds_no_numpy_scalars(self):
+        service = TopKService()
+        db = generate_synthetic(num_xtuples=60, completion=0.85, seed=2)
+        sid = service.register(db).snapshot_id
+        for adaptive in (False, True):
+            spec = CleaningSpec(k=5, budget=30, adaptive=adaptive, seed=4)
+            payload = service.clean(sid, spec).payload
+            assert type(payload["cost_spent"]) is int
+            assert type(payload["plan"]["total_cost"]) is int
+            json.dumps(payload)
+
+
+def _with_certain_xtuple(probability=1.0):
+    """udb1-like data whose ``C`` x-tuple is certain."""
+    return ProbabilisticDatabase(
+        [
+            make_xtuple("A", [("a1", 9.0, 0.5), ("a2", 3.0, 0.5)]),
+            make_xtuple("C", [("c1", 8.0, probability)]),
+            make_xtuple("B", [("b1", 7.0, 0.4), ("b2", 5.0, 0.6)]),
+        ]
+    )
+
+
+class TestCertainXTuplesAreNotCandidates:
+    """Cleaning a certain x-tuple leaves the database as it is
+    (Definition 5), so it is never in Z -- whatever float residue a
+    TP pass leaves in its g(l, D)."""
+
+    def _problem(self, db, g_certain=-4.4e-14):
+        ranked = db.ranked()
+        return CleaningProblem(
+            ranked=ranked,
+            k=2,
+            g_by_xtuple=(-0.5, g_certain, -0.25),
+            topk_mass_by_xtuple=(0.9, 1.0, 0.1),
+            costs=(1, 1, 1),
+            sc_probabilities=(0.9, 0.9, 0.9),
+            budget=10,
+        )
+
+    @pytest.mark.parametrize("probability", [1.0, 1.0 - 1e-13])
+    def test_residue_g_is_no_candidate(self, probability):
+        problem = self._problem(_with_certain_xtuple(probability))
+        assert problem.candidate_indices() == [0, 2]
+        for planner in (GreedyCleaner(), RandPCleaner(seed=1), RandUCleaner(seed=1)):
+            assert "C" not in planner.plan(problem).operations
+
+    def test_single_uncertain_alternative_stays_a_candidate(self):
+        # One alternative with null mass is not certain: cleaning it
+        # collapses it or removes it.
+        problem = self._problem(_with_certain_xtuple(0.7), g_certain=-0.1)
+        assert problem.candidate_indices() == [0, 1, 2]

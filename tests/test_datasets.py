@@ -1,6 +1,7 @@
 """Dataset generators: paper properties, determinism, validity."""
 
 import math
+import random
 import statistics
 
 import pytest
@@ -9,10 +10,16 @@ from repro.core.tp import compute_quality_tp
 from repro.datasets.mov import MovConfig, generate_mov, mov_ranking
 from repro.datasets.synthetic import (
     SyntheticConfig,
+    draw_costs,
+    draw_sc_probabilities,
     generate_costs,
     generate_sc_probabilities,
     generate_synthetic,
 )
+
+#: Seeds of the bit-for-bit draw checks: zero, small, negative, a
+#: 31-bit maximum, and seeds that take more than one 32-bit word.
+DRAW_SEEDS = [0, 1, -7, 12345, 2**31 - 1, 2**64 + 3, -(2**70)]
 
 
 class TestSyntheticGenerator:
@@ -192,3 +199,55 @@ class TestMovGenerator:
     def test_config_object_and_overrides_are_exclusive(self):
         with pytest.raises(TypeError):
             generate_mov(MovConfig(), num_xtuples=5)
+
+
+class TestArrayDraws:
+    """The array draws are ``random.Random(seed)``'s scalar draws, bit
+    for bit: the service's costs and sc-probabilities, and with them
+    every plan, outcome and snapshot id, do not depend on which one
+    drew them."""
+
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    @pytest.mark.parametrize("size", [0, 1, 3000])
+    def test_costs_equal_randint(self, seed, size):
+        rng = random.Random(seed)
+        expected = [rng.randint(1, 10) for _ in range(size)]
+        drawn = draw_costs(size, seed=seed)
+        assert drawn.dtype == "int64"
+        assert drawn.tolist() == expected
+
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    @pytest.mark.parametrize("size", [0, 1, 3000])
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.25, 0.75)])
+    def test_sc_probabilities_equal_uniform(self, seed, size, low, high):
+        rng = random.Random(seed)
+        expected = [rng.uniform(low, high) for _ in range(size)]
+        drawn = draw_sc_probabilities(size, low, high, seed=seed)
+        assert drawn.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "low, high", [(1, 1), (3, 7), (1, 16), (1, 17), (2, 2**32)]
+    )
+    def test_other_ranges_equal_randint(self, low, high):
+        # A single value still draws (and rejects) a bit per output;
+        # 16 values take 5 bits, as ``randbelow`` does; 2**32 - 1
+        # values take all 32.
+        for seed in (0, 99):
+            rng = random.Random(seed)
+            expected = [rng.randint(low, high) for _ in range(500)]
+            assert draw_costs(500, low, high, seed=seed).tolist() == expected
+
+    def test_ranges_wider_than_32_bits_rejected(self):
+        with pytest.raises(ValueError, match="32 random bits"):
+            draw_costs(3, 1, 2**32)
+
+    def test_dict_wrappers_follow_xtuple_order(self):
+        db = generate_synthetic(num_xtuples=40, seed=1)
+        xids = [xt.xid for xt in db.xtuples]
+        assert generate_costs(db, seed=3) == dict(
+            zip(xids, draw_costs(40, seed=3).tolist())
+        )
+        assert generate_sc_probabilities(db, seed=4) == dict(
+            zip(xids, draw_sc_probabilities(40, seed=4).tolist())
+        )
+        assert all(type(c) is int for c in generate_costs(db, seed=3).values())

@@ -73,10 +73,15 @@ def chain(ranked: RankedDatabase, links: int, seed: int = 0) -> List[RankedDatab
 def persist_chain(
     store: SnapshotStore, views: List[RankedDatabase], prefix: str
 ) -> List[str]:
-    """Persist ``views`` as ``prefix0``, ``prefix1``, ... each on the one before."""
+    """Persist ``views`` as ``prefix0``, ``prefix1``, ... each on the one
+    before, with the change set that leads to it."""
     ids = [f"{prefix}{i}" for i in range(len(views))]
     for i, (sid, view) in enumerate(zip(ids, views)):
-        assert store.persist(sid, view, base=ids[i - 1] if i else None) is True
+        if i:
+            changes = change_set(views[i - 1].db, view.db)
+            assert store.persist(sid, view, base=ids[i - 1], changes=changes)
+        else:
+            assert store.persist(sid, view) is True
     return ids
 
 
@@ -243,7 +248,7 @@ class TestDeltaSegments:
         outcome = ranked.with_change_set(changes)
         store = SnapshotStore(tmp_path / "store", durability="none")
         store.persist("base", ranked)
-        assert store.persist("out", outcome, base="base") is True
+        assert store.persist("out", outcome, base="base", changes=changes) is True
         path = segment_path(tmp_path / "store", "out")
         assert path.stat().st_size < 2048
         assert decode_segment(path.read_bytes()).link.changes == changes
@@ -367,7 +372,9 @@ class TestRetentionKeepsBases:
         # Another handle (another process) extends the chain; the GC
         # handle never loaded or wrote that delta.
         other = SnapshotStore(root, durability="none")
-        assert other.persist("x3", x[3], base=x_ids[-1]) is True
+        assert other.persist(
+            "x3", x[3], base=x_ids[-1], changes=change_set(x[2].db, x[3].db)
+        ) is True
         for age, sid in enumerate(["y0", *x_ids, "x3"]):
             os.utime(segment_path(root, sid), (1_000 + age, 1_000 + age))
 
@@ -431,7 +438,7 @@ def test_a_verified_base_is_read_back_once(tmp_path, monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Path, "read_bytes", counting)
-    store.persist("v2", views[2], base="v1")
-    store.persist("w", sibling, base="v1")
+    for sid, view in (("v2", views[2]), ("w", sibling)):
+        store.persist(sid, view, base="v1", changes=change_set(views[1].db, view.db))
     assert reads.count("v1" + SEGMENT_SUFFIX) == 1
     assert schema_of(root, "v2") == schema_of(root, "w") == 3

@@ -162,6 +162,52 @@ class TestServiceDeadlines:
                 sid, CleaningSpec(k=5, budget=10, deadline_ms=1e-6)
             )
 
+    def test_deadline_covers_adaptive_rounds(self, tmp_path, monkeypatch):
+        """A deadline that passes during the first round stops the run
+        before the second, and the clean publishes nothing."""
+        from types import SimpleNamespace
+
+        from conftest import open_service
+        from repro.api.specs import CleaningSpec
+        from repro.cleaning.greedy import GreedyCleaner
+        from repro.core import resilience
+        from repro.datasets.synthetic import generate_synthetic
+
+        root = tmp_path / "store"
+        service = open_service(root)
+        sid = service.register(
+            generate_synthetic(num_xtuples=300, seed=1)
+        ).snapshot_id
+        spec = CleaningSpec(k=20, budget=60, adaptive=True, seed=3)
+        # Without a deadline the run takes more than one round.
+        memory = TopKService()
+        other = memory.register(service.database(sid)).snapshot_id
+        assert memory.clean(other, spec).payload["rounds"] > 1
+
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(
+            resilience, "time", SimpleNamespace(monotonic=lambda: clock.now)
+        )
+        plan = GreedyCleaner.plan
+
+        def slow_plan(self, problem):
+            clock.now += 10.0  # past any deadline set at time 0
+            return plan(self, problem)
+
+        monkeypatch.setattr(GreedyCleaner, "plan", slow_plan)
+        snapshots = service.pool.num_snapshots
+        records = service.store.journal_records()
+        segments = sorted(p.name for p in (root / "segments").iterdir())
+        deadline = CleaningSpec(
+            k=20, budget=60, adaptive=True, seed=3, deadline_ms=1000.0
+        )
+        with pytest.raises(DeadlineExceededError, match="round 1"):
+            service.clean(sid, deadline)
+        assert clock.now == 10.0  # one round planned, then the check
+        assert service.pool.num_snapshots == snapshots
+        assert service.store.journal_records() == records
+        assert sorted(p.name for p in (root / "segments").iterdir()) == segments
+
 
 class TestAdmissionGate:
     def test_saturated_pool_sheds(self, small_synthetic):

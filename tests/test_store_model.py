@@ -4,7 +4,9 @@ Hypothesis drives a durable service through random sequences of the
 operations that change which segments exist and how they depend on
 each other -- register, executed clean (durable or memory-only), a
 durable clean that crashes at a journal step or before its segment is
-written, GC plus checkpoint, checkpoint, re-registering a GC victim's
+written, a bare ``persist`` of a view derived from a live snapshot
+(with ``base=`` and its change set, with ``base=`` alone, or with no
+base), GC plus checkpoint, checkpoint, re-registering a GC victim's
 content (resurrection) and reopening -- and after every step checks
 the store on disk against an in-memory model of what was
 acknowledged:
@@ -46,6 +48,7 @@ from hypothesis.stateful import (
 )
 
 from conftest import STORE_MODEL_PROFILE, open_service
+from repro.api.pool import snapshot_id_of
 from repro.api.specs import CleaningSpec
 from repro.datasets.synthetic import generate_synthetic
 from repro.db.database import ProbabilisticDatabase
@@ -237,6 +240,49 @@ class StoreModel(RuleBasedStateMachine):
                 owed["outcome_hash"]
             )
             self.acknowledge(outcome)
+
+    @precondition(lambda self: bool(self.live()))
+    @rule(data=st.data())
+    def persist(self, data: st.DataObject) -> None:
+        """Persist a view derived from a live snapshot straight through
+        the store.  Only ``base=`` with the view's change set may write
+        a delta; ``base=`` alone and no base write a full segment."""
+        base = data.draw(st.sampled_from(self.live()), label="base")
+        ranked = self.service.pool.ranked(base)
+        xtuples = ranked.db.xtuples
+        picks = data.draw(
+            st.lists(
+                st.sampled_from(xtuples),
+                unique_by=lambda xt: xt.xid,
+                min_size=1,
+                max_size=3,
+            ),
+            label="picks",
+        )
+        changes: Dict[str, Any] = {}
+        for xt in picks:
+            removable = len(xtuples) - list(changes.values()).count(None) > 1
+            options = list(xt.tids) + ([None] if removable else [])
+            changes[xt.xid] = data.draw(st.sampled_from(options), label=xt.xid)
+        view = ranked.with_change_set(changes)
+        how = data.draw(st.sampled_from(["changes", "base", "bare"]), label="how")
+        provenance: Dict[str, Any] = {
+            "changes": {"base": base, "changes": changes},
+            "base": {"base": base},
+            "bare": {},
+        }[how]
+        snapshot_id = snapshot_id_of(view.db)
+        self.service.store.persist(snapshot_id, view, **provenance)
+        if how != "changes" and snapshot_id not in self.live():
+            path = self.root / "segments" / (snapshot_id + SEGMENT_SUFFIX)
+            assert decode_segment(path.read_bytes()).link is None
+        # The pool learns the snapshot as the store holds it; it is on
+        # disk already.
+        self.service.pool.register(view, durable=False)
+        self.acked[snapshot_id] = view.db.content_hash()
+        self.contents[snapshot_id] = view.db
+        self.tombstoned.discard(snapshot_id)
+        self.memory_only.discard(snapshot_id)
 
     @rule(data=st.data(), keep=st.integers(0, 4))
     def gc(self, data: st.DataObject, keep: int) -> None:
