@@ -1,20 +1,20 @@
-"""Benchmark harness: scales, workload caches, per-figure experiments.
+"""Benchmark harness: scales, workload caches, the figure registry.
 
-Used by the pytest benchmarks under ``benchmarks/`` and by the
-standalone ``benchmarks/run_all.py`` figure runner.  Scale selection
-is via the ``REPRO_BENCH_SCALE`` environment variable
-(``quick`` / ``default`` / ``full``).  The service-level benchmark
-lives in ``perfbench/``.
+:data:`ALL_FIGURES` maps each paper figure and ablation to a
+:class:`Figure`: its table generator plus its shape check.
+``benchmarks/run_all.py`` regenerates the tables at a chosen scale and
+applies the checks; tier-1 applies them at quick scale.  The
+service-level benchmark lives in ``perfbench/``.
 """
 
-from repro.bench.harness import SCALES, BenchScale, Table, current_scale, time_call
-from repro.bench.figures import ALL_FIGURES
+from repro.bench.harness import SCALES, BenchScale, Table, time_call
+from repro.bench.figures import ALL_FIGURES, Figure
 
 __all__ = [
     "BenchScale",
     "SCALES",
-    "current_scale",
     "Table",
     "time_call",
     "ALL_FIGURES",
+    "Figure",
 ]

@@ -1,33 +1,38 @@
-"""One experiment function per table/figure of the paper's evaluation.
+"""The paper's figures and the ablations as one registry of claims.
 
 Each ``figNN`` function regenerates the corresponding figure's series
 at the requested :class:`~repro.bench.harness.BenchScale` and returns a
-:class:`~repro.bench.harness.Table` whose rows mirror the paper's axes.
-The pytest benchmarks under ``benchmarks/`` and the standalone runner
-``benchmarks/run_all.py`` are thin wrappers over these functions.
+:class:`~repro.bench.harness.Table` whose rows mirror the paper's axes;
+each ``ablation_*`` function measures an engineering choice the paper
+leaves open.  :data:`ALL_FIGURES` pairs every generator with its shape
+check: a function of the table that returns one message per violated
+claim, each naming the paper figure or sentence it tests.  Tier-1
+applies every check at quick scale; ``benchmarks/run_all.py`` applies
+them at any scale and exits 1 on a failure.
 
-Expected shapes (what the paper's figures show, and what EXPERIMENTS.md
-verifies against the output of these functions):
-
-* 4(a,c)   quality falls as k grows; MOV sits above synthetic.
-* 4(b)     G10 > G30 > G50 > G100 > uniform.
-* 4(d,e,f) PW >> PWR >> TP; PWR explodes with size and k; TP stays flat.
-* 5(a-d)   sharing cuts total time; the quality share shrinks with k.
-* 6(a,f)   DP >= Greedy >> RandP >= RandU; improvement -> |S| as C grows.
-* 6(b)     DP/Greedy benefit from wider sc-pdfs; randoms barely move.
-* 6(c,g)   every planner improves with the average sc-probability.
-* 6(d,e)   DP slowest by orders of magnitude; randoms cheapest.
+Value claims (qualities, improvements, gaps, |Z|, pw-result counts and
+PWR caps) are deterministic under the fixed seeds of
+:mod:`repro.bench.workloads`.  Timing claims are checked only where
+they hold by a wide margin; the claims the paper states at k = 100
+apply only to tables that have a k = 100 row (default scale and up).
 """
 
 from __future__ import annotations
 
+import math
+import random
 import statistics
-from typing import Callable, List, Optional, Sequence
+import time
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.harness import BenchScale, Table, time_call
 from repro.bench import workloads
+from repro.cleaning.adaptive import clean_adaptively
 from repro.cleaning.base import Cleaner
 from repro.cleaning.dp import DPCleaner
+from repro.cleaning.executor import execute_plan
 from repro.cleaning.greedy import GreedyCleaner
 from repro.cleaning.improvement import expected_improvement
 from repro.cleaning.model import CleaningProblem
@@ -41,13 +46,29 @@ from repro.queries import global_topk, ptk, ukranks
 from repro.queries.engine import evaluate, evaluate_without_sharing
 from repro.queries.psr import compute_rank_probabilities
 
+
+@dataclass(frozen=True)
+class Figure:
+    """One registry entry: a table generator and the check of its shape.
+
+    ``check`` returns one message per claim the table violates, each
+    naming the paper figure or sentence it tests; an empty list means
+    the table has the paper's shape.
+    """
+
+    generate: Callable[[BenchScale], Table]
+    check: Callable[[Table], List[str]]
+
+
 #: Random planners are averaged over this many seeds in the
 #: effectiveness figures (the paper plots a single draw).
 RANDOM_SEEDS = (0, 1, 2, 3, 4)
 
 #: DP item-ladder pruning used only where the paper's exact sweep is
-#: intractable in Python (budgets >= PRUNED_DP_FROM); bounded error,
-#: documented in DESIGN.md.
+#: intractable in Python (budgets >= PRUNED_DP_FROM).  Its additive
+#: error is bounded (see :mod:`repro.cleaning.dp`), and
+#: ``ablation_dp_pruning`` checks that it keeps the exact improvement
+#: within a relative 1e-9.
 DP_PRUNE_TOLERANCE = 1e-14
 PRUNED_DP_FROM = 1_000
 
@@ -81,6 +102,57 @@ def _mean_random_improvement(
     )
 
 
+def _rows(table: Table) -> List[Dict[str, Any]]:
+    return [dict(zip(table.columns, row)) for row in table.rows]
+
+
+def _ordered(table: Table, figure: str, high: str, low: str) -> List[str]:
+    """Rows where column ``high`` falls below column ``low`` (by 1e-9)."""
+    axis = table.columns[0]
+    return [
+        f"{figure}: {high} {row[high]:.4g} below {low} {row[low]:.4g} "
+        f"at {axis}={row[axis]}"
+        for row in _rows(table)
+        if row[high] < row[low] - 1e-9
+    ]
+
+
+def _rising(table: Table, figure: str, column: str) -> List[str]:
+    """Steps where ``column`` falls by more than 1e-9."""
+    axis = table.columns[0]
+    rows = _rows(table)
+    return [
+        f"{figure}: {column} falls from {a[column]:.4g} at {axis}={a[axis]} "
+        f"to {b[column]:.4g} at {axis}={b[axis]}"
+        for a, b in zip(rows, rows[1:])
+        if b[column] < a[column] - 1e-9
+    ]
+
+
+def _falling(table: Table, figure: str, column: str) -> List[str]:
+    """Steps where ``column`` does not strictly fall."""
+    axis = table.columns[0]
+    rows = _rows(table)
+    return [
+        f"{figure}: {column} {b[column]:.4g} at {axis}={b[axis]} not below "
+        f"{a[column]:.4g} at {axis}={a[axis]}"
+        for a, b in zip(rows, rows[1:])
+        if b[column] >= a[column]
+    ]
+
+
+def _grows(table: Table, figure: str, column: str) -> List[str]:
+    """``column`` does not end strictly above where it starts."""
+    axis = table.columns[0]
+    xs, curve = table.column(axis), table.column(column)
+    if curve[-1] > curve[0]:
+        return []
+    return [
+        f"{figure}: {column} {curve[-1]:.4g} at {axis}={xs[-1]} not above "
+        f"{curve[0]:.4g} at {axis}={xs[0]}"
+    ]
+
+
 # ----------------------------------------------------------------------
 # Figures 2 and 3: the paper's worked example
 # ----------------------------------------------------------------------
@@ -104,6 +176,21 @@ def fig2_fig3(scale: BenchScale) -> Table:
     return table
 
 
+def _check_fig2_3(table: Table) -> List[str]:
+    failures = []
+    for name, count, quality in (("udb1", 7, -2.55), ("udb2", 4, -1.85)):
+        rows = [row for row in table.rows if row[0] == name]
+        if len(rows) != count:
+            failures.append(
+                f"Figures 2-3: {name} has {len(rows)} pw-results, not {count}"
+            )
+        if rows and abs(rows[0][3] - quality) > 0.005:
+            failures.append(
+                f"Section I: quality({name}) = {rows[0][3]:.4f}, not {quality}"
+            )
+    return failures
+
+
 # ----------------------------------------------------------------------
 # Figure 4: quality scores and quality-computation time
 # ----------------------------------------------------------------------
@@ -119,6 +206,14 @@ def fig4a(scale: BenchScale) -> Table:
     for k in _ks_for_quality(scale):
         table.add_row(k, compute_quality_tp(ranked, k).quality)
     return table
+
+
+def _check_fig4a(table: Table) -> List[str]:
+    return _falling(table, "Figure 4(a)", "S") + [
+        f"Figure 4(a): S {score:.4g} above 0 at k={k}"
+        for k, score in table.rows
+        if score > 0.0
+    ]
 
 
 def fig4b(scale: BenchScale) -> Table:
@@ -142,18 +237,48 @@ def fig4b(scale: BenchScale) -> Table:
     return table
 
 
+def _check_fig4b(table: Table) -> List[str]:
+    scores = dict(zip(table.column("pdf"), table.column("S")))
+    failures = []
+    if scores["G10"] <= scores["G30"]:
+        failures.append(
+            f"Figure 4(b): G10 {scores['G10']:.4g} not above "
+            f"G30 {scores['G30']:.4g}"
+        )
+    for tighter, wider in (("G30", "G50"), ("G50", "G100"), ("G100", "Uniform")):
+        if scores[tighter] < scores[wider]:
+            failures.append(
+                f"Figure 4(b): {tighter} {scores[tighter]:.4g} below "
+                f"{wider} {scores[wider]:.4g}"
+            )
+    return failures
+
+
 def fig4c(scale: BenchScale) -> Table:
-    """Quality vs k on MOV (Figure 4(c))."""
+    """Quality vs k on MOV, next to synthetic's at equal m (Figure 4(c))."""
     ranked = workloads.mov_ranked(scale.mov_m)
     table = Table(
         experiment="fig4c",
         title=f"quality S vs k (MOV, m={scale.mov_m})",
-        columns=["k", "S"],
+        columns=["k", "S", "synthetic_S"],
         notes="paper shape: decreasing in k; higher than synthetic at equal m",
     )
     for k in _ks_for_quality(scale):
-        table.add_row(k, compute_quality_tp(ranked, k).quality)
+        table.add_row(
+            k,
+            compute_quality_tp(ranked, k).quality,
+            workloads.synthetic_quality(scale.clean_m, k).quality,
+        )
     return table
+
+
+def _check_fig4c(table: Table) -> List[str]:
+    return _falling(table, "Figure 4(c)", "S") + [
+        f"Figure 4(c): MOV's S {score:.4g} not above synthetic's "
+        f"{synthetic:.4g} at k={k}"
+        for k, score, synthetic in table.rows
+        if score <= synthetic
+    ]
 
 
 def _pwr_time_ms(
@@ -200,6 +325,31 @@ def fig4d(scale: BenchScale) -> Table:
     return table
 
 
+def _check_fig4d(table: Table) -> List[str]:
+    smallest, pw_ms, pwr_ms, _ = table.rows[0]
+    failures = []
+    if pw_ms is None or pwr_ms is None:
+        failures.append(f"Figure 4(d): PW or PWR did not run at {smallest} tuples")
+    # The smallest size (2 x-tuples, 100 worlds) takes PW and TP about
+    # 0.5 ms each, a tie wall clock cannot order; PW's blow-up shows
+    # from the next size on (about 6 ms against TP's 0.7 at 30 tuples).
+    ran = [row for row in table.rows if row[1] is not None]
+    for size, pw_ms, _, tp_ms in ran:
+        if size != smallest and pw_ms <= tp_ms:
+            failures.append(
+                f"Figure 4(d): PW {pw_ms:.3g} ms not above TP {tp_ms:.3g} ms "
+                f"at {size} tuples"
+            )
+    if ran:
+        size, pw_ms, _, tp_ms = ran[-1]
+        if pw_ms <= 10 * tp_ms:
+            failures.append(
+                f"Figure 4(d): PW {pw_ms:.3g} ms not 10x TP {tp_ms:.3g} ms at "
+                f"{size} tuples, the largest size PW ran at"
+            )
+    return failures
+
+
 def fig4e(scale: BenchScale) -> Table:
     """Quality time vs database size, PWR vs TP, k=15 (Figure 4(e))."""
     k = min(15, scale.k_max)
@@ -221,6 +371,26 @@ def fig4e(scale: BenchScale) -> Table:
     return table
 
 
+def _tp_ran(table: Table, figure: str) -> List[str]:
+    axis = table.columns[0]
+    return [
+        f"{figure}: TP did not run at {axis}={x}"
+        for x, tp_ms in zip(table.column(axis), table.column("TP_ms"))
+        if tp_ms is None
+    ]
+
+
+def _check_fig4e(table: Table) -> List[str]:
+    failures = _tp_ran(table, "Figure 4(e)")
+    size, pwr_ms, tp_ms = table.rows[-1]
+    if pwr_ms is not None and tp_ms is not None and pwr_ms <= tp_ms:
+        failures.append(
+            f"Figure 4(e): PWR {pwr_ms:.3g} ms ran uncapped and not above TP "
+            f"{tp_ms:.3g} ms at {size} tuples"
+        )
+    return failures
+
+
 def fig4f(scale: BenchScale) -> Table:
     """Quality time vs k, PWR vs TP (Figure 4(f))."""
     ranked = workloads.synthetic_ranked(scale.synth_m)
@@ -239,6 +409,14 @@ def fig4f(scale: BenchScale) -> Table:
             time_call(lambda: compute_quality_tp(ranked, k), repeats=scale.repeats),
         )
     return table
+
+
+def _check_fig4f(table: Table) -> List[str]:
+    failures = _tp_ran(table, "Figure 4(f)")
+    k, pwr_ms, _ = table.rows[-1]
+    if pwr_ms is not None:
+        failures.append(f"Figure 4(f): PWR ran uncapped ({pwr_ms:.3g} ms) at k={k}")
+    return failures
 
 
 # ----------------------------------------------------------------------
@@ -262,21 +440,48 @@ def fig5a(scale: BenchScale) -> Table:
     return table
 
 
-def _ptk_query_ms(ranked: RankedDatabase, k: int, repeats: int) -> float:
-    def run() -> None:
+def _check_fig5a(table: Table) -> List[str]:
+    # The paper states the saving at k = 100 ("about 52%").  A sweep
+    # that stops short of it (quick scale) times each point in a few
+    # milliseconds, where one slow run flips a fraction.
+    fractions = dict(zip(table.column("k"), table.column("sharing_fraction")))
+    if 100 not in fractions:
+        return []
+    failures = [
+        f"Figure 5(a): sharing takes {fraction:.2f} of the non-sharing time "
+        f"at k={k}"
+        for k, fraction in fractions.items()
+        if fraction >= 1.05
+    ]
+    if fractions[100] >= 0.75:
+        failures.append(
+            f"Figure 5(a): sharing takes {fractions[100]:.2f} of the "
+            f"non-sharing time at k=100, paper: about 0.52"
+        )
+    return failures
+
+
+def _ptk_then_quality_ms(
+    ranked: RankedDatabase, k: int, repeats: int
+) -> Tuple[float, float]:
+    """Best-of-``repeats`` PT-k query time and extra quality time.
+
+    Each repeat runs the query's PSR pass, then the quality step on that
+    pass's rank probabilities, as the shared pipeline does.  Timed alone,
+    back to back, the quality step reads about half as long, and too
+    noisy to order Figure 5(b)'s shares.
+    """
+    query_s = quality_s = float("inf")
+    for _ in range(max(1, repeats)):
+        start = time.perf_counter()
         rank_probs = compute_rank_probabilities(ranked, k)
         ptk.answer_from_rank_probabilities(rank_probs, 0.1)
-
-    return time_call(run, repeats=repeats)
-
-
-def _quality_extra_ms(ranked: RankedDatabase, k: int, repeats: int) -> float:
-    """Marginal quality cost when rank probabilities are shared."""
-    rank_probs = compute_rank_probabilities(ranked, k)
-    return time_call(
-        lambda: compute_quality_tp(ranked, k, rank_probabilities=rank_probs),
-        repeats=repeats,
-    )
+        middle = time.perf_counter()
+        compute_quality_tp(ranked, k, rank_probabilities=rank_probs)
+        end = time.perf_counter()
+        query_s = min(query_s, middle - start)
+        quality_s = min(quality_s, end - middle)
+    return query_s * 1000.0, quality_s * 1000.0
 
 
 def _sharing_split_table(
@@ -289,12 +494,18 @@ def _sharing_split_table(
         notes="paper: quality share of total falls as k grows (33% -> 6%)",
     )
     for k in _ks_for_sharing(scale):
-        query_ms = _ptk_query_ms(ranked, k, scale.repeats)
-        quality_ms = _quality_extra_ms(ranked, k, scale.repeats)
+        query_ms, quality_ms = _ptk_then_quality_ms(ranked, k, scale.repeats)
         table.add_row(
             k, query_ms, quality_ms, quality_ms / (query_ms + quality_ms)
         )
     return table
+
+
+def _quality_share_below_half(table: Table, figure: str) -> List[str]:
+    k, share = table.rows[-1][0], table.column("quality_share")[-1]
+    if share < 0.5:
+        return []
+    return [f"{figure}: quality takes {share:.2f} of query plus quality at k={k}"]
 
 
 def fig5b(scale: BenchScale) -> Table:
@@ -305,6 +516,21 @@ def fig5b(scale: BenchScale) -> Table:
         scale,
         f"synthetic, m={scale.synth_m}",
     )
+
+
+def _check_fig5b(table: Table) -> List[str]:
+    failures = _quality_share_below_half(table, "Figure 5(b)")
+    # Stated between k = 15 and k = 100 ("33.3% at k = 15 to 6.3% at
+    # k = 100"); below k = 100 (quick scale) the shares are too close
+    # for wall clock to order.
+    shares = dict(zip(table.column("k"), table.column("quality_share")))
+    first = table.rows[0][0]
+    if 100 in shares and shares[100] >= shares[first]:
+        failures.append(
+            f"Figure 5(b): quality share {shares[100]:.3f} at k=100 not below "
+            f"{shares[first]:.3f} at k={first}"
+        )
+    return failures
 
 
 def fig5c(scale: BenchScale) -> Table:
@@ -330,19 +556,53 @@ def fig5c(scale: BenchScale) -> Table:
             timed(ukranks.answer_from_rank_probabilities, k),
             timed(global_topk.answer_from_rank_probabilities, k),
             timed(lambda rp: ptk.answer_from_rank_probabilities(rp, 0.1), k),
-            _quality_extra_ms(ranked, k, scale.repeats),
+            _ptk_then_quality_ms(ranked, k, scale.repeats)[1],
         )
     return table
 
 
+def _check_fig5c(table: Table) -> List[str]:
+    failures = []
+    for k, *queries_ms, quality_ms in table.rows:
+        if quality_ms >= max(queries_ms):
+            failures.append(
+                f"Figure 5(c): quality extra {quality_ms:.3g} ms not below the "
+                f"slowest query's {max(queries_ms):.3g} ms at k={k}"
+            )
+    return failures
+
+
+def _nonzero_tuples(ranked: RankedDatabase, k: int) -> int:
+    return sum(1 for _ in compute_rank_probabilities(ranked, k).nonzero_tuples())
+
+
 def fig5d(scale: BenchScale) -> Table:
-    """Figure 5(b) on MOV (Figure 5(d))."""
-    return _sharing_split_table(
-        "fig5d",
-        workloads.mov_ranked(scale.mov_m),
-        scale,
-        f"MOV, m={scale.mov_m}",
-    )
+    """Figure 5(b) on MOV, with both datasets' nonzero sets (Figure 5(d))."""
+    mov = workloads.mov_ranked(scale.mov_m)
+    synthetic = workloads.synthetic_ranked(scale.clean_m)
+    table = _sharing_split_table("fig5d", mov, scale, f"MOV, m={scale.mov_m}")
+    # The paper puts MOV's speed down to its smaller nonzero set: 75
+    # tuples with nonzero top-k probability against synthetic's 579 at
+    # k=15.
+    table.columns += ["nonzero", "synthetic_nonzero"]
+    table.rows = [
+        row + (_nonzero_tuples(mov, row[0]), _nonzero_tuples(synthetic, row[0]))
+        for row in table.rows
+    ]
+    return table
+
+
+def _check_fig5d(table: Table) -> List[str]:
+    return _quality_share_below_half(table, "Figure 5(d)") + [
+        f"Figure 5(d): MOV has {nonzero} tuples with nonzero top-k "
+        f"probability, synthetic {synthetic}, at k={k}"
+        for k, nonzero, synthetic in zip(
+            table.column("k"),
+            table.column("nonzero"),
+            table.column("synthetic_nonzero"),
+        )
+        if nonzero >= synthetic
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -380,6 +640,14 @@ def fig6a(scale: BenchScale) -> Table:
     return table
 
 
+def _check_fig6a(table: Table) -> List[str]:
+    return (
+        _ordered(table, "Figure 6(a)", "DP", "Greedy")
+        + _ordered(table, "Figure 6(a)", "Greedy", "RandP")
+        + _rising(table, "Figure 6(a)", "DP")
+    )
+
+
 def fig6b(scale: BenchScale) -> Table:
     """Expected improvement vs sc-pdf (Figure 6(b))."""
     k = min(15, scale.k_max)
@@ -401,6 +669,25 @@ def fig6b(scale: BenchScale) -> Table:
         )
         _improvement_rows(table, problem, label)
     return table
+
+
+def _check_fig6b(table: Table) -> List[str]:
+    # The paper's robust contrast: the uniform sc-pdf, the widest,
+    # maximizes the informed planners' improvement.  The order among
+    # the three normals is a single-draw effect (the paper plots one
+    # draw as well), so it is not checked.
+    uniform = {row["sc_pdf"]: row for row in _rows(table)}["uniform"]
+    failures = []
+    for planner in ("DP", "Greedy"):
+        best = max(table.column(planner))
+        if uniform[planner] < best - 1e-9:
+            failures.append(
+                f"Figure 6(b): {planner} {uniform[planner]:.4g} under the "
+                f"uniform sc-pdf below its best {best:.4g}"
+            )
+    for high, low in (("DP", "Greedy"), ("Greedy", "RandP"), ("Greedy", "RandU")):
+        failures += _ordered(table, "Figure 6(b)", high, low)
+    return failures
 
 
 def _avg_sc_table(
@@ -437,6 +724,13 @@ def fig6c(scale: BenchScale) -> Table:
     )
 
 
+def _check_fig6c(table: Table) -> List[str]:
+    failures = []
+    for planner in ("DP", "Greedy", "RandP", "RandU"):
+        failures += _grows(table, "Figure 6(c)", planner)
+    return failures + _rising(table, "Figure 6(c)", "DP")
+
+
 def fig6d(scale: BenchScale) -> Table:
     """Planning time vs budget (Figure 6(d))."""
     k = min(15, scale.k_max)
@@ -460,6 +754,15 @@ def fig6d(scale: BenchScale) -> Table:
             time_call(lambda: RandUCleaner().plan(problem), repeats=scale.repeats),
         )
     return table
+
+
+def _check_fig6d(table: Table) -> List[str]:
+    return [
+        f"Figure 6(d): DP {dp_ms:.3g} ms not above Greedy {greedy_ms:.3g} ms "
+        f"at C={budget}"
+        for budget, dp_ms, greedy_ms, _, _ in table.rows
+        if dp_ms <= greedy_ms
+    ] + _grows(table, "Figure 6(d)", "DP_ms")
 
 
 def fig6e(scale: BenchScale) -> Table:
@@ -486,6 +789,21 @@ def fig6e(scale: BenchScale) -> Table:
     return table
 
 
+def _check_fig6e(table: Table) -> List[str]:
+    ks, candidates = table.column("k"), table.column("num_candidates")
+    failures = [
+        f"Figure 6(e): DP {dp_ms:.3g} ms below Greedy {greedy_ms:.3g} ms at k={k}"
+        for k, _, dp_ms, greedy_ms, _, _ in table.rows
+        if dp_ms < greedy_ms
+    ]
+    if candidates[-1] < candidates[0]:
+        failures.append(
+            f"Figure 6(e): |Z| {candidates[-1]} at k={ks[-1]} below "
+            f"{candidates[0]} at k={ks[0]}"
+        )
+    return failures
+
+
 def fig6f(scale: BenchScale) -> Table:
     """Improvement vs budget on MOV (Figure 6(f))."""
     k = min(15, scale.k_max)
@@ -505,6 +823,14 @@ def fig6f(scale: BenchScale) -> Table:
     return table
 
 
+def _check_fig6f(table: Table) -> List[str]:
+    return (
+        _ordered(table, "Figure 6(f)", "DP", "Greedy")
+        + _ordered(table, "Figure 6(f)", "Greedy", "RandU")
+        + _rising(table, "Figure 6(f)", "DP")
+    )
+
+
 def fig6g(scale: BenchScale) -> Table:
     """Improvement vs average sc-probability on MOV (Figure 6(g))."""
     return _avg_sc_table(
@@ -516,24 +842,233 @@ def fig6g(scale: BenchScale) -> Table:
     )
 
 
-#: Registry used by run_all.py and the smoke tests.
-ALL_FIGURES = {
-    "fig2_3": fig2_fig3,
-    "fig4a": fig4a,
-    "fig4b": fig4b,
-    "fig4c": fig4c,
-    "fig4d": fig4d,
-    "fig4e": fig4e,
-    "fig4f": fig4f,
-    "fig5a": fig5a,
-    "fig5b": fig5b,
-    "fig5c": fig5c,
-    "fig5d": fig5d,
-    "fig6a": fig6a,
-    "fig6b": fig6b,
-    "fig6c": fig6c,
-    "fig6d": fig6d,
-    "fig6e": fig6e,
-    "fig6f": fig6f,
-    "fig6g": fig6g,
+def _check_fig6g(table: Table) -> List[str]:
+    return (
+        _rising(table, "Figure 6(g)", "DP")
+        + _rising(table, "Figure 6(g)", "Greedy")
+        + _grows(table, "Figure 6(g)", "RandU")
+    )
+
+
+# ----------------------------------------------------------------------
+# Ablations: choices the paper leaves open
+# ----------------------------------------------------------------------
+def ablation_adaptive(scale: BenchScale) -> Table:
+    """Adaptive re-planning against one-shot planning at equal budget.
+
+    The paper plans once, before any probe runs, and leaves
+    re-investing the budget to future work (Section V-A).  This
+    measures the mean *realized* improvement of the adaptive loop and
+    of the one-shot plan over simulated executions.
+    """
+    k = min(15, scale.k_max)
+    budget = min(100, scale.budget_max)
+    # A moderate size keeps the repeated TP re-evaluations cheap.
+    m = min(scale.clean_m, 1_000)
+    problem = workloads.synthetic_cleaning_problem(m, k, budget)
+    db = workloads.synthetic_db(m)
+    planner = GreedyCleaner()
+    trials = 30 if scale.name != "quick" else 10
+    rng = random.Random(12345)
+    adaptive: List[float] = []
+    oneshot: List[float] = []
+    for _ in range(trials):
+        result = clean_adaptively(db, problem, planner, rng=rng)
+        adaptive.append(result.realized_improvement)
+        outcome = execute_plan(db, problem, planner.plan(problem), rng=rng)
+        after = compute_quality_tp(outcome.cleaned_db.ranked(), k).quality
+        oneshot.append(after - problem.quality)
+    table = Table(
+        experiment="ablation_adaptive",
+        title=f"adaptive vs one-shot planning (m={m}, C={budget}, {trials} trials)",
+        columns=["strategy", "mean_realized_improvement"],
+        notes="adaptive re-invests budget freed by early probe successes",
+    )
+    table.add_row("one-shot", statistics.fmean(oneshot))
+    table.add_row("adaptive", statistics.fmean(adaptive))
+    return table
+
+
+def _check_ablation_adaptive(table: Table) -> List[str]:
+    means = dict(table.rows)
+    oneshot, adaptive = means["one-shot"], means["adaptive"]
+    if adaptive >= oneshot - 0.1 * abs(oneshot):
+        return []
+    return [
+        f"Section V-A: adaptive re-planning's {adaptive:.4g} is more than 10% "
+        f"below one-shot planning's {oneshot:.4g}"
+    ]
+
+
+def _ablation_dp_problem(scale: BenchScale) -> CleaningProblem:
+    k = min(15, scale.k_max)
+    budget = min(1_000, scale.budget_max)
+    return workloads.synthetic_cleaning_problem(scale.clean_m, k, budget)
+
+
+def ablation_dp_pruning(scale: BenchScale) -> Table:
+    """DP with and without item pruning: planning time and improvement.
+
+    Pruning (:data:`DP_PRUNE_TOLERANCE`) is what keeps the figures'
+    large budgets tractable in Python; it must not change the achieved
+    improvement beyond float noise.
+    """
+    problem = _ablation_dp_problem(scale)
+    table = Table(
+        experiment="ablation_dp_pruning",
+        title=f"DP item pruning at C={problem.budget}",
+        columns=["variant", "time_ms", "improvement"],
+    )
+    for label, planner in (
+        ("exact", DPCleaner()),
+        (
+            f"pruned({DP_PRUNE_TOLERANCE:g})",
+            DPCleaner(prune_tolerance=DP_PRUNE_TOLERANCE),
+        ),
+    ):
+        table.add_row(
+            label,
+            time_call(lambda: planner.plan(problem), repeats=scale.repeats),
+            expected_improvement(problem, planner.plan(problem)),
+        )
+    return table
+
+
+def _check_ablation_dp_pruning(table: Table) -> List[str]:
+    exact, pruned = table.column("improvement")
+    if math.isclose(pruned, exact, rel_tol=1e-9, abs_tol=1e-12):
+        return []
+    return [
+        f"DP pruning: improvement {pruned:.12g} is not within a relative 1e-9 "
+        f"of the exact {exact:.12g}"
+    ]
+
+
+def ablation_knapsack_backend(scale: BenchScale) -> Table:
+    """Planning time of the numpy knapsack DP against the pure-Python one."""
+    problem = _ablation_dp_problem(scale)
+    table = Table(
+        experiment="ablation_knapsack_backend",
+        title=f"knapsack backend at C={problem.budget}",
+        columns=["backend", "time_ms"],
+    )
+    table.add_row(
+        "numpy",
+        time_call(
+            lambda: DPCleaner(use_numpy=True).plan(problem), repeats=scale.repeats
+        ),
+    )
+    table.add_row(
+        "pure-python",
+        time_call(lambda: DPCleaner(use_numpy=False).plan(problem), repeats=1),
+    )
+    return table
+
+
+def _check_ablation_knapsack_backend(table: Table) -> List[str]:
+    times = dict(table.rows)
+    if times["numpy"] < times["pure-python"]:
+        return []
+    return [
+        f"knapsack backend: numpy {times['numpy']:.3g} ms not below "
+        f"pure Python's {times['pure-python']:.3g} ms"
+    ]
+
+
+def ablation_greedy_gap(scale: BenchScale) -> Table:
+    """Greedy's relative gap to the exact DP optimum across budgets.
+
+    The paper calls Greedy close to optimal by the overlap of the two
+    curves in Figure 6(a); this puts a number on it.
+    """
+    k = min(15, scale.k_max)
+    table = Table(
+        experiment="ablation_greedy_gap",
+        title=f"Greedy's optimality gap vs budget (m={scale.clean_m}, k={k})",
+        columns=["C", "DP", "Greedy", "relative_gap"],
+        notes="gap = (DP - Greedy) / DP; paper claims visual overlap",
+    )
+    # Exact DP only (no pruning) for a fair gap.
+    for budget in (c for c in _budgets(scale) if c <= 10_000):
+        problem = workloads.synthetic_cleaning_problem(scale.clean_m, k, budget)
+        dp_value = expected_improvement(problem, DPCleaner().plan(problem))
+        greedy_value = expected_improvement(problem, GreedyCleaner().plan(problem))
+        gap = 0.0 if dp_value == 0.0 else (dp_value - greedy_value) / dp_value
+        table.add_row(budget, dp_value, greedy_value, gap)
+    return table
+
+
+def _check_ablation_greedy_gap(table: Table) -> List[str]:
+    return [
+        f"Figure 6(a): Greedy {greedy:.4g} more than 1% below DP {dp:.4g} "
+        f"at C={budget}"
+        for budget, dp, greedy, gap in table.rows
+        if gap >= 0.01
+    ]
+
+
+def ablation_randu_pool(scale: BenchScale) -> Table:
+    """RandU drawing from the candidate set Z or from every x-tuple.
+
+    The paper does not say which pool RandU draws from;
+    :class:`~repro.cleaning.random_cleaners.RandUCleaner` defaults to
+    the charitable reading, Z.  Drawing from all x-tuples when few
+    carry quality mass wastes almost the whole budget.
+    """
+    k = min(15, scale.k_max)
+    budget = min(100, scale.budget_max)
+    problem = workloads.synthetic_cleaning_problem(scale.clean_m, k, budget)
+    table = Table(
+        experiment="ablation_randu_pool",
+        title=f"RandU candidate pool (m={scale.clean_m}, C={budget})",
+        columns=["pool", "mean_improvement"],
+        notes="'nonzero' = RandUCleaner's default reading of the paper",
+    )
+    for label, pool in (("nonzero (Z)", "nonzero"), ("all x-tuples", "all")):
+        table.add_row(
+            label,
+            _mean_random_improvement(partial(RandUCleaner, candidates=pool), problem),
+        )
+    return table
+
+
+def _check_ablation_randu_pool(table: Table) -> List[str]:
+    means = dict(table.rows)
+    nonzero, everything = means["nonzero (Z)"], means["all x-tuples"]
+    if nonzero > everything:
+        return []
+    return [
+        f"Section VI (RandU): drawing from Z gives {nonzero:.4g}, not above "
+        f"drawing from every x-tuple's {everything:.4g}"
+    ]
+
+
+#: Every paper figure and ablation by name: its generator and its shape
+#: check.  ``benchmarks/run_all.py`` and tier-1 read it.
+ALL_FIGURES: Dict[str, Figure] = {
+    "fig2_3": Figure(fig2_fig3, _check_fig2_3),
+    "fig4a": Figure(fig4a, _check_fig4a),
+    "fig4b": Figure(fig4b, _check_fig4b),
+    "fig4c": Figure(fig4c, _check_fig4c),
+    "fig4d": Figure(fig4d, _check_fig4d),
+    "fig4e": Figure(fig4e, _check_fig4e),
+    "fig4f": Figure(fig4f, _check_fig4f),
+    "fig5a": Figure(fig5a, _check_fig5a),
+    "fig5b": Figure(fig5b, _check_fig5b),
+    "fig5c": Figure(fig5c, _check_fig5c),
+    "fig5d": Figure(fig5d, _check_fig5d),
+    "fig6a": Figure(fig6a, _check_fig6a),
+    "fig6b": Figure(fig6b, _check_fig6b),
+    "fig6c": Figure(fig6c, _check_fig6c),
+    "fig6d": Figure(fig6d, _check_fig6d),
+    "fig6e": Figure(fig6e, _check_fig6e),
+    "fig6f": Figure(fig6f, _check_fig6f),
+    "fig6g": Figure(fig6g, _check_fig6g),
+    "ablation_adaptive": Figure(ablation_adaptive, _check_ablation_adaptive),
+    "ablation_dp_pruning": Figure(ablation_dp_pruning, _check_ablation_dp_pruning),
+    "ablation_knapsack_backend": Figure(
+        ablation_knapsack_backend, _check_ablation_knapsack_backend
+    ),
+    "ablation_greedy_gap": Figure(ablation_greedy_gap, _check_ablation_greedy_gap),
+    "ablation_randu_pool": Figure(ablation_randu_pool, _check_ablation_randu_pool),
 }

@@ -1,21 +1,21 @@
 """Benchmark harness: scales, timing, result tables.
 
-Every figure of the paper's evaluation section has a function in
+Every figure of the paper's evaluation section has a generator in
 :mod:`repro.bench.figures` that regenerates its series and returns a
 :class:`Table`.  This module holds the shared machinery:
 
 * :class:`BenchScale` -- workload sizes per scale tier.  The authors
   ran C++ on an i5; pure Python cannot sweep to 10^6 tuples or budget
   10^5 in the same wall-clock, so the ``default`` tier trims sweep
-  end-points while preserving every *shape* the paper reports.  Select
-  with ``REPRO_BENCH_SCALE=quick|default|full``.
+  end-points while preserving every *shape* the paper reports.
+  ``benchmarks/run_all.py --scale`` picks a tier from :data:`SCALES`;
+  tier-1 runs ``quick``.
 * :class:`Table` -- a printable, saveable experiment result.
 * :func:`time_call` -- best-of-N wall-clock timing.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +40,8 @@ class BenchScale:
     budget_max: int
     #: PWR is abandoned past this many pw-results (reported as capped).
     pwr_max_results: int
-    #: Timing repetitions (best-of).
+    #: Timing repetitions (best-of).  At least 3, so that a kernel's
+    #: cold first call in a process is never the one reported.
     repeats: int
 
 
@@ -53,7 +54,7 @@ SCALES = {
         k_max=50,
         budget_max=1_000,
         pwr_max_results=50_000,
-        repeats=1,
+        repeats=3,
     ),
     "default": BenchScale(
         name="default",
@@ -76,16 +77,6 @@ SCALES = {
         repeats=3,
     ),
 }
-
-
-def current_scale() -> BenchScale:
-    """The scale selected by ``REPRO_BENCH_SCALE`` (default: "default")."""
-    name = os.environ.get("REPRO_BENCH_SCALE", "default").lower()
-    if name not in SCALES:
-        raise ValueError(
-            f"REPRO_BENCH_SCALE must be one of {sorted(SCALES)}, got {name!r}"
-        )
-    return SCALES[name]
 
 
 #: Wall clock (seconds) after which :func:`time_call` stops repeating.

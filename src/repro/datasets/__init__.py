@@ -5,7 +5,8 @@
 * :mod:`repro.datasets.synthetic` -- the Section VI generator plus the
   cleaning-experiment knobs (costs, sc-pdfs);
 * :mod:`repro.datasets.mov` -- the simulated Netflix movie-rating
-  database (see DESIGN.md for the substitution rationale).
+  database (its module docstring says why it is simulated and which
+  properties it keeps).
 """
 
 from repro.datasets.mov import MovConfig, generate_mov, mov_ranking

@@ -1447,7 +1447,9 @@ class SnapshotStore:
         is rebuilt from its base at open, so collecting the base would
         lose the delta.  Which base a live segment names is read from
         its header on disk, under the lock, so the deltas of another
-        process are protected too.
+        process are protected too.  Victims are tombstoned deltas
+        before their bases, so a GC that crashes between two tombstone
+        appends leaves every live delta's base live.
 
         ``in_use`` may be a callable instead of an id collection; it
         is then evaluated *under the store's exclusive lock*, at the
@@ -1510,6 +1512,17 @@ class SnapshotStore:
             victims = [
                 segment_id for segment_id in live if segment_id not in keep
             ]
+            # A delta is tombstoned before its base, so a crash between
+            # two appends never leaves a live delta on a tombstoned base.
+            links = {v: _link_on_disk(self._segment_path(v)) for v in victims}
+
+            def depth(segment_id: str) -> int:
+                n, link = 0, links[segment_id]
+                while link is not None and link.base in links and n < len(links):
+                    n, link = n + 1, links[link.base]
+                return n
+
+            victims.sort(key=depth, reverse=True)
         for segment_id in victims:
             _disk_step("gc:tombstone")
             record = {

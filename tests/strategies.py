@@ -1,9 +1,8 @@
 """Shared hypothesis strategies for the test suite.
 
 Importable as a plain module (``from strategies import databases``), so
-test modules never depend on conftest import semantics -- the previous
-``from conftest import ...`` pattern resolved to ``benchmarks/conftest``
-when pytest collected both directories.
+test modules never depend on which ``conftest`` module pytest put on
+the import path.
 
 The central strategy, :func:`databases`, generates small random x-tuple
 databases -- optionally complete (every x-tuple's probabilities sum to

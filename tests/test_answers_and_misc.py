@@ -72,18 +72,20 @@ class TestAnswerObjects:
             answer.k = 3
 
 
-class TestRunAllScript:
-    def test_single_experiment(self, tmp_path, capsys, monkeypatch):
-        import importlib.util
-        from pathlib import Path
+def _run_all_module():
+    import importlib.util
+    from pathlib import Path
 
-        script = (
-            Path(__file__).parent.parent / "benchmarks" / "run_all.py"
-        )
-        spec = importlib.util.spec_from_file_location("run_all", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        code = module.main(
+    script = Path(__file__).parent.parent / "benchmarks" / "run_all.py"
+    spec = importlib.util.spec_from_file_location("run_all", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunAllScript:
+    def test_single_experiment(self, tmp_path, capsys):
+        code = _run_all_module().main(
             [
                 "--scale",
                 "quick",
@@ -98,15 +100,23 @@ class TestRunAllScript:
         assert "fig2_3" in out
         assert (tmp_path / "fig2_3.txt").exists()
 
-    def test_unknown_experiment_rejected(self, tmp_path):
-        import importlib.util
-        from pathlib import Path
+    def test_failed_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        from repro.bench.figures import ALL_FIGURES, Figure
 
-        script = (
-            Path(__file__).parent.parent / "benchmarks" / "run_all.py"
+        entry = ALL_FIGURES["fig2_3"]
+        monkeypatch.setitem(
+            ALL_FIGURES,
+            "fig2_3",
+            Figure(entry.generate, lambda table: ["Figure 2: forced failure"]),
         )
-        spec = importlib.util.spec_from_file_location("run_all2", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        code = _run_all_module().main(
+            ["--scale", "quick", "--only", "fig2_3", "--results-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert "fig2_3: Figure 2: forced failure" in capsys.readouterr().out
+
+    def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
-            module.main(["--only", "fig99", "--results-dir", str(tmp_path)])
+            _run_all_module().main(
+                ["--only", "fig99", "--results-dir", str(tmp_path)]
+            )

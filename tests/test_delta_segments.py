@@ -30,7 +30,12 @@ from repro.cli import main
 from repro.datasets.synthetic import generate_synthetic
 from repro.db.database import ProbabilisticDatabase, RankedDatabase, change_set
 from repro.db.tuples import make_xtuple
-from repro.exceptions import InvalidDatabaseError, JournalReplayError, StoreError
+from repro.exceptions import (
+    InvalidDatabaseError,
+    JournalReplayError,
+    SimulatedCrashError,
+    StoreError,
+)
 from repro.store import SEGMENT_SUFFIX, RetentionPolicy, SnapshotStore
 from repro.store.format import decode_segment, encode_journal, encode_segment
 from repro.store.store import MAX_DELTA_DEPTH
@@ -394,6 +399,30 @@ class TestRetentionKeepsBases:
         report = store.gc(RetentionPolicy(keep_last_n=0, pinned=(ids[1],)))
         assert report["tombstoned"] == [ids[2]]
         assert sorted(report["protected"]) == ids[:2]
+
+    @pytest.mark.parametrize("skip", [1, 2])
+    def test_a_crashed_gc_strands_no_delta(self, tmp_path, skip):
+        """A delta's tombstone is appended before its base's, so a GC
+        crashed after ``skip`` appends leaves every live delta's base
+        live."""
+        root = tmp_path / "store"
+        store = SnapshotStore(root, durability="none")
+        ids = persist_chain(
+            store, chain(generate_synthetic(num_xtuples=20, seed=1).ranked(), 2), "z"
+        )
+        for age, sid in enumerate(ids):
+            os.utime(segment_path(root, sid), (1_000 + age, 1_000 + age))
+        plan = FaultPlan([FaultEvent(kind="crash", step="gc:tombstone", skip=skip)])
+        with use_faults(plan), pytest.raises(SimulatedCrashError):
+            store.gc(RetentionPolicy(keep_last_n=0))
+        reopened = SnapshotStore(root, mode="readonly")
+        tombstoned = {
+            r["segment"]
+            for r in reopened.journal_records()
+            if r.get("kind") == "tombstone"
+        }
+        assert len(tombstoned) == skip
+        assert sorted(reopened.snapshots()) == sorted(set(ids) - tombstoned)
 
 
 # ---------------------------------------------------------------------------

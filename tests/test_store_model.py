@@ -17,15 +17,19 @@ acknowledged:
 * nothing is quarantined and no journal replay is owed;
 * every loaded delta segment's base is loaded too.
 
-The crash rule reads the journal from disk, then reopens.  A crash
-before the journal frame is written leaves the pre-state.  From
-``journal:written`` on, a read-only open lists the clean's record as
-pending without loading its outcome, and the next exclusive open loads
-the outcome through exactly one replay.  A memory-only base journals
-nothing: a crash armed at a journal step never fires and the outcome
-persists full, and one armed at ``segment:begin`` leaves the
-pre-state.  Crashes at the checkpoint, GC and resurrection steps stay
-with the hand-written sweeps in ``test_store_recovery.py``.
+The crash rules read the journal from disk, then reopen.  A clean
+crashed before its journal frame is written leaves the pre-state.
+From ``journal:written`` on, a read-only open lists the clean's record
+as pending without loading its outcome, and the next exclusive open
+loads the outcome through exactly one replay.  A memory-only base
+journals nothing: a crash armed at a journal step never fires and the
+outcome persists full, and one armed at ``segment:begin`` leaves the
+pre-state.  A GC crashed at a tombstone append, at the journal rewrite
+of the checkpoint that follows it or at one of that checkpoint's
+unlinks leaves exactly the victims whose tombstone reached the
+journal collected, and the next successful checkpoint unlinks every
+file a tombstone names.  Crashes at the resurrection steps stay with
+the hand-written sweeps in ``test_store_recovery.py``.
 Tier-1 runs a small budget; CI's fault-smoke job reruns this file with
 ``--hypothesis-profile store-model`` (registered in ``conftest.py``)
 for a larger one.
@@ -72,6 +76,20 @@ CRASH_STEPS = (
 
 #: Crash steps at which the journal frame is already in the file.
 FRAME_WRITTEN = CRASH_STEPS[2:]
+
+#: Steps of a GC and the checkpoint after it a crash is armed at: a
+#: victim's tombstone append, the checkpoint's journal rewrite, then
+#: its unlink of a tombstoned file.
+GC_CRASH_STEPS = (
+    "gc:tombstone",
+    "checkpoint:begin",
+    "checkpoint:payload",
+    "checkpoint:written",
+    "checkpoint:synced",
+    "checkpoint:renamed",
+    "checkpoint:committed",
+    "gc:unlink",
+)
 
 
 def cleaning_specs(durable: st.SearchStrategy, k: int = 2) -> st.SearchStrategy:
@@ -302,6 +320,35 @@ class StoreModel(RuleBasedStateMachine):
         assert len(live) - len(victims) >= min(keep, len(live))
         self.tombstoned |= victims
         self.service.store.checkpoint()
+
+    @rule(data=st.data())
+    def crashed_gc(self, data: st.DataObject) -> None:
+        keep = data.draw(st.integers(0, 4), label="keep")
+        step = data.draw(st.sampled_from(GC_CRASH_STEPS), label="step")
+        # A skip lets earlier victims' tombstones reach the journal.
+        skip = 0
+        if step == "gc:tombstone":
+            skip = data.draw(st.integers(0, 2), label="skip")
+        plan = FaultPlan([FaultEvent(kind="crash", step=step, skip=skip)])
+        try:
+            with use_faults(plan):
+                self.gc(data, keep)
+            return  # the armed step was never reached
+        except SimulatedCrashError:
+            pass
+        records = SnapshotStore(self.root, mode="readonly").journal_records()
+        named = {r["segment"] for r in records if r.get("kind") == "tombstone"}
+        self.tombstoned |= named & set(self.live())
+        self.reopen_service()
+        self.service.store.checkpoint()
+        records = SnapshotStore(self.root, mode="readonly").journal_records()
+        leftover = [
+            r["segment"]
+            for r in records
+            if r.get("kind") == "tombstone"
+            and (self.root / "segments" / (r["segment"] + SEGMENT_SUFFIX)).exists()
+        ]
+        assert leftover == []
 
     @rule()
     def checkpoint(self) -> None:
