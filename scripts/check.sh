@@ -48,12 +48,15 @@ fi
 step "pytest" python -m pytest -q
 
 # A committed schema-1 store through the CLI, as CI's fault-smoke job
-# runs it: nothing quarantined, one journaled cleaning pending.
+# runs it: nothing quarantined, one journaled cleaning pending, and
+# `repro store verify` (a rebuild of every snapshot) finds nothing.
+# The crash and chaos stores below end with the same scrub.
 fixture_status() {
     dir=$(mktemp -d)
     cp -r tests/fixtures/replay_stores/syn60-greedy "$dir/store" &&
         python -m repro store --dir "$dir/store" --json "$dir/status.json" &&
-        python -c 'import json, sys; s = json.load(open(sys.argv[1]))["status"]; assert s["quarantined_files"] == [] and len(s["pending_cleanings"]) == 1, s' "$dir/status.json"
+        python -c 'import json, sys; s = json.load(open(sys.argv[1]))["status"]; assert s["quarantined_files"] == [] and len(s["pending_cleanings"]) == 1, s' "$dir/status.json" &&
+        python -m repro store verify --dir "$dir/store"
     status=$?
     rm -rf "$dir"
     return $status
@@ -78,7 +81,8 @@ crash_recovery() (
         python -m repro store --dir "$dir/store" &&
         python -m repro query --db "$dir/db.json" -k 5 --store "$dir/store" &&
         python -m repro store --dir "$dir/store" --json "$dir/status.json" &&
-        python -c 'import json, sys; s = json.load(open(sys.argv[1]))["status"]; assert len(s["snapshots"]) == 2 and s["pending_cleanings"] == [], s; assert (s["full_segments"], s["delta_segments"]) == (1, 1), s' "$dir/status.json"
+        python -c 'import json, sys; s = json.load(open(sys.argv[1]))["status"]; assert len(s["snapshots"]) == 2 and s["pending_cleanings"] == [], s; assert (s["full_segments"], s["delta_segments"]) == (1, 1), s' "$dir/status.json" &&
+        python -m repro store verify --dir "$dir/store"
 )
 step "env-armed crash of a durable clean, then CLI recovery" crash_recovery
 
@@ -111,7 +115,8 @@ assert s["quarantined_files"] == [], s
 assert s["pending_cleanings"] == [], s
 assert s["journal_records"] == 0, s
 assert len(s["snapshots"]) == 6, s  # base + 5 distinct outcomes
-' "$dir/status.json"
+' "$dir/status.json" &&
+        python -m repro store verify --dir "$dir/store"
 )
 step "concurrent-writer chaos + compaction bound" writer_chaos
 

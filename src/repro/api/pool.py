@@ -99,11 +99,13 @@ class SessionPool:
         deadline tighter than this bounds the wait further.
     store:
         Optional :class:`~repro.store.SnapshotStore` backing the
-        registry.  When set, the store's recovered snapshots are
-        adopted at construction and every registration persists its
-        segment durably **before** publishing the in-memory entry, so
-        memory and disk can never disagree: a snapshot the pool serves
-        is on disk, and a failed write publishes nothing.
+        registry.  When set, the ids of the store's live snapshots are
+        adopted at construction -- each is rebuilt from its segment
+        when first used (:meth:`ranked`, :meth:`lease`) -- and every
+        registration persists its segment durably **before**
+        publishing the in-memory entry, so memory and disk can never
+        disagree: a snapshot the pool serves is on disk, and a failed
+        write publishes nothing.
     retention:
         Optional :class:`~repro.store.RetentionPolicy` bounding the
         *durable* segment set.  When set (and a store is attached),
@@ -147,7 +149,9 @@ class SessionPool:
             "session-pool.admission", RANK_ADMISSION, max_in_flight
         )
         self._lock = OrderedLock("session-pool.registry", RANK_POOL_REGISTRY)
-        self._snapshots: Dict[str, RankedDatabase] = {}
+        #: Registered views by id; ``None`` for a store snapshot not
+        #: rebuilt yet (see :meth:`_rebuilt`).
+        self._snapshots: Dict[str, Optional[RankedDatabase]] = {}
         self._snapshot_locks: Dict[str, OrderedLock] = {}
         self._sessions: "OrderedDict[str, QuerySession]" = OrderedDict()
         #: Live lease counts per snapshot id (guarded by the pool
@@ -170,28 +174,72 @@ class SessionPool:
     # Snapshot registry
     # ------------------------------------------------------------------
     def _adopt_store(self, store: SnapshotStore) -> None:
-        """Seed the registry with the store's recovered snapshots.
-
-        One extra integrity check the store itself cannot perform: the
-        pool's snapshot-id derivation must reproduce each stored id
-        from the recovered content.  A mismatch means the segment was
-        written under a different (or broken) id convention; serving
-        it under either id would lie to one side, so the segment is
-        quarantined and skipped instead.
-        """
-        for snapshot_id, ranked in store.snapshots().items():
-            if snapshot_id_of(ranked.db) != snapshot_id:
-                try:
-                    store.quarantine_segment(
-                        snapshot_id,
-                        "stored id does not derive from the content hash",
-                    )
-                except CorruptSnapshotError:
-                    continue
-            self._snapshots[snapshot_id] = ranked
+        """Seed the registry with the ids of the store's live snapshots;
+        each is rebuilt on first use (:meth:`_rebuilt`)."""
+        for snapshot_id in store.snapshot_ids():
+            self._snapshots[snapshot_id] = None
             self._snapshot_locks[snapshot_id] = OrderedLock(
                 f"snapshot.{snapshot_id}", RANK_SNAPSHOT
             )
+
+    def _rebuilt(self, snapshot_id: str) -> RankedDatabase:
+        """The registered view, rebuilding an adopted store snapshot on
+        first use.  The caller holds no registry lock (the store's
+        locks rank below it); a lease holds the snapshot's lock, so
+        one thread rebuilds while the others wait.
+
+        One extra integrity check the store itself cannot perform: the
+        pool's snapshot-id derivation must reproduce the stored id from
+        the rebuilt content.  A mismatch means the segment was written
+        under a different (or broken) id convention; serving it under
+        either id would lie to one side, so the store quarantines the
+        segment (a read-only store only refuses it) and this raises
+        :class:`~repro.exceptions.CorruptSnapshotError`, as does a
+        segment that fails the store's own checks.  A refused snapshot
+        leaves the registry, and so does one the store no longer holds
+        (GC collected it before its first use), with
+        :class:`~repro.exceptions.UnknownSnapshotError`.
+        """
+        with self._lock:
+            ranked = self._snapshots.get(snapshot_id)
+        if ranked is not None:
+            return ranked
+        assert self.store is not None
+        try:
+            ranked = self.store.load(snapshot_id)
+            if snapshot_id_of(ranked.db) != snapshot_id:
+                self.store.quarantine_segment(
+                    snapshot_id, "stored id does not derive from the content hash"
+                )
+        except (CorruptSnapshotError, UnknownSnapshotError):
+            with self._lock:
+                if (
+                    snapshot_id in self._snapshots
+                    and self._snapshots[snapshot_id] is None
+                ):
+                    del self._snapshots[snapshot_id]
+            raise
+        with self._lock:
+            current = self._snapshots.get(snapshot_id)
+            if current is None:
+                self._snapshots[snapshot_id] = current = ranked
+            return current
+
+    def _view(self, snapshot_id: str) -> RankedDatabase:
+        """The registered view, rebuilt under its snapshot lock if it
+        has not been yet."""
+        with self._lock:
+            try:
+                ranked = self._snapshots[snapshot_id]
+                snapshot_lock = self._snapshot_locks[snapshot_id]
+            except KeyError:
+                raise UnknownSnapshotError(
+                    f"unknown snapshot id {snapshot_id!r}"
+                ) from None
+        if ranked is not None:
+            return ranked
+        with snapshot_lock:
+            return self._rebuilt(snapshot_id)
 
     def register(
         self,
@@ -241,6 +289,15 @@ class SessionPool:
         assert isinstance(raw, ProbabilisticDatabase)
         snapshot_id = snapshot_id_of(raw)
         incoming = ranked.ranking if ranked is not None else self.ranking
+        if snapshot_id in self:
+            # The ranking check below needs a stored snapshot's view,
+            # and a stored copy that fails its checks is refused here,
+            # so the persist below writes it afresh.  No snapshot lock:
+            # a clean publishes its outcome under its base's lease.
+            try:
+                self._rebuilt(snapshot_id)
+            except (CorruptSnapshotError, UnknownSnapshotError):
+                pass
         if self.store is not None and durable is not False:
             # A registration the pool would reject persists nothing:
             # check before the write, and again at publication below
@@ -257,13 +314,14 @@ class SessionPool:
                 self.sweep_store()
         with self._lock:
             self._check_ranking(snapshot_id, incoming)
-            if snapshot_id not in self._snapshots:
+            if self._snapshots.get(snapshot_id) is None:
                 if ranked is None:
                     ranked = raw.ranked(self.ranking)
                 self._snapshots[snapshot_id] = ranked
-                self._snapshot_locks[snapshot_id] = OrderedLock(
-                    f"snapshot.{snapshot_id}", RANK_SNAPSHOT
-                )
+                if snapshot_id not in self._snapshot_locks:
+                    self._snapshot_locks[snapshot_id] = OrderedLock(
+                        f"snapshot.{snapshot_id}", RANK_SNAPSHOT
+                    )
             if session is not None and snapshot_id not in self._sessions:
                 self._store_session(snapshot_id, session)
         return snapshot_id
@@ -284,14 +342,9 @@ class SessionPool:
             )
 
     def ranked(self, snapshot_id: str) -> RankedDatabase:
-        """The registered ranked view for a snapshot id."""
-        with self._lock:
-            try:
-                return self._snapshots[snapshot_id]
-            except KeyError:
-                raise UnknownSnapshotError(
-                    f"unknown snapshot id {snapshot_id!r}"
-                ) from None
+        """The registered ranked view for a snapshot id (a store
+        snapshot is rebuilt on first use; see :meth:`_rebuilt`)."""
+        return self._view(snapshot_id)
 
     def database(self, snapshot_id: str) -> ProbabilisticDatabase:
         """The registered database for a snapshot id."""
@@ -356,7 +409,8 @@ class SessionPool:
         are already live and none retires within the bounded admission
         wait, the lease is shed with
         :class:`~repro.exceptions.ServiceOverloadedError` rather than
-        joining an unbounded queue.
+        joining an unbounded queue.  A store snapshot not used before
+        is rebuilt under the snapshot's lock (:meth:`_rebuilt`).
         """
         with self._lock:
             try:
@@ -373,6 +427,8 @@ class SessionPool:
                     self._leased.get(snapshot_id, 0) + 1
                 )
             with snapshot_lock:
+                if ranked is None:
+                    ranked = self._rebuilt(snapshot_id)
                 yield self._leased_session(snapshot_id, ranked)
         finally:
             with self._lock:
@@ -416,8 +472,10 @@ class SessionPool:
         checkpoints the journal so reclaimed files are actually
         unlinked.  Registered-but-cold snapshots stay servable from
         memory for this process's lifetime; only their *durable* copy
-        is retired.  Returns the GC report, or ``None`` when no store
-        or no retention policy is attached.
+        is retired.  A snapshot adopted from the store and not used
+        yet has no copy in memory: collected, it becomes unknown.
+        Returns the GC report, or ``None`` when no store or no
+        retention policy is attached.
 
         The in-use set is passed as a *callback* the store evaluates
         under its exclusive lock, at the moment GC picks its victims

@@ -48,6 +48,7 @@ from repro.datasets.synthetic import draw_costs, draw_sc_probabilities
 from repro.db.database import ChangeSet, ProbabilisticDatabase, RankedDatabase
 from repro.db.ranking import RankingFunction
 from repro.exceptions import (
+    CorruptSnapshotError,
     InvalidDatabaseError,
     InvalidSpecError,
     JournalReplayError,
@@ -146,10 +147,11 @@ class TopKService:
           so the store may persist it as a delta segment; no journal
           record is appended, since the replayed record already covers
           it;
-        * a mismatch, or a malformed change set, raises
-          :class:`~repro.exceptions.JournalReplayError` and leaves the
-          store as it found it -- opening fails rather than serving
-          state that contradicts the journal.
+        * a mismatch, a malformed change set, or a base that is
+          missing or fails its first-use rebuild (which quarantines
+          it) raises :class:`~repro.exceptions.JournalReplayError` and
+          writes nothing -- opening fails rather than serving state
+          that contradicts the journal.
 
         Each outcome is registered before the next record replays, so
         a record whose base is an earlier record's outcome replays
@@ -164,12 +166,19 @@ class TopKService:
                     f"journaled cleaning of base snapshot {base!r} cannot "
                     f"be replayed: its segment is missing or quarantined"
                 )
+            try:
+                base_view = self.pool.ranked(base)
+            except CorruptSnapshotError as exc:
+                raise JournalReplayError(
+                    f"journaled cleaning of base snapshot {base!r} cannot "
+                    f"be replayed: its segment failed its rebuild ({exc})"
+                ) from exc
             if record.get("schema") == 1:
                 self._reexecute(base, record)
             else:
                 changes = record.get("changes")
                 try:
-                    outcome = self.pool.ranked(base).with_change_set(changes)
+                    outcome = base_view.with_change_set(changes)
                 except InvalidDatabaseError as exc:
                     raise JournalReplayError(
                         f"journaled change set of base {base!r} does not "

@@ -27,10 +27,11 @@ Commands:
     cleaned database.
 ``store``
     Inspect and maintain a snapshot store directory.  ``status`` (the
-    default action, read-only next to a live writer) reports recovered
+    default action, read-only next to a live writer) reports live
     snapshots, journal backlog and bytes, segment bytes, tombstones,
     the cross-process lock holder, quarantined files and counters;
-    ``compact`` checkpoints the write-ahead journal; ``gc`` applies a
+    ``verify`` rebuilds every snapshot read-only and exits 1 on any
+    failure; ``compact`` checkpoints the write-ahead journal; ``gc`` applies a
     ``--keep-last-n`` / ``--pin`` retention policy through the store's
     two-phase delete; ``unlock --force`` clears a stale lock record
     left by a dead writer.
@@ -320,12 +321,15 @@ def _write_store_envelope(
 
 
 def cmd_store(args: argparse.Namespace) -> int:
-    """``repro store [status|compact|gc|unlock]``: maintain a store.
+    """``repro store [status|verify|compact|gc|unlock]``: maintain a store.
 
     ``status`` (the default) opens the directory *read-only* (shared
-    lock, no repairs) and reports its health.  ``compact`` checkpoints
-    the journal, dropping records whose segments are durably committed
-    and unlinking tombstoned files.  ``gc`` applies a retention policy
+    lock, no repairs) and reports its health.  ``verify`` opens it
+    read-only too, rebuilds every live snapshot with every check, and
+    reports each failure, exiting 1 if there is any; it moves
+    nothing.  ``compact`` checkpoints the journal, dropping records
+    whose segments are durably committed and unlinking tombstoned
+    files.  ``gc`` applies a retention policy
     (``--keep-last-n`` / ``--pin``) through the store's two-phase
     delete, then checkpoints so the reclaim actually happens.
     ``unlock`` reports the recorded cross-process lock holder and,
@@ -375,6 +379,21 @@ def cmd_store(args: argparse.Namespace) -> int:
             },
         )
         return 0
+
+    if action == "verify":
+        store = SnapshotStore(args.dir, durability="none", mode="readonly")
+        report = store.verify()
+        print(
+            f"verify: {len(report['verified'])} snapshots rebuilt, "
+            f"{len(report['failed'])} failed"
+        )
+        for name, reason in report["failed"]:
+            print(f"  {name}: {reason}")
+        _write_store_envelope(
+            args.json,
+            {"command": "store", "action": "verify", **report},
+        )
+        return 1 if report["failed"] else 0
 
     if action == "status":
         store = SnapshotStore(args.dir, durability="none", mode="readonly")
@@ -535,9 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         nargs="?",
         default="status",
-        choices=("status", "compact", "gc", "unlock"),
-        help="status (default, read-only), compact the journal, "
-        "gc segments by retention policy, or clear a stale lock record",
+        choices=("status", "verify", "compact", "gc", "unlock"),
+        help="status (default, read-only), verify every snapshot by "
+        "rebuilding it (read-only; exit 1 on a failure), compact the "
+        "journal, gc segments by retention policy, or clear a stale "
+        "lock record",
     )
     s.add_argument("--dir", required=True, help="store directory")
     s.add_argument("--json", help="write the action's envelope here")

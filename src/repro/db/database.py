@@ -56,10 +56,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import json.encoder
 import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
+    Any,
     Dict,
     Iterable,
     Iterator,
@@ -88,11 +90,68 @@ SATURATION_EPSILON = 1e-12
 _HASH_RECORD = "_hash_record"
 
 
+def hash_record(xid: str, rows: Sequence[Sequence[object]]) -> bytes:
+    """The share of :meth:`ProbabilisticDatabase.content_hash` of an
+    x-tuple ``xid`` whose alternatives are ``rows`` of ``(tid, value,
+    probability)``: canonical JSON of ``[xid, rows]`` plus a NUL."""
+    canonical = json.dumps([xid, rows], sort_keys=True, separators=(",", ":"))
+    return canonical.encode() + b"\x00"
+
+
+def hash_records(
+    xids: Sequence[str],
+    tids: Sequence[str],
+    values: Sequence[Any],
+    probabilities: Sequence[Any],
+    starts: Sequence[int],
+) -> List[bytes]:
+    """:func:`hash_record` of each x-tuple of a database held as
+    columns: x-tuple ``l`` is ``xids[l]`` with the rows ``starts[l]``
+    up to ``starts[l + 1]`` of ``tids``, ``values`` and
+    ``probabilities``.
+
+    When every value and probability is a finite Python ``float``, the
+    records are assembled from per-item JSON at C speed -- each string
+    encoded as :func:`json.dumps` encodes it, each float as its
+    ``repr``, which is what :func:`json.dumps` writes for a finite
+    float -- instead of one :func:`json.dumps` per x-tuple.  The bytes
+    are the same either way.
+    """
+    if not all(
+        set(map(type, column)) <= {float} and all(map(math.isfinite, column))
+        for column in (values, probabilities)
+    ):
+        return [
+            hash_record(
+                xid,
+                list(
+                    zip(
+                        tids[lo:hi], values[lo:hi], probabilities[lo:hi]
+                    )
+                ),
+            )
+            for xid, lo, hi in zip(xids, starts, starts[1:])
+        ]
+    encode = json.encoder.encode_basestring_ascii
+    rows = list(
+        map(
+            "[{},{},{}]".format,
+            map(encode, tids),
+            map(repr, values),
+            map(repr, probabilities),
+        )
+    )
+    return [
+        f"[{encode(xid)},[{','.join(rows[lo:hi])}]]\0".encode()
+        for xid, lo, hi in zip(xids, starts, starts[1:])
+    ]
+
+
 def _hash_record(xt: XTuple) -> bytes:
     """One x-tuple's share of :meth:`ProbabilisticDatabase.content_hash`."""
-    record = [xt.xid, [[t.tid, t.value, t.probability] for t in xt.alternatives]]
-    canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return canonical.encode() + b"\x00"
+    return hash_record(
+        xt.xid, [[t.tid, t.value, t.probability] for t in xt.alternatives]
+    )
 
 
 def _raise_first_duplicate(xtuples: Sequence[XTuple]) -> None:
@@ -144,6 +203,35 @@ class ProbabilisticDatabase:
         self._num_tuples = len(tids)
         self._hash_records: Optional[List[bytes]] = None
         self._content_hash: Optional[str] = None
+
+    @classmethod
+    def _checked(
+        cls,
+        xtuples: Sequence[XTuple],
+        name: str,
+        num_tuples: int,
+        records: List[bytes],
+    ) -> "ProbabilisticDatabase":
+        """Trusted constructor of a database whose ids are already
+        known unique (:func:`repro.db.io.database_from_columns` checks
+        them over whole columns), so the duplicate check is skipped.
+
+        ``records`` are the x-tuples' content-hash records, in order;
+        they seed both :meth:`content_hash` and each x-tuple's memo.
+        Internal use only -- arbitrary x-tuple collections must go
+        through ``__init__``.
+        """
+        db = cls.__new__(cls)
+        db._xtuples = tuple(xtuples)
+        db.name = name
+        db._by_xid = None
+        db._tid_maps = None
+        db._num_tuples = num_tuples
+        db._hash_records = records
+        db._content_hash = None
+        for xt, record in zip(db._xtuples, records):
+            xt.__dict__.setdefault(_HASH_RECORD, record)
+        return db
 
     def _spliced(
         self,

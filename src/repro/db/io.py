@@ -5,14 +5,14 @@ one row per tuple with the x-tuple id as a column, which matches how
 Table I of the paper is laid out (sensor id, tuple id, value,
 probability).  Both formats round-trip exactly.
 
-Snapshot segments hold the canonical form of the JSON payload:
-:func:`database_to_dict` dumped with sorted keys and no whitespace.
-:func:`database_structure_frames` produces those bytes from per-x-tuple
-fragments cached on each x-tuple, so re-encoding a cleaning outcome
-costs only the x-tuples the cleaning changed, and reports each
-fragment's length so a segment can frame its x-tuples.  The store's
-loader reads such a framed segment back one x-tuple at a time through
-:func:`xtuple_from_entry`, the same validation ingest runs.
+Snapshot segments hold a database's structure as typed columns in
+x-tuple order (:func:`database_columns`, read back and checked over
+whole columns by :func:`database_from_columns`).  Segments written
+before the columns hold the canonical form of the JSON payload instead:
+:func:`database_to_dict` dumped with sorted keys and no whitespace
+(:func:`database_structure_json`, from per-x-tuple fragments cached on
+each x-tuple); the store reads a framed one back one x-tuple at a time
+through :func:`xtuple_from_entry`, the same validation ingest runs.
 
 Ingest is the trust boundary: external payloads are validated *before*
 any tuple object is constructed, and violations raise
@@ -26,11 +26,19 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import chain
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.db.database import ProbabilisticDatabase
-from repro.db.tuples import PROBABILITY_SUM_TOLERANCE, ProbabilisticTuple, XTuple
+import numpy as np
+
+from repro.db.database import ProbabilisticDatabase, hash_records
+from repro.db.tuples import (
+    PROBABILITY_SUM_TOLERANCE,
+    ProbabilisticTuple,
+    XTuple,
+    checked_xtuple,
+)
 from repro.exceptions import InvalidDataError
 
 PathLike = Union[str, Path]
@@ -119,28 +127,21 @@ def structure_head(name: str) -> bytes:
     return _canonical_json({**_header(name), "xtuples": []})[:-2]
 
 
-def database_structure_frames(db: ProbabilisticDatabase) -> Tuple[bytes, List[int]]:
+def database_structure_json(db: ProbabilisticDatabase) -> bytes:
     """Canonical JSON of :func:`database_to_dict` -- sorted keys, no
-    whitespace, UTF-8 -- as the snapshot store's segments hold it, and
-    the byte length of each x-tuple's fragment inside it.
+    whitespace, UTF-8 -- as schema-1 and schema-2 segments hold it.
 
     The bytes equal ``json.dumps(database_to_dict(db), sort_keys=True,
     separators=(",", ":")).encode("utf-8")``: :func:`structure_head`,
-    then the fragments joined by ``,``, then ``]}``.  Each fragment is
-    cached on its :class:`~repro.db.tuples.XTuple`, so a cleaning
-    outcome (which shares every unchanged ``XTuple`` with its base)
-    encodes only the x-tuples the cleaning changed, plus one join.
+    then the x-tuples' fragments joined by ``,``, then ``]}``.  Each
+    fragment is cached on its :class:`~repro.db.tuples.XTuple`, so a
+    database that shares its x-tuples with one encoded before pays
+    one join.
     """
     fragments = [
         xt.encoded(_STRUCTURE_FRAGMENT, _structure_fragment) for xt in db.xtuples
     ]
-    structure = structure_head(db.name) + b",".join(fragments) + b"]}"
-    return structure, [len(fragment) for fragment in fragments]
-
-
-def database_structure_json(db: ProbabilisticDatabase) -> bytes:
-    """The structure bytes of :func:`database_structure_frames` alone."""
-    return database_structure_frames(db)[0]
+    return structure_head(db.name) + b",".join(fragments) + b"]}"
 
 
 def xtuple_from_entry(
@@ -214,6 +215,224 @@ def xtuple_from_entry(
             f"{total!r} > 1"
         )
     return XTuple(xid=xid, alternatives=tuple(members))
+
+
+#: The structure columns of a columnar (schema-4) segment, in order.
+STRUCTURE_COLUMNS = ("xids", "tids", "sizes", "values", "probabilities")
+
+#: The dtype label of a column stored as one canonical JSON array.
+JSON_COLUMN = "json"
+
+#: The dtype of the ``sizes`` column, and of a ``values`` or
+#: ``probabilities`` column whose every entry is a Python ``float``.
+SIZES_DTYPE = "<u4"
+FLOAT_DTYPE = "<f8"
+
+#: The dtypes each structure column may carry.
+COLUMN_DTYPES: Dict[str, Tuple[str, ...]] = {
+    "xids": (JSON_COLUMN,),
+    "tids": (JSON_COLUMN,),
+    "sizes": (SIZES_DTYPE,),
+    "values": (FLOAT_DTYPE, JSON_COLUMN),
+    "probabilities": (FLOAT_DTYPE, JSON_COLUMN),
+}
+
+
+def _number_column(items: List[Any]) -> Tuple[str, bytes]:
+    """float64 bytes when every entry is exactly a Python ``float``,
+    else one canonical JSON array: MOV's mapping values, and an ``int``
+    probability, whose content-hash record ``1`` differs from
+    ``1.0``'s."""
+    if set(map(type, items)) <= {float}:
+        return FLOAT_DTYPE, np.array(items, dtype=FLOAT_DTYPE).tobytes()
+    return JSON_COLUMN, _canonical_json(items)
+
+
+def database_columns(db: ProbabilisticDatabase) -> Dict[str, Tuple[str, bytes]]:
+    """The database's structure as typed columns in x-tuple order, as
+    a columnar segment holds them: ``name -> (dtype, bytes)`` for each
+    of :data:`STRUCTURE_COLUMNS`.
+
+    ``xids`` and ``tids`` are string tables, one canonical JSON array
+    each; ``sizes`` counts each x-tuple's alternatives; ``values`` and
+    ``probabilities`` are float64 or JSON (see :func:`_number_column`).
+    Built from the x-tuples' ``tids`` / ``values`` / ``probabilities``
+    memos: a database whose x-tuples have been written or ranked once
+    costs a few C-speed joins, not a walk of its tuples.
+    """
+    xtuples = db.xtuples
+    values = list(chain.from_iterable([xt.values for xt in xtuples]))
+    probabilities = list(chain.from_iterable([xt.probabilities for xt in xtuples]))
+    return {
+        "xids": (JSON_COLUMN, _canonical_json([xt.xid for xt in xtuples])),
+        "tids": (
+            JSON_COLUMN,
+            _canonical_json(list(chain.from_iterable([xt.tids for xt in xtuples]))),
+        ),
+        "sizes": (
+            SIZES_DTYPE,
+            np.fromiter(
+                [len(xt.alternatives) for xt in xtuples],
+                dtype=SIZES_DTYPE,
+                count=len(xtuples),
+            ).tobytes(),
+        ),
+        "values": _number_column(values),
+        "probabilities": _number_column(probabilities),
+    }
+
+
+def _json_list(blob: bytes, column: str) -> List[Any]:
+    try:
+        items = json.loads(blob)
+    except ValueError as exc:
+        raise InvalidDataError(f"column {column!r} is not valid JSON ({exc})") from None
+    if not isinstance(items, list):
+        raise InvalidDataError(f"column {column!r} is not a JSON array")
+    return items
+
+
+def _string_table(blob: bytes, column: str, label: str) -> List[str]:
+    table = _json_list(blob, column)
+    if not set(map(type, table)) <= {str} or not all(table):
+        bad = next(s for s in table if type(s) is not str or not s)
+        raise InvalidDataError(f"{label} must be a non-empty string, got {bad!r}")
+    return table
+
+
+def _first_duplicate(items: List[str], label: str) -> None:
+    if len(set(items)) < len(items):
+        seen: Set[str] = set()
+        for item in items:
+            if item in seen:
+                raise InvalidDataError(f"duplicate {label} {item!r}")
+            seen.add(item)
+
+
+def _checked_probabilities(
+    items: List[Any], array: Optional[np.ndarray], tids: List[str]
+) -> np.ndarray:
+    """The probabilities as float64, once every entry is a number, not
+    a ``bool``, finite and in ``(0, 1]``; ``array`` is ``None`` when the
+    column was stored as JSON."""
+    if array is None:
+        for tid, p in zip(tids, items):
+            if type(p) not in (int, float):  # bool, and every non-number
+                raise InvalidDataError(
+                    f"tuple {tid!r}: probability must be a finite number, got {p!r}"
+                )
+        # An int too large for a float is out of range either way.
+        array = np.array([min(p, 2.0) for p in items], dtype=np.float64)
+    bad = np.flatnonzero(~((array > 0.0) & (array <= 1.0)))
+    if bad.size:
+        row = int(bad[0])
+        p = items[row]
+        finite = not isinstance(p, float) or math.isfinite(p)
+        raise InvalidDataError(
+            f"tuple {tids[row]!r}: probability must "
+            f"{'lie in (0, 1]' if finite else 'be a finite number'}, got {p!r}"
+        )
+    return array
+
+
+def database_from_columns(
+    name: str,
+    columns: Mapping[str, Tuple[str, bytes]],
+    interned: Optional[Dict[bytes, XTuple]] = None,
+) -> ProbabilisticDatabase:
+    """Check a columnar segment's structure and build its database.
+
+    ``columns`` maps each of :data:`STRUCTURE_COLUMNS` to ``(dtype,
+    bytes)`` as :func:`database_columns` wrote them.  Over whole
+    columns, this checks what :func:`xtuple_from_entry`,
+    :class:`~repro.db.tuples.XTuple` and
+    :class:`~repro.db.database.ProbabilisticDatabase` check one object
+    at a time:
+
+    * ids are non-empty strings, x-tuple ids are unique, and tuple ids
+      are unique across the database;
+    * every size is at least 1, and the sizes sum to the tuple count;
+    * probabilities are numbers, not ``bool``, finite and in
+      ``(0, 1]``;
+    * each x-tuple's mass is at most ``1 +``
+      :data:`~repro.db.tuples.PROBABILITY_SUM_TOLERANCE`, summed in
+      ``XTuple.__post_init__``'s order.
+
+    A failure raises :class:`~repro.exceptions.InvalidDataError` naming
+    the check and its first offender.  The objects are then built
+    without re-running their validation
+    (:func:`~repro.db.tuples.checked_xtuple`), each with its
+    content-hash record.  ``interned`` maps records already built in
+    this pass to their x-tuple, so a chain's segments share one object
+    per distinct x-tuple; only checked x-tuples enter it.
+    """
+    xids = _string_table(columns["xids"][1], "xids", "x-tuple id")
+    tids = _string_table(columns["tids"][1], "tids", "tuple id")
+    sizes = np.frombuffer(columns["sizes"][1], dtype=SIZES_DTYPE).astype(np.int64)
+    values_dtype, values_blob = columns["values"]
+    values = (
+        _json_list(values_blob, "values")
+        if values_dtype == JSON_COLUMN
+        else np.frombuffer(values_blob, dtype=FLOAT_DTYPE).tolist()
+    )
+    probabilities_dtype, probabilities_blob = columns["probabilities"]
+    array: Optional[np.ndarray] = None
+    if probabilities_dtype == JSON_COLUMN:
+        probabilities = _json_list(probabilities_blob, "probabilities")
+    else:
+        array = np.frombuffer(probabilities_blob, dtype=FLOAT_DTYPE)
+        probabilities = array.tolist()
+    m = len(xids)
+    if len(sizes) != m:
+        raise InvalidDataError(f"{len(sizes)} x-tuple sizes for {m} x-tuple ids")
+    empty = np.flatnonzero(sizes < 1)
+    if empty.size:
+        raise InvalidDataError(
+            f"x-tuple {xids[int(empty[0])]!r}: has no alternatives; every "
+            f"x-tuple must hold at least one tuple"
+        )
+    n = int(sizes.sum())
+    if not n == len(tids) == len(values) == len(probabilities):
+        raise InvalidDataError(
+            f"x-tuple sizes sum to {n} tuples, but the columns hold "
+            f"{len(tids)} tuple ids, {len(values)} values and "
+            f"{len(probabilities)} probabilities"
+        )
+    _first_duplicate(xids, "x-tuple id")
+    _first_duplicate(tids, "tuple id")
+    array = _checked_probabilities(probabilities, array, tids)
+    bounds = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    # XTuple.__post_init__ sums left to right from 0.0: add each
+    # x-tuple's j-th alternative in turn.
+    mass = np.zeros(m)
+    for j in range(int(sizes.max(initial=0))):
+        open_rows = np.flatnonzero(sizes > j)
+        mass[open_rows] += array[bounds[open_rows] + j]
+    over = np.flatnonzero(mass > 1.0 + PROBABILITY_SUM_TOLERANCE)
+    if over.size:
+        l = int(over[0])
+        raise InvalidDataError(
+            f"x-tuple {xids[l]!r}: existential probabilities sum to "
+            f"{float(mass[l])!r} > 1"
+        )
+
+    if interned is None:
+        interned = {}
+    starts = bounds.tolist()
+    records = hash_records(xids, tids, values, probabilities, starts)
+    xtuples: List[XTuple] = []
+    for xid, lo, hi, record in zip(xids, starts, starts[1:], records):
+        xt = interned.get(record)
+        if xt is None:
+            xt = interned[record] = checked_xtuple(
+                xid,
+                tuple(tids[lo:hi]),
+                tuple(values[lo:hi]),
+                tuple(probabilities[lo:hi]),
+            )
+        xtuples.append(xt)
+    return ProbabilisticDatabase._checked(xtuples, name, n, records)
 
 
 def database_from_dict(payload: Dict[str, Any]) -> ProbabilisticDatabase:

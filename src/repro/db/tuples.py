@@ -138,8 +138,9 @@ class XTuple:
 
     * its canonical encodings (:meth:`encoded`): the content-hash record
       and the structure-JSON fragment;
-    * the per-alternative columns a ranked view is built from:
-      :attr:`tids`, :attr:`probabilities`, :attr:`completion_probability`;
+    * the per-alternative columns a ranked view and a columnar segment
+      are built from: :attr:`tids`, :attr:`values`,
+      :attr:`probabilities`, :attr:`completion_probability`;
     * the alternatives' scores under the last score callable asked
       (:meth:`scores`).
 
@@ -241,6 +242,11 @@ class XTuple:
         """The alternatives' existential probabilities, in order."""
         return tuple([t.probability for t in self.alternatives])
 
+    @_memo
+    def values(self) -> Tuple[Any, ...]:
+        """The alternatives' values, in order."""
+        return tuple([t.value for t in self.alternatives])
+
     def __iter__(self) -> Iterator[ProbabilisticTuple]:
         return iter(self.alternatives)
 
@@ -297,6 +303,45 @@ class XTuple:
         raise InvalidDatabaseError(
             f"x-tuple {self.xid!r} has no alternative with id {tid!r}"
         )
+
+
+def checked_xtuple(
+    xid: str,
+    tids: Tuple[str, ...],
+    values: Tuple[Any, ...],
+    probabilities: Tuple[float, ...],
+) -> XTuple:
+    """An x-tuple built from columns that already passed every check
+    :class:`ProbabilisticTuple` and :class:`XTuple` make, without
+    running them again.
+
+    The caller vouches for the columns: non-empty string ids, unique
+    tuple ids, probabilities that are numbers (not ``bool``), finite,
+    in ``(0, 1]`` and summing to at most one within
+    :data:`PROBABILITY_SUM_TOLERANCE` in the order ``__post_init__``
+    sums them (:func:`repro.db.io.database_from_columns` checks a whole
+    database's columns at once).  The ``tids``, ``values`` and
+    ``probabilities`` memos start filled.
+    """
+    new = object.__new__
+    alternatives = []
+    for tid, value, probability in zip(tids, values, probabilities):
+        t = new(ProbabilisticTuple)
+        fields = t.__dict__
+        fields["tid"] = tid
+        fields["xtuple_id"] = xid
+        fields["value"] = value
+        fields["probability"] = probability
+        alternatives.append(t)
+    xt = new(XTuple)
+    xt.__dict__.update(
+        xid=xid,
+        alternatives=tuple(alternatives),
+        tids=tids,
+        values=values,
+        probabilities=probabilities,
+    )
+    return xt
 
 
 def make_xtuple(

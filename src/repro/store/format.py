@@ -8,41 +8,42 @@ corruption tests trivial (flip a bit in the encoded bytes, decode, get
 honest: every code path out of :func:`decode_segment` either returns a
 fully verified payload or raises the typed error.
 
-Full-segment layout (all integers big-endian)::
+Full-segment layout, schema 4 (integers big-endian, column data as
+its dtype says)::
 
     offset 0   magic            b"RPROSEG1"
     offset 8   header length    u32
     offset 12  header JSON      schema version, snapshot id, content
                                 hash, name, ranking descriptor,
-                                structure length and crc32, frame
-                                count and crc32, per-column (name,
-                                dtype, byte length, crc32)
-    ...        structure JSON   canonical JSON of the database_to_dict()
-                                payload (sorted keys, no whitespace)
-    ...        frame table      u32 byte length of each x-tuple's
-                                fragment inside the structure JSON
-    ...        column bytes     the ranked view's canonical arrays,
-                                raw, concatenated in header order
+                                per-column (name, dtype, byte length,
+                                crc32)
+    ...        column bytes     raw, concatenated in header order
     tail       SHA-256 digest   over every preceding byte (32 bytes)
 
-The writer assembles the structure bytes from per-x-tuple fragments
-cached on each x-tuple (:func:`repro.db.io.database_structure_frames`),
-so persisting a cleaning outcome encodes only the x-tuples the cleaning
-changed, and records the fragments' lengths in the frame table.  The
-structure bytes are exactly ``json.dumps`` of the whole payload, so the
-frame table adds four bytes per x-tuple and changes nothing else.
+The columns are :data:`SEGMENT_COLUMNS`, in order: the structure in
+x-tuple order (:func:`repro.db.io.database_columns`) -- ``xids`` and
+``tids`` as canonical JSON arrays (dtype ``"json"``), ``sizes`` as u32,
+``values`` and ``probabilities`` as float64 or, when an entry is not a
+Python ``float``, as a JSON array -- then the ranked view's canonical
+arrays.  :func:`decode_segment` checks that the column table is
+exactly that, with a dtype each column may carry and whole items,
+and returns the bytes unparsed: a rebuild parses and checks them
+(:func:`repro.db.io.database_from_columns`), and parses no JSON beyond
+the two id tables.
 
-**Schema 2** (the one written) frames the structure as
-:func:`repro.db.io.structure_head` of the header's name, then the
-fragments joined by ``,``, then ``]}``.  :func:`decode_segment` checks
-that the frames tile the structure exactly -- no gap, no overlap, no
-trailing byte -- and that the head is byte for byte the database
-header with an empty ``xtuples``, then returns the fragments unparsed:
-the store parses and validates each distinct fragment once per open,
-however many segments repeat it.  **Schema 1** (read only) has no
-frame table; the store parses its structure whole
+**Schemas 1 and 2** (read only) hold the structure as the canonical
+JSON of the ``database_to_dict()`` payload between the header and the
+ranked columns, with ``structure_length`` and ``structure_crc32`` in
+the header.  Schema 2 adds a frame table after it -- a u32 byte length
+per x-tuple fragment, ``frames`` and ``frames_crc32`` in the header --
+laid out as :func:`repro.db.io.structure_head` of the header's name,
+the fragments joined by ``,``, then ``]}``.  :func:`decode_segment`
+checks that the frames tile the structure exactly -- no gap, no
+overlap, no trailing byte -- and that the head is byte for byte the
+database header with an empty ``xtuples``, then returns the fragments
+unparsed; schema 1 has no frame table and is parsed whole
 (:func:`decode_structure`).  Segments are never rewritten, so every
-store written before schema 2 keeps opening.  Any other version is
+store written before schema 4 keeps opening.  Any other version is
 refused.
 
 **Delta segments** (schema :data:`DELTA_SCHEMA`, 3) store a cleaning
@@ -120,19 +121,27 @@ from typing import (
     Tuple,
 )
 
-from repro.db.io import structure_head
+import numpy as np
+
+from repro.db.database import CANONICAL_COLUMNS
+from repro.db.io import COLUMN_DTYPES, JSON_COLUMN, STRUCTURE_COLUMNS, structure_head
 from repro.exceptions import CorruptSnapshotError
 
 #: First eight bytes of every segment file.
 MAGIC = b"RPROSEG1"
 
-#: The schema :func:`encode_segment` writes for a full segment.
-#: Bumped on any incompatible layout change; the decoder refuses
-#: versions it does not know rather than guessing.
-SCHEMA_VERSION = 2
+#: The schema :func:`encode_segment` writes for a full segment: its
+#: structure as typed columns.  Bumped on any incompatible layout
+#: change; the decoder refuses versions it does not know rather than
+#: guessing.
+SCHEMA_VERSION = 4
 
 #: Every full-segment schema :func:`decode_segment` reads.
-READABLE_SCHEMAS = (1, 2)
+READABLE_SCHEMAS = (1, 2, 4)
+
+#: The columns of a schema-4 segment, in order: the structure, then
+#: the ranked view's canonical arrays.
+SEGMENT_COLUMNS = STRUCTURE_COLUMNS + CANONICAL_COLUMNS
 
 #: The schema of a delta segment: a header that names its base (the
 #: ``"base"`` key marks the layout) and carries its change set, and
@@ -174,14 +183,22 @@ class Segment(NamedTuple):
     them; nothing in the structure has been parsed yet."""
 
     header: Dict[str, Any]
-    #: The canonical structure JSON, as framed (empty for a delta).
+    #: The canonical structure JSON, as framed (schemas 1 and 2; empty
+    #: for a schema-4 segment, whose structure is columns, and for a
+    #: delta).
     structure_json: bytes
     #: Each x-tuple's fragment of ``structure_json`` (schema 2), or
-    #: ``None`` for a schema-1 segment, which has no frame table, or
-    #: a delta, which has no structure.
+    #: ``None`` for a schema-1 segment, which has no frame table, and
+    #: for any segment without a structure JSON.
     fragments: Optional[List[bytes]]
     #: Column name -> raw bytes (empty for a delta).
     columns: Dict[str, bytes]
+
+    def typed_columns(self, names: Sequence[str]) -> Dict[str, Tuple[str, bytes]]:
+        """``name -> (dtype, bytes)`` for the named columns, with each
+        dtype as the header records it."""
+        dtypes = {meta["name"]: meta["dtype"] for meta in self.header["columns"]}
+        return {name: (dtypes[name], self.columns[name]) for name in names}
 
     @property
     def link(self) -> Optional[DeltaLink]:
@@ -204,32 +221,26 @@ def encode_segment(
     columns: Mapping[str, Tuple[str, bytes]],
     name: Optional[str] = None,
     ranking: Optional[Mapping[str, Any]] = None,
-    structure_json: bytes = b"",
-    fragment_lengths: Sequence[int] = (),
     delta: Optional[DeltaLink] = None,
 ) -> bytes:
     """Encode one snapshot segment: full, or a delta when ``delta`` is
     given.
 
     A full segment (schema :data:`SCHEMA_VERSION`) holds everything a
-    snapshot needs.  ``structure_json`` is the database's canonical
-    structure JSON and ``fragment_lengths`` the byte length of each
-    x-tuple's fragment in it
-    (:func:`repro.db.io.database_structure_frames`), both framed
-    verbatim.  ``columns`` maps column name to ``(dtype_str,
-    raw_bytes)``; the header records their order, dtypes, lengths and
-    CRCs so the decoder can slice and verify them without trusting
-    anything but the magic.
+    snapshot needs: ``columns`` maps each of :data:`SEGMENT_COLUMNS`,
+    in that order, to ``(dtype_str, raw_bytes)`` -- the structure
+    (:func:`repro.db.io.database_columns`), then the ranked view's
+    arrays.  The header records their order, dtypes, lengths and CRCs,
+    so the decoder can slice and verify them without trusting anything
+    but the magic.
 
     A delta segment (schema :data:`DELTA_SCHEMA`) is a header alone --
     id, content hash, base, depth and change set -- so ``columns``
-    must be empty and no name, ranking or structure may be given: the
-    store rebuilds the snapshot from its base.
+    must be empty and no name or ranking may be given: the store
+    rebuilds the snapshot from its base.
     """
     if delta is not None:
-        if columns or name is not None or ranking is not None or (
-            structure_json or fragment_lengths
-        ):
+        if columns or name is not None or ranking is not None:
             raise ValueError("a delta segment holds a header and nothing else")
         header: Dict[str, Any] = {
             "schema": DELTA_SCHEMA,
@@ -244,6 +255,8 @@ def encode_segment(
         return body + hashlib.sha256(body).digest()
     if name is None or ranking is None:
         raise ValueError("a full segment needs its name and ranking")
+    if tuple(columns) != SEGMENT_COLUMNS:
+        raise ValueError(f"a full segment holds the columns {SEGMENT_COLUMNS}")
     column_meta: List[Dict[str, Any]] = []
     column_blobs: List[bytes] = []
     for column_name, (dtype, blob) in columns.items():
@@ -256,23 +269,17 @@ def encode_segment(
             }
         )
         column_blobs.append(blob)
-    frames = struct.pack(f">{len(fragment_lengths)}I", *fragment_lengths)
     header = {
         "schema": SCHEMA_VERSION,
         "snapshot_id": snapshot_id,
         "content_hash": content_hash,
         "name": name,
         "ranking": dict(ranking),
-        "structure_length": len(structure_json),
-        "structure_crc32": _crc(structure_json),
-        "frames": len(fragment_lengths),
-        "frames_crc32": _crc(frames),
         "columns": column_meta,
     }
     header_json = _canonical_json(header)
     body = b"".join(
-        [MAGIC, _U32.pack(len(header_json)), header_json, structure_json, frames]
-        + column_blobs
+        [MAGIC, _U32.pack(len(header_json)), header_json] + column_blobs
     )
     return body + hashlib.sha256(body).digest()
 
@@ -331,8 +338,10 @@ def decode_segment(data: bytes) -> Segment:
     Raises :class:`~repro.exceptions.CorruptSnapshotError` on *any*
     verification failure -- bad magic, unknown schema, truncation, CRC
     mismatch, whole-file digest mismatch, a malformed header, frames
-    that do not tile the structure -- never a partial or guessed
-    payload.  The structure comes back unparsed: as its fragments
+    that do not tile the structure, a column table that is not the
+    schema's -- never a partial or guessed payload.  The structure
+    comes back unparsed: as raw columns (schema 4; see
+    :func:`repro.db.io.database_from_columns`), as its fragments
     (schema 2) or whole (schema 1; see :func:`decode_structure`).  A
     delta (schema 3) comes back as its header alone; see
     :attr:`Segment.link`.
@@ -358,6 +367,23 @@ def decode_segment(data: bytes) -> Segment:
             raise _corrupt(f"{len(body) - offset} trailing bytes after a delta header")
         return Segment(header, b"", None, {})
 
+    structure_json = b""
+    fragments: Optional[List[bytes]] = None
+    if schema != 4:
+        structure_json, fragments, offset = _decode_structure_frames(
+            header, body, offset
+        )
+    columns = _decode_columns(header, body, offset)
+    if schema == 4:
+        _check_column_table(header["columns"])
+    return Segment(header, structure_json, fragments, columns)
+
+
+def _decode_structure_frames(
+    header: Mapping[str, Any], body: bytes, offset: int
+) -> Tuple[bytes, Optional[List[bytes]], int]:
+    """A schema-1 or schema-2 segment's structure JSON and, for schema
+    2, its fragments; returns the offset after them."""
     structure_length = header.get("structure_length")
     if not isinstance(structure_length, int) or structure_length < 0:
         raise _corrupt(f"bad structure length {structure_length!r}")
@@ -369,7 +395,7 @@ def decode_segment(data: bytes) -> Segment:
         raise _corrupt("structure CRC mismatch")
 
     fragments: Optional[List[bytes]] = None
-    if schema == 2:
+    if header["schema"] == 2:
         count = header.get("frames")
         if type(count) is not int or count < 0:
             raise _corrupt(f"bad frame count {count!r}")
@@ -385,7 +411,14 @@ def decode_segment(data: bytes) -> Segment:
             struct.unpack(f">{count}I", frames),
             header.get("name"),
         )
+    return structure_json, fragments, offset
 
+
+def _decode_columns(
+    header: Mapping[str, Any], body: bytes, offset: int
+) -> Dict[str, bytes]:
+    """The columns the header's table frames from ``offset`` to the
+    end of the body, each checked against its CRC."""
     column_meta = header.get("columns")
     if not isinstance(column_meta, list):
         raise _corrupt("header lacks a column table")
@@ -408,7 +441,22 @@ def decode_segment(data: bytes) -> Segment:
         columns[name] = blob
     if offset != len(body):
         raise _corrupt(f"{len(body) - offset} trailing bytes after columns")
-    return Segment(header, structure_json, fragments, columns)
+    return columns
+
+
+def _check_column_table(column_meta: Sequence[Mapping[str, Any]]) -> None:
+    """A schema-4 column table names :data:`SEGMENT_COLUMNS` in order,
+    each structure column with a dtype it may carry and a length that
+    holds whole items."""
+    names = tuple(meta["name"] for meta in column_meta)
+    if names != SEGMENT_COLUMNS:
+        raise _corrupt(f"columns {names} are not {SEGMENT_COLUMNS}")
+    for meta in column_meta[: len(STRUCTURE_COLUMNS)]:
+        name, dtype = meta["name"], meta.get("dtype")
+        if dtype not in COLUMN_DTYPES[name]:
+            raise _corrupt(f"column {name!r} has dtype {dtype!r}")
+        if dtype != JSON_COLUMN and meta["length"] % np.dtype(dtype).itemsize:
+            raise _corrupt(f"column {name!r} does not hold whole {dtype} items")
 
 
 def _split_fragments(
@@ -457,6 +505,23 @@ def decode_structure(structure_json: bytes) -> Dict[str, Any]:
     if not isinstance(structure, dict):
         raise _corrupt("structure is not an object")
     return structure
+
+
+def decode_tables(segment: Segment) -> None:
+    """Parse a schema-4 segment's JSON columns -- the id tables, and
+    values or probabilities stored as JSON -- raising
+    :class:`~repro.exceptions.CorruptSnapshotError` unless each is a
+    JSON array: the light check :func:`decode_structure` makes of a
+    schema-1 or -2 structure.  The whole check is a rebuild."""
+    for name, (dtype, blob) in segment.typed_columns(STRUCTURE_COLUMNS).items():
+        if dtype != JSON_COLUMN:
+            continue
+        try:
+            table = json.loads(blob)
+        except ValueError as exc:
+            raise _corrupt(f"column {name!r} is not valid JSON ({exc})") from None
+        if not isinstance(table, list):
+            raise _corrupt(f"column {name!r} is not a JSON array")
 
 
 # ---------------------------------------------------------------------------

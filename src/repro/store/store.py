@@ -15,9 +15,11 @@ complete post-write state -- never a torn hybrid, and never silently
 wrong data.
 
 **Segments** come in two kinds.  A *full* segment holds a snapshot's
-structure and ranked columns.  A *delta* segment holds only a cleaning
-outcome's base id and its change set (``{xid: revealed tid, or null
-for a revealed null}``, as the clean carried it), a few hundred bytes
+structure, as typed columns (schema 4; schemas 1 and 2 hold it as
+JSON and stay readable), and its ranked columns.  A *delta* segment
+holds only a cleaning outcome's base id and its change set (``{xid:
+revealed tid, or null for a revealed null}``, as the clean carried
+it), a few hundred bytes
 where its full segment would be megabytes: the store writes one when
 the outcome's base is live, verified and fewer than
 :data:`MAX_DELTA_DEPTH` links above a full segment, and the carried
@@ -26,21 +28,30 @@ Both are written atomically: encode fully in memory, write to a
 ``.tmp-*`` sibling, fsync, rename over the final name, fsync the
 directory.  A crash before the rename leaves only
 a temp file (swept on open -> pre-state); after it, a fully durable
-segment (post-state).  Every decoded byte is checksummed
-(:mod:`repro.store.format`).  A full segment's rebuilt ranked view is
-cross-checked column-by-column against the stored bytes and the content
-hash; a delta loads after its base, from the base's view spliced with
-the change set, and must hash to its header's content hash.  So
-corruption is *detected*, and detected corruption is *quarantined* --
-moved aside with a typed :class:`~repro.exceptions.CorruptSnapshotError`,
-never served.  A delta whose base is missing, tombstoned or quarantined
-is quarantined too, its reason naming the base: a corrupt full segment
-takes the deltas above it along, at most :data:`MAX_DELTA_DEPTH` links
-of a chain.  Every segment gets its whole check at open, but one open
-decodes, validates and hashes each *distinct* x-tuple once: a schema-2
-segment frames its x-tuples, and a cleaning chain's full segments
-repeat nearly all of them, so its snapshots share one ``XTuple`` per
-distinct fragment (see :meth:`SnapshotStore._rebuild_full`).
+segment (post-state).
+
+**An open checks bytes; a snapshot is rebuilt on first use.**  The
+open reads every segment file and checks its framing, CRCs, whole-file
+digest and header id (:mod:`repro.store.format`), and indexes what
+passes.  The rebuild -- and with it every semantic check -- runs when
+something first uses the snapshot: a lease, a replay's base,
+``persist``'s base check, :meth:`SnapshotStore.snapshots` or
+:meth:`SnapshotStore.verify`.  A full segment's rebuild checks its
+columns' ids, sizes, probabilities and masses, then the content hash,
+then a cold re-rank bitwise against the stored ranked columns; a delta
+is rebuilt from its base's view spliced with the change set and must
+hash to its header's content hash.  So corruption is *detected*, and
+detected corruption is *quarantined* -- moved aside (on an exclusive
+handle; a read-only one only refuses it) with a typed
+:class:`~repro.exceptions.CorruptSnapshotError`, never served: at
+open for a byte-level fault, at first use for a semantic one.  A delta
+whose base is missing, tombstoned, quarantined or on a cycle is
+quarantined with it, its reason naming the base: a corrupt full
+segment takes the deltas above it along, at most
+:data:`MAX_DELTA_DEPTH` links of a chain.  An open costs what its
+first requests touch, not every live snapshot; a pass that rebuilds
+several full segments builds each *distinct* x-tuple once (see
+:meth:`SnapshotStore._rebuild_full`).
 
 **The journal** records each executed cleaning *before* the outcome
 segment is written.  A schema-2 record holds the outcome as its base
@@ -158,8 +169,10 @@ from repro.db.database import (
     RankedDatabase,
 )
 from repro.db.io import (
+    STRUCTURE_COLUMNS,
+    database_columns,
+    database_from_columns,
     database_from_dict,
-    database_structure_frames,
     database_structure_json,
     xtuple_from_entry,
 )
@@ -172,6 +185,7 @@ from repro.exceptions import (
     StoreError,
     StoreReadOnlyError,
     StoreWriteError,
+    UnknownSnapshotError,
 )
 from repro.store.format import (
     DeltaLink,
@@ -179,6 +193,7 @@ from repro.store.format import (
     decode_journal,
     decode_segment,
     decode_structure,
+    decode_tables,
     encode_journal,
     encode_journal_record,
     encode_segment,
@@ -211,7 +226,7 @@ JOURNAL_SCHEMA = 2
 #: Longest chain of delta segments above a full one: an outcome whose
 #: base is this deep is written full, so every ninth link of a
 #: cleaning chain is a full segment.  It bounds two costs of a chain:
-#: an open rebuilds a delta through at most this many splices from its
+#: a rebuild reaches a delta through at most this many splices from its
 #: full segment, and a corrupt full segment quarantines at most this
 #: many links of one chain with it.
 MAX_DELTA_DEPTH = 8
@@ -325,11 +340,15 @@ class RecoveryReport:
     Attributes
     ----------
     loaded:
-        Snapshot ids whose segments verified and were adopted.
+        Snapshot ids whose segment bytes verified and were indexed;
+        each is rebuilt, and semantically checked, on first use
+        (:meth:`SnapshotStore.load`).
     quarantined:
-        ``(file name, reason)`` per segment that failed verification.
+        ``(file name, reason)`` per segment the open refused: a
+        byte-level fault, or a delta whose base chain is broken.
         Exclusive opens move the file to ``quarantine/``; read-only
         opens only *detect* (the entry is reported, the file stays).
+        A semantic fault surfaces at first use instead.
     swept_temp_files:
         In-flight temp files from a previous crash that were removed
         (always zero for read-only opens, which never repair).
@@ -370,11 +389,12 @@ class SnapshotStore:
 
     Opening the store *is* recovery: the constructor takes the
     cross-process lock, sweeps temp files, truncates any torn journal
-    tail, verifies every segment (quarantining failures), and leaves
-    the verified snapshots in :meth:`snapshots` and the findings in
-    :attr:`recovery`.  Journal records whose outcome segment is
-    missing surface through :meth:`pending_cleanings` for the serving
-    layer to replay.
+    tail, checks every segment's bytes (quarantining failures), and
+    indexes the live snapshots (:meth:`snapshot_ids`), leaving the
+    findings in :attr:`recovery`.  Each snapshot is rebuilt, with
+    every semantic check, on first use (:meth:`load`).  Journal
+    records whose outcome segment is missing surface through
+    :meth:`pending_cleanings` for the serving layer to replay.
 
     Parameters
     ----------
@@ -453,8 +473,15 @@ class SnapshotStore:
         self.psr_store_compactions = 0
         self.psr_store_gc_unlinks = 0
         self.psr_store_lock_waits = 0
-        self._snapshots: Dict[str, RankedDatabase] = {}
-        #: Segment kind by id, for every segment this handle loaded,
+        #: Every live snapshot this handle indexed at open, wrote or
+        #: adopted: its decoded segment until first use rebuilds it,
+        #: then its ranked view.
+        self._index: Dict[str, Union[Segment, RankedDatabase]] = {}
+        #: Snapshots whose rebuild failed, or whose base's did, with
+        #: the reason: quarantined (exclusive) or only refused
+        #: (read-only), never served.
+        self._refused: Dict[str, str] = {}
+        #: Segment kind by id, for every segment this handle indexed,
         #: wrote, adopted or verified: a delta's link, ``None`` if full.
         self._link_of: Dict[str, Optional[DeltaLink]] = {}
         #: Segments whose on-disk bytes this handle has verified: at
@@ -514,15 +541,71 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def snapshots(self) -> Dict[str, RankedDatabase]:
-        """Verified snapshot views by id (a copy; safe to mutate)."""
+    def snapshot_ids(self) -> List[str]:
+        """Every live snapshot this handle holds, rebuilt or not."""
         with self._lock:
-            return dict(self._snapshots)
+            return sorted(self._index)
+
+    def load(self, snapshot_id: str) -> RankedDatabase:
+        """The snapshot's ranked view, rebuilt and checked on first use.
+
+        The first load of a snapshot rebuilds it (and the base chain
+        of a delta) and runs every semantic check
+        (:meth:`_rebuild_full`, :meth:`_rebuild_delta`); later loads
+        return the same view.  A failure quarantines the segment and
+        every delta above it -- on a read-only handle it only refuses
+        them, moving nothing -- and raises
+        :class:`~repro.exceptions.CorruptSnapshotError`, as does any
+        later load of them.  An id this handle never held raises
+        :class:`~repro.exceptions.UnknownSnapshotError`.
+        """
+        with self._lock:
+            return self._materialize(snapshot_id, {})
+
+    def snapshots(self) -> Dict[str, RankedDatabase]:
+        """Every live snapshot's ranked view by id (a copy; safe to
+        mutate), rebuilding those not yet used in one pass that builds
+        each distinct x-tuple once.  A snapshot whose rebuild fails is
+        quarantined (or refused, read-only) and left out."""
+        with self._lock:
+            return self._materialize_all()
+
+    def _materialize_all(self) -> Dict[str, RankedDatabase]:
+        """Every live snapshot's view, rebuilt in one pass that shares
+        one x-tuple table; failures are refused and left out.  Caller
+        holds the thread lock but not the file lock."""
+        interned: Dict[bytes, XTuple] = {}
+        views: Dict[str, RankedDatabase] = {}
+        for snapshot_id in sorted(self._index):
+            try:
+                views[snapshot_id] = self._materialize(snapshot_id, interned)
+            except CorruptSnapshotError:
+                continue
+        return views
+
+    def verify(self) -> Dict[str, Any]:
+        """Rebuild every live snapshot and report what failed: the deep
+        scrub that an open, which checks bytes only, leaves to first use.
+
+        One pass, as :meth:`snapshots` makes it; a failure is handled
+        as at any first use (quarantined, or only refused read-only).
+        Returns ``verified``, the ids that rebuilt, and ``failed``, a
+        ``[file name, reason]`` pair per segment this handle refused:
+        at open (:attr:`recovery`) or at a rebuild.
+        """
+        with self._lock:
+            verified = sorted(self._materialize_all())
+            failed = [list(entry) for entry in self.recovery.quarantined] + [
+                [snapshot_id + SEGMENT_SUFFIX, reason]
+                for snapshot_id, reason in sorted(self._refused.items())
+            ]
+        return {"verified": verified, "failed": failed}
 
     def has_segment(self, snapshot_id: str) -> bool:
-        """Whether a verified segment for this snapshot is on disk."""
+        """Whether a live segment for this snapshot is on disk, its
+        bytes verified (its rebuild may still be pending)."""
         with self._lock:
-            return snapshot_id in self._snapshots
+            return snapshot_id in self._index
 
     def journal_records(self) -> List[Dict[str, Any]]:
         """Every clean journal record, in append order (copies)."""
@@ -542,7 +625,7 @@ class SnapshotStore:
             return [dict(r) for r in self._pending_records()]
 
     def _pending_records(self) -> List[Dict[str, Any]]:
-        """Clean records whose outcome is neither loaded nor tombstoned.
+        """Clean records whose outcome is neither indexed nor tombstoned.
 
         Caller holds the thread lock.
         """
@@ -551,7 +634,7 @@ class SnapshotStore:
             r
             for r in self._journal
             if r.get("kind", "clean") == "clean"
-            and r.get("outcome") not in self._snapshots
+            and r.get("outcome") not in self._index
             and r.get("outcome") not in tombstoned
         ]
 
@@ -564,14 +647,14 @@ class SnapshotStore:
 
         Everything an operator needs after an incident: what is
         durable, what the journal still owes (records *and* bytes),
-        segment count and bytes, how many loaded segments are full and
-        how many are deltas, tombstones awaiting their unlink, the
-        recorded cross-process lock holder, what recovery moved to
+        segment count and bytes, how many live segments are full and
+        how many are deltas (rebuilt or not), tombstones awaiting their
+        unlink, the recorded cross-process lock holder, what recovery moved to
         ``quarantine/``, and the counters -- the payload behind
         ``repro store status``.
         """
         with self._lock:
-            snapshot_ids = sorted(self._snapshots)
+            snapshot_ids = sorted(self._index)
             deltas = sum(
                 1 for sid in snapshot_ids if self._link_of.get(sid) is not None
             )
@@ -618,7 +701,7 @@ class SnapshotStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SnapshotStore {str(self.root)!r} [{self.mode}]: "
-            f"{len(self._snapshots)} segments, "
+            f"{len(self._index)} segments, "
             f"{len(self._journal)} journal records>"
         )
 
@@ -649,14 +732,8 @@ class SnapshotStore:
             self._journal = records
 
         tombstoned = _tombstone_ids(self._journal)
-        loaded: List[str] = []
         quarantined: List[Tuple[str, str]] = []
         skipped_tombstoned = 0
-        # Lives for this open only: see _rebuild_full.
-        interned: Dict[bytes, XTuple] = {}
-        # Deltas wait for their base: full segments load in the first
-        # pass, then each delta once its base has loaded.
-        deltas: Dict[str, Tuple[Path, Segment, DeltaLink]] = {}
         # Quarantined id -> the segment its chain broke at (itself, or
         # the quarantined segment a delta's base chain leads down to).
         broken: Dict[str, str] = {}
@@ -668,54 +745,61 @@ class SnapshotStore:
             if repair:
                 self._quarantine_file(path)
 
+        segments: Dict[str, Tuple[Path, Segment]] = {}
         for path in sorted(self._segments_dir.glob("*" + SEGMENT_SUFFIX)):
             snapshot_id = path.name[: -len(SEGMENT_SUFFIX)]
             if snapshot_id in tombstoned:
                 skipped_tombstoned += 1
                 continue
             try:
-                segment = self._read_segment(path)
-                link = segment.link
-                if link is not None:
-                    deltas[snapshot_id] = (path, segment, link)
-                    continue
-                ranked = self._rebuild_full(segment, interned)
+                segments[snapshot_id] = (path, self._read_segment(path))
             except (CorruptSnapshotError, OSError) as exc:
                 refuse(path, str(exc))
-                continue
-            self._adopt_loaded(snapshot_id, ranked, None)
-            loaded.append(snapshot_id)
+        # A delta is indexed once its base is: full segments first,
+        # then each delta whose base made it in.
+        deltas: Dict[str, DeltaLink] = {}
+        for snapshot_id, (_, segment) in segments.items():
+            link = segment.link
+            if link is not None:
+                deltas[snapshot_id] = link
+        indexed = {sid for sid in segments if sid not in deltas}
         while deltas:
             ready = sorted(
-                sid for sid, (_, _, link) in deltas.items() if link.base not in deltas
+                sid for sid, link in deltas.items() if link.base not in deltas
             )
             if not ready:
                 # Every remaining delta waits on another: a cycle, which
                 # no writer produces; none of them can be rebuilt.
-                for path, _, _ in deltas.values():
-                    refuse(path, "segment corrupt: its base chain is cyclic")
+                for sid in sorted(deltas):
+                    refuse(
+                        segments[sid][0], "segment corrupt: its base chain is cyclic"
+                    )
                 break
-            for snapshot_id in ready:
-                path, segment, link = deltas.pop(snapshot_id)
-                root = broken.get(link.base)
+            for sid in ready:
+                base = deltas.pop(sid).base
+                root = broken.get(base)
                 if root is not None:
                     refuse(
-                        path,
-                        f"segment corrupt: its base {link.base!r} was "
-                        f"quarantined"
-                        + ("" if root == link.base else f" with {root!r}"),
+                        segments[sid][0],
+                        f"segment corrupt: its base {base!r} was quarantined"
+                        + ("" if root == base else f" with {root!r}"),
                         root,
                     )
-                    continue
-                try:
-                    ranked = self._rebuild_delta(segment, link)
-                except CorruptSnapshotError as exc:
-                    refuse(path, str(exc))
-                    continue
-                self._adopt_loaded(snapshot_id, ranked, link)
-                loaded.append(snapshot_id)
+                elif base not in indexed:
+                    refuse(
+                        segments[sid][0],
+                        f"segment corrupt: its base {base!r} is missing or "
+                        f"tombstoned",
+                    )
+                else:
+                    indexed.add(sid)
+        for snapshot_id in sorted(indexed):
+            segment = segments[snapshot_id][1]
+            self._index[snapshot_id] = segment
+            self._link_of[snapshot_id] = segment.link
+            self._verified.add(snapshot_id)
         return RecoveryReport(
-            loaded=tuple(sorted(loaded)),
+            loaded=tuple(sorted(indexed)),
             quarantined=tuple(quarantined),
             swept_temp_files=swept,
             journal_records=len(self._journal),
@@ -723,14 +807,6 @@ class SnapshotStore:
             journal_truncate_reason=truncate_reason,
             tombstoned_segments=skipped_tombstoned,
         )
-
-    def _adopt_loaded(
-        self, snapshot_id: str, ranked: RankedDatabase, link: Optional[DeltaLink]
-    ) -> None:
-        """Record one segment that verified at open."""
-        self._snapshots[snapshot_id] = ranked
-        self._link_of[snapshot_id] = link
-        self._verified.add(snapshot_id)
 
     def _read_segment(self, path: Path) -> Segment:
         """Read and decode one segment file at open -- or raise.
@@ -760,33 +836,146 @@ class SnapshotStore:
             )
         return segment
 
+    def _materialize(
+        self, snapshot_id: str, interned: Dict[bytes, XTuple]
+    ) -> RankedDatabase:
+        """The snapshot's ranked view, rebuilding it -- and, for a
+        delta, the base chain below it -- on first use; see
+        :meth:`load`.  ``interned`` is the pass's x-tuple table (see
+        :meth:`_rebuild_full`).  Caller holds the thread lock but not
+        the file lock, which a quarantine takes.
+        """
+        entry = self._index.get(snapshot_id)
+        if isinstance(entry, RankedDatabase):
+            return entry
+        if entry is None:
+            if snapshot_id in self._refused:
+                raise self._refusal(snapshot_id)
+            raise UnknownSnapshotError(
+                f"store {str(self.root)!r} holds no live segment for "
+                f"snapshot {snapshot_id!r}"
+            )
+        # Down the chain to a rebuilt view or a full segment.  The open
+        # indexes no delta without its base, and a refusal takes the
+        # deltas above along, so a base leaves the index only when GC
+        # collects it, which keeps every base a live delta needs.
+        chain: List[Tuple[str, Segment]] = []
+        view: Optional[RankedDatabase] = None
+        sid = snapshot_id
+        while True:
+            entry = self._index.get(sid)
+            if entry is None:
+                self._refuse(
+                    chain[-1][0],
+                    f"segment corrupt: its base {sid!r} is missing or tombstoned",
+                )
+                raise self._refusal(snapshot_id)
+            if isinstance(entry, RankedDatabase):
+                view = entry
+                break
+            chain.append((sid, entry))
+            link = entry.link
+            if link is None:
+                break
+            sid = link.base
+        for sid, segment in reversed(chain):
+            link = segment.link
+            try:
+                if link is None:
+                    view = self._rebuild_full(segment, interned)
+                else:
+                    assert view is not None
+                    view = self._rebuild_delta(segment, link, view)
+            except CorruptSnapshotError as exc:
+                self._refuse(sid, str(exc))
+                raise self._refusal(snapshot_id) from None
+            self._index[sid] = view
+        assert view is not None
+        return view
+
+    def _refusal(self, snapshot_id: str) -> CorruptSnapshotError:
+        """The error a refused snapshot raises, with its reason."""
+        return CorruptSnapshotError(
+            f"snapshot {snapshot_id!r} is not served: "
+            f"{self._refused[snapshot_id]}"
+        )
+
+    def _refuse(self, snapshot_id: str, reason: str) -> None:
+        """Take a snapshot whose segment failed a check, and every
+        delta above it, out of service: an exclusive handle moves
+        their files to ``quarantine/``, a read-only one leaves them.
+        Caller holds the thread lock but not the file lock."""
+        refused = [(snapshot_id, reason)]
+        doomed = {snapshot_id}
+        grown = True
+        while grown:
+            grown = False
+            for sid in sorted(self._index):
+                link = self._link_of.get(sid)
+                if sid in doomed or link is None or link.base not in doomed:
+                    continue
+                doomed.add(sid)
+                grown = True
+                refused.append(
+                    (
+                        sid,
+                        f"segment corrupt: its base {link.base!r} was "
+                        f"quarantined"
+                        + (
+                            ""
+                            if link.base == snapshot_id
+                            else f" with {snapshot_id!r}"
+                        ),
+                    )
+                )
+        for sid, why in refused:
+            self._forget(sid)
+            self._refused[sid] = why
+        if self.mode == "exclusive":
+            with self._exclusive():
+                for sid, _ in refused:
+                    path = self._segment_path(sid)
+                    if path.exists():
+                        self._quarantine_file(path)
+
     def _rebuild_full(
         self, segment: Segment, interned: Dict[bytes, XTuple]
     ) -> RankedDatabase:
         """Verify and rebuild one full segment's ranked view -- or raise.
 
         Verification is belt *and* suspenders: beyond the codec's
-        checks, this rebuilds the database from the structure,
-        recomputes its content hash against the header's, re-ranks it
-        cold, and compares every canonical column bitwise against the
-        stored bytes.  A segment that passes cannot silently disagree
-        with the view a fresh construction would produce.
+        checks, this rebuilds the database from the structure, checking
+        every id, size and probability
+        (:func:`~repro.db.io.database_from_columns`; a schema-1 or -2
+        structure goes through ingest's checks), recomputes its content
+        hash against the header's, re-ranks it cold, and compares every
+        canonical column bitwise against the stored bytes.  A segment
+        that passes cannot silently disagree with the view a fresh
+        construction would produce.
 
-        ``interned`` maps every x-tuple fragment this open has already
-        parsed and validated to the :class:`~repro.db.tuples.XTuple`
-        built from it.  A cleaning chain's segments repeat most of
-        their fragments, so each distinct x-tuple is decoded, validated
-        and hashed once per open, and its snapshots share the object
-        as in-process derivations do: equal bytes parse to equal
-        values and pass the same per-x-tuple checks.  A fragment enters
-        the table only once it has passed them.  Every check that
-        spans a database -- duplicate ids, content hash, re-rank,
-        columns -- still runs on each segment.  Schema-1 segments have
-        no frames; they are parsed whole and validated as ingest does.
+        ``interned`` maps every x-tuple this pass has already checked
+        and built -- by its content-hash record (schema 4) or its
+        fragment (schema 2) -- to the :class:`~repro.db.tuples.XTuple`.
+        A cleaning chain's full segments repeat most of their
+        x-tuples, so a pass that rebuilds several builds each distinct
+        x-tuple once, and its snapshots share the object as in-process
+        derivations do: equal bytes decode to equal values and pass the
+        same per-x-tuple checks.  An x-tuple enters the table only once
+        it has passed them.  Every check that spans a database --
+        duplicate ids, content hash, re-rank, columns -- still runs on
+        each segment.  Schema-1 segments have no frames; they are
+        parsed whole and validated as ingest does.
         """
         header, structure_json, fragments, columns = segment
         try:
-            if fragments is None:
+            if header["schema"] == 4:
+                name = header.get("name")
+                if not isinstance(name, str):
+                    raise InvalidDatabaseError(f"bad database name {name!r}")
+                db = database_from_columns(
+                    name, segment.typed_columns(STRUCTURE_COLUMNS), interned
+                )
+            elif fragments is None:
                 db = database_from_dict(decode_structure(structure_json))
             else:
                 db = ProbabilisticDatabase(
@@ -833,22 +1022,17 @@ class SnapshotStore:
                 )
         return ranked
 
-    def _rebuild_delta(self, segment: Segment, link: DeltaLink) -> RankedDatabase:
-        """Rebuild one delta segment from its loaded base -- or raise.
+    def _rebuild_delta(
+        self, segment: Segment, link: DeltaLink, base: RankedDatabase
+    ) -> RankedDatabase:
+        """Rebuild one delta segment from its base's view -- or raise.
 
-        The change set is applied to the base's view through
+        The change set is applied to ``base`` through
         :meth:`~repro.db.database.RankedDatabase.with_change_set`, and
         the result must hash to the header's content hash.  A delta
         holds no columns to compare: its view is the splice, which is
-        bitwise the cold rank of the changed database.  A base that did
-        not load takes the delta with it.
+        bitwise the cold rank of the changed database.
         """
-        base = self._snapshots.get(link.base)
-        if base is None:
-            raise CorruptSnapshotError(
-                f"segment corrupt: its base {link.base!r} is missing or "
-                f"tombstoned"
-            )
         try:
             ranked = base.with_change_set(link.changes)
         except InvalidDatabaseError as exc:
@@ -877,28 +1061,23 @@ class SnapshotStore:
         return destination.name
 
     def quarantine_segment(self, snapshot_id: str, reason: str) -> None:
-        """Evict a loaded snapshot whose segment proved untrustworthy.
+        """Take a snapshot whose segment proved untrustworthy out of
+        service.
 
         Used by adopters (the session pool) that detect an
         inconsistency the store's own verification cannot see, e.g. a
-        snapshot id derivation mismatch.  The segment moves to
-        ``quarantine/`` and the snapshot disappears from
-        :meth:`snapshots`; ``reason`` travels in the raised error.
+        snapshot id derivation mismatch.  The snapshot, and every delta
+        above it, disappear from this handle; an exclusive handle moves
+        their segments to ``quarantine/``, a read-only one leaves the
+        files in place.  ``reason`` travels in the raised error.
 
         Raises :class:`~repro.exceptions.CorruptSnapshotError` -- the
         caller decides whether to swallow it (skip the snapshot) or
         propagate.
         """
         with self._lock:
-            self._require_writer("quarantine_segment")
-            with self._exclusive():
-                self._forget(snapshot_id)
-                path = self._segment_path(snapshot_id)
-                if path.exists():
-                    self._quarantine_file(path)
-        raise CorruptSnapshotError(
-            f"segment for snapshot {snapshot_id!r} quarantined: {reason}"
-        )
+            self._refuse(snapshot_id, f"segment corrupt: {reason}")
+            raise self._refusal(snapshot_id)
 
     # ------------------------------------------------------------------
     # Writing
@@ -936,7 +1115,7 @@ class SnapshotStore:
 
         * the base's file exists and no tombstone names it;
         * this handle has verified the base's bytes and its own base
-          chain -- it loaded them at open, checked them at a
+          chain -- it read them at open, checked them at a
           checkpoint, or reads them back now, once per segment
           (:meth:`_verify_once`), so a base bit-flipped on its way to
           disk is caught before anything depends on it;
@@ -945,13 +1124,14 @@ class SnapshotStore:
         * ``ranked`` has the base's name and ranking;
         * ``changes`` passes three checks that cost O(change), not a
           walk of either database: every x-tuple it names is in the
-          held base, every tuple id is one of that x-tuple's
-          alternatives, and the base's x-tuple count less the removals
-          is ``ranked``'s.
+          held base (rebuilt first, if this handle has not used it
+          yet; a base that fails its rebuild makes the outcome full),
+          every tuple id is one of that x-tuple's alternatives, and
+          the base's x-tuple count less the removals is ``ranked``'s.
 
         Otherwise -- ``base`` or ``changes`` omitted included -- it
         writes a full segment.  The content hash in a delta's header
-        is ``ranked``'s, and every open rebuilds the delta from its
+        is ``ranked``'s, and the delta's first use rebuilds it from its
         base and checks that hash, so a change set that does not lead
         to ``ranked`` is caught there (and quarantined) rather than
         served.  Both kinds share one
@@ -975,8 +1155,16 @@ class SnapshotStore:
             )
         with self._lock:
             self._require_writer("persist")
-            if snapshot_id in self._snapshots:
+            if snapshot_id in self._index:
                 return False
+            if base is not None and base in self._index:
+                # The base check below reads the base's view: rebuild
+                # it first (outside the file lock, which a quarantine
+                # takes).  A base that fails makes the outcome full.
+                try:
+                    self._materialize(base, {})
+                except CorruptSnapshotError:
+                    pass
             with self._exclusive():
                 final = self._segment_path(snapshot_id)
                 # Re-read the journal from disk: a tombstone for this
@@ -989,8 +1177,9 @@ class SnapshotStore:
                     self._retire_tombstone(snapshot_id, records, final)
                     tombstoned.discard(snapshot_id)
                 elif final.exists():
-                    self._snapshots[snapshot_id] = ranked
+                    self._index[snapshot_id] = ranked
                     self._link_of[snapshot_id] = _link_on_disk(final)
+                    self._refused.pop(snapshot_id, None)
                     return False
                 _disk_step("segment:begin")
                 link = self._delta_link(
@@ -1004,25 +1193,19 @@ class SnapshotStore:
                         delta=link,
                     )
                 else:
-                    structure_json, fragment_lengths = (
-                        database_structure_frames(ranked.db)
-                    )
+                    columns = database_columns(ranked.db)
+                    for name in CANONICAL_COLUMNS:
+                        array = getattr(ranked, name)
+                        columns[name] = (
+                            array.dtype.str,
+                            np.ascontiguousarray(array).tobytes(),
+                        )
                     payload = encode_segment(
                         snapshot_id=snapshot_id,
                         content_hash=ranked.db.content_hash(),
                         name=ranked.db.name,
                         ranking=descriptor,
-                        structure_json=structure_json,
-                        fragment_lengths=fragment_lengths,
-                        columns={
-                            name: (
-                                getattr(ranked, name).dtype.str,
-                                np.ascontiguousarray(
-                                    getattr(ranked, name)
-                                ).tobytes(),
-                            )
-                            for name in CANONICAL_COLUMNS
-                        },
+                        columns=columns,
                     )
                 crash_after = False
                 directive = _disk_step("segment:payload")
@@ -1058,8 +1241,9 @@ class SnapshotStore:
                 _disk_step("segment:committed")
                 # New bytes: verified only once read back.
                 self._verified.discard(snapshot_id)
-                self._snapshots[snapshot_id] = ranked
+                self._index[snapshot_id] = ranked
                 self._link_of[snapshot_id] = link
+                self._refused.pop(snapshot_id, None)
                 self.psr_store_writes += 1
                 return True
 
@@ -1074,10 +1258,10 @@ class SnapshotStore:
         """The link of a delta segment for ``ranked`` on ``base`` with
         ``changes``, or ``None`` when it must be written full (see
         :meth:`persist`).  Caller holds both locks."""
-        held = self._snapshots.get(base) if base is not None else None
+        held = self._index.get(base) if base is not None else None
         if (
             base is None
-            or held is None
+            or not isinstance(held, RankedDatabase)
             or held.db.name != ranked.db.name
             or ranking_descriptor(held.ranking) != descriptor
             or not self._verify_once(base, tombstoned)
@@ -1111,7 +1295,7 @@ class SnapshotStore:
 
     def _forget(self, snapshot_id: str) -> None:
         """Drop a segment from this handle's index and bookkeeping."""
-        self._snapshots.pop(snapshot_id, None)
+        self._index.pop(snapshot_id, None)
         self._link_of.pop(snapshot_id, None)
         self._verified.discard(snapshot_id)
 
@@ -1169,10 +1353,15 @@ class SnapshotStore:
         }
         with self._lock:
             self._require_writer("journal_clean")
+            try:
+                # Replay will need the base's view: it must rebuild.
+                self._materialize(base_snapshot_id, {})
+            except (CorruptSnapshotError, UnknownSnapshotError):
+                return None
             with self._exclusive():
                 records = self._read_journal_from_disk()
                 self._journal = records
-                if base_snapshot_id not in self._snapshots or not (
+                if base_snapshot_id not in self._index or not (
                     self._verify_once(base_snapshot_id, _tombstone_ids(records))
                 ):
                     return None
@@ -1198,7 +1387,10 @@ class SnapshotStore:
         whose outcome segment is durably committed and verifies -- for
         a delta, its own bytes plus its base chain, every base live and
         verified; a segment this handle already verified is not read
-        again (:meth:`_verify_once`) -- drops ``tombstone``
+        again (:meth:`_verify_once`) -- or whose outcome a tombstone
+        names (it owes no replay, as :meth:`pending_cleanings` says;
+        left otherwise, it would turn pending once the tombstone is
+        retired), drops ``tombstone``
         records whose file is already gone, and rewrites
         the survivors atomically (temp + fsync + rename + dir fsync)
         -- a crash at any step leaves the complete old journal or the
@@ -1240,8 +1432,12 @@ class SnapshotStore:
             kind = record.get("kind", "clean")
             if kind == "clean":
                 outcome = record.get("outcome")
-                if isinstance(outcome, str) and self._verify_once(
-                    outcome, tombstoned
+                # A tombstoned outcome owes no replay (see
+                # pending_cleanings): only a clean journaled after GC
+                # collected its outcome, and crashed before the segment,
+                # leaves such a record, and it was never acknowledged.
+                if isinstance(outcome, str) and (
+                    outcome in tombstoned or self._verify_once(outcome, tombstoned)
                 ):
                     dropped += 1
                 else:
@@ -1381,14 +1577,16 @@ class SnapshotStore:
         """Whether the segment file is committed and decodes cleanly.
 
         Reads the file.  The digest, CRCs, header, framing and id are
-        always checked.  For a full segment, when this handle holds the
-        snapshot and the structure is byte for byte its canonical
-        encoding (a join of memoized fragments), the structure is not
-        parsed again: a canonical encoding of a valid in-memory
-        database always parses.  Any other structure -- a segment
-        another process wrote, or bytes that differ -- is parsed whole.
-        A delta must name the content hash of the snapshot this handle
-        holds (if it holds it), and its base must be live and verified
+        always checked.  A full segment whose snapshot this handle holds
+        rebuilt must name its content hash; a schema-4 one is then not
+        parsed, and a schema-1 or -2 one only when its structure is not
+        byte for byte the held database's canonical encoding (a join of
+        memoized fragments).  A full segment this handle does not hold
+        rebuilt -- another process wrote it -- gets its JSON parsed
+        (:func:`~repro.store.format.decode_tables`,
+        :func:`~repro.store.format.decode_structure`).  A delta must
+        name the content hash of the snapshot this handle holds (if it
+        holds it rebuilt), and its base must be live and verified
         in turn (:meth:`_verify_once`; ``chain`` holds the deltas
         above it, so a cyclic chain fails instead of recursing).  A
         segment that verifies is remembered as verified, with its
@@ -1402,10 +1600,17 @@ class SnapshotStore:
             segment = decode_segment(data)
             if segment.header.get("snapshot_id") != snapshot_id:
                 return False
-            held = self._snapshots.get(snapshot_id)
+            held = self._index.get(snapshot_id)
+            if not isinstance(held, RankedDatabase):
+                held = None
             link = segment.link
             if link is None:
-                if (
+                if segment.header["schema"] == 4:
+                    if held is None:
+                        decode_tables(segment)
+                    elif held.db.content_hash() != segment.header.get("content_hash"):
+                        return False
+                elif (
                     held is None
                     or database_structure_json(held.db) != segment.structure_json
                 ):
@@ -1444,7 +1649,7 @@ class SnapshotStore:
         possible).  Candidates are ordered by file modification time;
         the newest ``keep_last_n`` survive.  On top of all of these, every
         base a survivor needs is kept, transitively: a delta segment
-        is rebuilt from its base at open, so collecting the base would
+        is rebuilt from its base on first use, so collecting the base would
         lose the delta.  Which base a live segment names is read from
         its header on disk, under the lock, so the deltas of another
         process are protected too.  Victims are tombstoned deltas

@@ -31,6 +31,7 @@ from repro.datasets.synthetic import generate_synthetic
 from repro.db.database import ProbabilisticDatabase, RankedDatabase, change_set
 from repro.db.tuples import make_xtuple
 from repro.exceptions import (
+    CorruptSnapshotError,
     InvalidDatabaseError,
     JournalReplayError,
     SimulatedCrashError,
@@ -271,7 +272,7 @@ class TestDeltaSegments:
                       MAX_DELTA_DEPTH + 2)
         ids = persist_chain(store, views, "c")
         schemas = [schema_of(root, sid) for sid in ids]
-        assert schemas == [2] + [3] * MAX_DELTA_DEPTH + [2, 3]
+        assert schemas == [4] + [3] * MAX_DELTA_DEPTH + [4, 3]
         depths = [
             decode_segment(segment_path(root, sid).read_bytes()).header.get("depth")
             for sid in ids
@@ -323,11 +324,16 @@ class TestDeltaSegments:
                 delta=link,
             )
         )
+        # Its bytes verify at open; its first use rebuilds it, and fails.
         reopened = SnapshotStore(root, durability="none")
-        assert reopened.recovery.loaded == tuple(ids)
-        ((name, reason),) = reopened.recovery.quarantined
-        assert name == "forged" + SEGMENT_SUFFIX
+        assert reopened.recovery.loaded == tuple(sorted(ids + ["forged"]))
+        assert reopened.recovery.quarantined == ()
+        with pytest.raises(CorruptSnapshotError) as failure:
+            reopened.load("forged")
+        reason = str(failure.value)
         assert "content hash" in reason and repr(ids[0]) in reason
+        assert os.listdir(root / "quarantine") == ["forged" + SEGMENT_SUFFIX]
+        assert sorted(reopened.snapshots()) == sorted(ids)
 
     def test_bit_flipped_registered_base_makes_the_next_clean_write_full(
         self, tmp_path
@@ -341,7 +347,7 @@ class TestDeltaSegments:
             ).snapshot_id
         assert plan.drawn
         outcome = service.clean(base, CLEAN_SPEC).payload["new_snapshot_id"]
-        assert schema_of(root, outcome) == 2  # full: its base failed the read-back
+        assert schema_of(root, outcome) == 4  # full: its base failed the read-back
         reopened = open_service(root)
         assert [name for name, _ in reopened.store.recovery.quarantined] == [
             base + SEGMENT_SUFFIX
@@ -353,7 +359,7 @@ class TestDeltaSegments:
         service = open_service(root)
         base = service.register(generate_synthetic(num_xtuples=40, seed=3)).snapshot_id
         outcome = service.clean(base, CLEAN_SPEC).payload["new_snapshot_id"]
-        assert (schema_of(root, base), schema_of(root, outcome)) == (2, 3)
+        assert (schema_of(root, base), schema_of(root, outcome)) == (4, 3)
         (record,) = service.store.journal_records()
         header = decode_segment(segment_path(root, outcome).read_bytes()).header
         assert header["changes"] == record["changes"]

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.db import io
-from repro.db.database import ProbabilisticDatabase
+from repro.db.database import ProbabilisticDatabase, hash_record, hash_records
 from repro.db.tuples import make_xtuple
 
 from reference_encoding import (
     ENCODING_CASES,
+    reference_columns,
     reference_content_hash,
     reference_structure_json,
 )
@@ -78,6 +79,57 @@ class TestStructureJson:
     def test_empty_database(self):
         db = ProbabilisticDatabase([], name="")
         assert io.database_structure_json(db) == reference_structure_json(db)
+
+
+class TestColumns:
+    """A columnar segment's structure columns, written from the
+    x-tuples' memos and read back with the checks ingest makes."""
+
+    @pytest.mark.parametrize("name", sorted(ENCODING_CASES))
+    def test_round_trips_with_the_same_hash(self, name):
+        db = ENCODING_CASES[name][0]()
+        columns = io.database_columns(db)
+        assert columns == reference_columns(io.database_to_dict(db))
+        restored = io.database_from_columns(db.name, columns)
+        _assert_equal_databases(db, restored)
+        assert restored.name == db.name
+        assert restored.content_hash() == reference_content_hash(db)
+
+    @settings(max_examples=25)
+    @given(databases())
+    def test_random_databases_round_trip(self, db):
+        restored = io.database_from_columns(db.name, io.database_columns(db))
+        _assert_equal_databases(db, restored)
+        assert restored.content_hash() == reference_content_hash(db)
+
+    def test_an_int_probability_keeps_its_hash_record(self):
+        # Its record holds 1, not 1.0, so the column falls back to JSON.
+        db = ProbabilisticDatabase(
+            [make_xtuple("x1", [("t1", 2.5, 1)]), make_xtuple("x2", [("t2", 1.5, 0.5)])]
+        )
+        columns = io.database_columns(db)
+        assert columns["probabilities"] == ("json", b"[1,0.5]")
+        assert columns["values"][0] == "<f8"
+        restored = io.database_from_columns("", columns)
+        assert type(restored.xtuple("x1").alternatives[0].probability) is int
+        assert restored.content_hash() == reference_content_hash(db)
+
+    def test_assembled_records_match_json(self):
+        xids = ["Straße-1", "Ω", 'x"q\\', "日本"]
+        tids = ["tü1", "t☃", "a\nb", 't"4', "t5", "t6", "t7"]
+        values = [1e22, -0.0, 5e-324, 0.1, 1.0, 123456789.123, 2.5]
+        probabilities = [0.5, 0.25, 1.0, 1e-300, 0.3, 0.7, 0.0001]
+        starts = [0, 2, 3, 5, 7]
+        expected = [
+            hash_record(x, list(zip(tids[a:b], values[a:b], probabilities[a:b])))
+            for x, a, b in zip(xids, starts, starts[1:])
+        ]
+        assert hash_records(xids, tids, values, probabilities, starts) == expected
+        values[3] = float("nan")  # not JSON's spelling: the per-x-tuple path
+        expected[2] = hash_record(
+            xids[2], list(zip(tids[3:5], values[3:5], probabilities[3:5]))
+        )
+        assert hash_records(xids, tids, values, probabilities, starts) == expected
 
 
 class TestJsonRoundTrip:

@@ -49,6 +49,7 @@ from repro.store import (
 from repro.store.format import (
     MAGIC,
     SCHEMA_VERSION,
+    SEGMENT_COLUMNS,
     decode_journal,
     decode_segment,
     encode_journal_record,
@@ -63,10 +64,13 @@ from repro.testing import (
 
 from reference_encoding import (
     ENCODING_CASES,
+    reference_columns,
     reference_content_hash,
     reference_frames,
     reference_structure_json,
     reference_v1_segment,
+    reference_v2_segment,
+    reference_v4_segment,
 )
 
 
@@ -93,14 +97,17 @@ def encoded_segment(
     content_hash: Optional[str] = None,
     fragment_lengths: Optional[Sequence[int]] = None,
     schema: int = SCHEMA_VERSION,
+    structure_columns: Optional[Dict[str, Tuple[str, bytes]]] = None,
 ) -> bytes:
-    """A segment of ``ranked`` (default :func:`ranked_db`), encoded with
-    the cached encoders unless a structure JSON (and, for schema 2, its
-    fragment lengths) or a content hash is given.  ``schema=1`` writes
-    the legacy layout through :func:`reference_v1_segment`."""
+    """A segment of ``ranked`` (default :func:`ranked_db`) in
+    ``schema``: 4 (the one written) through :func:`encode_segment`,
+    with the database's own columns unless ``structure_columns`` is
+    given; 2 and 1 (the legacy layouts) through
+    :func:`reference_v2_segment` and :func:`reference_v1_segment`, with
+    the reference structure JSON and frames unless a structure JSON
+    (and, for schema 2, its fragment lengths) is given.  The content
+    hash is ``ranked``'s unless given."""
     ranked = ranked_db() if ranked is None else ranked
-    if structure_json is None:
-        structure_json, fragment_lengths = io.database_structure_frames(ranked.db)
     fields: Dict[str, Any] = dict(
         snapshot_id=snapshot_id,
         content_hash=(
@@ -108,25 +115,42 @@ def encoded_segment(
         ),
         name=ranked.db.name,
         ranking=ranking_descriptor(ranked.ranking),
-        structure_json=structure_json,
-        columns=segment_columns(ranked),
     )
+    if schema == 4:
+        if structure_columns is None:
+            structure_columns = io.database_columns(ranked.db)
+        return encode_segment(
+            columns={**structure_columns, **segment_columns(ranked)}, **fields
+        )
+    if structure_json is None:
+        structure_json = reference_structure_json(ranked.db)
+        fragment_lengths = reference_frames(io.database_to_dict(ranked.db))[1]
+    fields.update(structure_json=structure_json, columns=segment_columns(ranked))
     if schema == 1:
         return reference_v1_segment(**fields)
     assert fragment_lengths is not None, "a schema-2 segment needs its frames"
-    return encode_segment(fragment_lengths=fragment_lengths, **fields)
+    return reference_v2_segment(fragment_lengths=list(fragment_lengths), **fields)
 
 
 def framed_segment(
     snapshot_id: str,
     payload: Dict[str, Any],
     ranked: Optional[RankedDatabase] = None,
-    schema: int = SCHEMA_VERSION,
+    schema: int = 2,
     content_hash: Optional[str] = None,
 ) -> bytes:
-    """A segment whose structure is ``payload`` framed by
-    :func:`reference_frames` -- intact framing around whatever the
-    payload holds; header and columns come from ``ranked``."""
+    """A segment whose structure is ``payload`` -- framed by
+    :func:`reference_frames` (schemas 1 and 2), or laid out by
+    :func:`reference_columns` (schema 4) -- intact framing around
+    whatever the payload holds; header and ranked columns come from
+    ``ranked``."""
+    if schema == 4:
+        return encoded_segment(
+            snapshot_id,
+            ranked,
+            content_hash=content_hash,
+            structure_columns=reference_columns(payload),
+        )
     structure_json, lengths = reference_frames(payload)
     return encoded_segment(
         snapshot_id, ranked, structure_json, content_hash, lengths, schema
@@ -134,16 +158,18 @@ def framed_segment(
 
 
 def reference_segment(snapshot_id: str, ranked: RankedDatabase) -> bytes:
-    """The segment the uncached reference encoders frame: one
-    ``json.dumps`` of the whole payload for the structure, one per
-    x-tuple for the frame lengths."""
-    _, lengths = reference_frames(io.database_to_dict(ranked.db))
-    return encoded_segment(
-        snapshot_id,
-        ranked,
-        structure_json=reference_structure_json(ranked.db),
+    """The schema-4 segment the uncached reference encoders build: the
+    structure columns entry by entry, the content hash one
+    ``json.dumps`` per x-tuple."""
+    return reference_v4_segment(
+        snapshot_id=snapshot_id,
         content_hash=reference_content_hash(ranked.db),
-        fragment_lengths=lengths,
+        name=ranked.db.name,
+        ranking=ranking_descriptor(ranked.ranking),
+        columns={
+            **reference_columns(io.database_to_dict(ranked.db)),
+            **segment_columns(ranked),
+        },
     )
 
 
@@ -168,6 +194,18 @@ def segment_header(path: Path) -> Dict[str, Any]:
     return decode_segment(path.read_bytes()).header
 
 
+def first_use_failure(store: SnapshotStore, snapshot_id: str) -> str:
+    """The message of the typed error the snapshot's first use raises
+    (it must raise one); a later use raises it again."""
+    with pytest.raises(CorruptSnapshotError) as first:
+        store.load(snapshot_id)
+    with pytest.raises(CorruptSnapshotError) as again:
+        store.load(snapshot_id)
+    assert str(again.value) == str(first.value)
+    assert snapshot_id not in store.snapshot_ids()
+    return str(first.value)
+
+
 # ---------------------------------------------------------------------------
 # The byte codec
 # ---------------------------------------------------------------------------
@@ -179,20 +217,38 @@ class TestSegmentCodec:
         data = encoded_segment("s1", ranked)
         header, structure_json, fragments, columns = decode_segment(data)
         assert header["snapshot_id"] == "s1"
-        assert header["schema"] == SCHEMA_VERSION == 2
+        assert header["schema"] == SCHEMA_VERSION == 4
+        # No structure JSON: the structure is columns, returned unparsed.
+        assert structure_json == b"" and fragments is None
+        assert tuple(columns) == SEGMENT_COLUMNS == (
+            "xids",
+            "tids",
+            "sizes",
+            "values",
+            "probabilities",
+            "scores_array",
+            "insertion_array",
+            "xtuple_indices_array",
+            "probabilities_array",
+            "completion_array",
+        )
+        reference = reference_columns(io.database_to_dict(ranked.db))
+        assert decode_segment(data).typed_columns(io.STRUCTURE_COLUMNS) == reference
+        assert json.loads(columns["xids"]) == [xt.xid for xt in ranked.db.xtuples]
+
+    def test_schema_2_round_trip(self):
+        ranked = ranked_db()
+        header, structure_json, fragments, columns = decode_segment(
+            encoded_segment("s1", ranked, schema=2)
+        )
+        assert header["schema"] == 2
         assert structure_json == reference_structure_json(ranked.db)
         structure = json.loads(structure_json)
         assert structure["format"] == "repro.probabilistic_database"
         # One unparsed fragment per x-tuple, each its entry's canonical JSON.
         assert [json.loads(f) for f in fragments] == structure["xtuples"]
         assert len(fragments) == ranked.db.num_xtuples
-        assert set(columns) == {
-            "scores_array",
-            "insertion_array",
-            "xtuple_indices_array",
-            "probabilities_array",
-            "completion_array",
-        }
+        assert set(columns) == set(CANONICAL_COLUMNS)
 
     def test_schema_1_round_trip(self):
         ranked = ranked_db()
@@ -207,16 +263,21 @@ class TestSegmentCodec:
     def test_frames_cost_four_bytes_per_xtuple(self):
         ranked = ranked_db()
         v1 = encoded_segment("s1", ranked, schema=1)
-        v2 = encoded_segment("s1", ranked)
+        v2 = encoded_segment("s1", ranked, schema=2)
         header_growth = len(segment_header_bytes(v2)) - len(segment_header_bytes(v1))
         assert len(v2) - len(v1) == 4 * ranked.db.num_xtuples + header_growth
         assert header_growth < 64
 
-    def test_empty_database_frames(self):
+    def test_empty_database_frames(self, tmp_path):
         ranked = RankedDatabase(ProbabilisticDatabase([], name="empty"), by_value())
-        segment = decode_segment(encoded_segment("s1", ranked))
+        segment = decode_segment(encoded_segment("s1", ranked, schema=2))
         assert segment.fragments == []
         assert segment.structure_json == reference_structure_json(ranked.db)
+        # Schema 4: empty columns, and the snapshot still rebuilds.
+        store = SnapshotStore(tmp_path / "store", durability="none")
+        store.persist("s1", ranked)
+        reopened = SnapshotStore(tmp_path / "store", durability="none")
+        assert reopened.load("s1").db.content_hash() == ranked.db.content_hash()
 
     def test_every_single_bitflip_is_detected(self):
         # Not literally every bit (too slow) -- a spread of positions
@@ -320,8 +381,10 @@ class TestCachedEncodingIdentity:
     @pytest.mark.parametrize("name", FIXTURE_STORES)
     def test_fixture_base_segment_re_persists_byte_for_byte(self, tmp_path, name):
         # The committed segments predate the per-x-tuple caches and
-        # schema 2: a re-persist frames the very same structure bytes,
-        # columns, hash, id and ranking, and adds only the frame table.
+        # schema 4: a re-persist writes the very same ranked columns,
+        # hash, id and ranking, with the structure as columns that
+        # rebuild the same database -- byte for byte what the reference
+        # encoders build.
         root = tmp_path / name
         shutil.copytree(FIXTURES / name, root)
         (committed,) = (root / "segments").glob("*" + SEGMENT_SUFFIX)
@@ -336,12 +399,18 @@ class TestCachedEncodingIdentity:
             assert fresh.persist(snapshot_id, ranked) is True
             written = (tmp_path / attempt / "segments" / committed.name).read_bytes()
             new = decode_segment(written)
-            assert new.header["schema"] == 2
-            assert new.structure_json == old.structure_json
-            assert new.columns == old.columns
+            assert new.header["schema"] == 4
+            assert {c: new.columns[c] for c in CANONICAL_COLUMNS} == old.columns
+            assert new.typed_columns(io.STRUCTURE_COLUMNS) == reference_columns(
+                json.loads(old.structure_json)
+            )
             for field in ("content_hash", "snapshot_id", "ranking", "name"):
                 assert new.header[field] == old.header[field]
             assert written == reference_segment(snapshot_id, ranked)
+            rebuilt = SnapshotStore(tmp_path / attempt, mode="readonly").load(
+                snapshot_id
+            )
+            assert rebuilt.db.content_hash() == old.header["content_hash"]
 
 
 class TestJournalCodec:
@@ -515,7 +584,7 @@ class TestSnapshotStore:
     def test_undecodable_structure_is_quarantined(self, tmp_path):
         # Digest, CRCs and frames verify; the structure's second x-tuple
         # entry is not an object, so the database does not rebuild.
-        self._assert_undecodable_entry_is_quarantined(tmp_path, SCHEMA_VERSION)
+        self._assert_undecodable_entry_is_quarantined(tmp_path, 2)
 
     def test_undecodable_v1_structure_is_quarantined(self, tmp_path):
         # The same entry in a schema-1 segment, parsed whole.
@@ -531,15 +600,16 @@ class TestSnapshotStore:
         path.write_bytes(framed_segment("s1", payload, schema=schema))
         assert segment_header(path)["schema"] == schema  # framing is intact
 
+        # The bytes verify at open; the first use rebuilds, and fails.
         reopened = SnapshotStore(root, durability="none")
-        assert reopened.recovery.loaded == ()
-        ((name, reason),) = reopened.recovery.quarantined
-        assert name == "s1" + SEGMENT_SUFFIX
+        assert reopened.recovery.loaded == ("s1",)
+        assert reopened.recovery.quarantined == ()
+        reason = first_use_failure(reopened, "s1")
         assert "structure does not decode" in reason
         assert "x-tuple #1: must be an object" in reason
-        assert (root / "quarantine" / name).exists()
+        assert (root / "quarantine" / ("s1" + SEGMENT_SUFFIX)).exists()
 
-    @pytest.mark.parametrize("schema", [1, 2])
+    @pytest.mark.parametrize("schema", [1, 2, 4])
     @pytest.mark.parametrize(
         "good, bad, ranking, error",
         [
@@ -576,14 +646,15 @@ class TestSnapshotStore:
         )
 
         reopened = SnapshotStore(root, durability="none")
-        assert reopened.recovery.loaded == ("good",)
-        ((name, reason),) = reopened.recovery.quarantined
-        assert name == "bad" + SEGMENT_SUFFIX
+        assert reopened.recovery.loaded == ("bad", "good")
+        assert reopened.recovery.quarantined == ()
+        reason = first_use_failure(reopened, "bad")
         assert "the ranking cannot score the structure" in reason
         assert error in reason
-        assert (root / "quarantine" / name).exists()
+        assert (root / "quarantine" / ("bad" + SEGMENT_SUFFIX)).exists()
+        assert sorted(reopened.snapshots()) == ["good"]
 
-    @pytest.mark.parametrize("schema", [1, 2])
+    @pytest.mark.parametrize("schema", [1, 2, 4])
     @pytest.mark.parametrize(
         "good, bad, ranking, error",
         [
@@ -618,16 +689,15 @@ class TestSnapshotStore:
                 )
             )
 
+        # One pass rebuilds all three: the shared x-tuple is built once.
         reopened = SnapshotStore(root, durability="none")
-        assert reopened.recovery.loaded == ("good",)
-        assert [name for name, _ in reopened.recovery.quarantined] == [
-            "bad1" + SEGMENT_SUFFIX,
-            "bad2" + SEGMENT_SUFFIX,
-        ]
-        for name, reason in reopened.recovery.quarantined:
+        assert reopened.recovery.quarantined == ()
+        assert sorted(reopened.snapshots()) == ["good"]
+        for sid in ("bad1", "bad2"):
+            reason = first_use_failure(reopened, sid)
             assert "the ranking cannot score the structure" in reason
             assert error in reason
-            assert (root / "quarantine" / name).exists()
+            assert (root / "quarantine" / (sid + SEGMENT_SUFFIX)).exists()
 
     def test_unhashable_column_name_is_quarantined(self, tmp_path):
         # A header column entry whose name is a list used to raise a
@@ -729,9 +799,9 @@ def refragmented(
     tail: bytes = b"]}",
     snapshot_id: str = "bad",
 ) -> bytes:
-    """A segment of ``ranked`` whose structure is the database header,
-    ``fragments`` joined by ``,``, then ``tail``, framed by ``lengths``
-    (default: the fragments' own)."""
+    """A schema-2 segment of ``ranked`` whose structure is the database
+    header, ``fragments`` joined by ``,``, then ``tail``, framed by
+    ``lengths`` (default: the fragments' own)."""
     structure_json = (
         io.structure_head(ranked.db.name) + b",".join(fragments) + tail
     )
@@ -740,6 +810,7 @@ def refragmented(
         ranked,
         structure_json,
         fragment_lengths=[len(f) for f in fragments] if lengths is None else lengths,
+        schema=2,
     )
 
 
@@ -824,19 +895,21 @@ FRAMING_FAULTS = {
         "duplicate x-tuple id",
     ),
     "frame_table_crc": (
-        lambda r: with_header(encoded_segment("bad", r), frames_crc32=0),
+        lambda r: with_header(encoded_segment("bad", r, schema=2), frames_crc32=0),
         "frame table CRC mismatch",
     ),
     "frame_count_overstated": (
-        lambda r: with_header(encoded_segment("bad", r), frames=r.db.num_xtuples + 1),
+        lambda r: with_header(
+            encoded_segment("bad", r, schema=2), frames=r.db.num_xtuples + 1
+        ),
         "frame table CRC mismatch",
     ),
     "frame_count_negative": (
-        lambda r: with_header(encoded_segment("bad", r), frames=-1),
+        lambda r: with_header(encoded_segment("bad", r, schema=2), frames=-1),
         "bad frame count",
     ),
     "frame_count_not_an_integer": (
-        lambda r: with_header(encoded_segment("bad", r), frames=True),
+        lambda r: with_header(encoded_segment("bad", r, schema=2), frames=True),
         "bad frame count",
     ),
     "schema_3": (
@@ -846,9 +919,21 @@ FRAMING_FAULTS = {
 }
 
 
+#: Faults inside well-framed fragments: the bytes verify at open, and
+#: the first use -- which parses the fragments -- catches them.
+FIRST_USE_FAULTS = {
+    "fragment_is_not_json",
+    "fragment_fails_validation",
+    "same_fragment_twice",
+}
+
+
 class TestFramedDecode:
     @pytest.mark.parametrize("fault", sorted(FRAMING_FAULTS))
     def test_fault_is_quarantined_at_open(self, tmp_path, fault):
+        # A framing fault is caught at open; a fault inside intact
+        # frames at the snapshot's first use.  Either way the segment
+        # is quarantined with its reason and never served.
         build, expected = FRAMING_FAULTS[fault]
         root = tmp_path / "store"
         SnapshotStore(root, durability="none").persist("good", ranked_db())
@@ -857,12 +942,20 @@ class TestFramedDecode:
         )
 
         reopened = SnapshotStore(root, durability="none")
-        assert reopened.recovery.loaded == ("good",)
-        ((name, reason),) = reopened.recovery.quarantined
-        assert name == "bad" + SEGMENT_SUFFIX
-        assert reason.startswith("segment corrupt: ")
+        name = "bad" + SEGMENT_SUFFIX
+        if fault in FIRST_USE_FAULTS:
+            assert reopened.recovery.loaded == ("bad", "good")
+            assert reopened.recovery.quarantined == ()
+            reason = first_use_failure(reopened, "bad")
+            assert "segment corrupt: " in reason
+        else:
+            assert reopened.recovery.loaded == ("good",)
+            ((quarantined, reason),) = reopened.recovery.quarantined
+            assert quarantined == name
+            assert reason.startswith("segment corrupt: ")
         assert expected in reason
         assert (root / "quarantine" / name).exists()
+        assert sorted(reopened.snapshots()) == ["good"]
 
     def test_failed_fragment_is_never_interned(self, tmp_path):
         # Two segments carry the same invalid fragment: each is
@@ -879,13 +972,14 @@ class TestFramedDecode:
             )
 
         reopened = SnapshotStore(root, durability="none")
-        assert reopened.recovery.loaded == ("good",)
-        assert [name for name, _ in reopened.recovery.quarantined] == [
+        assert reopened.recovery.quarantined == ()
+        assert sorted(reopened.snapshots()) == ["good"]  # one pass, one table
+        assert sorted(os.listdir(root / "quarantine")) == [
             "bad1" + SEGMENT_SUFFIX,
             "bad2" + SEGMENT_SUFFIX,
         ]
-        for _, reason in reopened.recovery.quarantined:
-            assert "probability must lie in (0, 1]" in reason
+        for sid in ("bad1", "bad2"):
+            assert "probability must lie in (0, 1]" in first_use_failure(reopened, sid)
 
 
 # ---------------------------------------------------------------------------
@@ -906,11 +1000,14 @@ def collapse_chain(steps: int) -> List[RankedDatabase]:
 
 class TestInternedOpen:
     def test_reopen_parses_each_distinct_fragment_once(self, tmp_path, monkeypatch):
+        # Schema-2 segments, as stores written before schema 4 hold them.
         root = tmp_path / "store"
         chain = collapse_chain(6)
-        store = SnapshotStore(root, durability="none")
+        SnapshotStore(root, durability="none")
         for index, ranked in enumerate(chain):
-            store.persist(f"s{index}", ranked)
+            (root / "segments" / f"s{index}{SEGMENT_SUFFIX}").write_bytes(
+                encoded_segment(f"s{index}", ranked, schema=2)
+            )
         distinct = {f for ranked in chain for f in canonical_fragments(ranked.db)}
         assert len(distinct) == 20 + 6
 
@@ -924,9 +1021,11 @@ class TestInternedOpen:
         monkeypatch.setattr(store_module, "xtuple_from_entry", counting)
         reopened = SnapshotStore(root, durability="none")
         assert reopened.recovery.quarantined == ()
+        assert parsed == []  # an open parses nothing
+        views = reopened.snapshots()  # one pass rebuilds every snapshot
         assert len(parsed) == len(distinct)
 
-        snapshots = [reopened.snapshots()[f"s{i}"] for i in range(len(chain))]
+        snapshots = [views[f"s{i}"] for i in range(len(chain))]
         collapsed = {xt.xid for xt in chain[0].db.xtuples[:6]}
         for xid in [xt.xid for xt in chain[0].db.xtuples]:
             # An x-tuple no cleaning touched is one object in every
@@ -974,6 +1073,32 @@ class TestInternedOpen:
         for ranked, loaded in zip(chain, snapshots):
             assert rankings_equivalent(loaded.ranking, ranked.ranking)
             assert loaded.ranking.score is mov_ranking().score
+
+    def test_reopen_builds_each_distinct_xtuple_once(self, tmp_path, monkeypatch):
+        # Schema 4: one pass builds each distinct x-tuple once, keyed
+        # by its content-hash record.
+        root = tmp_path / "store"
+        chain = collapse_chain(6)
+        store = SnapshotStore(root, durability="none")
+        for index, ranked in enumerate(chain):
+            store.persist(f"s{index}", ranked)
+        built: List[str] = []
+        original = io.checked_xtuple
+
+        def counting(xid, *args):
+            built.append(xid)
+            return original(xid, *args)
+
+        monkeypatch.setattr(io, "checked_xtuple", counting)
+        reopened = SnapshotStore(root, durability="none")
+        views = reopened.snapshots()
+        assert len(built) == 20 + 6
+        for index, ranked in enumerate(chain):
+            assert views[f"s{index}"].db.content_hash() == reference_content_hash(
+                ranked.db
+            )
+        untouched = chain[0].db.xtuples[-1].xid
+        assert len({id(v.db.xtuple(untouched)) for v in views.values()}) == 1
 
     def test_the_table_lives_for_one_open(self, tmp_path):
         root = tmp_path / "store"
@@ -1043,13 +1168,14 @@ class TestMixedSchemaStore:
 @pytest.fixture
 def structure_loads(monkeypatch):
     """Records every ``json.loads`` whose input is a whole structure
-    JSON (it starts like one); everything else parses as usual."""
+    JSON or a column table (it starts like one); everything else parses
+    as usual."""
     calls: List[bytes] = []
     original = json.loads
 
     def loads(data, *args, **kwargs):
         if isinstance(data, (bytes, bytearray)) and bytes(data).startswith(
-            b'{"format":"repro.probabilistic_database"'
+            (b'{"format":"repro.probabilistic_database"', b"[")
         ):
             calls.append(bytes(data))
         return original(data, *args, **kwargs)
@@ -1083,7 +1209,8 @@ class TestCheckpointVerification:
         assert not checker.has_segment("s1")
         report = checker.checkpoint()
         assert report["dropped"] == 1
-        assert structure_loads == [io.database_structure_json(ranked.db)]
+        columns = io.database_columns(ranked.db)
+        assert structure_loads == [columns["xids"][1], columns["tids"][1]]
 
     @pytest.mark.parametrize("parses", [True, False])
     def test_held_outcome_with_other_bytes_is_parsed(

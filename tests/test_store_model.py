@@ -6,8 +6,9 @@ each other -- register, executed clean (durable or memory-only), a
 durable clean that crashes at a journal step or before its segment is
 written, a bare ``persist`` of a view derived from a live snapshot
 (with ``base=`` and its change set, with ``base=`` alone, or with no
-base), GC plus checkpoint, checkpoint, re-registering a GC victim's
-content (resurrection) and reopening -- and after every step checks
+base), GC with or without the checkpoint that unlinks its victims,
+checkpoint, re-registering a GC victim's content (resurrection) and
+reopening -- and after every step checks
 the store on disk against an in-memory model of what was
 acknowledged:
 
@@ -28,8 +29,11 @@ pre-state.  A GC crashed at a tombstone append, at the journal rewrite
 of the checkpoint that follows it or at one of that checkpoint's
 unlinks leaves exactly the victims whose tombstone reached the
 journal collected, and the next successful checkpoint unlinks every
-file a tombstone names.  Crashes at the resurrection steps stay with
-the hand-written sweeps in ``test_store_recovery.py``.
+file a tombstone names.  Re-registering a GC victim crashed at one of
+the resurrection steps -- discarding its tombstoned file, or the
+journal rewrite that retires its tombstone -- leaves it tombstoned
+while a tombstone on disk names it and gone otherwise (it was never
+acknowledged); after a reopen, a retried register acknowledges it.
 Tier-1 runs a small budget; CI's fault-smoke job reruns this file with
 ``--hypothesis-profile store-model`` (registered in ``conftest.py``)
 for a larger one.
@@ -89,6 +93,20 @@ GC_CRASH_STEPS = (
     "checkpoint:renamed",
     "checkpoint:committed",
     "gc:unlink",
+)
+
+
+#: Steps of a resurrection a crash is armed at: discarding the victim's
+#: tombstoned file (still on disk when no checkpoint followed its GC),
+#: then the journal rewrite that retires its tombstone.
+RESURRECT_CRASH_STEPS = (
+    "resurrect:unlink",
+    "resurrect:begin",
+    "resurrect:payload",
+    "resurrect:written",
+    "resurrect:synced",
+    "resurrect:renamed",
+    "resurrect:committed",
 )
 
 
@@ -304,6 +322,12 @@ class StoreModel(RuleBasedStateMachine):
 
     @rule(data=st.data(), keep=st.integers(0, 4))
     def gc(self, data: st.DataObject, keep: int) -> None:
+        """GC, then -- unless drawn otherwise -- the checkpoint that
+        unlinks its victims' files: a victim whose file outlives the
+        GC is what a resurrection must discard first."""
+        self.collect(data, keep, data.draw(st.booleans(), label="checkpoint"))
+
+    def collect(self, data: st.DataObject, keep: int, checkpoint: bool) -> None:
         live = self.live()
         pins = data.draw(
             st.lists(st.sampled_from(live), unique=True, max_size=2)
@@ -319,7 +343,8 @@ class StoreModel(RuleBasedStateMachine):
         assert not victims & set(pins)
         assert len(live) - len(victims) >= min(keep, len(live))
         self.tombstoned |= victims
-        self.service.store.checkpoint()
+        if checkpoint:
+            self.service.store.checkpoint()
 
     @rule(data=st.data())
     def crashed_gc(self, data: st.DataObject) -> None:
@@ -332,7 +357,7 @@ class StoreModel(RuleBasedStateMachine):
         plan = FaultPlan([FaultEvent(kind="crash", step=step, skip=skip)])
         try:
             with use_faults(plan):
-                self.gc(data, keep)
+                self.collect(data, keep, checkpoint=True)
             return  # the armed step was never reached
         except SimulatedCrashError:
             pass
@@ -358,6 +383,34 @@ class StoreModel(RuleBasedStateMachine):
     @rule(data=st.data())
     def resurrect(self, data: st.DataObject) -> None:
         victim = data.draw(st.sampled_from(sorted(self.tombstoned)), label="victim")
+        assert self.service.register(self.contents[victim]).snapshot_id == victim
+        self.acknowledge(victim)
+
+    @precondition(lambda self: self.tombstoned)
+    @rule(data=st.data())
+    def crashed_resurrect(self, data: st.DataObject) -> None:
+        victim = data.draw(st.sampled_from(sorted(self.tombstoned)), label="victim")
+        step = data.draw(st.sampled_from(RESURRECT_CRASH_STEPS), label="step")
+        plan = FaultPlan([FaultEvent(kind="crash", step=step)])
+        try:
+            with use_faults(plan):
+                self.service.register(self.contents[victim])
+        except SimulatedCrashError:
+            pass
+        else:
+            # A checkpoint already retired the tombstone with its file:
+            # the register wrote a fresh segment, no resurrection.
+            assert not plan.drawn
+            self.acknowledge(victim)
+            return
+        records = SnapshotStore(self.root, mode="readonly").journal_records()
+        named = {r["segment"] for r in records if r.get("kind") == "tombstone"}
+        if victim not in named:
+            # The tombstone is retired but no segment committed: gone.
+            path = self.root / "segments" / (victim + SEGMENT_SUFFIX)
+            assert not path.exists()
+        self.reopen_service()
+        assert victim not in self.service.pool
         assert self.service.register(self.contents[victim]).snapshot_id == victim
         self.acknowledge(victim)
 

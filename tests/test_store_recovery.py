@@ -36,7 +36,7 @@ from repro.exceptions import (
     SimulatedCrashError,
     StoreWriteError,
 )
-from repro.store import RetentionPolicy, SnapshotStore
+from repro.store import SEGMENT_SUFFIX, RetentionPolicy, SnapshotStore
 from repro.testing import FaultEvent, FaultPlan, flip_one_bit, use_faults
 
 K = 5
@@ -539,6 +539,26 @@ class TestResurrection:
         if checkpointed:
             assert store.checkpoint()["unlinked"] == ["s1"]
         return store
+
+    def test_a_clean_journaled_after_its_outcome_was_collected_owes_nothing(
+        self, tmp_path
+    ):
+        # A durable clean re-produces an outcome GC collected, journals
+        # it and crashes before its segment: the open owes no replay
+        # (the outcome is tombstoned), and no checkpoint may turn the
+        # record into one by retiring the tombstone under it.
+        root = tmp_path / "store"
+        store = self.store_with_tombstone(root, checkpointed=True)
+        record = store.journal_clean(
+            "s2", {"k": 5}, "s1", self.ranked(3).db.content_hash()
+        )
+        assert record is not None  # then the "crash": s1 is never persisted
+        reopened = SnapshotStore(root, durability="none")
+        assert reopened.pending_cleanings() == []
+        report = reopened.checkpoint()
+        assert report["records_after"] == 0
+        assert SnapshotStore(root, mode="readonly").pending_cleanings() == []
+        assert not (root / "segments" / ("s1" + SEGMENT_SUFFIX)).exists()
 
     def test_persist_after_gc_and_checkpoint_stays_durable(self, tmp_path):
         # gc -> checkpoint -> persist(same id) -> checkpoint -> reopen
