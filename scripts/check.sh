@@ -49,14 +49,17 @@ step "pytest" python -m pytest -q
 
 # A committed schema-1 store through the CLI, as CI's fault-smoke job
 # runs it: nothing quarantined, one journaled cleaning pending, and
-# `repro store verify` (a rebuild of every snapshot) finds nothing.
-# The crash and chaos stores below end with the same scrub.
+# `repro store verify` (a rebuild of every snapshot) finds nothing;
+# nor does it in a copy of the committed schema-2 store.  The crash
+# and chaos stores below end with the same scrub.
 fixture_status() {
     dir=$(mktemp -d)
     cp -r tests/fixtures/replay_stores/syn60-greedy "$dir/store" &&
         python -m repro store --dir "$dir/store" --json "$dir/status.json" &&
         python -c 'import json, sys; s = json.load(open(sys.argv[1]))["status"]; assert s["quarantined_files"] == [] and len(s["pending_cleanings"]) == 1, s' "$dir/status.json" &&
-        python -m repro store verify --dir "$dir/store"
+        python -m repro store verify --dir "$dir/store" &&
+        cp -r tests/fixtures/schema2_store/store "$dir/schema2" &&
+        python -m repro store verify --dir "$dir/schema2"
     status=$?
     rm -rf "$dir"
     return $status

@@ -91,12 +91,14 @@ def expected_quality_after(problem: CleaningProblem, plan: CleaningPlan) -> floa
 def improvement_upper_bound(problem: CleaningProblem) -> float:
     """The supremum of achievable expected improvement.
 
-    Probing every candidate x-tuple infinitely often drives each
-    success probability to one, so the bound is ``Σ_{l: P_l>0} -g(l,D)``
-    -- at most ``|S(D, Q)|`` (quality can never exceed zero).  One
-    masked reduction over the dense columns.
+    Probing every x-tuple of ``Z`` infinitely often drives each success
+    probability to one, so the bound is ``Σ_{l ∈ Z} -g(l,D)`` over ``Z``
+    without its budget term (:attr:`CleaningProblem.probe_mask`) -- at
+    most ``|S(D, Q)|`` (quality can never exceed zero).  An x-tuple no
+    probe can change adds nothing, whatever float residue its g(l, D)
+    holds.  One masked reduction over the dense columns.
     """
-    return float(-np.sum(problem.g_array[problem.sc_array > 0.0]))
+    return float(np.sum(-problem.g_array[problem.probe_mask]))
 
 
 def expected_improvement_bruteforce(

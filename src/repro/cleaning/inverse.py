@@ -19,6 +19,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict
 
+import numpy as np
+
 from repro.cleaning.dp import build_groups
 from repro.cleaning.improvement import (
     improvement_upper_bound,
@@ -42,8 +44,12 @@ class InverseCleaningSolution:
 
 
 def _require_feasible(problem: CleaningProblem, target_improvement: float) -> None:
+    """Raise :class:`InfeasibleTargetError` for a positive target that
+    no plan reaches even in the limit: one above the supremum by more
+    than the margin, or any when no x-tuple can be probed (a zero
+    supremum)."""
     bound = improvement_upper_bound(problem)
-    if target_improvement > bound + FEASIBILITY_MARGIN:
+    if target_improvement > bound + FEASIBILITY_MARGIN or bound <= 0.0:
         raise InfeasibleTargetError(
             f"target improvement {target_improvement:.6g} exceeds the "
             f"supremum {bound:.6g} achievable by cleaning every x-tuple"
@@ -57,7 +63,9 @@ def min_cost_plan_greedy(
 
     Near-optimal for the same reason the budgeted greedy is: marginal
     values decay geometrically, so the final (overshooting) item is
-    cheap.  Raises :class:`InfeasibleTargetError` when no finite plan
+    cheap.  Only x-tuples of ``Z`` without its budget term
+    (:attr:`~repro.cleaning.model.CleaningProblem.probe_mask`) are
+    taken.  Raises :class:`InfeasibleTargetError` when no finite plan
     can reach the target.
     """
     if target_improvement <= 0.0:
@@ -70,7 +78,7 @@ def min_cost_plan_greedy(
     cost = 0
     counts: Dict[int, int] = {}
     heap = []
-    for l in range(problem.num_xtuples):
+    for l in np.flatnonzero(problem.probe_mask).tolist():
         gain = marginal_gain(
             problem.sc_probabilities[l], problem.g_by_xtuple[l], 1
         )

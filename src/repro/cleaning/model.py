@@ -226,14 +226,19 @@ class CleaningProblem:
         return np.array(self.sc_probabilities, dtype=np.float64)
 
     @cached_property
-    def _candidate_mask(self) -> np.ndarray:
+    def probe_mask(self) -> np.ndarray:
+        """The candidate set ``Z`` without its budget term: the
+        x-tuples a probe can improve at all, whatever it costs.
+
+        Excludes ``g(l, D) = 0`` (Lemma 5), a certain x-tuple (one
+        alternative, completion 1: Definition 5 leaves it as it is,
+        whatever float residue a fresh TP pass leaves in its g(l, D)),
+        and zero sc-probability.
+        """
         ranked = self.ranked
         sizes = np.bincount(
             ranked.xtuple_indices_array, minlength=ranked.num_xtuples
         )
-        # One alternative and completion 1 (``XTuple.is_certain``):
-        # cleaning cannot change the database, whatever float residue
-        # a fresh TP pass leaves in its g(l, D).
         certain = (sizes == 1) & (
             1.0 - ranked.completion_array <= COMPLETENESS_TOLERANCE
         )
@@ -241,18 +246,18 @@ class CleaningProblem:
             (self.g_array < -G_TOLERANCE)
             & ~certain
             & (self.sc_array > SC_TOLERANCE)
-            & (self.costs_array <= self.budget)
         )
 
     def candidate_indices(self) -> List[int]:
         """The candidate set ``Z``: x-tuples worth probing at all.
 
         Excludes x-tuples whose cleaning provably cannot improve the
-        expected quality: ``g(l, D) = 0`` (Lemma 5), a certain x-tuple
-        (one alternative, completion 1: Definition 5 leaves it as it
-        is), zero sc-probability, or cost exceeding the whole budget.
+        expected quality (see :attr:`probe_mask`) and those whose cost
+        exceeds the whole budget.
         """
-        return np.nonzero(self._candidate_mask)[0].tolist()
+        return np.flatnonzero(
+            self.probe_mask & (self.costs_array <= self.budget)
+        ).tolist()
 
     def max_operations(self, l: int) -> int:
         """``J_l = floor(C / c_l)``: most probes of ``τ_l`` the budget allows."""

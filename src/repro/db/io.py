@@ -9,10 +9,9 @@ Snapshot segments hold a database's structure as typed columns in
 x-tuple order (:func:`database_columns`, read back and checked over
 whole columns by :func:`database_from_columns`).  Segments written
 before the columns hold the canonical form of the JSON payload instead:
-:func:`database_to_dict` dumped with sorted keys and no whitespace
-(:func:`database_structure_json`, from per-x-tuple fragments cached on
-each x-tuple); the store reads a framed one back one x-tuple at a time
-through :func:`xtuple_from_entry`, the same validation ingest runs.
+:func:`database_to_dict` dumped with sorted keys and no whitespace.
+The store reads one back whole through :func:`database_from_dict`, the
+same validation ingest runs.
 
 Ingest is the trust boundary: external payloads are validated *before*
 any tuple object is constructed, and violations raise
@@ -103,15 +102,6 @@ def _canonical_json(payload: Any) -> bytes:
     return text.encode("utf-8")
 
 
-#: Memo key of an x-tuple's structure-JSON fragment (see
-#: :meth:`XTuple.encoded`).
-_STRUCTURE_FRAGMENT = "_structure_fragment"
-
-
-def _structure_fragment(xt: XTuple) -> bytes:
-    return _canonical_json(_xtuple_to_dict(xt))
-
-
 def database_to_dict(db: ProbabilisticDatabase) -> Dict[str, Any]:
     """Encode a database as a plain JSON-serializable dictionary."""
     payload = _header(db.name)
@@ -120,52 +110,25 @@ def database_to_dict(db: ProbabilisticDatabase) -> Dict[str, Any]:
 
 
 def structure_head(name: str) -> bytes:
-    """The canonical structure JSON of a database named ``name`` up to
-    its first x-tuple fragment: everything but the fragments, their
-    ``,`` separators and the closing ``]}``."""
+    """The canonical JSON of a database named ``name`` up to its first
+    x-tuple entry: everything but the entries, their ``,`` separators
+    and the closing ``]}`` (a schema-2 segment's frames tile the rest)."""
     # Sorted keys put "xtuples" last; cut its empty list's "]}".
     return _canonical_json({**_header(name), "xtuples": []})[:-2]
 
 
-def database_structure_json(db: ProbabilisticDatabase) -> bytes:
-    """Canonical JSON of :func:`database_to_dict` -- sorted keys, no
-    whitespace, UTF-8 -- as schema-1 and schema-2 segments hold it.
-
-    The bytes equal ``json.dumps(database_to_dict(db), sort_keys=True,
-    separators=(",", ":")).encode("utf-8")``: :func:`structure_head`,
-    then the x-tuples' fragments joined by ``,``, then ``]}``.  Each
-    fragment is cached on its :class:`~repro.db.tuples.XTuple`, so a
-    database that shares its x-tuples with one encoded before pays
-    one join.
-    """
-    fragments = [
-        xt.encoded(_STRUCTURE_FRAGMENT, _structure_fragment) for xt in db.xtuples
-    ]
-    return structure_head(db.name) + b",".join(fragments) + b"]}"
-
-
 def xtuple_from_entry(
-    entry: Any,
-    position: int,
-    seen_xids: Optional[Set[str]] = None,
-    seen_tids: Optional[Set[str]] = None,
+    entry: Any, position: int, seen_xids: Set[str], seen_tids: Set[str]
 ) -> XTuple:
     """Validate one :func:`database_to_dict` x-tuple entry and build it.
 
     ``position`` is the entry's index in the payload, used to name an
     entry whose id is unusable.  ``seen_xids`` / ``seen_tids`` collect
-    the ids of a whole payload, so that a duplicate across entries is
-    reported here; without them only duplicates inside this entry are,
-    and the :class:`~repro.db.database.ProbabilisticDatabase`
-    constructor rejects the rest.  Everything else this checks depends
-    on the entry alone, so equal entries pass or fail alike.  Raises
+    the ids of the whole payload, so that a duplicate across entries
+    is reported here.  Raises
     :class:`~repro.exceptions.InvalidDataError` (see
     :func:`database_from_dict`).
     """
-    if seen_xids is None:
-        seen_xids = set()
-    if seen_tids is None:
-        seen_tids = set()
     if not isinstance(entry, dict):
         raise InvalidDataError(
             f"x-tuple #{position}: must be an object, got {entry!r}"

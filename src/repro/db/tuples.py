@@ -136,8 +136,8 @@ class XTuple:
     equality, ``repr``, :func:`dataclasses.fields` and
     :func:`dataclasses.replace` never see them:
 
-    * its canonical encodings (:meth:`encoded`): the content-hash record
-      and the structure-JSON fragment;
+    * its canonical encoding (:meth:`encoded`): the content-hash
+      record;
     * the per-alternative columns a ranked view and a columnar segment
       are built from: :attr:`tids`, :attr:`values`,
       :attr:`probabilities`, :attr:`completion_probability`;
@@ -205,9 +205,8 @@ class XTuple:
     def encoded(self, key: str, encode: Callable[["XTuple"], bytes]) -> bytes:
         """``encode(self)``, computed on first use and cached under ``key``.
 
-        Each encoding's owner supplies its key and encoder:
-        :mod:`repro.db.database` the content-hash record,
-        :mod:`repro.db.io` the structure-JSON fragment.  A snapshot
+        The encoding's owner supplies the key and encoder:
+        :mod:`repro.db.database` the content-hash record.  A snapshot
         derived by swapping one x-tuple shares every other ``XTuple``
         object with its base, and with them their cached bytes.
         """

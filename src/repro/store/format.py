@@ -35,16 +35,17 @@ the two id tables.
 JSON of the ``database_to_dict()`` payload between the header and the
 ranked columns, with ``structure_length`` and ``structure_crc32`` in
 the header.  Schema 2 adds a frame table after it -- a u32 byte length
-per x-tuple fragment, ``frames`` and ``frames_crc32`` in the header --
+per x-tuple entry, ``frames`` and ``frames_crc32`` in the header --
 laid out as :func:`repro.db.io.structure_head` of the header's name,
-the fragments joined by ``,``, then ``]}``.  :func:`decode_segment`
-checks that the frames tile the structure exactly -- no gap, no
-overlap, no trailing byte -- and that the head is byte for byte the
-database header with an empty ``xtuples``, then returns the fragments
-unparsed; schema 1 has no frame table and is parsed whole
-(:func:`decode_structure`).  Segments are never rewritten, so every
-store written before schema 4 keeps opening.  Any other version is
-refused.
+the entries joined by ``,``, then ``]}``.  :func:`decode_segment`
+checks the table's CRC and that the frames tile the structure exactly
+-- no gap, no overlap, no trailing byte, and a head that is byte for
+byte the database header with an empty ``xtuples`` -- and then ignores
+it: both schemas return the structure JSON unparsed, and a rebuild
+parses it whole, through ingest's checks
+(:func:`repro.db.io.database_from_dict`).  Segments are never
+rewritten, so every store written before schema 4 keeps opening.  Any
+other version is refused.
 
 **Delta segments** (schema :data:`DELTA_SCHEMA`, 3) store a cleaning
 outcome as its base plus a change set::
@@ -187,10 +188,6 @@ class Segment(NamedTuple):
     #: for a schema-4 segment, whose structure is columns, and for a
     #: delta).
     structure_json: bytes
-    #: Each x-tuple's fragment of ``structure_json`` (schema 2), or
-    #: ``None`` for a schema-1 segment, which has no frame table, and
-    #: for any segment without a structure JSON.
-    fragments: Optional[List[bytes]]
     #: Column name -> raw bytes (empty for a delta).
     columns: Dict[str, bytes]
 
@@ -341,10 +338,9 @@ def decode_segment(data: bytes) -> Segment:
     that do not tile the structure, a column table that is not the
     schema's -- never a partial or guessed payload.  The structure
     comes back unparsed: as raw columns (schema 4; see
-    :func:`repro.db.io.database_from_columns`), as its fragments
-    (schema 2) or whole (schema 1; see :func:`decode_structure`).  A
-    delta (schema 3) comes back as its header alone; see
-    :attr:`Segment.link`.
+    :func:`repro.db.io.database_from_columns`) or as its JSON
+    (schemas 1 and 2).  A delta (schema 3) comes back as its header
+    alone; see :attr:`Segment.link`.
     """
     if len(data) < len(MAGIC) + _U32.size + _DIGEST_BYTES:
         raise _corrupt(f"file too short ({len(data)} bytes)")
@@ -365,25 +361,22 @@ def decode_segment(data: bytes) -> Segment:
     if "base" in header:
         if offset != len(body):
             raise _corrupt(f"{len(body) - offset} trailing bytes after a delta header")
-        return Segment(header, b"", None, {})
+        return Segment(header, b"", {})
 
     structure_json = b""
-    fragments: Optional[List[bytes]] = None
-    if schema != 4:
-        structure_json, fragments, offset = _decode_structure_frames(
-            header, body, offset
-        )
+    if schema != SCHEMA_VERSION:
+        structure_json, offset = _decode_structure(header, body, offset)
     columns = _decode_columns(header, body, offset)
-    if schema == 4:
+    if schema == SCHEMA_VERSION:
         _check_column_table(header["columns"])
-    return Segment(header, structure_json, fragments, columns)
+    return Segment(header, structure_json, columns)
 
 
-def _decode_structure_frames(
+def _decode_structure(
     header: Mapping[str, Any], body: bytes, offset: int
-) -> Tuple[bytes, Optional[List[bytes]], int]:
-    """A schema-1 or schema-2 segment's structure JSON and, for schema
-    2, its fragments; returns the offset after them."""
+) -> Tuple[bytes, int]:
+    """A schema-1 or schema-2 segment's structure JSON, and the offset
+    after it and, for schema 2, after its checked frame table."""
     structure_length = header.get("structure_length")
     if not isinstance(structure_length, int) or structure_length < 0:
         raise _corrupt(f"bad structure length {structure_length!r}")
@@ -394,7 +387,6 @@ def _decode_structure_frames(
     if _crc(structure_json) != header.get("structure_crc32"):
         raise _corrupt("structure CRC mismatch")
 
-    fragments: Optional[List[bytes]] = None
     if header["schema"] == 2:
         count = header.get("frames")
         if type(count) is not int or count < 0:
@@ -406,12 +398,10 @@ def _decode_structure_frames(
         offset = end
         if _crc(frames) != header.get("frames_crc32"):
             raise _corrupt("frame table CRC mismatch")
-        fragments = _split_fragments(
-            structure_json,
-            struct.unpack(f">{count}I", frames),
-            header.get("name"),
+        _check_frames(
+            structure_json, struct.unpack(f">{count}I", frames), header.get("name")
         )
-    return structure_json, fragments, offset
+    return structure_json, offset
 
 
 def _decode_columns(
@@ -459,17 +449,12 @@ def _check_column_table(column_meta: Sequence[Mapping[str, Any]]) -> None:
             raise _corrupt(f"column {name!r} does not hold whole {dtype} items")
 
 
-def _split_fragments(
-    structure_json: bytes, lengths: Sequence[int], name: Any
-) -> List[bytes]:
-    """Cut a schema-2 structure into its x-tuple fragments.
-
-    The frames must tile the structure exactly: the header of a
-    database named ``name`` with an empty ``xtuples``
-    (:func:`~repro.db.io.structure_head`), then each fragment with one
+def _check_frames(structure_json: bytes, lengths: Sequence[int], name: Any) -> None:
+    """Check that a schema-2 frame table tiles its structure exactly:
+    the header of a database named ``name`` with an empty ``xtuples``
+    (:func:`~repro.db.io.structure_head`), then each frame with one
     ``,`` between neighbours, then ``]}`` -- nothing missing, nothing
-    left over.
-    """
+    left over."""
     head = structure_head(name)
     if not structure_json.startswith(head):
         raise _corrupt("structure does not start with the database header")
@@ -479,49 +464,39 @@ def _split_fragments(
             f"x-tuple frames cover {framed} of {len(structure_json)} "
             f"structure bytes"
         )
-    fragments: List[bytes] = []
     offset = len(head)
     for index, length in enumerate(lengths):
         if index:
             if structure_json[offset : offset + 1] != b",":
                 raise _corrupt(f"no separator before x-tuple frame #{index}")
             offset += 1
-        fragments.append(structure_json[offset : offset + length])
         offset += length
     if structure_json[offset:] != b"]}":
         raise _corrupt("structure does not end after its last x-tuple frame")
-    return fragments
 
 
-def decode_structure(structure_json: bytes) -> Dict[str, Any]:
-    """Parse a whole structure JSON -- a schema-1 segment's, or one no
-    held snapshot vouches for -- raising
-    :class:`~repro.exceptions.CorruptSnapshotError` unless it is a JSON
-    object."""
-    try:
-        structure = json.loads(structure_json)
-    except ValueError as exc:
-        raise _corrupt(f"structure is not valid JSON ({exc})") from None
-    if not isinstance(structure, dict):
-        raise _corrupt("structure is not an object")
-    return structure
-
-
-def decode_tables(segment: Segment) -> None:
-    """Parse a schema-4 segment's JSON columns -- the id tables, and
-    values or probabilities stored as JSON -- raising
-    :class:`~repro.exceptions.CorruptSnapshotError` unless each is a
-    JSON array: the light check :func:`decode_structure` makes of a
-    schema-1 or -2 structure.  The whole check is a rebuild."""
-    for name, (dtype, blob) in segment.typed_columns(STRUCTURE_COLUMNS).items():
-        if dtype != JSON_COLUMN:
-            continue
+def check_json(segment: Segment) -> None:
+    """Parse a full segment's JSON -- a schema-1 or -2 structure, or a
+    schema-4 segment's JSON columns (the id tables, and values or
+    probabilities stored as JSON) -- raising
+    :class:`~repro.exceptions.CorruptSnapshotError` unless the
+    structure is a JSON object and each column a JSON array.  A light
+    check; the whole check is a rebuild."""
+    if segment.header["schema"] == SCHEMA_VERSION:
+        parts = [
+            (f"column {name!r}", blob, list, "a JSON array")
+            for name, (dtype, blob) in segment.typed_columns(STRUCTURE_COLUMNS).items()
+            if dtype == JSON_COLUMN
+        ]
+    else:
+        parts = [("structure", segment.structure_json, dict, "an object")]
+    for label, blob, kind, noun in parts:
         try:
-            table = json.loads(blob)
+            parsed = json.loads(blob)
         except ValueError as exc:
-            raise _corrupt(f"column {name!r} is not valid JSON ({exc})") from None
-        if not isinstance(table, list):
-            raise _corrupt(f"column {name!r} is not a JSON array")
+            raise _corrupt(f"{label} is not valid JSON ({exc})") from None
+        if not isinstance(parsed, kind):
+            raise _corrupt(f"{label} is not {noun}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ where its full segment would be megabytes: the store writes one when
 the outcome's base is live, verified and fewer than
 :data:`MAX_DELTA_DEPTH` links above a full segment, and the carried
 set passes its O(change) checks (see :meth:`SnapshotStore.persist`).
-Both are written atomically: encode fully in memory, write to a
-``.tmp-*`` sibling, fsync, rename over the final name, fsync the
-directory.  A crash before the rename leaves only
-a temp file (swept on open -> pre-state); after it, a fully durable
-segment (post-state).
+Both are written atomically, as the journal is rewritten: encode
+fully in memory, write to a ``.tmp-*`` sibling, fsync, rename over the
+final name, fsync the directory (:meth:`SnapshotStore._replace_file`).
+A crash before the rename leaves only a temp file (swept on open ->
+pre-state); after it, a fully durable file (post-state).
 
 **An open checks bytes; a snapshot is rebuilt on first use.**  The
 open reads every segment file and checks its framing, CRCs, whole-file
@@ -50,7 +50,7 @@ quarantined with it, its reason naming the base: a corrupt full
 segment takes the deltas above it along, at most
 :data:`MAX_DELTA_DEPTH` links of a chain.  An open costs what its
 first requests touch, not every live snapshot; a pass that rebuilds
-several full segments builds each *distinct* x-tuple once (see
+several schema-4 segments builds each *distinct* x-tuple once (see
 :meth:`SnapshotStore._rebuild_full`).
 
 **The journal** records each executed cleaning *before* the outcome
@@ -87,9 +87,9 @@ not raced.
 **Checkpoint / compaction** (:meth:`SnapshotStore.checkpoint`) bounds
 the journal: records whose outcome segment is durably committed and
 verified (for a delta, down its base chain) are dropped, the survivors
-are rewritten through the same
-atomic temp+fsync+rename discipline as segments, and a crash at any
-step leaves the complete old journal or the complete new one.
+are rewritten through the same atomic temp+fsync+rename routine as
+segments, and a crash at any step leaves the complete old journal or
+the complete new one.
 :meth:`SnapshotStore.maybe_checkpoint` triggers it automatically past
 ``max_journal_records`` (or ``REPRO_JOURNAL_MAX_RECORDS``).
 
@@ -162,19 +162,12 @@ import numpy as np
 
 from repro.core.counters import STORE_COUNTERS
 from repro.core.lockcheck import RANK_STORE, OrderedLock
-from repro.db.database import (
-    CANONICAL_COLUMNS,
-    ChangeSet,
-    ProbabilisticDatabase,
-    RankedDatabase,
-)
+from repro.db.database import CANONICAL_COLUMNS, ChangeSet, RankedDatabase
 from repro.db.io import (
     STRUCTURE_COLUMNS,
     database_columns,
     database_from_columns,
     database_from_dict,
-    database_structure_json,
-    xtuple_from_entry,
 )
 from repro.db.ranking import ranking_descriptor, ranking_from_descriptor
 from repro.db.tuples import XTuple
@@ -188,12 +181,12 @@ from repro.exceptions import (
     UnknownSnapshotError,
 )
 from repro.store.format import (
+    SCHEMA_VERSION,
     DeltaLink,
     Segment,
+    check_json,
     decode_journal,
     decode_segment,
-    decode_structure,
-    decode_tables,
     encode_journal,
     encode_journal_record,
     encode_segment,
@@ -329,6 +322,11 @@ class RetentionPolicy:
         if self.keep_last_n is not None and self.keep_last_n < 0:
             raise ValueError(
                 f"keep_last_n must be >= 0 or None, got {self.keep_last_n!r}"
+            )
+        if isinstance(self.pinned, str):
+            raise TypeError(
+                f"pinned must be a collection of snapshot ids, not the "
+                f"string {self.pinned!r}"
             )
         object.__setattr__(self, "pinned", tuple(self.pinned))
 
@@ -565,8 +563,9 @@ class SnapshotStore:
     def snapshots(self) -> Dict[str, RankedDatabase]:
         """Every live snapshot's ranked view by id (a copy; safe to
         mutate), rebuilding those not yet used in one pass that builds
-        each distinct x-tuple once.  A snapshot whose rebuild fails is
-        quarantined (or refused, read-only) and left out."""
+        each distinct x-tuple of its schema-4 segments once.  A snapshot
+        whose rebuild fails is quarantined (or refused, read-only) and
+        left out."""
         with self._lock:
             return self._materialize_all()
 
@@ -954,37 +953,29 @@ class SnapshotStore:
         construction would produce.
 
         ``interned`` maps every x-tuple this pass has already checked
-        and built -- by its content-hash record (schema 4) or its
-        fragment (schema 2) -- to the :class:`~repro.db.tuples.XTuple`.
-        A cleaning chain's full segments repeat most of their
-        x-tuples, so a pass that rebuilds several builds each distinct
-        x-tuple once, and its snapshots share the object as in-process
-        derivations do: equal bytes decode to equal values and pass the
-        same per-x-tuple checks.  An x-tuple enters the table only once
-        it has passed them.  Every check that spans a database --
-        duplicate ids, content hash, re-rank, columns -- still runs on
-        each segment.  Schema-1 segments have no frames; they are
-        parsed whole and validated as ingest does.
+        and built from a schema-4 segment, by its content-hash record,
+        to the :class:`~repro.db.tuples.XTuple`.  A cleaning chain's
+        full segments repeat most of their x-tuples, so a pass that
+        rebuilds several builds each distinct x-tuple once, and its
+        snapshots share the object as in-process derivations do: equal
+        records decode to equal values and pass the same per-x-tuple
+        checks.  An x-tuple enters the table only once it has passed
+        them.  Every check that spans a database -- duplicate ids,
+        content hash, re-rank, columns -- still runs on each segment.
+        A schema-1 or -2 structure is parsed whole and validated as
+        ingest does; it shares nothing.
         """
-        header, structure_json, fragments, columns = segment
+        header, structure_json, columns = segment
         try:
-            if header["schema"] == 4:
+            if header["schema"] == SCHEMA_VERSION:
                 name = header.get("name")
                 if not isinstance(name, str):
                     raise InvalidDatabaseError(f"bad database name {name!r}")
                 db = database_from_columns(
                     name, segment.typed_columns(STRUCTURE_COLUMNS), interned
                 )
-            elif fragments is None:
-                db = database_from_dict(decode_structure(structure_json))
             else:
-                db = ProbabilisticDatabase(
-                    [
-                        _interned_xtuple(fragment, position, interned)
-                        for position, fragment in enumerate(fragments)
-                    ],
-                    name=header.get("name"),
-                )
+                db = database_from_dict(json.loads(structure_json))
         except (InvalidDatabaseError, ValueError) as exc:
             raise CorruptSnapshotError(
                 f"segment corrupt: structure does not decode ({exc})"
@@ -1134,11 +1125,10 @@ class SnapshotStore:
         is ``ranked``'s, and the delta's first use rebuilds it from its
         base and checks that hash, so a change set that does not lead
         to ``ranked`` is caught there (and quarantined) rather than
-        served.  Both kinds share one
-        protocol and its ``segment:*`` fault steps: encode in memory,
-        write a temp file, fsync, rename, fsync the directory.  Any
-        ``OSError`` on the write path -- disk full, permissions --
-        cleans up the temp file and re-raises as
+        served.  Both kinds are encoded in memory and committed
+        through :meth:`_replace_file`, with its ``segment:*`` fault
+        steps: any ``OSError`` on the write path -- disk full,
+        permissions -- cleans up the temp file and re-raises as
         :class:`~repro.exceptions.StoreWriteError`; injected
         :class:`~repro.exceptions.SimulatedCrashError` propagates with
         no cleanup at all, leaving the on-disk state a crash would.
@@ -1207,38 +1197,9 @@ class SnapshotStore:
                         ranking=descriptor,
                         columns=columns,
                     )
-                crash_after = False
-                directive = _disk_step("segment:payload")
-                if directive is not None:
-                    payload, crash_after = _apply_corruption(
-                        directive, payload
-                    )
-                tmp = self._segments_dir / (TMP_PREFIX + snapshot_id)
-                try:
-                    with open(tmp, "wb") as f:
-                        f.write(payload)
-                        _disk_step("segment:written")
-                        self._fsync_file(f)
-                    _disk_step("segment:synced")
-                    os.replace(tmp, final)
-                except OSError as exc:
-                    try:
-                        tmp.unlink()
-                    except OSError:
-                        pass
-                    raise StoreWriteError(
-                        f"could not persist segment {snapshot_id!r}: {exc}"
-                    ) from exc
-                _disk_step("segment:renamed")
-                self._fsync_dir(self._segments_dir)
-                if crash_after:
-                    # A torn write models data that never hit the
-                    # platter even though the rename did: the truncated
-                    # segment is durable and the "process" dies here.
-                    raise SimulatedCrashError(
-                        f"injected torn write of segment {snapshot_id!r}"
-                    )
-                _disk_step("segment:committed")
+                self._replace_file(
+                    final, payload, "segment", f"segment {snapshot_id!r}"
+                )
                 # New bytes: verified only once read back.
                 self._verified.discard(snapshot_id)
                 self._index[snapshot_id] = ranked
@@ -1457,7 +1418,9 @@ class SnapshotStore:
                 surviving.append(record)
         compacted = dropped > 0
         if compacted:
-            self._rewrite_journal(surviving, "checkpoint")
+            _disk_step("checkpoint:begin")
+            payload = encode_journal(surviving)
+            self._replace_file(self._journal_path, payload, "checkpoint", "the journal")
             self.psr_store_compactions += 1
         self._journal = surviving
         # Phase two of the two-phase delete: every surviving tombstone
@@ -1495,39 +1458,46 @@ class SnapshotStore:
             "journal_bytes": journal_bytes,
         }
 
-    def _rewrite_journal(
-        self, records: List[Dict[str, Any]], step_prefix: str
-    ) -> None:
-        """Atomically replace the journal with ``records``.
+    def _replace_file(self, final: Path, payload: bytes, steps: str, what: str) -> None:
+        """Atomically replace ``final`` with ``payload``: write a
+        ``.tmp-*`` sibling, fsync it, rename it over ``final`` -- the
+        commit point -- and fsync the directory.  Segment commits and
+        journal rewrites (checkpoints, resurrections) all go through
+        here, so a crash at any step leaves the complete old file or the
+        complete new one.
 
-        Same discipline as segments -- temp, fsync, rename over the
-        final name, fsync the directory -- so a crash at any
-        ``<step_prefix>:*`` fault step leaves the complete old journal
-        or the complete new one; the rename is the commit point.
-        Caller holds both locks.
+        Fires the ``<steps>:payload``, ``:written``, ``:synced``,
+        ``:renamed`` and ``:committed`` fault steps; the caller fires
+        ``<steps>:begin``.  A ``torn`` or ``bitflip`` directive at
+        ``:payload`` corrupts the bytes written, and a torn write then
+        "crashes" once the rename is durable: data that never hit the
+        platter although the rename did.  An ``OSError`` removes the
+        temp file and raises :class:`~repro.exceptions.StoreWriteError`
+        naming ``what``.  Caller holds both locks.
         """
-        _disk_step(step_prefix + ":begin")
-        payload = encode_journal(records)
-        _disk_step(step_prefix + ":payload")
-        tmp = self.root / (TMP_PREFIX + JOURNAL_NAME)
+        crash_after = False
+        directive = _disk_step(steps + ":payload")
+        if directive is not None:
+            payload, crash_after = _apply_corruption(directive, payload)
+        tmp = final.with_name(TMP_PREFIX + final.stem)
         try:
             with open(tmp, "wb") as f:
                 f.write(payload)
-                _disk_step(step_prefix + ":written")
+                _disk_step(steps + ":written")
                 self._fsync_file(f)
-            _disk_step(step_prefix + ":synced")
-            os.replace(tmp, self._journal_path)
+            _disk_step(steps + ":synced")
+            os.replace(tmp, final)
         except OSError as exc:
             try:
                 tmp.unlink()
             except OSError:
                 pass
-            raise StoreWriteError(
-                f"could not rewrite the journal: {exc}"
-            ) from exc
-        _disk_step(step_prefix + ":renamed")
-        self._fsync_dir(self.root)
-        _disk_step(step_prefix + ":committed")
+            raise StoreWriteError(f"could not write {what}: {exc}") from exc
+        _disk_step(steps + ":renamed")
+        self._fsync_dir(final.parent)
+        if crash_after:
+            raise SimulatedCrashError(f"injected torn write of {what}")
+        _disk_step(steps + ":committed")
 
     def _retire_tombstone(
         self, snapshot_id: str, records: List[Dict[str, Any]], final: Path
@@ -1568,7 +1538,10 @@ class SnapshotStore:
                 and record.get("segment") == snapshot_id
             )
         ]
-        self._rewrite_journal(surviving, "resurrect")
+        _disk_step("resurrect:begin")
+        self._replace_file(
+            self._journal_path, encode_journal(surviving), "resurrect", "the journal"
+        )
         self._journal = surviving
 
     def _segment_verified(
@@ -1577,20 +1550,16 @@ class SnapshotStore:
         """Whether the segment file is committed and decodes cleanly.
 
         Reads the file.  The digest, CRCs, header, framing and id are
-        always checked.  A full segment whose snapshot this handle holds
-        rebuilt must name its content hash; a schema-4 one is then not
-        parsed, and a schema-1 or -2 one only when its structure is not
-        byte for byte the held database's canonical encoding (a join of
-        memoized fragments).  A full segment this handle does not hold
-        rebuilt -- another process wrote it -- gets its JSON parsed
-        (:func:`~repro.store.format.decode_tables`,
-        :func:`~repro.store.format.decode_structure`).  A delta must
-        name the content hash of the snapshot this handle holds (if it
-        holds it rebuilt), and its base must be live and verified
-        in turn (:meth:`_verify_once`; ``chain`` holds the deltas
-        above it, so a cyclic chain fails instead of recursing).  A
-        segment that verifies is remembered as verified, with its
-        kind.  Caller holds both locks.
+        always checked.  Any segment whose snapshot this handle holds
+        rebuilt must name its content hash.  A full schema-4 segment
+        that does is not parsed; every other full segment -- one this
+        handle does not hold rebuilt (another process wrote it), or a
+        schema-1 or -2 one -- gets its JSON parsed
+        (:func:`~repro.store.format.check_json`).  A delta's base must
+        be live and verified in turn (:meth:`_verify_once`; ``chain``
+        holds the deltas above it, so a cyclic chain fails instead of
+        recursing).  A segment that verifies is remembered as verified,
+        with its kind.  Caller holds both locks.
         """
         try:
             data = self._segment_path(snapshot_id).read_bytes()
@@ -1604,24 +1573,15 @@ class SnapshotStore:
             if not isinstance(held, RankedDatabase):
                 held = None
             link = segment.link
-            if link is None:
-                if segment.header["schema"] == 4:
-                    if held is None:
-                        decode_tables(segment)
-                    elif held.db.content_hash() != segment.header.get("content_hash"):
-                        return False
-                elif (
-                    held is None
-                    or database_structure_json(held.db) != segment.structure_json
-                ):
-                    decode_structure(segment.structure_json)
-            elif (
-                held is not None
-                and held.db.content_hash() != segment.header.get("content_hash")
-            ) or not self._verify_once(
-                link.base, tombstoned, chain + (snapshot_id,)
+            if held is not None and held.db.content_hash() != segment.header.get(
+                "content_hash"
             ):
                 return False
+            if link is not None:
+                if not self._verify_once(link.base, tombstoned, chain + (snapshot_id,)):
+                    return False
+            elif held is None or segment.header["schema"] != SCHEMA_VERSION:
+                check_json(segment)
         except CorruptSnapshotError:
             return False
         self._link_of[snapshot_id] = link
@@ -1671,6 +1631,11 @@ class SnapshotStore:
             self._require_writer("gc")
             with self._exclusive():
                 resolved = in_use() if callable(in_use) else in_use
+                if isinstance(resolved, str):
+                    raise TypeError(
+                        f"in_use must be a collection of snapshot ids, not "
+                        f"the string {resolved!r}"
+                    )
                 return self._gc_locked(policy, frozenset(resolved))
 
     def _gc_locked(
@@ -1872,18 +1837,6 @@ def _link_on_disk(path: Path) -> Optional[DeltaLink]:
             return header_link(read_header(f.read))
     except (OSError, CorruptSnapshotError):
         return None
-
-
-def _interned_xtuple(
-    fragment: bytes, position: int, interned: Dict[bytes, XTuple]
-) -> XTuple:
-    """The x-tuple of one schema-2 fragment, parsed and validated on
-    its first appearance in this open only (see ``_rebuild_full``)."""
-    xt = interned.get(fragment)
-    if xt is None:
-        xt = xtuple_from_entry(json.loads(fragment), position)
-        interned[fragment] = xt
-    return xt
 
 
 def _tombstone_ids(records: Iterable[Mapping[str, Any]]) -> Set[str]:

@@ -1,13 +1,14 @@
 """Reference encoders and inputs for the byte-identity tests.
 
-A database's content hash names its snapshot, and its structure JSON
-is framed into every segment the store writes.  Both are cached per
-x-tuple (:meth:`repro.db.tuples.XTuple.encoded`); the functions here
-are the plain whole-database encoders those caches must reproduce byte
-for byte: one ``json.dumps`` per x-tuple streamed into SHA-256, and
-one ``json.dumps`` of the whole :func:`repro.db.io.database_to_dict`
-payload.  Stores, journals and snapshot ids written before the caches
-existed stay valid only while the two agree.
+A database's content hash names its snapshot, and is cached per
+x-tuple (:meth:`repro.db.tuples.XTuple.encoded`);
+:func:`reference_content_hash` is the plain whole-database encoder
+that cache must reproduce byte for byte: one ``json.dumps`` per
+x-tuple streamed into SHA-256.  Stores, journals and snapshot ids
+written before the cache existed stay valid only while the two agree.
+:func:`reference_structure_json` is one ``json.dumps`` of the whole
+:func:`repro.db.io.database_to_dict` payload: the structure JSON a
+schema-1 or schema-2 segment holds.
 
 :func:`reference_columns` lays a payload out as the typed columns a
 schema-4 segment holds, entry by entry with :mod:`struct` and one

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cleaning.dp import DPCleaner
@@ -14,8 +14,10 @@ from repro.cleaning.improvement import (
     improvement_upper_bound,
 )
 from repro.cleaning.inverse import min_cost_plan, min_cost_plan_greedy
-from repro.cleaning.model import build_cleaning_problem
+from repro.cleaning.model import CleaningProblem, build_cleaning_problem
 from repro.core.tp import compute_quality_tp
+from repro.db.database import ProbabilisticDatabase
+from repro.db.tuples import make_xtuple
 from repro.exceptions import InfeasibleTargetError
 
 from strategies import cleaning_problems
@@ -29,6 +31,31 @@ def _paper_problem(udb1, budget=100):
         {"S1": 0.8, "S2": 0.5, "S3": 0.9, "S4": 1.0},
         budget,
     )
+
+
+def _residue_case():
+    """The g(l, D), sc-probabilities, costs and k of a problem
+    hypothesis drew: no probe of ``a`` or ``b`` can succeed, and ``c``
+    holds one alternative of probability 1.0, so no probe can change
+    it; its g(l, D) is a TP pass's float residue."""
+    db = ProbabilisticDatabase(
+        [
+            make_xtuple("a", [("a1", 9.0, 0.5), ("a2", 8.0, 0.5)]),
+            make_xtuple("b", [("b1", 7.0, 0.4), ("b2", 6.0, 0.6)]),
+            make_xtuple("c", [("c1", 5.0, 1.0)]),
+        ],
+        name="residue",
+    )
+    problem = CleaningProblem(
+        ranked=db.ranked(),
+        k=2,
+        g_by_xtuple=(0.0, -0.72, -1.15e-14),
+        topk_mass_by_xtuple=(1.0, 1.0, 0.0),
+        costs=(1, 1, 1),
+        sc_probabilities=(0.0, 0.0, 0.1),
+        budget=4,
+    )
+    return db, problem
 
 
 class TestInverseCleaning:
@@ -78,8 +105,22 @@ class TestInverseCleaning:
         with pytest.raises(ValueError):
             min_cost_plan(_paper_problem(udb1), 0.1, method="magic")
 
+    def test_float_residue_on_a_certain_xtuple_reaches_no_bound(self):
+        # c's residue counts toward no bound and draws no probe, so a
+        # positive target -- however small -- is refused at once.
+        _, problem = _residue_case()
+        assert problem.candidate_indices() == []
+        assert improvement_upper_bound(problem) == 0.0
+        for method in ("dp", "greedy"):
+            target = 0.25 * improvement_upper_bound(problem)
+            solution = min_cost_plan(problem, target, method=method)
+            assert solution.cost == 0 and len(solution.plan) == 0
+            with pytest.raises(InfeasibleTargetError, match="supremum 0 "):
+                min_cost_plan(problem, 2.9e-15, method=method)
+
     @settings(max_examples=20, deadline=None)
     @given(cleaning_problems(max_xtuples=3), st.sampled_from([0.25, 0.5, 0.9]))
+    @example(_residue_case(), 0.25)
     def test_random_targets_reached_or_declared_infeasible(
         self, db_problem, fraction
     ):

@@ -215,11 +215,11 @@ class TestSegmentCodec:
     def test_round_trip(self):
         ranked = ranked_db()
         data = encoded_segment("s1", ranked)
-        header, structure_json, fragments, columns = decode_segment(data)
+        header, structure_json, columns = decode_segment(data)
         assert header["snapshot_id"] == "s1"
         assert header["schema"] == SCHEMA_VERSION == 4
         # No structure JSON: the structure is columns, returned unparsed.
-        assert structure_json == b"" and fragments is None
+        assert structure_json == b""
         assert tuple(columns) == SEGMENT_COLUMNS == (
             "xids",
             "tids",
@@ -238,26 +238,25 @@ class TestSegmentCodec:
 
     def test_schema_2_round_trip(self):
         ranked = ranked_db()
-        header, structure_json, fragments, columns = decode_segment(
+        header, structure_json, columns = decode_segment(
             encoded_segment("s1", ranked, schema=2)
         )
         assert header["schema"] == 2
+        assert header["frames"] == ranked.db.num_xtuples
+        # The frame table is checked and ignored: the structure comes
+        # back whole and unparsed, as a schema-1 segment's does.
         assert structure_json == reference_structure_json(ranked.db)
         structure = json.loads(structure_json)
         assert structure["format"] == "repro.probabilistic_database"
-        # One unparsed fragment per x-tuple, each its entry's canonical JSON.
-        assert [json.loads(f) for f in fragments] == structure["xtuples"]
-        assert len(fragments) == ranked.db.num_xtuples
         assert set(columns) == set(CANONICAL_COLUMNS)
 
     def test_schema_1_round_trip(self):
         ranked = ranked_db()
-        header, structure_json, fragments, columns = decode_segment(
+        header, structure_json, columns = decode_segment(
             encoded_segment("s1", ranked, schema=1)
         )
         assert header["schema"] == 1
         assert structure_json == reference_structure_json(ranked.db)
-        assert fragments is None  # no frame table: parsed whole at open
         assert columns == {k: blob for k, (_, blob) in segment_columns(ranked).items()}
 
     def test_frames_cost_four_bytes_per_xtuple(self):
@@ -271,7 +270,7 @@ class TestSegmentCodec:
     def test_empty_database_frames(self, tmp_path):
         ranked = RankedDatabase(ProbabilisticDatabase([], name="empty"), by_value())
         segment = decode_segment(encoded_segment("s1", ranked, schema=2))
-        assert segment.fragments == []
+        assert segment.header["frames"] == 0
         assert segment.structure_json == reference_structure_json(ranked.db)
         # Schema 4: empty columns, and the snapshot still rebuilds.
         store = SnapshotStore(tmp_path / "store", durability="none")
@@ -325,7 +324,7 @@ def encoding_case(name: str) -> RankedDatabase:
 
 def assert_encodes_like_reference(db: ProbabilisticDatabase) -> None:
     assert db.content_hash() == reference_content_hash(db)
-    assert io.database_structure_json(db) == reference_structure_json(db)
+    assert io.database_columns(db) == reference_columns(io.database_to_dict(db))
 
 
 class TestCachedEncodingIdentity:
@@ -667,8 +666,8 @@ class TestSnapshotStore:
     def test_unscorable_value_in_two_segments_quarantines_both(
         self, tmp_path, schema, good, bad, ranking, error
     ):
-        # Two segments carry one unscorable fragment, which a schema-2
-        # open interns once.  A score that raised leaves no memo behind,
+        # Two segments carry one unscorable x-tuple, which a schema-4
+        # pass builds once.  A score that raised leaves no memo behind,
         # so the second segment fails its re-rank exactly as the first.
         root = tmp_path / "store"
         SnapshotStore(root, durability="none").persist("good", ranked_db())
@@ -689,7 +688,7 @@ class TestSnapshotStore:
                 )
             )
 
-        # One pass rebuilds all three: the shared x-tuple is built once.
+        # One pass rebuilds all three.
         reopened = SnapshotStore(root, durability="none")
         assert reopened.recovery.quarantined == ()
         assert sorted(reopened.snapshots()) == ["good"]
@@ -777,6 +776,20 @@ class TestSnapshotStore:
         assert seen[0] is not None and seen[0]["pid"] == os.getpid()
         assert report["tombstoned"] == ["s1"]
         assert report["protected"] == ["s2"]
+
+    def test_a_string_id_is_refused_not_split_into_letters(self, tmp_path):
+        # tuple("snap-abc") would protect eight one-character ids, and
+        # GC would tombstone snap-abc itself.
+        store = SnapshotStore(tmp_path / "store", durability="none")
+        store.persist("snap-abc", ranked_db())
+        with pytest.raises(TypeError, match="pinned"):
+            RetentionPolicy(keep_last_n=0, pinned="snap-abc")
+        for in_use in ("snap-abc", lambda: "snap-abc"):
+            with pytest.raises(TypeError, match="in_use"):
+                store.gc(RetentionPolicy(keep_last_n=0), in_use=in_use)
+        assert store.snapshot_ids() == ["snap-abc"]
+        policy = RetentionPolicy(keep_last_n=0, pinned=["snap-abc"])
+        assert store.gc(policy, in_use={"snap-abc"})["tombstoned"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +933,7 @@ FRAMING_FAULTS = {
 
 
 #: Faults inside well-framed fragments: the bytes verify at open, and
-#: the first use -- which parses the fragments -- catches them.
+#: the first use -- which parses the structure -- catches them.
 FIRST_USE_FAULTS = {
     "fragment_is_not_json",
     "fragment_fails_validation",
@@ -999,8 +1012,10 @@ def collapse_chain(steps: int) -> List[RankedDatabase]:
 
 
 class TestInternedOpen:
-    def test_reopen_parses_each_distinct_fragment_once(self, tmp_path, monkeypatch):
+    def test_schema_2_chain_rebuilds_in_one_pass(self, tmp_path, monkeypatch):
         # Schema-2 segments, as stores written before schema 4 hold them.
+        # An open parses nothing; one pass parses each structure whole,
+        # once, and rebuilds it to its header's content hash.
         root = tmp_path / "store"
         chain = collapse_chain(6)
         SnapshotStore(root, durability="none")
@@ -1008,34 +1023,24 @@ class TestInternedOpen:
             (root / "segments" / f"s{index}{SEGMENT_SUFFIX}").write_bytes(
                 encoded_segment(f"s{index}", ranked, schema=2)
             )
-        distinct = {f for ranked in chain for f in canonical_fragments(ranked.db)}
-        assert len(distinct) == 20 + 6
 
         parsed: List[str] = []
-        original = store_module.xtuple_from_entry
+        original = store_module.database_from_dict
 
-        def counting(entry, position, *args):
-            parsed.append(entry["xid"])
-            return original(entry, position, *args)
+        def counting(payload):
+            parsed.append(payload["name"])
+            return original(payload)
 
-        monkeypatch.setattr(store_module, "xtuple_from_entry", counting)
+        monkeypatch.setattr(store_module, "database_from_dict", counting)
         reopened = SnapshotStore(root, durability="none")
         assert reopened.recovery.quarantined == ()
         assert parsed == []  # an open parses nothing
         views = reopened.snapshots()  # one pass rebuilds every snapshot
-        assert len(parsed) == len(distinct)
-
-        snapshots = [views[f"s{i}"] for i in range(len(chain))]
-        collapsed = {xt.xid for xt in chain[0].db.xtuples[:6]}
-        for xid in [xt.xid for xt in chain[0].db.xtuples]:
-            # An x-tuple no cleaning touched is one object in every
-            # snapshot; a collapsed one is one object before its
-            # collapse and another from then on.
-            objects = {id(s.db.xtuple(xid)) for s in snapshots}
-            assert len(objects) == (2 if xid in collapsed else 1)
-        for index, (ranked, loaded) in enumerate(zip(chain, snapshots)):
+        assert len(parsed) == len(chain)
+        for index, ranked in enumerate(chain):
             header = segment_header(root / "segments" / f"s{index}{SEGMENT_SUFFIX}")
-            assert loaded.db.content_hash() == header["content_hash"]
+            assert header["schema"] == 2
+            assert views[f"s{index}"].db.content_hash() == header["content_hash"]
             assert header["content_hash"] == reference_content_hash(ranked.db)
 
     def test_reopen_scores_each_distinct_xtuple_once(self, tmp_path, monkeypatch):
@@ -1230,7 +1235,7 @@ class TestCheckpointVerification:
         report = store.checkpoint()
         assert report["dropped"] == (1 if parses else 0)
         assert len(structure_loads) == 1
-        assert structure_loads[0] != io.database_structure_json(ranked.db)
+        assert structure_loads[0] != reference_structure_json(ranked.db)
 
     def test_bit_flipped_outcome_keeps_its_record(self, tmp_path, structure_loads):
         root = tmp_path / "store"

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.db.database import ProbabilisticDatabase, RankedDatabase
-from repro.db.io import database_structure_json
+from repro.db.io import database_columns
 from repro.db.ranking import by_key, custom
 from repro.db.tuples import ProbabilisticTuple, XTuple, make_xtuple
 from repro.exceptions import InvalidDatabaseError
@@ -130,7 +130,7 @@ class TestXTuple:
         filled = make_xtuple("S3", alternatives)
         db = ProbabilisticDatabase([filled])
         db.content_hash()
-        database_structure_json(db)
+        database_columns(db)
         assert len(vars(filled)) > len(dataclasses.fields(XTuple))
         plain = make_xtuple("S3", alternatives)
         assert filled == plain and hash(filled) == hash(plain)
