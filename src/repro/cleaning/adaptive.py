@@ -148,8 +148,8 @@ scoped`) is checked before every round, the first included, with
         current_quality = quality.quality
         round_problem = build_cleaning_problem(
             quality,
-            costs=problem.costs_array[alive],
-            sc_probabilities=problem.sc_array[alive],
+            costs=problem.costs[alive],
+            sc_probabilities=problem.sc_probabilities[alive],
             budget=remaining,
         )
         plan = planner.plan(round_problem)

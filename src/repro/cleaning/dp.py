@@ -34,19 +34,16 @@ def build_groups(
     once its marginal value drops below ``tolerance · max_first_item``.
     """
     candidates = problem.candidate_indices()
+    rows = problem.rows(candidates)
     max_first = 0.0
-    for l in candidates:
-        b1 = marginal_gain(
-            problem.sc_probabilities[l], problem.g_by_xtuple[l], 1
-        )
+    for sc, g, _ in rows:
+        b1 = marginal_gain(sc, g, 1)
         if b1 > max_first:
             max_first = b1
     floor = prune_tolerance * max_first
     groups = []
-    for l in candidates:
-        sc = problem.sc_probabilities[l]
-        g = problem.g_by_xtuple[l]
-        max_ops = problem.max_operations(l)
+    for l, (sc, g, cost) in zip(candidates, rows):
+        max_ops = problem.budget // cost  # J_l
         values = []
         for j in range(1, max_ops + 1):
             b = marginal_gain(sc, g, j)
@@ -56,7 +53,7 @@ def build_groups(
                 break
             values.append(b)
         if values:
-            groups.append((l, KnapsackGroup(cost=problem.costs[l], values=tuple(values))))
+            groups.append((l, KnapsackGroup(cost=cost, values=tuple(values))))
     return groups
 
 

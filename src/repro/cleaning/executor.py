@@ -141,11 +141,10 @@ def execute_plan(
     cost_assigned = 0
     cost_spent = 0
 
-    for xid in sorted(plan.operations):
+    xids = sorted(plan.operations)
+    rows = problem.rows([problem.xtuple_index(xid) for xid in xids])
+    for xid, (sc, _g, cost) in zip(xids, rows):
         assigned = plan.operations[xid]
-        l = problem.xtuple_index(xid)
-        cost = problem.costs[l]
-        sc = problem.sc_probabilities[l]
         cost_assigned += cost * assigned
 
         performed = 0

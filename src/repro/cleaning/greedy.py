@@ -42,34 +42,30 @@ class GreedyCleaner:
         # Seed scores vectorized over the candidate set: the first
         # probe of x-tuple l has gain b(l, D, 1) = -P_l·g(l, D).
         candidates = np.array(problem.candidate_indices(), dtype=np.int64)
+        gains = -(
+            problem.sc_probabilities[candidates]
+            * problem.g_by_xtuple[candidates]
+        )
+        scores = gains / problem.costs[candidates]
+        keep = gains > GAIN_FLOOR
+        seeded = candidates[keep].tolist()
+        rows = dict(zip(seeded, problem.rows(seeded)))
         # Heap of (-γ, l, j): the pending j-th probe of x-tuple l.
-        heap: List[Tuple[float, int, int]] = []
-        if candidates.size:
-            gains = -(
-                problem.sc_array[candidates] * problem.g_array[candidates]
-            )
-            scores = gains / problem.costs_array[candidates]
-            keep = gains > GAIN_FLOOR
-            heap = [
-                (-score, int(l), 1)
-                for score, l in zip(
-                    scores[keep].tolist(), candidates[keep].tolist()
-                )
-            ]
-            heapq.heapify(heap)
+        heap: List[Tuple[float, int, int]] = [
+            (-score, l, 1) for score, l in zip(scores[keep].tolist(), seeded)
+        ]
+        heapq.heapify(heap)
 
         while heap and remaining > 0:
             neg_score, l, j = heapq.heappop(heap)
-            cost = problem.costs[l]
+            sc, g, cost = rows[l]
             if cost > remaining:
                 # Later items of τ_l cost the same; drop the ladder.
                 continue
             remaining -= cost
             counts[l] = j
-            if j < problem.max_operations(l):
-                gain = marginal_gain(
-                    problem.sc_probabilities[l], problem.g_by_xtuple[l], j + 1
-                )
+            if j < problem.budget // cost:  # J_l, the most probes of τ_l
+                gain = marginal_gain(sc, g, j + 1)
                 if gain > GAIN_FLOOR:
                     heapq.heappush(heap, (-gain / cost, l, j + 1))
 

@@ -79,8 +79,8 @@ def expected_improvement(problem: CleaningProblem, plan: CleaningPlan) -> float:
     counts = np.fromiter(
         plan.operations.values(), dtype=np.float64, count=len(plan.operations)
     )
-    survive = (1.0 - problem.sc_array[indices]) ** counts
-    return float(-np.sum((1.0 - survive) * problem.g_array[indices]))
+    survive = (1.0 - problem.sc_probabilities[indices]) ** counts
+    return float(-np.sum((1.0 - survive) * problem.g_by_xtuple[indices]))
 
 
 def expected_quality_after(problem: CleaningProblem, plan: CleaningPlan) -> float:
@@ -98,7 +98,7 @@ def improvement_upper_bound(problem: CleaningProblem) -> float:
     probe can change adds nothing, whatever float residue its g(l, D)
     holds.  One masked reduction over the dense columns.
     """
-    return float(np.sum(-problem.g_array[problem.probe_mask]))
+    return float(np.sum(-problem.g_by_xtuple[problem.probe_mask]))
 
 
 def expected_improvement_bruteforce(
@@ -128,7 +128,7 @@ def expected_improvement_bruteforce(
         l = problem.xtuple_index(xid)
         xt = db.xtuple(xid)
         p_success = success_probability(
-            problem.sc_probabilities[l], plan.operations[xid]
+            float(problem.sc_probabilities[l]), plan.operations[xid]
         )
         outcomes: List[Tuple[Dict[str, Optional[XTuple]], float]] = [
             ({}, 1.0 - p_success)

@@ -9,8 +9,11 @@ achieving it.
 Because the knapsack DP already produces the whole optimal
 value-vs-capacity curve, the exact answer is a lookup: grow the
 capacity geometrically until the curve crosses the target, then return
-the first crossing.  A greedy variant accumulates probe ladders in
-value-per-cost order and is near-optimal at a fraction of the cost.
+the first crossing.  A target the curve never crosses -- one the
+feasibility margin admits just above the supremum -- is refused as soon
+as the curve has taken every item whose value is not zero.  A greedy
+variant accumulates probe ladders in value-per-cost order and is
+near-optimal at a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -78,31 +81,22 @@ def min_cost_plan_greedy(
     cost = 0
     counts: Dict[int, int] = {}
     heap = []
-    for l in np.flatnonzero(problem.probe_mask).tolist():
-        gain = marginal_gain(
-            problem.sc_probabilities[l], problem.g_by_xtuple[l], 1
-        )
+    probed = np.flatnonzero(problem.probe_mask).tolist()
+    rows = dict(zip(probed, problem.rows(probed)))
+    for l, (sc, g, c) in rows.items():
+        gain = marginal_gain(sc, g, 1)
         if gain > 0.0:
-            heapq.heappush(heap, (-gain / problem.costs[l], l, 1))
+            heapq.heappush(heap, (-gain / c, l, 1))
     while heap and achieved < target_improvement:
         _, l, j = heapq.heappop(heap)
-        gain = marginal_gain(problem.sc_probabilities[l], problem.g_by_xtuple[l], j)
+        sc, g, c = rows[l]
+        gain = marginal_gain(sc, g, j)
         if gain <= 0.0:
             continue
         achieved += gain
-        cost += problem.costs[l]
+        cost += c
         counts[l] = j
-        heapq.heappush(
-            heap,
-            (
-                -marginal_gain(
-                    problem.sc_probabilities[l], problem.g_by_xtuple[l], j + 1
-                )
-                / problem.costs[l],
-                l,
-                j + 1,
-            ),
-        )
+        heapq.heappush(heap, (-marginal_gain(sc, g, j + 1) / c, l, j + 1))
     if achieved < target_improvement:
         raise InfeasibleTargetError(
             f"target improvement {target_improvement:.6g} is unreachable: "
@@ -150,6 +144,7 @@ def min_cost_plan(
         )
     _require_feasible(problem, target_improvement)
 
+    widest = int(problem.costs[problem.probe_mask].max())
     capacity = max(1, initial_capacity)
     while capacity <= max_capacity:
         candidate = problem.with_budget(capacity)
@@ -177,6 +172,20 @@ def min_cost_plan(
                 plan=plan,
                 cost=plan.total_cost(exact),
                 expected_improvement=float(exact_solution.value),
+            )
+        # No larger capacity adds a value once every x-tuple a probe can
+        # change is affordable, each ladder ended where its marginal
+        # gain vanished (not at its capacity limit), and this capacity
+        # takes every item.
+        if (
+            capacity >= widest
+            and all(len(g.values) < capacity // g.cost for _, g in groups)
+            and sum(g.cost * len(g.values) for _, g in groups) <= capacity
+        ):
+            raise InfeasibleTargetError(
+                f"target improvement {target_improvement!r} is unreachable: "
+                f"marginal gains vanish and the optimal curve stops at "
+                f"{float(curve[-1])!r}"
             )
         capacity *= 2
     raise InfeasibleTargetError(

@@ -17,9 +17,9 @@ position.  :class:`CleaningPlan` is the planners' common output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, List, Mapping, Sequence, TypeVar, Union
+from typing import Iterable, List, Mapping, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -45,20 +45,44 @@ _T = TypeVar("_T")
 Column = Union[Sequence[_T], np.ndarray]
 
 
-@dataclass(frozen=True)
+def _cost_column(costs: Column[int]) -> np.ndarray:
+    """The costs as an int64 array, or raise: an array by its dtype, a
+    sequence also element by element (``True`` is no cost)."""
+    if isinstance(costs, np.ndarray):
+        if costs.dtype.kind not in "iu":
+            raise InvalidCleaningProblemError(
+                f"costs must be positive integers, got a {costs.dtype} array"
+            )
+        return costs.astype(np.int64, copy=False)
+    array = np.asarray(costs, dtype=np.int64 if not costs else None)
+    if costs and (
+        array.dtype.kind != "i" or any(type(c) is bool for c in costs)
+    ):
+        # Pin down a scalar offender for the message; an oversized int
+        # (object dtype, every element a true int) has none.
+        bad = next(
+            (c for c in costs if not isinstance(c, int) or isinstance(c, bool)),
+            max(costs),
+        )
+        raise InvalidCleaningProblemError(
+            f"costs must be positive integers, got {bad!r}"
+        )
+    return array.astype(np.int64, copy=False)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CleaningProblem:
     """A fully specified instance of the paper's cleaning problem.
 
-    All per-x-tuple arrays are indexed by the x-tuple's position in the
-    database (the same indexing :class:`RankedDatabase` uses).  Each
-    column may be given as a sequence or as a numpy array.  A numpy
-    array is validated as an array -- its dtype and one vectorized
-    range check, no per-element Python loop -- and every column lands
-    twice: as a cached array (``g_array``, ``topk_mass_array``,
-    ``costs_array``, ``sc_array``) for the vectorized planners, and as
-    the tuple field of Python ints and floats that scalar readers such
-    as ``problem.costs[l]`` index, so nothing read from a problem puts
-    a numpy scalar into a JSON payload.
+    All per-x-tuple columns are indexed by the x-tuple's position in
+    the database (the same indexing :class:`RankedDatabase` uses).
+    Each column may be given as a sequence or as a numpy array and is
+    held as one read-only array: int64 for the costs, float64 for the
+    rest.  A numpy array is validated as an array -- its dtype and one
+    vectorized range check, no per-element Python loop.  A loop that
+    walks x-tuples one at a time reads their :meth:`rows`, one
+    ``tolist()`` per column, so what it computes, and what reaches a
+    JSON payload, is made of Python ints and floats.
 
     Attributes
     ----------
@@ -82,44 +106,52 @@ class CleaningProblem:
 
     ranked: RankedDatabase
     k: int
-    g_by_xtuple: Column[float]
-    topk_mass_by_xtuple: Column[float]
-    costs: Column[int]
-    sc_probabilities: Column[float]
+    g_by_xtuple: np.ndarray
+    topk_mass_by_xtuple: np.ndarray
+    costs: np.ndarray
+    sc_probabilities: np.ndarray
     budget: int
 
-    def __post_init__(self) -> None:
-        m = self.ranked.num_xtuples
-        for label in (
-            "g_by_xtuple",
-            "topk_mass_by_xtuple",
-            "costs",
-            "sc_probabilities",
+    def __init__(
+        self,
+        ranked: RankedDatabase,
+        k: int,
+        g_by_xtuple: Column[float],
+        topk_mass_by_xtuple: Column[float],
+        costs: Column[int],
+        sc_probabilities: Column[float],
+        budget: int,
+    ) -> None:
+        m = ranked.num_xtuples
+        for label, values in (
+            ("g_by_xtuple", g_by_xtuple),
+            ("topk_mass_by_xtuple", topk_mass_by_xtuple),
+            ("costs", costs),
+            ("sc_probabilities", sc_probabilities),
         ):
-            size = len(getattr(self, label))
-            if size != m:
+            if len(values) != m:
                 raise InvalidCleaningProblemError(
-                    f"{label} has {size} entries for {m} x-tuples"
+                    f"{label} has {len(values)} entries for {m} x-tuples"
                 )
-        if not isinstance(self.budget, int) or isinstance(self.budget, bool):
+        if not isinstance(budget, int) or isinstance(budget, bool):
             raise InvalidCleaningProblemError(
-                f"budget must be an integer, got {self.budget!r}"
+                f"budget must be an integer, got {budget!r}"
             )
-        if self.budget < 0:
+        if budget < 0:
             raise InvalidCleaningProblemError(
-                f"budget must be non-negative, got {self.budget}"
+                f"budget must be non-negative, got {budget}"
             )
-        costs = self._costs_column()
-        if costs.size and int(costs.min()) < 1:
+        cost = _cost_column(costs)
+        if cost.size and int(cost.min()) < 1:
             raise InvalidCleaningProblemError(
-                f"costs must be positive integers, got {int(costs.min())!r}"
+                f"costs must be positive integers, got {int(cost.min())!r}"
             )
         try:
-            sc = np.asarray(self.sc_probabilities, dtype=np.float64)
+            sc = np.asarray(sc_probabilities, dtype=np.float64)
         except (TypeError, ValueError):
             raise InvalidCleaningProblemError(
                 f"sc-probabilities must lie in [0, 1], got "
-                f"{self.sc_probabilities!r}"
+                f"{sc_probabilities!r}"
             ) from None
         in_range = (sc >= 0.0) & (sc <= 1.0)  # NaN fails both comparisons
         if not bool(in_range.all()):
@@ -127,56 +159,26 @@ class CleaningProblem:
             raise InvalidCleaningProblemError(
                 f"sc-probabilities must lie in [0, 1], got {bad_sc!r}"
             )
-        g = np.asarray(self.g_by_xtuple, dtype=np.float64)
+        g = np.asarray(g_by_xtuple, dtype=np.float64)
         if g.size and float(g.max()) > G_TOLERANCE:
             raise InvalidCleaningProblemError(
                 f"g(l, D) values are weighted quality contributions and "
                 f"must be <= 0, got {float(g.max())!r}"
             )
-        topk_mass = np.asarray(self.topk_mass_by_xtuple, dtype=np.float64)
-        for label, column, array in (
-            ("g_by_xtuple", "g_array", g),
-            ("topk_mass_by_xtuple", "topk_mass_array", topk_mass),
-            ("costs", "costs_array", costs),
-            ("sc_probabilities", "sc_array", sc),
+        topk_mass = np.asarray(topk_mass_by_xtuple, dtype=np.float64)
+        object.__setattr__(self, "ranked", ranked)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "budget", budget)
+        for label, column in (
+            ("g_by_xtuple", g),
+            ("topk_mass_by_xtuple", topk_mass),
+            ("costs", cost),
+            ("sc_probabilities", sc),
         ):
-            self.__dict__[column] = array
-            values = getattr(self, label)
-            if isinstance(values, np.ndarray):
-                # ``tolist`` yields Python ints and floats, at C speed.
-                object.__setattr__(self, label, tuple(array.tolist()))
-            elif not isinstance(values, tuple):
-                object.__setattr__(self, label, tuple(values))
-
-    def _costs_column(self) -> np.ndarray:
-        """The costs as an int64 array, or raise: an array by its dtype,
-        a sequence also element by element (``True`` is no cost)."""
-        costs = self.costs
-        if isinstance(costs, np.ndarray):
-            if costs.dtype.kind not in "iu":
-                raise InvalidCleaningProblemError(
-                    f"costs must be positive integers, got a {costs.dtype} "
-                    f"array"
-                )
-            return costs.astype(np.int64, copy=False)
-        array = np.asarray(costs, dtype=np.int64 if not costs else None)
-        if costs and (
-            array.dtype.kind != "i" or any(type(c) is bool for c in costs)
-        ):
-            # Pin down a scalar offender for the message; an oversized
-            # int (object dtype, every element a true int) has none.
-            bad = next(
-                (
-                    c
-                    for c in costs
-                    if not isinstance(c, int) or isinstance(c, bool)
-                ),
-                max(costs),
-            )
-            raise InvalidCleaningProblemError(
-                f"costs must be positive integers, got {bad!r}"
-            )
-        return array.astype(np.int64, copy=False)
+            # A read-only view: the caller's array stays writable.
+            column = column.view()
+            column.setflags(write=False)
+            object.__setattr__(self, label, column)
 
     # ------------------------------------------------------------------
     @property
@@ -186,7 +188,7 @@ class CleaningProblem:
     @property
     def quality(self) -> float:
         """The current quality score ``S(D, Q) = Σ_l g(l, D)``."""
-        return math.fsum(self.g_by_xtuple)
+        return math.fsum(self.g_by_xtuple.tolist())
 
     def xtuple_id(self, l: int) -> str:
         """Identifier of the x-tuple at index ``l``."""
@@ -200,30 +202,6 @@ class CleaningProblem:
             return self.ranked.xtuple_index_of(xid)
         except InvalidDatabaseError:
             raise InvalidCleaningProblemError(f"unknown x-tuple id {xid!r}") from None
-
-    # ------------------------------------------------------------------
-    # Columnar views: set by ``__post_init__`` (a frozen dataclass may
-    # still write its own ``__dict__``, as ``cached_property`` does)
-    # ------------------------------------------------------------------
-    @cached_property
-    def g_array(self) -> np.ndarray:
-        """``g(l, D)`` as a float64 array."""
-        return np.array(self.g_by_xtuple, dtype=np.float64)
-
-    @cached_property
-    def topk_mass_array(self) -> np.ndarray:
-        """The top-k masses as a float64 array."""
-        return np.array(self.topk_mass_by_xtuple, dtype=np.float64)
-
-    @cached_property
-    def costs_array(self) -> np.ndarray:
-        """Probing costs as an int64 array."""
-        return np.array(self.costs, dtype=np.int64)
-
-    @cached_property
-    def sc_array(self) -> np.ndarray:
-        """sc-probabilities as a float64 array."""
-        return np.array(self.sc_probabilities, dtype=np.float64)
 
     @cached_property
     def probe_mask(self) -> np.ndarray:
@@ -243,9 +221,9 @@ class CleaningProblem:
             1.0 - ranked.completion_array <= COMPLETENESS_TOLERANCE
         )
         return (
-            (self.g_array < -G_TOLERANCE)
+            (self.g_by_xtuple < -G_TOLERANCE)
             & ~certain
-            & (self.sc_array > SC_TOLERANCE)
+            & (self.sc_probabilities > SC_TOLERANCE)
         )
 
     def candidate_indices(self) -> List[int]:
@@ -256,24 +234,31 @@ class CleaningProblem:
         exceeds the whole budget.
         """
         return np.flatnonzero(
-            self.probe_mask & (self.costs_array <= self.budget)
+            self.probe_mask & (self.costs <= self.budget)
         ).tolist()
+
+    def rows(self, indices: Sequence[int]) -> List[Tuple[float, float, int]]:
+        """``(P_l, g(l, D), c_l)`` of each x-tuple in ``indices``, as
+        Python numbers: one ``tolist()`` per column, for a loop that
+        walks candidates one at a time.  Reading the arrays element by
+        element would hand it numpy scalars, which make
+        :func:`~repro.cleaning.improvement.marginal_gain` more than
+        twice as slow."""
+        return list(
+            zip(
+                self.sc_probabilities[indices].tolist(),
+                self.g_by_xtuple[indices].tolist(),
+                self.costs[indices].tolist(),
+            )
+        )
 
     def max_operations(self, l: int) -> int:
         """``J_l = floor(C / c_l)``: most probes of ``τ_l`` the budget allows."""
-        return self.budget // self.costs[l]
+        return self.budget // int(self.costs[l])
 
     def with_budget(self, budget: int) -> "CleaningProblem":
         """The same instance under a different budget (used by sweeps)."""
-        return CleaningProblem(
-            ranked=self.ranked,
-            k=self.k,
-            g_by_xtuple=self.g_array,
-            topk_mass_by_xtuple=self.topk_mass_array,
-            costs=self.costs_array,
-            sc_probabilities=self.sc_array,
-            budget=budget,
-        )
+        return replace(self, budget=budget)
 
 
 def _by_xtuple(
@@ -323,19 +308,13 @@ def build_cleaning_problem(
     offender), or sequences or numpy arrays in database x-tuple order
     -- the service passes the arrays its seeded draws produce.
     ``g(l, D)`` and the top-k masses come from the TP result as arrays
-    (``g_by_xtuple_array``, ``topk_mass_by_xtuple_array``); only the
-    scalar oracle (``backend="python"``) keeps its scalar ``g``.
+    (``g_by_xtuple``, ``topk_mass_by_xtuple_array``).
     """
     ranked = quality.ranked
-    g: Column[float] = (
-        quality.g_by_xtuple()
-        if quality.backend == "python"
-        else quality.g_by_xtuple_array()
-    )
     return CleaningProblem(
         ranked=ranked,
         k=quality.k,
-        g_by_xtuple=g,
+        g_by_xtuple=quality.g_by_xtuple(),
         topk_mass_by_xtuple=(
             quality.rank_probabilities.topk_mass_by_xtuple_array()
         ),
@@ -382,9 +361,12 @@ class CleaningPlan:
 
     def total_cost(self, problem: CleaningProblem) -> int:
         """``Σ_l c_l·M_l`` under the problem's cost vector."""
+        indices = [problem.xtuple_index(xid) for xid in self.operations]
         return sum(
-            problem.costs[problem.xtuple_index(xid)] * count
-            for xid, count in self.operations.items()
+            cost * count
+            for cost, count in zip(
+                problem.costs[indices].tolist(), self.operations.values()
+            )
         )
 
     def is_feasible(self, problem: CleaningProblem) -> bool:

@@ -24,6 +24,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.cleaning.model import CleaningPlan, CleaningProblem
 
 _POOLS = ("nonzero", "all")
@@ -33,11 +35,7 @@ def _initial_pool(problem: CleaningProblem, candidates: str) -> List[int]:
     if candidates == "nonzero":
         return problem.candidate_indices()
     if candidates == "all":
-        return [
-            l
-            for l in range(problem.num_xtuples)
-            if problem.costs[l] <= problem.budget
-        ]
+        return np.flatnonzero(problem.costs <= problem.budget).tolist()
     raise ValueError(f"candidates must be one of {_POOLS}, got {candidates!r}")
 
 
@@ -51,10 +49,11 @@ def _run_random_selection(
     remaining = problem.budget
     counts: Dict[int, int] = {}
     pool = list(pool)
+    cost_of = dict(zip(pool, problem.costs[pool].tolist()))
     pool_weights = list(weights) if weights is not None else None
     while pool:
         # Keep only x-tuples the remaining budget can still pay for.
-        keep = [i for i, l in enumerate(pool) if problem.costs[l] <= remaining]
+        keep = [i for i, l in enumerate(pool) if cost_of[l] <= remaining]
         if len(keep) != len(pool):
             pool = [pool[i] for i in keep]
             if pool_weights is not None:
@@ -66,7 +65,7 @@ def _run_random_selection(
         else:
             chosen = pool[rng.randrange(len(pool))]
         counts[chosen] = counts.get(chosen, 0) + 1
-        remaining -= problem.costs[chosen]
+        remaining -= cost_of[chosen]
     return CleaningPlan(
         operations={problem.xtuple_id(l): c for l, c in counts.items()}
     )
@@ -109,7 +108,7 @@ class RandPCleaner:
         """Draw x-tuples weighted by top-k probability mass."""
         rng = random.Random(self.seed)
         pool = _initial_pool(problem, self.candidates)
-        weights = [problem.topk_mass_by_xtuple[l] for l in pool]
+        weights = problem.topk_mass_by_xtuple[pool].tolist()
         # Weight-zero x-tuples can never be drawn by rng.choices with
         # all-zero totals; drop them up front (and fall back to uniform
         # if the whole pool carries no top-k mass).

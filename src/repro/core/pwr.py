@@ -63,8 +63,8 @@ def iter_pw_results(
     require_valid_k(k)
     n = ranked.num_tuples
     m = ranked.num_xtuples
-    probabilities = ranked.probabilities
-    xtuple_indices = ranked.xtuple_indices
+    probabilities = ranked.probabilities_array.tolist()
+    xtuple_indices = ranked.xtuple_indices_array.tolist()
 
     covered = [False] * m
     mass = [0.0] * m

@@ -11,9 +11,11 @@ automates exactly that.
 
 The weight pass is a segmented cumulative sum, the quality a dot
 product, and the per-x-tuple aggregation ``g(l, D)`` a ``bincount``
-over the columnar arrays.  ``compute_quality_tp(..., backend="python")``
-runs the scalar oracle end to end instead: scalar PSR pass, scalar
-weights, an ``fsum`` quality and a scalar ``g(l, D)`` loop.
+over the columnar arrays; ``g(l, D)`` is one float64 array, which the
+cleaning problem holds as it is.
+``compute_quality_tp(..., backend="python")`` runs the scalar oracle
+end to end instead: scalar PSR pass, scalar weights, an ``fsum``
+quality and a row-at-a-time ``g(l, D)`` sum, returned as an array.
 
 Assumption inherited from Theorem 1: every possible world yields a
 full-length (size-``k``) result.  This holds whenever at least ``k``
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -75,32 +77,28 @@ class TPQualityResult:
     def ranked(self) -> RankedDatabase:
         return self.rank_probabilities.ranked
 
-    def g_by_xtuple_array(self) -> np.ndarray:
-        """``g(l, D)`` per x-tuple as a float64 array (database order)."""
-        rp = self.rank_probabilities
-        return np.bincount(
-            self.ranked.xtuple_indices_array[: rp.cutoff],
-            weights=np.asarray(self.weights_prefix) * rp.topk_prefix,
-            minlength=self.ranked.num_xtuples,
-        )
-
-    def g_by_xtuple(self) -> List[float]:
-        """``g(l, D) = Σ_{t_i∈τ_l} ω_i·p_i`` for every x-tuple.
+    def g_by_xtuple(self) -> np.ndarray:
+        """``g(l, D) = Σ_{t_i∈τ_l} ω_i·p_i`` for every x-tuple, as a
+        float64 array in the database's x-tuple order.
 
         These sum to the quality score; cleaning x-tuple ``l``
         successfully removes exactly ``g(l, D)`` from it (Theorem 2).
-        Indexed by the database's x-tuple order.
         """
-        if self.backend != "python":
-            return self.g_by_xtuple_array().tolist()
         rp = self.rank_probabilities
-        g = [0.0] * self.ranked.num_xtuples
-        xtuple_indices = self.ranked.xtuple_indices
-        for i in range(rp.cutoff):
-            g[xtuple_indices[i]] += float(
-                self.weights_prefix[i] * rp.topk_prefix[i]
+        if self.backend != "python":
+            return np.bincount(
+                self.ranked.xtuple_indices_array[: rp.cutoff],
+                weights=np.asarray(self.weights_prefix) * rp.topk_prefix,
+                minlength=self.ranked.num_xtuples,
             )
-        return g
+        g = [0.0] * self.ranked.num_xtuples
+        for l, w, p in zip(
+            self.ranked.xtuple_indices_array[: rp.cutoff].tolist(),
+            np.asarray(self.weights_prefix).tolist(),
+            rp.topk_prefix.tolist(),
+        ):
+            g[l] += w * p
+        return np.array(g, dtype=np.float64)
 
 
 def patch_quality_tp(

@@ -89,9 +89,10 @@ def _compute_weights_numpy(ranked: RankedDatabase, upto: int) -> np.ndarray:
 def _compute_weights_python(ranked: RankedDatabase, upto: int) -> List[float]:
     seen: Dict[int, float] = {}
     weights: List[float] = []
-    for i in range(upto):
-        e_i = ranked.probabilities[i]
-        l = ranked.xtuple_indices[i]
+    for e_i, l in zip(
+        ranked.probabilities_array[:upto].tolist(),
+        ranked.xtuple_indices_array[:upto].tolist(),
+    ):
         mass_at_least = seen.get(l, 0.0) + e_i
         seen[l] = mass_at_least
         weights.append(weight_of(e_i, mass_at_least))

@@ -8,14 +8,14 @@ ranking function.  This mirrors the paper's standing assumption that
 "tuples in D are arranged in descending order of ranks" (Section IV)
 while paying the sort exactly once per (database, ranking) pair.
 
-The ranked view's canonical storage is *columnar*: contiguous
-``float64`` / ``int64`` NumPy arrays (``probabilities_array``,
-``xtuple_indices_array``, ``scores_array``, ``completion_array``) that
-the vectorized kernels consume directly.  The historical list
-attributes (``probabilities``, ``xtuple_indices``, ``scores``,
-``completion``) survive as lazily materialized views of those arrays,
-so scalar code -- including the pure-Python reference backend -- keeps
-working unchanged.
+The ranked view stores each column once, as a contiguous ``float64`` /
+``int64`` NumPy array (``probabilities_array``,
+``xtuple_indices_array``, ``scores_array``, ``completion_array``,
+``insertion_array``) that the vectorized kernels consume directly.
+Scalar code -- the pure-Python reference backend, the possible-world
+enumerators -- takes ``tolist()`` of exactly the rows it walks.
+``insertion_array`` is the one record of rank order: the tuple objects
+of :attr:`RankedDatabase.order` are gathered by it.
 
 Cold rank
 ---------
@@ -41,9 +41,12 @@ x-tuples' rows out of / into the columnar arrays in O(n) (a boolean
 gather plus a ``np.searchsorted`` insert that replicates the full
 sort's exact ``(-score, insertion index)`` tie-breaking) instead of
 re-sorting, and returns one :class:`RankDelta` for the whole change
-set.  The query engine (:meth:`repro.queries.engine.QuerySession.derive`)
-reads its first changed row to decide which cached PSR passes still
-hold for the patched view.
+set.  A patched view gathers its tuple objects by ``insertion_array``
+the first time ``order``, ``position``, ``rank_of`` or ``top`` is read;
+its length and its columns need none.  The query engine
+(:meth:`repro.queries.engine.QuerySession.derive`) reads its first
+changed row to decide which cached PSR passes still hold for the
+patched view.
 
 Durable state stores a cleaning outcome as its base plus a *change
 set*, ``{xid: revealed tid, or None for a revealed null}``:
@@ -71,7 +74,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -524,67 +526,6 @@ class RankDelta:
     window_start: int
 
 
-def _splice_list(items: List, removed: np.ndarray, positions: np.ndarray, values: List) -> List:
-    """``items`` with rows ``removed`` dropped and ``values`` inserted.
-
-    ``positions`` are insertion points relative to the survivor list
-    (``np.insert`` semantics).  Slice-level copying keeps the whole
-    splice at C speed.
-    """
-    out: List = []
-    prev = 0
-    for r in removed.tolist():
-        out.extend(items[prev:r])
-        prev = r + 1
-    out.extend(items[prev:])
-    for offset, (pos, value) in enumerate(zip(positions.tolist(), values)):
-        out.insert(pos + offset, value)
-    return out
-
-
-class _OrderPatch:
-    """A deferred splice of a ranked ``order`` list.
-
-    The tuple-object list is the one column nothing on the cleaning hot
-    path reads -- the kernels consume the numeric arrays -- so a patched
-    view records its change set's splice and materializes only when
-    (and if) someone asks for ``order`` / ``position``; reading the
-    view's length does not.  Holds the *parent's order
-    state* (a list, or another pending patch), never the parent view
-    itself, so dropped intermediate snapshots stay collectable.
-    """
-
-    __slots__ = ("parent", "removed", "positions", "values")
-
-    def __init__(
-        self,
-        parent: Union["_OrderPatch", List[ProbabilisticTuple]],
-        removed: np.ndarray,
-        positions: np.ndarray,
-        values: List[ProbabilisticTuple],
-    ) -> None:
-        self.parent = parent
-        self.removed = removed
-        self.positions = positions
-        self.values = values
-
-    def materialize(self) -> List[ProbabilisticTuple]:
-        # Collapse the whole pending chain iteratively (chains grow one
-        # link per cleaning round; recursion would hit limits on long
-        # runs).
-        chain = [self]
-        parent = self.parent
-        while isinstance(parent, _OrderPatch):
-            chain.append(parent)
-            parent = parent.parent
-        items = parent
-        for patch in reversed(chain):
-            items = _splice_list(
-                items, patch.removed, patch.positions, patch.values
-            )
-        return items
-
-
 #: Attribute names of the ranked view's canonical columnar arrays.
 #: Every array listed here is write-protected at rest; patched views
 #: build fresh arrays instead of writing into these.
@@ -612,12 +553,14 @@ class RankedDatabase:
         the ranking score (descending, ties broken by insertion index);
     ``completion_array[l]`` (float64)
         ``s_l`` -- the probability that x-tuple ``l`` produces a real
-        tuple.
+        tuple;
+    ``insertion_array[i]`` (int64)
+        the i-th ranked tuple's index in the database's insertion
+        order -- the sort's tie-break key and the one record of rank
+        order: :attr:`order` is the database's tuples gathered by it.
 
-    The list attributes ``probabilities`` / ``xtuple_indices`` /
-    ``scores`` / ``completion`` are lazily built plain-Python views of
-    those arrays, kept for scalar consumers (and the reference
-    backend).
+    Scalar consumers (and the reference backend) take ``tolist()`` of
+    the rows they walk.
 
     Construction scores through :meth:`~repro.db.tuples.XTuple.scores`,
     memoized per x-tuple under the ranking's score callable, so that
@@ -651,13 +594,10 @@ class RankedDatabase:
         # tie-break: lexsort's last key dominates.
         insertion = np.arange(n, dtype=np.int64)
         perm = np.lexsort((insertion, -raw_scores))
-        tuples = list(chain.from_iterable([xt.alternatives for xt in xtuples]))
-        self._order_state: Union[List[ProbabilisticTuple], _OrderPatch] = list(
-            map(tuples.__getitem__, perm.tolist())
-        )
         self.scores_array: np.ndarray = raw_scores[perm]
         #: Insertion index of each ranked row -- the sort's tie-break
-        #: key, kept so patched derivations can replicate it exactly.
+        #: key, which patched derivations replicate exactly, and the
+        #: permutation ``order`` is gathered by.
         self.insertion_array: np.ndarray = perm
         self.xtuple_ids: List[str] = [xt.xid for xt in xtuples]
         self.xtuple_indices_array: np.ndarray = np.repeat(
@@ -670,20 +610,17 @@ class RankedDatabase:
             count=m,
         )
         self._xid_to_index_map: Optional[Dict[str, int]] = None
-        # Lazily materialized views (rebuilt on demand after patching).
         self._position: Optional[Dict[str, int]] = None
-        self._scores_list: Optional[List[float]] = None
-        self._xtuple_indices_list: Optional[List[int]] = None
-        self._probabilities_list: Optional[List[float]] = None
-        self._completion_list: Optional[List[float]] = None
         self._freeze_columns()
+        # A cold rank gathers its tuple objects up front; a patched view
+        # waits for the first read of ``order``.
+        self._order: Optional[List[ProbabilisticTuple]] = self._gather_order()
 
     @classmethod
     def _patched(
         cls,
         db: ProbabilisticDatabase,
         ranking: RankingFunction,
-        order: List[ProbabilisticTuple],
         scores: np.ndarray,
         insertion: np.ndarray,
         xtuple_indices: np.ndarray,
@@ -696,7 +633,6 @@ class RankedDatabase:
         self = cls.__new__(cls)
         self.db = db
         self.ranking = ranking
-        self._order_state = order
         self.scores_array = scores
         self.insertion_array = insertion
         self.xtuple_indices_array = xtuple_indices
@@ -705,10 +641,7 @@ class RankedDatabase:
         self.xtuple_ids = xtuple_ids
         self._xid_to_index_map = xid_to_index
         self._position = None
-        self._scores_list = None
-        self._xtuple_indices_list = None
-        self._probabilities_list = None
-        self._completion_list = None
+        self._order = None
         self._freeze_columns()
         return self
 
@@ -735,14 +668,23 @@ class RankedDatabase:
         return self.probabilities_array, self.xtuple_indices_array
 
     # ------------------------------------------------------------------
-    # List views (back-compat API over the canonical arrays)
+    # Tuple objects in rank order
     # ------------------------------------------------------------------
+    def _gather_order(self) -> List[ProbabilisticTuple]:
+        """The database's tuples gathered by ``insertion_array``: ranked
+        row ``i`` is tuple ``insertion_array[i]`` in insertion order."""
+        tuples = list(
+            chain.from_iterable([xt.alternatives for xt in self.db.xtuples])
+        )
+        return list(map(tuples.__getitem__, self.insertion_array.tolist()))
+
     @property
     def order(self) -> List[ProbabilisticTuple]:
-        """The ranked tuple objects (materialized lazily after patches)."""
-        if isinstance(self._order_state, _OrderPatch):
-            self._order_state = self._order_state.materialize()
-        return self._order_state
+        """The ranked tuple objects (a patched view gathers them on
+        first read)."""
+        if self._order is None:
+            self._order = self._gather_order()
+        return self._order
 
     @property
     def position(self) -> Dict[str, int]:
@@ -757,38 +699,11 @@ class RankedDatabase:
             ids = self.xtuple_ids
             self._xid_to_index_map = dict(zip(ids, range(len(ids))))
         return self._xid_to_index_map
-    @property
-    def scores(self) -> List[float]:
-        """Ranking scores as a plain list (view of ``scores_array``)."""
-        if self._scores_list is None:
-            self._scores_list = self.scores_array.tolist()
-        return self._scores_list
-
-    @property
-    def xtuple_indices(self) -> List[int]:
-        """Dense x-tuple indices as a plain list."""
-        if self._xtuple_indices_list is None:
-            self._xtuple_indices_list = self.xtuple_indices_array.tolist()
-        return self._xtuple_indices_list
-
-    @property
-    def probabilities(self) -> List[float]:
-        """Existential probabilities as a plain list."""
-        if self._probabilities_list is None:
-            self._probabilities_list = self.probabilities_array.tolist()
-        return self._probabilities_list
-
-    @property
-    def completion(self) -> List[float]:
-        """Per-x-tuple completion probabilities as a plain list."""
-        if self._completion_list is None:
-            self._completion_list = self.completion_array.tolist()
-        return self._completion_list
 
     @property
     def num_tuples(self) -> int:
-        # Read a canonical column, not ``order``: that would materialize
-        # a patched view's deferred splice.
+        # Read a column, not ``order``: that would gather a patched
+        # view's tuple objects.
         return len(self.scores_array)
 
     @property
@@ -800,7 +715,10 @@ class RankedDatabase:
 
     def rank_of(self, tid: str) -> int:
         """Zero-based rank position of tuple ``tid`` (0 = highest)."""
-        return self.position[tid]
+        try:
+            return self.position[tid]
+        except KeyError:
+            raise InvalidDatabaseError(f"unknown tuple id {tid!r}") from None
 
     def xtuple_index_of(self, xid: str) -> int:
         """Dense index of the x-tuple ``xid`` (O(1))."""
@@ -832,7 +750,7 @@ class RankedDatabase:
         # that at most m-k entities are null.
         max_nulls = m - k
         dp = [1.0] + [0.0] * max_nulls
-        for s in self.completion:
+        for s in self.completion_array.tolist():
             q = 1.0 - s
             if q <= 0.0:
                 continue
@@ -947,16 +865,20 @@ class RankedDatabase:
         new_index = np.arange(m, dtype=np.int64) - np.cumsum(is_removed)
 
         # The replacements' members in canonical (-score, insertion)
-        # order, as (-score, insertion, dense index, tuple).
+        # order, as (-score, insertion, dense index, probability).
         score = self.ranking.score
         entries = sorted(
-            (-float(value), int(new_offsets[l]) + j, int(new_index[l]), t)
+            (
+                -float(value),
+                int(new_offsets[l]) + j,
+                int(new_index[l]),
+                t.probability,
+            )
             for l, xt in replaced.items()
             for j, (t, value) in enumerate(
                 zip(xt.alternatives, xt.scores(score))
             )
         )
-        members = [t for _, _, _, t in entries]
         new_scores = np.array([-e[0] for e in entries], dtype=np.float64)
         new_ins = np.array([e[1] for e in entries], dtype=np.int64)
 
@@ -966,7 +888,7 @@ class RankedDatabase:
         positions = self._insert_positions(
             self.scores_array[survivors], kept_ins, new_scores, new_ins
         )
-        inserted_rows = positions + np.arange(len(members), dtype=np.int64)
+        inserted_rows = positions + np.arange(len(entries), dtype=np.int64)
 
         # One source-index gather per column: new row i takes old row
         # source[i], with the inserted rows scattered on top.
@@ -974,7 +896,7 @@ class RankedDatabase:
         scores = self.scores_array[source]
         scores[inserted_rows] = new_scores
         probabilities = self.probabilities_array[source]
-        probabilities[inserted_rows] = [t.probability for t in members]
+        probabilities[inserted_rows] = [e[3] for e in entries]
         xtuple_indices = new_index[self.xtuple_indices_array[source]]
         xtuple_indices[inserted_rows] = [e[2] for e in entries]
         insertion = np.insert(kept_ins, positions, new_ins)
@@ -995,7 +917,6 @@ class RankedDatabase:
         new_ranked = RankedDatabase._patched(
             db=self.db._spliced(tuple(xtuples), len(scores), replaced, removed),
             ranking=self.ranking,
-            order=_OrderPatch(self._order_state, removed_rows, positions, members),
             scores=scores,
             insertion=insertion,
             xtuple_indices=xtuple_indices,

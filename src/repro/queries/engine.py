@@ -45,7 +45,7 @@ within one evaluation pipeline, not across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple, Union
 
 from repro.core.backend import check_backend
 from repro.core.counters import SESSION_COUNTERS
@@ -87,10 +87,6 @@ class EvaluationReport:
     @property
     def quality_score(self) -> float:
         return self.quality.quality
-
-    def g_by_xtuple(self) -> List[float]:
-        """Per-x-tuple quality contributions ``g(l, D)`` (Theorem 2)."""
-        return self.quality.g_by_xtuple()
 
 
 class QuerySession:
@@ -341,10 +337,6 @@ class QuerySession:
             )
             self._global_topk[k] = cached
         return cached
-
-    def g_by_xtuple(self, k: int) -> List[float]:
-        """Per-x-tuple quality contributions ``g(l, D)`` at ``k``."""
-        return self.quality(k).g_by_xtuple()
 
     def evaluate(self, k: int, threshold: float = 0.1) -> EvaluationReport:
         """All three semantics plus quality, from one (cached) PSR pass."""

@@ -37,10 +37,13 @@ an explicit ``backend="python"``.  There is no process-wide switch, so
 what a service answers -- and what its journal replays -- does not
 depend on the environment.
 
-Both produce a :class:`RankProbabilities` whose canonical storage is a
+Both produce a :class:`RankProbabilities` whose only storage is a
 ``(cutoff, k)`` float64 ``rho_prefix`` matrix plus a ``topk_prefix``
 vector -- the columnar shape every downstream consumer (query
-answering, TP quality, cleaning) reads directly.
+answering, TP quality, cleaning) reads directly.  Its whole-database
+views are arrays too: ``topk_array`` per ranked tuple and
+``topk_mass_by_xtuple_array`` per x-tuple.  The scalar kernel reads
+its input rows with one ``tolist()`` of the ranked view's columns.
 
 Numerical notes
 ---------------
@@ -299,10 +302,6 @@ class RankProbabilities:
         full[: self.cutoff] = self.topk_prefix
         return full
 
-    def topk_probabilities(self) -> List[float]:
-        """Top-k probabilities for all tuples, in ranked order."""
-        return self.topk_array().tolist()
-
     def nonzero_tuples(
         self, tolerance: float = 0.0
     ) -> Iterator[Tuple[ProbabilisticTuple, float]]:
@@ -313,21 +312,18 @@ class RankProbabilities:
             yield order[i], float(self.topk_prefix[i])
 
     def topk_mass_by_xtuple_array(self) -> np.ndarray:
-        """``Σ_{t_i∈τ_l} p_i`` per x-tuple as a float64 array."""
-        return np.bincount(
-            self.ranked.xtuple_indices_array[: self.cutoff],
-            weights=self.topk_prefix,
-            minlength=self.ranked.num_xtuples,
-        )
-
-    def topk_probability_by_xtuple(self) -> List[float]:
-        """``Σ_{t_i∈τ_l} p_i`` per x-tuple (database order).
+        """``Σ_{t_i∈τ_l} p_i`` per x-tuple as a float64 array (database
+        order).
 
         These per-entity masses drive the RandP cleaning heuristic and,
         combined with the TP weights, the ``g(l, D)`` values of
         Theorem 2.
         """
-        return self.topk_mass_by_xtuple_array().tolist()
+        return np.bincount(
+            self.ranked.xtuple_indices_array[: self.cutoff],
+            weights=self.topk_prefix,
+            minlength=self.ranked.num_xtuples,
+        )
 
 
 def _rebuild_from_base(
@@ -354,8 +350,9 @@ def _compute_rank_probabilities_python(
     x-tuples seen so far and divides each row's own factor out of it,
     or rebuilds it without that factor where the division is unstable.
     """
-    probabilities = ranked.probabilities
-    xtuple_indices = ranked.xtuple_indices
+    stop = tail_stop(ranked, k, tail_epsilon)
+    probabilities = ranked.probabilities_array[:stop].tolist()
+    xtuple_indices = ranked.xtuple_indices_array[:stop].tolist()
     remaining = np.bincount(
         ranked.xtuple_indices_array, minlength=ranked.num_xtuples
     ).tolist()
@@ -365,7 +362,7 @@ def _compute_rank_probabilities_python(
     shift = 0
     rho_rows: List[List[float]] = []
     topk_rows: List[float] = []
-    for i in range(tail_stop(ranked, k, tail_epsilon)):
+    for i in range(stop):
         if shift >= k:
             break  # Lemma 2
         e_i = probabilities[i]

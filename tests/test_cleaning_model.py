@@ -1,13 +1,12 @@
 """Validation and value-object behaviour of the cleaning model."""
 
 import json
-import math
 
 import numpy as np
 import pytest
 
 from repro.api.service import TopKService
-from repro.api.specs import CleaningSpec
+from repro.api.specs import BatchSpec, CleaningSpec, QualitySpec, QuerySpec
 from repro.cleaning.greedy import GreedyCleaner
 from repro.cleaning.model import (
     CleaningPlan,
@@ -37,7 +36,7 @@ def _problem(quality, budget=10, costs=None, sc=None):
 class TestBuildCleaningProblem:
     def test_arrays_follow_database_order(self, udb1, quality):
         problem = _problem(quality)
-        assert problem.costs == (1, 2, 3, 4)
+        assert problem.costs.tolist() == [1, 2, 3, 4]
         assert problem.xtuple_id(0) == "S1"
         assert problem.xtuple_index("S3") == 2
 
@@ -45,7 +44,7 @@ class TestBuildCleaningProblem:
         problem = build_cleaning_problem(
             quality, [1, 1, 1, 1], [0.5, 0.5, 0.5, 0.5], 5
         )
-        assert problem.costs == (1, 1, 1, 1)
+        assert problem.costs.tolist() == [1, 1, 1, 1]
 
     def test_missing_mapping_entry_rejected(self, quality):
         with pytest.raises(InvalidCleaningProblemError):
@@ -103,8 +102,8 @@ class TestProblemAccessors:
         problem = _problem(quality, budget=10)
         other = problem.with_budget(3)
         assert other.budget == 3
-        assert other.costs == problem.costs
-        assert other.g_by_xtuple == problem.g_by_xtuple
+        assert np.array_equal(other.costs, problem.costs)
+        assert np.array_equal(other.g_by_xtuple, problem.g_by_xtuple)
 
     def test_candidates_drop_unaffordable(self, quality):
         problem = _problem(quality, budget=2)
@@ -161,7 +160,7 @@ class TestCleaningPlan:
 class TestArrayColumns:
     def _arrays(self, quality, **override):
         columns = {
-            "g_by_xtuple": quality.g_by_xtuple_array(),
+            "g_by_xtuple": quality.g_by_xtuple(),
             "topk_mass_by_xtuple": (
                 quality.rank_probabilities.topk_mass_by_xtuple_array()
             ),
@@ -173,17 +172,33 @@ class TestArrayColumns:
             ranked=quality.ranked, k=2, budget=10, **columns
         )
 
-    def test_scalar_readers_get_python_numbers(self, quality):
+    def test_columns_are_read_only_arrays(self, quality):
         problem = self._arrays(quality)
-        assert problem.costs == (1, 2, 3, 4)
-        assert all(type(c) is int for c in problem.costs)
-        assert all(type(p) is float for p in problem.sc_probabilities)
-        assert all(type(g) is float for g in problem.g_by_xtuple)
-        assert all(type(p) is float for p in problem.topk_mass_by_xtuple)
-        assert problem.costs_array.dtype == np.int64
-        assert problem == _problem(
+        from_mappings = _problem(
             quality, sc={"S1": 0.5, "S2": 0.25, "S3": 0.75, "S4": 1.0}
         )
+        for column, dtype in (
+            ("g_by_xtuple", np.float64),
+            ("topk_mass_by_xtuple", np.float64),
+            ("costs", np.int64),
+            ("sc_probabilities", np.float64),
+        ):
+            for built in (problem, from_mappings):
+                array = getattr(built, column)
+                assert isinstance(array, np.ndarray), column
+                assert array.dtype == dtype, column
+                assert not array.flags.writeable, column
+            assert np.array_equal(
+                getattr(problem, column), getattr(from_mappings, column)
+            ), column
+        assert problem.costs.tolist() == [1, 2, 3, 4]
+
+    def test_caller_arrays_stay_writable(self, quality):
+        costs = np.array([1, 2, 3, 4], dtype=np.int64)
+        problem = self._arrays(quality, costs=costs)
+        assert costs.flags.writeable
+        with pytest.raises(ValueError):
+            problem.costs[0] = 5
 
     @pytest.mark.parametrize(
         "column, values",
@@ -210,15 +225,59 @@ class TestArrayColumns:
             )
 
     def test_payload_holds_no_numpy_scalars(self):
+        # Every read from a problem is a numpy scalar, so each path into
+        # an envelope must convert.  ``json.dumps`` would not notice:
+        # ``np.float64`` subclasses ``float``.
         service = TopKService()
         db = generate_synthetic(num_xtuples=60, completion=0.85, seed=2)
         sid = service.register(db).snapshot_id
-        for adaptive in (False, True):
-            spec = CleaningSpec(k=5, budget=30, adaptive=adaptive, seed=4)
-            payload = service.clean(sid, spec).payload
-            assert type(payload["cost_spent"]) is int
-            assert type(payload["plan"]["total_cost"]) is int
-            json.dumps(payload)
+        envelopes = [
+            service.query(sid, QuerySpec(k=5)),
+            service.quality(sid, QualitySpec(k=5)),
+            service.quality(
+                sid, QualitySpec(k=5, method="montecarlo", samples=200)
+            ),
+            service.batch(
+                sid,
+                BatchSpec(
+                    items=(QuerySpec(k=3, semantics="ptk"), QualitySpec(k=5))
+                ),
+            ),
+        ]
+        for planner in ("dp", "greedy", "randp", "randu"):
+            for execute, adaptive in ((False, False), (True, False), (True, True)):
+                spec = CleaningSpec(
+                    k=5,
+                    budget=30,
+                    planner=planner,
+                    execute=execute,
+                    adaptive=adaptive,
+                    seed=4,
+                )
+                envelopes.append(service.clean(sid, spec))
+        for envelope in envelopes:
+            assert _foreign_leaves(envelope.to_dict()) == [], envelope.kind
+            json.dumps(envelope.to_dict())
+
+
+def _foreign_leaves(value, path="$"):
+    """Paths of the leaves of a JSON-like value that are not exactly an
+    ``int``, ``float``, ``str``, ``bool`` or ``None``."""
+    if isinstance(value, dict):
+        return [
+            leaf
+            for key, item in value.items()
+            for leaf in _foreign_leaves(item, f"{path}.{key}")
+        ]
+    if isinstance(value, (list, tuple)):
+        return [
+            leaf
+            for i, item in enumerate(value)
+            for leaf in _foreign_leaves(item, f"{path}[{i}]")
+        ]
+    if value is None or type(value) in (int, float, str, bool):
+        return []
+    return [f"{path}: {type(value).__name__}"]
 
 
 def _with_certain_xtuple(probability=1.0):

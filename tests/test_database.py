@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 
 from repro.db.database import ProbabilisticDatabase
-from repro.db.ranking import by_value, custom
+from repro.db.ranking import custom
 from repro.db.tuples import make_xtuple
 from repro.exceptions import InvalidDatabaseError
+from repro.queries.psr import compute_rank_probabilities
 
 from strategies import databases
 
@@ -151,7 +152,8 @@ class TestRankedDatabase:
 
     def test_scores_are_descending(self, udb1):
         ranked = udb1.ranked()
-        assert ranked.scores == sorted(ranked.scores, reverse=True)
+        scores = ranked.scores_array.tolist()
+        assert scores == sorted(scores, reverse=True)
 
     def test_tie_break_by_insertion_index(self):
         db = ProbabilisticDatabase(
@@ -168,9 +170,33 @@ class TestRankedDatabase:
     def test_parallel_arrays_consistent(self, udb1):
         ranked = udb1.ranked()
         for i, t in enumerate(ranked.order):
-            assert ranked.probabilities[i] == t.probability
-            xid = ranked.xtuple_ids[ranked.xtuple_indices[i]]
+            assert ranked.probabilities_array[i] == t.probability
+            xid = ranked.xtuple_ids[ranked.xtuple_indices_array[i]]
             assert xid == t.xtuple_id
+
+    def test_unknown_tid_raises_typed_error(self, udb1):
+        # Typed like ``ProbabilisticDatabase.tuple``, on a cold and on a
+        # patched view, and through the rank-probability lookups.
+        ranked = udb1.ranked()
+        xt = udb1.xtuple("S3")
+        patched, _ = ranked.with_xtuple_replaced(
+            "S3", xt.collapsed_to(xt.alternatives[0].tid)
+        )
+        for view in (ranked, patched):
+            with pytest.raises(
+                InvalidDatabaseError, match="unknown tuple id 'nope'"
+            ):
+                view.rank_of("nope")
+            rp = compute_rank_probabilities(view, 2)
+            for lookup in (
+                rp.rho,
+                rp.topk_probability,
+                lambda tid: rp.rank_probability(tid, 1),
+            ):
+                with pytest.raises(
+                    InvalidDatabaseError, match="unknown tuple id 'nope'"
+                ):
+                    lookup("nope")
 
     def test_custom_ranking(self, udb1):
         # Rank ascending by value instead.

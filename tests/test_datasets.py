@@ -1,6 +1,5 @@
 """Dataset generators: paper properties, determinism, validity."""
 
-import math
 import random
 import statistics
 
@@ -172,7 +171,7 @@ class TestMovGenerator:
         db = generate_mov(num_xtuples=50, seed=5)
         ranked = db.ranked(mov_ranking())
         t = ranked.order[0]
-        assert ranked.scores[0] == pytest.approx(
+        assert ranked.scores_array[0] == pytest.approx(
             t.value["date"] + t.value["rating"]
         )
 

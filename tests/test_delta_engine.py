@@ -502,8 +502,8 @@ class TestDeltaSessions:
         assert [p for _, p in session.global_topk(k).members] == pytest.approx(
             [p for _, p in cold.global_topk(k).members], abs=ABS
         )
-        assert session.g_by_xtuple(k) == pytest.approx(
-            cold.g_by_xtuple(k), abs=ABS
+        assert session.quality(k).g_by_xtuple() == pytest.approx(
+            cold.quality(k).g_by_xtuple(), abs=ABS
         )
 
     def test_check_support_fires_on_cached_quality(self):

@@ -34,7 +34,7 @@ class TestEvaluate:
         import math
 
         report = evaluate(udb1, 2)
-        assert math.fsum(report.g_by_xtuple()) == pytest.approx(
+        assert math.fsum(report.quality.g_by_xtuple()) == pytest.approx(
             report.quality_score, abs=1e-9
         )
 

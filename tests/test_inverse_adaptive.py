@@ -105,6 +105,59 @@ class TestInverseCleaning:
         with pytest.raises(ValueError):
             min_cost_plan(_paper_problem(udb1), 0.1, method="magic")
 
+    def _solved_capacities(self, monkeypatch):
+        """Record each capacity ``min_cost_plan`` solves a knapsack at."""
+        import repro.cleaning.inverse as inverse
+
+        capacities = []
+        solve = inverse.solve_grouped_knapsack
+
+        def recording(groups, capacity, *args, **kwargs):
+            capacities.append(capacity)
+            return solve(groups, capacity, *args, **kwargs)
+
+        monkeypatch.setattr(inverse, "solve_grouped_knapsack", recording)
+        return capacities
+
+    def test_target_above_a_saturated_curve_is_refused_early(
+        self, udb1, monkeypatch
+    ):
+        # The margin admits a target 5e-13 above the supremum, which the
+        # curve never reaches: every probe ladder ends at capacity 4,096,
+        # where its marginal gain underflows, and 8,192 takes them all.
+        problem = _paper_problem(udb1)
+        capacities = self._solved_capacities(monkeypatch)
+        target = improvement_upper_bound(problem) + 5e-13
+        with pytest.raises(InfeasibleTargetError, match="curve stops at"):
+            min_cost_plan(problem, target, max_capacity=1 << 14)
+        assert capacities and max(capacities) <= 8192
+
+    def test_target_at_the_bound_is_reached(self, udb1):
+        problem = _paper_problem(udb1)
+        solution = min_cost_plan(problem, improvement_upper_bound(problem))
+        assert solution.cost == 218
+        assert solution.plan.total_cost(problem) == 218
+
+    @pytest.mark.parametrize("cost", [40, 700])
+    def test_complete_ladders_are_no_saturation_until_they_fit(
+        self, udb1, cost
+    ):
+        # sc = 1 ends every ladder after one probe.  At cost 40 the
+        # curve is flat at capacity 16 because nothing is affordable; at
+        # cost 700 the three ladders are complete from capacity 2,048
+        # on, but only 4,096 takes all of them.  Neither is saturation.
+        quality = compute_quality_tp(udb1.ranked(), 2)
+        problem = build_cleaning_problem(
+            quality,
+            {xid: cost for xid in ("S1", "S2", "S3", "S4")},
+            {xid: 1.0 for xid in ("S1", "S2", "S3", "S4")},
+            100,
+        )
+        bound = improvement_upper_bound(problem)
+        solution = min_cost_plan(problem, bound, initial_capacity=16)
+        assert solution.cost == 3 * cost
+        assert solution.expected_improvement == pytest.approx(bound, abs=1e-12)
+
     def test_float_residue_on_a_certain_xtuple_reaches_no_bound(self):
         # c's residue counts toward no bound and draws no probe, so a
         # positive target -- however small -- is refused at once.

@@ -14,7 +14,6 @@ import math
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.backend import BACKENDS
 from repro.db.database import ProbabilisticDatabase
@@ -192,7 +191,7 @@ class TestAccessors:
 
     def test_topk_probabilities_full_length(self, udb1):
         psr = compute_rank_probabilities(udb1.ranked(), 2)
-        full = psr.topk_probabilities()
+        full = psr.topk_array()
         assert len(full) == udb1.num_tuples
 
     def test_nonzero_tuples_sorted_by_rank(self, udb1):
@@ -203,7 +202,7 @@ class TestAccessors:
 
     def test_topk_probability_by_xtuple(self, udb1):
         psr = compute_rank_probabilities(udb1.ranked(), 2)
-        by_xtuple = psr.topk_probability_by_xtuple()
+        by_xtuple = psr.topk_mass_by_xtuple_array()
         assert by_xtuple[0] == pytest.approx(0.4)  # S1: t0 + t1
         assert by_xtuple[2] == pytest.approx(0.432 + 0.072)  # S3: t5 + t4
         assert math.fsum(by_xtuple) == pytest.approx(2.0)

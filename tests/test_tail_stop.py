@@ -61,9 +61,9 @@ def test_tail_mass_within_the_bound(passes):
         tail = math.fsum(unstopped.topk_prefix[cutoff:].tolist())
         if cutoff == ranked.num_tuples:
             # Only a total mass below μ* (≈ 235.9 at k = 100) scans it all.
-            assert math.fsum(ranked.probabilities) < 240
+            assert math.fsum(ranked.probabilities_array.tolist()) < 240
             continue
-        mu = math.fsum(ranked.probabilities[:cutoff])
+        mu = math.fsum(ranked.probabilities_array[:cutoff].tolist())
         assert mu > k
         bound = k * math.exp(-((mu - k) ** 2) / (2 * mu))
         assert tail <= bound <= TAIL_EPSILON
