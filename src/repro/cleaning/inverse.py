@@ -10,8 +10,10 @@ Because the knapsack DP already produces the whole optimal
 value-vs-capacity curve, the exact answer is a lookup: grow the
 capacity geometrically until the curve crosses the target, then return
 the first crossing.  A target the curve never crosses -- one the
-feasibility margin admits just above the supremum -- is refused as soon
-as the curve has taken every item whose value is not zero.  A greedy
+feasibility margin admits just above the supremum -- is refused once
+the first capacity falls short of it, when the probe ladders, folded as
+the DP adds them, fall short too: float addition is monotone, so no
+capacity's optimum exceeds that fold.  A greedy
 variant accumulates probe ladders in value-per-cost order and is
 near-optimal at a fraction of the cost.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -57,6 +59,22 @@ def _require_feasible(problem: CleaningProblem, target_improvement: float) -> No
             f"target improvement {target_improvement:.6g} exceeds the "
             f"supremum {bound:.6g} achievable by cleaning every x-tuple"
         )
+
+
+def _curve_limit(problem: CleaningProblem, max_capacity: int) -> float:
+    """The most the optimal curve reaches at any capacity up to
+    ``max_capacity``: every probe ladder within it, folded exactly as
+    the DP adds them -- each group's values in order from 0.0, then the
+    groups in candidate order.  Float addition is monotone, so no
+    capacity's optimum exceeds the fold, and a capacity that takes
+    every item reaches it."""
+    limit = 0.0
+    for _, group in build_groups(problem.with_budget(max_capacity)):
+        cumulative = 0.0
+        for value in group.values:
+            cumulative += value
+        limit += cumulative
+    return limit
 
 
 def min_cost_plan_greedy(
@@ -132,6 +150,9 @@ def min_cost_plan(
         near-optimal variant.
     initial_capacity / max_capacity:
         Capacity search window for the DP curve (grown geometrically).
+        When the first capacity falls short of the target, the curve's
+        limit over the window (:func:`_curve_limit`) decides whether
+        growing it can help; a target above the limit is refused then.
     """
     if method == "greedy":
         return min_cost_plan_greedy(problem, target_improvement)
@@ -144,8 +165,8 @@ def min_cost_plan(
         )
     _require_feasible(problem, target_improvement)
 
-    widest = int(problem.costs[problem.probe_mask].max())
     capacity = max(1, initial_capacity)
+    limit: Optional[float] = None
     while capacity <= max_capacity:
         candidate = problem.with_budget(capacity)
         groups = build_groups(candidate)
@@ -173,20 +194,17 @@ def min_cost_plan(
                 cost=plan.total_cost(exact),
                 expected_improvement=float(exact_solution.value),
             )
-        # No larger capacity adds a value once every x-tuple a probe can
-        # change is affordable, each ladder ended where its marginal
-        # gain vanished (not at its capacity limit), and this capacity
-        # takes every item.
-        if (
-            capacity >= widest
-            and all(len(g.values) < capacity // g.cost for _, g in groups)
-            and sum(g.cost * len(g.values) for _, g in groups) <= capacity
-        ):
-            raise InfeasibleTargetError(
-                f"target improvement {target_improvement!r} is unreachable: "
-                f"marginal gains vanish and the optimal curve stops at "
-                f"{float(curve[-1])!r}"
-            )
+        # Folded once, and only for a target the first capacity misses:
+        # the ladders of a small sc-probability run to tens of thousands
+        # of probes before their marginal gain vanishes.
+        if limit is None:
+            limit = _curve_limit(problem, max_capacity)
+            if limit < target_improvement:
+                raise InfeasibleTargetError(
+                    f"target improvement {target_improvement!r} is "
+                    f"unreachable: marginal gains vanish and the optimal "
+                    f"curve stops at {limit!r}"
+                )
         capacity *= 2
     raise InfeasibleTargetError(
         f"no plan within capacity {max_capacity} reaches improvement "

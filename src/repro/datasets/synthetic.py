@@ -244,7 +244,7 @@ def generate_costs(
     ``[1, 10]``), keyed by x-tuple id: :func:`draw_costs` in the
     database's x-tuple order."""
     costs = draw_costs(db.num_xtuples, low, high, seed)
-    return dict(zip([xt.xid for xt in db.xtuples], costs.tolist()))
+    return dict(zip(db.xids, costs.tolist()))
 
 
 def generate_sc_probabilities(
@@ -268,7 +268,7 @@ def generate_sc_probabilities(
         ``[0, 1]`` (Figure 6(b) uses mean 0.5 and σ ∈ {0.13, 0.167,
         0.3}), one ``random.Random(seed).gauss`` call per x-tuple.
     """
-    xids = [xt.xid for xt in db.xtuples]
+    xids = db.xids
     if distribution == "uniform":
         sc = draw_sc_probabilities(len(xids), low, high, seed)
         return dict(zip(xids, sc.tolist()))

@@ -8,29 +8,50 @@ ranking function.  This mirrors the paper's standing assumption that
 "tuples in D are arranged in descending order of ranks" (Section IV)
 while paying the sort exactly once per (database, ranking) pair.
 
+The database is its columns
+---------------------------
+A database holds its structure as five columns in x-tuple order:
+``xids`` (a list of ``str``), ``tids`` (an object array of ``str``),
+each x-tuple's number of alternatives (``sizes``, with the row
+``offsets`` derived from it), and ``values`` and ``probabilities``.
+The last two are float64 arrays when every entry is a Python
+``float``, and otherwise object arrays that keep each entry's Python
+type -- a MOV mapping value, an ``int`` probability, whose
+content-hash record ``1`` differs from ``1.0``'s.  Next to them it
+keeps its content-hash records once built.  These are a full snapshot
+segment's structure columns, so a store rebuilds a database from them
+without building an object (:func:`repro.db.io.database_from_columns`);
+the public constructor gathers them from its x-tuples' memos.  Row
+columns are arrays, not lists, so that a derivation splices them at C
+speed and the garbage collector never walks them.  The completion
+probabilities and the id maps derive from the columns on first use.  :class:`~repro.db.tuples.XTuple` and
+:class:`~repro.db.tuples.ProbabilisticTuple` objects are built from
+the columns only when a caller asks for them (``xtuples``,
+``xtuple``, ``tuple``, iteration), without re-running their
+validation, and cached.
+
 The ranked view stores each column once, as a contiguous ``float64`` /
 ``int64`` NumPy array (``probabilities_array``,
 ``xtuple_indices_array``, ``scores_array``, ``completion_array``,
 ``insertion_array``) that the vectorized kernels consume directly.
 Scalar code -- the pure-Python reference backend, the possible-world
 enumerators -- takes ``tolist()`` of exactly the rows it walks.
-``insertion_array`` is the one record of rank order: the tuple objects
-of :attr:`RankedDatabase.order` are gathered by it.
+``insertion_array`` is the one record of rank order: ranked row ``i``
+is the database's row ``insertion_array[i]``, so an answer reads a
+row's tuple id from the database's ``tids``
+(:meth:`RankedDatabase.tids_at`), and :attr:`RankedDatabase.order`,
+the tuple objects in rank order, is gathered on its first read.
 
 Cold rank
 ---------
-A cold :class:`RankedDatabase` reads its inputs from per-x-tuple memos
-on :class:`~repro.db.tuples.XTuple` -- ``tids``, ``probabilities``,
-``completion_probability`` and the ``scores`` under one score callable
--- instead of visiting every tuple in Python: one ``np.fromiter`` per
-column, one ``lexsort`` on ``(-score, insertion index)``, ``np.repeat``
-for the x-tuple indices, then a gather by the sort permutation.
-Snapshots that share ``XTuple`` objects (a cleaning chain, the segments
-of one store open) score each shared x-tuple once.  The columns and
-``order`` are bitwise those of a tuple-by-tuple construction.  A
-:class:`ProbabilisticDatabase` checks its ids the same way, with set
-operations over the memoized tids, and builds its per-tuple lookup maps
-on first use.
+A cold :class:`RankedDatabase` reads the database's columns: its
+scores (under the by-value rule, ``float(v)`` of each value, which for
+a column of Python floats is the column itself; any other ranking
+scores the tuples one by one), its probabilities, sizes and
+completion probabilities.  Then one ``lexsort`` on ``(-score,
+insertion index)``, ``np.repeat`` for the x-tuple indices, and a
+gather by the sort permutation.  The columns are bitwise those of a
+tuple-by-tuple construction.
 
 Incremental derivation
 ----------------------
@@ -41,9 +62,9 @@ x-tuples' rows out of / into the columnar arrays in O(n) (a boolean
 gather plus a ``np.searchsorted`` insert that replicates the full
 sort's exact ``(-score, insertion index)`` tie-breaking) instead of
 re-sorting, and returns one :class:`RankDelta` for the whole change
-set.  A patched view gathers its tuple objects by ``insertion_array``
-the first time ``order``, ``position``, ``rank_of`` or ``top`` is read;
-its length and its columns need none.  The query engine
+set.  The database's columns and content-hash records are spliced the
+same way: Python work per changed x-tuple, list slices and NumPy over
+the rest.  The query engine
 (:meth:`repro.queries.engine.QuerySession.derive`) reads its first
 changed row to decide which cached PSR passes still hold for the
 patched view.
@@ -52,7 +73,7 @@ Durable state stores a cleaning outcome as its base plus a *change
 set*, ``{xid: revealed tid, or None for a revealed null}``:
 :func:`change_set` extracts it from a base and an outcome, and
 :meth:`RankedDatabase.with_change_set` applies it through the same
-splice.
+splice, reading each revealed row off the base's columns.
 """
 
 from __future__ import annotations
@@ -62,14 +83,16 @@ import json
 import json.encoder
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -78,8 +101,13 @@ from typing import (
 
 import numpy as np
 
-from repro.db.ranking import RankingFunction, by_value
-from repro.db.tuples import ProbabilisticTuple, XTuple
+from repro.db.ranking import RankingFunction, by_value, scores_by_value
+from repro.db.tuples import (
+    COMPLETENESS_TOLERANCE,
+    ProbabilisticTuple,
+    XTuple,
+    checked_xtuple,
+)
 from repro.exceptions import InvalidDatabaseError
 
 #: Mirror of :data:`repro.queries.psr.SATURATION_EPSILON` (the queries
@@ -116,8 +144,9 @@ def hash_records(
     records are assembled from per-item JSON at C speed -- each string
     encoded as :func:`json.dumps` encodes it, each float as its
     ``repr``, which is what :func:`json.dumps` writes for a finite
-    float -- instead of one :func:`json.dumps` per x-tuple.  The bytes
-    are the same either way.
+    float -- instead of one :func:`json.dumps` per x-tuple: every step
+    is a ``map`` over a C callable, so no Python code runs per row or
+    per x-tuple.  The bytes are the same either way.
     """
     if not all(
         set(map(type, column)) <= {float} and all(map(math.isfinite, column))
@@ -143,10 +172,9 @@ def hash_records(
             map(repr, probabilities),
         )
     )
-    return [
-        f"[{encode(xid)},[{','.join(rows[lo:hi])}]]\0".encode()
-        for xid, lo, hi in zip(xids, starts, starts[1:])
-    ]
+    rows_of: Callable[[slice], List[str]] = rows.__getitem__
+    joined = map(",".join, map(rows_of, map(slice, starts, starts[1:])))
+    return list(map(str.encode, map("[{},[{}]]\0".format, map(encode, xids), joined)))
 
 
 def _hash_record(xt: XTuple) -> bytes:
@@ -173,167 +201,431 @@ def _raise_first_duplicate(xtuples: Sequence[XTuple]) -> None:
             tids.add(t.tid)
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, write-protected: columns are shared between snapshots."""
+    array.setflags(write=False)
+    return array
+
+
+def object_array(items: Sequence[Any]) -> np.ndarray:
+    """An object array holding each of ``items`` as it is (a list or a
+    mapping stays one entry)."""
+    return np.fromiter(items, dtype=object, count=len(items))
+
+
+def column_array(items: Sequence[Any]) -> np.ndarray:
+    """Values or probabilities as a column: float64 when every entry is
+    a Python ``float``, which the array holds exactly, else an object
+    array that keeps each entry's type."""
+    if set(map(type, items)) <= {float}:
+        return np.array(items, dtype=np.float64)
+    return object_array(items)
+
+
+def _splice(
+    column: np.ndarray, edits: Iterable[Tuple[int, int, np.ndarray]]
+) -> np.ndarray:
+    """``column`` with each ``(lo, hi, items)`` of ``edits``, in
+    ascending order, replacing the entries ``lo`` up to ``hi`` by
+    ``items``: Python work per edit, one C-speed concatenation for the
+    rest.  A float64 column spliced with object entries becomes an
+    object column of the same Python values."""
+    pieces: List[np.ndarray] = []
+    at = 0
+    for lo, hi, items in edits:
+        pieces += (column[at:lo], items)
+        at = hi
+    pieces.append(column[at:])
+    return np.concatenate(pieces)
+
+
+class _Rows(NamedTuple):
+    """The alternatives one x-tuple gets in a derivation, as columns."""
+
+    tids: Sequence[str]
+    values: Sequence[Any]
+    probabilities: Sequence[Any]
+    #: Their content-hash record, when a replacement x-tuple's memo
+    #: already holds it.
+    record: Optional[bytes] = None
+
+
 class ProbabilisticDatabase:
     """An x-tuple probabilistic database.
 
     The database is immutable by convention: cleaning produces *new*
     databases via :meth:`with_xtuples_changed` rather than mutating in
     place, so that quality scores computed against one snapshot stay
-    meaningful.
+    meaningful.  Its state is its columns (see the module docstring,
+    "The database is its columns"), held as plain attributes.
 
     Parameters
     ----------
     xtuples:
         The entities of the database, in insertion order.  Insertion
         order of their member tuples defines the tie-breaking order of
-        the ranking (smaller index ranks higher on equal scores).
+        the ranking (smaller index ranks higher on equal scores).  They
+        become the database's objects, and their memos its columns and
+        its content-hash records.
     name:
         Optional label used in reprs and benchmark output.
     """
 
     def __init__(self, xtuples: Iterable[XTuple], name: str = "") -> None:
-        self._xtuples: Tuple[XTuple, ...] = tuple(xtuples)
+        given = tuple(xtuples)
+        xids = [xt.xid for xt in given]
+        memos = [xt.tids for xt in given]
+        tids = list(chain.from_iterable(memos))
+        if len(set(xids)) < len(xids) or len(set(tids)) < len(tids):
+            _raise_first_duplicate(given)
+        self._adopt(
+            name,
+            xids,
+            object_array(tids),
+            column_array(list(chain.from_iterable([xt.values for xt in given]))),
+            column_array(list(chain.from_iterable([xt.probabilities for xt in given]))),
+            np.array([0, *accumulate(map(len, memos))], dtype=np.int64),
+        )
+        self._xtuples = given
+
+    def _adopt(
+        self,
+        name: str,
+        xids: List[str],
+        tids: np.ndarray,
+        values: np.ndarray,
+        probabilities: np.ndarray,
+        offsets: np.ndarray,
+        records: Optional[List[bytes]] = None,
+        tid_slots: Optional[np.ndarray] = None,
+    ) -> None:
         self.name = name
-        by_xid = {xt.xid: xt for xt in self._xtuples}
-        tids = list(chain.from_iterable([xt.tids for xt in self._xtuples]))
-        if len(by_xid) < len(self._xtuples) or len(set(tids)) < len(tids):
-            _raise_first_duplicate(self._xtuples)
-        self._by_xid: Optional[Dict[str, XTuple]] = by_xid
-        self._tid_maps: Optional[
-            Tuple[Dict[str, ProbabilisticTuple], Dict[str, int]]
-        ] = None
-        self._num_tuples = len(tids)
-        self._hash_records: Optional[List[bytes]] = None
+        #: The columns (see the module docstring): x-tuple ``l`` is
+        #: ``xids[l]``, its alternatives the rows ``offsets[l]`` up to
+        #: ``offsets[l + 1]`` of :attr:`tids`, ``values`` and
+        #: ``probabilities``, and ``sizes[l]`` counts them.  Derived
+        #: databases share them: never mutate one.
+        self.xids = xids
+        self.values = _frozen(values)
+        self.probabilities = _frozen(probabilities)
+        self.offsets = _frozen(offsets)
+        self.sizes = _frozen(np.diff(offsets))
+        #: The tuple ids are ``tids`` itself, or, given ``tid_slots``
+        #: (int64, one per row), ``tids[tid_slots]``: a derivation
+        #: splices the slots and shares the table of ids, where a splice
+        #: of the ids themselves would touch every ``str`` object.
+        self._tid_table = _frozen(tids)
+        self._tid_slots = None if tid_slots is None else _frozen(tid_slots)
+        self._tids = self._tid_table if tid_slots is None else None
+        self._hash_records = records
         self._content_hash: Optional[str] = None
+        #: An object column found to hold Python floats only (a splice
+        #: can collapse the last ``int`` probability to ``1.0``) -> its
+        #: float64 array, or ``None``; filled on use.
+        self._floats: Dict[str, Optional[np.ndarray]] = {}
+        self._completion: Optional[np.ndarray] = None
+        self._xid_index: Optional[Dict[str, int]] = None
+        self._tid_index: Optional[Dict[str, int]] = None
+        self._xtuples: Optional[Tuple[XTuple, ...]] = None
+        self._built: Dict[int, XTuple] = {}
 
     @classmethod
-    def _checked(
+    def _from_columns(
         cls,
-        xtuples: Sequence[XTuple],
         name: str,
-        num_tuples: int,
-        records: List[bytes],
+        xids: List[str],
+        tids: np.ndarray,
+        values: np.ndarray,
+        probabilities: np.ndarray,
+        offsets: np.ndarray,
+        records: Optional[List[bytes]] = None,
+        tid_slots: Optional[np.ndarray] = None,
     ) -> "ProbabilisticDatabase":
-        """Trusted constructor of a database whose ids are already
-        known unique (:func:`repro.db.io.database_from_columns` checks
-        them over whole columns), so the duplicate check is skipped.
-
-        ``records`` are the x-tuples' content-hash records, in order;
-        they seed both :meth:`content_hash` and each x-tuple's memo.
-        Internal use only -- arbitrary x-tuple collections must go
-        through ``__init__``.
+        """Trusted constructor of a database held as columns (see
+        :meth:`_adopt`) that already passed every check the public
+        constructor and the x-tuples' own make
+        (:func:`repro.db.io.database_from_columns` checks a segment's
+        over whole columns; a derivation checks its edits).
+        ``records``, when given, are the x-tuples' content-hash
+        records in order; ``tid_slots`` makes ``tids`` a table (see
+        :meth:`_adopt`).  Internal use only -- arbitrary columns must
+        go through ``__init__``.
         """
         db = cls.__new__(cls)
-        db._xtuples = tuple(xtuples)
-        db.name = name
-        db._by_xid = None
-        db._tid_maps = None
-        db._num_tuples = num_tuples
-        db._hash_records = records
-        db._content_hash = None
-        for xt, record in zip(db._xtuples, records):
-            xt.__dict__.setdefault(_HASH_RECORD, record)
+        db._adopt(name, xids, tids, values, probabilities, offsets, records, tid_slots)
         return db
+
+    def _edits(
+        self, changes: Mapping[str, Optional[XTuple]]
+    ) -> Tuple[Dict[int, _Rows], List[int]]:
+        """``changes`` (x-tuple id -> replacement, or ``None`` for a
+        removal) as replacement rows and removals by x-tuple index,
+        checked as the constructor checks a database: every id is
+        known, a replacement keeps its x-tuple's id, and no tuple id
+        is held twice.
+
+        A tid one of the changed x-tuples held -- a collapse keeps its
+        revealed alternative's -- cannot clash with an unchanged
+        x-tuple, so only fresh tids consult the tuple map.
+        """
+        replaced: Dict[int, XTuple] = {}
+        removed: List[int] = []
+        for xid, replacement in changes.items():
+            l = self.xtuple_index(xid)
+            if replacement is None:
+                removed.append(l)
+            elif replacement.xid != xid:
+                raise InvalidDatabaseError(
+                    f"replacement x-tuple has id {replacement.xid!r}, "
+                    f"expected {xid!r}"
+                )
+            else:
+                replaced[l] = replacement
+        own = set(chain.from_iterable(map(self._tids_at, chain(replaced, removed))))
+        seen: Set[str] = set()
+        for tid in chain.from_iterable([xt.tids for xt in replaced.values()]):
+            if tid in seen or (tid not in own and tid in self):
+                raise InvalidDatabaseError(
+                    f"duplicate tuple id {tid!r} across x-tuples"
+                )
+            seen.add(tid)
+        return {
+            l: _Rows(xt.tids, xt.values, xt.probabilities, xt.__dict__.get(_HASH_RECORD))
+            for l, xt in replaced.items()
+        }, removed
+
+    def _collapsed(self, l: int, tid: str) -> _Rows:
+        """The rows x-tuple ``l`` keeps when a cleaning reveals its
+        alternative ``tid``: that alternative alone, with probability
+        1.0, as :meth:`~repro.db.tuples.XTuple.collapsed_to` builds it
+        (paper Definition 5)."""
+        tids = self._tids_at(l)
+        if tid not in tids:
+            raise InvalidDatabaseError(
+                f"x-tuple {self.xids[l]!r} has no alternative with id {tid!r}"
+            )
+        row = int(self.offsets[l]) + tids.index(tid)
+        return _Rows((tid,), self.values[row : row + 1].tolist(), (1.0,))
 
     def _spliced(
         self,
-        xtuples: Tuple[XTuple, ...],
-        num_tuples: int,
-        replaced: Mapping[int, XTuple],
+        replaced: Mapping[int, _Rows],
         removed: Sequence[int],
+        completion: Optional[np.ndarray] = None,
     ) -> "ProbabilisticDatabase":
-        """Trusted fast-path constructor of a cleaning derivation.
+        """Trusted constructor of a cleaning derivation: this database
+        with the x-tuples at the ``replaced`` indices given their new
+        rows and those at the ``removed`` indices dropped.  The caller
+        has checked the edits (:meth:`_edits`, or a change set's own
+        alternatives).
 
-        ``xtuples`` is this database with the x-tuples at the
-        ``replaced`` indices swapped for their replacements and the
-        ``removed`` indices dropped.
-        :meth:`RankedDatabase.with_xtuples_changed` has already checked
-        the replacements' ids against the database, so the duplicate
-        check is skipped.  The x-tuple map and the content-hash
-        records (:meth:`content_hash`) are spliced from this
-        database's, when it has built them, at C speed: one dict or
-        list copy plus the changed entries.  Otherwise they, like the
-        per-tuple maps every database builds, are built on first use.
-        Internal use only -- arbitrary x-tuple collections must go
-        through ``__init__``.
+        The columns are spliced with Python work per edit and NumPy
+        over the rest; the tuple ids as slots of this database's id
+        table, which the derived one shares.  The content-hash records
+        are spliced from this database's, when it has built them, at C
+        speed: one list copy plus the changed entries.  ``completion``
+        is the derived database's completion column, when the caller
+        has computed it; everything else derives on first use.
+        Internal use only.
         """
-        derived = ProbabilisticDatabase.__new__(ProbabilisticDatabase)
-        derived._xtuples = xtuples
-        derived.name = self.name
-        derived._tid_maps = None
-        derived._num_tuples = num_tuples
-        derived._content_hash = None
-        by_xid = self._by_xid
-        if by_xid is not None:
-            by_xid = by_xid.copy()
-            by_xid.update({xt.xid: xt for xt in replaced.values()})
-            for l in removed:
-                del by_xid[self._xtuples[l].xid]
-        derived._by_xid = by_xid
+        offsets = self.offsets
+        gone = _Rows((), (), ())
+        edits = sorted([*replaced.items(), *zip(removed, repeat(gone))])
+        spans = [(offsets[l], offsets[l + 1], rows) for l, rows in edits]
+        # Each new row's tid is a slot of the table: the slot it held in
+        # the changed x-tuple (a collapse keeps its revealed
+        # alternative's), else a fresh slot past the table's end.
+        table = self._tid_table
+        slots = (
+            np.arange(len(table), dtype=np.int64)
+            if self._tid_slots is None
+            else self._tid_slots
+        )
+        fresh: List[str] = []
+
+        def new_slots(lo: int, hi: int, rows: _Rows) -> np.ndarray:
+            held = dict(zip(self._tids_of_rows(slice(lo, hi)), slots[lo:hi].tolist()))
+            for tid in rows.tids:
+                if tid not in held:
+                    held[tid] = len(table) + len(fresh)
+                    fresh.append(tid)
+            return np.array([held[tid] for tid in rows.tids], dtype=np.int64)
+
+        tid_slots = _splice(slots, [(lo, hi, new_slots(lo, hi, r)) for lo, hi, r in spans])
+        if fresh:
+            table = np.concatenate([table, object_array(fresh)])
+        values = _splice(self.values, [(lo, hi, column_array(r.values)) for lo, hi, r in spans])
+        probabilities = _splice(
+            self.probabilities, [(lo, hi, column_array(r.probabilities)) for lo, hi, r in spans]
+        )
+        sizes = self.sizes.copy()
+        for l, rows in replaced.items():
+            sizes[l] = len(rows.tids)
+        xids = self.xids
         records = self._hash_records
         if records is not None:
             records = records.copy()
-            for l, xt in replaced.items():
-                records[l] = xt.encoded(_HASH_RECORD, _hash_record)
+            for l, rows in replaced.items():
+                records[l] = rows.record or hash_record(
+                    xids[l], list(zip(rows.tids, rows.values, rows.probabilities))
+                )
+        if removed:
+            xids = list(xids)
             for l in sorted(removed, reverse=True):
-                del records[l]
-        derived._hash_records = records
+                del xids[l]
+                if records is not None:
+                    del records[l]
+            sizes = np.delete(sizes, removed)
+        derived = ProbabilisticDatabase._from_columns(
+            self.name,
+            xids,
+            table,
+            values,
+            probabilities,
+            np.concatenate(([0], np.cumsum(sizes))),
+            records,
+            tid_slots,
+        )
+        derived._completion = completion
+        if not removed:
+            derived._xid_index = self._xid_index
         return derived
 
-    def _xid_map(self) -> Dict[str, XTuple]:
-        if self._by_xid is None:
-            self._by_xid = {xt.xid: xt for xt in self._xtuples}
-        return self._by_xid
+    def _xid_map(self) -> Dict[str, int]:
+        index = self._xid_index
+        if index is None:
+            index = self._xid_index = dict(zip(self.xids, range(len(self.xids))))
+        return index
 
-    def _tuple_maps(
-        self,
-    ) -> Tuple[Dict[str, ProbabilisticTuple], Dict[str, int]]:
-        """The per-tuple lookup maps ``tid -> tuple`` and ``tid ->
-        insertion index``, built on first use.
+    def _tid_map(self) -> Dict[str, int]:
+        index = self._tid_index
+        if index is None:
+            index = self._tid_index = dict(
+                zip(self.tids.tolist(), range(self.num_tuples))
+            )
+        return index
 
-        Both land in one attribute, so a thread never sees one map
-        without the other.
-        """
-        maps = self._tid_maps
-        if maps is None:
-            tids = list(chain.from_iterable([xt.tids for xt in self._xtuples]))
-            alternatives = chain.from_iterable(
-                [xt.alternatives for xt in self._xtuples]
+    def _tids_of_rows(self, rows: Any) -> List[str]:
+        """The tuple ids of ``rows`` (an index array or a slice), in
+        O(rows) whether or not :attr:`tids` has been gathered."""
+        if self._tid_slots is not None:
+            rows = self._tid_slots[rows]
+        tids: List[str] = self._tid_table[rows].tolist()
+        return tids
+
+    def _tids_at(self, l: int) -> List[str]:
+        """The tuple ids of x-tuple ``l``'s alternatives."""
+        return self._tids_of_rows(slice(self.offsets[l], self.offsets[l + 1]))
+
+    # ------------------------------------------------------------------
+    # Columns derived on first use
+    # ------------------------------------------------------------------
+    @property
+    def tids(self) -> np.ndarray:
+        """The tuple ids in insertion order, an object array of ``str``
+        (a derived database gathers it from its table on first use)."""
+        tids = self._tids
+        if tids is None:
+            assert self._tid_slots is not None
+            tids = self._tids = _frozen(self._tid_table[self._tid_slots])
+        return tids
+
+    def float_column(self, name: str) -> Optional[np.ndarray]:
+        """The ``"values"`` or ``"probabilities"`` column as a float64
+        array when every entry is a Python ``float``, else ``None``."""
+        column: np.ndarray = getattr(self, name)
+        if column.dtype != object:
+            return column
+        if name not in self._floats:
+            array = column_array(column.tolist())
+            self._floats[name] = _frozen(array) if array.dtype != object else None
+        return self._floats[name]
+
+    @property
+    def completion(self) -> np.ndarray:
+        """``s_l`` of each x-tuple (float64, computed on first use): the
+        sum of its probabilities clamped to one, bit for bit as
+        :attr:`~repro.db.tuples.XTuple.completion_probability` computes
+        it -- ``min(1.0, math.fsum(...))``.  A database built from
+        x-tuples reads their memos; any other maps ``math.fsum`` over
+        its rows without running Python code per x-tuple."""
+        completion = self._completion
+        if completion is None:
+            sums: Iterable[float]
+            if self._xtuples is not None:
+                # The x-tuples' memos, which databases sharing them fill
+                # once, hold the same clamped sums.
+                sums = [xt.completion_probability for xt in self._xtuples]
+            else:
+                probabilities = self.probabilities.tolist()
+                offsets = self.offsets.tolist()
+                sums = map(
+                    math.fsum,
+                    map(probabilities.__getitem__, map(slice, offsets, offsets[1:])),
+                )
+            # np.minimum(1.0, s) is min(1.0, s) for every finite s.
+            completion = self._completion = _frozen(
+                np.minimum(
+                    1.0, np.fromiter(sums, dtype=np.float64, count=len(self.xids))
+                )
             )
-            maps = self._tid_maps = (
-                dict(zip(tids, alternatives)),
-                dict(zip(tids, range(len(tids)))),
+        return completion
+
+    # ------------------------------------------------------------------
+    # Objects, built on demand
+    # ------------------------------------------------------------------
+    def _xtuple_at(self, l: int) -> XTuple:
+        """X-tuple ``l`` as an object: built from the columns, without
+        re-running its validation, on first use, and cached."""
+        if self._xtuples is not None:
+            return self._xtuples[l]
+        xt = self._built.get(l)
+        if xt is None:
+            lo, hi = self.offsets[l], self.offsets[l + 1]
+            xt = checked_xtuple(
+                self.xids[l],
+                tuple(self._tids_at(l)),
+                tuple(self.values[lo:hi].tolist()),
+                tuple(self.probabilities[lo:hi].tolist()),
             )
-        return maps
+            if self._hash_records is not None:
+                xt.__dict__[_HASH_RECORD] = self._hash_records[l]
+            xt = self._built.setdefault(l, xt)
+        return xt
+
+    @property
+    def xtuples(self) -> Tuple[XTuple, ...]:
+        """The entities in insertion order (built on first read)."""
+        xtuples = self._xtuples
+        if xtuples is None:
+            xtuples = self._xtuples = tuple(
+                map(self._xtuple_at, range(len(self.xids)))
+            )
+        return xtuples
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def xtuples(self) -> Tuple[XTuple, ...]:
-        """The entities in insertion order."""
-        return self._xtuples
-
-    @property
     def num_xtuples(self) -> int:
         """Number of entities ``m``."""
-        return len(self._xtuples)
+        return len(self.xids)
 
     @property
     def num_tuples(self) -> int:
         """Total number of alternatives ``n`` across all entities."""
-        return self._num_tuples
+        return len(self.values)
 
     def __len__(self) -> int:
         return self.num_tuples
 
     def __iter__(self) -> Iterator[ProbabilisticTuple]:
         """Iterate over all tuples in insertion order."""
-        for xt in self._xtuples:
+        for xt in self.xtuples:
             yield from xt.alternatives
 
     def __contains__(self, tid: str) -> bool:
-        return tid in self._tuple_maps()[0]
+        return tid in self._tid_map()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" {self.name!r}" if self.name else ""
@@ -342,19 +634,29 @@ class ProbabilisticDatabase:
             f"{self.num_tuples} tuples>"
         )
 
-    def xtuple(self, xid: str) -> XTuple:
-        """Return the x-tuple with identifier ``xid``."""
+    def xtuple_index(self, xid: str) -> int:
+        """Position of the x-tuple ``xid`` in insertion order."""
         try:
             return self._xid_map()[xid]
         except KeyError:
             raise InvalidDatabaseError(f"unknown x-tuple id {xid!r}") from None
 
+    def xtuple(self, xid: str) -> XTuple:
+        """Return the x-tuple with identifier ``xid``."""
+        return self._xtuple_at(self.xtuple_index(xid))
+
+    def tids_of(self, xid: str) -> List[str]:
+        """The tuple ids of the x-tuple ``xid``'s alternatives, in order."""
+        return self._tids_at(self.xtuple_index(xid))
+
     def tuple(self, tid: str) -> ProbabilisticTuple:
         """Return the tuple with identifier ``tid``."""
         try:
-            return self._tuple_maps()[0][tid]
+            row = self._tid_map()[tid]
         except KeyError:
             raise InvalidDatabaseError(f"unknown tuple id {tid!r}") from None
+        l = int(np.searchsorted(self.offsets, row, side="right")) - 1
+        return self._xtuple_at(l).alternatives[row - int(self.offsets[l])]
 
     def has_xtuple(self, xid: str) -> bool:
         """Whether an x-tuple with identifier ``xid`` exists."""
@@ -365,19 +667,22 @@ class ProbabilisticDatabase:
 
         Used as the deterministic tie-breaker of the ranking function.
         """
-        return self._tuple_maps()[1][tid]
+        return self._tid_map()[tid]
+
+    def _incomplete(self) -> np.ndarray:
+        """Whether each x-tuple can produce no tuple: its null
+        probability, ``max(0, 1 - s_l)``, exceeds
+        :data:`~repro.db.tuples.COMPLETENESS_TOLERANCE`."""
+        return np.maximum(0.0, 1.0 - self.completion) > COMPLETENESS_TOLERANCE
 
     @property
     def is_complete(self) -> bool:
         """``True`` when every x-tuple always produces a real tuple."""
-        return all(xt.is_complete for xt in self._xtuples)
+        return not self._incomplete().any()
 
     def num_possible_worlds(self) -> int:
         """Exact count of possible worlds (null choices included)."""
-        count = 1
-        for xt in self._xtuples:
-            count *= len(xt.alternatives) + (0 if xt.is_complete else 1)
-        return count
+        return int(math.prod((self.sizes + self._incomplete()).tolist()))
 
     # ------------------------------------------------------------------
     # Derivation
@@ -396,25 +701,39 @@ class ProbabilisticDatabase:
         cached (the database is immutable by convention).
 
         The digest is one SHA-256 over the x-tuples' records joined in
-        order.  Each record -- canonical JSON of ``[xid, [[tid, value,
-        probability], ...]]`` plus a NUL separator -- is itself cached
-        on its :class:`~repro.db.tuples.XTuple`, and once a database
-        has hashed it keeps the list of its records (one reference per
-        x-tuple; no bytes are copied).  A snapshot derived from it by
-        :meth:`RankedDatabase.with_xtuples_changed` builds its own list
-        from that one, changed records replaced and removed ones
-        dropped, at C speed.  Hashing a cleaning outcome therefore
-        encodes only the x-tuples the cleaning changed, then pays one
-        join and one SHA-256 over the whole database.
+        order.  Each record is canonical JSON of ``[xid, [[tid, value,
+        probability], ...]]`` plus a NUL separator.  A database built
+        from x-tuples takes each record from its x-tuple's memo
+        (:meth:`~repro.db.tuples.XTuple.encoded`), so databases sharing
+        x-tuples encode each once; any other database encodes its
+        columns (:func:`hash_records`).  Once a database has hashed it
+        keeps the list of its records (one reference per x-tuple; no
+        bytes are copied).  A snapshot derived from it by
+        :meth:`RankedDatabase.with_xtuples_changed` or
+        :meth:`RankedDatabase.with_change_set` builds its own list from
+        that one, changed records replaced and removed ones dropped, at
+        C speed.  Hashing a cleaning outcome therefore encodes only the
+        x-tuples the cleaning changed, then pays one join and one
+        SHA-256 over the whole database.
         """
         cached = self._content_hash
         if cached is not None:
             return cached
         records = self._hash_records
         if records is None:
-            records = self._hash_records = [
-                xt.encoded(_HASH_RECORD, _hash_record) for xt in self._xtuples
-            ]
+            if self._xtuples is not None:
+                records = [
+                    xt.encoded(_HASH_RECORD, _hash_record) for xt in self._xtuples
+                ]
+            else:
+                records = hash_records(
+                    self.xids,
+                    self.tids.tolist(),
+                    self.values.tolist(),
+                    self.probabilities.tolist(),
+                    self.offsets.tolist(),
+                )
+            self._hash_records = records
         digest = hashlib.sha256(b"".join(records)).hexdigest()
         self._content_hash = digest
         return digest
@@ -429,22 +748,12 @@ class ProbabilisticDatabase:
         successful ``pclean(τ_l)`` replaces ``τ_l`` by a certain x-tuple
         (paper Definition 5 -- compare Tables I and II, where cleaning
         ``S3`` turns ``udb1`` into ``udb2``), and a revealed null
-        removes it.  Returns ``self`` when ``changes`` is empty.
+        removes it.  Returns ``self`` when ``changes`` is empty.  The
+        copy's columns are spliced from this database's.
         """
         if not changes:
             return self
-        for xid, replacement in changes.items():
-            if xid not in self._xid_map():
-                raise InvalidDatabaseError(f"unknown x-tuple id {xid!r}")
-            if replacement is not None and replacement.xid != xid:
-                raise InvalidDatabaseError(
-                    f"replacement x-tuple has id {replacement.xid!r}, "
-                    f"expected {xid!r}"
-                )
-        kept = [changes.get(xt.xid, xt) for xt in self._xtuples]
-        return ProbabilisticDatabase(
-            [xt for xt in kept if xt is not None], name=self.name
-        )
+        return self._spliced(*self._edits(changes))
 
     def with_xtuple_replaced(self, xid: str, replacement: XTuple) -> "ProbabilisticDatabase":
         """Return a copy of the database with one x-tuple swapped out."""
@@ -453,6 +762,19 @@ class ProbabilisticDatabase:
     def ranked(self, ranking: Optional[RankingFunction] = None) -> "RankedDatabase":
         """Pre-sort the database under ``ranking`` (default: by value)."""
         return RankedDatabase(self, ranking or by_value())
+
+
+def _insertion_scores(db: ProbabilisticDatabase, ranking: RankingFunction) -> np.ndarray:
+    """The score of each of ``db``'s rows under ``ranking``, in
+    insertion order: read off the value column for the by-value rule
+    (``float(v)`` is ``v`` for a Python float), scored tuple by tuple
+    for any other ranking."""
+    if scores_by_value(ranking):
+        values = db.float_column("values")
+        if values is not None:
+            return values
+        return np.fromiter(map(float, db.values), dtype=np.float64, count=len(db))
+    return np.fromiter(map(ranking.score, db), dtype=np.float64, count=len(db))
 
 
 #: A cleaning outcome relative to its base: x-tuple id -> the revealed
@@ -557,64 +879,39 @@ class RankedDatabase:
     ``insertion_array[i]`` (int64)
         the i-th ranked tuple's index in the database's insertion
         order -- the sort's tie-break key and the one record of rank
-        order: :attr:`order` is the database's tuples gathered by it.
+        order: the database row ranked row ``i`` reads.
 
     Scalar consumers (and the reference backend) take ``tolist()`` of
     the rows they walk.
 
-    Construction scores through :meth:`~repro.db.tuples.XTuple.scores`,
-    memoized per x-tuple under the ranking's score callable, so that
-    callable must be a pure function of the tuple (see the module
-    docstring, "Cold rank").
+    Construction reads the database's columns (see the module
+    docstring, "Cold rank"); a ranking other than by-value scores
+    tuple objects, so its score callable must be a pure function of
+    the tuple.
     """
 
     def __init__(self, db: ProbabilisticDatabase, ranking: RankingFunction) -> None:
         self.db = db
         self.ranking = ranking
-        xtuples = db.xtuples
-        n, m = db.num_tuples, len(xtuples)
-        # Insertion-order columns, read from each x-tuple's memos: an
-        # x-tuple shared with other snapshots is scored once per score
-        # callable, not once per snapshot.
-        score = ranking.score
-        raw_scores = np.fromiter(
-            chain.from_iterable([xt.scores(score) for xt in xtuples]),
-            dtype=np.float64,
-            count=n,
-        )
-        raw_probabilities = np.fromiter(
-            chain.from_iterable([xt.probabilities for xt in xtuples]),
-            dtype=np.float64,
-            count=n,
-        )
-        sizes = np.fromiter(
-            [len(xt.alternatives) for xt in xtuples], dtype=np.int64, count=m
-        )
+        n = db.num_tuples
+        raw_scores = _insertion_scores(db, ranking)
+        raw_probabilities = db.probabilities.astype(np.float64, copy=False)
         # Descending score, insertion order as the deterministic
         # tie-break: lexsort's last key dominates.
-        insertion = np.arange(n, dtype=np.int64)
-        perm = np.lexsort((insertion, -raw_scores))
+        perm = np.lexsort((np.arange(n, dtype=np.int64), -raw_scores))
         self.scores_array: np.ndarray = raw_scores[perm]
         #: Insertion index of each ranked row -- the sort's tie-break
         #: key, which patched derivations replicate exactly, and the
-        #: permutation ``order`` is gathered by.
+        #: database row each ranked row reads.
         self.insertion_array: np.ndarray = perm
-        self.xtuple_ids: List[str] = [xt.xid for xt in xtuples]
         self.xtuple_indices_array: np.ndarray = np.repeat(
-            np.arange(m, dtype=np.int64), sizes
+            np.arange(db.num_xtuples, dtype=np.int64), db.sizes
         )[perm]
         self.probabilities_array: np.ndarray = raw_probabilities[perm]
-        self.completion_array: np.ndarray = np.fromiter(
-            [xt.completion_probability for xt in xtuples],
-            dtype=np.float64,
-            count=m,
-        )
-        self._xid_to_index_map: Optional[Dict[str, int]] = None
+        self.completion_array: np.ndarray = db.completion
         self._position: Optional[Dict[str, int]] = None
+        self._order: Optional[List[ProbabilisticTuple]] = None
         self._freeze_columns()
-        # A cold rank gathers its tuple objects up front; a patched view
-        # waits for the first read of ``order``.
-        self._order: Optional[List[ProbabilisticTuple]] = self._gather_order()
 
     @classmethod
     def _patched(
@@ -626,8 +923,6 @@ class RankedDatabase:
         xtuple_indices: np.ndarray,
         probabilities: np.ndarray,
         completion: np.ndarray,
-        xtuple_ids: List[str],
-        xid_to_index: Optional[Dict[str, int]],
     ) -> "RankedDatabase":
         """Assemble a ranked view directly from patched columnar arrays."""
         self = cls.__new__(cls)
@@ -638,8 +933,6 @@ class RankedDatabase:
         self.xtuple_indices_array = xtuple_indices
         self.probabilities_array = probabilities
         self.completion_array = completion
-        self.xtuple_ids = xtuple_ids
-        self._xid_to_index_map = xid_to_index
         self._position = None
         self._order = None
         self._freeze_columns()
@@ -668,47 +961,48 @@ class RankedDatabase:
         return self.probabilities_array, self.xtuple_indices_array
 
     # ------------------------------------------------------------------
-    # Tuple objects in rank order
+    # Tuples in rank order
     # ------------------------------------------------------------------
-    def _gather_order(self) -> List[ProbabilisticTuple]:
-        """The database's tuples gathered by ``insertion_array``: ranked
-        row ``i`` is tuple ``insertion_array[i]`` in insertion order."""
-        tuples = list(
-            chain.from_iterable([xt.alternatives for xt in self.db.xtuples])
-        )
-        return list(map(tuples.__getitem__, self.insertion_array.tolist()))
+    def tids_at(self, rows: Any) -> List[str]:
+        """The tuple ids of the ranked ``rows`` (an index array or a
+        slice of ``insertion_array``): ``db.tids[insertion_array[i]]``
+        for each row ``i``.  Costs O(rows) and builds no object, so an
+        answer's few rows never pay for the whole view."""
+        return self.db._tids_of_rows(self.insertion_array[rows])
 
     @property
     def order(self) -> List[ProbabilisticTuple]:
-        """The ranked tuple objects (a patched view gathers them on
-        first read)."""
-        if self._order is None:
-            self._order = self._gather_order()
-        return self._order
+        """The ranked tuple objects: the database's tuples, built on
+        demand, gathered by ``insertion_array`` on first read."""
+        order = self._order
+        if order is None:
+            tuples = list(self.db)
+            order = self._order = list(
+                map(tuples.__getitem__, self.insertion_array.tolist())
+            )
+        return order
 
     @property
     def position(self) -> Dict[str, int]:
-        """``tid -> rank position`` (built lazily)."""
+        """``tid -> rank position`` (built lazily, from the columns)."""
         if self._position is None:
-            self._position = {t.tid: i for i, t in enumerate(self.order)}
+            self._position = dict(
+                zip(self.tids_at(slice(None)), range(self.num_tuples))
+            )
         return self._position
 
     @property
-    def _xid_to_index(self) -> Dict[str, int]:
-        if self._xid_to_index_map is None:
-            ids = self.xtuple_ids
-            self._xid_to_index_map = dict(zip(ids, range(len(ids))))
-        return self._xid_to_index_map
+    def xtuple_ids(self) -> List[str]:
+        """The x-tuple ids by dense index: the database's ``xids``."""
+        return self.db.xids
 
     @property
     def num_tuples(self) -> int:
-        # Read a column, not ``order``: that would gather a patched
-        # view's tuple objects.
         return len(self.scores_array)
 
     @property
     def num_xtuples(self) -> int:
-        return len(self.xtuple_ids)
+        return self.db.num_xtuples
 
     def __len__(self) -> int:
         return self.num_tuples
@@ -722,10 +1016,7 @@ class RankedDatabase:
 
     def xtuple_index_of(self, xid: str) -> int:
         """Dense index of the x-tuple ``xid`` (O(1))."""
-        try:
-            return self._xid_to_index[xid]
-        except KeyError:
-            raise InvalidDatabaseError(f"unknown x-tuple id {xid!r}") from None
+        return self.db.xtuple_index(xid)
 
     def top(self, count: int) -> Sequence[ProbabilisticTuple]:
         """The ``count`` highest-ranked tuples of the whole database."""
@@ -787,64 +1078,35 @@ class RankedDatabase:
             )
         return positions
 
-    def _check_tids(
-        self, replacements: Iterable[XTuple], old: Iterable[XTuple]
-    ) -> None:
-        """Mirror :class:`ProbabilisticDatabase`'s duplicate-tid check
-        for the replacements' members.
+    def _row_scores(self, xid: str, rows: _Rows) -> List[float]:
+        """A replacement's scores under this view's ranking, as a cold
+        rank scores the same rows: ``float(v)`` of each value under the
+        by-value rule, else the score of each row as a tuple object."""
+        if scores_by_value(self.ranking):
+            return list(map(float, rows.values))
+        return [
+            self.ranking.score(ProbabilisticTuple(tid, xid, value, probability))
+            for tid, value, probability in zip(rows.tids, rows.values, rows.probabilities)
+        ]
 
-        A tid one of the ``old`` (changed) x-tuples held -- a collapse
-        keeps its revealed alternative's -- cannot clash with an
-        unchanged x-tuple, so only fresh tids consult the database's
-        tuple map.
-        """
-        own = set(chain.from_iterable([xt.tids for xt in old]))
-        seen: Set[str] = set()
-        for tid in chain.from_iterable([xt.tids for xt in replacements]):
-            if tid in seen or (tid not in own and tid in self.db):
-                raise InvalidDatabaseError(
-                    f"duplicate tuple id {tid!r} across x-tuples"
-                )
-            seen.add(tid)
-
-    def with_xtuples_changed(
-        self, changes: Mapping[str, Optional[XTuple]]
+    def _derived(
+        self, replaced: Mapping[int, _Rows], removed: List[int]
     ) -> Tuple["RankedDatabase", "RankDelta"]:
-        """Derive the ranked view with a set of x-tuples replaced or removed.
+        """The view with the x-tuples at the ``replaced`` indices given
+        their new rows and those at the ``removed`` indices dropped,
+        and its :class:`RankDelta`; the caller has checked the edits.
 
-        ``changes`` maps x-tuple ids to a replacement x-tuple, or to
-        ``None`` to delete the x-tuple outright -- one cleaning round's
-        probe outcomes (a collapse to the revealed alternative, or a
-        revealed null).  The columnar arrays are patched in O(n) instead
-        of re-ranked: the changed x-tuples' rows are dropped, the
-        replacements' rows binary-searched in (replicating the full
-        sort's ``(-score, insertion index)`` order), and the dense
-        indices above each removed x-tuple shift down.  The patched view
-        is bitwise the view a cold ``RankedDatabase`` over the changed
-        database builds; the :class:`RankDelta` names the first row
-        that changed.
+        The columnar arrays are patched in O(n) instead of re-ranked:
+        the changed x-tuples' rows are dropped, the replacements' rows
+        binary-searched in (replicating the full sort's ``(-score,
+        insertion index)`` order), and the dense indices above each
+        removed x-tuple shift down.  The database is spliced alongside
+        (:meth:`ProbabilisticDatabase._spliced`).
         """
-        xtuples = list(self.db.xtuples)
-        replaced: Dict[int, XTuple] = {}
-        removed: List[int] = []
-        for xid, replacement in changes.items():
-            l = self.xtuple_index_of(xid)
-            if replacement is None:
-                removed.append(l)
-            elif replacement.xid != xid:
-                raise InvalidDatabaseError(
-                    f"replacement x-tuple has id {replacement.xid!r}, "
-                    f"expected {xid!r}"
-                )
-            else:
-                replaced[l] = replacement
-        self._check_tids(
-            replaced.values(), [xtuples[l] for l in chain(replaced, removed)]
-        )
-
+        db = self.db
+        m = db.num_xtuples
         # Rows of every changed x-tuple leave; the others survive in
         # their relative order.
-        m = len(xtuples)
         changed = np.zeros(m, dtype=bool)
         changed[list(replaced) + removed] = True
         row_changed = changed[self.xtuple_indices_array]
@@ -853,10 +1115,10 @@ class RankedDatabase:
 
         # Insertion offsets and dense indices before and after, indexed
         # by old dense index (a removed x-tuple's new size is zero).
-        sizes = np.bincount(self.xtuple_indices_array, minlength=m)
+        sizes = db.sizes
         new_sizes = sizes.copy()
-        for l, replacement in replaced.items():
-            new_sizes[l] = len(replacement.alternatives)
+        for l, rows in replaced.items():
+            new_sizes[l] = len(rows.tids)
         new_sizes[removed] = 0
         offsets = np.cumsum(sizes) - sizes
         new_offsets = np.cumsum(new_sizes) - new_sizes
@@ -866,17 +1128,17 @@ class RankedDatabase:
 
         # The replacements' members in canonical (-score, insertion)
         # order, as (-score, insertion, dense index, probability).
-        score = self.ranking.score
+        xids = db.xids
         entries = sorted(
             (
-                -float(value),
+                -float(score),
                 int(new_offsets[l]) + j,
                 int(new_index[l]),
-                t.probability,
+                probability,
             )
-            for l, xt in replaced.items()
-            for j, (t, value) in enumerate(
-                zip(xt.alternatives, xt.scores(score))
+            for l, rows in replaced.items()
+            for j, (score, probability) in enumerate(
+                zip(self._row_scores(xids[l], rows), rows.probabilities)
             )
         )
         new_scores = np.array([-e[0] for e in entries], dtype=np.float64)
@@ -902,28 +1164,18 @@ class RankedDatabase:
         insertion = np.insert(kept_ins, positions, new_ins)
 
         completion = self.completion_array.copy()
-        for l, replacement in replaced.items():
-            xtuples[l] = replacement
-            completion[l] = replacement.completion_probability
-        xtuple_ids = self.xtuple_ids
-        xid_to_index = self._xid_to_index_map
+        for l, rows in replaced.items():
+            completion[l] = min(1.0, math.fsum(rows.probabilities))
         if removed:
-            xtuple_ids = list(xtuple_ids)
-            for l in sorted(removed, reverse=True):
-                del xtuples[l]
-                del xtuple_ids[l]
             completion = np.delete(completion, removed)
-            xid_to_index = None
         new_ranked = RankedDatabase._patched(
-            db=self.db._spliced(tuple(xtuples), len(scores), replaced, removed),
+            db=db._spliced(replaced, removed, completion),
             ranking=self.ranking,
             scores=scores,
             insertion=insertion,
             xtuple_indices=xtuple_indices,
             probabilities=probabilities,
             completion=completion,
-            xtuple_ids=xtuple_ids,
-            xid_to_index=xid_to_index,
         )
         firsts = [
             int(rows[0]) for rows in (removed_rows, inserted_rows) if rows.size
@@ -935,32 +1187,57 @@ class RankedDatabase:
         )
         return new_ranked, delta
 
+    def with_xtuples_changed(
+        self, changes: Mapping[str, Optional[XTuple]]
+    ) -> Tuple["RankedDatabase", "RankDelta"]:
+        """Derive the ranked view with a set of x-tuples replaced or removed.
+
+        ``changes`` maps x-tuple ids to a replacement x-tuple, or to
+        ``None`` to delete the x-tuple outright -- one cleaning round's
+        probe outcomes (a collapse to the revealed alternative, or a
+        revealed null).  The replacements' rows are read from the
+        x-tuples given, checked as :class:`ProbabilisticDatabase`
+        checks its x-tuples' ids, and spliced in (see
+        :meth:`_derived`).  The patched view is bitwise the view a cold
+        ``RankedDatabase`` over the changed database builds; the
+        :class:`RankDelta` names the first row that changed.
+        """
+        return self._derived(*self.db._edits(changes))
+
     def with_change_set(self, changes: Mapping[str, Optional[str]]) -> "RankedDatabase":
         """The ranked view of this base with a change set applied.
 
         ``changes`` maps x-tuple ids to the revealed tuple id (the
         x-tuple collapses to it) or to ``None`` (it is removed), as
-        :func:`change_set` returns and durable state stores it; the
-        view derives through :meth:`with_xtuples_changed`.  An unknown
-        x-tuple or tuple id, or a value that is neither a string nor
-        ``None``, raises :class:`~repro.exceptions.InvalidDatabaseError`.
+        :func:`change_set` returns and durable state stores it.  Each
+        collapse reads its revealed row off the database's columns and
+        keeps it with probability 1.0; the view and the database are
+        spliced as :meth:`with_xtuples_changed` splices them, and no
+        tuple object is built.  An unknown x-tuple or tuple id, or a
+        value that is neither a string nor ``None``, raises
+        :class:`~repro.exceptions.InvalidDatabaseError`.
         """
         if not isinstance(changes, Mapping):
             raise InvalidDatabaseError(
                 f"a change set must be a mapping, got {type(changes).__name__}"
             )
-        replacements: Dict[str, Optional[XTuple]] = {}
+        db = self.db
+        replaced: Dict[int, _Rows] = {}
+        removed: List[int] = []
         for xid, tid in changes.items():
             if tid is not None and not isinstance(tid, str):
                 raise InvalidDatabaseError(
                     f"change of x-tuple {xid!r} must be a tuple id or null, "
                     f"got {tid!r}"
                 )
-            xt = self.db.xtuple(xid)
-            replacements[xid] = None if tid is None else xt.collapsed_to(tid)
-        if not replacements:
+            l = db.xtuple_index(xid)
+            if tid is None:
+                removed.append(l)
+            else:
+                replaced[l] = db._collapsed(l, tid)
+        if not changes:
             return self
-        return self.with_xtuples_changed(replacements)[0]
+        return self._derived(replaced, removed)[0]
 
     def with_xtuple_replaced(
         self, xid: str, replacement: XTuple

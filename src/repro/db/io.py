@@ -6,12 +6,14 @@ Table I of the paper is laid out (sensor id, tuple id, value,
 probability).  Both formats round-trip exactly.
 
 Snapshot segments hold a database's structure as typed columns in
-x-tuple order (:func:`database_columns`, read back and checked over
-whole columns by :func:`database_from_columns`).  Segments written
-before the columns hold the canonical form of the JSON payload instead:
-:func:`database_to_dict` dumped with sorted keys and no whitespace.
-The store reads one back whole through :func:`database_from_dict`, the
-same validation ingest runs.
+x-tuple order -- the database's own columns, encoded by
+:func:`encode_structure` -- and :func:`database_from_columns` checks
+them over whole columns and builds the database on them, without
+building a tuple object.  Segments written before the columns hold
+the canonical form of the JSON payload instead: :func:`database_to_dict`
+dumped with sorted keys and no whitespace.  The store reads one back
+whole through :func:`database_from_dict`, the same validation ingest
+runs.
 
 Ingest is the trust boundary: external payloads are validated *before*
 any tuple object is constructed, and violations raise
@@ -25,19 +27,18 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.db.database import ProbabilisticDatabase, hash_records
-from repro.db.tuples import (
-    PROBABILITY_SUM_TOLERANCE,
-    ProbabilisticTuple,
-    XTuple,
-    checked_xtuple,
+from repro.db.database import (
+    ProbabilisticDatabase,
+    column_array,
+    hash_records,
+    object_array,
 )
+from repro.db.tuples import PROBABILITY_SUM_TOLERANCE, ProbabilisticTuple, XTuple
 from repro.exceptions import InvalidDataError
 
 PathLike = Union[str, Path]
@@ -87,16 +88,6 @@ def _header(name: str) -> Dict[str, Any]:
     }
 
 
-def _xtuple_to_dict(xt: XTuple) -> Dict[str, Any]:
-    return {
-        "xid": xt.xid,
-        "alternatives": [
-            {"tid": t.tid, "value": t.value, "probability": t.probability}
-            for t in xt.alternatives
-        ],
-    }
-
-
 def _canonical_json(payload: Any) -> bytes:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return text.encode("utf-8")
@@ -104,8 +95,21 @@ def _canonical_json(payload: Any) -> bytes:
 
 def database_to_dict(db: ProbabilisticDatabase) -> Dict[str, Any]:
     """Encode a database as a plain JSON-serializable dictionary."""
+    tids, values, probabilities = (
+        db.tids.tolist(), db.values.tolist(), db.probabilities.tolist()
+    )
+    offsets = db.offsets.tolist()
     payload = _header(db.name)
-    payload["xtuples"] = [_xtuple_to_dict(xt) for xt in db.xtuples]
+    payload["xtuples"] = [
+        {
+            "xid": xid,
+            "alternatives": [
+                {"tid": tids[i], "value": values[i], "probability": probabilities[i]}
+                for i in range(lo, hi)
+            ],
+        }
+        for xid, lo, hi in zip(db.xids, offsets, offsets[1:])
+    ]
     return payload
 
 
@@ -201,47 +205,33 @@ COLUMN_DTYPES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def _number_column(items: List[Any]) -> Tuple[str, bytes]:
+def _number_column(db: ProbabilisticDatabase, name: str) -> Tuple[str, bytes]:
     """float64 bytes when every entry is exactly a Python ``float``,
     else one canonical JSON array: MOV's mapping values, and an ``int``
     probability, whose content-hash record ``1`` differs from
     ``1.0``'s."""
-    if set(map(type, items)) <= {float}:
-        return FLOAT_DTYPE, np.array(items, dtype=FLOAT_DTYPE).tobytes()
-    return JSON_COLUMN, _canonical_json(items)
+    array = db.float_column(name)
+    if array is not None:
+        return FLOAT_DTYPE, array.astype(FLOAT_DTYPE, copy=False).tobytes()
+    return JSON_COLUMN, _canonical_json(getattr(db, name).tolist())
 
 
-def database_columns(db: ProbabilisticDatabase) -> Dict[str, Tuple[str, bytes]]:
-    """The database's structure as typed columns in x-tuple order, as
-    a columnar segment holds them: ``name -> (dtype, bytes)`` for each
-    of :data:`STRUCTURE_COLUMNS`.
+def encode_structure(db: ProbabilisticDatabase) -> Dict[str, Tuple[str, bytes]]:
+    """The database's own columns typed as a columnar segment holds
+    them: ``name -> (dtype, bytes)`` for each of
+    :data:`STRUCTURE_COLUMNS`.
 
     ``xids`` and ``tids`` are string tables, one canonical JSON array
     each; ``sizes`` counts each x-tuple's alternatives; ``values`` and
     ``probabilities`` are float64 or JSON (see :func:`_number_column`).
-    Built from the x-tuples' ``tids`` / ``values`` / ``probabilities``
-    memos: a database whose x-tuples have been written or ranked once
-    costs a few C-speed joins, not a walk of its tuples.
+    Each is one C-speed encoding of a column the database holds.
     """
-    xtuples = db.xtuples
-    values = list(chain.from_iterable([xt.values for xt in xtuples]))
-    probabilities = list(chain.from_iterable([xt.probabilities for xt in xtuples]))
     return {
-        "xids": (JSON_COLUMN, _canonical_json([xt.xid for xt in xtuples])),
-        "tids": (
-            JSON_COLUMN,
-            _canonical_json(list(chain.from_iterable([xt.tids for xt in xtuples]))),
-        ),
-        "sizes": (
-            SIZES_DTYPE,
-            np.fromiter(
-                [len(xt.alternatives) for xt in xtuples],
-                dtype=SIZES_DTYPE,
-                count=len(xtuples),
-            ).tobytes(),
-        ),
-        "values": _number_column(values),
-        "probabilities": _number_column(probabilities),
+        "xids": (JSON_COLUMN, _canonical_json(db.xids)),
+        "tids": (JSON_COLUMN, _canonical_json(db.tids.tolist())),
+        "sizes": (SIZES_DTYPE, db.sizes.astype(SIZES_DTYPE).tobytes()),
+        "values": _number_column(db, "values"),
+        "probabilities": _number_column(db, "probabilities"),
     }
 
 
@@ -299,14 +289,12 @@ def _checked_probabilities(
 
 
 def database_from_columns(
-    name: str,
-    columns: Mapping[str, Tuple[str, bytes]],
-    interned: Optional[Dict[bytes, XTuple]] = None,
+    name: str, columns: Mapping[str, Tuple[str, bytes]]
 ) -> ProbabilisticDatabase:
     """Check a columnar segment's structure and build its database.
 
     ``columns`` maps each of :data:`STRUCTURE_COLUMNS` to ``(dtype,
-    bytes)`` as :func:`database_columns` wrote them.  Over whole
+    bytes)`` as :func:`encode_structure` wrote them.  Over whole
     columns, this checks what :func:`xtuple_from_entry`,
     :class:`~repro.db.tuples.XTuple` and
     :class:`~repro.db.database.ProbabilisticDatabase` check one object
@@ -322,29 +310,31 @@ def database_from_columns(
       ``XTuple.__post_init__``'s order.
 
     A failure raises :class:`~repro.exceptions.InvalidDataError` naming
-    the check and its first offender.  The objects are then built
-    without re-running their validation
-    (:func:`~repro.db.tuples.checked_xtuple`), each with its
-    content-hash record.  ``interned`` maps records already built in
-    this pass to their x-tuple, so a chain's segments share one object
-    per distinct x-tuple; only checked x-tuples enter it.
+    the check and its first offender.  The database then holds the
+    checked columns themselves, with their content-hash records
+    (:func:`~repro.db.database.hash_records`) and a float64 column's
+    array, and builds no tuple object: its objects are built on
+    demand, from the columns, if a caller asks for them.  Nothing here
+    runs Python code per x-tuple or per tuple unless a column is JSON
+    beyond the id tables.
     """
     xids = _string_table(columns["xids"][1], "xids", "x-tuple id")
     tids = _string_table(columns["tids"][1], "tids", "tuple id")
     sizes = np.frombuffer(columns["sizes"][1], dtype=SIZES_DTYPE).astype(np.int64)
     values_dtype, values_blob = columns["values"]
-    values = (
-        _json_list(values_blob, "values")
-        if values_dtype == JSON_COLUMN
-        else np.frombuffer(values_blob, dtype=FLOAT_DTYPE).tolist()
-    )
+    value_column: Optional[np.ndarray] = None
+    if values_dtype == JSON_COLUMN:
+        values = _json_list(values_blob, "values")
+    else:
+        value_column = np.frombuffer(values_blob, dtype=FLOAT_DTYPE)
+        values = value_column.tolist()
     probabilities_dtype, probabilities_blob = columns["probabilities"]
-    array: Optional[np.ndarray] = None
+    probability_column: Optional[np.ndarray] = None
     if probabilities_dtype == JSON_COLUMN:
         probabilities = _json_list(probabilities_blob, "probabilities")
     else:
-        array = np.frombuffer(probabilities_blob, dtype=FLOAT_DTYPE)
-        probabilities = array.tolist()
+        probability_column = np.frombuffer(probabilities_blob, dtype=FLOAT_DTYPE)
+        probabilities = probability_column.tolist()
     m = len(xids)
     if len(sizes) != m:
         raise InvalidDataError(f"{len(sizes)} x-tuple sizes for {m} x-tuple ids")
@@ -363,7 +353,7 @@ def database_from_columns(
         )
     _first_duplicate(xids, "x-tuple id")
     _first_duplicate(tids, "tuple id")
-    array = _checked_probabilities(probabilities, array, tids)
+    array = _checked_probabilities(probabilities, probability_column, tids)
     bounds = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(sizes, out=bounds[1:])
     # XTuple.__post_init__ sums left to right from 0.0: add each
@@ -380,22 +370,18 @@ def database_from_columns(
             f"{float(mass[l])!r} > 1"
         )
 
-    if interned is None:
-        interned = {}
-    starts = bounds.tolist()
-    records = hash_records(xids, tids, values, probabilities, starts)
-    xtuples: List[XTuple] = []
-    for xid, lo, hi, record in zip(xids, starts, starts[1:], records):
-        xt = interned.get(record)
-        if xt is None:
-            xt = interned[record] = checked_xtuple(
-                xid,
-                tuple(tids[lo:hi]),
-                tuple(values[lo:hi]),
-                tuple(probabilities[lo:hi]),
-            )
-        xtuples.append(xt)
-    return ProbabilisticDatabase._checked(xtuples, name, n, records)
+    # The lists serve the content-hash records; the database keeps the
+    # stored float64 columns themselves.
+    records = hash_records(xids, tids, values, probabilities, bounds.tolist())
+    return ProbabilisticDatabase._from_columns(
+        name,
+        xids,
+        object_array(tids),
+        column_array(values) if value_column is None else value_column,
+        column_array(probabilities) if probability_column is None else probability_column,
+        bounds,
+        records,
+    )
 
 
 def database_from_dict(payload: Dict[str, Any]) -> ProbabilisticDatabase:
@@ -447,13 +433,17 @@ def save_csv(db: ProbabilisticDatabase, path: PathLike) -> None:
     Non-scalar values (e.g. the MOV ``{date, rating}`` mappings) are
     JSON-encoded inside the ``value`` column.
     """
+    tids, values, probabilities = (
+        db.tids.tolist(), db.values.tolist(), db.probabilities.tolist()
+    )
+    offsets = db.offsets.tolist()
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["xtuple_id", "tid", "value", "probability"])
-        for xt in db.xtuples:
-            for t in xt.alternatives:
+        for xid, lo, hi in zip(db.xids, offsets, offsets[1:]):
+            for i in range(lo, hi):
                 writer.writerow(
-                    [xt.xid, t.tid, json.dumps(t.value), repr(t.probability)]
+                    [xid, tids[i], json.dumps(values[i]), repr(probabilities[i])]
                 )
 
 

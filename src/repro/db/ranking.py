@@ -36,8 +36,9 @@ class RankingFunction:
         Callable mapping a :class:`ProbabilisticTuple` to a float score.
         Defaults to the tuple's ``value`` attribute (which therefore must
         be numeric).  It must be a pure function of the tuple: a ranked
-        view memoizes each x-tuple's scores under the callable's
-        identity (:meth:`~repro.db.tuples.XTuple.scores`).
+        view scores a changed x-tuple's rows alone, and reads the scores
+        of the by-value rule straight off a database's value column
+        (:func:`scores_by_value`).
     name:
         Human-readable name used in reprs and benchmark tables.  It
         carries no identity: two rankings are the same rule only when
@@ -81,7 +82,7 @@ def by_value() -> RankingFunction:
 
 
 # One score callable per rule, so every ranking built for a rule -- one
-# per segment when a store opens -- hits the x-tuples' score memos.
+# per segment when a store opens -- is the same rule by identity.
 @lru_cache(maxsize=None)
 def _key_score(key: str) -> ScoreFunction:
     def score(t: ProbabilisticTuple) -> float:
@@ -114,6 +115,14 @@ def by_sum_of_keys(*keys: str) -> RankingFunction:
     return RankingFunction(
         _sum_of_keys_score(keys), name=f"by_sum_of_keys({','.join(keys)})"
     )
+
+
+def scores_by_value(ranking: RankingFunction) -> bool:
+    """Whether ``ranking`` is the by-value rule, whose score of a tuple
+    is ``float(t.value)``: a ranked view then reads its scores off the
+    value column instead of scoring tuple objects, and a value column of
+    Python floats is its own score column."""
+    return ranking.score is _value_score
 
 
 def custom(score: ScoreFunction, name: str = "custom") -> RankingFunction:

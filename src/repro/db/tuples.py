@@ -90,9 +90,6 @@ class ProbabilisticTuple:
             )
 
 
-#: Memo key of an x-tuple's scores (see :meth:`XTuple.scores`).
-_SCORES = "_scores"
-
 _T = TypeVar("_T")
 
 
@@ -103,8 +100,9 @@ class _memo(Generic[_T]):
 
     :func:`functools.cached_property` does the same, but before Python
     3.12 it takes a class-wide lock on every miss, which doubles the
-    cost of a miss -- and a cold rank misses once per x-tuple.  Threads
-    that race here compute, and store, equal values.
+    cost of a miss -- and a database built from fresh x-tuples misses
+    once per x-tuple.  Threads that race here compute, and store, equal
+    values.
     """
 
     def __init__(self, method: Callable[[Any], _T]) -> None:
@@ -138,16 +136,14 @@ class XTuple:
 
     * its canonical encoding (:meth:`encoded`): the content-hash
       record;
-    * the per-alternative columns a ranked view and a columnar segment
-      are built from: :attr:`tids`, :attr:`values`,
-      :attr:`probabilities`, :attr:`completion_probability`;
-    * the alternatives' scores under the last score callable asked
-      (:meth:`scores`).
+    * the per-alternative columns a database gathers its own columns
+      from: :attr:`tids`, :attr:`values`, :attr:`probabilities`, and
+      :attr:`completion_probability`.
 
     A value must therefore not be mutated after construction -- MOV's
-    ``{date, rating}`` dicts included -- or the cached bytes and scores
-    go stale.  Two threads filling the same memo (the session pool's)
-    race harmlessly: both compute, and store, the same result.
+    ``{date, rating}`` dicts included -- or the cached bytes go stale.
+    Two threads filling the same memo (the session pool's) race
+    harmlessly: both compute, and store, the same result.
 
     Attributes
     ----------
@@ -198,8 +194,7 @@ class XTuple:
             )
 
     def __getstate__(self) -> Dict[str, Any]:
-        """Pickle the fields only: memos are rebuilt on use, and the
-        score memo may hold a callable that cannot be pickled."""
+        """Pickle the fields only: memos are rebuilt on use."""
         return {"xid": self.xid, "alternatives": self.alternatives}
 
     def encoded(self, key: str, encode: Callable[["XTuple"], bytes]) -> bytes:
@@ -214,22 +209,6 @@ class XTuple:
         if cached is None:
             cached = self.__dict__[key] = encode(self)
         return cached
-
-    def scores(self, score: Callable[[ProbabilisticTuple], Any]) -> Tuple[Any, ...]:
-        """``score(t)`` for each alternative ``t``, in order.
-
-        Memoized under the identity of ``score``, one callable at a
-        time: asking with another callable recomputes and replaces the
-        memo, so it never serves one ranking's scores to another.  A
-        score callable must be a pure function of the tuple, as the
-        factory rankings are.  A callable that raises stores nothing.
-        """
-        memo: Optional[Tuple[Any, Tuple[Any, ...]]] = self.__dict__.get(_SCORES)
-        if memo is not None and memo[0] is score:
-            return memo[1]
-        values = tuple(map(score, self.alternatives))
-        self.__dict__[_SCORES] = (score, values)
-        return values
 
     @_memo
     def tids(self) -> Tuple[str, ...]:
@@ -318,9 +297,9 @@ def checked_xtuple(
     tuple ids, probabilities that are numbers (not ``bool``), finite,
     in ``(0, 1]`` and summing to at most one within
     :data:`PROBABILITY_SUM_TOLERANCE` in the order ``__post_init__``
-    sums them (:func:`repro.db.io.database_from_columns` checks a whole
-    database's columns at once).  The ``tids``, ``values`` and
-    ``probabilities`` memos start filled.
+    sums them.  A :class:`~repro.db.database.ProbabilisticDatabase`'s
+    columns qualify: it builds its objects on demand through this.
+    The ``tids``, ``values`` and ``probabilities`` memos start filled.
     """
     new = object.__new__
     alternatives = []

@@ -19,18 +19,17 @@ from repro.queries.psr import RankProbabilities, compute_rank_probabilities
 def answer_from_rank_probabilities(
     rank_probs: RankProbabilities,
 ) -> GlobalTopkAnswer:
-    """Aggregate a Global-topk answer out of precomputed rank probabilities."""
-    ranked = rank_probs.ranked
+    """Aggregate a Global-topk answer out of precomputed rank
+    probabilities; each member's tuple id is read by its row
+    (:meth:`~repro.db.database.RankedDatabase.tids_at`)."""
     k = rank_probs.k
     topk = rank_probs.topk_prefix
     positions = np.nonzero(topk > 0.0)[0]
     # Sort by probability descending, then by rank position ascending
     # (lexsort's last key dominates; positions are already ascending,
     # and the sort is stable over them).
-    order = np.lexsort((positions, -topk[positions]))[:k]
-    members = tuple(
-        (ranked.order[i].tid, float(topk[i])) for i in positions[order]
-    )
+    rows = positions[np.lexsort((positions, -topk[positions]))[:k]]
+    members = tuple(zip(rank_probs.ranked.tids_at(rows), topk[rows].tolist()))
     return GlobalTopkAnswer(k=k, members=members)
 
 

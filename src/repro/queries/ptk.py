@@ -36,7 +36,8 @@ def answer_from_rank_probabilities(
 
     One vectorized threshold pass over the columnar top-k probability
     vector, exactly as Section IV-C describes (members stay in rank
-    order).
+    order); each member's tuple id is read by its row
+    (:meth:`~repro.db.database.RankedDatabase.tids_at`).
 
     Raises ``ValueError`` when the pass's certified tail stop ran at a
     ``tail_epsilon`` above ``threshold``: a row it left unscanned could
@@ -52,12 +53,13 @@ def answer_from_rank_probabilities(
             f"tail_epsilon <= threshold"
         )
     topk = rank_probs.topk_prefix
-    order = rank_probs.ranked.order
     if threshold > 0.0:
         positions = np.nonzero(topk >= threshold)[0]
     else:
         positions = np.nonzero(topk > 0.0)[0]
-    members = tuple((order[i].tid, float(topk[i])) for i in positions)
+    members = tuple(
+        zip(rank_probs.ranked.tids_at(positions), topk[positions].tolist())
+    )
     return PTkAnswer(k=rank_probs.k, threshold=threshold, members=members)
 
 

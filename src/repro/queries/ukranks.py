@@ -28,25 +28,19 @@ def answer_from_rank_probabilities(
     :class:`RankProbabilities` can also feed PT-k, Global-topk and the
     TP quality computation.  One ``argmax`` per rank over the columnar
     ρ matrix; ``argmax`` returns the first maximum, which matches the
-    higher-ranked-tuple tie-break.
+    higher-ranked-tuple tie-break.  Each winner's tuple id is read by
+    its row (:meth:`~repro.db.database.RankedDatabase.tids_at`).
     """
     k = rank_probs.k
-    ranked = rank_probs.ranked
     winners = []
     if rank_probs.cutoff:
         rho = rank_probs.rho_prefix
         best_rows = rho.argmax(axis=0)
-        best_values = rho[best_rows, range(k)]
-        for h in range(1, k + 1):
-            p = float(best_values[h - 1])
+        best_values = rho[best_rows, range(k)].tolist()
+        tids = rank_probs.ranked.tids_at(best_rows)
+        for h, (tid, p) in enumerate(zip(tids, best_values), start=1):
             if p > ZERO_TOLERANCE:
-                winners.append(
-                    RankWinner(
-                        rank=h,
-                        tid=ranked.order[int(best_rows[h - 1])].tid,
-                        probability=p,
-                    )
-                )
+                winners.append(RankWinner(rank=h, tid=tid, probability=p))
     return UkRanksAnswer(k=k, winners=tuple(winners))
 
 

@@ -20,15 +20,16 @@ its dtype says)::
     ...        column bytes     raw, concatenated in header order
     tail       SHA-256 digest   over every preceding byte (32 bytes)
 
-The columns are :data:`SEGMENT_COLUMNS`, in order: the structure in
-x-tuple order (:func:`repro.db.io.database_columns`) -- ``xids`` and
-``tids`` as canonical JSON arrays (dtype ``"json"``), ``sizes`` as u32,
-``values`` and ``probabilities`` as float64 or, when an entry is not a
-Python ``float``, as a JSON array -- then the ranked view's canonical
-arrays.  :func:`decode_segment` checks that the column table is
-exactly that, with a dtype each column may carry and whole items,
-and returns the bytes unparsed: a rebuild parses and checks them
-(:func:`repro.db.io.database_from_columns`), and parses no JSON beyond
+The columns are :data:`SEGMENT_COLUMNS`, in order: the database's own
+structure columns in x-tuple order (:func:`repro.db.io.encode_structure`)
+-- ``xids`` and ``tids`` as canonical JSON arrays (dtype ``"json"``),
+``sizes`` as u32, ``values`` and ``probabilities`` as float64 or, when
+an entry is not a Python ``float``, as a JSON array -- then the ranked
+view's canonical arrays.  :func:`decode_segment` checks that the
+column table is exactly that, with a dtype each column may carry and
+whole items, and returns the bytes unparsed: a rebuild parses and
+checks them, and the database it builds holds them as its columns
+(:func:`repro.db.io.database_from_columns`), parsing no JSON beyond
 the two id tables.
 
 **Schemas 1 and 2** (read only) hold the structure as the canonical
@@ -225,9 +226,9 @@ def encode_segment(
 
     A full segment (schema :data:`SCHEMA_VERSION`) holds everything a
     snapshot needs: ``columns`` maps each of :data:`SEGMENT_COLUMNS`,
-    in that order, to ``(dtype_str, raw_bytes)`` -- the structure
-    (:func:`repro.db.io.database_columns`), then the ranked view's
-    arrays.  The header records their order, dtypes, lengths and CRCs,
+    in that order, to ``(dtype_str, raw_bytes)`` -- the database's
+    structure columns (:func:`repro.db.io.encode_structure`), then the
+    ranked view's arrays.  The header records their order, dtypes, lengths and CRCs,
     so the decoder can slice and verify them without trusting anything
     but the magic.
 

@@ -49,9 +49,10 @@ whose base is missing, tombstoned, quarantined or on a cycle is
 quarantined with it, its reason naming the base: a corrupt full
 segment takes the deltas above it along, at most
 :data:`MAX_DELTA_DEPTH` links of a chain.  An open costs what its
-first requests touch, not every live snapshot; a pass that rebuilds
-several schema-4 segments builds each *distinct* x-tuple once (see
-:meth:`SnapshotStore._rebuild_full`).
+first requests touch, not every live snapshot, and a rebuild costs
+what the snapshot holds: a schema-4 structure becomes the database's
+own columns, and a delta a splice of its base's, with no tuple object
+built (see :meth:`SnapshotStore._rebuild_full`).
 
 **The journal** records each executed cleaning *before* the outcome
 segment is written.  A schema-2 record holds the outcome as its base
@@ -165,12 +166,11 @@ from repro.core.lockcheck import RANK_STORE, OrderedLock
 from repro.db.database import CANONICAL_COLUMNS, ChangeSet, RankedDatabase
 from repro.db.io import (
     STRUCTURE_COLUMNS,
-    database_columns,
     database_from_columns,
     database_from_dict,
+    encode_structure,
 )
 from repro.db.ranking import ranking_descriptor, ranking_from_descriptor
-from repro.db.tuples import XTuple
 from repro.exceptions import (
     CorruptSnapshotError,
     InvalidDatabaseError,
@@ -558,26 +558,24 @@ class SnapshotStore:
         :class:`~repro.exceptions.UnknownSnapshotError`.
         """
         with self._lock:
-            return self._materialize(snapshot_id, {})
+            return self._materialize(snapshot_id)
 
     def snapshots(self) -> Dict[str, RankedDatabase]:
         """Every live snapshot's ranked view by id (a copy; safe to
-        mutate), rebuilding those not yet used in one pass that builds
-        each distinct x-tuple of its schema-4 segments once.  A snapshot
-        whose rebuild fails is quarantined (or refused, read-only) and
-        left out."""
+        mutate), rebuilding those not yet used.  A snapshot whose
+        rebuild fails is quarantined (or refused, read-only) and left
+        out."""
         with self._lock:
             return self._materialize_all()
 
     def _materialize_all(self) -> Dict[str, RankedDatabase]:
-        """Every live snapshot's view, rebuilt in one pass that shares
-        one x-tuple table; failures are refused and left out.  Caller
-        holds the thread lock but not the file lock."""
-        interned: Dict[bytes, XTuple] = {}
+        """Every live snapshot's view, rebuilt where not yet used;
+        failures are refused and left out.  Caller holds the thread
+        lock but not the file lock."""
         views: Dict[str, RankedDatabase] = {}
         for snapshot_id in sorted(self._index):
             try:
-                views[snapshot_id] = self._materialize(snapshot_id, interned)
+                views[snapshot_id] = self._materialize(snapshot_id)
             except CorruptSnapshotError:
                 continue
         return views
@@ -835,14 +833,11 @@ class SnapshotStore:
             )
         return segment
 
-    def _materialize(
-        self, snapshot_id: str, interned: Dict[bytes, XTuple]
-    ) -> RankedDatabase:
+    def _materialize(self, snapshot_id: str) -> RankedDatabase:
         """The snapshot's ranked view, rebuilding it -- and, for a
         delta, the base chain below it -- on first use; see
-        :meth:`load`.  ``interned`` is the pass's x-tuple table (see
-        :meth:`_rebuild_full`).  Caller holds the thread lock but not
-        the file lock, which a quarantine takes.
+        :meth:`load`.  Caller holds the thread lock but not the file
+        lock, which a quarantine takes.
         """
         entry = self._index.get(snapshot_id)
         if isinstance(entry, RankedDatabase):
@@ -881,7 +876,7 @@ class SnapshotStore:
             link = segment.link
             try:
                 if link is None:
-                    view = self._rebuild_full(segment, interned)
+                    view = self._rebuild_full(segment)
                 else:
                     assert view is not None
                     view = self._rebuild_delta(segment, link, view)
@@ -937,9 +932,7 @@ class SnapshotStore:
                     if path.exists():
                         self._quarantine_file(path)
 
-    def _rebuild_full(
-        self, segment: Segment, interned: Dict[bytes, XTuple]
-    ) -> RankedDatabase:
+    def _rebuild_full(self, segment: Segment) -> RankedDatabase:
         """Verify and rebuild one full segment's ranked view -- or raise.
 
         Verification is belt *and* suspenders: beyond the codec's
@@ -952,18 +945,12 @@ class SnapshotStore:
         that passes cannot silently disagree with the view a fresh
         construction would produce.
 
-        ``interned`` maps every x-tuple this pass has already checked
-        and built from a schema-4 segment, by its content-hash record,
-        to the :class:`~repro.db.tuples.XTuple`.  A cleaning chain's
-        full segments repeat most of their x-tuples, so a pass that
-        rebuilds several builds each distinct x-tuple once, and its
-        snapshots share the object as in-process derivations do: equal
-        records decode to equal values and pass the same per-x-tuple
-        checks.  An x-tuple enters the table only once it has passed
-        them.  Every check that spans a database -- duplicate ids,
-        content hash, re-rank, columns -- still runs on each segment.
-        A schema-1 or -2 structure is parsed whole and validated as
-        ingest does; it shares nothing.
+        A schema-4 structure becomes the database's own columns, and
+        the cold re-rank reads them (under the by-value rule, the value
+        column is the score column), so the rebuild builds no tuple
+        object and runs no Python code per x-tuple.  Each segment is
+        checked on its own.  A schema-1 or -2 structure is parsed whole
+        and validated as ingest does.
         """
         header, structure_json, columns = segment
         try:
@@ -972,7 +959,7 @@ class SnapshotStore:
                 if not isinstance(name, str):
                     raise InvalidDatabaseError(f"bad database name {name!r}")
                 db = database_from_columns(
-                    name, segment.typed_columns(STRUCTURE_COLUMNS), interned
+                    name, segment.typed_columns(STRUCTURE_COLUMNS)
                 )
             else:
                 db = database_from_dict(json.loads(structure_json))
@@ -1152,7 +1139,7 @@ class SnapshotStore:
                 # it first (outside the file lock, which a quarantine
                 # takes).  A base that fails makes the outcome full.
                 try:
-                    self._materialize(base, {})
+                    self._materialize(base)
                 except CorruptSnapshotError:
                     pass
             with self._exclusive():
@@ -1183,7 +1170,7 @@ class SnapshotStore:
                         delta=link,
                     )
                 else:
-                    columns = database_columns(ranked.db)
+                    columns = encode_structure(ranked.db)
                     for name in CANONICAL_COLUMNS:
                         array = getattr(ranked, name)
                         columns[name] = (
@@ -1316,7 +1303,7 @@ class SnapshotStore:
             self._require_writer("journal_clean")
             try:
                 # Replay will need the base's view: it must rebuild.
-                self._materialize(base_snapshot_id, {})
+                self._materialize(base_snapshot_id)
             except (CorruptSnapshotError, UnknownSnapshotError):
                 return None
             with self._exclusive():
@@ -1824,7 +1811,7 @@ def _applies_to(
             return False
         if tid is None:
             nulls += 1
-        elif tid not in db.xtuple(xid).tids:
+        elif tid not in db.tids_of(xid):
             return False
     return held.num_xtuples - nulls == ranked.num_xtuples
 

@@ -1,15 +1,15 @@
 """Reference cold rank for the ranked-view identity tests.
 
 :class:`repro.db.database.RankedDatabase` builds its canonical columns
-from per-x-tuple memos (:attr:`repro.db.tuples.XTuple.tids`,
-:attr:`~repro.db.tuples.XTuple.probabilities`,
-:meth:`~repro.db.tuples.XTuple.scores`, ...).  :func:`reference_rank`
-is the plain per-tuple construction those memos must reproduce bit for
-bit: every tuple scored through the ranking in insertion order, one
-``lexsort`` on ``(-score, insertion index)``, and each column gathered
-tuple by tuple from the sorted order.  Snapshot segments store these
-columns, and an open compares them bytewise, so stores written before
-the memos existed stay readable only while the two agree.
+from its database's columns (the by-value rule's scores read off the
+value column, the probabilities, sizes and completion).
+:func:`reference_rank` is the plain per-tuple construction those must
+reproduce bit for bit: every tuple scored through the ranking in
+insertion order, one ``lexsort`` on ``(-score, insertion index)``, and
+each column gathered tuple by tuple from the sorted order.  Snapshot
+segments store these columns, and an open compares them bytewise, so
+stores written before the columnar rank stay readable only while the
+two agree.
 """
 
 from __future__ import annotations

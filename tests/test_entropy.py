@@ -1,7 +1,5 @@
 """Unit tests for entropy helpers (repro.core.entropy)."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

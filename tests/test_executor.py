@@ -3,7 +3,6 @@
 import random
 import statistics
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

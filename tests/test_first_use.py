@@ -54,7 +54,7 @@ def ranked_db(seed: int = 3, num_xtuples: int = 12) -> RankedDatabase:
 
 def segment_columns(ranked: RankedDatabase) -> Columns:
     """The ten columns a schema-4 segment of ``ranked`` holds."""
-    columns = io.database_columns(ranked.db)
+    columns = io.encode_structure(ranked.db)
     for name in CANONICAL_COLUMNS:
         array = getattr(ranked, name)
         columns[name] = (array.dtype.str, np.ascontiguousarray(array).tobytes())

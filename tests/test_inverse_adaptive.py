@@ -16,6 +16,11 @@ from repro.cleaning.improvement import (
 from repro.cleaning.inverse import min_cost_plan, min_cost_plan_greedy
 from repro.cleaning.model import CleaningProblem, build_cleaning_problem
 from repro.core.tp import compute_quality_tp
+from repro.datasets.synthetic import (
+    generate_costs,
+    generate_sc_probabilities,
+    generate_synthetic,
+)
 from repro.db.database import ProbabilisticDatabase
 from repro.db.tuples import make_xtuple
 from repro.exceptions import InfeasibleTargetError
@@ -105,8 +110,9 @@ class TestInverseCleaning:
         with pytest.raises(ValueError):
             min_cost_plan(_paper_problem(udb1), 0.1, method="magic")
 
-    def _solved_capacities(self, monkeypatch):
-        """Record each capacity ``min_cost_plan`` solves a knapsack at."""
+    def _solved_capacities(self, monkeypatch, most=None):
+        """Record each capacity ``min_cost_plan`` solves a knapsack at;
+        fail at once above ``most``, when given."""
         import repro.cleaning.inverse as inverse
 
         capacities = []
@@ -114,6 +120,7 @@ class TestInverseCleaning:
 
         def recording(groups, capacity, *args, **kwargs):
             capacities.append(capacity)
+            assert most is None or capacity <= most, capacities
             return solve(groups, capacity, *args, **kwargs)
 
         monkeypatch.setattr(inverse, "solve_grouped_knapsack", recording)
@@ -131,6 +138,25 @@ class TestInverseCleaning:
         with pytest.raises(InfeasibleTargetError, match="curve stops at"):
             min_cost_plan(problem, target, max_capacity=1 << 14)
         assert capacities and max(capacities) <= 8192
+
+    def test_unreachable_bound_is_refused_after_the_first_capacity(
+        self, monkeypatch
+    ):
+        # Z holds 13 x-tuples, the smallest sc-probability 0.031: their
+        # complete ladders (94,835 probes, costing 667,778) fold to just
+        # below the supremum, so no capacity reaches it.  Doubling until
+        # the curve takes every item would run for minutes.
+        db = generate_synthetic(num_xtuples=200, completion=1.0, seed=3)
+        problem = build_cleaning_problem(
+            compute_quality_tp(db.ranked(), 10),
+            generate_costs(db, seed=1),
+            generate_sc_probabilities(db, seed=2),
+            100,
+        )
+        capacities = self._solved_capacities(monkeypatch, most=1 << 12)
+        with pytest.raises(InfeasibleTargetError, match="curve stops at"):
+            min_cost_plan(problem, improvement_upper_bound(problem))
+        assert capacities == [16]
 
     def test_target_at_the_bound_is_reached(self, udb1):
         problem = _paper_problem(udb1)

@@ -94,7 +94,7 @@ class TestColumns:
     @pytest.mark.parametrize("name", sorted(ENCODING_CASES))
     def test_round_trips_with_the_same_hash(self, name):
         db = ENCODING_CASES[name][0]()
-        columns = io.database_columns(db)
+        columns = io.encode_structure(db)
         assert columns == reference_columns(io.database_to_dict(db))
         restored = io.database_from_columns(db.name, columns)
         _assert_equal_databases(db, restored)
@@ -104,7 +104,7 @@ class TestColumns:
     @settings(max_examples=25)
     @given(databases())
     def test_random_databases_round_trip(self, db):
-        restored = io.database_from_columns(db.name, io.database_columns(db))
+        restored = io.database_from_columns(db.name, io.encode_structure(db))
         _assert_equal_databases(db, restored)
         assert restored.content_hash() == reference_content_hash(db)
 
@@ -113,7 +113,7 @@ class TestColumns:
         db = ProbabilisticDatabase(
             [make_xtuple("x1", [("t1", 2.5, 1)]), make_xtuple("x2", [("t2", 1.5, 0.5)])]
         )
-        columns = io.database_columns(db)
+        columns = io.encode_structure(db)
         assert columns["probabilities"] == ("json", b"[1,0.5]")
         assert columns["values"][0] == "<f8"
         restored = io.database_from_columns("", columns)

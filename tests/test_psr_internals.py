@@ -6,7 +6,6 @@ entries, and the scalar kernel's rebuild fallback for high factors.
 """
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings

@@ -1,7 +1,5 @@
 """Query semantics (U-kRanks, PT-k, Global-topk) vs brute force."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,11 +1,12 @@
-"""The memoized cold rank against the per-tuple reference.
+"""The columnar cold rank against the per-tuple reference.
 
-A :class:`~repro.db.database.RankedDatabase` is built from per-x-tuple
-memos -- tids, probabilities, completion and the scores under one score
-callable -- rather than tuple by tuple.  Its five canonical columns and
-its ``order`` must equal :func:`reference_rank.reference_rank` bit for
-bit on every database and ranking, and a memo must never serve one
-ranking's scores to another or keep anything from a score that raised.
+A :class:`~repro.db.database.RankedDatabase` is built from its
+database's columns -- the by-value rule's scores read off the value
+column, the probabilities, sizes and completion -- rather than tuple by
+tuple.  Its five canonical columns and its ``order`` must equal
+:func:`reference_rank.reference_rank` bit for bit on every database and
+ranking, whether the database was built from x-tuples or rebuilt from
+a segment's columns, and a score that raises must leave nothing behind.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import tuples as tuples_module
+from repro.db import io
 from repro.db.database import CANONICAL_COLUMNS, ProbabilisticDatabase, RankedDatabase
 from repro.db.ranking import RankingFunction, by_key, by_sum_of_keys, by_value, custom
 from repro.db.tuples import make_xtuple
@@ -66,14 +67,18 @@ class TestReferenceRank:
         )
         ranking = make_ranking()
         assert_matches_reference(RankedDatabase(db, ranking), db, ranking)
-        # A second rank of the same x-tuples is served from the memos.
+        # A second rank reads the same columns.
         assert_matches_reference(RankedDatabase(db, ranking), db, ranking)
+        # So does a database rebuilt from a segment's columns, which
+        # builds its tuple objects on demand.
+        rebuilt = io.database_from_columns(db.name, io.encode_structure(db))
+        assert_matches_reference(RankedDatabase(rebuilt, ranking), rebuilt, ranking)
 
     @settings(max_examples=40)
     @given(db=databases(max_xtuples=6, max_alternatives=4, values="mapping"))
     def test_shared_xtuples_ranked_alternately(self, db):
         # Two databases over the same XTuple objects, each ranked under
-        # two rules in turn: every rank switches the memos.
+        # two rules in turn.
         other = ProbabilisticDatabase(db.xtuples[::-1], name="reversed")
         by_a, by_sum = by_key("a"), by_sum_of_keys("a", "b")
         for database, ranking in [
@@ -88,8 +93,8 @@ class TestReferenceRank:
             )
 
 
-class TestScoreMemo:
-    def test_raising_score_leaves_no_memo(self):
+class TestScoring:
+    def test_raising_score_raises_on_every_rank(self):
         calls = []
 
         def score(t):
@@ -103,24 +108,21 @@ class TestScoreMemo:
         with pytest.raises(ValueError):
             RankedDatabase(db, ranking)
         assert calls == ["t0", "t1", "t2"]
-        assert tuples_module._SCORES not in bad.__dict__
-        # The next rank scores the failed x-tuple again, from its first
-        # alternative, and fails the same way; the good one is a hit.
+        # Nothing is kept from the failed rank: the next one scores
+        # every tuple again, from the first, and fails the same way.
         with pytest.raises(ValueError):
             RankedDatabase(db, ranking)
-        assert calls == ["t0", "t1", "t2", "t1", "t2"]
-        assert tuples_module._SCORES not in bad.__dict__
+        assert calls == ["t0", "t1", "t2"] * 2
 
-    def test_raising_score_keeps_another_rankings_memo(self):
+    def test_raising_score_leaves_other_rankings_working(self):
         xt = make_xtuple("x1", [("t0", {"a": 1.0}, 0.5), ("t1", {"b": 2.0}, 0.5)])
-        by_a = by_key("a")
+        db = ProbabilisticDatabase([xt])
         with pytest.raises(KeyError):
-            RankedDatabase(ProbabilisticDatabase([xt]), by_a)
+            RankedDatabase(db, by_key("a"))
         total = custom(lambda t: sum(t.value.values()), name="total")
-        assert xt.scores(total.score) == (1.0, 2.0)
+        assert RankedDatabase(db, total).scores_array.tolist() == [2.0, 1.0]
         with pytest.raises(KeyError):
-            xt.scores(by_a.score)
-        assert xt.__dict__[tuples_module._SCORES][0] is total.score
+            RankedDatabase(db, by_key("a"))
 
     def test_same_name_custom_rankings_never_share_scores(self, udb1):
         up = custom(lambda t: float(t.value), name="mine")
@@ -135,10 +137,22 @@ class TestScoreMemo:
         )
         assert [t.tid for t in views[0].order] != [t.tid for t in views[1].order]
 
-    def test_factory_rankings_share_one_memo(self):
-        xt = make_xtuple("x1", [("t0", {"a": 1.0, "b": 2.0}, 1.0)])
-        db = ProbabilisticDatabase([xt])
-        RankedDatabase(db, by_sum_of_keys("a", "b"))
-        memo = xt.__dict__[tuples_module._SCORES]
-        RankedDatabase(db, by_sum_of_keys("a", "b"))
-        assert xt.__dict__[tuples_module._SCORES] is memo
+    @pytest.mark.parametrize("values", [[3.5, 1.0, 3.5, -0.0, 0.0], [3, 1, 3, 0, 2]])
+    def test_by_value_reads_the_value_column(self, values):
+        # Floats: the column is the score column; ints: float() of each.
+        # Either way bitwise the rank that scores tuple objects.
+        db = ProbabilisticDatabase(
+            [make_xtuple(f"x{i}", [(f"t{i}", v, 0.5)]) for i, v in enumerate(values)]
+        )
+        by_tuple = custom(lambda t: float(t.value), name="by tuple")
+        ranked = RankedDatabase(db, by_value())
+        assert ranked.scores_array.tolist() == sorted(map(float, values), reverse=True)
+        other = RankedDatabase(db, by_tuple)
+        for name in CANONICAL_COLUMNS:
+            assert getattr(ranked, name).tobytes() == getattr(other, name).tobytes()
+        # A rebuilt database ranks by value without building an object.
+        rebuilt = io.database_from_columns("", io.encode_structure(db))
+        assert RankedDatabase(rebuilt, by_value()).scores_array.tobytes() == (
+            ranked.scores_array.tobytes()
+        )
+        assert rebuilt._xtuples is None and not rebuilt._built

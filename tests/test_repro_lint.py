@@ -13,7 +13,6 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
 
 from repro.tooling.lint import RULES, Finding, LintReport, lint_paths, main
 

@@ -9,9 +9,11 @@ and the ingest validation at the ``repro.db.io`` trust boundary.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
+import pickle
 import shutil
 import struct
 from pathlib import Path
@@ -21,19 +23,13 @@ import numpy as np
 import pytest
 
 import repro.store.store as store_module
-from repro.api import CleaningSpec, TopKService
+from repro.api import CleaningSpec, QuerySpec, TopKService
 from repro.datasets.mov import generate_mov, mov_ranking
 from repro.datasets.synthetic import generate_synthetic
 from repro.db import io
-from repro.db import tuples as tuples_module
 from repro.db.database import CANONICAL_COLUMNS, ProbabilisticDatabase, RankedDatabase
-from repro.db.ranking import (
-    by_key,
-    by_value,
-    ranking_descriptor,
-    rankings_equivalent,
-)
-from repro.db.tuples import XTuple, make_xtuple
+from repro.db.ranking import by_key, by_value, ranking_descriptor
+from repro.db.tuples import ProbabilisticTuple, XTuple, make_xtuple
 from repro.exceptions import (
     CorruptSnapshotError,
     InvalidDataError,
@@ -62,6 +58,7 @@ from repro.testing import (
     use_faults,
 )
 
+from conftest import open_service
 from reference_encoding import (
     ENCODING_CASES,
     reference_columns,
@@ -72,6 +69,7 @@ from reference_encoding import (
     reference_v2_segment,
     reference_v4_segment,
 )
+from test_cost_contracts import build_crashed_store
 
 
 def ranked_db(seed: int = 3, num_xtuples: int = 12) -> RankedDatabase:
@@ -118,7 +116,7 @@ def encoded_segment(
     )
     if schema == 4:
         if structure_columns is None:
-            structure_columns = io.database_columns(ranked.db)
+            structure_columns = io.encode_structure(ranked.db)
         return encode_segment(
             columns={**structure_columns, **segment_columns(ranked)}, **fields
         )
@@ -324,7 +322,7 @@ def encoding_case(name: str) -> RankedDatabase:
 
 def assert_encodes_like_reference(db: ProbabilisticDatabase) -> None:
     assert db.content_hash() == reference_content_hash(db)
-    assert io.database_columns(db) == reference_columns(io.database_to_dict(db))
+    assert io.encode_structure(db) == reference_columns(io.database_to_dict(db))
 
 
 class TestCachedEncodingIdentity:
@@ -365,10 +363,15 @@ class TestCachedEncodingIdentity:
                 derived, _ = ranked.with_xtuple_replaced(xid, replacement)
             else:  # revealed null
                 derived, _ = ranked.with_xtuple_removed(xid)
-            # Unchanged x-tuples are shared with the base, memo and all.
-            unchanged = [x for x in ranked.db.xtuples if x.xid != xid]
-            kept = {x.xid: x for x in derived.db.xtuples}
-            assert all(kept[x.xid] is x for x in unchanged)
+            # Unchanged x-tuples keep the base's content-hash records,
+            # the very bytes objects: only the changed one is encoded.
+            base_records = dict(zip(ranked.db.xids, ranked.db._hash_records))
+            kept = dict(zip(derived.db.xids, derived.db._hash_records))
+            assert all(
+                kept[other] is base_records[other]
+                for other in ranked.db.xids
+                if other != xid
+            )
             assert_encodes_like_reference(derived.db)
             rebuilt = ProbabilisticDatabase(
                 make_xtuple(x.xid, [(t.tid, t.value, t.probability) for t in x])
@@ -970,9 +973,9 @@ class TestFramedDecode:
         assert (root / "quarantine" / name).exists()
         assert sorted(reopened.snapshots()) == ["good"]
 
-    def test_failed_fragment_is_never_interned(self, tmp_path):
-        # Two segments carry the same invalid fragment: each is
-        # validated, and refused, on its own.  The valid fragments they
+    def test_each_segment_is_validated_on_its_own(self, tmp_path):
+        # Two segments carry the same invalid x-tuple: each is
+        # validated, and refused, on its own.  The valid x-tuples they
         # share with a good segment serve it as usual.
         root = tmp_path / "store"
         ranked = ranked_db(seed=4)
@@ -986,7 +989,7 @@ class TestFramedDecode:
 
         reopened = SnapshotStore(root, durability="none")
         assert reopened.recovery.quarantined == ()
-        assert sorted(reopened.snapshots()) == ["good"]  # one pass, one table
+        assert sorted(reopened.snapshots()) == ["good"]  # one pass
         assert sorted(os.listdir(root / "quarantine")) == [
             "bad1" + SEGMENT_SUFFIX,
             "bad2" + SEGMENT_SUFFIX,
@@ -996,7 +999,7 @@ class TestFramedDecode:
 
 
 # ---------------------------------------------------------------------------
-# The per-open intern table
+# A rebuild holds columns; objects are built on demand
 # ---------------------------------------------------------------------------
 
 
@@ -1011,7 +1014,7 @@ def collapse_chain(steps: int) -> List[RankedDatabase]:
     return chain
 
 
-class TestInternedOpen:
+class TestColumnarOpen:
     def test_schema_2_chain_rebuilds_in_one_pass(self, tmp_path, monkeypatch):
         # Schema-2 segments, as stores written before schema 4 hold them.
         # An open parses nothing; one pass parses each structure whole,
@@ -1043,79 +1046,59 @@ class TestInternedOpen:
             assert views[f"s{index}"].db.content_hash() == header["content_hash"]
             assert header["content_hash"] == reference_content_hash(ranked.db)
 
-    def test_reopen_scores_each_distinct_xtuple_once(self, tmp_path, monkeypatch):
-        # Each segment names its ranking by rule, and every rule maps
-        # to one score callable, so the score memos of the interned
-        # x-tuples hit across the segments of a MOV-ranked chain.
-        root = tmp_path / "store"
-        base = generate_mov(num_xtuples=12, seed=5, incomplete_fraction=0.3)
-        chain = [RankedDatabase(base, mov_ranking())]
-        for xt in [xt for xt in base.xtuples if len(xt) > 1][:2]:
-            derived, _ = chain[-1].with_xtuple_replaced(
-                xt.xid, xt.collapsed_to(xt.alternatives[-1].tid)
-            )
-            chain.append(derived)
-        store = SnapshotStore(root, durability="none")
-        for index, ranked in enumerate(chain):
-            store.persist(f"s{index}", ranked)
+    def test_open_and_first_answer_leave_no_objects_alive(self, tmp_path):
+        # A store-reopen-shaped store: the open rebuilds a full base
+        # and its deltas, replays two crashed cleanings and answers a
+        # query, all on columns.
+        newest = build_crashed_store(tmp_path / "store", num_xtuples=60)
+        gc.collect()
+        before = live_objects()
+        service = open_service(tmp_path / "store")
+        service.query(newest, QuerySpec(k=10))
+        gc.collect()
+        assert live_objects() == before
+        assert service.store.counters()["psr_store_replays"] == 2
 
-        scored: List[int] = []
-        original = XTuple.scores
+    @pytest.mark.parametrize("kind", ["synthetic", "mov"])
+    def test_on_demand_objects_equal_ingest(self, tmp_path, kind):
+        if kind == "mov":
+            db = generate_mov(num_xtuples=12, seed=5, incomplete_fraction=0.3)
+            ranking = mov_ranking()
+        else:
+            db = generate_synthetic(num_xtuples=12, seed=5, completion=0.8)
+            ranking = by_value()
+        store = SnapshotStore(tmp_path / "store", durability="none")
+        base = RankedDatabase(db, ranking)
+        xt = db.xtuples[1]
+        outcome = base.with_change_set({xt.xid: xt.tids[-1], db.xtuples[4].xid: None})
+        store.persist("base", base)
+        store.persist("outcome", outcome)  # full: no base given
+        reopened = SnapshotStore(tmp_path / "store", durability="none")
+        for sid, view in (("base", base), ("outcome", outcome)):
+            loaded = reopened.load(sid)
+            # Each segment names its rule, and a rule is one callable.
+            assert loaded.ranking.score is ranking.score
+            ingested = io.database_from_dict(io.database_to_dict(loaded.db))
+            assert loaded.db.xtuples == ingested.xtuples == view.db.xtuples
+            assert repr(loaded.db.xtuples) == repr(ingested.xtuples)
+            assert list(loaded.db) == list(ingested)
+            assert loaded.order == RankedDatabase(ingested, ranking).order
+            for l, other in enumerate(ingested.xtuples):
+                assert loaded.db.xtuple(other.xid) is loaded.db.xtuples[l]
+                for t in other:
+                    assert loaded.db.tuple(t.tid) == t
+            again = pickle.loads(pickle.dumps(loaded.db))
+            assert again.xtuples == ingested.xtuples
+            assert again.content_hash() == ingested.content_hash()
 
-        def counting(xt, score):
-            memo = xt.__dict__.get(tuples_module._SCORES)
-            if memo is None or memo[0] is not score:
-                scored.append(id(xt))
-            return original(xt, score)
 
-        monkeypatch.setattr(XTuple, "scores", counting)
-        reopened = SnapshotStore(root, durability="none")
-        assert reopened.recovery.quarantined == ()
-        snapshots = [reopened.snapshots()[f"s{i}"] for i in range(len(chain))]
-        distinct = {id(xt) for s in snapshots for xt in s.db.xtuples}
-        assert len(distinct) == 12 + 2
-        assert sorted(scored) == sorted(distinct)
-        for ranked, loaded in zip(chain, snapshots):
-            assert rankings_equivalent(loaded.ranking, ranked.ranking)
-            assert loaded.ranking.score is mov_ranking().score
-
-    def test_reopen_builds_each_distinct_xtuple_once(self, tmp_path, monkeypatch):
-        # Schema 4: one pass builds each distinct x-tuple once, keyed
-        # by its content-hash record.
-        root = tmp_path / "store"
-        chain = collapse_chain(6)
-        store = SnapshotStore(root, durability="none")
-        for index, ranked in enumerate(chain):
-            store.persist(f"s{index}", ranked)
-        built: List[str] = []
-        original = io.checked_xtuple
-
-        def counting(xid, *args):
-            built.append(xid)
-            return original(xid, *args)
-
-        monkeypatch.setattr(io, "checked_xtuple", counting)
-        reopened = SnapshotStore(root, durability="none")
-        views = reopened.snapshots()
-        assert len(built) == 20 + 6
-        for index, ranked in enumerate(chain):
-            assert views[f"s{index}"].db.content_hash() == reference_content_hash(
-                ranked.db
-            )
-        untouched = chain[0].db.xtuples[-1].xid
-        assert len({id(v.db.xtuple(untouched)) for v in views.values()}) == 1
-
-    def test_the_table_lives_for_one_open(self, tmp_path):
-        root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
-        for index, ranked in enumerate(collapse_chain(2)):
-            store.persist(f"s{index}", ranked)
-        first = SnapshotStore(root, durability="none").snapshots()["s0"]
-        second = SnapshotStore(root, durability="none").snapshots()["s0"]
-        assert first.db.xtuples == second.db.xtuples
-        assert not any(
-            a is b for a, b in zip(first.db.xtuples, second.db.xtuples)
-        )
+def live_objects() -> Tuple[int, int]:
+    """How many ``XTuple`` and ``ProbabilisticTuple`` objects are alive."""
+    objects = gc.get_objects()
+    return (
+        sum(1 for o in objects if type(o) is XTuple),
+        sum(1 for o in objects if type(o) is ProbabilisticTuple),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1214,7 +1197,7 @@ class TestCheckpointVerification:
         assert not checker.has_segment("s1")
         report = checker.checkpoint()
         assert report["dropped"] == 1
-        columns = io.database_columns(ranked.db)
+        columns = io.encode_structure(ranked.db)
         assert structure_loads == [columns["xids"][1], columns["tids"][1]]
 
     @pytest.mark.parametrize("parses", [True, False])
