@@ -9,11 +9,14 @@ achieving it.
 Because the knapsack DP already produces the whole optimal
 value-vs-capacity curve, the exact answer is a lookup: grow the
 capacity geometrically until the curve crosses the target, then return
-the first crossing.  A target the curve never crosses -- one the
-feasibility margin admits just above the supremum -- is refused once
-the first capacity falls short of it, when the probe ladders, folded as
-the DP adds them, fall short too: float addition is monotone, so no
-capacity's optimum exceeds that fold.  A greedy
+the first crossing.  Only a target within rounding of the supremum
+can lie above every capacity's curve -- one the feasibility margin
+admits just above it, or one the ladders' float sums fall short of.
+Such a target is refused once the first capacity falls short of it,
+when the probe ladders, folded as the DP adds them, fall short too:
+float addition is monotone, so no capacity's optimum exceeds that
+fold.  A lower target is crossed as the capacity doubles, so its
+ladders never run past the crossing capacity.  A greedy
 variant accumulates probe ladders in value-per-cost order and is
 near-optimal at a fraction of the cost.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -38,6 +41,14 @@ from repro.exceptions import InfeasibleTargetError
 #: Slack applied to feasibility checks against the theoretical supremum.
 FEASIBILITY_MARGIN = 1e-12
 
+#: Relative width of the band below the supremum whose targets the
+#: complete probe ladders' fold must confirm (:func:`_curve_limit`).
+#: The fold differs from the supremum by the rounding of its sums,
+#: about ``1e-16 / P_l`` of it for the smallest sc-probability ``P_l``:
+#: under 3e-12 for any ladder that completes within the default
+#: ``max_capacity`` (``P_l`` above 745 / 2**24).
+ROUNDING_BAND = 1e-9
+
 
 @dataclass(frozen=True)
 class InverseCleaningSolution:
@@ -48,17 +59,18 @@ class InverseCleaningSolution:
     expected_improvement: float
 
 
-def _require_feasible(problem: CleaningProblem, target_improvement: float) -> None:
-    """Raise :class:`InfeasibleTargetError` for a positive target that
-    no plan reaches even in the limit: one above the supremum by more
-    than the margin, or any when no x-tuple can be probed (a zero
-    supremum)."""
+def _require_feasible(problem: CleaningProblem, target_improvement: float) -> float:
+    """The supremum of ``problem``'s improvement.  Raise
+    :class:`InfeasibleTargetError` for a positive target that no plan
+    reaches even in the limit: one above the supremum by more than the
+    margin, or any when no x-tuple can be probed (a zero supremum)."""
     bound = improvement_upper_bound(problem)
     if target_improvement > bound + FEASIBILITY_MARGIN or bound <= 0.0:
         raise InfeasibleTargetError(
             f"target improvement {target_improvement:.6g} exceeds the "
             f"supremum {bound:.6g} achievable by cleaning every x-tuple"
         )
+    return bound
 
 
 def _curve_limit(problem: CleaningProblem, max_capacity: int) -> float:
@@ -150,9 +162,10 @@ def min_cost_plan(
         near-optimal variant.
     initial_capacity / max_capacity:
         Capacity search window for the DP curve (grown geometrically).
-        When the first capacity falls short of the target, the curve's
-        limit over the window (:func:`_curve_limit`) decides whether
-        growing it can help; a target above the limit is refused then.
+        When the first capacity falls short of a target within
+        :data:`ROUNDING_BAND` of the supremum, the curve's limit over
+        the window (:func:`_curve_limit`) decides whether growing it
+        can help; a target above the limit is refused then.
     """
     if method == "greedy":
         return min_cost_plan_greedy(problem, target_improvement)
@@ -163,10 +176,13 @@ def min_cost_plan(
         return InverseCleaningSolution(
             plan=CleaningPlan(operations={}), cost=0, expected_improvement=0.0
         )
-    _require_feasible(problem, target_improvement)
+    bound = _require_feasible(problem, target_improvement)
 
+    # Folding builds every complete ladder -- about 745 / P_l probes for
+    # an sc-probability P_l -- so only a target the curve may never
+    # cross pays for it.
+    fold = target_improvement >= bound * (1.0 - ROUNDING_BAND)
     capacity = max(1, initial_capacity)
-    limit: Optional[float] = None
     while capacity <= max_capacity:
         candidate = problem.with_budget(capacity)
         groups = build_groups(candidate)
@@ -194,10 +210,8 @@ def min_cost_plan(
                 cost=plan.total_cost(exact),
                 expected_improvement=float(exact_solution.value),
             )
-        # Folded once, and only for a target the first capacity misses:
-        # the ladders of a small sc-probability run to tens of thousands
-        # of probes before their marginal gain vanishes.
-        if limit is None:
+        if fold:
+            fold = False
             limit = _curve_limit(problem, max_capacity)
             if limit < target_improvement:
                 raise InfeasibleTargetError(

@@ -22,9 +22,10 @@ keeps its content-hash records once built.  These are a full snapshot
 segment's structure columns, so a store rebuilds a database from them
 without building an object (:func:`repro.db.io.database_from_columns`);
 the public constructor gathers them from its x-tuples' memos.  Row
-columns are arrays, not lists, so that a derivation splices them at C
-speed and the garbage collector never walks them.  The completion
-probabilities and the id maps derive from the columns on first use.  :class:`~repro.db.tuples.XTuple` and
+columns are arrays, not lists, so that a derivation splices them
+at C speed and the garbage collector never walks them.  The completion
+probabilities and the id maps derive from the columns on first use.
+:class:`~repro.db.tuples.XTuple` and
 :class:`~repro.db.tuples.ProbabilisticTuple` objects are built from
 the columns only when a caller asks for them (``xtuples``,
 ``xtuple``, ``tuple``, iteration), without re-running their
@@ -209,7 +210,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 def object_array(items: Sequence[Any]) -> np.ndarray:
     """An object array holding each of ``items`` as it is (a list or a
-    mapping stays one entry)."""
+    mapping stays one entry).  ``np.fromiter`` takes ``dtype=object``
+    from NumPy 1.23, the floor ``pyproject.toml`` declares."""
     return np.fromiter(items, dtype=object, count=len(items))
 
 
@@ -313,7 +315,12 @@ class ProbabilisticDatabase:
         #: The tuple ids are ``tids`` itself, or, given ``tid_slots``
         #: (int64, one per row), ``tids[tid_slots]``: a derivation
         #: splices the slots and shares the table of ids, where a splice
-        #: of the ids themselves would touch every ``str`` object.
+        #: of the ids themselves would touch every ``str`` object.  Only
+        #: a derivation whose rows all hold a slot -- collapses and
+        #: removals, which keep or drop ids -- shares the table; one that
+        #: brings a fresh id splices the ids and starts a new table.  So
+        #: a table never holds more ids than the database that started
+        #: it, and its descendants carry at most the ids they dropped.
         self._tid_table = _frozen(tids)
         self._tid_slots = None if tid_slots is None else _frozen(tid_slots)
         self._tids = self._tid_table if tid_slots is None else None
@@ -421,7 +428,8 @@ class ProbabilisticDatabase:
 
         The columns are spliced with Python work per edit and NumPy
         over the rest; the tuple ids as slots of this database's id
-        table, which the derived one shares.  The content-hash records
+        table, which the derived one shares, unless an edit brings a
+        fresh id (see :meth:`_adopt`).  The content-hash records
         are spliced from this database's, when it has built them, at C
         speed: one list copy plus the changed entries.  ``completion``
         is the derived database's completion column, when the caller
@@ -432,28 +440,35 @@ class ProbabilisticDatabase:
         gone = _Rows((), (), ())
         edits = sorted([*replaced.items(), *zip(removed, repeat(gone))])
         spans = [(offsets[l], offsets[l + 1], rows) for l, rows in edits]
-        # Each new row's tid is a slot of the table: the slot it held in
-        # the changed x-tuple (a collapse keeps its revealed
-        # alternative's), else a fresh slot past the table's end.
+        # Each new row takes the slot its tid held in the changed
+        # x-tuple (a collapse keeps its revealed alternative's).  A
+        # fresh tid holds no slot: then the ids themselves are spliced
+        # and start a new table (see _adopt).
         table = self._tid_table
         slots = (
             np.arange(len(table), dtype=np.int64)
             if self._tid_slots is None
             else self._tid_slots
         )
-        fresh: List[str] = []
 
-        def new_slots(lo: int, hi: int, rows: _Rows) -> np.ndarray:
+        def held_slots(lo: int, hi: int, rows: _Rows) -> List[Optional[int]]:
             held = dict(zip(self._tids_of_rows(slice(lo, hi)), slots[lo:hi].tolist()))
-            for tid in rows.tids:
-                if tid not in held:
-                    held[tid] = len(table) + len(fresh)
-                    fresh.append(tid)
-            return np.array([held[tid] for tid in rows.tids], dtype=np.int64)
+            return [held.get(tid) for tid in rows.tids]
 
-        tid_slots = _splice(slots, [(lo, hi, new_slots(lo, hi, r)) for lo, hi, r in spans])
-        if fresh:
-            table = np.concatenate([table, object_array(fresh)])
+        new_slots = [held_slots(lo, hi, rows) for lo, hi, rows in spans]
+        tid_slots: Optional[np.ndarray] = None
+        if any(None in held for held in new_slots):
+            table = _splice(
+                self.tids, [(lo, hi, object_array(r.tids)) for lo, hi, r in spans]
+            )
+        else:
+            tid_slots = _splice(
+                slots,
+                [
+                    (lo, hi, np.array(held, dtype=np.int64))
+                    for (lo, hi, _), held in zip(spans, new_slots)
+                ],
+            )
         values = _splice(self.values, [(lo, hi, column_array(r.values)) for lo, hi, r in spans])
         probabilities = _splice(
             self.probabilities, [(lo, hi, column_array(r.probabilities)) for lo, hi, r in spans]
@@ -546,23 +561,16 @@ class ProbabilisticDatabase:
         """``s_l`` of each x-tuple (float64, computed on first use): the
         sum of its probabilities clamped to one, bit for bit as
         :attr:`~repro.db.tuples.XTuple.completion_probability` computes
-        it -- ``min(1.0, math.fsum(...))``.  A database built from
-        x-tuples reads their memos; any other maps ``math.fsum`` over
-        its rows without running Python code per x-tuple."""
+        it -- ``min(1.0, math.fsum(...))`` -- mapped over its rows
+        without running Python code per x-tuple."""
         completion = self._completion
         if completion is None:
-            sums: Iterable[float]
-            if self._xtuples is not None:
-                # The x-tuples' memos, which databases sharing them fill
-                # once, hold the same clamped sums.
-                sums = [xt.completion_probability for xt in self._xtuples]
-            else:
-                probabilities = self.probabilities.tolist()
-                offsets = self.offsets.tolist()
-                sums = map(
-                    math.fsum,
-                    map(probabilities.__getitem__, map(slice, offsets, offsets[1:])),
-                )
+            probabilities = self.probabilities.tolist()
+            offsets = self.offsets.tolist()
+            sums = map(
+                math.fsum,
+                map(probabilities.__getitem__, map(slice, offsets, offsets[1:])),
+            )
             # np.minimum(1.0, s) is min(1.0, s) for every finite s.
             completion = self._completion = _frozen(
                 np.minimum(

@@ -137,8 +137,9 @@ class XTuple:
     * its canonical encoding (:meth:`encoded`): the content-hash
       record;
     * the per-alternative columns a database gathers its own columns
-      from: :attr:`tids`, :attr:`values`, :attr:`probabilities`, and
-      :attr:`completion_probability`.
+      from: :attr:`tids`, :attr:`values` and :attr:`probabilities`;
+    * :attr:`completion_probability`, which the possible-world oracles
+      read once per world (a database sums its own column).
 
     A value must therefore not be mutated after construction -- MOV's
     ``{date, rating}`` dicts included -- or the cached bytes go stale.

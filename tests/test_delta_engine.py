@@ -166,6 +166,43 @@ class TestRankedPatching:
         new_rows = [patched.rank_of(f"{xid}.n{j}") for j in range(2)]
         assert delta.window_start == min(int(old_rows[0]), *new_rows)
 
+    def test_fresh_tid_chain_keeps_each_id_table_small(self):
+        # Collapses and removals share their base's table of tuple ids;
+        # a replacement with fresh ids starts a new one.  So along a
+        # chain no table outgrows the database that started it, and the
+        # ids dropped since then are all a descendant carries.
+        from repro.db.tuples import make_xtuple
+
+        db = generate_synthetic(num_xtuples=40, seed=5)
+        ranked = db.ranked()
+        current = list(db.xtuples)
+        started = db.num_tuples
+        for step, xt in enumerate(db.xtuples[:12]):
+            xid = xt.xid
+            table = ranked.db._tid_table
+            at = next(i for i, x in enumerate(current) if x.xid == xid)
+            if step % 3 == 0:
+                replacement = make_xtuple(
+                    xid, [(f"{xid}.s{step}.{j}", 10.0 * j, 0.2) for j in range(4)]
+                )
+                ranked, _ = ranked.with_xtuple_replaced(xid, replacement)
+                current[at] = replacement
+                assert ranked.db._tid_table is not table
+                started = ranked.db.num_tuples
+            elif step % 3 == 1:
+                ranked, _ = ranked.with_xtuple_removed(xid)
+                del current[at]
+                assert ranked.db._tid_table is table
+            else:
+                collapsed = current[at].collapsed_to(current[at].alternatives[-1].tid)
+                ranked, _ = ranked.with_xtuple_replaced(xid, collapsed)
+                current[at] = collapsed
+                assert ranked.db._tid_table is table
+            assert len(ranked.db._tid_table) == started
+            assert ranked.db.num_tuples <= started
+            assert ranked.db.tids.tolist() == [t.tid for x in current for t in x]
+        _assert_ranked_equal(ranked, ProbabilisticDatabase(current).ranked())
+
     def test_delta_window_bounds(self):
         db = generate_synthetic(num_xtuples=50, seed=2)
         ranked = db.ranked()

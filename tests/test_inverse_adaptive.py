@@ -158,6 +158,39 @@ class TestInverseCleaning:
             min_cost_plan(problem, improvement_upper_bound(problem))
         assert capacities == [16]
 
+    def test_reachable_target_builds_no_ladder_past_its_crossing(
+        self, udb1, monkeypatch
+    ):
+        # S3's sc-probability 1e-5 makes its complete ladder 16.7M
+        # probes within the default window (its marginal gain underflows
+        # only after about 7.5e7).  A target well below the supremum is
+        # crossed at capacity 18, so no ladder may run past the 32 the
+        # search solved at: folding the complete ladders would take
+        # seconds and hundreds of MB.
+        import repro.cleaning.dp as dp
+
+        quality = compute_quality_tp(udb1.ranked(), 2)
+        problem = build_cleaning_problem(
+            quality,
+            {"S1": 2, "S2": 3, "S3": 1, "S4": 5},
+            {"S1": 0.8, "S2": 0.5, "S3": 1e-5, "S4": 1.0},
+            100,
+        )
+        gain = dp.marginal_gain
+        deepest = []
+
+        def recording(sc, g, j):
+            deepest.append(j)
+            assert j <= 1 << 12, "a probe ladder ran past the search"
+            return gain(sc, g, j)
+
+        monkeypatch.setattr(dp, "marginal_gain", recording)
+        capacities = self._solved_capacities(monkeypatch)
+        solution = min_cost_plan(problem, 0.7 * improvement_upper_bound(problem))
+        assert solution.cost == 18
+        assert capacities == [16, 32, 18]
+        assert max(deepest) <= max(capacities)
+
     def test_target_at_the_bound_is_reached(self, udb1):
         problem = _paper_problem(udb1)
         solution = min_cost_plan(problem, improvement_upper_bound(problem))
