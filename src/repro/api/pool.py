@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Iterator, Mapping, Optional, Set, Union
+from typing import Any, Dict, Iterator, Mapping, Optional, Set, Union
 
 from repro.core.lockcheck import (
     RANK_ADMISSION,
@@ -109,12 +109,13 @@ class SessionPool:
     retention:
         Optional :class:`~repro.store.RetentionPolicy` bounding the
         *durable* segment set.  When set (and a store is attached),
-        every durable registration triggers :meth:`sweep_store`:
-        segments beyond ``keep_last_n`` are tombstoned and reclaimed
-        by the store's two-phase GC, except pinned ids and anything
-        currently leased or warm in the session cache.  ``None`` (the
-        default) keeps every segment forever -- the pre-retention
-        behaviour, unchanged.
+        every durable registration sweeps the store in the transaction
+        that commits its segment: segments beyond ``keep_last_n`` are
+        tombstoned and reclaimed by the store's two-phase GC, except
+        pinned ids and anything currently leased or warm in the session
+        cache (:meth:`sweep_store` runs the same sweep on demand).
+        ``None`` (the default) keeps every segment forever -- the
+        pre-retention behaviour, unchanged.
     """
 
     def __init__(
@@ -248,6 +249,7 @@ class SessionPool:
         durable: Optional[bool] = None,
         base: Optional[str] = None,
         changes: Optional[Mapping[str, Optional[str]]] = None,
+        record: Optional[Dict[str, Any]] = None,
     ) -> str:
         """Register an immutable snapshot; returns its content-hash id.
 
@@ -283,6 +285,14 @@ class SessionPool:
         snapshot id costs one SHA-256 of the content: a cleaning
         outcome's hash records are spliced from its base's
         (:meth:`~repro.db.database.ProbabilisticDatabase.content_hash`).
+
+        A durable registration is one store transaction
+        (:meth:`~repro.store.SnapshotStore.persist`): ``record``, a
+        cleaning's write-ahead journal record
+        (:func:`~repro.store.clean_record`), is appended first when
+        given, then the segment commits, then the retention policy, if
+        any, sweeps the store with this pool's in-use ids -- all under
+        one hold of the store's writer lock.
         """
         ranked = db if isinstance(db, RankedDatabase) else None
         raw = ranked.db if ranked is not None else db
@@ -309,9 +319,15 @@ class SessionPool:
             # Outside the registry lock: the store lock (RANK_STORE)
             # ranks below the registry lock, and a slow disk must not
             # block unrelated leases.  The store serializes itself.
-            self.store.persist(snapshot_id, ranked, base=base, changes=changes)
-            if self.retention is not None:
-                self.sweep_store()
+            self.store.persist(
+                snapshot_id,
+                ranked,
+                base=base,
+                changes=changes,
+                record=record,
+                retention=self.retention,
+                in_use=self._in_use,
+            )
         with self._lock:
             self._check_ranking(snapshot_id, incoming)
             if self._snapshots.get(snapshot_id) is None:
@@ -464,16 +480,18 @@ class SessionPool:
     # Store retention
     # ------------------------------------------------------------------
     def sweep_store(self) -> Optional[Dict[str, object]]:
-        """Apply the retention policy to the backing store.
+        """Apply the retention policy to the backing store now.
 
         Tombstones segments beyond ``retention.keep_last_n`` (the
-        store's two-phase GC), protecting pinned ids plus every
-        snapshot currently leased or warm in the session LRU, then
+        store's two-phase GC, :meth:`~repro.store.SnapshotStore.gc`),
+        protecting pinned ids plus every snapshot currently leased or
+        warm in the session LRU, then, if it tombstoned anything,
         checkpoints the journal so reclaimed files are actually
-        unlinked.  Registered-but-cold snapshots stay servable from
-        memory for this process's lifetime; only their *durable* copy
-        is retired.  A snapshot adopted from the store and not used
-        yet has no copy in memory: collected, it becomes unknown.
+        unlinked: two store transactions.  Registered-but-cold
+        snapshots stay servable from memory for this process's
+        lifetime; only their *durable* copy is retired.  A snapshot
+        adopted from the store and not used yet has no copy in
+        memory: collected, it becomes unknown.
         Returns the GC report, or ``None`` when no store or no
         retention policy is attached.
 
@@ -485,21 +503,25 @@ class SessionPool:
         this: the store's locks rank below the registry lock, so the
         callback's registry acquisition is a legal nesting.)
 
-        Called automatically after each durable registration when a
-        retention policy is set; safe to call explicitly (the CLI's
-        ``repro store gc`` goes through the store directly).
+        A durable registration does not call this: it hands the policy
+        and the same callback to the store's transaction
+        (:meth:`register`), which sweeps under the hold that commits
+        the segment.  This is the explicit entry point; the CLI's
+        ``repro store gc`` goes through the store directly.
         """
         if self.store is None or self.retention is None:
             return None
-
-        def in_use() -> Set[str]:
-            with self._lock:
-                return set(self._leased) | set(self._sessions)
-
-        report = self.store.gc(self.retention, in_use=in_use)
+        report = self.store.gc(self.retention, in_use=self._in_use)
         if report.get("tombstoned"):
             self.store.checkpoint()
         return report
+
+    def _in_use(self) -> Set[str]:
+        """Ids GC must keep: every snapshot leased or warm in the
+        session LRU.  The store calls this under its exclusive lock
+        (its locks rank below the registry lock)."""
+        with self._lock:
+            return set(self._leased) | set(self._sessions)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

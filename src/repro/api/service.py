@@ -54,7 +54,7 @@ from repro.exceptions import (
     JournalReplayError,
 )
 from repro.queries.engine import QuerySession
-from repro.store import SnapshotStore
+from repro.store import SnapshotStore, clean_record
 
 _PLANNERS: Dict[str, type] = {
     "dp": DPCleaner,
@@ -639,17 +639,21 @@ register`), and the envelope's ``counters`` reports the store's
         ``changes`` -- is durable before the outcome segment or the
         in-memory entry exists, so a crash after the append is
         recoverable by applying the change set again.  The store
-        journals only on a base it holds durably and live
-        (:meth:`~repro.store.SnapshotStore.journal_clean`): the outcome
-        of a memory-only snapshot gets no record and persists as a
-        full segment, so a crash before that commit loses only a clean
-        nobody was told about.  The outcome registers with its base
+        journals only on a base it holds durably and live (the check
+        :meth:`~repro.store.SnapshotStore.journal_clean` makes): the
+        outcome of a memory-only snapshot gets no record and persists
+        as a full segment, so a crash before that commit loses only a
+        clean nobody was told about.  The outcome registers with its base
         and ``changes``, which lets the store persist it as a delta
-        segment.
+        segment.  The record, the segment and the retention sweep are
+        one store transaction, under one hold of the store's writer
+        lock (:meth:`~repro.store.SnapshotStore.persist`, through
+        :meth:`~repro.api.pool.SessionPool.register`).
         """
         ranked = outcome.ranked
+        record = None
         if self.store is not None and spec.durable is not False:
-            self.store.journal_clean(
+            record = clean_record(
                 snapshot_id,
                 spec.to_dict(),
                 snapshot_id_of(ranked.db),
@@ -662,6 +666,7 @@ register`), and the envelope's ``counters`` reports the store's
             durable=spec.durable,
             base=snapshot_id,
             changes=changes,
+            record=record,
         )
 
 

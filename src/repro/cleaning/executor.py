@@ -15,35 +15,37 @@ from the cleaned database (it is now certain to contribute nothing).
 
 The plan is fixed before any probe runs, and each outcome depends only
 on the rng, so :func:`execute_plan` draws every probe first and applies
-the successful ones as one change set (``{xid: collapsed x-tuple or
-None}``).  When a :class:`~repro.queries.engine.QuerySession` over the
-database is threaded through, the change set derives the cleaned
-database through the session's *ranked view* --
-``RankedDatabase.with_xtuples_changed`` -- and hands the one resulting
+the successful ones as one change set (``{xid: revealed tid or None}``),
+reading each probed x-tuple's tuple ids and probabilities off the
+database's columns: no tuple object is built.  When a
+:class:`~repro.queries.engine.QuerySession` over the database is
+threaded through, the change set derives the cleaned database through
+the session's *ranked view* -- ``RankedDatabase.derive``, the splice a
+durable change set replays through -- and hands the one resulting
 :class:`~repro.db.database.RankDelta` to ``session.derive``, so the
 cleaned view is spliced instead of re-ranked, and the derived session
 runs one fresh PSR pass when the round's quality is next read (a
 cached pass that ended above every change moves over as it is).
 Otherwise (no session, or a session over another database) the cleaned
-database is built once and any session derives cold.  The probe
+database is spliced once and any session derives cold.  The probe
 outcomes (and the rng stream) are identical either way.
 
 The outcome also carries the change set it applied in durable form,
-``{xid: revealed tid, or None for a revealed null}``, built from the
-successful probes alone: it equals
+built from the successful probes alone: it equals
 :func:`~repro.db.database.change_set` of the database and the cleaned
-database, without walking either.
+database, without walking either.  A probe that collapses an x-tuple to
+its own content (one alternative, already certain) is spliced but left
+out of it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cleaning.model import CleaningPlan, CleaningProblem
-from repro.db.database import ChangeSet, ProbabilisticDatabase, same_content
-from repro.db.tuples import XTuple
+from repro.db.database import ChangeSet, ProbabilisticDatabase, hash_record
 from repro.queries.engine import QuerySession
 
 
@@ -136,7 +138,9 @@ def execute_plan(
     """
     rng = rng or random.Random(0)
     records: List[ProbeRecord] = []
-    changes: Dict[str, Optional[XTuple]] = {}
+    # Every successful probe's outcome, as spliced, and the change set
+    # carried out, which leaves out collapses to an x-tuple's own content.
+    spliced: ChangeSet = {}
     applied: ChangeSet = {}
     cost_assigned = 0
     cost_spent = 0
@@ -159,22 +163,22 @@ def execute_plan(
         revealed_tid: Optional[str] = None
         revealed_null = False
         if succeeded:
-            xt = db.xtuple(xid)
+            tids, values, probabilities = db.rows_of(xid)
             u = rng.random()
             acc = 0.0
-            for t in xt.alternatives:
-                acc += t.probability
+            for tid, probability in zip(tids, probabilities):
+                acc += probability
                 if u < acc:
-                    revealed_tid = t.tid
+                    revealed_tid = tid
                     break
+            spliced[xid] = revealed_tid
             if revealed_tid is None:
                 revealed_null = True
-                changes[xid] = None
                 applied[xid] = None
-            else:
-                collapsed = changes[xid] = xt.collapsed_to(revealed_tid)
-                if not same_content(collapsed, xt):
-                    applied[xid] = revealed_tid
+            elif len(tids) > 1 or hash_record(
+                xid, [(revealed_tid, values[0], probabilities[0])]
+            ) != hash_record(xid, [(revealed_tid, values[0], 1.0)]):
+                applied[xid] = revealed_tid
         records.append(
             ProbeRecord(
                 xid=xid,
@@ -190,12 +194,12 @@ def execute_plan(
     # only applies when the session covers ``db``; a foreign session
     # derives cold from the cleaned database.
     outcome_session: Optional[QuerySession]
-    if changes and session is not None and session.ranked.db is db:
-        new_ranked, delta = session.ranked.with_xtuples_changed(changes)
+    if spliced and session is not None and session.ranked.db is db:
+        new_ranked, delta = session.ranked.derive(spliced)
         cleaned = new_ranked.db
         outcome_session = session.derive(new_ranked, delta=delta)
     else:
-        cleaned = db.with_xtuples_changed(changes)
+        cleaned = db.with_change_set(spliced)
         outcome_session = None if session is None else session.derive(cleaned)
     return CleaningOutcome(
         cleaned_db=cleaned,

@@ -15,10 +15,13 @@ admits just above it, or one the ladders' float sums fall short of.
 Such a target is refused once the first capacity falls short of it,
 when the probe ladders, folded as the DP adds them, fall short too:
 float addition is monotone, so no capacity's optimum exceeds that
-fold.  A lower target is crossed as the capacity doubles, so its
-ladders never run past the crossing capacity.  A greedy
-variant accumulates probe ladders in value-per-cost order and is
-near-optimal at a fraction of the cost.
+fold.  Folding is sound only when the capacity window holds every
+ladder whole, so a ladder the window would cut off with gain left --
+decided from its closed form, before any ladder is built -- refuses
+the target as beyond the window instead.  A lower target is crossed
+as the capacity doubles, so its ladders never run past the crossing
+capacity.  A greedy variant accumulates probe ladders in
+value-per-cost order and is near-optimal at a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -87,6 +90,33 @@ def _curve_limit(problem: CleaningProblem, max_capacity: int) -> float:
             cumulative += value
         limit += cumulative
     return limit
+
+
+def _window_cuts_a_ladder(
+    problem: CleaningProblem, max_capacity: int, bound: float
+) -> bool:
+    """Whether some x-tuple's probe ladder would stop at the window's
+    ``max_capacity // c_l`` probes with more than :data:`ROUNDING_BAND`
+    of the supremum ``bound`` still to gain.  Decided from the closed
+    form, without building a ladder: the gain left after ``J`` probes
+    is the tail of ``b(l, D, j) = -(1 - P_l)^(j-1) P_l g``, which sums
+    to ``-(1 - P_l)^J g``."""
+    probed = np.flatnonzero(problem.probe_mask).tolist()
+    return any(
+        -g * (1.0 - sc) ** (max_capacity // cost) > ROUNDING_BAND * bound
+        for sc, g, cost in problem.rows(probed)
+    )
+
+
+def _beyond_window(
+    problem: CleaningProblem, target_improvement: float, max_capacity: int
+) -> InfeasibleTargetError:
+    """The error of a target no capacity up to ``max_capacity`` reaches."""
+    return InfeasibleTargetError(
+        f"no plan within capacity {max_capacity} reaches improvement "
+        f"{target_improvement:.6g} (achievable in the limit: "
+        f"{improvement_upper_bound(problem):.6g}; raise max_capacity)"
+    )
 
 
 def min_cost_plan_greedy(
@@ -163,9 +193,12 @@ def min_cost_plan(
     initial_capacity / max_capacity:
         Capacity search window for the DP curve (grown geometrically).
         When the first capacity falls short of a target within
-        :data:`ROUNDING_BAND` of the supremum, the curve's limit over
-        the window (:func:`_curve_limit`) decides whether growing it
-        can help; a target above the limit is refused then.
+        :data:`ROUNDING_BAND` of the supremum, a ladder the window cuts
+        off with more than that band of gain left refuses the target
+        as beyond the window (raise ``max_capacity``); otherwise the
+        curve's limit over the window (:func:`_curve_limit`) decides
+        whether growing it can help, and a target above the limit is
+        refused then.
     """
     if method == "greedy":
         return min_cost_plan_greedy(problem, target_improvement)
@@ -212,6 +245,10 @@ def min_cost_plan(
             )
         if fold:
             fold = False
+            # A ladder the window cuts off short of its gain is the
+            # window's limit, not the curve's: refuse before folding.
+            if _window_cuts_a_ladder(problem, max_capacity, bound):
+                raise _beyond_window(problem, target_improvement, max_capacity)
             limit = _curve_limit(problem, max_capacity)
             if limit < target_improvement:
                 raise InfeasibleTargetError(
@@ -220,8 +257,4 @@ def min_cost_plan(
                     f"curve stops at {limit!r}"
                 )
         capacity *= 2
-    raise InfeasibleTargetError(
-        f"no plan within capacity {max_capacity} reaches improvement "
-        f"{target_improvement:.6g} (achievable in the limit: "
-        f"{improvement_upper_bound(problem):.6g}; raise max_capacity)"
-    )
+    raise _beyond_window(problem, target_improvement, max_capacity)

@@ -70,11 +70,13 @@ the rest.  The query engine
 changed row to decide which cached PSR passes still hold for the
 patched view.
 
-Durable state stores a cleaning outcome as its base plus a *change
-set*, ``{xid: revealed tid, or None for a revealed null}``:
-:func:`change_set` extracts it from a base and an outcome, and
-:meth:`RankedDatabase.with_change_set` applies it through the same
-splice, reading each revealed row off the base's columns.
+A cleaning's probes, and durable state, describe an outcome as its
+base plus a *change set*, ``{xid: revealed tid, or None for a revealed
+null}``: :func:`change_set` extracts it from a base and an outcome,
+and :meth:`RankedDatabase.derive` (the view and its
+:class:`RankDelta`; :meth:`RankedDatabase.with_change_set` the view
+alone) applies it through the same splice, reading each revealed row
+off the base's columns.
 """
 
 from __future__ import annotations
@@ -401,6 +403,33 @@ class ProbabilisticDatabase:
             for l, xt in replaced.items()
         }, removed
 
+    def _change_edits(
+        self, changes: Mapping[str, Optional[str]]
+    ) -> Tuple[Dict[int, _Rows], List[int]]:
+        """A change set (see :meth:`RankedDatabase.derive`) as
+        replacement rows and removals by x-tuple index, each collapse
+        read off the columns (:meth:`_collapsed`).  An unknown x-tuple
+        or tuple id, or a value that is neither a string nor ``None``,
+        raises :class:`~repro.exceptions.InvalidDatabaseError`."""
+        if not isinstance(changes, Mapping):
+            raise InvalidDatabaseError(
+                f"a change set must be a mapping, got {type(changes).__name__}"
+            )
+        replaced: Dict[int, _Rows] = {}
+        removed: List[int] = []
+        for xid, tid in changes.items():
+            if tid is not None and not isinstance(tid, str):
+                raise InvalidDatabaseError(
+                    f"change of x-tuple {xid!r} must be a tuple id or null, "
+                    f"got {tid!r}"
+                )
+            l = self.xtuple_index(xid)
+            if tid is None:
+                removed.append(l)
+            else:
+                replaced[l] = self._collapsed(l, tid)
+        return replaced, removed
+
     def _collapsed(self, l: int, tid: str) -> _Rows:
         """The rows x-tuple ``l`` keeps when a cleaning reveals its
         alternative ``tid``: that alternative alone, with probability
@@ -657,6 +686,17 @@ class ProbabilisticDatabase:
         """The tuple ids of the x-tuple ``xid``'s alternatives, in order."""
         return self._tids_at(self.xtuple_index(xid))
 
+    def rows_of(self, xid: str) -> Tuple[List[str], List[Any], List[Any]]:
+        """The tuple ids, values and probabilities of the x-tuple
+        ``xid``'s alternatives, in order, read off the columns."""
+        l = self.xtuple_index(xid)
+        lo, hi = self.offsets[l], self.offsets[l + 1]
+        return (
+            self._tids_at(l),
+            self.values[lo:hi].tolist(),
+            self.probabilities[lo:hi].tolist(),
+        )
+
     def tuple(self, tid: str) -> ProbabilisticTuple:
         """Return the tuple with identifier ``tid``."""
         try:
@@ -763,6 +803,18 @@ class ProbabilisticDatabase:
             return self
         return self._spliced(*self._edits(changes))
 
+    def with_change_set(
+        self, changes: Mapping[str, Optional[str]]
+    ) -> "ProbabilisticDatabase":
+        """Return a copy with a change set applied (see
+        :meth:`RankedDatabase.derive`), spliced from this database's
+        columns without a tuple object; ``self`` when ``changes`` is
+        empty."""
+        replaced, removed = self._change_edits(changes)
+        if not (replaced or removed):
+            return self
+        return self._spliced(replaced, removed)
+
     def with_xtuple_replaced(self, xid: str, replacement: XTuple) -> "ProbabilisticDatabase":
         """Return a copy of the database with one x-tuple swapped out."""
         return self.with_xtuples_changed({xid: replacement})
@@ -839,7 +891,8 @@ class RankDelta:
     """Where one change set -- a cleaning round's replaced and removed
     x-tuples -- first moved the ranked view's rows.
 
-    Produced by :meth:`RankedDatabase.with_xtuples_changed`; consumed by
+    Produced by :meth:`RankedDatabase.derive` and
+    :meth:`RankedDatabase.with_xtuples_changed`; consumed by
     :meth:`repro.queries.engine.QuerySession.derive`.
 
     Attributes
@@ -1212,38 +1265,32 @@ class RankedDatabase:
         """
         return self._derived(*self.db._edits(changes))
 
-    def with_change_set(self, changes: Mapping[str, Optional[str]]) -> "RankedDatabase":
-        """The ranked view of this base with a change set applied.
+    def derive(
+        self, changes: Mapping[str, Optional[str]]
+    ) -> Tuple["RankedDatabase", "RankDelta"]:
+        """The ranked view of this base with a change set applied, and
+        its :class:`RankDelta`.
 
         ``changes`` maps x-tuple ids to the revealed tuple id (the
-        x-tuple collapses to it) or to ``None`` (it is removed), as
-        :func:`change_set` returns and durable state stores it.  Each
-        collapse reads its revealed row off the database's columns and
-        keeps it with probability 1.0; the view and the database are
-        spliced as :meth:`with_xtuples_changed` splices them, and no
-        tuple object is built.  An unknown x-tuple or tuple id, or a
+        x-tuple collapses to it) or to ``None`` (it is removed), as a
+        cleaning's probes reveal them, :func:`change_set` returns them
+        and durable state stores them.  Each collapse reads its
+        revealed row off the database's columns and keeps it with
+        probability 1.0 -- also a collapse that leaves the x-tuple as
+        it was -- and the view and the database are spliced as
+        :meth:`with_xtuples_changed` splices them (:meth:`_derived`);
+        no tuple object is built.  An unknown x-tuple or tuple id, or a
         value that is neither a string nor ``None``, raises
         :class:`~repro.exceptions.InvalidDatabaseError`.
         """
-        if not isinstance(changes, Mapping):
-            raise InvalidDatabaseError(
-                f"a change set must be a mapping, got {type(changes).__name__}"
-            )
-        db = self.db
-        replaced: Dict[int, _Rows] = {}
-        removed: List[int] = []
-        for xid, tid in changes.items():
-            if tid is not None and not isinstance(tid, str):
-                raise InvalidDatabaseError(
-                    f"change of x-tuple {xid!r} must be a tuple id or null, "
-                    f"got {tid!r}"
-                )
-            l = db.xtuple_index(xid)
-            if tid is None:
-                removed.append(l)
-            else:
-                replaced[l] = db._collapsed(l, tid)
-        if not changes:
+        return self._derived(*self.db._change_edits(changes))
+
+    def with_change_set(self, changes: Mapping[str, Optional[str]]) -> "RankedDatabase":
+        """The ranked view of this base with a change set applied: the
+        view :meth:`derive` returns, or this view when ``changes`` is
+        empty."""
+        replaced, removed = self.db._change_edits(changes)
+        if not (replaced or removed):
             return self
         return self._derived(replaced, removed)[0]
 

@@ -38,6 +38,7 @@ from repro.store.store import (
     RecoveryReport,
     RetentionPolicy,
     SnapshotStore,
+    clean_record,
     require_store,
     stranded_temp_files,
     tracked_store_roots,
@@ -56,6 +57,7 @@ __all__ = [
     "RetentionPolicy",
     "SnapshotStore",
     "StoreLock",
+    "clean_record",
     "require_store",
     "stranded_temp_files",
     "tracked_store_roots",

@@ -6,10 +6,12 @@ journal writes with no mutual exclusion beyond per-process thread
 locks.  :class:`StoreLock` closes that hole with an advisory
 ``fcntl.flock`` on ``<root>/store.lock``:
 
-* **Exclusive** mode is the writer lock: recovery, ``persist``,
-  ``journal_clean``, ``checkpoint`` and ``gc`` each hold it for the
-  duration of the operation, so concurrent processes *interleave*
-  whole operations instead of corrupting each other mid-write.
+* **Exclusive** mode is the writer lock: recovery and each write
+  transaction (``persist`` -- a durable clean's record, segment and
+  retention sweep together -- or ``journal_clean``, ``checkpoint`` and
+  ``gc`` on their own) hold it for its whole duration, so concurrent
+  processes *interleave* whole transactions instead of corrupting each
+  other mid-write.
 * **Shared** mode is the reader lock: a read-only open (status
   tooling) holds it across recovery reads, excluding writers without
   excluding other readers.  ``flock`` needs no write access, so a

@@ -77,11 +77,20 @@ hammering one root therefore interleave *whole operations*; a process
 that cannot get the lock within its bounded wait sheds with the typed
 :class:`~repro.exceptions.StoreLockedError` instead of corrupting the
 directory or queueing forever.  Because the lock is taken per
-operation (not per handle lifetime), ``persist``, ``checkpoint`` and
-``gc`` re-read the journal (and, for the latter two, the segment
-directory) from disk under the lock rather than trusting this handle's
-in-memory mirror -- another process may have written between our
-operations; segment content-addressing makes ``persist`` naturally
+transaction (not per handle lifetime), another process may have
+written between two of ours, so every transaction first brings this
+handle's journal mirror up to date with a *tail read*: the handle
+remembers which journal file it last decoded and where the clean
+prefix ended, and decodes only the bytes past that offset.  It reads
+the whole journal again when another handle rewrote it (a checkpoint
+or a resurrection renames a new file into place), when the file is
+shorter than the offset, or when the bytes just before the offset are
+not the ones it read there -- the inode number alone does not tell,
+since a rewritten journal can reuse it.  Its own appends and rewrites
+move the offset, and the ids its tombstone and clean records name are
+kept beside the mirror, so no step of a durable write walks the
+journal.  GC and a checkpoint list the segment directory under the
+lock; segment content-addressing makes ``persist`` naturally
 idempotent across processes, and a tombstone a peer wrote is retired,
 not raced.
 
@@ -90,19 +99,26 @@ the journal: records whose outcome segment is durably committed and
 verified (for a delta, down its base chain) are dropped, the survivors
 are rewritten through the same atomic temp+fsync+rename routine as
 segments, and a crash at any step leaves the complete old journal or
-the complete new one.
-:meth:`SnapshotStore.maybe_checkpoint` triggers it automatically past
-``max_journal_records`` (or ``REPRO_JOURNAL_MAX_RECORDS``).
+the complete new one.  A transaction that appends a clean record
+compacts the journal itself once it holds ``max_journal_records`` (or
+``REPRO_JOURNAL_MAX_RECORDS``) records, after its segment commit, so
+the new record can drop in the same rewrite;
+:meth:`SnapshotStore.maybe_checkpoint` applies the same threshold on
+its own.
 
-**Segment GC** (:meth:`SnapshotStore.gc`) applies a
-:class:`RetentionPolicy` with a *two-phase delete*: phase one appends
-a durable ``tombstone`` journal record (the segment is logically dead;
-recovery stops loading it), phase two unlinks the file only after the
-next successful checkpoint has made the tombstone durable.  A crash
+**Segment GC** applies a :class:`RetentionPolicy` with a *two-phase
+delete*: phase one appends a durable ``tombstone`` journal record per
+victim (one fsync for the sweep's frames; the segment is logically
+dead, recovery stops loading it), phase two unlinks the file only
+after the next successful checkpoint has made the tombstone durable.
+A durable write runs both phases in its own transaction
+(:meth:`SnapshotStore.persist` with ``retention``); :meth:`SnapshotStore.gc`
+runs phase one alone.  A crash
 between the phases leaves either the pre-GC state or a durable
 tombstone whose file is swept by the next checkpoint -- never a
 half-deleted store.  Retention never collects a base that a kept delta
-is rebuilt from.  Re-persisting a tombstoned id *resurrects* it:
+is rebuilt from; GC reads which base a segment names from its header
+on disk, once per file identity.  Re-persisting a tombstoned id *resurrects* it:
 ``persist`` retires the tombstone with an atomic journal rewrite (and
 discards the dead file, which recovery skipped unverified) *before*
 committing the new segment, so an acknowledged persist can never be
@@ -110,10 +126,15 @@ unlinked by a later checkpoint or skipped by recovery.
 
 **Durability.**  ``"fsync"`` (the default) syncs every journal append
 and every segment commit, so a journal record is durable before its
-outcome segment commits; ``"none"`` skips fsyncs.  There is no group
-commit: a durable clean journals its outcome and then persists it,
-and the persist needs the record durable first, so a coalescing
-window would have nothing to coalesce.
+outcome segment commits; ``"none"`` skips fsyncs.  A durable clean is
+one transaction under one hold of the writer lock
+(:meth:`SnapshotStore.persist` with a ``record``): it appends and
+syncs the journal record (the WAL point), commits the outcome segment,
+tombstones what the retention policy collects, and compacts the
+journal when GC tombstoned something or the record threshold is
+reached.  There is no group commit across requests: the segment
+commit needs its record durable first, so a coalescing window would
+have nothing to coalesce.
 
 Fault injection: every named step of the write / read protocols calls
 :func:`repro.testing.faults.draw_disk_fault`, so the crash-atomicity
@@ -149,10 +170,12 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -191,6 +214,7 @@ from repro.store.format import (
     encode_journal_record,
     encode_segment,
     header_link,
+    last_journal_frame,
     read_header,
 )
 from repro.store.locks import StoreLock
@@ -297,6 +321,43 @@ def _apply_corruption(
     if kind == "bitflip":
         return flip_one_bit(data), False
     return data, False
+
+
+#: Segment ids a GC must keep: a collection, or a callback evaluated
+#: under the store lock when the victims are picked.
+InUse = Union[Iterable[str], Callable[[], Iterable[str]]]
+
+
+def clean_record(
+    base: str,
+    spec_payload: Mapping[str, Any],
+    outcome: str,
+    outcome_hash: str,
+    changes: Optional[Mapping[str, Optional[str]]] = None,
+) -> Dict[str, Any]:
+    """The write-ahead journal record of one executed cleaning: the
+    outcome as its ``base`` plus ``changes`` (omitted means nothing
+    changed), with the spec, the outcome's snapshot id and content
+    hash as provenance (see :meth:`SnapshotStore.journal_clean`)."""
+    return {
+        "schema": JOURNAL_SCHEMA,
+        "kind": "clean",
+        "base": base,
+        "outcome": outcome,
+        "outcome_hash": outcome_hash,
+        "spec": dict(spec_payload),
+        "changes": dict(changes or {}),
+    }
+
+
+class _JournalMark(NamedTuple):
+    """Where a handle's journal mirror ends in the file: the file's
+    (device, inode), the offset where the clean prefix ends, and the
+    prefix's last frame (``b""`` at offset 0)."""
+
+    identity: Tuple[int, int]
+    end: int
+    anchor: bytes
 
 
 @dataclass(frozen=True)
@@ -485,7 +546,19 @@ class SnapshotStore:
         #: Segments whose on-disk bytes this handle has verified: at
         #: open, at a checkpoint, or as a delta's base (see persist).
         self._verified: Set[str] = set()
+        #: The journal's clean prefix as this handle last read or
+        #: wrote it, with the ids its tombstone records name and the
+        #: ids its clean records name as base or outcome (GC protects
+        #: those), kept up to date with it.
         self._journal: List[Dict[str, Any]] = []
+        self._tombstoned: Set[str] = set()
+        self._journaled: Set[str] = set()
+        #: Where the mirror ends in the journal file, or ``None`` when
+        #: the next read must decode the whole file (see _read_journal).
+        self._journal_mark: Optional[_JournalMark] = None
+        #: Segment headers GC has read: id -> (file identity, the base
+        #: and change set the header names).
+        self._headers: Dict[str, Tuple[Tuple[int, ...], Optional[DeltaLink]]] = {}
         if mode == "readonly":
             require_store(self.root)
         else:
@@ -515,6 +588,15 @@ class SnapshotStore:
         _disk_step("lock:acquire")
         with self._file_lock.exclusive():
             self.psr_store_lock_waits = self._file_lock.waits
+            yield
+
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        """Hold the writer lock for one transaction, the journal
+        mirror brought up to date first (:meth:`_read_journal`).
+        Caller holds the thread lock; every mutation runs in one."""
+        with self._exclusive():
+            self._read_journal()
             yield
 
     @contextmanager
@@ -626,13 +708,12 @@ class SnapshotStore:
 
         Caller holds the thread lock.
         """
-        tombstoned = _tombstone_ids(self._journal)
         return [
             r
             for r in self._journal
             if r.get("kind", "clean") == "clean"
             and r.get("outcome") not in self._index
-            and r.get("outcome") not in tombstoned
+            and r.get("outcome") not in self._tombstoned
         ]
 
     def counters(self) -> Dict[str, int]:
@@ -656,7 +737,7 @@ class SnapshotStore:
                 1 for sid in snapshot_ids if self._link_of.get(sid) is not None
             )
             journal = len(self._journal)
-            tombstones = len(_tombstone_ids(self._journal))
+            tombstones = len(self._tombstoned)
             pending = [r.get("outcome") for r in self._pending_records()]
         try:
             journal_bytes = self._journal_path.stat().st_size
@@ -717,7 +798,9 @@ class SnapshotStore:
         truncated_bytes = 0
         truncate_reason = ""
         if self._journal_path.exists():
-            data = self._journal_path.read_bytes()
+            with open(self._journal_path, "rb") as f:
+                identity = _file_identity(os.fstat(f.fileno()))
+                data = f.read()
             records, clean_length, truncate_reason = decode_journal(data)
             if clean_length < len(data):
                 truncated_bytes = len(data) - clean_length
@@ -726,9 +809,12 @@ class SnapshotStore:
                         f.truncate(clean_length)
                         self._fsync_file(f)
                     self._fsync_dir(self.root)
-            self._journal = records
+            self._set_journal(records)
+            self._journal_mark = _JournalMark(
+                identity, clean_length, last_journal_frame(data, clean_length)
+            )
 
-        tombstoned = _tombstone_ids(self._journal)
+        tombstoned = self._tombstoned
         quarantined: List[Tuple[str, str]] = []
         skipped_tombstoned = 0
         # Quarantined id -> the segment its chain broke at (itself, or
@@ -1066,15 +1152,20 @@ class SnapshotStore:
         ranked: RankedDatabase,
         base: Optional[str] = None,
         changes: Optional[Mapping[str, Optional[str]]] = None,
+        record: Optional[Dict[str, Any]] = None,
+        retention: Optional[RetentionPolicy] = None,
+        in_use: InUse = (),
     ) -> bool:
-        """Durably write one snapshot segment; idempotent by id.
+        """Durably write one snapshot segment; idempotent by id.  With
+        ``record`` and ``retention``, the whole durable write -- journal
+        record, segment, retention sweep -- is one transaction.
 
-        Returns ``False`` (writing nothing) when the segment already
+        Returns ``False`` (writing no segment) when the segment already
         exists -- including when *another process* committed it
         between our operations: segments are content-addressed, so a
         same-id file holds the same snapshot, and this handle simply
         adopts it.  A *tombstoned* id is the exception: its journal
-        tombstone (from :meth:`gc`, possibly another process's) is
+        tombstone (from GC, possibly another process's) is
         first retired by an atomic journal rewrite, and any file it
         left behind is discarded rather than adopted -- recovery
         skipped it unverified and the next checkpoint was about to
@@ -1121,6 +1212,28 @@ class SnapshotStore:
         no cleanup at all, leaving the on-disk state a crash would.
         The in-memory index is updated only after the commit point, so
         a failed persist is invisible both on disk and in memory.
+
+        **One transaction.**  The bases are rebuilt first (a
+        quarantine takes the file lock); then, under one hold of the
+        writer lock, with the journal mirror brought up to date by a
+        tail read (:meth:`_read_journal`):
+
+        1. ``record`` -- a cleaning's write-ahead record
+           (:func:`clean_record`), whose base must be ``base`` -- is
+           appended and synced if that base is held, live and verified,
+           exactly as :meth:`journal_clean` appends it: the WAL point.
+           A durable clean passes one; a register and a journal replay
+           do not.
+        2. The segment commits as above, unless this handle already
+           holds the id.
+        3. With ``retention``, GC tombstones what the policy collects,
+           as :meth:`gc` does; ``in_use`` is evaluated here, under the
+           lock.
+        4. When GC tombstoned something, or the appended record brought
+           the journal to ``max_journal_records``, the journal is
+           compacted and the tombstoned files unlinked, as
+           :meth:`checkpoint` does -- once, after the segment commit, so
+           the new record can drop in the same rewrite.
         """
         self._require_writer("persist")
         descriptor = ranking_descriptor(ranked.ranking)
@@ -1132,68 +1245,91 @@ class SnapshotStore:
             )
         with self._lock:
             self._require_writer("persist")
-            if snapshot_id in self._index:
+            if record is not None and record.get("base") != base:
+                raise ValueError(
+                    f"the journal record names base {record.get('base')!r}, "
+                    f"not {base!r}"
+                )
+            if record is None and retention is None and snapshot_id in self._index:
                 return False
-            if base is not None and base in self._index:
-                # The base check below reads the base's view: rebuild
-                # it first (outside the file lock, which a quarantine
-                # takes).  A base that fails makes the outcome full.
-                try:
-                    self._materialize(base)
-                except CorruptSnapshotError:
-                    pass
-            with self._exclusive():
-                final = self._segment_path(snapshot_id)
-                # Re-read the journal from disk: a tombstone for this
-                # id (ours or another process's) decides whether an
-                # existing file is adoptable or dead.
-                records = self._read_journal_from_disk()
-                self._journal = records
-                tombstoned = _tombstone_ids(records)
-                if snapshot_id in tombstoned:
-                    self._retire_tombstone(snapshot_id, records, final)
-                    tombstoned.discard(snapshot_id)
-                elif final.exists():
-                    self._index[snapshot_id] = ranked
-                    self._link_of[snapshot_id] = _link_on_disk(final)
-                    self._refused.pop(snapshot_id, None)
-                    return False
-                _disk_step("segment:begin")
-                link = self._delta_link(
-                    ranked, descriptor, base, changes, tombstoned
+            self._rebuild_base(base)
+            with self._transaction():
+                journaled = record is not None and self._journal_locked(record)
+                written = snapshot_id not in self._index and self._commit_locked(
+                    snapshot_id, ranked, descriptor, base, changes
                 )
-                if link is not None:
-                    payload = encode_segment(
-                        snapshot_id=snapshot_id,
-                        content_hash=ranked.db.content_hash(),
-                        columns={},
-                        delta=link,
-                    )
-                else:
-                    columns = encode_structure(ranked.db)
-                    for name in CANONICAL_COLUMNS:
-                        array = getattr(ranked, name)
-                        columns[name] = (
-                            array.dtype.str,
-                            np.ascontiguousarray(array).tobytes(),
-                        )
-                    payload = encode_segment(
-                        snapshot_id=snapshot_id,
-                        content_hash=ranked.db.content_hash(),
-                        name=ranked.db.name,
-                        ranking=descriptor,
-                        columns=columns,
-                    )
-                self._replace_file(
-                    final, payload, "segment", f"segment {snapshot_id!r}"
+                swept = retention is not None and bool(
+                    self._gc_locked(retention, _resolve_in_use(in_use))["tombstoned"]
                 )
-                # New bytes: verified only once read back.
-                self._verified.discard(snapshot_id)
-                self._index[snapshot_id] = ranked
-                self._link_of[snapshot_id] = link
-                self._refused.pop(snapshot_id, None)
-                self.psr_store_writes += 1
-                return True
+                if swept or (journaled and self._journal_full()):
+                    self._checkpoint_locked()
+            return written
+
+    def _rebuild_base(self, snapshot_id: Optional[str]) -> None:
+        """Rebuild a base this handle holds, before the file lock is
+        taken (a quarantine takes it).  A base that fails is refused,
+        so the locked steps find it gone and write no record and no
+        delta on it.  Caller holds the thread lock."""
+        if snapshot_id is not None and snapshot_id in self._index:
+            try:
+                self._materialize(snapshot_id)
+            except CorruptSnapshotError:
+                pass
+
+    def _commit_locked(
+        self,
+        snapshot_id: str,
+        ranked: RankedDatabase,
+        descriptor: Mapping[str, Any],
+        base: Optional[str],
+        changes: Optional[Mapping[str, Optional[str]]],
+    ) -> bool:
+        """Commit one segment (see :meth:`persist`): retire a tombstone
+        naming the id, or adopt a file another handle committed, else
+        write a delta or full segment.  Returns whether it wrote one.
+        Caller holds both locks, the mirror up to date."""
+        final = self._segment_path(snapshot_id)
+        # A tombstone for this id (ours or another process's) decides
+        # whether an existing file is adoptable or dead.
+        if snapshot_id in self._tombstoned:
+            self._retire_tombstone(snapshot_id, final)
+        elif final.exists():
+            self._index[snapshot_id] = ranked
+            self._link_of[snapshot_id] = _link_on_disk(final)
+            self._refused.pop(snapshot_id, None)
+            return False
+        _disk_step("segment:begin")
+        link = self._delta_link(ranked, descriptor, base, changes)
+        if link is not None:
+            payload = encode_segment(
+                snapshot_id=snapshot_id,
+                content_hash=ranked.db.content_hash(),
+                columns={},
+                delta=link,
+            )
+        else:
+            columns = encode_structure(ranked.db)
+            for name in CANONICAL_COLUMNS:
+                array = getattr(ranked, name)
+                columns[name] = (
+                    array.dtype.str,
+                    np.ascontiguousarray(array).tobytes(),
+                )
+            payload = encode_segment(
+                snapshot_id=snapshot_id,
+                content_hash=ranked.db.content_hash(),
+                name=ranked.db.name,
+                ranking=descriptor,
+                columns=columns,
+            )
+        self._replace_file(final, payload, "segment", f"segment {snapshot_id!r}")
+        # New bytes: verified only once read back.
+        self._verified.discard(snapshot_id)
+        self._index[snapshot_id] = ranked
+        self._link_of[snapshot_id] = link
+        self._refused.pop(snapshot_id, None)
+        self.psr_store_writes += 1
+        return True
 
     def _delta_link(
         self,
@@ -1201,7 +1337,6 @@ class SnapshotStore:
         descriptor: Mapping[str, Any],
         base: Optional[str],
         changes: Optional[Mapping[str, Optional[str]]],
-        tombstoned: Set[str],
     ) -> Optional[DeltaLink]:
         """The link of a delta segment for ``ranked`` on ``base`` with
         ``changes``, or ``None`` when it must be written full (see
@@ -1212,7 +1347,7 @@ class SnapshotStore:
             or not isinstance(held, RankedDatabase)
             or held.db.name != ranked.db.name
             or ranking_descriptor(held.ranking) != descriptor
-            or not self._verify_once(base, tombstoned)
+            or not self._verify_once(base)
         ):
             return None
         base_link = self._link_of.get(base)
@@ -1225,9 +1360,7 @@ class SnapshotStore:
             return None
         return DeltaLink(base, depth, dict(changes))
 
-    def _verify_once(
-        self, snapshot_id: str, tombstoned: Set[str], chain: Tuple[str, ...] = ()
-    ) -> bool:
+    def _verify_once(self, snapshot_id: str, chain: Tuple[str, ...] = ()) -> bool:
         """Whether the segment is live and this handle has verified its
         bytes and its base chain, reading them at most once.
 
@@ -1235,11 +1368,11 @@ class SnapshotStore:
         segment verified before (at open, at a checkpoint, or by an
         earlier call) is not read again.  Caller holds both locks.
         """
-        if snapshot_id in tombstoned or snapshot_id in chain:
+        if snapshot_id in self._tombstoned or snapshot_id in chain:
             return False
         if snapshot_id in self._verified:
             return self._segment_path(snapshot_id).exists()
-        return self._segment_verified(snapshot_id, tombstoned, chain)
+        return self._segment_verified(snapshot_id, chain)
 
     def _forget(self, snapshot_id: str) -> None:
         """Drop a segment from this handle's index and bookkeeping."""
@@ -1255,14 +1388,18 @@ class SnapshotStore:
         outcome_hash: str,
         changes: Optional[ChangeSet] = None,
     ) -> Optional[Dict[str, Any]]:
-        """Append one cleaning outcome to the write-ahead journal.
+        """Append one cleaning outcome to the write-ahead journal, in a
+        transaction of its own.
 
-        Called *before* the outcome segment is persisted, by an
-        executed clean only -- journal replay never calls it, since
-        the record it replays already covers the outcome.  The
-        schema-2 record holds the outcome as its base plus its change
-        set (``changes``, as the clean carried it; omitted means
-        nothing changed), with ``spec_payload``,
+        The service's durable clean does not call this: it passes the
+        same record to :meth:`persist`, which appends it in the
+        transaction that commits the outcome segment.  This entry point
+        appends the record alone, for callers that persist separately
+        (tests, tooling).  Journal replay never calls either, since the
+        record it replays already covers the outcome.  The schema-2
+        record (:func:`clean_record`) holds the outcome as its base
+        plus its change set (``changes``, as the clean carried it;
+        omitted means nothing changed), with ``spec_payload``,
         ``outcome_snapshot_id`` and ``outcome_hash`` kept as
         provenance.  Once this returns the record, a crash at any
         later point is recoverable: replay applies the change set to
@@ -1275,49 +1412,52 @@ class SnapshotStore:
 
         Replay needs the base, so the record is appended only on a
         durable, live base: under the exclusive lock, against the
-        journal re-read from disk, this handle must hold the base and
-        have verified it live -- its file exists, no tombstone (ours or
-        another process's) names it, and its bytes and base chain read
-        back clean (:meth:`_verify_once`, the check :meth:`persist`
-        makes of a delta's base, so the read is not repeated there).
-        Otherwise -- a memory-only base, one GC has just collected, or
-        one whose bytes went bad -- nothing is appended and this
-        returns ``None``.  The outcome then persists as a full
-        segment, and a crash before that commit reverts to the
-        pre-state, correct for the same reason: the clean was never
+        journal mirror brought up to date, this handle must hold the
+        base and have verified it live -- its file exists, no tombstone
+        (ours or another process's) names it, and its bytes and base
+        chain read back clean (:meth:`_verify_once`, the check
+        :meth:`persist` makes of a delta's base, so the read is not
+        repeated there).  Otherwise -- a memory-only base, one GC has
+        just collected, or one whose bytes went bad -- nothing is
+        appended and this returns ``None``.  The outcome then persists
+        as a full segment, and a crash before that commit reverts to
+        the pre-state, correct for the same reason: the clean was never
         acknowledged.
 
-        Past the ``max_journal_records`` threshold the journal is
-        checkpointed automatically (:meth:`maybe_checkpoint`).
+        When the record brings the journal to the
+        ``max_journal_records`` threshold, the journal is checkpointed
+        in the same transaction.
         """
-        record = {
-            "schema": JOURNAL_SCHEMA,
-            "kind": "clean",
-            "base": base_snapshot_id,
-            "outcome": outcome_snapshot_id,
-            "outcome_hash": outcome_hash,
-            "spec": dict(spec_payload),
-            "changes": dict(changes or {}),
-        }
+        record = clean_record(
+            base_snapshot_id, spec_payload, outcome_snapshot_id, outcome_hash, changes
+        )
         with self._lock:
             self._require_writer("journal_clean")
-            try:
-                # Replay will need the base's view: it must rebuild.
-                self._materialize(base_snapshot_id)
-            except (CorruptSnapshotError, UnknownSnapshotError):
+            # Replay will need the base's view: it must rebuild.
+            self._rebuild_base(base_snapshot_id)
+            if base_snapshot_id not in self._index:
                 return None
-            with self._exclusive():
-                records = self._read_journal_from_disk()
-                self._journal = records
-                if base_snapshot_id not in self._index or not (
-                    self._verify_once(base_snapshot_id, _tombstone_ids(records))
-                ):
+            with self._transaction():
+                if not self._journal_locked(record):
                     return None
-                _disk_step("journal:begin")
-                self._append_journal_frame(record, fire_steps=True)
-                self._journal.append(record)
-        self.maybe_checkpoint()
+                if self._journal_full():
+                    self._checkpoint_locked()
         return dict(record)
+
+    def _journal_locked(self, record: Dict[str, Any]) -> bool:
+        """Append a clean record if this handle holds its base live and
+        verified (see :meth:`journal_clean`); returns whether it did.
+        Caller holds both locks, the mirror up to date."""
+        base = record.get("base")
+        if (
+            not isinstance(base, str)
+            or base not in self._index
+            or not self._verify_once(base)
+        ):
+            return False
+        _disk_step("journal:begin")
+        self._append_journal(record, fire_steps=True)
+        return True
 
     def note_replayed(self) -> None:
         """Count one journal record successfully replayed at open."""
@@ -1328,23 +1468,25 @@ class SnapshotStore:
     # Checkpoint / compaction
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, Any]:
-        """Compact the journal and finish any pending two-phase GC.
+        """Compact the journal and finish any pending two-phase GC, in a
+        transaction of its own (a durable write runs the same step in
+        its transaction; see :meth:`persist`).
 
-        Under the exclusive lock, re-reads the journal *from disk*
-        (another process may have appended), drops ``clean`` records
-        whose outcome segment is durably committed and verifies -- for
-        a delta, its own bytes plus its base chain, every base live and
-        verified; a segment this handle already verified is not read
-        again (:meth:`_verify_once`) -- or whose outcome a tombstone
-        names (it owes no replay, as :meth:`pending_cleanings` says;
-        left otherwise, it would turn pending once the tombstone is
-        retired), drops ``tombstone``
+        Under the exclusive lock, against the journal mirror brought up
+        to date (another process may have appended), drops ``clean``
+        records whose outcome segment is durably committed and verifies
+        -- for a delta, its own bytes plus its base chain, every base
+        live and verified; a segment this handle already verified is
+        not read again (:meth:`_verify_once`) -- or whose outcome a
+        tombstone names (it owes no replay, as
+        :meth:`pending_cleanings` says; left otherwise, it would turn
+        pending once the tombstone is retired), drops ``tombstone``
         records whose file is already gone, and rewrites
         the survivors atomically (temp + fsync + rename + dir fsync)
         -- a crash at any step leaves the complete old journal or the
         complete new one.  After the rewrite commits, tombstoned
-        segment files still on disk are unlinked (phase two of
-        :meth:`gc`); those tombstones drop out at the *next*
+        segment files still on disk are unlinked (phase two of the
+        two-phase delete); those tombstones drop out at the *next*
         checkpoint once their file is observed gone.
 
         Returns a report: ``compacted`` (whether a rewrite happened),
@@ -1353,27 +1495,32 @@ class SnapshotStore:
         """
         with self._lock:
             self._require_writer("checkpoint")
-            with self._exclusive():
+            with self._transaction():
                 return self._checkpoint_locked()
 
     def maybe_checkpoint(self) -> Optional[Dict[str, Any]]:
-        """Checkpoint when the journal exceeds its record threshold.
+        """Checkpoint when the journal holds ``max_journal_records``
+        records or more.
 
         A no-op (returning ``None``) when ``max_journal_records`` is
         unset or the journal is still under it.
         """
-        threshold = self.max_journal_records
-        if threshold is None:
-            return None
         with self._lock:
-            over = len(self._journal) >= threshold
-        if not over:
-            return None
+            if not self._journal_full():
+                return None
         return self.checkpoint()
 
+    def _journal_full(self) -> bool:
+        """Whether the mirror has reached ``max_journal_records``."""
+        threshold = self.max_journal_records
+        return threshold is not None and len(self._journal) >= threshold
+
     def _checkpoint_locked(self) -> Dict[str, Any]:
-        records = self._read_journal_from_disk()
-        tombstoned = _tombstone_ids(records)
+        """Compact the journal and unlink tombstoned files (see
+        :meth:`checkpoint`).  Caller holds both locks, the mirror up to
+        date."""
+        records = self._journal
+        tombstoned = self._tombstoned
         surviving: List[Dict[str, Any]] = []
         dropped = 0
         for record in records:
@@ -1385,7 +1532,7 @@ class SnapshotStore:
                 # collected its outcome, and crashed before the segment,
                 # leaves such a record, and it was never acknowledged.
                 if isinstance(outcome, str) and (
-                    outcome in tombstoned or self._verify_once(outcome, tombstoned)
+                    outcome in tombstoned or self._verify_once(outcome)
                 ):
                     dropped += 1
                 else:
@@ -1406,10 +1553,8 @@ class SnapshotStore:
         compacted = dropped > 0
         if compacted:
             _disk_step("checkpoint:begin")
-            payload = encode_journal(surviving)
-            self._replace_file(self._journal_path, payload, "checkpoint", "the journal")
+            self._rewrite_journal(surviving, "checkpoint")
             self.psr_store_compactions += 1
-        self._journal = surviving
         # Phase two of the two-phase delete: every surviving tombstone
         # is durable in the journal that just committed (or already
         # was), so its file is now safe to unlink.
@@ -1445,13 +1590,15 @@ class SnapshotStore:
             "journal_bytes": journal_bytes,
         }
 
-    def _replace_file(self, final: Path, payload: bytes, steps: str, what: str) -> None:
+    def _replace_file(
+        self, final: Path, payload: bytes, steps: str, what: str
+    ) -> bytes:
         """Atomically replace ``final`` with ``payload``: write a
         ``.tmp-*`` sibling, fsync it, rename it over ``final`` -- the
         commit point -- and fsync the directory.  Segment commits and
         journal rewrites (checkpoints, resurrections) all go through
         here, so a crash at any step leaves the complete old file or the
-        complete new one.
+        complete new one.  Returns the bytes written.
 
         Fires the ``<steps>:payload``, ``:written``, ``:synced``,
         ``:renamed`` and ``:committed`` fault steps; the caller fires
@@ -1485,13 +1632,12 @@ class SnapshotStore:
         if crash_after:
             raise SimulatedCrashError(f"injected torn write of {what}")
         _disk_step(steps + ":committed")
+        return payload
 
-    def _retire_tombstone(
-        self, snapshot_id: str, records: List[Dict[str, Any]], final: Path
-    ) -> None:
+    def _retire_tombstone(self, snapshot_id: str, final: Path) -> None:
         """Durably resurrect a tombstoned id so it can be re-persisted.
 
-        Without this, ``persist`` after :meth:`gc` would silently lose
+        Without this, ``persist`` after GC would silently lose
         an acknowledged write: the surviving tombstone makes recovery
         skip the id, and the next checkpoint -- seeing tombstone plus
         file -- would unlink the freshly written segment.  A file the
@@ -1519,21 +1665,16 @@ class SnapshotStore:
             self._fsync_dir(self._segments_dir)
         surviving = [
             record
-            for record in records
+            for record in self._journal
             if not (
                 record.get("kind") == "tombstone"
                 and record.get("segment") == snapshot_id
             )
         ]
         _disk_step("resurrect:begin")
-        self._replace_file(
-            self._journal_path, encode_journal(surviving), "resurrect", "the journal"
-        )
-        self._journal = surviving
+        self._rewrite_journal(surviving, "resurrect")
 
-    def _segment_verified(
-        self, snapshot_id: str, tombstoned: Set[str], chain: Tuple[str, ...] = ()
-    ) -> bool:
+    def _segment_verified(self, snapshot_id: str, chain: Tuple[str, ...] = ()) -> bool:
         """Whether the segment file is committed and decodes cleanly.
 
         Reads the file.  The digest, CRCs, header, framing and id are
@@ -1565,7 +1706,7 @@ class SnapshotStore:
             ):
                 return False
             if link is not None:
-                if not self._verify_once(link.base, tombstoned, chain + (snapshot_id,)):
+                if not self._verify_once(link.base, chain + (snapshot_id,)):
                     return False
             elif held is None or segment.header["schema"] != SCHEMA_VERSION:
                 check_json(segment)
@@ -1581,12 +1722,16 @@ class SnapshotStore:
     def gc(
         self,
         policy: Optional[RetentionPolicy] = None,
-        in_use: Union[Iterable[str], Callable[[], Iterable[str]]] = (),
+        in_use: InUse = (),
     ) -> Dict[str, Any]:
-        """Tombstone live segments beyond the retention policy.
+        """Tombstone live segments beyond the retention policy, in a
+        transaction of its own (a durable write with a retention policy
+        runs the same step, then the checkpoint, in its transaction;
+        see :meth:`persist`).
 
-        Phase one of the two-phase delete: each victim gets a durable
-        ``tombstone`` journal record and drops from :meth:`snapshots`;
+        Phase one of the two-phase delete: each victim gets a
+        ``tombstone`` journal record (the sweep's frames share one
+        fsync) and drops from :meth:`snapshots`;
         the file is unlinked only by the *next* successful
         :meth:`checkpoint` (which also retires the tombstone once the
         file is gone).  Protected and never collected: ``in_use`` ids
@@ -1599,7 +1744,9 @@ class SnapshotStore:
         is rebuilt from its base on first use, so collecting the base would
         lose the delta.  Which base a live segment names is read from
         its header on disk, under the lock, so the deltas of another
-        process are protected too.  Victims are tombstoned deltas
+        process are protected too; the handle reads a header again only
+        when the file's identity (device, inode, size, modification
+        time) changed since it last read it.  Victims are tombstoned deltas
         before their bases, so a GC that crashes between two tombstone
         appends leaves every live delta's base live.
 
@@ -1616,42 +1763,33 @@ class SnapshotStore:
         """
         with self._lock:
             self._require_writer("gc")
-            with self._exclusive():
-                resolved = in_use() if callable(in_use) else in_use
-                if isinstance(resolved, str):
-                    raise TypeError(
-                        f"in_use must be a collection of snapshot ids, not "
-                        f"the string {resolved!r}"
-                    )
-                return self._gc_locked(policy, frozenset(resolved))
+            with self._transaction():
+                return self._gc_locked(policy, _resolve_in_use(in_use))
 
     def _gc_locked(
-        self, policy: Optional[RetentionPolicy], in_use: frozenset
+        self, policy: Optional[RetentionPolicy], in_use: FrozenSet[str]
     ) -> Dict[str, Any]:
-        records = self._read_journal_from_disk()
-        self._journal = records
-        tombstoned = _tombstone_ids(records)
-        protected: Set[str] = set(in_use)
+        """Tombstone what ``policy`` collects (see :meth:`gc`).  Caller
+        holds both locks, the mirror up to date."""
+        protected: Set[str] = set(in_use) | self._journaled
         if policy is not None:
             protected.update(policy.pinned)
-        for record in records:
-            if record.get("kind", "clean") == "clean":
-                for key in ("base", "outcome"):
-                    value = record.get(key)
-                    if isinstance(value, str):
-                        protected.add(value)
-        entries: List[Tuple[float, str]] = []
-        for path in sorted(self._segments_dir.glob("*" + SEGMENT_SUFFIX)):
-            segment_id = path.name[: -len(SEGMENT_SUFFIX)]
-            if segment_id in tombstoned:
-                continue
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue
-            entries.append((mtime, segment_id))
-        entries.sort()
-        live = [segment_id for _, segment_id in entries]
+        # One listing of segments/; each file's stat gives its age and
+        # the identity its cached header is checked against.
+        files: Dict[str, os.stat_result] = {}
+        with os.scandir(self._segments_dir) as listing:
+            for entry in listing:
+                if entry.name.endswith(SEGMENT_SUFFIX):
+                    try:
+                        files[entry.name[: -len(SEGMENT_SUFFIX)]] = entry.stat()
+                    except OSError:
+                        continue
+        for gone in self._headers.keys() - files.keys():
+            del self._headers[gone]
+        live = sorted(
+            (sid for sid in files if sid not in self._tombstoned),
+            key=lambda sid: (files[sid].st_mtime, sid),
+        )
         keep_n = policy.keep_last_n if policy is not None else None
         if keep_n is None:
             victims: List[str] = []
@@ -1661,7 +1799,7 @@ class SnapshotStore:
             # Every base a survivor needs, transitively.
             stack = list(keep)
             while stack:
-                link = _link_on_disk(self._segment_path(stack.pop()))
+                link = self._header_link(stack.pop(), files)
                 if link is not None and link.base not in keep:
                     keep.add(link.base)
                     protected.add(link.base)
@@ -1671,7 +1809,7 @@ class SnapshotStore:
             ]
             # A delta is tombstoned before its base, so a crash between
             # two appends never leaves a live delta on a tombstoned base.
-            links = {v: _link_on_disk(self._segment_path(v)) for v in victims}
+            links = {v: self._header_link(v, files) for v in victims}
 
             def depth(segment_id: str) -> int:
                 n, link = 0, links[segment_id]
@@ -1682,35 +1820,61 @@ class SnapshotStore:
             victims.sort(key=depth, reverse=True)
         for segment_id in victims:
             _disk_step("gc:tombstone")
-            record = {
-                "schema": JOURNAL_SCHEMA,
-                "kind": "tombstone",
-                "segment": segment_id,
-            }
-            self._append_journal_frame(record, fire_steps=False)
-            self._journal.append(record)
+            self._append_journal(
+                {"schema": JOURNAL_SCHEMA, "kind": "tombstone", "segment": segment_id},
+                fire_steps=False,
+                sync=False,
+            )
             self._forget(segment_id)
+        if victims:
+            self._sync_journal()
         return {
             "tombstoned": victims,
             "live": [s for s in live if s not in victims],
             "protected": sorted(protected & set(live)),
         }
 
+    def _header_link(
+        self, snapshot_id: str, files: Mapping[str, os.stat_result]
+    ) -> Optional[DeltaLink]:
+        """The base and change set segment ``snapshot_id``'s header
+        names (``None`` for a full segment, or a file that is not in
+        ``files`` or whose header does not read).  The header is read
+        from disk once per file identity -- device, inode, size,
+        modification time -- and again when that identity changes.
+        Caller holds both locks."""
+        stat = files.get(snapshot_id)
+        if stat is None:
+            return None
+        identity = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        cached = self._headers.get(snapshot_id)
+        if cached is not None and cached[0] == identity:
+            return cached[1]
+        link = _link_on_disk(self._segment_path(snapshot_id))
+        self._headers[snapshot_id] = (identity, link)
+        return link
+
     # ------------------------------------------------------------------
     # Journal plumbing
     # ------------------------------------------------------------------
-    def _append_journal_frame(
-        self, record: Mapping[str, Any], fire_steps: bool
+    def _append_journal(
+        self, record: Dict[str, Any], fire_steps: bool, sync: bool = True
     ) -> None:
-        """Append one framed record; caller holds both locks.
+        """Append one framed record and take it into the mirror; caller
+        holds both locks.
 
         ``fire_steps`` enables the ``journal:*`` fault steps (the
         cleaning-append path); the tombstone path fires its own
-        ``gc:tombstone`` step instead.  An ``OSError`` mid-append
-        rolls the partial frame back out so the journal stays a clean
-        prefix of verified records.
+        ``gc:tombstone`` step instead, and syncs a sweep's frames once
+        (``sync=False``, then :meth:`_sync_journal`).  An ``OSError``
+        mid-append rolls the partial frame back out so the journal
+        stays a clean prefix of verified records.  The mark moves past
+        a frame appended intact where the mirror ended; any other
+        append (after a torn tail, or a corrupted frame) clears it, so
+        the next read decodes the whole file.
         """
-        frame = encode_journal_record(record)
+        intact = encode_journal_record(record)
+        frame = intact
         crash_after = False
         if fire_steps:
             directive = _disk_step("journal:payload")
@@ -1729,7 +1893,8 @@ class SnapshotStore:
                 f.flush()
                 if fire_steps:
                     _disk_step("journal:written")
-                self._fsync_file(f)
+                if sync:
+                    self._fsync_file(f)
             except OSError as exc:
                 try:
                     f.truncate(start)
@@ -1739,27 +1904,127 @@ class SnapshotStore:
                 raise StoreWriteError(
                     f"could not append journal record: {exc}"
                 ) from exc
+            identity = _file_identity(os.fstat(f.fileno()))
         if fire_steps:
             _disk_step("journal:synced")
         if crash_after:
             raise SimulatedCrashError(
                 "injected torn append to the cleaning journal"
             )
+        mark = self._journal_mark
+        at_end = (
+            mark.identity == identity and mark.end == start
+            if mark is not None
+            else start == 0 and not self._journal
+        )
+        self._journal_mark = (
+            _JournalMark(identity, start + len(frame), frame)
+            if at_end and frame == intact
+            else None
+        )
+        self._journal.append(record)
+        self._note_records((record,))
 
-    def _read_journal_from_disk(self) -> List[Dict[str, Any]]:
-        """The clean prefix of the on-disk journal, fresh.
+    def _sync_journal(self) -> None:
+        """Fsync the journal file: the one sync of a sweep's tombstone
+        frames.  Caller holds both locks."""
+        if self.durability == "none":
+            return
+        try:
+            with open(self._journal_path, "rb") as f:
+                self._fsync_file(f)
+        except OSError as exc:
+            raise StoreWriteError(f"could not sync the journal: {exc}") from exc
 
-        ``persist``, ``journal_clean``, ``checkpoint`` and ``gc`` trust
-        this, not the in-memory mirror: between per-operation locks
-        another process may have appended records this handle never
-        saw.
+    def _rewrite_journal(self, records: List[Dict[str, Any]], steps: str) -> None:
+        """Atomically replace the journal with ``records`` (a checkpoint
+        or a resurrection, whose ``<steps>:begin`` the caller fired),
+        and the mirror with it.  Caller holds both locks."""
+        payload = encode_journal(records)
+        written = self._replace_file(self._journal_path, payload, steps, "the journal")
+        self._set_journal(records)
+        self._journal_mark = None
+        if written == payload:
+            self._journal_mark = _JournalMark(
+                _file_identity(os.stat(self._journal_path)),
+                len(payload),
+                last_journal_frame(payload, len(payload)),
+            )
+
+    def _read_journal(self) -> None:
+        """Bring the journal mirror up to date with the file on disk.
+
+        A *tail read* when the mark allows it: the file is the one the
+        mark names (device and inode), it is at least as long as the
+        mark's offset, and the bytes just before the offset are the
+        mark's last frame -- then only the bytes past the offset are
+        decoded.  Anything else -- another handle's checkpoint or
+        resurrection renamed a new file into place, which may reuse the
+        inode number; the file was cut shorter; no mark -- decodes the
+        whole file.  Either way the clean prefix ends at the first bad
+        frame, as at open, and the mark moves to its end.  Caller holds
+        both locks.
         """
         try:
-            data = self._journal_path.read_bytes()
+            with open(self._journal_path, "rb") as f:
+                stat = os.fstat(f.fileno())
+                identity = _file_identity(stat)
+                mark = self._journal_mark
+                if (
+                    mark is not None
+                    and mark.identity == identity
+                    and stat.st_size >= mark.end
+                ):
+                    anchor = mark.anchor
+                    f.seek(mark.end - len(anchor))
+                    data = f.read()
+                    if data[: len(anchor)] == anchor:
+                        tail = data[len(anchor) :]
+                        if tail:
+                            records, clean, _ = decode_journal(tail)
+                            if records:
+                                self._journal.extend(records)
+                                self._note_records(records)
+                                self._journal_mark = _JournalMark(
+                                    identity,
+                                    mark.end + clean,
+                                    last_journal_frame(tail, clean),
+                                )
+                        return
+                    f.seek(0)
+                data = f.read()
         except OSError:
-            return []
-        records, _, _ = decode_journal(data)
-        return records
+            self._set_journal([])
+            self._journal_mark = None
+            return
+        records, clean, _ = decode_journal(data)
+        self._set_journal(records)
+        self._journal_mark = _JournalMark(
+            identity, clean, last_journal_frame(data, clean)
+        )
+
+    def _set_journal(self, records: List[Dict[str, Any]]) -> None:
+        """Replace the journal mirror -- after a whole read or a
+        rewrite -- and the id sets kept with it."""
+        self._journal = records
+        self._tombstoned = set()
+        self._journaled = set()
+        self._note_records(records)
+
+    def _note_records(self, records: Iterable[Mapping[str, Any]]) -> None:
+        """Add the ids that ``records`` name to the mirror's id sets:
+        a tombstone's segment, a clean record's base and outcome."""
+        for record in records:
+            kind = record.get("kind", "clean")
+            if kind == "tombstone":
+                segment = record.get("segment")
+                if isinstance(segment, str):
+                    self._tombstoned.add(segment)
+            elif kind == "clean":
+                for key in ("base", "outcome"):
+                    value = record.get(key)
+                    if isinstance(value, str):
+                        self._journaled.add(value)
 
     # ------------------------------------------------------------------
     # Internals
@@ -1826,11 +2091,18 @@ def _link_on_disk(path: Path) -> Optional[DeltaLink]:
         return None
 
 
-def _tombstone_ids(records: Iterable[Mapping[str, Any]]) -> Set[str]:
-    """Segment ids named by tombstone records (logically deleted)."""
-    return {
-        record["segment"]
-        for record in records
-        if record.get("kind") == "tombstone"
-        and isinstance(record.get("segment"), str)
-    }
+def _resolve_in_use(in_use: InUse) -> FrozenSet[str]:
+    """The ids ``in_use`` names, calling it first if it is a callback
+    (under the store lock, at the moment GC picks its victims)."""
+    resolved = in_use() if callable(in_use) else in_use
+    if isinstance(resolved, str):
+        raise TypeError(
+            f"in_use must be a collection of snapshot ids, not "
+            f"the string {resolved!r}"
+        )
+    return frozenset(resolved)
+
+
+def _file_identity(stat: os.stat_result) -> Tuple[int, int]:
+    """A file's (device, inode)."""
+    return stat.st_dev, stat.st_ino

@@ -1,19 +1,23 @@
 """Cost contracts: how a path's work grows with the data it serves.
 
 Each row of :data:`CONTRACTS` names a path, two sizes at least 6x
-apart, a bound, and the claim the bound checks.  A path's work is the
-number of ``call`` and ``c_call`` events :func:`sys.setprofile` sees
-while it runs: a Python function call, or a C function called from
-Python code, each count one.  C code calling C code counts nothing, so
-a ``map`` over a C callable is one event however long its input,
-while a list comprehension that calls a C method per item is one
-event per item.  The bound is on the ratio of the two counts, not on
-either count, so it holds across Python versions whose absolute
-counts differ.
+apart, a bound, and the claim the bound checks.  A row's measure
+counts one kind of work at each size: the number of ``call`` and
+``c_call`` events :func:`sys.setprofile` sees while the path runs (a
+Python function call, or a C function called from Python code, each
+count one; C code calling C code counts nothing, so a ``map`` over a C
+callable is one event however long its input, while a list
+comprehension that calls a C method per item is one event per item),
+or a store's work per durable clean: journal bytes decoded, exclusive
+lock holds, fsyncs.  The bound is on the ratio of the two counts, so a
+call count holds across Python versions whose absolute counts differ;
+a row may also cap each count (``most``), where the count itself is
+the claim.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import shutil
 import sys
@@ -23,11 +27,19 @@ from typing import Callable, Dict, Optional, Tuple
 
 import pytest
 
+import repro.store.store as store_module
 from conftest import open_service
+from repro.api import SessionPool, TopKService
 from repro.api.pool import snapshot_id_of
-from repro.api.specs import QuerySpec
+from repro.api.specs import CleaningSpec, QuerySpec
 from repro.datasets.synthetic import generate_synthetic
-from repro.store import SEGMENT_SUFFIX, SnapshotStore
+from repro.store import (
+    SEGMENT_SUFFIX,
+    RetentionPolicy,
+    SnapshotStore,
+    StoreLock,
+    clean_record,
+)
 
 #: Cleanings in a reopened store's history, and how many of the last
 #: ones crashed between their journal append and their segment commit.
@@ -90,6 +102,80 @@ def open_and_answer(tmp: Path, num_xtuples: int) -> int:
     )
 
 
+def chain_step(
+    ranked, rng: random.Random, removals: int
+) -> Tuple[Dict[str, Optional[str]], object]:
+    """One cleaning's change set on ``ranked`` (two collapses, then
+    ``removals`` removals) and the outcome it derives."""
+    xids = rng.sample(ranked.xtuple_ids, 2 + removals)
+    changes: Dict[str, Optional[str]] = {
+        xid: rng.choice(ranked.db.tids_of(xid)) for xid in xids[:2]
+    }
+    changes.update((xid, None) for xid in xids[2:])
+    return changes, ranked.with_change_set(changes)
+
+
+def durable_clean_work(tmp: Path, records: int) -> Dict[str, int]:
+    """A store's work during one durable clean, after ``records``
+    earlier cleanings and with default settings (no checkpoint
+    threshold, so the journal holds every record), behind a pool whose
+    retention policy keeps every segment: journal bytes decoded,
+    exclusive lock holds and fsyncs.  Another handle commits one more
+    cleaning after the service opens, so the clean has one record it
+    has not read yet, of the same size whatever the history."""
+    root = tmp / f"history-{records}"
+    peer = SnapshotStore(root, durability="none")
+    ranked = generate_synthetic(num_xtuples=300, seed=1).ranked()
+    sid = snapshot_id_of(ranked.db)
+    peer.persist(sid, ranked)
+    rng = random.Random(2)
+    for step in range(records):
+        changes, outcome = chain_step(ranked, rng, 0)
+        outcome_id = snapshot_id_of(outcome.db)
+        assert peer.journal_clean(
+            sid, {"step": step}, outcome_id, outcome.db.content_hash(), changes
+        )
+        peer.persist(outcome_id, outcome, base=sid, changes=changes)
+        sid, ranked = outcome_id, outcome
+    service = TopKService(
+        pool=SessionPool(
+            store=SnapshotStore(root),
+            retention=RetentionPolicy(keep_last_n=10 * records),
+        )
+    )
+    changes, outcome = chain_step(ranked, rng, 1)
+    outcome_id = snapshot_id_of(outcome.db)
+    record = clean_record(sid, {}, outcome_id, outcome.db.content_hash(), changes)
+    peer.persist(outcome_id, outcome, base=sid, changes=changes, record=record)
+
+    work = {"decoded": 0, "holds": 0, "fsyncs": 0}
+    decode, acquire, fsync = store_module.decode_journal, StoreLock._acquire, os.fsync
+
+    def decoding(data):
+        work["decoded"] += len(data)
+        return decode(data)
+
+    def acquiring(lock, operation, mode):
+        work["holds"] += mode == "exclusive"
+        return acquire(lock, operation, mode)
+
+    def syncing(fd):
+        work["fsyncs"] += 1
+        return fsync(fd)
+
+    store_module.decode_journal = decoding
+    StoreLock._acquire = acquiring  # type: ignore[method-assign]
+    os.fsync = syncing
+    try:
+        result = service.clean(sid, CleaningSpec(k=10, budget=30, seed=3))
+    finally:
+        store_module.decode_journal = decode
+        StoreLock._acquire = acquire  # type: ignore[method-assign]
+        os.fsync = fsync
+    assert result.payload["new_snapshot_id"] != sid, "the clean changed nothing"
+    return work
+
+
 @dataclass(frozen=True)
 class Contract:
     path: str
@@ -97,6 +183,8 @@ class Contract:
     bound: float
     claim: str
     measure: Callable[[Path, int], int]
+    #: The most either count may be, when the count itself is claimed.
+    most: Optional[int] = None
 
 
 CONTRACTS = (
@@ -111,6 +199,38 @@ CONTRACTS = (
         ),
         measure=open_and_answer,
     ),
+    Contract(
+        path="journal bytes a durable clean decodes",
+        sizes=(16, 128),
+        bound=1.0,
+        claim=(
+            "a durable clean reads only the journal records appended since "
+            "its handle last read the file, not the journal's history"
+        ),
+        measure=lambda tmp, records: durable_clean_work(tmp, records)["decoded"],
+    ),
+    Contract(
+        path="store lock holds of a durable clean",
+        sizes=(16, 128),
+        bound=1.0,
+        claim=(
+            "a durable clean takes the store's exclusive lock once: record, "
+            "segment and retention sweep are one transaction"
+        ),
+        measure=lambda tmp, records: durable_clean_work(tmp, records)["holds"],
+        most=1,
+    ),
+    Contract(
+        path="fsyncs of a durable clean",
+        sizes=(16, 128),
+        bound=1.0,
+        claim=(
+            "a durable clean syncs its journal record, its segment and the "
+            "segment directory, whatever the store holds"
+        ),
+        measure=lambda tmp, records: durable_clean_work(tmp, records)["fsyncs"],
+        most=3,
+    ),
 )
 
 
@@ -119,8 +239,12 @@ def test_work_grows_within_its_bound(contract, tmp_path):
     small, large = contract.sizes
     assert large >= 6 * small
     counts = [contract.measure(tmp_path, size) for size in contract.sizes]
-    ratio = counts[1] / counts[0]
-    assert ratio <= contract.bound, (
-        f"{contract.path}: {counts[0]} events at {small}, {counts[1]} at "
-        f"{large} (x{ratio:.2f} > x{contract.bound}); the claim: {contract.claim}"
+    assert counts[1] <= contract.bound * counts[0], (
+        f"{contract.path}: {counts[0]} at {small}, {counts[1]} at {large} "
+        f"(more than x{contract.bound}); the claim: {contract.claim}"
     )
+    if contract.most is not None:
+        assert max(counts) <= contract.most, (
+            f"{contract.path}: {counts} at {contract.sizes}, more than "
+            f"{contract.most}; the claim: {contract.claim}"
+        )

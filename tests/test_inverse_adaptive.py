@@ -191,6 +191,32 @@ class TestInverseCleaning:
         assert capacities == [16, 32, 18]
         assert max(deepest) <= max(capacities)
 
+    def test_ladder_cut_by_the_window_is_refused_as_beyond_it(
+        self, udb1, monkeypatch
+    ):
+        # S3's sc-probability 1e-8 leaves (1 - 1e-8)**(2**24), about
+        # 85%, of its gain beyond the default window's 16.7M probes, so
+        # a target at the supremum is the window's limit, not the
+        # curve's: refused for the window, before any ladder is folded.
+        import repro.cleaning.dp as dp
+
+        quality = compute_quality_tp(udb1.ranked(), 2)
+        problem = build_cleaning_problem(
+            quality,
+            {"S1": 2, "S2": 3, "S3": 1, "S4": 5},
+            {"S1": 0.8, "S2": 0.5, "S3": 1e-8, "S4": 1.0},
+            100,
+        )
+        gain = dp.marginal_gain
+
+        def recording(sc, g, j):
+            assert j <= 1 << 12, "a probe ladder ran past the search"
+            return gain(sc, g, j)
+
+        monkeypatch.setattr(dp, "marginal_gain", recording)
+        with pytest.raises(InfeasibleTargetError, match="raise max_capacity"):
+            min_cost_plan(problem, improvement_upper_bound(problem))
+
     def test_target_at_the_bound_is_reached(self, udb1):
         problem = _paper_problem(udb1)
         solution = min_cost_plan(problem, improvement_upper_bound(problem))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -25,14 +26,27 @@ from pathlib import Path
 
 import pytest
 
+import repro.store.store as store_module
 from conftest import assert_payloads_close, open_service
+from repro.api.pool import snapshot_id_of
 from repro.api.service import TopKService
 from repro.api.specs import CleaningSpec, QuerySpec
 from repro.datasets.synthetic import generate_synthetic
 from repro.db.database import RankedDatabase
 from repro.db.ranking import by_value
-from repro.exceptions import StoreError, StoreLockedError, StoreReadOnlyError
-from repro.store import SnapshotStore, StoreLock
+from repro.exceptions import (
+    SimulatedCrashError,
+    StoreError,
+    StoreLockedError,
+    StoreReadOnlyError,
+)
+from repro.store import (
+    JOURNAL_NAME,
+    RetentionPolicy,
+    SnapshotStore,
+    StoreLock,
+    clean_record,
+)
 from repro.store.format import encode_lock_record
 from repro.store.locks import boot_nonce
 from repro.testing import FaultEvent, FaultPlan, use_faults
@@ -304,6 +318,168 @@ class TestStoreModes:
         assert status["segment_files"] == 1
         assert status["segment_bytes"] > 0
         assert status["tombstones"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Tail reads: a transaction decodes only what the journal gained since
+# its handle last read it, and reads the whole file after a rewrite
+# ---------------------------------------------------------------------------
+
+
+def durable_clean(store: SnapshotStore, base_id: str, base: RankedDatabase, seed: int):
+    """A durable clean of ``base`` (a collapse and a removal) as the
+    service runs one: record and segment in one transaction.  Returns
+    the outcome's id and view."""
+    rng = random.Random(seed)
+    collapse, removal = rng.sample(base.xtuple_ids, 2)
+    changes = {collapse: base.db.tids_of(collapse)[0], removal: None}
+    outcome = base.with_change_set(changes)
+    outcome_id = snapshot_id_of(outcome.db)
+    record = clean_record(
+        base_id, {"seed": seed}, outcome_id, outcome.db.content_hash(), changes
+    )
+    assert store.persist(
+        outcome_id, outcome, base=base_id, changes=changes, record=record
+    )
+    return outcome_id, outcome
+
+
+def on_disk(root: Path):
+    """The journal's clean prefix as a fresh read-only open reads it."""
+    return SnapshotStore(root, mode="readonly").journal_records()
+
+
+def land_in_inode(journal: Path, keep: Path) -> None:
+    """Move the journal's bytes into the file ``keep`` (a hard link to
+    the journal a handle last read) and rename it into place: a
+    rewritten journal that reuses the old inode number."""
+    data = journal.read_bytes()
+    with open(keep, "r+b") as f:
+        f.truncate(0)
+        f.write(data)
+    os.replace(keep, journal)
+
+
+class TestTailReads:
+    @staticmethod
+    def stores(tmp_path):
+        """Handle A holding a base, two spare snapshots and a durable
+        clean of the base, and handle B opened on the same root after
+        them (so it holds the clean's outcome, and journals cleans of
+        it).  Returns the root, A, B, the clean's outcome and the
+        spares' ids."""
+        root = tmp_path / "store"
+        a = SnapshotStore(root, durability="none")
+        base = ranked_db(3)
+        base_id = snapshot_id_of(base.db)
+        a.persist(base_id, base)
+        spares = []
+        for seed in (4, 5):
+            view = ranked_db(seed)
+            spares.append(snapshot_id_of(view.db))
+            a.persist(spares[-1], view)
+        outcome = durable_clean(a, base_id, base, seed=1)
+        return root, a, SnapshotStore(root, durability="none"), outcome, spares
+
+    def test_a_peer_clean_and_its_tombstones_reach_the_next_transaction(
+        self, tmp_path, monkeypatch
+    ):
+        root, a, b, (sid, view), spares = self.stores(tmp_path)
+        journal = root / JOURNAL_NAME
+        size = journal.stat().st_size
+        newest, _ = durable_clean(b, sid, view, seed=2)
+        assert sorted(b.gc(RetentionPolicy(keep_last_n=0))["tombstoned"]) == sorted(
+            spares
+        )
+        appended = journal.stat().st_size - size
+        decoded = []
+        decode = store_module.decode_journal
+
+        def decoding(data):
+            decoded.append(len(data))
+            return decode(data)
+
+        monkeypatch.setattr(store_module, "decode_journal", decoding)
+        # A's sweep must know B's record (it protects B's outcome) and
+        # B's tombstones (the spares are gone already), having decoded
+        # only the bytes B appended.
+        report = a.gc(RetentionPolicy(keep_last_n=0))
+        assert decoded == [appended]
+        assert report["tombstoned"] == []
+        assert newest in report["protected"]
+        assert a.journal_records() == on_disk(root)
+
+    @pytest.mark.parametrize("same_inode", [False, True], ids=["new", "reused"])
+    def test_a_peer_checkpoint_then_appends_is_read_whole(self, tmp_path, same_inode):
+        root, a, b, (sid, view), spares = self.stores(tmp_path)
+        journal = root / JOURNAL_NAME
+        keep = root / "journal.keep"
+        os.link(journal, keep)
+        mark = journal.stat().st_size
+        # B's checkpoint drops A's record (its outcome is committed);
+        # B's cleans then grow the new journal past A's offset.
+        assert b.checkpoint()["compacted"]
+        for seed in (2, 3):
+            sid, view = durable_clean(b, sid, view, seed)
+        assert journal.stat().st_size >= mark
+        if same_inode:
+            land_in_inode(journal, keep)
+        report = a.gc(RetentionPolicy(keep_last_n=0))
+        assert sorted(report["tombstoned"]) == sorted(spares)
+        assert sid in report["protected"]
+        assert a.journal_records() == on_disk(root)
+
+    def test_a_peer_resurrection_is_read_whole(self, tmp_path):
+        root, a, _, (sid, view), spares = self.stores(tmp_path)
+        tombstoned = a.gc(RetentionPolicy(keep_last_n=0))["tombstoned"]
+        assert sorted(tombstoned) == sorted(spares)
+        # B opens after the sweep, so it does not hold the victims:
+        # re-persisting one resurrects it (a journal rewrite), and B's
+        # clean then grows the journal past A's offset.
+        b = SnapshotStore(root, durability="none")
+        revived = tombstoned[0]
+        assert b.persist(revived, ranked_db(4 if revived == spares[0] else 5))
+        durable_clean(b, sid, view, seed=2)
+        # A's checkpoint unlinks the files of the tombstones it knows
+        # of: it must know that the revived one is gone.
+        assert a.checkpoint()["unlinked"] == [s for s in tombstoned if s != revived]
+        assert revived in SnapshotStore(root, mode="readonly").snapshot_ids()
+        assert a.journal_records() == on_disk(root)
+
+    def test_a_journal_shorter_than_the_mark_is_read_whole(self, tmp_path):
+        root, a, b, _, spares = self.stores(tmp_path)
+        assert sorted(a.gc(RetentionPolicy(keep_last_n=0))["tombstoned"]) == sorted(
+            spares
+        )
+        journal = root / JOURNAL_NAME
+        keep = root / "journal.keep"
+        os.link(journal, keep)
+        mark = journal.stat().st_size
+        # B's checkpoint drops the clean record, unlinks the spares and
+        # keeps their tombstones: a shorter journal, in A's inode.
+        assert b.checkpoint()["compacted"]
+        land_in_inode(journal, keep)
+        assert journal.stat().st_size < mark
+        report = a.checkpoint()
+        assert report["records_before"] == len(spares)
+        assert a.journal_records() == on_disk(root) == []
+
+    def test_a_torn_tail_ends_the_prefix_at_its_first_bad_frame(self, tmp_path):
+        root, a, b, (sid, view), _ = self.stores(tmp_path)
+        before = a.journal_records()
+        # B crashes mid-append, leaving a torn frame after A's offset.
+        plan = FaultPlan([FaultEvent(kind="torn", step="journal:payload")])
+        with use_faults(plan), pytest.raises(SimulatedCrashError):
+            durable_clean(b, sid, view, seed=2)
+        assert plan.drawn
+        a.gc(RetentionPolicy(keep_last_n=None))
+        assert a.journal_records() == before == on_disk(root)
+        # A record appended after the torn frame lies past the clean
+        # prefix, as at open: the next transaction reads it whole and
+        # does not see it.
+        durable_clean(a, sid, view, seed=3)
+        a.gc(RetentionPolicy(keep_last_n=None))
+        assert a.journal_records() == before == on_disk(root)
 
 
 # ---------------------------------------------------------------------------
