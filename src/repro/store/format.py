@@ -561,18 +561,6 @@ def decode_journal(
     return records, offset, ""
 
 
-def last_journal_frame(data: bytes, end: int) -> bytes:
-    """The last frame of ``data[:end]``, a run of whole journal frames
-    from offset 0 (the clean prefix :func:`decode_journal` reports);
-    ``b""`` when ``end`` is 0.  Walks the frame headers only."""
-    offset = start = 0
-    while offset < end:
-        start = offset
-        (length,) = _U32.unpack_from(data, offset)
-        offset += _U32.size * 2 + length
-    return data[start:end]
-
-
 # ---------------------------------------------------------------------------
 # Lock records
 # ---------------------------------------------------------------------------

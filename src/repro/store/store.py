@@ -80,13 +80,12 @@ directory or queueing forever.  Because the lock is taken per
 transaction (not per handle lifetime), another process may have
 written between two of ours, so every transaction first brings this
 handle's journal mirror up to date with a *tail read*: the handle
-remembers which journal file it last decoded and where the clean
+holds open the journal file it last decoded, remembers where the clean
 prefix ended, and decodes only the bytes past that offset.  It reads
 the whole journal again when another handle rewrote it (a checkpoint
-or a resurrection renames a new file into place), when the file is
-shorter than the offset, or when the bytes just before the offset are
-not the ones it read there -- the inode number alone does not tell,
-since a rewritten journal can reuse it.  Its own appends and rewrites
+or a resurrection renames a new file into place, which cannot take
+the inode number of the file the handle holds open) or when the file
+is shorter than the offset.  Its own appends and rewrites
 move the offset, and the ids its tombstone and clean records name are
 kept beside the mirror, so no step of a durable write walks the
 journal.  GC and a checkpoint list the segment directory under the
@@ -102,9 +101,7 @@ segments, and a crash at any step leaves the complete old journal or
 the complete new one.  A transaction that appends a clean record
 compacts the journal itself once it holds ``max_journal_records`` (or
 ``REPRO_JOURNAL_MAX_RECORDS``) records, after its segment commit, so
-the new record can drop in the same rewrite;
-:meth:`SnapshotStore.maybe_checkpoint` applies the same threshold on
-its own.
+the new record can drop in the same rewrite.
 
 **Segment GC** applies a :class:`RetentionPolicy` with a *two-phase
 delete*: phase one appends a durable ``tombstone`` journal record per
@@ -163,6 +160,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -214,7 +212,6 @@ from repro.store.format import (
     encode_journal_record,
     encode_segment,
     header_link,
-    last_journal_frame,
     read_header,
 )
 from repro.store.locks import StoreLock
@@ -351,13 +348,15 @@ def clean_record(
 
 
 class _JournalMark(NamedTuple):
-    """Where a handle's journal mirror ends in the file: the file's
-    (device, inode), the offset where the clean prefix ends, and the
-    prefix's last frame (``b""`` at offset 0)."""
+    """Where a handle's journal mirror ends in the file: the journal
+    file the handle last read, which it holds open as ``fd`` so that
+    no other file can take its inode number while the mark names it,
+    that file's (device, inode), and the offset where the clean prefix
+    ends."""
 
+    fd: int
     identity: Tuple[int, int]
     end: int
-    anchor: bytes
 
 
 @dataclass(frozen=True)
@@ -479,8 +478,9 @@ class SnapshotStore:
         ``REPRO_STORE_LOCK_TIMEOUT_MS`` or 10s).  Scoped request
         deadlines tighten it further.
     max_journal_records:
-        Auto-checkpoint threshold for :meth:`maybe_checkpoint`, at
-        least 1 (default: ``REPRO_JOURNAL_MAX_RECORDS``, else
+        Auto-checkpoint threshold, at least 1: a transaction that
+        appends a clean record compacts the journal once it holds this
+        many records (default: ``REPRO_JOURNAL_MAX_RECORDS``, else
         disabled).
 
     Operational counters (``psr_store_writes`` segments committed,
@@ -554,8 +554,10 @@ class SnapshotStore:
         self._tombstoned: Set[str] = set()
         self._journaled: Set[str] = set()
         #: Where the mirror ends in the journal file, or ``None`` when
-        #: the next read must decode the whole file (see _read_journal).
+        #: the next read must decode the whole file (see _read_journal),
+        #: and what closes the file the mark holds open.
         self._journal_mark: Optional[_JournalMark] = None
+        self._journal_unpin: Callable[[], Any] = lambda: None
         #: Segment headers GC has read: id -> (file identity, the base
         #: and change set the header names).
         self._headers: Dict[str, Tuple[Tuple[int, ...], Optional[DeltaLink]]] = {}
@@ -798,21 +800,14 @@ class SnapshotStore:
         truncated_bytes = 0
         truncate_reason = ""
         if self._journal_path.exists():
-            with open(self._journal_path, "rb") as f:
-                identity = _file_identity(os.fstat(f.fileno()))
-                data = f.read()
-            records, clean_length, truncate_reason = decode_journal(data)
-            if clean_length < len(data):
-                truncated_bytes = len(data) - clean_length
+            size, clean_length, truncate_reason = self._read_whole_journal()
+            if clean_length < size:
+                truncated_bytes = size - clean_length
                 if repair:
                     with open(self._journal_path, "r+b") as f:
                         f.truncate(clean_length)
                         self._fsync_file(f)
                     self._fsync_dir(self.root)
-            self._set_journal(records)
-            self._journal_mark = _JournalMark(
-                identity, clean_length, last_journal_frame(data, clean_length)
-            )
 
         tombstoned = self._tombstoned
         quarantined: List[Tuple[str, str]] = []
@@ -1498,18 +1493,6 @@ class SnapshotStore:
             with self._transaction():
                 return self._checkpoint_locked()
 
-    def maybe_checkpoint(self) -> Optional[Dict[str, Any]]:
-        """Checkpoint when the journal holds ``max_journal_records``
-        records or more.
-
-        A no-op (returning ``None``) when ``max_journal_records`` is
-        unset or the journal is still under it.
-        """
-        with self._lock:
-            if not self._journal_full():
-                return None
-        return self.checkpoint()
-
     def _journal_full(self) -> bool:
         """Whether the mirror has reached ``max_journal_records``."""
         threshold = self.max_journal_records
@@ -1869,9 +1852,10 @@ class SnapshotStore:
         (``sync=False``, then :meth:`_sync_journal`).  An ``OSError``
         mid-append rolls the partial frame back out so the journal
         stays a clean prefix of verified records.  The mark moves past
-        a frame appended intact where the mirror ended; any other
-        append (after a torn tail, or a corrupted frame) clears it, so
-        the next read decodes the whole file.
+        a frame appended intact where the mirror ended, and an append
+        that creates the journal marks it; any other append (after a
+        torn tail, or a corrupted frame) clears it, so the next read
+        decodes the whole file.
         """
         intact = encode_journal_record(record)
         frame = intact
@@ -1912,16 +1896,15 @@ class SnapshotStore:
                 "injected torn append to the cleaning journal"
             )
         mark = self._journal_mark
-        at_end = (
-            mark.identity == identity and mark.end == start
-            if mark is not None
-            else start == 0 and not self._journal
-        )
-        self._journal_mark = (
-            _JournalMark(identity, start + len(frame), frame)
-            if at_end and frame == intact
-            else None
-        )
+        end = start + len(frame)
+        if frame != intact:
+            self._unpin_journal()
+        elif mark is not None and mark.identity == identity and mark.end == start:
+            self._journal_mark = mark._replace(end=end)
+        elif mark is None and start == 0 and not self._journal:
+            self._pin_written_journal(end)
+        else:
+            self._unpin_journal()
         self._journal.append(record)
         self._note_records((record,))
 
@@ -1943,65 +1926,93 @@ class SnapshotStore:
         payload = encode_journal(records)
         written = self._replace_file(self._journal_path, payload, steps, "the journal")
         self._set_journal(records)
-        self._journal_mark = None
         if written == payload:
-            self._journal_mark = _JournalMark(
-                _file_identity(os.stat(self._journal_path)),
-                len(payload),
-                last_journal_frame(payload, len(payload)),
-            )
+            self._pin_written_journal(len(payload))
+        else:
+            self._unpin_journal()
 
     def _read_journal(self) -> None:
         """Bring the journal mirror up to date with the file on disk.
 
-        A *tail read* when the mark allows it: the file is the one the
-        mark names (device and inode), it is at least as long as the
-        mark's offset, and the bytes just before the offset are the
-        mark's last frame -- then only the bytes past the offset are
-        decoded.  Anything else -- another handle's checkpoint or
-        resurrection renamed a new file into place, which may reuse the
-        inode number; the file was cut shorter; no mark -- decodes the
-        whole file.  Either way the clean prefix ends at the first bad
-        frame, as at open, and the mark moves to its end.  Caller holds
-        both locks.
+        A *tail read* when the mark allows it: the journal file is the
+        one the mark holds open (same device and inode) and it is at
+        least as long as the mark's offset -- then only the bytes past
+        the offset are decoded.  The journal only grows in place; a
+        checkpoint or a resurrection renames a new file into place, and
+        since the handle holds the file it last read open, that inode
+        number cannot be reused for the new file, so equal numbers
+        prove the same file.  Anything else -- another handle's
+        rewrite, a file cut shorter, no mark -- decodes the whole file
+        (:meth:`_read_whole_journal`).  Either way the clean prefix
+        ends at the first bad frame, as at open, and the mark moves to
+        its end.  Caller holds both locks.
         """
         try:
-            with open(self._journal_path, "rb") as f:
-                stat = os.fstat(f.fileno())
-                identity = _file_identity(stat)
-                mark = self._journal_mark
-                if (
-                    mark is not None
-                    and mark.identity == identity
-                    and stat.st_size >= mark.end
-                ):
-                    anchor = mark.anchor
-                    f.seek(mark.end - len(anchor))
-                    data = f.read()
-                    if data[: len(anchor)] == anchor:
-                        tail = data[len(anchor) :]
-                        if tail:
-                            records, clean, _ = decode_journal(tail)
-                            if records:
-                                self._journal.extend(records)
-                                self._note_records(records)
-                                self._journal_mark = _JournalMark(
-                                    identity,
-                                    mark.end + clean,
-                                    last_journal_frame(tail, clean),
-                                )
-                        return
-                    f.seek(0)
-                data = f.read()
+            stat = os.stat(self._journal_path)
         except OSError:
-            self._set_journal([])
-            self._journal_mark = None
+            stat = None
+        mark = self._journal_mark
+        if (
+            stat is not None
+            and mark is not None
+            and mark.identity == _file_identity(stat)
+            and stat.st_size >= mark.end
+        ):
+            if stat.st_size > mark.end:
+                records, clean, _ = decode_journal(_read_from(mark.fd, mark.end))
+                if records:
+                    self._journal.extend(records)
+                    self._note_records(records)
+                    self._journal_mark = mark._replace(end=mark.end + clean)
             return
-        records, clean, _ = decode_journal(data)
+        if stat is not None:
+            try:
+                self._read_whole_journal()
+                return
+            except OSError:
+                pass
+        self._set_journal([])
+        self._unpin_journal()
+
+    def _read_whole_journal(self) -> Tuple[int, int, str]:
+        """Decode the whole journal file into the mirror and mark it
+        as read up to the end of its clean prefix (see
+        :meth:`_read_journal`).  Returns the file's size, the clean
+        prefix's length and why the prefix ends early (``""`` if it
+        does not).  Caller holds a file lock."""
+        fd = os.open(self._journal_path, os.O_RDONLY)
+        mark = self._pin_journal(fd, 0)
+        data = _read_from(fd, 0)
+        records, clean, reason = decode_journal(data)
         self._set_journal(records)
-        self._journal_mark = _JournalMark(
-            identity, clean, last_journal_frame(data, clean)
-        )
+        self._journal_mark = mark._replace(end=clean)
+        return len(data), clean, reason
+
+    def _pin_journal(self, fd: int, end: int) -> _JournalMark:
+        """Mark the journal file open as ``fd`` as read up to ``end``,
+        holding it open until the mark moves to another file (or the
+        handle is collected), and close the file the old mark held."""
+        self._unpin_journal()
+        self._journal_unpin = weakref.finalize(self, os.close, fd)
+        mark = _JournalMark(fd, _file_identity(os.fstat(fd)), end)
+        self._journal_mark = mark
+        return mark
+
+    def _pin_written_journal(self, end: int) -> None:
+        """Mark the journal file this handle just wrote, which is in
+        place under the lock, as read up to ``end``."""
+        try:
+            fd = os.open(self._journal_path, os.O_RDONLY)
+        except OSError:
+            self._unpin_journal()
+            return
+        self._pin_journal(fd, end)
+
+    def _unpin_journal(self) -> None:
+        """Clear the mark and close the file it held: the next read
+        decodes the whole journal."""
+        self._journal_mark = None
+        self._journal_unpin()
 
     def _set_journal(self, records: List[Dict[str, Any]]) -> None:
         """Replace the journal mirror -- after a whole read or a
@@ -2106,3 +2117,10 @@ def _resolve_in_use(in_use: InUse) -> FrozenSet[str]:
 def _file_identity(stat: os.stat_result) -> Tuple[int, int]:
     """A file's (device, inode)."""
     return stat.st_dev, stat.st_ino
+
+
+def _read_from(fd: int, offset: int) -> bytes:
+    """The bytes of the file open as ``fd`` from ``offset`` to its end."""
+    with open(fd, "rb", closefd=False) as f:
+        f.seek(offset)
+        return f.read()

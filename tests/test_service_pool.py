@@ -207,3 +207,46 @@ class TestRetentionSweep:
         assert report["tombstoned"] == []
         assert report["protected"] == [snap]
         assert store.has_segment(snap)
+
+    def test_lease_taken_mid_register_keeps_its_durable_segment(self, tmp_path):
+        # A durable register sweeps inside its own store transaction,
+        # which evaluates the in-use callback after the segment commit.
+        # A lease another thread takes after the register began (here:
+        # forced right after that commit) still protects its segment.
+        from repro.store import RetentionPolicy, SnapshotStore
+
+        root = tmp_path / "store"
+        store = SnapshotStore(root, durability="none")
+        pool = SessionPool(store=store)
+        snap = pool.register(generate_synthetic(num_xtuples=6, seed=1))
+        pool.retention = RetentionPolicy(keep_last_n=1)
+        leased = threading.Event()
+        release = threading.Event()
+
+        def hold_lease():
+            with pool.lease(snap):
+                leased.set()
+                release.wait(10.0)
+
+        holder = threading.Thread(target=hold_lease)
+        real_commit = store._commit_locked
+
+        def commit_then_lease(*args):
+            written = real_commit(*args)
+            holder.start()
+            assert leased.wait(10.0)
+            return written
+
+        store._commit_locked = commit_then_lease  # type: ignore[method-assign]
+        try:
+            newer = pool.register(generate_synthetic(num_xtuples=6, seed=2))
+        finally:
+            store._commit_locked = real_commit
+            release.set()
+        assert leased.is_set()
+        holder.join(10.0)
+        assert not holder.is_alive()
+
+        assert store.has_segment(snap) and store.has_segment(newer)
+        reopened = SnapshotStore(root, mode="readonly")
+        assert reopened.snapshot_ids() == sorted((snap, newer))

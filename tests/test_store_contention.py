@@ -349,15 +349,41 @@ def on_disk(root: Path):
     return SnapshotStore(root, mode="readonly").journal_records()
 
 
-def land_in_inode(journal: Path, keep: Path) -> None:
-    """Move the journal's bytes into the file ``keep`` (a hard link to
-    the journal a handle last read) and rename it into place: a
-    rewritten journal that reuses the old inode number."""
+def held_open(path: Path) -> bool:
+    """Whether this process has the file at ``path`` open (``True``
+    when its open files cannot be listed)."""
+    target = path.stat()
+    try:
+        fds = os.listdir("/dev/fd")
+    except OSError:
+        return True
+    for fd in fds:
+        try:
+            stat = os.stat(f"/dev/fd/{fd}")
+        except OSError:
+            continue
+        if (stat.st_dev, stat.st_ino) == (target.st_dev, target.st_ino):
+            return True
+    return False
+
+
+def land_in_inode(journal: Path, keep: Path) -> bool:
+    """Give the journal the inode number of ``keep``, a hard link to
+    the journal a handle read, made before a rewrite renamed another
+    file over it.  A file system may hand that number to a new file
+    once no link and no open file holds the inode (ext4 hands a freed
+    number straight back), so unless this process holds it open, the
+    journal's bytes move into it and it is renamed into place.
+    Returns whether it was; ``keep`` is gone either way."""
+    if held_open(keep):
+        keep.unlink()
+        return False
     data = journal.read_bytes()
     with open(keep, "r+b") as f:
         f.truncate(0)
         f.write(data)
     os.replace(keep, journal)
+    return True
 
 
 class TestTailReads:
@@ -422,8 +448,9 @@ class TestTailReads:
         for seed in (2, 3):
             sid, view = durable_clean(b, sid, view, seed)
         assert journal.stat().st_size >= mark
-        if same_inode:
-            land_in_inode(journal, keep)
+        # A holds the journal it read open: the rewrite cannot have
+        # its inode number.
+        assert not (same_inode and land_in_inode(journal, keep))
         report = a.gc(RetentionPolicy(keep_last_n=0))
         assert sorted(report["tombstoned"]) == sorted(spares)
         assert sid in report["protected"]
@@ -447,22 +474,61 @@ class TestTailReads:
         assert a.journal_records() == on_disk(root)
 
     def test_a_journal_shorter_than_the_mark_is_read_whole(self, tmp_path):
-        root, a, b, _, spares = self.stores(tmp_path)
+        root, a, _, _, spares = self.stores(tmp_path)
+        journal = root / JOURNAL_NAME
+        clean_only = journal.stat().st_size
         assert sorted(a.gc(RetentionPolicy(keep_last_n=0))["tombstoned"]) == sorted(
             spares
         )
+        # The journal A read loses its tombstones in place.
+        os.truncate(journal, clean_only)
+        report = a.checkpoint()
+        assert report["records_before"] == 1
+        assert report["unlinked"] == []
+        assert a.journal_records() == on_disk(root) == []
+
+    def test_a_rewrite_the_size_of_the_mark_cannot_take_its_inode(self, tmp_path):
+        # A reads [T(x), C].  B resurrects x ([C]), tombstones v and
+        # checkpoints ([T(v)]), then journals the same clean again:
+        # [T(v), C], as long as A's journal, C at A's offset.  Were the
+        # last rewrite in A's inode, A would keep T(x) and unlink x.
+        root = tmp_path / "store"
+        a = SnapshotStore(root, durability="none")
+        base = ranked_db(3)
+        base_id = snapshot_id_of(base.db)
+        a.persist(base_id, base)
+        views = {}
+        for seed in (4, 5):
+            view = ranked_db(seed)
+            views[snapshot_id_of(view.db)] = view
+            a.persist(snapshot_id_of(view.db), view)
+        x, v = sorted(views)
+        assert a.gc(RetentionPolicy(keep_last_n=0, pinned=(base_id, v)))[
+            "tombstoned"
+        ] == [x]
+        outcome_id, outcome = durable_clean(a, base_id, base, seed=1)
+        (record,) = [r for r in a.journal_records() if r["kind"] == "clean"]
         journal = root / JOURNAL_NAME
         keep = root / "journal.keep"
         os.link(journal, keep)
-        mark = journal.stat().st_size
-        # B's checkpoint drops the clean record, unlinks the spares and
-        # keeps their tombstones: a shorter journal, in A's inode.
-        assert b.checkpoint()["compacted"]
-        land_in_inode(journal, keep)
-        assert journal.stat().st_size < mark
+        size = journal.stat().st_size
+
+        b = SnapshotStore(root, durability="none")
+        assert b.persist(x, views[x])
+        assert b.gc(RetentionPolicy(keep_last_n=0, pinned=(x,)))["tombstoned"] == [v]
+        assert b.checkpoint()["unlinked"] == [v]
+        changes = record["changes"]
+        assert not b.persist(
+            outcome_id, outcome, base=base_id, changes=changes, record=record
+        )
+        assert journal.stat().st_size == size
+        assert not land_in_inode(journal, keep)
+
         report = a.checkpoint()
-        assert report["records_before"] == len(spares)
+        assert report["unlinked"] == []
+        assert (root / "segments" / (x + ".seg")).exists()
         assert a.journal_records() == on_disk(root) == []
+        assert x in SnapshotStore(root, mode="readonly").snapshot_ids()
 
     def test_a_torn_tail_ends_the_prefix_at_its_first_bad_frame(self, tmp_path):
         root, a, b, (sid, view), _ = self.stores(tmp_path)
