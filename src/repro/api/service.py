@@ -87,9 +87,9 @@ class TopKService:
         Settings of the default pool, built when ``pool`` is omitted:
         the ranking of raw registered databases (by-value when
         omitted) and, with ``store_dir``, a durable
-        :class:`~repro.store.SnapshotStore` at that directory with its
-        default ``"fsync"`` durability.  Passing either together with
-        ``pool`` raises ``ValueError``.
+        :class:`~repro.store.SnapshotStore` at that directory, with its
+        default settings.  Passing either together with ``pool`` raises
+        ``ValueError``.
 
     With a store, its recovered snapshots seed the pool, every
     registration persists before publishing, executed cleanings are

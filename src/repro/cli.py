@@ -381,7 +381,7 @@ def cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     if action == "verify":
-        store = SnapshotStore(args.dir, durability="none", mode="readonly")
+        store = SnapshotStore(args.dir, mode="readonly")
         report = store.verify()
         print(
             f"verify: {len(report['verified'])} snapshots rebuilt, "
@@ -396,7 +396,7 @@ def cmd_store(args: argparse.Namespace) -> int:
         return 1 if report["failed"] else 0
 
     if action == "status":
-        store = SnapshotStore(args.dir, durability="none", mode="readonly")
+        store = SnapshotStore(args.dir, mode="readonly")
         status = store.status()
         _print_store_status(status)
         _write_store_envelope(
@@ -406,7 +406,7 @@ def cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     require_store(args.dir)
-    store = SnapshotStore(args.dir, durability="fsync")
+    store = SnapshotStore(args.dir)
     if action == "compact":
         report = store.checkpoint()
         print(

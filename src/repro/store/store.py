@@ -44,11 +44,19 @@ hash to its header's content hash.  So corruption is *detected*, and
 detected corruption is *quarantined* -- moved aside (on an exclusive
 handle; a read-only one only refuses it) with a typed
 :class:`~repro.exceptions.CorruptSnapshotError`, never served: at
-open for a byte-level fault, at first use for a semantic one.  A delta
-whose base is missing, tombstoned, quarantined or on a cycle is
-quarantined with it, its reason naming the base: a corrupt full
-segment takes the deltas above it along, at most
-:data:`MAX_DELTA_DEPTH` links of a chain.  An open costs what its
+open for a byte-level fault, at first use for a semantic one.
+
+**Chain order.**  Every delta's header records its *depth*: its base's
+depth plus one, a full segment's being zero.  Each walk of a chain
+follows that order.  An open indexes segments by depth, so a delta is
+indexed only if its base was indexed one link lower; a delta whose
+base is missing, tombstoned, quarantined or at another depth is
+quarantined, its reason naming the base.  A corrupt full segment thus
+takes the deltas above it along, at most :data:`MAX_DELTA_DEPTH` links
+of a chain, and a forged cycle ends where the depth stops falling.  A
+check of a delta's base chain wants each base one link lower, GC
+tombstones the deepest victims first, and a refusal takes the deltas
+above a snapshot along in one pass by depth.  An open costs what its
 first requests touch, not every live snapshot, and a rebuild costs
 what the snapshot holds: a schema-4 structure becomes the database's
 own columns, and a delta a splice of its base's, with no tuple object
@@ -65,9 +73,10 @@ snapshot id and content hash against the journaled ones, and only then
 persists the outcome, appending no record of its own; a diverging
 replay writes nothing.  Schema-1 records (no change set; the committed
 fixture stores hold them) replay by re-executing the spec, which is
-deterministic given its seed.  A torn tail (crash mid-append) is
-truncated back out; the journal is the WAL, so losing an un-fsynced
-tail record merely reverts to pre-state.
+deterministic given its seed.  A torn tail (crash mid-append) is cut
+back out: by the next exclusive open, or by the next append, which
+lands where the clean prefix ends.  The journal is the WAL, so losing
+an un-fsynced tail record merely reverts to pre-state.
 
 **Multi-process safety.**  Every operation that reads or writes the
 directory holds the cross-process advisory lock
@@ -121,17 +130,16 @@ discards the dead file, which recovery skipped unverified) *before*
 committing the new segment, so an acknowledged persist can never be
 unlinked by a later checkpoint or skipped by recovery.
 
-**Durability.**  ``"fsync"`` (the default) syncs every journal append
-and every segment commit, so a journal record is durable before its
-outcome segment commits; ``"none"`` skips fsyncs.  A durable clean is
-one transaction under one hold of the writer lock
-(:meth:`SnapshotStore.persist` with a ``record``): it appends and
-syncs the journal record (the WAL point), commits the outcome segment,
-tombstones what the retention policy collects, and compacts the
-journal when GC tombstoned something or the record threshold is
-reached.  There is no group commit across requests: the segment
-commit needs its record durable first, so a coalescing window would
-have nothing to coalesce.
+**Durability.**  Every store syncs every journal append and every
+segment commit, so a journal record is durable before its outcome
+segment commits.  Every write is one transaction under one hold of the
+writer lock, starting from what the disk holds: a durable clean
+(:meth:`SnapshotStore.persist` with a ``record``) appends and syncs the
+journal record (the WAL point), commits the outcome segment, tombstones
+what the retention policy collects, and compacts the journal when GC
+tombstoned something or the record threshold is reached.  There is no
+group commit across requests: the segment commit needs its record
+durable first, so a coalescing window would have nothing to coalesce.
 
 Fault injection: every named step of the write / read protocols calls
 :func:`repro.testing.faults.draw_disk_fault`, so the crash-atomicity
@@ -452,7 +460,9 @@ class SnapshotStore:
     findings in :attr:`recovery`.  Each snapshot is rebuilt, with
     every semantic check, on first use (:meth:`load`).  Journal
     records whose outcome segment is missing surface through
-    :meth:`pending_cleanings` for the serving layer to replay.
+    :meth:`pending_cleanings` for the serving layer to replay.  Every
+    store syncs file and directory at every commit point; there is no
+    setting that skips the fsyncs.
 
     Parameters
     ----------
@@ -460,12 +470,6 @@ class SnapshotStore:
         The store directory (created if absent, by an exclusive open;
         a read-only open of a directory without ``segments/`` raises
         :class:`~repro.exceptions.StoreError` and creates nothing).
-    durability:
-        ``"fsync"`` (default) syncs file and directory at every
-        commit point -- the crash-safe mode.  ``"none"`` skips fsyncs:
-        atomic renames still give all-or-nothing *files*, but a power
-        cut may revert to pre-state; meant for tests and throwaway
-        runs.
     mode:
         ``"exclusive"`` (default) is the writer mode.  ``"readonly"``
         takes the shared lock, never repairs or mutates (status
@@ -496,15 +500,10 @@ class SnapshotStore:
     def __init__(
         self,
         root: Union[str, Path],
-        durability: str = "fsync",
         mode: str = "exclusive",
         lock_timeout_ms: Optional[float] = None,
         max_journal_records: Optional[int] = None,
     ) -> None:
-        if durability not in ("fsync", "none"):
-            raise ValueError(
-                f"durability must be 'fsync' or 'none', got {durability!r}"
-            )
         if mode not in ("exclusive", "readonly"):
             raise ValueError(
                 f"mode must be 'exclusive' or 'readonly', got {mode!r}"
@@ -515,7 +514,6 @@ class SnapshotStore:
                 f"got {max_journal_records!r}"
             )
         self.root = Path(root)
-        self.durability = durability
         self.mode = mode
         self.max_journal_records = (
             default_max_journal_records()
@@ -543,9 +541,11 @@ class SnapshotStore:
         #: Segment kind by id, for every segment this handle indexed,
         #: wrote, adopted or verified: a delta's link, ``None`` if full.
         self._link_of: Dict[str, Optional[DeltaLink]] = {}
-        #: Segments whose on-disk bytes this handle has verified: at
-        #: open, at a checkpoint, or as a delta's base (see persist).
-        self._verified: Set[str] = set()
+        #: Segments whose on-disk bytes this handle has verified -- at
+        #: open, at a checkpoint, or as a delta's base (see persist) --
+        #: with the version of the file it read (_file_version), so a
+        #: file written anew under the id is verified anew.
+        self._verified: Dict[str, Tuple[int, ...]] = {}
         #: The journal's clean prefix as this handle last read or
         #: wrote it, with the ids its tombstone records name and the
         #: ids its clean records name as base or outcome (GC protects
@@ -761,7 +761,6 @@ class SnapshotStore:
             quarantined = []  # a read-only open creates no directory
         return {
             "root": str(self.root),
-            "durability": self.durability,
             "mode": self.mode,
             "snapshots": snapshot_ids,
             "journal_records": journal,
@@ -806,8 +805,8 @@ class SnapshotStore:
                 if repair:
                     with open(self._journal_path, "r+b") as f:
                         f.truncate(clean_length)
-                        self._fsync_file(f)
-                    self._fsync_dir(self.root)
+                        os.fsync(f.fileno())
+                    _fsync_dir(self.root)
 
         tombstoned = self._tombstoned
         quarantined: List[Tuple[str, str]] = []
@@ -823,59 +822,52 @@ class SnapshotStore:
             if repair:
                 self._quarantine_file(path)
 
-        segments: Dict[str, Tuple[Path, Segment]] = {}
+        segments: Dict[str, Tuple[Path, Segment, Tuple[int, ...]]] = {}
         for path in sorted(self._segments_dir.glob("*" + SEGMENT_SUFFIX)):
             snapshot_id = path.name[: -len(SEGMENT_SUFFIX)]
             if snapshot_id in tombstoned:
                 skipped_tombstoned += 1
                 continue
             try:
-                segments[snapshot_id] = (path, self._read_segment(path))
+                version = _file_version(path.stat())
+                segments[snapshot_id] = (path, self._read_segment(path), version)
             except (CorruptSnapshotError, OSError) as exc:
                 refuse(path, str(exc))
-        # A delta is indexed once its base is: full segments first,
-        # then each delta whose base made it in.
-        deltas: Dict[str, DeltaLink] = {}
-        for snapshot_id, (_, segment) in segments.items():
+        # By depth: a delta's base, one link lower, is decided first.
+        depth = {sid: _depth(entry[1].link) for sid, entry in segments.items()}
+        indexed: Set[str] = set()
+        for sid in sorted(segments, key=lambda s: (depth[s], s)):
+            path, segment, _ = segments[sid]
             link = segment.link
-            if link is not None:
-                deltas[snapshot_id] = link
-        indexed = {sid for sid in segments if sid not in deltas}
-        while deltas:
-            ready = sorted(
-                sid for sid, link in deltas.items() if link.base not in deltas
-            )
-            if not ready:
-                # Every remaining delta waits on another: a cycle, which
-                # no writer produces; none of them can be rebuilt.
-                for sid in sorted(deltas):
-                    refuse(
-                        segments[sid][0], "segment corrupt: its base chain is cyclic"
-                    )
-                break
-            for sid in ready:
-                base = deltas.pop(sid).base
-                root = broken.get(base)
-                if root is not None:
-                    refuse(
-                        segments[sid][0],
-                        f"segment corrupt: its base {base!r} was quarantined"
-                        + ("" if root == base else f" with {root!r}"),
-                        root,
-                    )
-                elif base not in indexed:
-                    refuse(
-                        segments[sid][0],
-                        f"segment corrupt: its base {base!r} is missing or "
-                        f"tombstoned",
-                    )
-                else:
-                    indexed.add(sid)
+            if link is None:
+                indexed.add(sid)
+                continue
+            base = link.base
+            root = broken.get(base)
+            if root is not None:
+                refuse(
+                    path,
+                    f"segment corrupt: its base {base!r} was quarantined"
+                    + ("" if root == base else f" with {root!r}"),
+                    root,
+                )
+            elif base not in segments:
+                refuse(
+                    path, f"segment corrupt: its base {base!r} is missing or tombstoned"
+                )
+            elif depth[base] != depth[sid] - 1:
+                refuse(
+                    path,
+                    f"segment corrupt: it records depth {depth[sid]} but its "
+                    f"base {base!r} is at depth {depth[base]}",
+                )
+            else:
+                indexed.add(sid)
         for snapshot_id in sorted(indexed):
-            segment = segments[snapshot_id][1]
+            _, segment, version = segments[snapshot_id]
             self._index[snapshot_id] = segment
             self._link_of[snapshot_id] = segment.link
-            self._verified.add(snapshot_id)
+            self._verified[snapshot_id] = version
         return RecoveryReport(
             loaded=tuple(sorted(indexed)),
             quarantined=tuple(quarantined),
@@ -980,35 +972,21 @@ class SnapshotStore:
         delta above it, out of service: an exclusive handle moves
         their files to ``quarantine/``, a read-only one leaves them.
         Caller holds the thread lock but not the file lock."""
-        refused = [(snapshot_id, reason)]
-        doomed = {snapshot_id}
-        grown = True
-        while grown:
-            grown = False
-            for sid in sorted(self._index):
-                link = self._link_of.get(sid)
-                if sid in doomed or link is None or link.base not in doomed:
-                    continue
-                doomed.add(sid)
-                grown = True
-                refused.append(
-                    (
-                        sid,
-                        f"segment corrupt: its base {link.base!r} was "
-                        f"quarantined"
-                        + (
-                            ""
-                            if link.base == snapshot_id
-                            else f" with {snapshot_id!r}"
-                        ),
-                    )
+        refused = {snapshot_id: reason}
+        # By depth, so each delta's base is decided before it.
+        for sid in sorted(self._index, key=lambda s: (_depth(self._link_of.get(s)), s)):
+            link = self._link_of.get(sid)
+            if sid not in refused and link is not None and link.base in refused:
+                refused[sid] = (
+                    f"segment corrupt: its base {link.base!r} was quarantined"
+                    + ("" if link.base == snapshot_id else f" with {snapshot_id!r}")
                 )
-        for sid, why in refused:
+        for sid, why in refused.items():
             self._forget(sid)
             self._refused[sid] = why
         if self.mode == "exclusive":
             with self._exclusive():
-                for sid, _ in refused:
+                for sid in refused:
                     path = self._segment_path(sid)
                     if path.exists():
                         self._quarantine_file(path)
@@ -1114,8 +1092,8 @@ class SnapshotStore:
             counter += 1
             destination = self._quarantine_dir / f"{path.name}.{counter}"
         os.replace(path, destination)
-        self._fsync_dir(self._quarantine_dir)
-        self._fsync_dir(path.parent)
+        _fsync_dir(self._quarantine_dir)
+        _fsync_dir(path.parent)
         self.psr_store_quarantined += 1
         return destination.name
 
@@ -1155,12 +1133,16 @@ class SnapshotStore:
         ``record`` and ``retention``, the whole durable write -- journal
         record, segment, retention sweep -- is one transaction.
 
-        Returns ``False`` (writing no segment) when the segment already
-        exists -- including when *another process* committed it
-        between our operations: segments are content-addressed, so a
-        same-id file holds the same snapshot, and this handle simply
-        adopts it.  A *tombstoned* id is the exception: its journal
-        tombstone (from GC, possibly another process's) is
+        What to do is decided under the writer lock, from the segment
+        directory and the journal as they are then, not from what this
+        handle holds.  Returns ``False`` (writing no segment) when the
+        segment's file exists and no tombstone names it -- including
+        when *another process* committed it between our operations:
+        segments are content-addressed, so a same-id file holds the
+        same snapshot, and this handle simply adopts it.  A missing
+        file is written, even for an id this handle holds (another
+        process's GC may have collected it).  A *tombstoned* id's
+        journal tombstone (from GC, possibly another process's) is
         first retired by an atomic journal rewrite, and any file it
         left behind is discarded rather than adopted -- recovery
         skipped it unverified and the next checkpoint was about to
@@ -1208,19 +1190,18 @@ class SnapshotStore:
         The in-memory index is updated only after the commit point, so
         a failed persist is invisible both on disk and in memory.
 
-        **One transaction.**  The bases are rebuilt first (a
-        quarantine takes the file lock); then, under one hold of the
-        writer lock, with the journal mirror brought up to date by a
-        tail read (:meth:`_read_journal`):
+        **One transaction** (:meth:`_write`, which :meth:`journal_clean`
+        runs too).  The base is rebuilt first (a quarantine takes the
+        file lock); then, under one hold of the writer lock, with the
+        journal mirror brought up to date by a tail read
+        (:meth:`_read_journal`):
 
         1. ``record`` -- a cleaning's write-ahead record
            (:func:`clean_record`), whose base must be ``base`` -- is
-           appended and synced if that base is held, live and verified,
-           exactly as :meth:`journal_clean` appends it: the WAL point.
-           A durable clean passes one; a register and a journal replay
-           do not.
-        2. The segment commits as above, unless this handle already
-           holds the id.
+           appended and synced if that base is held, live and verified:
+           the WAL point.  A durable clean passes one; a register and a
+           journal replay do not.
+        2. The segment commits, or is adopted, as above.
         3. With ``retention``, GC tombstones what the policy collects,
            as :meth:`gc` does; ``in_use`` is evaluated here, under the
            lock.
@@ -1238,38 +1219,51 @@ class SnapshotStore:
                 f"descriptor; durable snapshots require a factory "
                 f"ranking (by_value / by_key / by_sum_of_keys)"
             )
+        if record is not None and record.get("base") != base:
+            raise ValueError(
+                f"the journal record names base {record.get('base')!r}, "
+                f"not {base!r}"
+            )
+        _, written = self._write(
+            base,
+            record,
+            lambda: self._commit_locked(snapshot_id, ranked, descriptor, base, changes),
+            retention,
+            in_use,
+        )
+        return written
+
+    def _write(
+        self,
+        base: Optional[str],
+        record: Optional[Dict[str, Any]],
+        commit: Optional[Callable[[], bool]] = None,
+        retention: Optional[RetentionPolicy] = None,
+        in_use: InUse = (),
+    ) -> Tuple[bool, bool]:
+        """One write transaction (see :meth:`persist`): rebuild
+        ``base`` if this handle holds it -- before the file lock, which
+        a quarantine takes, so a base that fails is found gone and gets
+        no record and no delta -- then, under the writer lock, read the
+        journal's new tail, append ``record``, run ``commit`` (a
+        segment commit), sweep with ``retention`` and compact when
+        due.  Returns whether the record was appended and whether
+        ``commit`` wrote a segment."""
         with self._lock:
-            self._require_writer("persist")
-            if record is not None and record.get("base") != base:
-                raise ValueError(
-                    f"the journal record names base {record.get('base')!r}, "
-                    f"not {base!r}"
-                )
-            if record is None and retention is None and snapshot_id in self._index:
-                return False
-            self._rebuild_base(base)
+            if base is not None and base in self._index:
+                try:
+                    self._materialize(base)
+                except CorruptSnapshotError:
+                    pass
             with self._transaction():
                 journaled = record is not None and self._journal_locked(record)
-                written = snapshot_id not in self._index and self._commit_locked(
-                    snapshot_id, ranked, descriptor, base, changes
-                )
+                written = commit is not None and commit()
                 swept = retention is not None and bool(
                     self._gc_locked(retention, _resolve_in_use(in_use))["tombstoned"]
                 )
                 if swept or (journaled and self._journal_full()):
                     self._checkpoint_locked()
-            return written
-
-    def _rebuild_base(self, snapshot_id: Optional[str]) -> None:
-        """Rebuild a base this handle holds, before the file lock is
-        taken (a quarantine takes it).  A base that fails is refused,
-        so the locked steps find it gone and write no record and no
-        delta on it.  Caller holds the thread lock."""
-        if snapshot_id is not None and snapshot_id in self._index:
-            try:
-                self._materialize(snapshot_id)
-            except CorruptSnapshotError:
-                pass
+        return journaled, written
 
     def _commit_locked(
         self,
@@ -1279,10 +1273,11 @@ class SnapshotStore:
         base: Optional[str],
         changes: Optional[Mapping[str, Optional[str]]],
     ) -> bool:
-        """Commit one segment (see :meth:`persist`): retire a tombstone
-        naming the id, or adopt a file another handle committed, else
-        write a delta or full segment.  Returns whether it wrote one.
-        Caller holds both locks, the mirror up to date."""
+        """Commit one segment (see :meth:`persist`), deciding from the
+        directory: retire a tombstone naming the id and write, adopt a
+        file that no tombstone names, or write a missing one -- a delta
+        or a full segment.  Returns whether it wrote one.  Caller holds
+        both locks, the mirror up to date."""
         final = self._segment_path(snapshot_id)
         # A tombstone for this id (ours or another process's) decides
         # whether an existing file is adoptable or dead.
@@ -1319,7 +1314,7 @@ class SnapshotStore:
             )
         self._replace_file(final, payload, "segment", f"segment {snapshot_id!r}")
         # New bytes: verified only once read back.
-        self._verified.discard(snapshot_id)
+        self._verified.pop(snapshot_id, None)
         self._index[snapshot_id] = ranked
         self._link_of[snapshot_id] = link
         self._refused.pop(snapshot_id, None)
@@ -1345,8 +1340,7 @@ class SnapshotStore:
             or not self._verify_once(base)
         ):
             return None
-        base_link = self._link_of.get(base)
-        depth = 1 + (base_link.depth if base_link is not None else 0)
+        depth = 1 + _depth(self._link_of.get(base))
         if (
             depth > MAX_DELTA_DEPTH
             or changes is None
@@ -1355,25 +1349,68 @@ class SnapshotStore:
             return None
         return DeltaLink(base, depth, dict(changes))
 
-    def _verify_once(self, snapshot_id: str, chain: Tuple[str, ...] = ()) -> bool:
+    def _verify_once(self, snapshot_id: str, depth: Optional[int] = None) -> bool:
         """Whether the segment is live and this handle has verified its
-        bytes and its base chain, reading them at most once.
+        bytes and its base chain, reading them at most once -- and,
+        with ``depth``, whether it records that depth.
 
         Live means its file exists and no tombstone names it.  A
         segment verified before (at open, at a checkpoint, or by an
-        earlier call) is not read again.  Caller holds both locks.
+        earlier call) is not read again while its file is the one read
+        then (same device, inode, size and modification time).
+        Otherwise -- also when another process collected the segment
+        and wrote it anew, maybe as the other kind -- the file is read:
+        the digest, CRCs, header, framing and id are always checked.
+        Any segment whose snapshot this handle holds rebuilt must name
+        its content hash.  A full schema-4 segment that does is not
+        parsed; every other full segment -- one this handle does not
+        hold rebuilt (another process wrote it), or a schema-1 or -2
+        one -- gets its JSON parsed
+        (:func:`~repro.store.format.check_json`).  A delta's base must
+        verify in turn, one link lower, so the walk ends however the
+        headers name each other.  A segment that verifies is
+        remembered as verified, with its kind.  Caller holds both
+        locks.
         """
-        if snapshot_id in self._tombstoned or snapshot_id in chain:
+        if snapshot_id in self._tombstoned:
             return False
-        if snapshot_id in self._verified:
-            return self._segment_path(snapshot_id).exists()
-        return self._segment_verified(snapshot_id, chain)
+        path = self._segment_path(snapshot_id)
+        try:
+            version = _file_version(path.stat())
+        except OSError:
+            return False
+        if self._verified.get(snapshot_id) == version:
+            return depth is None or _depth(self._link_of.get(snapshot_id)) == depth
+        try:
+            segment = decode_segment(path.read_bytes())
+            link = segment.link
+            if segment.header.get("snapshot_id") != snapshot_id or (
+                depth is not None and _depth(link) != depth
+            ):
+                return False
+            held = self._index.get(snapshot_id)
+            if not isinstance(held, RankedDatabase):
+                held = None
+            if held is not None and held.db.content_hash() != segment.header.get(
+                "content_hash"
+            ):
+                return False
+            if link is not None:
+                if not self._verify_once(link.base, link.depth - 1):
+                    return False
+            elif held is None or segment.header["schema"] != SCHEMA_VERSION:
+                check_json(segment)
+        except (OSError, CorruptSnapshotError):
+            return False
+        self._link_of[snapshot_id] = link
+        self._verified[snapshot_id] = version
+        return True
 
     def _forget(self, snapshot_id: str) -> None:
         """Drop a segment from this handle's index and bookkeeping."""
         self._index.pop(snapshot_id, None)
         self._link_of.pop(snapshot_id, None)
-        self._verified.discard(snapshot_id)
+        self._verified.pop(snapshot_id, None)
 
     def journal_clean(
         self,
@@ -1384,7 +1421,8 @@ class SnapshotStore:
         changes: Optional[ChangeSet] = None,
     ) -> Optional[Dict[str, Any]]:
         """Append one cleaning outcome to the write-ahead journal, in a
-        transaction of its own.
+        transaction of its own: :meth:`persist`'s transaction
+        (:meth:`_write`) with no segment and no sweep.
 
         The service's durable clean does not call this: it passes the
         same record to :meth:`persist`, which appends it in the
@@ -1401,9 +1439,10 @@ class SnapshotStore:
         the base snapshot -- no planner, no kernel -- checks the
         result's id and content hash against the record, and persists
         the outcome only if both match.  A crash *during* the append
-        leaves a torn tail the next open truncates away -- the
-        cleaning then simply never happened durably (pre-state), which
-        is correct because the caller had not yet acknowledged it.
+        leaves a torn tail that the next exclusive open, or the next
+        append, cuts away -- the cleaning then simply never happened
+        durably (pre-state), which is correct because the caller had
+        not yet acknowledged it.
 
         Replay needs the base, so the record is appended only on a
         durable, live base: under the exclusive lock, against the
@@ -1423,21 +1462,12 @@ class SnapshotStore:
         ``max_journal_records`` threshold, the journal is checkpointed
         in the same transaction.
         """
+        self._require_writer("journal_clean")
         record = clean_record(
             base_snapshot_id, spec_payload, outcome_snapshot_id, outcome_hash, changes
         )
-        with self._lock:
-            self._require_writer("journal_clean")
-            # Replay will need the base's view: it must rebuild.
-            self._rebuild_base(base_snapshot_id)
-            if base_snapshot_id not in self._index:
-                return None
-            with self._transaction():
-                if not self._journal_locked(record):
-                    return None
-                if self._journal_full():
-                    self._checkpoint_locked()
-        return dict(record)
+        journaled, _ = self._write(base_snapshot_id, record)
+        return dict(record) if journaled else None
 
     def _journal_locked(self, record: Dict[str, Any]) -> bool:
         """Append a clean record if this handle holds its base live and
@@ -1559,7 +1589,7 @@ class SnapshotStore:
             self.psr_store_gc_unlinks += 1
             unlinked.append(segment)
         if unlinked:
-            self._fsync_dir(self._segments_dir)
+            _fsync_dir(self._segments_dir)
         try:
             journal_bytes = self._journal_path.stat().st_size
         except OSError:
@@ -1601,7 +1631,7 @@ class SnapshotStore:
             with open(tmp, "wb") as f:
                 f.write(payload)
                 _disk_step(steps + ":written")
-                self._fsync_file(f)
+                os.fsync(f.fileno())
             _disk_step(steps + ":synced")
             os.replace(tmp, final)
         except OSError as exc:
@@ -1611,7 +1641,7 @@ class SnapshotStore:
                 pass
             raise StoreWriteError(f"could not write {what}: {exc}") from exc
         _disk_step(steps + ":renamed")
-        self._fsync_dir(final.parent)
+        _fsync_dir(final.parent)
         if crash_after:
             raise SimulatedCrashError(f"injected torn write of {what}")
         _disk_step(steps + ":committed")
@@ -1645,7 +1675,7 @@ class SnapshotStore:
                     f"could not discard the tombstoned segment file of "
                     f"{snapshot_id!r}: {exc}"
                 ) from exc
-            self._fsync_dir(self._segments_dir)
+            _fsync_dir(self._segments_dir)
         surviving = [
             record
             for record in self._journal
@@ -1656,48 +1686,6 @@ class SnapshotStore:
         ]
         _disk_step("resurrect:begin")
         self._rewrite_journal(surviving, "resurrect")
-
-    def _segment_verified(self, snapshot_id: str, chain: Tuple[str, ...] = ()) -> bool:
-        """Whether the segment file is committed and decodes cleanly.
-
-        Reads the file.  The digest, CRCs, header, framing and id are
-        always checked.  Any segment whose snapshot this handle holds
-        rebuilt must name its content hash.  A full schema-4 segment
-        that does is not parsed; every other full segment -- one this
-        handle does not hold rebuilt (another process wrote it), or a
-        schema-1 or -2 one -- gets its JSON parsed
-        (:func:`~repro.store.format.check_json`).  A delta's base must
-        be live and verified in turn (:meth:`_verify_once`; ``chain``
-        holds the deltas above it, so a cyclic chain fails instead of
-        recursing).  A segment that verifies is remembered as verified,
-        with its kind.  Caller holds both locks.
-        """
-        try:
-            data = self._segment_path(snapshot_id).read_bytes()
-        except OSError:
-            return False
-        try:
-            segment = decode_segment(data)
-            if segment.header.get("snapshot_id") != snapshot_id:
-                return False
-            held = self._index.get(snapshot_id)
-            if not isinstance(held, RankedDatabase):
-                held = None
-            link = segment.link
-            if held is not None and held.db.content_hash() != segment.header.get(
-                "content_hash"
-            ):
-                return False
-            if link is not None:
-                if not self._verify_once(link.base, chain + (snapshot_id,)):
-                    return False
-            elif held is None or segment.header["schema"] != SCHEMA_VERSION:
-                check_json(segment)
-        except CorruptSnapshotError:
-            return False
-        self._link_of[snapshot_id] = link
-        self._verified.add(snapshot_id)
-        return True
 
     # ------------------------------------------------------------------
     # Segment GC (phase one: tombstones)
@@ -1729,9 +1717,11 @@ class SnapshotStore:
         its header on disk, under the lock, so the deltas of another
         process are protected too; the handle reads a header again only
         when the file's identity (device, inode, size, modification
-        time) changed since it last read it.  Victims are tombstoned deltas
-        before their bases, so a GC that crashes between two tombstone
-        appends leaves every live delta's base live.
+        time) changed since it last read it.  Victims are tombstoned by
+        the depth their headers record, deepest first (in age order
+        within a depth), so deltas go before their bases and a GC that
+        crashes between two tombstone appends leaves every live delta's
+        base live.
 
         ``in_use`` may be a callable instead of an id collection; it
         is then evaluated *under the store's exclusive lock*, at the
@@ -1787,20 +1777,14 @@ class SnapshotStore:
                     keep.add(link.base)
                     protected.add(link.base)
                     stack.append(link.base)
-            victims = [
-                segment_id for segment_id in live if segment_id not in keep
-            ]
-            # A delta is tombstoned before its base, so a crash between
-            # two appends never leaves a live delta on a tombstoned base.
-            links = {v: self._header_link(v, files) for v in victims}
-
-            def depth(segment_id: str) -> int:
-                n, link = 0, links[segment_id]
-                while link is not None and link.base in links and n < len(links):
-                    n, link = n + 1, links[link.base]
-                return n
-
-            victims.sort(key=depth, reverse=True)
+            # Deepest first, so a delta is tombstoned before its base: a
+            # crash between two appends never leaves a live delta on a
+            # tombstoned base.
+            victims = sorted(
+                (segment_id for segment_id in live if segment_id not in keep),
+                key=lambda segment_id: _depth(self._header_link(segment_id, files)),
+                reverse=True,
+            )
         for segment_id in victims:
             _disk_step("gc:tombstone")
             self._append_journal(
@@ -1829,12 +1813,12 @@ class SnapshotStore:
         stat = files.get(snapshot_id)
         if stat is None:
             return None
-        identity = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        version = _file_version(stat)
         cached = self._headers.get(snapshot_id)
-        if cached is not None and cached[0] == identity:
+        if cached is not None and cached[0] == version:
             return cached[1]
         link = _link_on_disk(self._segment_path(snapshot_id))
-        self._headers[snapshot_id] = (identity, link)
+        self._headers[snapshot_id] = (version, link)
         return link
 
     # ------------------------------------------------------------------
@@ -1849,13 +1833,16 @@ class SnapshotStore:
         ``fire_steps`` enables the ``journal:*`` fault steps (the
         cleaning-append path); the tombstone path fires its own
         ``gc:tombstone`` step instead, and syncs a sweep's frames once
-        (``sync=False``, then :meth:`_sync_journal`).  An ``OSError``
-        mid-append rolls the partial frame back out so the journal
-        stays a clean prefix of verified records.  The mark moves past
-        a frame appended intact where the mirror ended, and an append
-        that creates the journal marks it; any other append (after a
-        torn tail, or a corrupted frame) clears it, so the next read
-        decodes the whole file.
+        (``sync=False``, then :meth:`_sync_journal`).
+
+        The frame lands where the mark says the clean prefix ends: a
+        torn tail past it (a peer crashed mid-append) is cut off first,
+        as an exclusive open cuts it, and the append's own fsync makes
+        the cut durable.  An ``OSError`` mid-append rolls the partial
+        frame back out so the journal stays a clean prefix of verified
+        records.  An intact frame moves the mark past it, or pins the
+        journal the append created; a corrupted frame clears the mark,
+        so the next read decodes the whole file.
         """
         intact = encode_journal_record(record)
         frame = intact
@@ -1864,6 +1851,7 @@ class SnapshotStore:
             directive = _disk_step("journal:payload")
             if directive is not None:
                 frame, crash_after = _apply_corruption(directive, frame)
+        mark = self._journal_mark
         try:
             f = open(self._journal_path, "ab")
         except OSError as exc:
@@ -1873,49 +1861,46 @@ class SnapshotStore:
         with f:
             start = f.tell()
             try:
+                if mark is not None and start > mark.end:
+                    f.truncate(mark.end)
+                    start = f.seek(mark.end)
                 f.write(frame)
                 f.flush()
                 if fire_steps:
                     _disk_step("journal:written")
                 if sync:
-                    self._fsync_file(f)
+                    os.fsync(f.fileno())
             except OSError as exc:
                 try:
                     f.truncate(start)
-                    self._fsync_file(f)
+                    os.fsync(f.fileno())
                 except OSError:
                     pass
                 raise StoreWriteError(
                     f"could not append journal record: {exc}"
                 ) from exc
-            identity = _file_identity(os.fstat(f.fileno()))
         if fire_steps:
             _disk_step("journal:synced")
         if crash_after:
             raise SimulatedCrashError(
                 "injected torn append to the cleaning journal"
             )
-        mark = self._journal_mark
         end = start + len(frame)
         if frame != intact:
             self._unpin_journal()
-        elif mark is not None and mark.identity == identity and mark.end == start:
+        elif mark is not None:
             self._journal_mark = mark._replace(end=end)
-        elif mark is None and start == 0 and not self._journal:
+        elif start == 0:
             self._pin_written_journal(end)
-        else:
-            self._unpin_journal()
         self._journal.append(record)
         self._note_records((record,))
 
     def _sync_journal(self) -> None:
         """Fsync the journal file: the one sync of a sweep's tombstone
         frames.  Caller holds both locks."""
-        if self.durability == "none":
-            return
         try:
             with open(self._journal_path, "rb") as f:
-                self._fsync_file(f)
+                os.fsync(f.fileno())
         except OSError as exc:
             raise StoreWriteError(f"could not sync the journal: {exc}") from exc
 
@@ -2043,19 +2028,6 @@ class SnapshotStore:
     def _segment_path(self, snapshot_id: str) -> Path:
         return self._segments_dir / (snapshot_id + SEGMENT_SUFFIX)
 
-    def _fsync_file(self, f: Any) -> None:
-        if self.durability != "none":
-            os.fsync(f.fileno())
-
-    def _fsync_dir(self, path: Path) -> None:
-        if self.durability == "none":
-            return
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
 
 def require_store(root: Union[str, Path]) -> None:
     """Raise :class:`~repro.exceptions.StoreError` unless ``root``
@@ -2114,9 +2086,30 @@ def _resolve_in_use(in_use: InUse) -> FrozenSet[str]:
     return frozenset(resolved)
 
 
+def _fsync_dir(path: Path) -> None:
+    """Fsync a directory: make the renames and unlinks in it durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _depth(link: Optional[DeltaLink]) -> int:
+    """How many links a segment sits above a full segment, as its
+    header records it: a delta's depth, ``0`` for a full segment."""
+    return link.depth if link is not None else 0
+
+
 def _file_identity(stat: os.stat_result) -> Tuple[int, int]:
     """A file's (device, inode)."""
     return stat.st_dev, stat.st_ino
+
+
+def _file_version(stat: os.stat_result) -> Tuple[int, int, int, int]:
+    """A file as of ``stat``: its (device, inode, size, modification
+    time); a file written anew under the same name has another."""
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
 def _read_from(fd: int, offset: int) -> bytes:

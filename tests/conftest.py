@@ -106,17 +106,12 @@ def assert_payloads_close(got, expected, tol=1e-9, tie_tol=1e-12):
 
 
 def open_service(root):
-    """A service over a ``SnapshotStore`` at ``root`` that skips fsyncs.
+    """A service over a ``SnapshotStore`` at ``root``, exactly
+    ``TopKService(store_dir=root)``: it replays the store's pending
+    journal records as it opens."""
+    from repro.api import TopKService
 
-    The service replays the store's pending journal records as it
-    opens, exactly like ``TopKService(store_dir=root)``.
-    """
-    from repro.api import SessionPool, TopKService
-    from repro.store import SnapshotStore
-
-    return TopKService(
-        pool=SessionPool(store=SnapshotStore(root, durability="none"))
-    )
+    return TopKService(store_dir=root)
 
 
 @pytest.fixture

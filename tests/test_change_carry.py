@@ -235,7 +235,7 @@ class TestPersistChecksTheCarriedSet:
         base = db.ranked()
         xts = db.xtuples
         changes = {xts[3].xid: xts[3].tids[0], xts[5].xid: None}
-        store = SnapshotStore(tmp_path / "store", durability="none")
+        store = SnapshotStore(tmp_path / "store")
         store.persist("base", base)
         return store, base, base.with_change_set(changes), changes
 

@@ -415,7 +415,7 @@ class TestDurableChangeSets:
             views.append(views[-1].with_change_set(changes))
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp) / "store"
-            store = SnapshotStore(root, durability="none")
+            store = SnapshotStore(root)
             ids = []
             for view, changes in zip(views, [None] + steps):
                 sid = snapshot_id_of(view.db)

@@ -12,7 +12,9 @@ or a store's work per durable clean: journal bytes decoded, exclusive
 lock holds, fsyncs.  The bound is on the ratio of the two counts, so a
 call count holds across Python versions whose absolute counts differ;
 a row may also cap each count (``most``), where the count itself is
-the claim.
+the claim.  A measure asserts what its path must have done besides
+(a clean that changed the database, a batch that ran exactly one PSR
+pass), so a count cannot pass by skipping the work.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import repro.store.store as store_module
 from conftest import open_service
 from repro.api import SessionPool, TopKService
 from repro.api.pool import snapshot_id_of
-from repro.api.specs import CleaningSpec, QuerySpec
+from repro.api.specs import BatchSpec, CleaningSpec, QualitySpec, QuerySpec
 from repro.datasets.synthetic import generate_synthetic
 from repro.store import (
     SEGMENT_SUFFIX,
@@ -68,7 +70,7 @@ def build_crashed_store(root: Path, num_xtuples: int) -> str:
     chain of cleanings above it (deltas, with every ninth link full),
     and the last :data:`CRASHED` cleanings journaled but never
     committed, so that an open replays them.  Returns the newest id."""
-    store = SnapshotStore(root, durability="none")
+    store = SnapshotStore(root)
     ranked = generate_synthetic(num_xtuples=num_xtuples, seed=1).ranked()
     sid = snapshot_id_of(ranked.db)
     store.persist(sid, ranked)
@@ -124,7 +126,7 @@ def durable_clean_work(tmp: Path, records: int) -> Dict[str, int]:
     cleaning after the service opens, so the clean has one record it
     has not read yet, of the same size whatever the history."""
     root = tmp / f"history-{records}"
-    peer = SnapshotStore(root, durability="none")
+    peer = SnapshotStore(root)
     ranked = generate_synthetic(num_xtuples=300, seed=1).ranked()
     sid = snapshot_id_of(ranked.db)
     peer.persist(sid, ranked)
@@ -174,6 +176,36 @@ def durable_clean_work(tmp: Path, records: int) -> Dict[str, int]:
         os.fsync = fsync
     assert result.payload["new_snapshot_id"] != sid, "the clean changed nothing"
     return work
+
+
+def registered(num_xtuples: int) -> Tuple[TopKService, str]:
+    """A storeless service holding one incomplete snapshot, cold."""
+    service = TopKService()
+    db = generate_synthetic(num_xtuples=num_xtuples, completion=0.85, seed=1)
+    return service, service.register(db).snapshot_id
+
+
+def warm_read(tmp: Path, num_xtuples: int) -> int:
+    """Events of a k = 100 read served from its session's cached PSR
+    pass: an earlier read ran the pass, and this one answers PT-k at
+    another threshold from it."""
+    service, sid = registered(num_xtuples)
+    service.query(sid, QuerySpec(k=100))
+    return count_events(lambda: service.query(sid, QuerySpec(k=100, threshold=0.2)))
+
+
+def cold_batch(tmp: Path, num_xtuples: int) -> int:
+    """Events of a three-item batch on a cold session (the largest item
+    at k = 100), which must run exactly one PSR pass."""
+    service, sid = registered(num_xtuples)
+    spec = BatchSpec(
+        items=(QuerySpec(k=10), QuerySpec(k=50, semantics="ptk"), QualitySpec(k=100))
+    )
+    results = []
+    events = count_events(lambda: results.append(service.batch(sid, spec)))
+    passes = results[0].counters["psr_misses"]
+    assert passes == 1, f"the batch ran {passes} PSR passes, not one"
+    return events
 
 
 @dataclass(frozen=True)
@@ -230,6 +262,27 @@ CONTRACTS = (
         ),
         measure=lambda tmp, records: durable_clean_work(tmp, records)["fsyncs"],
         most=3,
+    ),
+    Contract(
+        path="warm k = 100 read",
+        sizes=(500, 3000),
+        bound=1.0,
+        claim=(
+            "a read whose PSR pass is cached extracts its answers from the "
+            "pass's columns: no Python work per x-tuple"
+        ),
+        measure=warm_read,
+    ),
+    Contract(
+        path="three-item batch",
+        sizes=(500, 3000),
+        bound=1.2,
+        claim=(
+            "a batch runs one PSR pass, at its largest k, and serves every "
+            "item from it: no Python work per x-tuple beyond the rows the "
+            "pass scans"
+        ),
+        measure=cold_batch,
     ),
 )
 

@@ -37,8 +37,13 @@ from repro.exceptions import (
     SimulatedCrashError,
     StoreError,
 )
-from repro.store import SEGMENT_SUFFIX, RetentionPolicy, SnapshotStore
-from repro.store.format import decode_segment, encode_journal, encode_segment
+from repro.store import SEGMENT_SUFFIX, RetentionPolicy, SnapshotStore, clean_record
+from repro.store.format import (
+    DeltaLink,
+    decode_segment,
+    encode_journal,
+    encode_segment,
+)
 from repro.store.store import MAX_DELTA_DEPTH
 from repro.testing import FaultEvent, FaultPlan, flip_one_bit, use_faults
 
@@ -252,7 +257,7 @@ class TestDeltaSegments:
         db = ranked.db
         changes = {xt.xid: xt.tids[0] for xt in db.xtuples[100:108]}
         outcome = ranked.with_change_set(changes)
-        store = SnapshotStore(tmp_path / "store", durability="none")
+        store = SnapshotStore(tmp_path / "store")
         store.persist("base", ranked)
         assert store.persist("out", outcome, base="base", changes=changes) is True
         path = segment_path(tmp_path / "store", "out")
@@ -267,7 +272,7 @@ class TestDeltaSegments:
 
     def test_chain_writes_a_full_segment_at_the_depth_limit(self, tmp_path):
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         views = chain(generate_synthetic(num_xtuples=30, seed=5).ranked(),
                       MAX_DELTA_DEPTH + 2)
         ids = persist_chain(store, views, "c")
@@ -287,7 +292,7 @@ class TestDeltaSegments:
 
     def test_corrupt_full_base_quarantines_exactly_its_dependents(self, tmp_path):
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         a = persist_chain(
             store, chain(generate_synthetic(num_xtuples=20, seed=1).ranked(), 3), "a"
         )
@@ -297,7 +302,7 @@ class TestDeltaSegments:
         path = segment_path(root, a[0])
         path.write_bytes(flip_one_bit(path.read_bytes()))
 
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.loaded == tuple(b)
         reasons = dict(reopened.recovery.quarantined)
         assert sorted(reasons) == sorted(sid + SEGMENT_SUFFIX for sid in a)
@@ -313,7 +318,7 @@ class TestDeltaSegments:
         # than the header's content hash names.
         root = tmp_path / "store"
         views = chain(generate_synthetic(num_xtuples=20, seed=6).ranked(), 2)
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         ids = persist_chain(store, views[:2], "h")
         link = decode_segment(segment_path(root, ids[1]).read_bytes()).link
         segment_path(root, "forged").write_bytes(
@@ -325,7 +330,7 @@ class TestDeltaSegments:
             )
         )
         # Its bytes verify at open; its first use rebuilds it, and fails.
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.loaded == tuple(sorted(ids + ["forged"]))
         assert reopened.recovery.quarantined == ()
         with pytest.raises(CorruptSnapshotError) as failure:
@@ -376,13 +381,13 @@ class TestRetentionKeepsBases:
         self, tmp_path
     ):
         root = tmp_path / "store"
-        writer = SnapshotStore(root, durability="none")
+        writer = SnapshotStore(root)
         x = chain(generate_synthetic(num_xtuples=20, seed=1).ranked(), 3)
         x_ids = persist_chain(writer, x[:3], "x")
         writer.persist("y0", generate_synthetic(num_xtuples=20, seed=2).ranked())
         # Another handle (another process) extends the chain; the GC
         # handle never loaded or wrote that delta.
-        other = SnapshotStore(root, durability="none")
+        other = SnapshotStore(root)
         assert other.persist(
             "x3", x[3], base=x_ids[-1], changes=change_set(x[2].db, x[3].db)
         ) is True
@@ -398,7 +403,7 @@ class TestRetentionKeepsBases:
 
     def test_keep_last_zero_still_drops_leaves(self, tmp_path):
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         ids = persist_chain(
             store, chain(generate_synthetic(num_xtuples=20, seed=1).ranked(), 2), "z"
         )
@@ -412,7 +417,7 @@ class TestRetentionKeepsBases:
         crashed after ``skip`` appends leaves every live delta's base
         live."""
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         ids = persist_chain(
             store, chain(generate_synthetic(num_xtuples=20, seed=1).ranked(), 2), "z"
         )
@@ -429,6 +434,109 @@ class TestRetentionKeepsBases:
         }
         assert len(tombstoned) == skip
         assert sorted(reopened.snapshots()) == sorted(set(ids) - tombstoned)
+
+
+# ---------------------------------------------------------------------------
+# The chain order: a delta sits one link above its base
+# ---------------------------------------------------------------------------
+
+#: Forged deltas ``(id, base, recorded depth)`` over a full segment
+#: ``f``: a delta that skips two depths, and two that name each other;
+#: the last of each sits one link above a forged one.
+FORGERIES = {
+    "skips": [("d", "f", 3), ("e", "d", 4)],
+    "cycle": [("x", "y", 1), ("y", "x", 1), ("e", "y", 2)],
+}
+
+
+def forge_delta(root: Path, snapshot_id: str, view, base: str, depth: int) -> None:
+    """Write a digest-valid delta segment for ``view`` that names
+    ``base`` at ``depth``, as no writer would."""
+    segment_path(root, snapshot_id).write_bytes(
+        encode_segment(
+            snapshot_id=snapshot_id,
+            content_hash=view.db.content_hash(),
+            columns={},
+            delta=DeltaLink(base, depth, {}),
+        )
+    )
+
+
+class TestChainDepth:
+    @pytest.mark.parametrize("forgery", sorted(FORGERIES))
+    def test_open_quarantines_a_delta_off_its_depth_and_the_deltas_above(
+        self, tmp_path, forgery
+    ):
+        root = tmp_path / "store"
+        views = chain(generate_synthetic(num_xtuples=20, seed=1).ranked(), 3)
+        SnapshotStore(root).persist("f", views[0])
+        for (sid, base, depth), view in zip(FORGERIES[forgery], views[1:]):
+            forge_delta(root, sid, view, base, depth)
+
+        reopened = SnapshotStore(root)
+        assert reopened.recovery.loaded == ("f",)
+        reasons = dict(reopened.recovery.quarantined)
+        for sid, base, _ in FORGERIES[forgery]:
+            assert f"its base {base!r}" in reasons.pop(sid + SEGMENT_SUFFIX)
+        assert reasons == {}
+        assert sorted(os.listdir(root / "quarantine")) == sorted(
+            sid + SEGMENT_SUFFIX for sid, _, _ in FORGERIES[forgery]
+        )
+
+    @pytest.mark.parametrize("forgery", sorted(FORGERIES))
+    def test_an_adopted_delta_off_its_depth_fails_as_a_base(self, tmp_path, forgery):
+        # A peer writes the forged files after this handle opened; the
+        # handle persists the first id and adopts the peer's file.  The
+        # base check of a durable clean on it must then fail: no record,
+        # and a full outcome segment.
+        root = tmp_path / "store"
+        store = SnapshotStore(root)
+        views = chain(generate_synthetic(num_xtuples=20, seed=1).ranked(), 3)
+        store.persist("f", views[0])
+        for (sid, base, depth), view in zip(FORGERIES[forgery], views[1:]):
+            forge_delta(root, sid, view, base, depth)
+        adopted, held = FORGERIES[forgery][0][0], views[1]
+        assert store.persist(adopted, held) is False
+
+        outcome = chain(held, 1, seed=4)[1]
+        changes = change_set(held.db, outcome.db)
+        record = clean_record(
+            adopted, {}, "o", outcome.db.content_hash(), changes
+        )
+        assert store.persist(
+            "o", outcome, base=adopted, changes=changes, record=record
+        )
+        assert store.journal_records() == []
+        assert decode_segment(segment_path(root, "o").read_bytes()).link is None
+
+    def test_a_base_written_anew_at_another_depth_is_verified_anew(self, tmp_path):
+        # A verified "x", a delta on "f", at its open.  B collects "x"
+        # and writes it again as a full segment.  A's clean on "x" must
+        # read the new file, so its delta records depth 1, not 2, and
+        # every open indexes it.
+        root = tmp_path / "store"
+        views = chain(generate_synthetic(num_xtuples=20, seed=1).ranked(), 2)
+        ids = persist_chain(SnapshotStore(root), views[:2], "c")
+        a = SnapshotStore(root)
+        b = SnapshotStore(root)
+        assert b.gc(RetentionPolicy(keep_last_n=0, pinned=(ids[0],)))[
+            "tombstoned"
+        ] == [ids[1]]
+        assert b.checkpoint()["unlinked"] == [ids[1]]
+        assert b.persist(ids[1], views[1]) is True
+        assert decode_segment(segment_path(root, ids[1]).read_bytes()).link is None
+
+        changes = change_set(views[1].db, views[2].db)
+        record = clean_record(ids[1], {}, "c2", views[2].db.content_hash(), changes)
+        a.load(ids[1])
+        assert a.persist("c2", views[2], base=ids[1], changes=changes, record=record)
+        assert decode_segment(segment_path(root, "c2").read_bytes()).link[:2] == (
+            ids[1],
+            1,
+        )
+        reopened = SnapshotStore(root)
+        assert reopened.recovery.quarantined == ()
+        assert reopened.load("c2").db.content_hash() == views[2].db.content_hash()
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +569,7 @@ class TestReadOnlyOpenOfNoStore:
 
 def test_a_verified_base_is_read_back_once(tmp_path, monkeypatch):
     root = tmp_path / "store"
-    store = SnapshotStore(root, durability="none")
+    store = SnapshotStore(root)
     views = chain(generate_synthetic(num_xtuples=20, seed=4).ranked(), 2)
     persist_chain(store, views[:2], "v")
     sibling = chain(views[1], 1, seed=9)[1]

@@ -182,7 +182,7 @@ COLUMN_FAULTS: Dict[str, Tuple[Callable[[Columns], None], str]] = {
 def store_with_fault(root: Path, fault: str) -> None:
     """A store holding a good snapshot and a "bad" one whose columns
     carry ``fault``, re-framed with valid CRCs and digest."""
-    SnapshotStore(root, durability="none").persist("good", ranked_db())
+    SnapshotStore(root).persist("good", ranked_db())
     ranked = ranked_db(seed=4)
     columns = segment_columns(ranked)
     change, _ = COLUMN_FAULTS[fault]
@@ -197,7 +197,7 @@ class TestColumnarCorruption:
     def test_first_use_quarantines_and_never_serves(self, tmp_path, fault):
         root = tmp_path / "store"
         store_with_fault(root, fault)
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         # Every byte verifies: the open indexes the segment.
         assert reopened.recovery.loaded == ("bad", "good")
         assert reopened.recovery.quarantined == ()
@@ -229,7 +229,7 @@ class TestColumnarCorruption:
         self, tmp_path, column, redigest
     ):
         root = tmp_path / "store"
-        SnapshotStore(root, durability="none").persist("good", ranked_db())
+        SnapshotStore(root).persist("good", ranked_db())
         ranked = ranked_db(seed=4)
         data = bytearray(encoded("bad", ranked, segment_columns(ranked)))
         (length,) = struct.unpack_from(">I", data, len(MAGIC))
@@ -245,7 +245,7 @@ class TestColumnarCorruption:
             data[-32:] = hashlib.sha256(bytes(data[:-32])).digest()
         (root / "segments" / ("bad" + SEGMENT_SUFFIX)).write_bytes(bytes(data))
 
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.loaded == ("good",)
         ((name, reason),) = reopened.recovery.quarantined
         assert name == "bad" + SEGMENT_SUFFIX
@@ -258,7 +258,7 @@ class TestColumnarCorruption:
 def persisted_chains(root: Path) -> Dict[str, List[str]]:
     """Two cleaning chains in one store, under their real snapshot ids:
     a full segment and three deltas, and a full segment and two."""
-    store = SnapshotStore(root, durability="none")
+    store = SnapshotStore(root)
     chains: Dict[str, List[str]] = {}
     for name, seed, links in (("a", 1, 3), ("b", 2, 2)):
         views = [ranked_db(seed=seed, num_xtuples=20)]
@@ -292,7 +292,7 @@ def test_a_lease_rebuilds_only_its_own_chain(tmp_path, monkeypatch):
 
         monkeypatch.setattr(SnapshotStore, method, recording)
 
-    pool = SessionPool(store=SnapshotStore(root, durability="none"))
+    pool = SessionPool(store=SnapshotStore(root))
     assert rebuilt == []  # the open rebuilt nothing
     assert sorted(pool.store.snapshot_ids()) == sorted(chains["a"] + chains["b"])
     assert pool.store.status()["full_segments"] == 2
@@ -321,7 +321,7 @@ def test_concurrent_first_uses_rebuild_each_snapshot_once(tmp_path, monkeypatch)
             return _original(self, segment, *args)
 
         monkeypatch.setattr(SnapshotStore, method, recording)
-    pool = SessionPool(store=SnapshotStore(root, durability="none"))
+    pool = SessionPool(store=SnapshotStore(root))
     errors: List[Exception] = []
 
     def worker(seed: int) -> None:
@@ -354,7 +354,7 @@ def test_a_read_only_pool_refuses_a_foreign_id_and_moves_nothing(tmp_path):
     root = tmp_path / "store"
     view = ranked_db()
     own = snapshot_id_of(view.db)
-    store = SnapshotStore(root, durability="none")
+    store = SnapshotStore(root)
     store.persist("snap-bogus", view)
     store.persist(own, view)
 
@@ -369,7 +369,7 @@ def test_a_read_only_pool_refuses_a_foreign_id_and_moves_nothing(tmp_path):
     assert os.listdir(root / "quarantine") == []
 
     # An exclusive pool quarantines it at first use and serves the other.
-    pool = SessionPool(store=SnapshotStore(root, durability="none"))
+    pool = SessionPool(store=SnapshotStore(root))
     with pytest.raises(CorruptSnapshotError, match="does not derive"):
         with pool.lease("snap-bogus"):
             pass
@@ -382,7 +382,7 @@ def test_registering_content_whose_stored_copy_fails_rewrites_it(tmp_path):
     # The stored copy's bytes verify, but its ranked column is one ulp
     # off: a register of the same content must not trust it.
     root = tmp_path / "store"
-    SnapshotStore(root, durability="none")
+    SnapshotStore(root)
     view = ranked_db()
     sid = snapshot_id_of(view.db)
     columns = segment_columns(view)
@@ -390,10 +390,10 @@ def test_registering_content_whose_stored_copy_fails_rewrites_it(tmp_path):
     (root / "segments" / (sid + SEGMENT_SUFFIX)).write_bytes(
         encoded(sid, view, columns)
     )
-    pool = SessionPool(store=SnapshotStore(root, durability="none"))
+    pool = SessionPool(store=SnapshotStore(root))
     assert pool.register(view) == sid
     assert os.listdir(root / "quarantine") == [sid + SEGMENT_SUFFIX]
-    reopened = SnapshotStore(root, durability="none")
+    reopened = SnapshotStore(root)
     assert reopened.load(sid).db.content_hash() == view.db.content_hash()
 
 
@@ -403,14 +403,14 @@ def test_a_clean_onto_a_stored_unused_outcome_nests_no_snapshot_locks(tmp_path):
     # take a second snapshot lock (same rank).
     root = tmp_path / "store"
     spec = CleaningSpec(k=3, budget=20, seed=7)
-    first = TopKService(pool=SessionPool(store=SnapshotStore(root, durability="none")))
+    first = TopKService(pool=SessionPool(store=SnapshotStore(root)))
     base = first.register(ranked_db(num_xtuples=20).db).snapshot_id
     outcome = first.clean(base, spec).payload["new_snapshot_id"]
     assert outcome != base
     lockcheck.enable()
     try:
         service = TopKService(
-            pool=SessionPool(store=SnapshotStore(root, durability="none"))
+            pool=SessionPool(store=SnapshotStore(root))
         )
         assert service.clean(base, spec).payload["new_snapshot_id"] == outcome
     finally:

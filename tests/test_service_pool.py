@@ -186,7 +186,7 @@ class TestRetentionSweep:
         # its segment from being tombstoned mid-lease.
         from repro.store import RetentionPolicy, SnapshotStore
 
-        store = SnapshotStore(tmp_path / "store", durability="none")
+        store = SnapshotStore(tmp_path / "store")
         pool = SessionPool(store=store)
         snap = pool.register(generate_synthetic(num_xtuples=6, seed=1))
         pool.retention = RetentionPolicy(keep_last_n=0)
@@ -216,7 +216,7 @@ class TestRetentionSweep:
         from repro.store import RetentionPolicy, SnapshotStore
 
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         pool = SessionPool(store=store)
         snap = pool.register(generate_synthetic(num_xtuples=6, seed=1))
         pool.retention = RetentionPolicy(keep_last_n=1)

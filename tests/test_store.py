@@ -271,9 +271,9 @@ class TestSegmentCodec:
         assert segment.header["frames"] == 0
         assert segment.structure_json == reference_structure_json(ranked.db)
         # Schema 4: empty columns, and the snapshot still rebuilds.
-        store = SnapshotStore(tmp_path / "store", durability="none")
+        store = SnapshotStore(tmp_path / "store")
         store.persist("s1", ranked)
-        reopened = SnapshotStore(tmp_path / "store", durability="none")
+        reopened = SnapshotStore(tmp_path / "store")
         assert reopened.load("s1").db.content_hash() == ranked.db.content_hash()
 
     def test_every_single_bitflip_is_detected(self):
@@ -340,7 +340,7 @@ class TestCachedEncodingIdentity:
         expected = reference_segment("s1", ranked)
         assert encoded_segment("s1", ranked) == expected  # cold memo
         assert encoded_segment("s1", ranked) == expected  # filled memo
-        store = SnapshotStore(tmp_path / "store", durability="none")
+        store = SnapshotStore(tmp_path / "store")
         store.persist("s1", ranked)
         path = tmp_path / "store" / "segments" / ("s1" + SEGMENT_SUFFIX)
         assert path.read_bytes() == expected
@@ -397,7 +397,7 @@ class TestCachedEncodingIdentity:
         # Pins the legacy encoder the schema-1 tests build segments with.
         assert encoded_segment(snapshot_id, ranked, schema=1) == committed.read_bytes()
         for attempt in ("cold", "cached"):
-            fresh = SnapshotStore(tmp_path / attempt, durability="none")
+            fresh = SnapshotStore(tmp_path / attempt)
             assert fresh.persist(snapshot_id, ranked) is True
             written = (tmp_path / attempt / "segments" / committed.name).read_bytes()
             new = decode_segment(written)
@@ -451,11 +451,11 @@ class TestJournalCodec:
 class TestSnapshotStore:
     def test_persist_then_reopen_recovers(self, tmp_path):
         ranked = ranked_db()
-        store = SnapshotStore(tmp_path / "store", durability="none")
+        store = SnapshotStore(tmp_path / "store")
         assert store.persist("s1", ranked) is True
         assert store.counters()["psr_store_writes"] == 1
 
-        reopened = SnapshotStore(tmp_path / "store", durability="none")
+        reopened = SnapshotStore(tmp_path / "store")
         assert reopened.recovery.loaded == ("s1",)
         assert reopened.recovery.quarantined == ()
         recovered = reopened.snapshots()["s1"]
@@ -463,13 +463,13 @@ class TestSnapshotStore:
 
     def test_persist_is_idempotent_by_id(self, tmp_path):
         ranked = ranked_db()
-        store = SnapshotStore(tmp_path / "store", durability="none")
+        store = SnapshotStore(tmp_path / "store")
         assert store.persist("s1", ranked) is True
         assert store.persist("s1", ranked) is False
         assert store.counters()["psr_store_writes"] == 1
 
     def test_fsync_durability_also_round_trips(self, tmp_path):
-        store = SnapshotStore(tmp_path / "store")  # durability="fsync"
+        store = SnapshotStore(tmp_path / "store")
         store.persist("s1", ranked_db())
         reopened = SnapshotStore(tmp_path / "store")
         assert reopened.recovery.loaded == ("s1",)
@@ -479,7 +479,7 @@ class TestSnapshotStore:
 
         db = generate_synthetic(num_xtuples=5, seed=1)
         ranked = RankedDatabase(db, custom(lambda t: float(t.value)))
-        store = SnapshotStore(tmp_path / "store", durability="none")
+        store = SnapshotStore(tmp_path / "store")
         with pytest.raises(StoreWriteError, match="descriptor"):
             store.persist("s1", ranked)
         assert store.snapshots() == {}
@@ -500,27 +500,18 @@ class TestSnapshotStore:
         assert service.pool.num_snapshots == 0
         assert os.listdir(root / "segments") == []
 
-    def test_bad_durability_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="durability"):
-            SnapshotStore(tmp_path / "store", durability="eventually")
-
     @pytest.mark.parametrize("threshold", [0, -1])
     def test_journal_threshold_below_one_is_rejected(self, tmp_path, threshold):
         # 0 or less would checkpoint after every append; the environment
         # variable reads such values as "disabled", so refuse them here.
         with pytest.raises(ValueError, match="max_journal_records"):
-            SnapshotStore(
-                tmp_path / "store", durability="none",
-                max_journal_records=threshold,
-            )
+            SnapshotStore(tmp_path / "store", max_journal_records=threshold)
         assert not (tmp_path / "store").exists()
-        store = SnapshotStore(
-            tmp_path / "store", durability="none", max_journal_records=1
-        )
+        store = SnapshotStore(tmp_path / "store", max_journal_records=1)
         assert store.max_journal_records == 1
 
     def test_enospc_cleans_up_and_raises_typed(self, tmp_path):
-        store = SnapshotStore(tmp_path / "store", durability="none")
+        store = SnapshotStore(tmp_path / "store")
         plan = FaultPlan([FaultEvent(kind="enospc", step="segment:written")])
         with use_faults(plan):
             with pytest.raises(StoreWriteError, match="No space left"):
@@ -533,22 +524,22 @@ class TestSnapshotStore:
 
     def test_temp_files_are_swept_on_open(self, tmp_path):
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         store.persist("s1", ranked_db())
         (root / "segments" / (TMP_PREFIX + "s2")).write_bytes(b"half a write")
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.swept_temp_files == 1
         assert reopened.recovery.loaded == ("s1",)
         assert list((root / "segments").glob(TMP_PREFIX + "*")) == []
 
     def test_garbage_segment_is_quarantined_not_served(self, tmp_path):
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         store.persist("s1", ranked_db())
         (root / "segments" / ("junk" + SEGMENT_SUFFIX)).write_bytes(
             b"not a segment at all"
         )
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.loaded == ("s1",)
         assert [name for name, _ in reopened.recovery.quarantined] == [
             "junk" + SEGMENT_SUFFIX
@@ -558,11 +549,11 @@ class TestSnapshotStore:
 
     def test_tampered_segment_is_quarantined(self, tmp_path):
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         store.persist("s1", ranked_db())
         path = root / "segments" / ("s1" + SEGMENT_SUFFIX)
         path.write_bytes(flip_one_bit(path.read_bytes()))
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.loaded == ()
         assert len(reopened.recovery.quarantined) == 1
         name, reason = reopened.recovery.quarantined[0]
@@ -573,11 +564,11 @@ class TestSnapshotStore:
         # A segment whose header names a different snapshot than its
         # file name must not be adopted under either identity.
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         store.persist("s1", ranked_db())
         src = root / "segments" / ("s1" + SEGMENT_SUFFIX)
         src.rename(root / "segments" / ("s2" + SEGMENT_SUFFIX))
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.loaded == ()
         assert [name for name, _ in reopened.recovery.quarantined] == [
             "s2" + SEGMENT_SUFFIX
@@ -595,7 +586,7 @@ class TestSnapshotStore:
     @staticmethod
     def _assert_undecodable_entry_is_quarantined(tmp_path: Path, schema: int) -> None:
         root = tmp_path / "store"
-        SnapshotStore(root, durability="none")
+        SnapshotStore(root)
         payload = io.database_to_dict(ranked_db().db)
         payload["xtuples"][1] = "not an x-tuple"
         path = root / "segments" / ("s1" + SEGMENT_SUFFIX)
@@ -603,7 +594,7 @@ class TestSnapshotStore:
         assert segment_header(path)["schema"] == schema  # framing is intact
 
         # The bytes verify at open; the first use rebuilds, and fails.
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.loaded == ("s1",)
         assert reopened.recovery.quarantined == ()
         reason = first_use_failure(reopened, "s1")
@@ -628,7 +619,7 @@ class TestSnapshotStore:
         # value, so the view cannot be rebuilt.  The open used to raise
         # the bare error, loading no other snapshot either.
         root = tmp_path / "store"
-        SnapshotStore(root, durability="none").persist("good", ranked_db())
+        SnapshotStore(root).persist("good", ranked_db())
         scorable = make_xtuple("x1", [("t1", good, 0.5)])
         db = ProbabilisticDatabase(
             [scorable, make_xtuple("x2", [("t2", bad, 0.5)])], name="unscorable"
@@ -647,7 +638,7 @@ class TestSnapshotStore:
             )
         )
 
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.loaded == ("bad", "good")
         assert reopened.recovery.quarantined == ()
         reason = first_use_failure(reopened, "bad")
@@ -673,7 +664,7 @@ class TestSnapshotStore:
         # pass builds once.  A score that raised leaves no memo behind,
         # so the second segment fails its re-rank exactly as the first.
         root = tmp_path / "store"
-        SnapshotStore(root, durability="none").persist("good", ranked_db())
+        SnapshotStore(root).persist("good", ranked_db())
         unscorable = make_xtuple("x2", [("t2", bad, 0.5)])
         for index, sid in enumerate(("bad1", "bad2")):
             scorable = make_xtuple(f"x{index}", [(f"s{index}", good, 0.5)])
@@ -692,7 +683,7 @@ class TestSnapshotStore:
             )
 
         # One pass rebuilds all three.
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.quarantined == ()
         assert sorted(reopened.snapshots()) == ["good"]
         for sid in ("bad1", "bad2"):
@@ -705,7 +696,7 @@ class TestSnapshotStore:
         # A header column entry whose name is a list used to raise a
         # bare TypeError out of decode_segment, loading nothing else.
         root = tmp_path / "store"
-        SnapshotStore(root, durability="none").persist("good", ranked_db())
+        SnapshotStore(root).persist("good", ranked_db())
         data = encoded_segment("bad", ranked_db(seed=4))
         columns = decode_segment(data).header["columns"]
         columns[0]["name"] = ["scores_array"]
@@ -713,7 +704,7 @@ class TestSnapshotStore:
             with_header(data, columns=columns)
         )
 
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.loaded == ("good",)
         ((name, reason),) = reopened.recovery.quarantined
         assert name == "bad" + SEGMENT_SUFFIX
@@ -721,16 +712,16 @@ class TestSnapshotStore:
 
     def test_shortread_at_open_quarantines(self, tmp_path):
         root = tmp_path / "store"
-        SnapshotStore(root, durability="none").persist("s1", ranked_db())
+        SnapshotStore(root).persist("s1", ranked_db())
         plan = FaultPlan([FaultEvent(kind="shortread", step="segment:read")])
         with use_faults(plan):
-            reopened = SnapshotStore(root, durability="none")
+            reopened = SnapshotStore(root)
         assert reopened.recovery.loaded == ()
         assert len(reopened.recovery.quarantined) == 1
 
     def test_torn_journal_tail_is_truncated_on_open(self, tmp_path):
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         store.persist("s-base", ranked_db())
         record = store.journal_clean("s-base", {"k": 5}, "s-out", "hash")
         assert record["base"] == "s-base"
@@ -738,7 +729,7 @@ class TestSnapshotStore:
         clean_length = journal.stat().st_size
         with open(journal, "ab") as f:
             f.write(encode_journal_record({"kind": "clean"})[:-5])
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.journal_records == 1
         assert reopened.recovery.journal_truncated_bytes > 0
         assert "torn" in reopened.recovery.journal_truncate_reason
@@ -747,7 +738,7 @@ class TestSnapshotStore:
 
     def test_status_shape(self, tmp_path):
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         store.persist("s1", ranked_db())
         store.journal_clean("s1", {"k": 5}, "s-out", "hash")
         status = store.status()
@@ -755,13 +746,12 @@ class TestSnapshotStore:
         assert status["journal_records"] == 1
         assert status["pending_cleanings"] == ["s-out"]
         assert status["quarantined_files"] == []
-        assert status["durability"] == "none"
         assert status["counters"]["psr_store_writes"] == 1
         assert status["recovery"]["loaded"] == []
         json.dumps(status)  # the whole envelope must be serializable
 
     def test_gc_in_use_callback_is_evaluated_under_the_lock(self, tmp_path):
-        store = SnapshotStore(tmp_path / "store", durability="none")
+        store = SnapshotStore(tmp_path / "store")
         store.persist("s1", ranked_db(3))
         store.persist("s2", ranked_db(4))
         seen = []
@@ -783,7 +773,7 @@ class TestSnapshotStore:
     def test_a_string_id_is_refused_not_split_into_letters(self, tmp_path):
         # tuple("snap-abc") would protect eight one-character ids, and
         # GC would tombstone snap-abc itself.
-        store = SnapshotStore(tmp_path / "store", durability="none")
+        store = SnapshotStore(tmp_path / "store")
         store.persist("snap-abc", ranked_db())
         with pytest.raises(TypeError, match="pinned"):
             RetentionPolicy(keep_last_n=0, pinned="snap-abc")
@@ -952,12 +942,12 @@ class TestFramedDecode:
         # is quarantined with its reason and never served.
         build, expected = FRAMING_FAULTS[fault]
         root = tmp_path / "store"
-        SnapshotStore(root, durability="none").persist("good", ranked_db())
+        SnapshotStore(root).persist("good", ranked_db())
         (root / "segments" / ("bad" + SEGMENT_SUFFIX)).write_bytes(
             build(ranked_db(seed=4))
         )
 
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         name = "bad" + SEGMENT_SUFFIX
         if fault in FIRST_USE_FAULTS:
             assert reopened.recovery.loaded == ("bad", "good")
@@ -979,7 +969,7 @@ class TestFramedDecode:
         # share with a good segment serve it as usual.
         root = tmp_path / "store"
         ranked = ranked_db(seed=4)
-        SnapshotStore(root, durability="none").persist("good", ranked)
+        SnapshotStore(root).persist("good", ranked)
         payload = io.database_to_dict(ranked.db)
         _over_one(payload)
         for sid in ("bad1", "bad2"):
@@ -987,7 +977,7 @@ class TestFramedDecode:
                 framed_segment(sid, payload, ranked)
             )
 
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.quarantined == ()
         assert sorted(reopened.snapshots()) == ["good"]  # one pass
         assert sorted(os.listdir(root / "quarantine")) == [
@@ -1021,7 +1011,7 @@ class TestColumnarOpen:
         # once, and rebuilds it to its header's content hash.
         root = tmp_path / "store"
         chain = collapse_chain(6)
-        SnapshotStore(root, durability="none")
+        SnapshotStore(root)
         for index, ranked in enumerate(chain):
             (root / "segments" / f"s{index}{SEGMENT_SUFFIX}").write_bytes(
                 encoded_segment(f"s{index}", ranked, schema=2)
@@ -1035,7 +1025,7 @@ class TestColumnarOpen:
             return original(payload)
 
         monkeypatch.setattr(store_module, "database_from_dict", counting)
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.quarantined == ()
         assert parsed == []  # an open parses nothing
         views = reopened.snapshots()  # one pass rebuilds every snapshot
@@ -1067,13 +1057,13 @@ class TestColumnarOpen:
         else:
             db = generate_synthetic(num_xtuples=12, seed=5, completion=0.8)
             ranking = by_value()
-        store = SnapshotStore(tmp_path / "store", durability="none")
+        store = SnapshotStore(tmp_path / "store")
         base = RankedDatabase(db, ranking)
         xt = db.xtuples[1]
         outcome = base.with_change_set({xt.xid: xt.tids[-1], db.xtuples[4].xid: None})
         store.persist("base", base)
         store.persist("outcome", outcome)  # full: no base given
-        reopened = SnapshotStore(tmp_path / "store", durability="none")
+        reopened = SnapshotStore(tmp_path / "store")
         for sid, view in (("base", base), ("outcome", outcome)):
             loaded = reopened.load(sid)
             # Each segment names its rule, and a rule is one callable.
@@ -1182,7 +1172,7 @@ def journaled_outcome(store: SnapshotStore, ranked: RankedDatabase) -> None:
 
 class TestCheckpointVerification:
     def test_held_outcome_is_dropped_without_a_parse(self, tmp_path, structure_loads):
-        store = SnapshotStore(tmp_path / "store", durability="none")
+        store = SnapshotStore(tmp_path / "store")
         journaled_outcome(store, ranked_db())
         report = store.checkpoint()
         assert report["dropped"] == 1 and report["records_after"] == 0
@@ -1190,8 +1180,8 @@ class TestCheckpointVerification:
 
     def test_outcome_another_handle_wrote_is_parsed(self, tmp_path, structure_loads):
         root = tmp_path / "store"
-        writer = SnapshotStore(root, durability="none")
-        checker = SnapshotStore(root, durability="none")
+        writer = SnapshotStore(root)
+        checker = SnapshotStore(root)
         ranked = ranked_db()
         journaled_outcome(writer, ranked)
         assert not checker.has_segment("s1")
@@ -1208,7 +1198,7 @@ class TestCheckpointVerification:
         # held canonical encoding: whitespace after one fragment (still
         # JSON), or a fragment that is not JSON at all.
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         ranked = ranked_db()
         journaled_outcome(store, ranked)
         fragments = canonical_fragments(ranked.db)
@@ -1222,7 +1212,7 @@ class TestCheckpointVerification:
 
     def test_bit_flipped_outcome_keeps_its_record(self, tmp_path, structure_loads):
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         journaled_outcome(store, ranked_db())
         path = root / "segments" / ("s1" + SEGMENT_SUFFIX)
         path.write_bytes(flip_one_bit(path.read_bytes()))

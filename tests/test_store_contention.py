@@ -6,9 +6,8 @@ that matches an in-memory oracle to 1e-9.  ``fcntl.flock`` is per
 open-file-description, so two :class:`StoreLock` / store handles in
 *one* process contend exactly like two processes -- that is what makes
 the lock-semantics tests here deterministic.  The real two-interpreter
-convergence run lives in :class:`TestTwoProcessConvergence`; group
-commit (batch durability) and the ``contend`` fault kind round out the
-sweep.
+convergence run lives in :class:`TestTwoProcessConvergence`; the
+``contend`` fault kind rounds out the sweep.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import pytest
 
 import repro.store.store as store_module
 from conftest import assert_payloads_close, open_service
-from repro.api.pool import snapshot_id_of
+from repro.api.pool import SessionPool, snapshot_id_of
 from repro.api.service import TopKService
 from repro.api.specs import CleaningSpec, QuerySpec
 from repro.datasets.synthetic import generate_synthetic
@@ -47,7 +46,7 @@ from repro.store import (
     StoreLock,
     clean_record,
 )
-from repro.store.format import encode_lock_record
+from repro.store.format import encode_journal, encode_lock_record
 from repro.store.locks import boot_nonce
 from repro.testing import FaultEvent, FaultPlan, use_faults
 
@@ -242,7 +241,7 @@ class TestStoreModes:
     def test_readonly_mode_rejects_every_write(self, tmp_path):
         root = tmp_path / "store"
         SnapshotStore(root).persist("s1", ranked_db())
-        reader = SnapshotStore(root, durability="none", mode="readonly")
+        reader = SnapshotStore(root, mode="readonly")
         with pytest.raises(StoreReadOnlyError):
             reader.persist("s2", ranked_db(4))
         with pytest.raises(StoreReadOnlyError):
@@ -395,7 +394,7 @@ class TestTailReads:
         it).  Returns the root, A, B, the clean's outcome and the
         spares' ids."""
         root = tmp_path / "store"
-        a = SnapshotStore(root, durability="none")
+        a = SnapshotStore(root)
         base = ranked_db(3)
         base_id = snapshot_id_of(base.db)
         a.persist(base_id, base)
@@ -405,7 +404,7 @@ class TestTailReads:
             spares.append(snapshot_id_of(view.db))
             a.persist(spares[-1], view)
         outcome = durable_clean(a, base_id, base, seed=1)
-        return root, a, SnapshotStore(root, durability="none"), outcome, spares
+        return root, a, SnapshotStore(root), outcome, spares
 
     def test_a_peer_clean_and_its_tombstones_reach_the_next_transaction(
         self, tmp_path, monkeypatch
@@ -463,7 +462,7 @@ class TestTailReads:
         # B opens after the sweep, so it does not hold the victims:
         # re-persisting one resurrects it (a journal rewrite), and B's
         # clean then grows the journal past A's offset.
-        b = SnapshotStore(root, durability="none")
+        b = SnapshotStore(root)
         revived = tombstoned[0]
         assert b.persist(revived, ranked_db(4 if revived == spares[0] else 5))
         durable_clean(b, sid, view, seed=2)
@@ -493,7 +492,7 @@ class TestTailReads:
         # [T(v), C], as long as A's journal, C at A's offset.  Were the
         # last rewrite in A's inode, A would keep T(x) and unlink x.
         root = tmp_path / "store"
-        a = SnapshotStore(root, durability="none")
+        a = SnapshotStore(root)
         base = ranked_db(3)
         base_id = snapshot_id_of(base.db)
         a.persist(base_id, base)
@@ -513,7 +512,7 @@ class TestTailReads:
         os.link(journal, keep)
         size = journal.stat().st_size
 
-        b = SnapshotStore(root, durability="none")
+        b = SnapshotStore(root)
         assert b.persist(x, views[x])
         assert b.gc(RetentionPolicy(keep_last_n=0, pinned=(x,)))["tombstoned"] == [v]
         assert b.checkpoint()["unlinked"] == [v]
@@ -540,25 +539,66 @@ class TestTailReads:
         assert plan.drawn
         a.gc(RetentionPolicy(keep_last_n=None))
         assert a.journal_records() == before == on_disk(root)
-        # A record appended after the torn frame lies past the clean
-        # prefix, as at open: the next transaction reads it whole and
-        # does not see it.
+        # A's next append lands where the clean prefix ends, cutting the
+        # torn frame off first, as an exclusive open would: every reader
+        # sees the record, and nothing is left to truncate.
         durable_clean(a, sid, view, seed=3)
-        a.gc(RetentionPolicy(keep_last_n=None))
-        assert a.journal_records() == before == on_disk(root)
+        (record,) = [r for r in a.journal_records() if r not in before]
+        assert record["base"] == sid
+        assert a.journal_records() == before + [record] == on_disk(root)
+        journal = root / JOURNAL_NAME
+        assert journal.read_bytes() == encode_journal(before + [record])
+        reopened = SnapshotStore(root)
+        assert reopened.recovery.journal_truncated_bytes == 0
+        assert reopened.journal_records() == before + [record]
 
 
 # ---------------------------------------------------------------------------
-# Durability modes (group commit was removed: "batch" is rejected)
+# A persist decides from the disk, not from what its handle holds
 # ---------------------------------------------------------------------------
 
 
-class TestGroupCommit:
-    def test_default_is_fsync_and_strict_is_rejected(self, tmp_path):
-        assert SnapshotStore(tmp_path / "a").durability == "fsync"
-        for mode in ("strict", "batch"):
-            with pytest.raises(ValueError, match="'fsync' or 'none'"):
-                SnapshotStore(tmp_path / "b", durability=mode)
+class TestPersistAfterAPeerCollected:
+    """Handle A holds X; handle B's GC tombstones X and its checkpoint
+    unlinks the file (a second checkpoint also retires the tombstone).
+    A still holds X in memory, and persisting X again must write it."""
+
+    @staticmethod
+    def collect(root: Path, x: str, checkpoints: int) -> None:
+        b = SnapshotStore(root)
+        assert b.gc(RetentionPolicy(keep_last_n=0))["tombstoned"] == [x]
+        assert b.checkpoint()["unlinked"] == [x]
+        for _ in range(checkpoints - 1):
+            b.checkpoint()
+
+    @staticmethod
+    def assert_durable(root: Path, x: str, view: RankedDatabase) -> None:
+        reader = SnapshotStore(root, mode="readonly")
+        assert reader.snapshot_ids() == [x]
+        assert reader.load(x).db.content_hash() == view.db.content_hash()
+
+    @pytest.mark.parametrize("checkpoints", [1, 2], ids=["tombstoned", "retired"])
+    def test_persist_writes_a_held_id_again(self, tmp_path, checkpoints):
+        root = tmp_path / "store"
+        a = SnapshotStore(root)
+        view = ranked_db()
+        x = snapshot_id_of(view.db)
+        assert a.persist(x, view)
+        self.collect(root, x, checkpoints)
+        assert a.has_segment(x)
+        assert a.persist(x, view) is True
+        assert a.has_segment(x)
+        self.assert_durable(root, x, view)
+
+    @pytest.mark.parametrize("checkpoints", [1, 2], ids=["tombstoned", "retired"])
+    def test_a_pool_re_registering_it_writes_it_again(self, tmp_path, checkpoints):
+        root = tmp_path / "store"
+        pool = SessionPool(store=SnapshotStore(root))
+        view = ranked_db()
+        x = pool.register(view)
+        self.collect(root, x, checkpoints)
+        assert pool.register(view) == x
+        self.assert_durable(root, x, view)
 
 
 # ---------------------------------------------------------------------------

@@ -110,13 +110,13 @@ class TestDurableRoundTrip:
         # while this pool serves by_key(date).
         db = generate_mov(num_xtuples=12, seed=5)
         root = tmp_path / "store"
-        pool = SessionPool(store=SnapshotStore(root, durability="none"))
+        pool = SessionPool(store=SnapshotStore(root))
         snapshot_id = pool.register(db.ranked(by_key("date")), durable=False)
         with pytest.raises(ValueError, match="already registered"):
             pool.register(db.ranked(by_key("rating")))
         assert os.listdir(root / "segments") == []
         assert pool.ranked(snapshot_id).ranking.score is by_key("date").score
-        assert SnapshotStore(root, durability="none").snapshots() == {}
+        assert SnapshotStore(root).snapshots() == {}
 
     def test_pool_and_store_never_disagree_on_failed_persist(self, tmp_path):
         service = open_service(tmp_path / "store")
@@ -338,7 +338,7 @@ class TestJournalNeedsALiveBase:
             generate_synthetic(num_xtuples=60, seed=1)
         ).snapshot_id
         # Another process's GC tombstones the base this handle holds.
-        other = SnapshotStore(root, durability="none")
+        other = SnapshotStore(root)
         assert other.gc(RetentionPolicy(keep_last_n=0))["tombstoned"] == [base]
         crash_at_segment_begin(service, base)
         reopened = open_service(root)
@@ -442,7 +442,7 @@ class TestCheckpointCrashSweep:
                 )
         assert plan.drawn
 
-        reopened = SnapshotStore(tmp_path / "store", durability="none")
+        reopened = SnapshotStore(tmp_path / "store")
         # Phase one never reached the journal: both segments live.
         assert reopened.journal_records() == []
         assert reopened.has_segment(base_id)
@@ -469,7 +469,7 @@ class TestCheckpointCrashSweep:
         # The tombstone is durable, the file still present; the next
         # successful checkpoint finishes phase two and the one after
         # retires the tombstone record.
-        reopened = SnapshotStore(tmp_path / "store", durability="none")
+        reopened = SnapshotStore(tmp_path / "store")
         assert [r["kind"] for r in reopened.journal_records()] == [
             "tombstone"
         ]
@@ -491,7 +491,7 @@ class TestCheckpointCrashSweep:
                 service.clean(base_id, CLEAN_SPEC)
         assert plan.drawn
 
-        reopened = SnapshotStore(tmp_path / "store", durability="none")
+        reopened = SnapshotStore(tmp_path / "store")
         assert reopened.journal_records() == []
         assert not reopened.has_segment(outcome_id)
         assert reopened.has_segment(base_id)
@@ -531,7 +531,7 @@ class TestResurrection:
         self, root: Path, checkpointed: bool
     ) -> SnapshotStore:
         """A store whose "s1" is tombstoned; phase two ran iff asked."""
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         assert store.persist("s1", self.ranked(3)) is True
         assert store.persist("s2", self.ranked(4)) is True
         report = store.gc(RetentionPolicy(keep_last_n=1))
@@ -553,7 +553,7 @@ class TestResurrection:
             "s2", {"k": 5}, "s1", self.ranked(3).db.content_hash()
         )
         assert record is not None  # then the "crash": s1 is never persisted
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.pending_cleanings() == []
         report = reopened.checkpoint()
         assert report["records_after"] == 0
@@ -569,7 +569,7 @@ class TestResurrection:
         store.checkpoint()
         store.checkpoint()
         assert store.has_segment("s1")
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.has_segment("s1")
         assert reopened.has_segment("s2")
         assert reopened.recovery.quarantined == ()
@@ -588,7 +588,7 @@ class TestResurrection:
         assert store.persist("s1", self.ranked(3)) is True
         store.checkpoint()
         store.checkpoint()
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.has_segment("s1")
         assert reopened.journal_records() == []
 
@@ -606,7 +606,7 @@ class TestResurrection:
 
         # Never acknowledged, so the reopen owes nothing: no torn
         # journal, no quarantine, "s1" simply absent.
-        reopened = SnapshotStore(root, durability="none")
+        reopened = SnapshotStore(root)
         assert reopened.recovery.quarantined == ()
         assert reopened.recovery.journal_truncated_bytes == 0
         assert not reopened.has_segment("s1")
@@ -616,7 +616,7 @@ class TestResurrection:
         assert reopened.persist("s1", self.ranked(3)) is True
         reopened.checkpoint()
         reopened.checkpoint()
-        final = SnapshotStore(root, durability="none")
+        final = SnapshotStore(root)
         assert final.has_segment("s1")
         assert final.recovery.tombstoned_segments == 0
         assert final.journal_records() == []
@@ -632,7 +632,7 @@ class TestReplayFailures:
         # The base was durable and live when its clean was journaled;
         # its segment vanished behind the store's back afterwards.
         root = tmp_path / "store"
-        store = SnapshotStore(root, durability="none")
+        store = SnapshotStore(root)
         store.persist("snap-lost-base", RankedDatabase(small_db(), by_value()))
         assert store.journal_clean(
             "snap-lost-base", CLEAN_SPEC.to_dict(), "snap-out", "hash"
