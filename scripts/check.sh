@@ -5,8 +5,8 @@
 # tier-1 (the store state machine on its larger profile, a committed
 # schema-1 store opened through the CLI, an env-armed crash recovered
 # through the CLI, and the concurrent-writer chaos run), and the
-# perfbench smoke (its own tests plus a tiny run of each workload).
-# `make check` calls this.
+# perfbench smoke (its own tests plus a tiny run of each workload, and
+# the PSR kernel sweep at a quick size).  `make check` calls this.
 #
 # repro-lint and pytest always run (they ship with the repo).  ruff
 # and mypy run when installed and are reported as SKIPPED otherwise,
@@ -128,6 +128,8 @@ for workload in serve-scan clean-durable store-reopen; do
     step "perfbench $workload (tiny)" \
         python3 perfbench/run.py --workload "$workload" --size tiny --seconds 2
 done
+step "PSR kernel sweep (quick)" \
+    python scripts/psr_sweep.py --sizes 2000 --repeats 1
 
 if [ "$fail" -ne 0 ]; then
     echo "check: FAILED"

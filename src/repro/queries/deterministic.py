@@ -26,6 +26,15 @@ def require_valid_k(k: int) -> None:
         raise InvalidQueryError(f"k must be a positive integer, got {k!r}")
 
 
+def require_unit_interval(name: str, value: float) -> None:
+    """Validate a number in ``[0, 1]`` (a PT-k threshold, a tail
+    stop's ``ε``); NaN and booleans are refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InvalidQueryError(f"{name} must be a number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise InvalidQueryError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 def topk_of_world(
     ranked: RankedDatabase, world: PossibleWorld, k: int
 ) -> PWResult:

@@ -105,7 +105,7 @@ import numpy as np
 from repro.core.backend import check_backend
 from repro.db.database import SATURATION_EPSILON, RankDelta, RankedDatabase
 from repro.db.tuples import ProbabilisticTuple
-from repro.queries.deterministic import require_valid_k
+from repro.queries.deterministic import require_unit_interval, require_valid_k
 
 #: Threshold above which factor removal falls back to a from-scratch
 #: rebuild (forward deconvolution is stable only for q <= 1/2).
@@ -449,9 +449,12 @@ def compute_rank_probabilities(
 
     ``backend="python"`` runs the scalar oracle instead of the block
     kernel.  Both stop at the same row and agree within 1e-9 absolute
-    on every entry.
+    on every entry.  A ``k`` that is not a positive integer, or a
+    ``tail_epsilon`` outside ``[0, 1]``, raises
+    :class:`~repro.exceptions.InvalidQueryError`.
     """
     require_valid_k(k)
+    require_unit_interval("tail_epsilon", tail_epsilon)
     if check_backend(backend) == "numpy":
         from repro.queries.psr_numpy import compute_rank_probabilities_numpy
 

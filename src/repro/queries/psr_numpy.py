@@ -32,10 +32,22 @@ deferred until a query asks for them (:class:`BlockRho`).
 Per-row work is O((L/SUB_ROWS + SUB_ROWS)·min(L, k)) array element
 operations for ``L`` live factors, so it still grows with the number of
 x-tuples open at once; the interpreter runs per group, never per row.
-Groups start at two blocks and double, so a scan that Lemma 2 stops
-early touches at most about twice the rows it keeps.  The certified
-tail stop (:func:`~repro.queries.psr.tail_stop`) arrives as
-:func:`scan_blocks`'s ``stop`` row and clips the last group exactly.
+
+A group costs a fixed amount of interpreted work before its first row,
+so a pass runs as few groups as the rows it reads allow.  It plans them
+from the row where it will end, known before the first group runs: the
+certified tail stop (:func:`~repro.queries.psr.tail_stop`), which
+arrives as :func:`scan_blocks`'s ``stop`` row, or, when that comes
+sooner, the row by which Lemma 2 has fired, which
+:func:`forecast_lemma2` reads off the probability column: one past the
+``k``-th x-tuple's last member, among those whose mass saturates.
+Groups of up to :data:`GROUP_BLOCKS` blocks cover the rows up to it, so
+a tail-stopped pass runs ``⌈stop / (GROUP_BLOCKS · BLOCK_ROWS)⌉``
+groups, and a pass whose x-tuples saturate at their last members
+reads fewer than :data:`BLOCK_ROWS` rows past its Lemma 2 cutoff.  The
+forecast only sizes groups: the in-group Lemma 2 check alone ends a
+pass, and full groups carry it on to ``stop`` if the forecast came too
+early.
 """
 
 from __future__ import annotations
@@ -355,6 +367,37 @@ def _masses(
     return dict(zip(ids[keep].tolist(), values.tolist()))
 
 
+def forecast_lemma2(
+    probabilities: np.ndarray, xtuple_indices: np.ndarray, k: int, stop: int
+) -> int:
+    """A row at or past the one where Lemma 2 will end a scan of rows
+    ``[0, stop)``, or ``stop`` if it fires no sooner.
+
+    An x-tuple whose mass reaches the saturation mass has saturated by
+    its last member, so Lemma 2 has fired one row past the ``k``-th
+    earliest such last member.  The sums run in another order than
+    :func:`_scan_group`'s, so the row can be off where a mass lands
+    within rounding of that mass: it only sizes groups.
+    """
+    # Lemma 2 fires inside a window only if k x-tuples reach the
+    # saturation mass in it.  The window grows from one group's rows,
+    # so a pass that stops early pays for the rows above its stop.
+    size = GROUP_BLOCKS * BLOCK_ROWS
+    while True:
+        end = min(size, stop)
+        members = xtuple_indices[:end]
+        total = np.bincount(members, weights=probabilities[:end])
+        if np.count_nonzero(total >= _SATURATED) >= k:
+            break
+        if end == stop:
+            return stop
+        size *= 4
+    # Each x-tuple's last row in the window is its first one in reverse.
+    ids, first = np.unique(members[::-1], return_index=True)
+    last = members.size - 1 - first[total[ids] >= _SATURATED]
+    return int(np.partition(last, k - 1)[k - 1]) + 1
+
+
 def scan_blocks(
     probabilities: np.ndarray,
     xtuple_indices: np.ndarray,
@@ -366,19 +409,22 @@ def scan_blocks(
 
     Returns the deferred ρ rows, the top-k vector and the row where the
     scan ended: ``stop`` (the tail stop), or where Lemma 2's early stop
-    fired.
+    fired.  Groups of up to :data:`GROUP_BLOCKS` blocks run to the row
+    :func:`forecast_lemma2` returns, rounded up to a block, then on to
+    ``stop``.
     """
     groups: List[_Group] = []
     topk: List[np.ndarray] = []
-    blocks = 2
+    forecast = forecast_lemma2(probabilities, xtuple_indices, k, stop)
+    planned = min(-(-forecast // BLOCK_ROWS) * BLOCK_ROWS, stop)
     while state.row < stop and state.shift < k:
-        end = min((state.row // BLOCK_ROWS + blocks) * BLOCK_ROWS, stop)
+        limit = planned if state.row < planned else stop
+        end = min(state.row + GROUP_BLOCKS * BLOCK_ROWS, limit)
         group, group_topk = _scan_group(
             probabilities, xtuple_indices, k, state, end
         )
         groups.append(group)
         topk.append(group_topk)
-        blocks = min(2 * blocks, GROUP_BLOCKS)
     topk_rows = np.concatenate(topk) if topk else np.zeros(0)
     return BlockRho(groups, k), topk_rows, state.row
 

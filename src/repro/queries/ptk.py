@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.db.database import RankedDatabase
-from repro.exceptions import InvalidQueryError
 from repro.queries.answers import PTkAnswer
+from repro.queries.deterministic import require_unit_interval
 from repro.queries.psr import (
     TAIL_EPSILON,
     RankProbabilities,
@@ -21,12 +21,7 @@ from repro.queries.psr import (
 
 def require_valid_threshold(threshold: float) -> None:
     """Validate a PT-k threshold (must lie in ``[0, 1]``)."""
-    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-        raise InvalidQueryError(f"threshold must be a number, got {threshold!r}")
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidQueryError(
-            f"threshold must lie in [0, 1], got {threshold!r}"
-        )
+    require_unit_interval("threshold", threshold)
 
 
 def answer_from_rank_probabilities(

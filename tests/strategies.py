@@ -183,6 +183,17 @@ def _saturate_and_close_in_block():
     return rows
 
 
+def _saturate_before_last_member():
+    # x-tuples "s0".."s5" saturate at rows 62, 65, ..., 77 (two halves),
+    # and each keeps a trailing 1e-13 member at rows 198..203: Lemma 2
+    # fires mid-block long before any of them closes.
+    rows = _singletons("f", 60)
+    for j in range(6):
+        rows += [(f"s{j}", 0.5), (f"g{j}", 0.3), (f"s{j}", 0.5)]
+    rows += _singletons("h", 120) + [(f"s{j}", 1e-13) for j in range(6)]
+    return rows + _singletons("i", 10)
+
+
 def _spans_four_blocks():
     # "w" has one member in each of blocks 0..4 and saturates in the last.
     rows = _singletons("f", 320)
@@ -204,6 +215,7 @@ BLOCK_BOUNDARY_CASES: Dict[str, Tuple[List[Tuple[str, float]], Tuple[int, ...]]]
         (5, 8),
     ),
     "saturate_and_close_in_block": (_saturate_and_close_in_block(), (2, 6, 30)),
+    "saturate_before_last_member": (_saturate_before_last_member(), (2, 6, 7)),
     "spans_four_blocks": (_spans_four_blocks(), (3, 12)),
     # At most 64 live factors per block, far below k = 100.
     "k_above_live_factors": (_singletons("f", 150, 0.4), (100,)),

@@ -35,17 +35,31 @@ from repro.queries.psr import (
     compute_rank_probabilities,
     tail_stop,
 )
-from repro.queries.psr_numpy import BLOCK_ROWS
+from repro.queries import psr_numpy
+from repro.queries.psr_numpy import BLOCK_ROWS, forecast_lemma2
 
 from strategies import BLOCK_BOUNDARY_CASES, databases_with_k, ranked_rows_db
 
 ABS = 1e-9
 
+#: Lemma 2 forecasts forced on the block kernel, which must still stop
+#: every pass where the scalar oracle does: one row into the scan (the
+#: first group is a single block, and full groups carry the scan on),
+#: and the stop (one group plan to the tail stop or the last row).
+FORCED_FORECASTS = {
+    "too_early": lambda probabilities, xtuple_indices, k, stop: 1,
+    "too_late": lambda probabilities, xtuple_indices, k, stop: stop,
+}
 
-def _assert_backends_agree(db, k):
+
+def _assert_backends_agree(db, k, tail_epsilon=TAIL_EPSILON):
     ranked = db.ranked()
-    reference = compute_rank_probabilities(ranked, k, backend="python")
-    vectorized = compute_rank_probabilities(ranked, k, backend="numpy")
+    reference = compute_rank_probabilities(
+        ranked, k, backend="python", tail_epsilon=tail_epsilon
+    )
+    vectorized = compute_rank_probabilities(
+        ranked, k, backend="numpy", tail_epsilon=tail_epsilon
+    )
     assert reference.backend == "python"
     assert vectorized.backend == "numpy"
     assert reference.cutoff == vectorized.cutoff
@@ -160,7 +174,34 @@ class TestBlockBoundaries:
         rows, ks = BLOCK_BOUNDARY_CASES[case]
         db = ranked_rows_db(rows)
         for k in ks:
-            _assert_backends_agree(db, k)
+            for tail_epsilon in (TAIL_EPSILON, 0.0):
+                _assert_backends_agree(db, k, tail_epsilon)
+
+    @pytest.mark.parametrize("forecast", sorted(FORCED_FORECASTS))
+    @pytest.mark.parametrize("case", sorted(BLOCK_BOUNDARY_CASES))
+    def test_forecast_only_sizes_groups(self, case, forecast, monkeypatch):
+        monkeypatch.setattr(
+            psr_numpy, "forecast_lemma2", FORCED_FORECASTS[forecast]
+        )
+        rows, ks = BLOCK_BOUNDARY_CASES[case]
+        db = ranked_rows_db(rows)
+        for k in ks:
+            for tail_epsilon in (TAIL_EPSILON, 0.0):
+                _assert_backends_agree(db, k, tail_epsilon)
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_BOUNDARY_CASES))
+    def test_forecast_bounds_the_cutoff(self, case):
+        # The forecast may only come late: a pass stops at or before it.
+        # In "saturate_before_last_member" it comes late, at the rows of
+        # the trailing 1e-13 members.
+        rows, ks = BLOCK_BOUNDARY_CASES[case]
+        ranked = ranked_rows_db(rows).ranked()
+        probabilities, xtuple_indices = ranked.psr_columns()
+        for k in ks:
+            stop = tail_stop(ranked, k, TAIL_EPSILON)
+            forecast = forecast_lemma2(probabilities, xtuple_indices, k, stop)
+            cutoff = compute_rank_probabilities(ranked, k).cutoff
+            assert cutoff <= forecast <= stop
 
     def test_case_shapes(self):
         def rows_of(case):
@@ -183,6 +224,12 @@ class TestBlockBoundaries:
                 result = compute_rank_probabilities(ranked, k, backend=backend)
                 assert result.cutoff == row
         assert 256 % BLOCK_ROWS == 0 and 237 % BLOCK_ROWS
+        # Lemma 2 fires mid-block at k = 2 and 6, long before the
+        # saturated x-tuples' trailing members at rows 198..203.
+        rows, ks = BLOCK_BOUNDARY_CASES["saturate_before_last_member"]
+        ranked = ranked_rows_db(rows).ranked()
+        cutoffs = [compute_rank_probabilities(ranked, k).cutoff for k in ks]
+        assert cutoffs == [66, 78, ranked.num_tuples]
 
     def test_rho_stays_deferred_until_read(self):
         rows, _ = BLOCK_BOUNDARY_CASES["n_not_block_multiple"]

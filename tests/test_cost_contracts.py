@@ -8,21 +8,27 @@ Python function call, or a C function called from Python code, each
 count one; C code calling C code counts nothing, so a ``map`` over a C
 callable is one event however long its input, while a list
 comprehension that calls a C method per item is one event per item),
-or a store's work per durable clean: journal bytes decoded, exclusive
-lock holds, fsyncs.  The bound is on the ratio of the two counts, so a
-call count holds across Python versions whose absolute counts differ;
-a row may also cap each count (``most``), where the count itself is
-the claim.  A measure asserts what its path must have done besides
-(a clean that changed the database, a batch that ran exactly one PSR
-pass), so a count cannot pass by skipping the work.
+a store's work per durable clean (journal bytes decoded, exclusive
+lock holds, fsyncs, bytes hashed), or the rows a PSR pass reads past
+its cutoff.  The bound is on the ratio of the two counts, so a call
+count holds across Python versions whose absolute counts differ; a
+row may also cap each count (``most``), where the count itself is the
+claim, and a row whose counts are too small for a ratio to mean
+anything has no ratio bound.  A measure asserts what its path must
+have done besides (a clean that changed the database, a batch that
+ran exactly one PSR pass), so a count cannot pass by skipping the
+work.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import os
 import random
 import shutil
 import sys
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
@@ -35,6 +41,9 @@ from repro.api import SessionPool, TopKService
 from repro.api.pool import snapshot_id_of
 from repro.api.specs import BatchSpec, CleaningSpec, QualitySpec, QuerySpec
 from repro.datasets.synthetic import generate_synthetic
+from repro.db.database import hash_records
+from repro.queries import psr_numpy
+from repro.queries.psr import TAIL_EPSILON, compute_rank_probabilities, tail_stop
 from repro.store import (
     SEGMENT_SUFFIX,
     RetentionPolicy,
@@ -208,13 +217,114 @@ def cold_batch(tmp: Path, num_xtuples: int) -> int:
     return events
 
 
+def executed_clean(tmp: Path, num_xtuples: int) -> int:
+    """Events of an executed clean (k = 100, budget 20) on a storeless
+    service holding one complete snapshot, whose k = 100 pass ends
+    before the database does.  A clean on a tiny snapshot runs first,
+    so the count holds no first-use imports."""
+    warm = TopKService()
+    warm_id = warm.register(generate_synthetic(num_xtuples=30, seed=1)).snapshot_id
+    warm.clean(warm_id, CleaningSpec(k=5, budget=10, seed=3))
+    service = TopKService()
+    db = generate_synthetic(num_xtuples=num_xtuples, seed=1)
+    sid = service.register(db).snapshot_id
+    spec = CleaningSpec(k=100, budget=20, seed=3)
+    results = []
+    events = count_events(lambda: results.append(service.clean(sid, spec)))
+    assert results[0].payload["new_snapshot_id"] != sid, "the clean changed nothing"
+    with service.pool.lease(sid) as session:
+        cutoff = session.rank_probabilities(100).cutoff
+    assert cutoff < db.num_tuples, "the pass read the whole database"
+    return events
+
+
+def hashed_beyond_content(tmp: Path, num_xtuples: int) -> int:
+    """Bytes a durable clean hands SHA-256 and CRC-32 besides one pass
+    over its outcome's content records: its segment and its journal and
+    lock frames.  The service has cleaned the same base once before, so
+    its store has already read the base's segment back, which the first
+    durable clean on a base does."""
+    service = open_service(tmp / f"store-{num_xtuples}")
+    db = generate_synthetic(num_xtuples=num_xtuples, seed=1)
+    sid = service.register(db).snapshot_id
+    service.clean(sid, CleaningSpec(k=10, budget=30, seed=2))
+    hashed = [0]
+    sha256, crc32 = hashlib.sha256, zlib.crc32
+
+    def hashing(data=b""):
+        hashed[0] += len(data)
+        return sha256(data)
+
+    def checking(data, value=0):
+        hashed[0] += len(data)
+        return crc32(data, value)
+
+    hashlib.sha256, zlib.crc32 = hashing, checking
+    try:
+        result = service.clean(sid, CleaningSpec(k=10, budget=30, seed=3))
+    finally:
+        hashlib.sha256, zlib.crc32 = sha256, crc32
+    outcome = result.payload["new_snapshot_id"]
+    assert outcome != sid, "the clean changed nothing"
+    with service.pool.lease(outcome) as session:
+        db = session.ranked.db
+        content = sum(map(len, hash_records(
+            db.xids, db.tids.tolist(), db.values.tolist(),
+            db.probabilities.tolist(), db.offsets.tolist(),
+        )))
+    assert hashed[0] >= content, "the clean did not hash its outcome"
+    return hashed[0] - content
+
+
+def rows_past_cutoff(tmp: Path, num_xtuples: int) -> int:
+    """Rows a cold k = 20 pass on complete data reads past its cutoff,
+    where Lemma 2 stops it.  A tail-stopped k = 20 pass on as many
+    incomplete x-tuples must run ⌈cutoff / (GROUP_BLOCKS · BLOCK_ROWS)⌉
+    groups: one per full group of rows it keeps."""
+    work = {"rows": 0, "groups": 0}
+    scan_group = psr_numpy._scan_group
+
+    def scanning(probabilities, xtuple_indices, k, state, end):
+        work["rows"] += end - state.row
+        work["groups"] += 1
+        return scan_group(probabilities, xtuple_indices, k, state, end)
+
+    complete = generate_synthetic(num_xtuples=num_xtuples, seed=1).ranked()
+    incomplete = generate_synthetic(
+        num_xtuples=num_xtuples, completion=0.85, seed=1
+    ).ranked()
+    psr_numpy._scan_group = scanning
+    try:
+        stopped = compute_rank_probabilities(complete, 20)
+        read = work["rows"]
+        work["groups"] = 0
+        tailed = compute_rank_probabilities(incomplete, 20)
+    finally:
+        psr_numpy._scan_group = scan_group
+    assert stopped.cutoff < tail_stop(complete, 20, TAIL_EPSILON), (
+        "Lemma 2 did not stop the pass"
+    )
+    assert tailed.cutoff == tail_stop(incomplete, 20, TAIL_EPSILON) < (
+        incomplete.num_tuples
+    ), "the tail stop did not stop the pass"
+    span = psr_numpy.GROUP_BLOCKS * psr_numpy.BLOCK_ROWS
+    assert work["groups"] == math.ceil(tailed.cutoff / span), (
+        f"a tail-stopped pass over {tailed.cutoff} rows ran "
+        f"{work['groups']} groups"
+    )
+    return read - stopped.cutoff
+
+
 @dataclass(frozen=True)
 class Contract:
     path: str
     sizes: Tuple[int, int]
-    bound: float
     claim: str
     measure: Callable[[Path, int], int]
+    #: The most the large count may be, as a multiple of the small one
+    #: (``None`` where the counts are too small for a ratio to say
+    #: anything, and ``most`` is the claim).
+    bound: Optional[float] = None
     #: The most either count may be, when the count itself is claimed.
     most: Optional[int] = None
 
@@ -284,6 +394,42 @@ CONTRACTS = (
         ),
         measure=cold_batch,
     ),
+    Contract(
+        path="executed in-memory clean",
+        sizes=(500, 3000),
+        bound=1.5,
+        claim=(
+            "a clean plans from its base's PSR pass, probes, derives its "
+            "outcome by splicing the changed x-tuples and scores it with one "
+            "fresh pass, both passes stopped by Lemma 2: no Python work per "
+            "x-tuple"
+        ),
+        measure=executed_clean,
+    ),
+    Contract(
+        path="bytes a durable clean hashes besides its outcome's records",
+        sizes=(500, 3000),
+        bound=1.1,
+        claim=(
+            "a durable clean hashes its outcome's content records once, plus "
+            "its delta segment and its journal and lock frames: nothing "
+            "else it hashes grows with the database"
+        ),
+        measure=hashed_beyond_content,
+        most=4096,
+    ),
+    Contract(
+        path="rows a Lemma 2-stopped pass reads past its cutoff",
+        sizes=(500, 6000),
+        claim=(
+            "a PSR pass sizes its groups from the row by which Lemma 2 has "
+            "fired, so where x-tuples saturate at their last members it "
+            "reads at most the rest of the block its cutoff falls in, "
+            "whatever the database's size"
+        ),
+        measure=rows_past_cutoff,
+        most=psr_numpy.BLOCK_ROWS - 1,
+    ),
 )
 
 
@@ -292,7 +438,8 @@ def test_work_grows_within_its_bound(contract, tmp_path):
     small, large = contract.sizes
     assert large >= 6 * small
     counts = [contract.measure(tmp_path, size) for size in contract.sizes]
-    assert counts[1] <= contract.bound * counts[0], (
+    assert contract.bound is not None or contract.most is not None
+    assert contract.bound is None or counts[1] <= contract.bound * counts[0], (
         f"{contract.path}: {counts[0]} at {small}, {counts[1]} at {large} "
         f"(more than x{contract.bound}); the claim: {contract.claim}"
     )

@@ -18,6 +18,7 @@ import pytest
 from repro.core.backend import BACKENDS
 from repro.core.tp import compute_quality_tp
 from repro.datasets.synthetic import generate_synthetic
+from repro.exceptions import InvalidQueryError
 from repro.queries import global_topk, ptk, ukranks
 from repro.queries.engine import QuerySession
 from repro.queries.psr import TAIL_EPSILON, compute_rank_probabilities
@@ -52,6 +53,27 @@ def passes(request):
 
 def test_epsilon_is_below_the_ukranks_tolerance():
     assert TAIL_EPSILON < ukranks.ZERO_TOLERANCE
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_epsilon_outside_the_unit_interval_is_refused(backend):
+    # Refused before tail_stop runs: 50.0 makes its square root's
+    # argument negative, and NaN or -1.0 would turn the stop off and be
+    # recorded as the pass's ε.
+    ranked = generate_synthetic(
+        num_xtuples=200, completion=0.85, seed=1
+    ).ranked()
+    for epsilon in (50.0, 1.5, -1.0, float("nan"), float("inf"), "0.1", None, True):
+        with pytest.raises(InvalidQueryError, match="tail_epsilon"):
+            compute_rank_probabilities(
+                ranked, 10, backend=backend, tail_epsilon=epsilon
+            )
+    assert compute_rank_probabilities(
+        ranked, 10, backend=backend, tail_epsilon=0
+    ).cutoff == ranked.num_tuples
+    assert compute_rank_probabilities(
+        ranked, 10, backend=backend, tail_epsilon=1
+    ).tail_epsilon == 1
 
 
 def test_tail_mass_within_the_bound(passes):
