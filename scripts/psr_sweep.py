@@ -13,6 +13,11 @@ combination of:
 
 For each it prints the rows the pass kept (its cutoff), the groups it
 ran, the median wall time of a pass and the rows per second that makes.
+For a tail-stopped pass it also prints the top-k mass the unstopped
+pass finds past its cutoff, which the stop certifies to be at most
+``TAIL_EPSILON``, and the row where the quadratic Chernoff form
+``k·exp(-(μ-k)²/(2μ))`` would have stopped it, which the cutoff never
+passes; the sweep exits non-zero if either check fails.
 
 ``--against DIR`` also times another checkout's kernel: it loads
 ``DIR/src/repro/queries/psr_numpy.py`` into this process, next to this
@@ -34,19 +39,22 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import math
 import statistics
 import sys
 import time
 from pathlib import Path
 from types import ModuleType
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.datasets.synthetic import generate_synthetic  # noqa: E402
 from repro.db.database import RankedDatabase  # noqa: E402
 from repro.queries import psr_numpy  # noqa: E402
-from repro.queries.psr import TAIL_EPSILON  # noqa: E402
+from repro.queries.psr import TAIL_EPSILON, RankProbabilities  # noqa: E402
 
 SIZES = (10_000, 30_000, 100_000, 300_000)
 KS = (15, 100)
@@ -65,15 +73,24 @@ def load_kernel(checkout: Path) -> ModuleType:
     return module
 
 
+def quadratic_stop(ranked: RankedDatabase, k: int, epsilon: float) -> int:
+    """The first row whose mass above exceeds ``μ* = k + L + √(L² +
+    2kL)``, ``L = ln(k/ε)``: where the quadratic form stops a scan."""
+    log_term = math.log(k / epsilon)
+    threshold = k + log_term + math.sqrt(log_term * (log_term + 2 * k))
+    mass = np.cumsum(ranked.probabilities_array)
+    return min(
+        ranked.num_tuples, int(np.searchsorted(mass, threshold, side="right")) + 1
+    )
+
+
 def time_pass(
     kernel: ModuleType, ranked: RankedDatabase, k: int, epsilon: float
-) -> Tuple[float, int, int]:
-    """Seconds, cutoff and groups of one cold pass."""
+) -> Tuple[float, RankProbabilities]:
+    """Seconds and result of one cold pass."""
     start = time.perf_counter()
     result = kernel.compute_rank_probabilities_numpy(ranked, k, epsilon)
-    seconds = time.perf_counter() - start
-    # The pass's deferred ρ rows hold one entry per group it ran.
-    return seconds, result.cutoff, len(result._rho_state.groups)
+    return time.perf_counter() - start, result
 
 
 def sweep_case(
@@ -82,23 +99,31 @@ def sweep_case(
     k: int,
     epsilon: float,
     repeats: int,
-) -> List[Tuple[float, int, int]]:
-    """Median seconds, cutoff and groups of each kernel's pass,
-    alternating the kernels and which one goes first."""
+) -> List[Tuple[float, RankProbabilities]]:
+    """Median seconds and a result of each kernel's pass, alternating
+    the kernels and which one goes first."""
     times: List[List[float]] = [[] for _ in kernels]
-    shapes = [(0, 0) for _ in kernels]
+    results: List[Optional[RankProbabilities]] = [None for _ in kernels]
     for repeat in range(repeats):
         order = list(range(len(kernels)))
         if repeat % 2:
             order.reverse()
         for index in order:
-            seconds, cutoff, groups = time_pass(kernels[index], ranked, k, epsilon)
+            seconds, results[index] = time_pass(
+                kernels[index], ranked, k, epsilon
+            )
             times[index].append(seconds)
-            shapes[index] = (cutoff, groups)
     return [
-        (statistics.median(seconds), cutoff, groups)
-        for seconds, (cutoff, groups) in zip(times, shapes)
+        (statistics.median(seconds), result)
+        for seconds, result in zip(times, results)
+        if result is not None
     ]
+
+
+def groups_of(result: RankProbabilities) -> int:
+    """Groups a block-kernel pass ran: its deferred ρ rows hold one
+    entry per group."""
+    return len(result._rho_state.groups)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -124,12 +149,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     header = (
         f"{'n':>7} {'data':>10} {'k':>3} {'stop':>4} {'rows':>7}"
-        f" {'groups':>6} {'ms':>8} {'rows/s':>9}"
+        f" {'groups':>6} {'ms':>8} {'rows/s':>9} {'past':>8} {'quad':>7}"
     )
     if len(kernels) > 1:
         header += f" | {'groups':>6} {'ms':>8} {'rows/s':>9} {'ratio':>6}"
     print(header)
-    mismatches = 0
+    failures = 0
     for n in sizes:
         for data, completion in DATA:
             db = generate_synthetic(
@@ -137,26 +162,43 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             ranked = db.ranked()
             for k in KS:
+                cells: Dict[str, List[Tuple[float, RankProbabilities]]] = {
+                    stop: sweep_case(kernels, ranked, k, epsilon, args.repeats)
+                    for stop, epsilon in STOPS
+                }
+                # Every row of an unstopped pass, to check the stop by.
+                unstopped = cells["none"][0][1].topk_prefix
                 for stop, epsilon in STOPS:
-                    rows = sweep_case(kernels, ranked, k, epsilon, args.repeats)
-                    line = f"{ranked.num_tuples:>7} {data:>10} {k:>3} {stop:>4}"
-                    seconds, cutoff, groups = rows[0]
-                    line += (
-                        f" {cutoff:>7} {groups:>6} {seconds * 1e3:>8.2f}"
-                        f" {cutoff / seconds:>9.0f}"
+                    rows = cells[stop]
+                    seconds, result = rows[0]
+                    cutoff = result.cutoff
+                    line = (
+                        f"{ranked.num_tuples:>7} {data:>10} {k:>3} {stop:>4}"
+                        f" {cutoff:>7} {groups_of(result):>6}"
+                        f" {seconds * 1e3:>8.2f} {cutoff / seconds:>9.0f}"
                     )
+                    if epsilon > 0.0:
+                        past = math.fsum(unstopped[cutoff:].tolist())
+                        quad = quadratic_stop(ranked, k, epsilon)
+                        line += f" {past:>8.1e} {quad:>7}"
+                        if past > epsilon or cutoff > quad:
+                            failures += 1
+                            line += "  UNCERTIFIED"
+                    else:
+                        line += f" {'':>8} {'':>7}"
                     if len(rows) > 1:
-                        other, other_cutoff, other_groups = rows[1]
+                        other, other_result = rows[1]
                         line += (
-                            f" | {other_groups:>6} {other * 1e3:>8.2f}"
-                            f" {other_cutoff / other:>9.0f}"
+                            f" | {groups_of(other_result):>6}"
+                            f" {other * 1e3:>8.2f}"
+                            f" {other_result.cutoff / other:>9.0f}"
                             f" {other / seconds:>6.2f}"
                         )
-                        if other_cutoff != cutoff:
-                            mismatches += 1
-                            line += f"  CUTOFF {other_cutoff} != {cutoff}"
+                        if other_result.cutoff != cutoff:
+                            failures += 1
+                            line += f"  CUTOFF {other_result.cutoff} != {cutoff}"
                     print(line, flush=True)
-    return 1 if mismatches else 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -36,18 +36,20 @@ x-tuples open at once; the interpreter runs per group, never per row.
 A group costs a fixed amount of interpreted work before its first row,
 so a pass runs as few groups as the rows it reads allow.  It plans them
 from the row where it will end, known before the first group runs: the
-certified tail stop (:func:`~repro.queries.psr.tail_stop`), which
-arrives as :func:`scan_blocks`'s ``stop`` row, or, when that comes
-sooner, the row by which Lemma 2 has fired, which
+certified tail stop (:func:`~repro.queries.psr.tail_stop`, the first
+row where a Chernoff bound over the x-tuples' masses above it certifies
+the rows left), which arrives as :func:`scan_blocks`'s ``stop`` row,
+or, when that comes sooner, the row by which Lemma 2 has fired, which
 :func:`forecast_lemma2` reads off the probability column: one past the
 ``k``-th x-tuple's last member, among those whose mass saturates.
 Groups of up to :data:`GROUP_BLOCKS` blocks cover the rows up to it, so
 a tail-stopped pass runs ``⌈stop / (GROUP_BLOCKS · BLOCK_ROWS)⌉``
-groups, and a pass whose x-tuples saturate at their last members
-reads fewer than :data:`BLOCK_ROWS` rows past its Lemma 2 cutoff.  The
-forecast only sizes groups: the in-group Lemma 2 check alone ends a
-pass, and full groups carry it on to ``stop`` if the forecast came too
-early.
+groups and reads at most ``SUB_ROWS - 1`` rows past ``stop`` (the rest
+of its sub-block, which it does not emit), and a pass whose x-tuples
+saturate at their last members reads fewer than :data:`BLOCK_ROWS`
+rows past its Lemma 2 cutoff.  The forecast only sizes groups: the
+in-group Lemma 2 check alone ends a pass, and full groups carry it on
+to ``stop`` if the forecast came too early.
 """
 
 from __future__ import annotations
@@ -380,9 +382,10 @@ def forecast_lemma2(
     within rounding of that mass: it only sizes groups.
     """
     # Lemma 2 fires inside a window only if k x-tuples reach the
-    # saturation mass in it.  The window grows from one group's rows,
-    # so a pass that stops early pays for the rows above its stop.
-    size = GROUP_BLOCKS * BLOCK_ROWS
+    # saturation mass in it.  The window grows from two blocks' rows to
+    # one group's and on, so a pass that stops early pays for the rows
+    # above its stop.
+    size = 2 * BLOCK_ROWS
     while True:
         end = min(size, stop)
         members = xtuple_indices[:end]
@@ -391,7 +394,7 @@ def forecast_lemma2(
             break
         if end == stop:
             return stop
-        size *= 4
+        size = max(4 * size, GROUP_BLOCKS * BLOCK_ROWS)
     # Each x-tuple's last row in the window is its first one in reverse.
     ids, first = np.unique(members[::-1], return_index=True)
     last = members.size - 1 - first[total[ids] >= _SATURATED]
@@ -411,7 +414,11 @@ def scan_blocks(
     scan ended: ``stop`` (the tail stop), or where Lemma 2's early stop
     fired.  Groups of up to :data:`GROUP_BLOCKS` blocks run to the row
     :func:`forecast_lemma2` returns, rounded up to a block, then on to
-    ``stop``.
+    ``stop``.  The last group reads on to the end of ``stop``'s
+    sub-block and drops the rows past ``stop``: which of a sub-block's
+    rows a group holds decides whether a factor is multiplied once for
+    the sub-block or per row, so a pass's rows then take the same
+    products as those of a pass that stops later.
     """
     groups: List[_Group] = []
     topk: List[np.ndarray] = []
@@ -420,13 +427,24 @@ def scan_blocks(
     while state.row < stop and state.shift < k:
         limit = planned if state.row < planned else stop
         end = min(state.row + GROUP_BLOCKS * BLOCK_ROWS, limit)
+        if end == stop:
+            end = min(-(-stop // SUB_ROWS) * SUB_ROWS, probabilities.size)
         group, group_topk = _scan_group(
             probabilities, xtuple_indices, k, state, end
         )
         groups.append(group)
         topk.append(group_topk)
+    past = state.row - stop
+    if past > 0:
+        last = groups[-1]
+        keep = last.slots.size - past
+        groups[-1] = _Group(
+            last.poly, last.closed, last.slots[:keep], last.shifts[:keep],
+            last.weights[:keep],
+        )
+        topk[-1] = topk[-1][:keep]
     topk_rows = np.concatenate(topk) if topk else np.zeros(0)
-    return BlockRho(groups, k), topk_rows, state.row
+    return BlockRho(groups, k), topk_rows, min(state.row, stop)
 
 
 def compute_rank_probabilities_numpy(

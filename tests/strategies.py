@@ -219,9 +219,10 @@ BLOCK_BOUNDARY_CASES: Dict[str, Tuple[List[Tuple[str, float]], Tuple[int, ...]]]
     "spans_four_blocks": (_spans_four_blocks(), (3, 12)),
     # At most 64 live factors per block, far below k = 100.
     "k_above_live_factors": (_singletons("f", 150, 0.4), (100,)),
-    # The certified tail stop at k = 3 (mass above the row > 77.16)
-    # falls on row 256, a block boundary, ...
-    "tail_stop_on_block_boundary": (_singletons("f", 320, 0.302), (3,)),
-    # ... and at k = 1 (mass > 71.06) on row 237, mid-block.
+    # The certified tail stop at k = 3 (3·min_t e^{2t}·(1 - 0.206·c_t)^i
+    # below 1e-15) falls on row 192, a block boundary, ...
+    "tail_stop_on_block_boundary": (_singletons("f", 320, 0.206), (3,)),
+    # ... and at k = 1 (min_t (1 - 0.3·c_t)^i below 1e-15) on row 97,
+    # mid-block.
     "tail_stop_mid_block": (_singletons("f", 320, 0.3), (1,)),
 }

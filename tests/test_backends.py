@@ -214,8 +214,8 @@ class TestBlockBoundaries:
         cutoff = compute_rank_probabilities(db.ranked(), 5, backend="numpy").cutoff
         assert cutoff == 105 and cutoff // BLOCK_ROWS == 1
         for case, row in (
-            ("tail_stop_on_block_boundary", 256),
-            ("tail_stop_mid_block", 237),
+            ("tail_stop_on_block_boundary", 192),
+            ("tail_stop_mid_block", 97),
         ):
             rows, (k,) = BLOCK_BOUNDARY_CASES[case]
             ranked = ranked_rows_db(rows).ranked()
@@ -223,13 +223,15 @@ class TestBlockBoundaries:
             for backend in ("numpy", "python"):
                 result = compute_rank_probabilities(ranked, k, backend=backend)
                 assert result.cutoff == row
-        assert 256 % BLOCK_ROWS == 0 and 237 % BLOCK_ROWS
+        assert 192 % BLOCK_ROWS == 0 and 97 % BLOCK_ROWS
         # Lemma 2 fires mid-block at k = 2 and 6, long before the
-        # saturated x-tuples' trailing members at rows 198..203.
+        # saturated x-tuples' trailing members at rows 198..203.  Only
+        # six x-tuples saturate, so at k = 7 the tail stop ends the pass.
         rows, ks = BLOCK_BOUNDARY_CASES["saturate_before_last_member"]
         ranked = ranked_rows_db(rows).ranked()
         cutoffs = [compute_rank_probabilities(ranked, k).cutoff for k in ks]
-        assert cutoffs == [66, 78, ranked.num_tuples]
+        assert cutoffs == [66, 78, 115]
+        assert tail_stop(ranked, 7, TAIL_EPSILON) == 115
 
     def test_rho_stays_deferred_until_read(self):
         rows, _ = BLOCK_BOUNDARY_CASES["n_not_block_multiple"]

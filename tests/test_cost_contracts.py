@@ -10,7 +10,7 @@ callable is one event however long its input, while a list
 comprehension that calls a C method per item is one event per item),
 a store's work per durable clean (journal bytes decoded, exclusive
 lock holds, fsyncs, bytes hashed), or the rows a PSR pass reads past
-its cutoff.  The bound is on the ratio of the two counts, so a call
+its cutoff or keeps.  The bound is on the ratio of the two counts, so a call
 count holds across Python versions whose absolute counts differ; a
 row may also cap each count (``most``), where the count itself is the
 claim, and a row whose counts are too small for a ratio to mean
@@ -278,9 +278,10 @@ def hashed_beyond_content(tmp: Path, num_xtuples: int) -> int:
 
 def rows_past_cutoff(tmp: Path, num_xtuples: int) -> int:
     """Rows a cold k = 20 pass on complete data reads past its cutoff,
-    where Lemma 2 stops it.  A tail-stopped k = 20 pass on as many
-    incomplete x-tuples must run ⌈cutoff / (GROUP_BLOCKS · BLOCK_ROWS)⌉
-    groups: one per full group of rows it keeps."""
+    where Lemma 2 stops it (run without the tail stop, which certifies
+    a row close by).  A tail-stopped k = 20 pass on as many incomplete
+    x-tuples must run ⌈cutoff / (GROUP_BLOCKS · BLOCK_ROWS)⌉ groups: one
+    per full group of rows it keeps."""
     work = {"rows": 0, "groups": 0}
     scan_group = psr_numpy._scan_group
 
@@ -295,15 +296,13 @@ def rows_past_cutoff(tmp: Path, num_xtuples: int) -> int:
     ).ranked()
     psr_numpy._scan_group = scanning
     try:
-        stopped = compute_rank_probabilities(complete, 20)
+        stopped = compute_rank_probabilities(complete, 20, tail_epsilon=0.0)
         read = work["rows"]
         work["groups"] = 0
         tailed = compute_rank_probabilities(incomplete, 20)
     finally:
         psr_numpy._scan_group = scan_group
-    assert stopped.cutoff < tail_stop(complete, 20, TAIL_EPSILON), (
-        "Lemma 2 did not stop the pass"
-    )
+    assert stopped.cutoff < complete.num_tuples, "Lemma 2 did not stop the pass"
     assert tailed.cutoff == tail_stop(incomplete, 20, TAIL_EPSILON) < (
         incomplete.num_tuples
     ), "the tail stop did not stop the pass"
@@ -313,6 +312,23 @@ def rows_past_cutoff(tmp: Path, num_xtuples: int) -> int:
         f"{work['groups']} groups"
     )
     return read - stopped.cutoff
+
+
+def rows_kept_on_incomplete_data(tmp: Path, num_xtuples: int) -> int:
+    """Rows a cold k = 100 pass keeps on incomplete data, where the tail
+    stop ends it.  The rows it leaves must hold at most TAIL_EPSILON of
+    the top-k mass an unstopped pass finds there."""
+    ranked = generate_synthetic(
+        num_xtuples=num_xtuples, completion=0.85, seed=1
+    ).ranked()
+    stopped = compute_rank_probabilities(ranked, 100)
+    unstopped = compute_rank_probabilities(ranked, 100, tail_epsilon=0.0)
+    assert unstopped.cutoff == ranked.num_tuples
+    left = math.fsum(unstopped.topk_prefix[stopped.cutoff :].tolist())
+    assert left <= TAIL_EPSILON, (
+        f"the rows past the cutoff hold {left:g} of top-k mass"
+    )
+    return stopped.cutoff
 
 
 @dataclass(frozen=True)
@@ -429,6 +445,17 @@ CONTRACTS = (
         ),
         measure=rows_past_cutoff,
         most=psr_numpy.BLOCK_ROWS - 1,
+    ),
+    Contract(
+        path="rows a tail-stopped pass keeps",
+        sizes=(500, 3000),
+        claim=(
+            "the tail stop bounds the rows left with the x-tuples' own "
+            "masses, so a k = 100 pass on incomplete data certifies its "
+            "tail within 2,000 rows, where the prefix mass alone took 2,776"
+        ),
+        measure=rows_kept_on_incomplete_data,
+        most=2000,
     ),
 )
 

@@ -12,6 +12,7 @@ runs one fresh pass on the patched view; the ``[python]`` cases run
 the scalar oracle on both sides.
 """
 
+import math
 import random
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.db.database import ProbabilisticDatabase, RankedDatabase
 from repro.queries import engine
 from repro.queries.engine import QuerySession
 from repro.queries.psr import (
+    CHERNOFF_T,
     TAIL_EPSILON,
     apply_rank_delta,
     compute_rank_probabilities,
@@ -338,8 +340,9 @@ def _target_rows(rows_at, masses, filler=0.3, n=400):
 class TestTailStopDeltas:
     """A probe moves the certified tail stop; a derived session follows it.
 
-    400 singleton rows of mass 0.3 put the stop at row 274 for k = 5
-    (μ* ≈ 81.99), far above the bottom row.  The derived session's
+    400 singleton rows of mass 0.3 put the stop at row 144 for k = 5
+    (the first row ``i`` where ``5·min_t e^{4t}·(1 - 0.3·c_t)^i`` falls
+    below 1e-15), far above the bottom row.  The derived session's
     cutoff and answers must equal a cold session's.
     """
 
@@ -399,29 +402,42 @@ class TestTailStopDeltas:
 
     def test_new_stop_above_the_reusable_tail(self, backend):
         # The collapse completes the x-tuple at row 10, so every row
-        # below gains 0.7 of mass above it: the stop moves from 273 to
-        # 271, above the old member at row 272.  The window must end at
+        # below gains 0.7 of mass above it: the stop moves from 138 to
+        # 136, above the old member at row 137.  The window must end at
         # the new stop.
-        ranked, old_rp = self._pass(_target_rows((10, 272), (0.3, 0.7)), backend)
-        assert old_rp.cutoff == 273
+        ranked, old_rp = self._pass(_target_rows((10, 137), (0.3, 0.7)), backend)
+        assert old_rp.cutoff == 138
         xt = ranked.db.xtuple("target")
         _, delta = ranked.with_xtuple_replaced(
             "target", xt.collapsed_to(xt.alternatives[0].tid)
         )
         _, patched = _assert_derived_matches_cold(old_rp, delta, backend)
-        assert patched.cutoff == 271
+        assert patched.cutoff == 136
 
     def _near_tie(self, masses, row_from_stop, excess):
-        """Rows with ``target`` at rows 5 and 10 whose mass above row
-        ``stop - row_from_stop`` is μ* + ``excess``, and that stop."""
+        """Rows with ``target`` at rows 5 and 10 whose Chernoff bound at
+        row ``stop - row_from_stop`` is ``TAIL_EPSILON · e^excess``, and
+        that stop.  The bound is set by the mass of the row above."""
         rows = _target_rows((5, 10), masses)
         ranked = ranked_rows_db(rows).ranked()
         stop = tail_stop(ranked, self.K, TAIL_EPSILON)
         row = stop - row_from_stop
-        log_term = np.log(self.K / TAIL_EPSILON)
-        threshold = self.K + log_term + np.sqrt(log_term * (log_term + 2 * self.K))
-        above = np.cumsum(ranked.probabilities_array)[row - 1]
-        rows[row - 1] = ("last", 0.3 + (threshold + excess - above))
+        above = np.bincount(
+            ranked.xtuple_indices_array[: row - 1],
+            weights=ranked.probabilities_array[: row - 1],
+        )
+        c = -np.expm1(-CHERNOFF_T)
+        rest = math.log(self.K / TAIL_EPSILON) + CHERNOFF_T * (self.K - 1)
+        rest += np.log1p(-np.outer(c, above)).sum(axis=1)
+        # The log bound falls as the mass of row `row - 1` grows.
+        low, high = 0.0, 1.0
+        for _ in range(100):
+            mass = (low + high) / 2
+            if (rest + np.log1p(-mass * c)).min() > excess:
+                low = mass
+            else:
+                high = mass
+        rows[row - 1] = ("last", high)
         return rows, stop
 
     def _replace_second_member(self, ranked, mass):
@@ -439,11 +455,12 @@ class TestTailStopDeltas:
         return delta
 
     def test_new_stop_below_the_rows_the_old_pass_kept(self, backend):
-        # The stop row's mass sits 2e-13 above μ*.  A replacement that
-        # still saturates but holds 5e-13 less mass moves the stop one
-        # row down: the old pass stopped one row short of what the
-        # patched view needs.
-        rows, stop = self._near_tie((0.5, 0.5), 0, 2e-13)
+        # The stop row's bound sits a factor e^{-2e-13} below ε.  A
+        # replacement that still saturates but holds 5e-13 less mass
+        # raises its log by about 1e-11, which moves the stop one row
+        # down: the old pass stopped one row short of what the patched
+        # view needs.
+        rows, stop = self._near_tie((0.5, 0.5), 0, -2e-13)
         ranked, old_rp = self._pass(rows, backend)
         assert old_rp.cutoff == stop
         delta = self._replace_second_member(ranked, 0.5 - 5e-13)
@@ -451,27 +468,27 @@ class TestTailStopDeltas:
         assert patched.cutoff == stop + 1
 
     def test_new_stop_inside_the_reused_tail(self, backend):
-        # The mirror image: the row above the stop sits 2e-13 below μ*,
-        # and 5e-13 more mass moves the stop one row up, into the rows
-        # the old pass scanned.
-        rows, stop = self._near_tie((0.5, 0.5 - 5e-13), 1, -2e-13)
+        # The mirror image: the row above the stop sits a factor
+        # e^{2e-13} above ε, and 5e-13 more mass moves the stop one row
+        # up, into the rows the old pass scanned.
+        rows, stop = self._near_tie((0.5, 0.5 - 5e-13), 1, 2e-13)
         ranked, old_rp = self._pass(rows, backend)
         assert old_rp.cutoff == stop
         delta = self._replace_second_member(ranked, 0.5)
         _, patched = _assert_derived_matches_cold(old_rp, delta, backend)
         assert patched.cutoff == stop - 1
 
-    @pytest.mark.parametrize("rows_at", [(100, 120), (250, 260)])
+    @pytest.mark.parametrize("rows_at", [(40, 60), (110, 125)])
     def test_restricted_result_follows_its_own_stop(self, backend, rows_at):
-        # A prefill's restricted k=1 result keeps the k=5 cutoff (274).
-        # A change above that cutoff -- above k=1's own stop (237 before
+        # A prefill's restricted k=1 result keeps the k=5 cutoff (143).
+        # A change above that cutoff -- above k=1's own stop (97 before
         # the probe), or between the two stops -- drops it, and the
         # derived session's fresh k=1 pass has k=1's own stop.
         ranked = ranked_rows_db(_target_rows(rows_at, (0.3, 0.3))).ranked()
         session = QuerySession(ranked, backend=backend)
         session.prefill([1, self.K])
-        assert session.rank_probabilities(1).cutoff == 274
-        assert tail_stop(ranked, 1, TAIL_EPSILON) == 237
+        assert session.rank_probabilities(1).cutoff == 143
+        assert tail_stop(ranked, 1, TAIL_EPSILON) == 97
         xt = ranked.db.xtuple("target")
         new_ranked, delta = ranked.with_xtuple_replaced(
             "target", xt.collapsed_to(xt.alternatives[0].tid)

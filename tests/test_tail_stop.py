@@ -1,18 +1,21 @@
 """The certified tail stop against unstopped scans.
 
 On incomplete data Lemma 2 never fires, so the PSR scan ends at the
-tail stop instead: the first row whose mass above proves that the rows
-left hold at most ``TAIL_EPSILON`` of top-k probability.  These tests
-run the same pass without the stop (``tail_epsilon=0``) and check the
-certificate and its consequences: the mass below the cutoff lies within
-the Chernoff bound, the three query answers are the same, and quality
-and ``g(l, D)`` agree within 1e-9.  Every check runs on both kernels:
-the production block kernel and, through ``backend="python"``, the
-scalar oracle.
+tail stop instead: the first row where the x-tuples' masses above it
+prove that the rows left hold at most ``TAIL_EPSILON`` of top-k
+probability.  These tests run the same pass without the stop
+(``tail_epsilon=0``) and check the certificate and its consequences:
+the mass below the cutoff lies within the Chernoff bound at the cutoff,
+which the row above it does not meet; the cutoff is never later than
+the row the quadratic Chernoff form gives; the three query answers are
+the same; and quality and ``g(l, D)`` agree within 1e-9.  Every check
+runs on both kernels: the production block kernel and, through
+``backend="python"``, the scalar oracle.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.backend import BACKENDS
@@ -21,7 +24,11 @@ from repro.datasets.synthetic import generate_synthetic
 from repro.exceptions import InvalidQueryError
 from repro.queries import global_topk, ptk, ukranks
 from repro.queries.engine import QuerySession
-from repro.queries.psr import TAIL_EPSILON, compute_rank_probabilities
+from repro.queries.psr import (
+    CHERNOFF_T,
+    TAIL_EPSILON,
+    compute_rank_probabilities,
+)
 
 ABS = 1e-9
 
@@ -76,18 +83,49 @@ def test_epsilon_outside_the_unit_interval_is_refused(backend):
     ).tail_epsilon == 1
 
 
+def chernoff_bound(ranked, k, row):
+    """``k · min_t e^{t(k-1)} · Π_l (1 - m_l·c_t)`` over ``CHERNOFF_T``,
+    from the x-tuples' masses above ``row``."""
+    masses = np.bincount(
+        ranked.xtuple_indices_array[:row],
+        weights=ranked.probabilities_array[:row],
+    )
+    c = -np.expm1(-CHERNOFF_T)
+    logs = CHERNOFF_T * (k - 1) + np.log1p(-np.outer(c, masses)).sum(axis=1)
+    return k * math.exp(logs.min())
+
+
+def quadratic_row(ranked, k):
+    """The first row whose mass above exceeds ``μ*``, where the
+    quadratic form ``k·exp(-(μ-k)²/(2μ))`` falls below ``TAIL_EPSILON``."""
+    log_term = math.log(k / TAIL_EPSILON)
+    threshold = k + log_term + math.sqrt(log_term * (log_term + 2 * k))
+    mass = np.cumsum(ranked.probabilities_array)
+    return min(
+        ranked.num_tuples, int(np.searchsorted(mass, threshold, side="right")) + 1
+    )
+
+
 def test_tail_mass_within_the_bound(passes):
     ranked, k, triples = passes
+    capped = quadratic_row(ranked, k)
     for _, stopped, unstopped in triples:
         cutoff = stopped.cutoff
         tail = math.fsum(unstopped.topk_prefix[cutoff:].tolist())
+        # No pass reads more rows than the quadratic form lets it.
+        assert cutoff <= capped
+        if cutoff < capped:
+            # The first row the Chernoff bound certifies: the row above
+            # it is not certified.
+            assert chernoff_bound(ranked, k, cutoff - 1) >= TAIL_EPSILON * (
+                1 - 1e-9
+            )
         if cutoff == ranked.num_tuples:
-            # Only a total mass below μ* (≈ 235.9 at k = 100) scans it all.
-            assert math.fsum(ranked.probabilities_array.tolist()) < 240
             continue
-        mu = math.fsum(ranked.probabilities_array[:cutoff].tolist())
-        assert mu > k
-        bound = k * math.exp(-((mu - k) ** 2) / (2 * mu))
+        bound = chernoff_bound(ranked, k, cutoff)
+        if cutoff == capped:
+            mu = math.fsum(ranked.probabilities_array[:cutoff].tolist())
+            bound = min(bound, k * math.exp(-((mu - k) ** 2) / (2 * mu)))
         assert tail <= bound <= TAIL_EPSILON
         # The kept rows agree with the unstopped scan.
         assert stopped.topk_prefix == pytest.approx(
