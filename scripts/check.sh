@@ -50,7 +50,7 @@ step "pytest" python -m pytest -q
 # A committed schema-1 store through the CLI, as CI's fault-smoke job
 # runs it: nothing quarantined, one journaled cleaning pending, and
 # `repro store verify` (a rebuild of every snapshot) finds nothing;
-# nor does it in a copy of the committed schema-2 store.  The crash
+# nor does it in copies of the committed schema-2 and schema-4 stores.  The crash
 # and chaos stores below end with the same scrub.
 fixture_status() {
     dir=$(mktemp -d)
@@ -59,7 +59,9 @@ fixture_status() {
         python -c 'import json, sys; s = json.load(open(sys.argv[1]))["status"]; assert s["quarantined_files"] == [] and len(s["pending_cleanings"]) == 1, s' "$dir/status.json" &&
         python -m repro store verify --dir "$dir/store" &&
         cp -r tests/fixtures/schema2_store/store "$dir/schema2" &&
-        python -m repro store verify --dir "$dir/schema2"
+        python -m repro store verify --dir "$dir/schema2" &&
+        cp -r tests/fixtures/schema4_store/store "$dir/schema4" &&
+        python -m repro store verify --dir "$dir/schema4"
     status=$?
     rm -rf "$dir"
     return $status

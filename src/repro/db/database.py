@@ -18,10 +18,11 @@ The last two are float64 arrays when every entry is a Python
 ``float``, and otherwise object arrays that keep each entry's Python
 type -- a MOV mapping value, an ``int`` probability, whose
 content-hash record ``1`` differs from ``1.0``'s.  Next to them it
-keeps its content-hash records once built.  These are a full snapshot
-segment's structure columns, so a store rebuilds a database from them
-without building an object (:func:`repro.db.io.database_from_columns`);
-the public constructor gathers them from its x-tuples' memos.  Row
+keeps its content-hash records once built.  A full snapshot segment
+stores those records, and a store parses them back into the columns
+without building an object or formatting a number
+(:func:`repro.db.io.database_from_records`); the public constructor
+gathers the columns from its x-tuples' memos.  Row
 columns are arrays, not lists, so that a derivation splices them
 at C speed and the garbage collector never walks them.  The completion
 probabilities and the id maps derive from the columns on first use.
@@ -349,19 +350,22 @@ class ProbabilisticDatabase:
         offsets: np.ndarray,
         records: Optional[List[bytes]] = None,
         tid_slots: Optional[np.ndarray] = None,
+        content_hash: Optional[str] = None,
     ) -> "ProbabilisticDatabase":
         """Trusted constructor of a database held as columns (see
         :meth:`_adopt`) that already passed every check the public
         constructor and the x-tuples' own make
-        (:func:`repro.db.io.database_from_columns` checks a segment's
+        (:func:`repro.db.io.database_from_records` checks a segment's
         over whole columns; a derivation checks its edits).
         ``records``, when given, are the x-tuples' content-hash
-        records in order; ``tid_slots`` makes ``tids`` a table (see
-        :meth:`_adopt`).  Internal use only -- arbitrary columns must
-        go through ``__init__``.
+        records in order, and ``content_hash`` their SHA-256;
+        ``tid_slots`` makes ``tids`` a table (see :meth:`_adopt`).
+        Internal use only -- arbitrary columns must go through
+        ``__init__``.
         """
         db = cls.__new__(cls)
         db._adopt(name, xids, tids, values, probabilities, offsets, records, tid_slots)
+        db._content_hash = content_hash
         return db
 
     def _edits(
@@ -767,6 +771,15 @@ class ProbabilisticDatabase:
         cached = self._content_hash
         if cached is not None:
             return cached
+        digest = hashlib.sha256(b"".join(self.content_records())).hexdigest()
+        self._content_hash = digest
+        return digest
+
+    def content_records(self) -> List[bytes]:
+        """The x-tuples' content-hash records in order, the bytes
+        :meth:`content_hash` is taken over (see there): built on first
+        use and kept.  A full snapshot segment stores them joined.  The
+        list is shared with derived databases: never mutate it."""
         records = self._hash_records
         if records is None:
             if self._xtuples is not None:
@@ -782,9 +795,7 @@ class ProbabilisticDatabase:
                     self.offsets.tolist(),
                 )
             self._hash_records = records
-        digest = hashlib.sha256(b"".join(records)).hexdigest()
-        self._content_hash = digest
-        return digest
+        return records
 
     def with_xtuples_changed(
         self, changes: Mapping[str, Optional[XTuple]]

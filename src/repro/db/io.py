@@ -5,15 +5,17 @@ one row per tuple with the x-tuple id as a column, which matches how
 Table I of the paper is laid out (sensor id, tuple id, value,
 probability).  Both formats round-trip exactly.
 
-Snapshot segments hold a database's structure as typed columns in
-x-tuple order -- the database's own columns, encoded by
-:func:`encode_structure` -- and :func:`database_from_columns` checks
-them over whole columns and builds the database on them, without
-building a tuple object.  Segments written before the columns hold
-the canonical form of the JSON payload instead: :func:`database_to_dict`
-dumped with sorted keys and no whitespace.  The store reads one back
-whole through :func:`database_from_dict`, the same validation ingest
-runs.
+A snapshot segment holds a database's structure as its content-hash
+records, the bytes its content hash is taken over, and
+:func:`database_from_records` parses them into the database's columns,
+checks them over whole columns and builds the database on them,
+without building a tuple object or formatting a number.  Older
+segments stay readable: schema-4 segments hold typed columns, which
+:func:`database_from_columns` checks the same way, and segments
+before those the canonical form of the JSON payload
+(:func:`database_to_dict` dumped with sorted keys and no whitespace),
+which the store reads back whole through :func:`database_from_dict`,
+the same validation ingest runs.
 
 Ingest is the trust boundary: external payloads are validated *before*
 any tuple object is constructed, and violations raise
@@ -27,6 +29,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
+import re
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
@@ -184,7 +189,8 @@ def xtuple_from_entry(
     return XTuple(xid=xid, alternatives=tuple(members))
 
 
-#: The structure columns of a columnar (schema-4) segment, in order.
+#: The structure columns of a schema-4 segment, in order.  Read only:
+#: a segment written now holds :data:`RECORDS_COLUMN` instead.
 STRUCTURE_COLUMNS = ("xids", "tids", "sizes", "values", "probabilities")
 
 #: The dtype label of a column stored as one canonical JSON array.
@@ -195,7 +201,7 @@ JSON_COLUMN = "json"
 SIZES_DTYPE = "<u4"
 FLOAT_DTYPE = "<f8"
 
-#: The dtypes each structure column may carry.
+#: The dtypes each schema-4 structure column may carry.
 COLUMN_DTYPES: Dict[str, Tuple[str, ...]] = {
     "xids": (JSON_COLUMN,),
     "tids": (JSON_COLUMN,),
@@ -204,35 +210,37 @@ COLUMN_DTYPES: Dict[str, Tuple[str, ...]] = {
     "probabilities": (FLOAT_DTYPE, JSON_COLUMN),
 }
 
+#: The structure column of a schema-5 segment, and its dtype label: the
+#: database's content-hash records
+#: (:meth:`~repro.db.database.ProbabilisticDatabase.content_records`),
+#: each NUL-terminated, joined -- the very bytes the content hash is
+#: taken over.
+RECORDS_COLUMN = "records"
+RECORDS_DTYPE = "records"
 
-def _number_column(db: ProbabilisticDatabase, name: str) -> Tuple[str, bytes]:
-    """float64 bytes when every entry is exactly a Python ``float``,
-    else one canonical JSON array: MOV's mapping values, and an ``int``
-    probability, whose content-hash record ``1`` differs from
-    ``1.0``'s."""
-    array = db.float_column(name)
-    if array is not None:
-        return FLOAT_DTYPE, array.astype(FLOAT_DTYPE, copy=False).tobytes()
-    return JSON_COLUMN, _canonical_json(getattr(db, name).tolist())
+#: The bytes the float parse of records accepts: printable ASCII but
+#: the backslash, so that no string holds an escape, and the NUL that
+#: ends each record.
+_PLAIN_BYTES = bytes(c for c in range(0x20, 0x7F) if c != 0x5C) + b"\0"
 
+#: The bytes a JSON number is spelled with.
+_NUMBER_BYTES = b"0123456789.eE+-"
 
-def encode_structure(db: ProbabilisticDatabase) -> Dict[str, Tuple[str, bytes]]:
-    """The database's own columns typed as a columnar segment holds
-    them: ``name -> (dtype, bytes)`` for each of
-    :data:`STRUCTURE_COLUMNS`.
+#: A record's structure bytes, as spaces: what is left splits into its
+#: numbers.
+_STRUCTURE_TO_SPACES = bytes.maketrans(b'[]",\0', b"     ")
 
-    ``xids`` and ``tids`` are string tables, one canonical JSON array
-    each; ``sizes`` counts each x-tuple's alternatives; ``values`` and
-    ``probabilities`` are float64 or JSON (see :func:`_number_column`).
-    Each is one C-speed encoding of a column the database holds.
-    """
-    return {
-        "xids": (JSON_COLUMN, _canonical_json(db.xids)),
-        "tids": (JSON_COLUMN, _canonical_json(db.tids.tolist())),
-        "sizes": (SIZES_DTYPE, db.sizes.astype(SIZES_DTYPE).tobytes()),
-        "values": _number_column(db, "values"),
-        "probabilities": _number_column(db, "probabilities"),
-    }
+#: A number token that is a JSON float, not an int: it has a fraction
+#: or an exponent.
+_FLOAT_TOKEN = re.compile(r"[.eE]").search
+
+#: A values or probabilities column as it is read: a float64 array, or
+#: a list of what JSON holds.
+_Numbers = Union[List[Any], np.ndarray]
+
+#: A database's columns as records parse into them: x-tuple ids, tuple
+#: ids, sizes, values, probabilities.
+_Parsed = Tuple[List[Any], List[Any], np.ndarray, _Numbers, _Numbers]
 
 
 def _json_list(blob: bytes, column: str) -> List[Any]:
@@ -245,11 +253,15 @@ def _json_list(blob: bytes, column: str) -> List[Any]:
     return items
 
 
-def _string_table(blob: bytes, column: str, label: str) -> List[str]:
-    table = _json_list(blob, column)
+def _check_ids(table: List[Any], label: str) -> None:
     if not set(map(type, table)) <= {str} or not all(table):
         bad = next(s for s in table if type(s) is not str or not s)
         raise InvalidDataError(f"{label} must be a non-empty string, got {bad!r}")
+
+
+def _string_table(blob: bytes, column: str, label: str) -> List[str]:
+    table = _json_list(blob, column)
+    _check_ids(table, label)
     return table
 
 
@@ -262,24 +274,26 @@ def _first_duplicate(items: List[str], label: str) -> None:
             seen.add(item)
 
 
-def _checked_probabilities(
-    items: List[Any], array: Optional[np.ndarray], tids: List[str]
-) -> np.ndarray:
+def _checked_probabilities(probabilities: _Numbers, tids: List[str]) -> np.ndarray:
     """The probabilities as float64, once every entry is a number, not
-    a ``bool``, finite and in ``(0, 1]``; ``array`` is ``None`` when the
-    column was stored as JSON."""
-    if array is None:
-        for tid, p in zip(tids, items):
+    a ``bool``, finite and in ``(0, 1]``; ``probabilities`` is a float64
+    array, or a list of what JSON held."""
+    if isinstance(probabilities, np.ndarray):
+        array = probabilities
+    else:
+        for tid, p in zip(tids, probabilities):
             if type(p) not in (int, float):  # bool, and every non-number
                 raise InvalidDataError(
                     f"tuple {tid!r}: probability must be a finite number, got {p!r}"
                 )
         # An int too large for a float is out of range either way.
-        array = np.array([min(p, 2.0) for p in items], dtype=np.float64)
+        array = np.array([min(p, 2.0) for p in probabilities], dtype=np.float64)
     bad = np.flatnonzero(~((array > 0.0) & (array <= 1.0)))
     if bad.size:
         row = int(bad[0])
-        p = items[row]
+        p = probabilities[row]
+        if isinstance(probabilities, np.ndarray):
+            p = float(p)
         finite = not isinstance(p, float) or math.isfinite(p)
         raise InvalidDataError(
             f"tuple {tids[row]!r}: probability must "
@@ -288,53 +302,17 @@ def _checked_probabilities(
     return array
 
 
-def database_from_columns(
-    name: str, columns: Mapping[str, Tuple[str, bytes]]
-) -> ProbabilisticDatabase:
-    """Check a columnar segment's structure and build its database.
-
-    ``columns`` maps each of :data:`STRUCTURE_COLUMNS` to ``(dtype,
-    bytes)`` as :func:`encode_structure` wrote them.  Over whole
-    columns, this checks what :func:`xtuple_from_entry`,
-    :class:`~repro.db.tuples.XTuple` and
-    :class:`~repro.db.database.ProbabilisticDatabase` check one object
-    at a time:
-
-    * ids are non-empty strings, x-tuple ids are unique, and tuple ids
-      are unique across the database;
-    * every size is at least 1, and the sizes sum to the tuple count;
-    * probabilities are numbers, not ``bool``, finite and in
-      ``(0, 1]``;
-    * each x-tuple's mass is at most ``1 +``
-      :data:`~repro.db.tuples.PROBABILITY_SUM_TOLERANCE`, summed in
-      ``XTuple.__post_init__``'s order.
-
-    A failure raises :class:`~repro.exceptions.InvalidDataError` naming
-    the check and its first offender.  The database then holds the
-    checked columns themselves, with their content-hash records
-    (:func:`~repro.db.database.hash_records`) and a float64 column's
-    array, and builds no tuple object: its objects are built on
-    demand, from the columns, if a caller asks for them.  Nothing here
-    runs Python code per x-tuple or per tuple unless a column is JSON
-    beyond the id tables.
-    """
-    xids = _string_table(columns["xids"][1], "xids", "x-tuple id")
-    tids = _string_table(columns["tids"][1], "tids", "tuple id")
-    sizes = np.frombuffer(columns["sizes"][1], dtype=SIZES_DTYPE).astype(np.int64)
-    values_dtype, values_blob = columns["values"]
-    value_column: Optional[np.ndarray] = None
-    if values_dtype == JSON_COLUMN:
-        values = _json_list(values_blob, "values")
-    else:
-        value_column = np.frombuffer(values_blob, dtype=FLOAT_DTYPE)
-        values = value_column.tolist()
-    probabilities_dtype, probabilities_blob = columns["probabilities"]
-    probability_column: Optional[np.ndarray] = None
-    if probabilities_dtype == JSON_COLUMN:
-        probabilities = _json_list(probabilities_blob, "probabilities")
-    else:
-        probability_column = np.frombuffer(probabilities_blob, dtype=FLOAT_DTYPE)
-        probabilities = probability_column.tolist()
+def _checked_columns(
+    xids: List[str],
+    tids: List[str],
+    sizes: np.ndarray,
+    values: _Numbers,
+    probabilities: _Numbers,
+) -> np.ndarray:
+    """Check a structure held as columns -- ids already checked to be
+    non-empty strings -- as :func:`database_from_columns` describes,
+    and return its row offsets (int64, one past each x-tuple's last
+    row)."""
     m = len(xids)
     if len(sizes) != m:
         raise InvalidDataError(f"{len(sizes)} x-tuple sizes for {m} x-tuple ids")
@@ -353,7 +331,7 @@ def database_from_columns(
         )
     _first_duplicate(xids, "x-tuple id")
     _first_duplicate(tids, "tuple id")
-    array = _checked_probabilities(probabilities, probability_column, tids)
+    array = _checked_probabilities(probabilities, tids)
     bounds = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(sizes, out=bounds[1:])
     # XTuple.__post_init__ sums left to right from 0.0: add each
@@ -369,18 +347,224 @@ def database_from_columns(
             f"x-tuple {xids[l]!r}: existential probabilities sum to "
             f"{float(mass[l])!r} > 1"
         )
+    return bounds
 
-    # The lists serve the content-hash records; the database keeps the
-    # stored float64 columns themselves.
-    records = hash_records(xids, tids, values, probabilities, bounds.tolist())
+
+def _as_list(column: _Numbers) -> List[Any]:
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _as_column(column: _Numbers) -> np.ndarray:
+    return column if isinstance(column, np.ndarray) else column_array(column)
+
+
+def database_from_columns(
+    name: str, columns: Mapping[str, Tuple[str, bytes]]
+) -> ProbabilisticDatabase:
+    """Check a schema-4 segment's structure columns and build its
+    database.
+
+    ``columns`` maps each of :data:`STRUCTURE_COLUMNS` to ``(dtype,
+    bytes)``: ``xids`` and ``tids`` as canonical JSON arrays, ``sizes``
+    as u32, ``values`` and ``probabilities`` as float64 or, when an
+    entry is not a Python ``float``, as a JSON array.  Over whole
+    columns, this checks what :func:`xtuple_from_entry`,
+    :class:`~repro.db.tuples.XTuple` and
+    :class:`~repro.db.database.ProbabilisticDatabase` check one object
+    at a time (:func:`database_from_records` runs the same checks):
+
+    * ids are non-empty strings, x-tuple ids are unique, and tuple ids
+      are unique across the database;
+    * every size is at least 1, and the sizes sum to the tuple count;
+    * probabilities are numbers, not ``bool``, finite and in
+      ``(0, 1]``;
+    * each x-tuple's mass is at most ``1 +``
+      :data:`~repro.db.tuples.PROBABILITY_SUM_TOLERANCE`, summed in
+      ``XTuple.__post_init__``'s order.
+
+    A failure raises :class:`~repro.exceptions.InvalidDataError` naming
+    the check and its first offender.  The database then holds the
+    checked columns themselves, with their content-hash records
+    (:func:`~repro.db.database.hash_records`, which formats every
+    number) and a float64 column's array, and builds no tuple object:
+    its objects are built on demand, from the columns, if a caller asks
+    for them.
+    """
+    xids = _string_table(columns["xids"][1], "xids", "x-tuple id")
+    tids = _string_table(columns["tids"][1], "tids", "tuple id")
+    sizes = np.frombuffer(columns["sizes"][1], dtype=SIZES_DTYPE).astype(np.int64)
+    numbers: List[_Numbers] = []
+    for column in ("values", "probabilities"):
+        dtype, blob = columns[column]
+        numbers.append(
+            _json_list(blob, column)
+            if dtype == JSON_COLUMN
+            else np.frombuffer(blob, dtype=FLOAT_DTYPE)
+        )
+    values, probabilities = numbers
+    bounds = _checked_columns(xids, tids, sizes, values, probabilities)
+    records = hash_records(
+        xids, tids, _as_list(values), _as_list(probabilities), bounds.tolist()
+    )
     return ProbabilisticDatabase._from_columns(
         name,
         xids,
         object_array(tids),
-        column_array(values) if value_column is None else value_column,
-        column_array(probabilities) if probability_column is None else probability_column,
+        _as_column(values),
+        _as_column(probabilities),
         bounds,
         records,
+    )
+
+
+def _skeleton(size: int) -> bytes:
+    """A canonical record of ``size`` rows with its strings emptied and
+    its numbers left out."""
+    return b'["",[' + b",".join([b'["",,]'] * size) + b"]]\0"
+
+
+def _float_records(blob: bytes, pieces: List[bytes]) -> Optional[_Parsed]:
+    """The columns the records ``blob`` hold -- ``pieces`` are the
+    records without their NULs -- parsed without a JSON decoder, or
+    ``None`` when the records are not plain: a string holds a
+    backslash, a byte is not printable ASCII, a number is not a float
+    literal (an ``int``, ``NaN``, a mapping's entry), or a record is
+    not ``[xid, [[tid, value, probability], ...]]`` exactly as
+    canonical JSON lays it out.
+
+    Every step is one C-speed pass: the records split on ``"`` into
+    strings and the structure between them, which must be each
+    record's skeleton (:func:`_skeleton`) once its numbers are left
+    out and must leave no number slot empty, and each number is one
+    ``float`` call, as :func:`json.loads` reads a float.  A plain
+    record that JSON reads therefore parses to the same columns either
+    way.  ``float`` also reads spellings JSON's grammar refuses -- a
+    leading ``+`` or ``.``, a ``.`` with no digit after it, leading
+    zeros (``+1.0``, ``.5``, ``2.``, ``01.5``) -- and they read as the
+    number they spell (see :func:`database_from_records`).
+    """
+    if blob.translate(None, _PLAIN_BYTES):
+        return None
+    quotes = np.fromiter(
+        map(bytes.count, pieces, repeat(b'"')), dtype=np.int64, count=len(pieces)
+    )
+    # A record whose quotes do not pair, or that holds no string, has no
+    # skeleton of this size: the comparison below refuses it.
+    sizes = quotes // 2 - 1
+    parts = blob.split(b'"')
+    strings, structure = parts[1::2], b'""'.join(parts[::2])
+    size_list = sizes.tolist()
+    skeletons = {size: _skeleton(size) for size in set(size_list)}
+    if structure.translate(None, _NUMBER_BYTES) != b"".join(
+        map(skeletons.__getitem__, size_list)
+    ):
+        return None
+    # Outside the strings ",," and ",]" sit only around a number slot.
+    if b",," in structure or b",]" in structure:
+        return None
+    n = len(strings) - len(size_list)
+    tokens = structure.translate(_STRUCTURE_TO_SPACES).decode("ascii").split()
+    # No row at all: the JSON parse gives the checks their reason.
+    if not n or len(tokens) != 2 * n:
+        return None
+    # float() rejects a second ".", so 2n of them put one in each.
+    if structure.count(b".") != 2 * n and not all(map(_FLOAT_TOKEN, tokens)):
+        return None
+    try:
+        values, probabilities = (
+            np.fromiter(map(float, column), dtype=np.float64, count=n)
+            for column in (tokens[0::2], tokens[1::2])
+        )
+    except ValueError:
+        return None
+    first = np.zeros(len(strings), dtype=bool)
+    first[np.cumsum(sizes + 1) - (sizes + 1)] = True
+    texts = object_array(strings)
+    xids, tids = (
+        b'"'.join(texts[mask].tolist()).decode("ascii").split('"')
+        for mask in (first, ~first)
+    )
+    return xids, tids, sizes, values, probabilities
+
+
+def _json_records(pieces: List[bytes]) -> _Parsed:
+    """The columns the records ``pieces`` (without their NULs) hold,
+    each parsed by :func:`json.loads`; raises
+    :class:`~repro.exceptions.InvalidDataError` on a record that is not
+    JSON or not ``[xid, [[tid, value, probability], ...]]``."""
+    xids: List[Any] = []
+    sizes: List[int] = []
+    rows: List[Any] = []
+    for index, piece in enumerate(pieces):
+        try:
+            record = json.loads(piece)
+        except ValueError as exc:
+            raise InvalidDataError(f"record #{index} is not valid JSON ({exc})") from None
+        if not (
+            type(record) is list
+            and len(record) == 2
+            and type(record[1]) is list
+            and all(type(row) is list and len(row) == 3 for row in record[1])
+        ):
+            raise InvalidDataError(
+                f"record #{index} is not [xid, [[tid, value, probability], ...]]"
+            )
+        xids.append(record[0])
+        sizes.append(len(record[1]))
+        rows += record[1]
+    tids, values, probabilities = (
+        [[row[field] for row in rows] for field in range(3)]
+    )
+    return xids, tids, np.array(sizes, dtype=np.int64), values, probabilities
+
+
+def database_from_records(
+    name: str, blob: bytes, content_hash: str
+) -> ProbabilisticDatabase:
+    """Parse a schema-5 segment's records, check them and build its
+    database.
+
+    ``blob`` is the :data:`RECORDS_COLUMN`: each x-tuple's content-hash
+    record, canonical JSON of ``[xid, [[tid, value, probability],
+    ...]]`` plus a NUL, joined.  ``content_hash`` is its SHA-256, which
+    the caller has checked against the snapshot's.  The records parse
+    into the database's columns by a float parse
+    (:func:`_float_records`) when they are plain -- no escape in a
+    string, every number a float literal -- and otherwise one
+    :func:`json.loads` per record; either way the columns then pass
+    every check :func:`database_from_columns` makes, with its reasons.
+    A failure raises :class:`~repro.exceptions.InvalidDataError`.
+
+    The database keeps ``blob``'s records, sliced, as its content-hash
+    records, and ``content_hash`` as its content hash, so no number is
+    formatted and nothing is hashed again.  The columns are what the
+    hashed bytes spell: a number spelled other than as ``repr`` spells
+    it, which only a writer that re-hashes the column can store, reads
+    as the number it spells -- ``0.50`` either way, and in plain
+    records also the spellings only ``float`` takes (``+1.0``, ``.5``,
+    ``2.``, ``01.5``; see :func:`_float_records`), which are not
+    checked for, since a check would cost about what the float parse
+    saves over :func:`json.loads`.
+    """
+    pieces = blob.split(b"\0")
+    if pieces.pop():
+        raise InvalidDataError("the records do not end with a NUL")
+    parsed = _float_records(blob, pieces) if pieces else None
+    xids, tids, sizes, values, probabilities = (
+        _json_records(pieces) if parsed is None else parsed
+    )
+    _check_ids(xids, "x-tuple id")
+    _check_ids(tids, "tuple id")
+    bounds = _checked_columns(xids, tids, sizes, values, probabilities)
+    return ProbabilisticDatabase._from_columns(
+        name,
+        xids,
+        object_array(tids),
+        _as_column(values),
+        _as_column(probabilities),
+        bounds,
+        list(map(operator.add, pieces, repeat(b"\0"))),
+        content_hash=content_hash,
     )
 
 

@@ -475,9 +475,7 @@ def _compute_rank_probabilities_python(
     stop = tail_stop(ranked, k, tail_epsilon)
     probabilities = ranked.probabilities_array[:stop].tolist()
     xtuple_indices = ranked.xtuple_indices_array[:stop].tolist()
-    remaining = np.bincount(
-        ranked.xtuple_indices_array, minlength=ranked.num_xtuples
-    ).tolist()
+    remaining = ranked.db.sizes.tolist()
     open_masses: Dict[int, float] = {}
     closed_dp = [1.0] + [0.0] * (k - 1)
     dp = list(closed_dp)

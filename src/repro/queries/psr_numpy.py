@@ -86,19 +86,20 @@ class ScanState:
     ``open_masses`` maps each partially scanned x-tuple's dense index
     to its mass so far (1.0 once saturated); ``closed_dp`` is the
     capped product over the closed, non-saturated x-tuples' factors;
-    ``remaining`` counts each x-tuple's members at or below ``row``.
+    ``remaining`` counts each x-tuple's members at or below ``row``,
+    starting from a copy of ``sizes``, each x-tuple's member count (the
+    database's own column, so a pass pays O(x-tuples) here, not a count
+    over every row).
     """
 
     __slots__ = ("row", "shift", "open_masses", "closed_dp", "remaining")
 
-    def __init__(
-        self, xtuple_indices: np.ndarray, num_xtuples: int, k: int
-    ) -> None:
+    def __init__(self, sizes: np.ndarray, k: int) -> None:
         self.row, self.shift = 0, 0
         self.open_masses: Dict[int, float] = {}
         self.closed_dp = np.zeros(k)
         self.closed_dp[0] = 1.0
-        self.remaining = np.bincount(xtuple_indices, minlength=num_xtuples)
+        self.remaining = sizes.copy()
 
 
 class _Group:
@@ -453,7 +454,7 @@ def compute_rank_probabilities_numpy(
     """Vectorized PSR over a pre-sorted database (the production kernel)."""
     require_valid_k(k)
     probabilities, xtuple_indices = ranked.psr_columns()
-    state = ScanState(xtuple_indices, ranked.num_xtuples, k)
+    state = ScanState(ranked.db.sizes, k)
     rho, topk, cutoff = scan_blocks(
         probabilities, xtuple_indices, k, state,
         tail_stop(ranked, k, tail_epsilon),

@@ -8,7 +8,7 @@ corruption tests trivial (flip a bit in the encoded bytes, decode, get
 honest: every code path out of :func:`decode_segment` either returns a
 fully verified payload or raises the typed error.
 
-Full-segment layout, schema 4 (integers big-endian, column data as
+Full-segment layout, schema 5 (integers big-endian, column data as
 its dtype says)::
 
     offset 0   magic            b"RPROSEG1"
@@ -20,17 +20,25 @@ its dtype says)::
     ...        column bytes     raw, concatenated in header order
     tail       SHA-256 digest   over every preceding byte (32 bytes)
 
-The columns are :data:`SEGMENT_COLUMNS`, in order: the database's own
-structure columns in x-tuple order (:func:`repro.db.io.encode_structure`)
--- ``xids`` and ``tids`` as canonical JSON arrays (dtype ``"json"``),
-``sizes`` as u32, ``values`` and ``probabilities`` as float64 or, when
-an entry is not a Python ``float``, as a JSON array -- then the ranked
-view's canonical arrays.  :func:`decode_segment` checks that the
-column table is exactly that, with a dtype each column may carry and
-whole items, and returns the bytes unparsed: a rebuild parses and
-checks them, and the database it builds holds them as its columns
-(:func:`repro.db.io.database_from_columns`), parsing no JSON beyond
-the two id tables.
+The columns are :data:`SEGMENT_COLUMNS`, in order: ``records``
+(dtype ``"records"``), the database's content-hash records in x-tuple
+order -- canonical JSON of ``[xid, [[tid, value, probability], ...]]``
+plus a NUL each, joined: the very bytes the header's content hash is
+the SHA-256 of (:meth:`repro.db.database.ProbabilisticDatabase.content_records`)
+-- then the ranked view's canonical arrays.  :func:`decode_segment`
+checks that the column table is exactly that and that the records end
+with a whole record, and returns the bytes unparsed: a rebuild checks
+their SHA-256 against the content hash, then parses them into the
+database's columns and checks those
+(:func:`repro.db.io.database_from_records`).
+
+**Schema 4** (read only) holds the structure as typed columns in
+x-tuple order instead of the records: ``xids`` and ``tids`` as
+canonical JSON arrays (dtype ``"json"``), ``sizes`` as u32, ``values``
+and ``probabilities`` as float64 or, when an entry is not a Python
+``float``, as a JSON array (:data:`SCHEMA4_COLUMNS`; each with a dtype
+it may carry and whole items).  A rebuild checks them and formats
+their content-hash records (:func:`repro.db.io.database_from_columns`).
 
 **Schemas 1 and 2** (read only) hold the structure as the canonical
 JSON of the ``database_to_dict()`` payload between the header and the
@@ -45,7 +53,7 @@ byte the database header with an empty ``xtuples`` -- and then ignores
 it: both schemas return the structure JSON unparsed, and a rebuild
 parses it whole, through ingest's checks
 (:func:`repro.db.io.database_from_dict`).  Segments are never
-rewritten, so every store written before schema 4 keeps opening.  Any
+rewritten, so every store written before schema 5 keeps opening.  Any
 other version is refused.
 
 **Delta segments** (schema :data:`DELTA_SCHEMA`, 3) store a cleaning
@@ -126,24 +134,38 @@ from typing import (
 import numpy as np
 
 from repro.db.database import CANONICAL_COLUMNS
-from repro.db.io import COLUMN_DTYPES, JSON_COLUMN, STRUCTURE_COLUMNS, structure_head
+from repro.db.io import (
+    COLUMN_DTYPES,
+    JSON_COLUMN,
+    RECORDS_COLUMN,
+    RECORDS_DTYPE,
+    STRUCTURE_COLUMNS,
+    structure_head,
+)
 from repro.exceptions import CorruptSnapshotError
 
 #: First eight bytes of every segment file.
 MAGIC = b"RPROSEG1"
 
 #: The schema :func:`encode_segment` writes for a full segment: its
-#: structure as typed columns.  Bumped on any incompatible layout
-#: change; the decoder refuses versions it does not know rather than
-#: guessing.
-SCHEMA_VERSION = 4
+#: structure as its content-hash records.  Bumped on any incompatible
+#: layout change; the decoder refuses versions it does not know rather
+#: than guessing.
+SCHEMA_VERSION = 5
 
 #: Every full-segment schema :func:`decode_segment` reads.
-READABLE_SCHEMAS = (1, 2, 4)
+READABLE_SCHEMAS = (1, 2, 4, 5)
 
-#: The columns of a schema-4 segment, in order: the structure, then
-#: the ranked view's canonical arrays.
-SEGMENT_COLUMNS = STRUCTURE_COLUMNS + CANONICAL_COLUMNS
+#: The columns of a schema-5 segment, in order: the records, then the
+#: ranked view's canonical arrays.
+SEGMENT_COLUMNS = (RECORDS_COLUMN,) + CANONICAL_COLUMNS
+
+#: The columns of a schema-4 segment, in order: the structure as typed
+#: columns, then the ranked view's canonical arrays.
+SCHEMA4_COLUMNS = STRUCTURE_COLUMNS + CANONICAL_COLUMNS
+
+#: The dtypes each structure column of a schema-4 or -5 segment may carry.
+_STRUCTURE_DTYPES = {RECORDS_COLUMN: (RECORDS_DTYPE,), **COLUMN_DTYPES}
 
 #: The schema of a delta segment: a header that names its base (the
 #: ``"base"`` key marks the layout) and carries its change set, and
@@ -186,8 +208,8 @@ class Segment(NamedTuple):
 
     header: Dict[str, Any]
     #: The canonical structure JSON, as framed (schemas 1 and 2; empty
-    #: for a schema-4 segment, whose structure is columns, and for a
-    #: delta).
+    #: for a schema-4 or -5 segment, whose structure is columns, and
+    #: for a delta).
     structure_json: bytes
     #: Column name -> raw bytes (empty for a delta).
     columns: Dict[str, bytes]
@@ -227,10 +249,10 @@ def encode_segment(
     A full segment (schema :data:`SCHEMA_VERSION`) holds everything a
     snapshot needs: ``columns`` maps each of :data:`SEGMENT_COLUMNS`,
     in that order, to ``(dtype_str, raw_bytes)`` -- the database's
-    structure columns (:func:`repro.db.io.encode_structure`), then the
-    ranked view's arrays.  The header records their order, dtypes, lengths and CRCs,
-    so the decoder can slice and verify them without trusting anything
-    but the magic.
+    content-hash records, joined, then the ranked view's arrays.  The
+    header records their order, dtypes, lengths and CRCs, so the
+    decoder can slice and verify them without trusting anything but
+    the magic.
 
     A delta segment (schema :data:`DELTA_SCHEMA`) is a header alone --
     id, content hash, base, depth and change set -- so ``columns``
@@ -338,10 +360,11 @@ def decode_segment(data: bytes) -> Segment:
     mismatch, whole-file digest mismatch, a malformed header, frames
     that do not tile the structure, a column table that is not the
     schema's -- never a partial or guessed payload.  The structure
-    comes back unparsed: as raw columns (schema 4; see
-    :func:`repro.db.io.database_from_columns`) or as its JSON
-    (schemas 1 and 2).  A delta (schema 3) comes back as its header
-    alone; see :attr:`Segment.link`.
+    comes back unparsed: as raw columns (the records of schema 5, see
+    :func:`repro.db.io.database_from_records`; schema 4's typed
+    columns, see :func:`repro.db.io.database_from_columns`) or as its
+    JSON (schemas 1 and 2).  A delta (schema 3) comes back as its
+    header alone; see :attr:`Segment.link`.
     """
     if len(data) < len(MAGIC) + _U32.size + _DIGEST_BYTES:
         raise _corrupt(f"file too short ({len(data)} bytes)")
@@ -365,11 +388,11 @@ def decode_segment(data: bytes) -> Segment:
         return Segment(header, b"", {})
 
     structure_json = b""
-    if schema != SCHEMA_VERSION:
+    if schema in (1, 2):
         structure_json, offset = _decode_structure(header, body, offset)
     columns = _decode_columns(header, body, offset)
-    if schema == SCHEMA_VERSION:
-        _check_column_table(header["columns"])
+    if schema in (4, SCHEMA_VERSION):
+        _check_column_table(header["columns"], columns, schema)
     return Segment(header, structure_json, columns)
 
 
@@ -435,18 +458,25 @@ def _decode_columns(
     return columns
 
 
-def _check_column_table(column_meta: Sequence[Mapping[str, Any]]) -> None:
-    """A schema-4 column table names :data:`SEGMENT_COLUMNS` in order,
-    each structure column with a dtype it may carry and a length that
-    holds whole items."""
+def _check_column_table(
+    column_meta: Sequence[Mapping[str, Any]], columns: Mapping[str, bytes], schema: int
+) -> None:
+    """A schema-5 column table names :data:`SEGMENT_COLUMNS` in order,
+    a schema-4 one :data:`SCHEMA4_COLUMNS`, each structure column with
+    a dtype it may carry and whole items: records that end with a NUL,
+    numbers of whole widths."""
+    expected = SEGMENT_COLUMNS if schema == SCHEMA_VERSION else SCHEMA4_COLUMNS
     names = tuple(meta["name"] for meta in column_meta)
-    if names != SEGMENT_COLUMNS:
-        raise _corrupt(f"columns {names} are not {SEGMENT_COLUMNS}")
-    for meta in column_meta[: len(STRUCTURE_COLUMNS)]:
+    if names != expected:
+        raise _corrupt(f"columns {names} are not {expected}")
+    for meta in column_meta[: len(expected) - len(CANONICAL_COLUMNS)]:
         name, dtype = meta["name"], meta.get("dtype")
-        if dtype not in COLUMN_DTYPES[name]:
+        if dtype not in _STRUCTURE_DTYPES[name]:
             raise _corrupt(f"column {name!r} has dtype {dtype!r}")
-        if dtype != JSON_COLUMN and meta["length"] % np.dtype(dtype).itemsize:
+        if dtype == RECORDS_DTYPE:
+            if columns[name][-1:] not in (b"", b"\0"):
+                raise _corrupt(f"column {name!r} does not end with a whole record")
+        elif dtype != JSON_COLUMN and meta["length"] % np.dtype(dtype).itemsize:
             raise _corrupt(f"column {name!r} does not hold whole {dtype} items")
 
 
@@ -476,14 +506,29 @@ def _check_frames(structure_json: bytes, lengths: Sequence[int], name: Any) -> N
         raise _corrupt("structure does not end after its last x-tuple frame")
 
 
-def check_json(segment: Segment) -> None:
-    """Parse a full segment's JSON -- a schema-1 or -2 structure, or a
-    schema-4 segment's JSON columns (the id tables, and values or
-    probabilities stored as JSON) -- raising
-    :class:`~repro.exceptions.CorruptSnapshotError` unless the
-    structure is a JSON object and each column a JSON array.  A light
-    check; the whole check is a rebuild."""
-    if segment.header["schema"] == SCHEMA_VERSION:
+def records_digest(segment: Segment) -> str:
+    """The SHA-256 of a schema-5 segment's records, once it is the
+    content hash its header names -- or raise
+    :class:`~repro.exceptions.CorruptSnapshotError`."""
+    digest = hashlib.sha256(segment.columns[RECORDS_COLUMN]).hexdigest()
+    if digest != segment.header.get("content_hash"):
+        raise _corrupt("content hash of the records does not match the header")
+    return digest
+
+
+def check_structure(segment: Segment) -> None:
+    """A light check of a full segment's structure, raising
+    :class:`~repro.exceptions.CorruptSnapshotError`; the whole check is
+    a rebuild.  A schema-5 segment's records must hash to its header's
+    content hash (:func:`records_digest`; no parse).  An older
+    segment's JSON must parse: a schema-4 segment's JSON columns (the
+    id tables, and values or probabilities stored as JSON) each as an
+    array, a schema-1 or -2 structure as an object."""
+    schema = segment.header["schema"]
+    if schema == SCHEMA_VERSION:
+        records_digest(segment)
+        return
+    if schema == 4:
         parts = [
             (f"column {name!r}", blob, list, "a JSON array")
             for name, (dtype, blob) in segment.typed_columns(STRUCTURE_COLUMNS).items()

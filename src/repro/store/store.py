@@ -15,8 +15,9 @@ complete post-write state -- never a torn hybrid, and never silently
 wrong data.
 
 **Segments** come in two kinds.  A *full* segment holds a snapshot's
-structure, as typed columns (schema 4; schemas 1 and 2 hold it as
-JSON and stay readable), and its ranked columns.  A *delta* segment
+structure, as its content-hash records (schema 5; schema 4 holds it as
+typed columns and schemas 1 and 2 as JSON, and they stay readable),
+and its ranked columns.  A *delta* segment
 holds only a cleaning outcome's base id and its change set (``{xid:
 revealed tid, or null for a revealed null}``, as the clean carried
 it), a few hundred bytes
@@ -36,9 +37,10 @@ digest and header id (:mod:`repro.store.format`), and indexes what
 passes.  The rebuild -- and with it every semantic check -- runs when
 something first uses the snapshot: a lease, a replay's base,
 ``persist``'s base check, :meth:`SnapshotStore.snapshots` or
-:meth:`SnapshotStore.verify`.  A full segment's rebuild checks its
-columns' ids, sizes, probabilities and masses, then the content hash,
-then a cold re-rank bitwise against the stored ranked columns; a delta
+:meth:`SnapshotStore.verify`.  A full segment's rebuild checks the
+content hash of its records, then the ids, sizes, probabilities and
+masses of the columns it parses them into, then a cold re-rank bitwise
+against the stored ranked columns; a delta
 is rebuilt from its base's view spliced with the change set and must
 hash to its header's content hash.  So corruption is *detected*, and
 detected corruption is *quarantined* -- moved aside (on an exclusive
@@ -58,9 +60,10 @@ check of a delta's base chain wants each base one link lower, GC
 tombstones the deepest victims first, and a refusal takes the deltas
 above a snapshot along in one pass by depth.  An open costs what its
 first requests touch, not every live snapshot, and a rebuild costs
-what the snapshot holds: a schema-4 structure becomes the database's
-own columns, and a delta a splice of its base's, with no tuple object
-built (see :meth:`SnapshotStore._rebuild_full`).
+what the snapshot holds: a schema-5 segment's records parse into the
+database's own columns and stay its content-hash records, and a delta
+is a splice of its base's, with no tuple object built and no number
+formatted (see :meth:`SnapshotStore._rebuild_full`).
 
 **The journal** records each executed cleaning *before* the outcome
 segment is written.  A schema-2 record holds the outcome as its base
@@ -194,10 +197,12 @@ from repro.core.counters import STORE_COUNTERS
 from repro.core.lockcheck import RANK_STORE, OrderedLock
 from repro.db.database import CANONICAL_COLUMNS, ChangeSet, RankedDatabase
 from repro.db.io import (
+    RECORDS_COLUMN,
+    RECORDS_DTYPE,
     STRUCTURE_COLUMNS,
     database_from_columns,
     database_from_dict,
-    encode_structure,
+    database_from_records,
 )
 from repro.db.ranking import ranking_descriptor, ranking_from_descriptor
 from repro.exceptions import (
@@ -213,7 +218,7 @@ from repro.store.format import (
     SCHEMA_VERSION,
     DeltaLink,
     Segment,
-    check_json,
+    check_structure,
     decode_journal,
     decode_segment,
     encode_journal,
@@ -221,6 +226,7 @@ from repro.store.format import (
     encode_segment,
     header_link,
     read_header,
+    records_digest,
 )
 from repro.store.locks import StoreLock
 from repro.testing.faults import (
@@ -995,28 +1001,41 @@ class SnapshotStore:
         """Verify and rebuild one full segment's ranked view -- or raise.
 
         Verification is belt *and* suspenders: beyond the codec's
-        checks, this rebuilds the database from the structure, checking
-        every id, size and probability
-        (:func:`~repro.db.io.database_from_columns`; a schema-1 or -2
-        structure goes through ingest's checks), recomputes its content
-        hash against the header's, re-ranks it cold, and compares every
-        canonical column bitwise against the stored bytes.  A segment
-        that passes cannot silently disagree with the view a fresh
-        construction would produce.
+        checks, this proves the database is the content the snapshot
+        id names, checks every id, size, probability and mass of it,
+        re-ranks it cold, and compares every canonical column bitwise
+        against the stored bytes.  A segment that passes cannot
+        silently disagree with the view a fresh construction would
+        produce.
 
-        A schema-4 structure becomes the database's own columns, and
-        the cold re-rank reads them (under the by-value rule, the value
-        column is the score column), so the rebuild builds no tuple
-        object and runs no Python code per x-tuple.  Each segment is
-        checked on its own.  A schema-1 or -2 structure is parsed whole
-        and validated as ingest does.
+        A schema-5 segment stores the bytes its content hash is taken
+        over, its records: their SHA-256 must be the header's content
+        hash, and only then are they parsed into the database's
+        columns and checked (:func:`~repro.db.io.database_from_records`).
+        The columns are thus derived from the very bytes hashed, and
+        the database keeps those bytes as its content-hash records, so
+        the rebuild formats no number and takes no second SHA-256.  The
+        cold re-rank reads the columns (under the by-value rule, the
+        value column is the score column), so the rebuild builds no
+        tuple object and, for plain records, runs no Python code per
+        x-tuple.  An older segment's structure is checked first and
+        hashed after: a schema-4 one's typed columns
+        (:func:`~repro.db.io.database_from_columns`, which formats the
+        records), a schema-1 or -2 one's JSON, parsed whole and
+        validated as ingest does.  Each segment is checked on its own.
         """
         header, structure_json, columns = segment
+        schema = header["schema"]
         try:
-            if header["schema"] == SCHEMA_VERSION:
+            if schema in (4, SCHEMA_VERSION):
                 name = header.get("name")
                 if not isinstance(name, str):
                     raise InvalidDatabaseError(f"bad database name {name!r}")
+            if schema == SCHEMA_VERSION:
+                db = database_from_records(
+                    name, columns[RECORDS_COLUMN], records_digest(segment)
+                )
+            elif schema == 4:
                 db = database_from_columns(
                     name, segment.typed_columns(STRUCTURE_COLUMNS)
                 )
@@ -1298,7 +1317,9 @@ class SnapshotStore:
                 delta=link,
             )
         else:
-            columns = encode_structure(ranked.db)
+            columns = {
+                RECORDS_COLUMN: (RECORDS_DTYPE, b"".join(ranked.db.content_records()))
+            }
             for name in CANONICAL_COLUMNS:
                 array = getattr(ranked, name)
                 columns[name] = (
@@ -1362,11 +1383,13 @@ class SnapshotStore:
         and wrote it anew, maybe as the other kind -- the file is read:
         the digest, CRCs, header, framing and id are always checked.
         Any segment whose snapshot this handle holds rebuilt must name
-        its content hash.  A full schema-4 segment that does is not
-        parsed; every other full segment -- one this handle does not
-        hold rebuilt (another process wrote it), or a schema-1 or -2
-        one -- gets its JSON parsed
-        (:func:`~repro.store.format.check_json`).  A delta's base must
+        its content hash.  A full schema-5 or -4 segment that does is
+        not read further; every other full segment -- one this handle
+        does not hold rebuilt (another process wrote it), or a schema-1
+        or -2 one -- gets a light check of its structure
+        (:func:`~repro.store.format.check_structure`): a schema-5
+        segment's records must hash to its content hash, an older
+        segment's JSON must parse.  A delta's base must
         verify in turn, one link lower, so the walk ends however the
         headers name each other.  A segment that verifies is
         remembered as verified, with its kind.  Caller holds both
@@ -1398,8 +1421,11 @@ class SnapshotStore:
             if link is not None:
                 if not self._verify_once(link.base, link.depth - 1):
                     return False
-            elif held is None or segment.header["schema"] != SCHEMA_VERSION:
-                check_json(segment)
+            elif held is None or segment.header["schema"] not in (
+                4,
+                SCHEMA_VERSION,
+            ):
+                check_structure(segment)
         except (OSError, CorruptSnapshotError):
             return False
         self._link_of[snapshot_id] = link

@@ -10,6 +10,9 @@ written before the cache existed stay valid only while the two agree.
 :func:`repro.db.io.database_to_dict` payload: the structure JSON a
 schema-1 or schema-2 segment holds.
 
+:func:`reference_records` lays a payload out as the records column a
+schema-5 segment holds, one ``json.dumps`` per x-tuple, and
+:func:`reference_v5_segment` writes that layout.
 :func:`reference_columns` lays a payload out as the typed columns a
 schema-4 segment holds, entry by entry with :mod:`struct` and one
 ``json.dumps`` per table, and :func:`reference_v4_segment` writes that
@@ -76,6 +79,25 @@ def reference_frames(payload: Mapping[str, Any]) -> Tuple[bytes, List[int]]:
     fragments = [_dumps(entry) for entry in payload["xtuples"]]
     head = _dumps({**payload, "xtuples": []})[:-2]
     return head + b",".join(fragments) + b"]}", [len(f) for f in fragments]
+
+
+def reference_records(payload: Mapping[str, Any]) -> bytes:
+    """A :func:`database_to_dict`-shaped payload as a schema-5 segment's
+    records column: canonical JSON of ``[xid, [[tid, value,
+    probability], ...]]`` plus a NUL per x-tuple, joined."""
+    return b"".join(
+        _dumps(
+            [
+                entry["xid"],
+                [
+                    [alt["tid"], alt["value"], alt["probability"]]
+                    for alt in entry["alternatives"]
+                ],
+            ]
+        )
+        + b"\x00"
+        for entry in payload["xtuples"]
+    )
 
 
 def reference_columns(payload: Mapping[str, Any]) -> Dict[str, Tuple[str, bytes]]:
@@ -189,6 +211,26 @@ def reference_v4_segment(
     ranked ones -- then the digest."""
     header = {
         "schema": 4,
+        "snapshot_id": snapshot_id,
+        "content_hash": content_hash,
+        "name": name,
+        "ranking": dict(ranking),
+    }
+    return _segment(header, columns)
+
+
+def reference_v5_segment(
+    snapshot_id: str,
+    content_hash: str,
+    name: str,
+    ranking: Mapping[str, Any],
+    columns: Mapping[str, Tuple[str, bytes]],
+) -> bytes:
+    """A schema-5 segment: the header, then ``columns`` -- ``records``
+    (:func:`reference_records`, dtype ``"records"``) followed by the
+    ranked columns -- then the digest."""
+    header = {
+        "schema": 5,
         "snapshot_id": snapshot_id,
         "content_hash": content_hash,
         "name": name,

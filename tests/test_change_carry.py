@@ -268,7 +268,7 @@ class TestPersistChecksTheCarriedSet:
         else:
             carried[xts[9].xid] = None
         assert store.persist("out", outcome, base="base", changes=carried)
-        assert schema_of(tmp_path / "store", "out") == 4
+        assert schema_of(tmp_path / "store", "out") == 5
         reopened = SnapshotStore(tmp_path / "store", mode="readonly")
         assert reopened.snapshots()["out"].db.content_hash() == (
             outcome.db.content_hash()

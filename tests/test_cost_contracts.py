@@ -9,8 +9,9 @@ count one; C code calling C code counts nothing, so a ``map`` over a C
 callable is one event however long its input, while a list
 comprehension that calls a C method per item is one event per item),
 a store's work per durable clean (journal bytes decoded, exclusive
-lock holds, fsyncs, bytes hashed), or the rows a PSR pass reads past
-its cutoff or keeps.  The bound is on the ratio of the two counts, so a call
+lock holds, fsyncs, bytes hashed), the rows an open formats into
+content-hash records, or the rows a PSR pass reads past its cutoff or
+keeps.  The bound is on the ratio of the two counts, so a call
 count holds across Python versions whose absolute counts differ; a
 row may also cap each count (``most``), where the count itself is the
 claim, and a row whose counts are too small for a ratio to mean
@@ -35,13 +36,14 @@ from typing import Callable, Dict, Optional, Tuple
 
 import pytest
 
+import repro.db.database as database_module
 import repro.store.store as store_module
 from conftest import open_service
 from repro.api import SessionPool, TopKService
 from repro.api.pool import snapshot_id_of
 from repro.api.specs import BatchSpec, CleaningSpec, QualitySpec, QuerySpec
 from repro.datasets.synthetic import generate_synthetic
-from repro.db.database import hash_records
+from repro.db.database import hash_record, hash_records
 from repro.queries import psr_numpy
 from repro.queries.psr import TAIL_EPSILON, compute_rank_probabilities, tail_stop
 from repro.store import (
@@ -111,6 +113,48 @@ def open_and_answer(tmp: Path, num_xtuples: int) -> int:
     return count_events(
         lambda: open_service(copy).query(newest, QuerySpec(k=20))
     )
+
+
+def rows_encoded_by_open(tmp: Path, num_xtuples: int) -> int:
+    """Rows an open of a crashed store plus its first answer formats
+    into content-hash records: every row handed to ``hash_records`` or
+    ``hash_record``, wherever they are called from."""
+    pristine = tmp / f"pristine-{num_xtuples}"
+    newest = build_crashed_store(pristine, num_xtuples)
+    copy = tmp / f"copy-{num_xtuples}"
+    shutil.copytree(pristine, copy)
+    rows = [0]
+
+    def many(xids, tids, values, probabilities, starts):
+        rows[0] += starts[-1] - starts[0] if starts else 0
+        return hash_records(xids, tids, values, probabilities, starts)
+
+    def one(xid, alternatives):
+        rows[0] += len(alternatives)
+        return hash_record(xid, alternatives)
+
+    # Each module that imported a function by name calls its own copy.
+    patched = [
+        (module, name, original, wrapper)
+        for module in list(sys.modules.values())
+        if getattr(module, "__name__", "").startswith("repro")
+        for name, original, wrapper in (
+            ("hash_records", hash_records, many),
+            ("hash_record", hash_record, one),
+        )
+        if getattr(module, name, None) is original
+    ]
+    assert any(module is database_module for module, *_ in patched)
+    for module, name, _, wrapper in patched:
+        setattr(module, name, wrapper)
+    try:
+        service = open_service(copy)
+        service.query(newest, QuerySpec(k=20))
+    finally:
+        for module, name, original, _ in patched:
+            setattr(module, name, original)
+    assert service.store.counters()["psr_store_replays"] == CRASHED
+    return rows[0]
 
 
 def chain_step(
@@ -356,6 +400,17 @@ CONTRACTS = (
             "x-tuple or per tuple"
         ),
         measure=open_and_answer,
+    ),
+    Contract(
+        path="rows an open encodes into content-hash records",
+        sizes=(500, 3000),
+        claim=(
+            "a store open takes a full segment's content-hash records from "
+            "the segment and formats only the rows the delta rebuild and the "
+            "replays change (two collapses each), whatever the base holds"
+        ),
+        measure=rows_encoded_by_open,
+        most=2 * (1 + CRASHED),
     ),
     Contract(
         path="journal bytes a durable clean decodes",

@@ -277,7 +277,7 @@ class TestDeltaSegments:
                       MAX_DELTA_DEPTH + 2)
         ids = persist_chain(store, views, "c")
         schemas = [schema_of(root, sid) for sid in ids]
-        assert schemas == [4] + [3] * MAX_DELTA_DEPTH + [4, 3]
+        assert schemas == [5] + [3] * MAX_DELTA_DEPTH + [5, 3]
         depths = [
             decode_segment(segment_path(root, sid).read_bytes()).header.get("depth")
             for sid in ids
@@ -352,7 +352,7 @@ class TestDeltaSegments:
             ).snapshot_id
         assert plan.drawn
         outcome = service.clean(base, CLEAN_SPEC).payload["new_snapshot_id"]
-        assert schema_of(root, outcome) == 4  # full: its base failed the read-back
+        assert schema_of(root, outcome) == 5  # full: its base failed the read-back
         reopened = open_service(root)
         assert [name for name, _ in reopened.store.recovery.quarantined] == [
             base + SEGMENT_SUFFIX
@@ -364,7 +364,7 @@ class TestDeltaSegments:
         service = open_service(root)
         base = service.register(generate_synthetic(num_xtuples=40, seed=3)).snapshot_id
         outcome = service.clean(base, CLEAN_SPEC).payload["new_snapshot_id"]
-        assert (schema_of(root, base), schema_of(root, outcome)) == (4, 3)
+        assert (schema_of(root, base), schema_of(root, outcome)) == (5, 3)
         (record,) = service.store.journal_records()
         header = decode_segment(segment_path(root, outcome).read_bytes()).header
         assert header["changes"] == record["changes"]

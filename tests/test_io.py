@@ -1,5 +1,6 @@
 """Round-trip tests for database serialization (repro.db.io)."""
 
+import hashlib
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from reference_encoding import (
     reference_columns,
     reference_content_hash,
     reference_frames,
+    reference_records,
     reference_structure_json,
 )
 from strategies import databases
@@ -87,15 +89,56 @@ class TestStructureJson:
         assert restored.content_hash() == db.content_hash()
 
 
-class TestColumns:
-    """A columnar segment's structure columns, written from the
-    x-tuples' memos and read back with the checks ingest makes."""
+def from_records(db: ProbabilisticDatabase) -> ProbabilisticDatabase:
+    """``db`` rebuilt from its records, as a schema-5 segment holds them."""
+    records = reference_records(io.database_to_dict(db))
+    return io.database_from_records(
+        db.name, records, hashlib.sha256(records).hexdigest()
+    )
+
+
+class TestRecords:
+    """A schema-5 segment's records, parsed back into the columns with
+    the checks ingest makes."""
 
     @pytest.mark.parametrize("name", sorted(ENCODING_CASES))
     def test_round_trips_with_the_same_hash(self, name):
         db = ENCODING_CASES[name][0]()
-        columns = io.encode_structure(db)
-        assert columns == reference_columns(io.database_to_dict(db))
+        restored = from_records(db)
+        _assert_equal_databases(db, restored)
+        assert restored.name == db.name
+        assert restored.content_hash() == reference_content_hash(db)
+        assert restored.content_records() == db.content_records()
+
+    @settings(max_examples=25)
+    @given(databases(values="int"))
+    def test_random_databases_round_trip(self, db):
+        restored = from_records(db)
+        _assert_equal_databases(db, restored)
+        assert restored.content_hash() == reference_content_hash(db)
+
+    def test_an_int_probability_keeps_its_type_and_record(self):
+        db = ProbabilisticDatabase(
+            [make_xtuple("x1", [("t1", 2.5, 1)]), make_xtuple("x2", [("t2", 1.5, 0.5)])]
+        )
+        restored = from_records(db)
+        assert type(restored.xtuple("x1").alternatives[0].probability) is int
+        assert restored.values.dtype == "float64"
+        assert b"".join(restored.content_records()) == b"".join(db.content_records())
+
+    def test_the_empty_database(self):
+        restored = from_records(ProbabilisticDatabase([], name="empty"))
+        assert restored.num_xtuples == 0 and restored.name == "empty"
+
+
+class TestColumns:
+    """A schema-4 segment's structure columns, read back with the
+    checks ingest makes."""
+
+    @pytest.mark.parametrize("name", sorted(ENCODING_CASES))
+    def test_round_trips_with_the_same_hash(self, name):
+        db = ENCODING_CASES[name][0]()
+        columns = reference_columns(io.database_to_dict(db))
         restored = io.database_from_columns(db.name, columns)
         _assert_equal_databases(db, restored)
         assert restored.name == db.name
@@ -104,7 +147,9 @@ class TestColumns:
     @settings(max_examples=25)
     @given(databases())
     def test_random_databases_round_trip(self, db):
-        restored = io.database_from_columns(db.name, io.encode_structure(db))
+        restored = io.database_from_columns(
+            db.name, reference_columns(io.database_to_dict(db))
+        )
         _assert_equal_databases(db, restored)
         assert restored.content_hash() == reference_content_hash(db)
 
@@ -113,7 +158,7 @@ class TestColumns:
         db = ProbabilisticDatabase(
             [make_xtuple("x1", [("t1", 2.5, 1)]), make_xtuple("x2", [("t2", 1.5, 0.5)])]
         )
-        columns = io.encode_structure(db)
+        columns = reference_columns(io.database_to_dict(db))
         assert columns["probabilities"] == ("json", b"[1,0.5]")
         assert columns["values"][0] == "<f8"
         restored = io.database_from_columns("", columns)

@@ -6,7 +6,7 @@ column, the probabilities, sizes and completion -- rather than tuple by
 tuple.  Its five canonical columns and its ``order`` must equal
 :func:`reference_rank.reference_rank` bit for bit on every database and
 ranking, whether the database was built from x-tuples or rebuilt from
-a segment's columns, and a score that raises must leave nothing behind.
+a segment's records, and a score that raises must leave nothing behind.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import io
 from repro.db.database import CANONICAL_COLUMNS, ProbabilisticDatabase, RankedDatabase
 from repro.db.ranking import RankingFunction, by_key, by_sum_of_keys, by_value, custom
 from repro.db.tuples import make_xtuple
 
 from reference_rank import reference_rank
 from strategies import databases
+from test_io import from_records
 
 
 def assert_matches_reference(
@@ -69,9 +69,9 @@ class TestReferenceRank:
         assert_matches_reference(RankedDatabase(db, ranking), db, ranking)
         # A second rank reads the same columns.
         assert_matches_reference(RankedDatabase(db, ranking), db, ranking)
-        # So does a database rebuilt from a segment's columns, which
+        # So does a database rebuilt from a segment's records, which
         # builds its tuple objects on demand.
-        rebuilt = io.database_from_columns(db.name, io.encode_structure(db))
+        rebuilt = from_records(db)
         assert_matches_reference(RankedDatabase(rebuilt, ranking), rebuilt, ranking)
 
     @settings(max_examples=40)
@@ -151,7 +151,7 @@ class TestScoring:
         for name in CANONICAL_COLUMNS:
             assert getattr(ranked, name).tobytes() == getattr(other, name).tobytes()
         # A rebuilt database ranks by value without building an object.
-        rebuilt = io.database_from_columns("", io.encode_structure(db))
+        rebuilt = from_records(db)
         assert RankedDatabase(rebuilt, by_value()).scores_array.tobytes() == (
             ranked.scores_array.tobytes()
         )

@@ -44,6 +44,7 @@ from repro.store import (
 )
 from repro.store.format import (
     MAGIC,
+    SCHEMA4_COLUMNS,
     SCHEMA_VERSION,
     SEGMENT_COLUMNS,
     decode_journal,
@@ -64,10 +65,12 @@ from reference_encoding import (
     reference_columns,
     reference_content_hash,
     reference_frames,
+    reference_records,
     reference_structure_json,
     reference_v1_segment,
     reference_v2_segment,
     reference_v4_segment,
+    reference_v5_segment,
 )
 from test_cost_contracts import build_crashed_store
 
@@ -96,15 +99,17 @@ def encoded_segment(
     fragment_lengths: Optional[Sequence[int]] = None,
     schema: int = SCHEMA_VERSION,
     structure_columns: Optional[Dict[str, Tuple[str, bytes]]] = None,
+    records: Optional[bytes] = None,
 ) -> bytes:
     """A segment of ``ranked`` (default :func:`ranked_db`) in
-    ``schema``: 4 (the one written) through :func:`encode_segment`,
-    with the database's own columns unless ``structure_columns`` is
-    given; 2 and 1 (the legacy layouts) through
-    :func:`reference_v2_segment` and :func:`reference_v1_segment`, with
-    the reference structure JSON and frames unless a structure JSON
-    (and, for schema 2, its fragment lengths) is given.  The content
-    hash is ``ranked``'s unless given."""
+    ``schema``: 5 (the one written) through :func:`encode_segment`,
+    with the database's own content-hash records unless ``records`` is
+    given; 4, 2 and 1 (the legacy layouts) through
+    :func:`reference_v4_segment`, :func:`reference_v2_segment` and
+    :func:`reference_v1_segment`, with the reference structure columns
+    (schema 4) or structure JSON and frames unless ``structure_columns``
+    or a structure JSON (and, for schema 2, its fragment lengths) is
+    given.  The content hash is ``ranked``'s unless given."""
     ranked = ranked_db() if ranked is None else ranked
     fields: Dict[str, Any] = dict(
         snapshot_id=snapshot_id,
@@ -114,10 +119,17 @@ def encoded_segment(
         name=ranked.db.name,
         ranking=ranking_descriptor(ranked.ranking),
     )
+    if schema == 5:
+        if records is None:
+            records = b"".join(ranked.db.content_records())
+        return encode_segment(
+            columns={"records": ("records", records), **segment_columns(ranked)},
+            **fields,
+        )
     if schema == 4:
         if structure_columns is None:
-            structure_columns = io.encode_structure(ranked.db)
-        return encode_segment(
+            structure_columns = reference_columns(io.database_to_dict(ranked.db))
+        return reference_v4_segment(
             columns={**structure_columns, **segment_columns(ranked)}, **fields
         )
     if structure_json is None:
@@ -139,14 +151,23 @@ def framed_segment(
 ) -> bytes:
     """A segment whose structure is ``payload`` -- framed by
     :func:`reference_frames` (schemas 1 and 2), or laid out by
-    :func:`reference_columns` (schema 4) -- intact framing around
-    whatever the payload holds; header and ranked columns come from
-    ``ranked``."""
+    :func:`reference_columns` (schema 4) or :func:`reference_records`
+    (schema 5) -- intact framing around whatever the payload holds;
+    header and ranked columns come from ``ranked``."""
+    if schema == 5:
+        return encoded_segment(
+            snapshot_id,
+            ranked,
+            content_hash=content_hash,
+            schema=5,
+            records=reference_records(payload),
+        )
     if schema == 4:
         return encoded_segment(
             snapshot_id,
             ranked,
             content_hash=content_hash,
+            schema=4,
             structure_columns=reference_columns(payload),
         )
     structure_json, lengths = reference_frames(payload)
@@ -156,16 +177,15 @@ def framed_segment(
 
 
 def reference_segment(snapshot_id: str, ranked: RankedDatabase) -> bytes:
-    """The schema-4 segment the uncached reference encoders build: the
-    structure columns entry by entry, the content hash one
-    ``json.dumps`` per x-tuple."""
-    return reference_v4_segment(
+    """The schema-5 segment the uncached reference encoders build: the
+    records and the content hash one ``json.dumps`` per x-tuple."""
+    return reference_v5_segment(
         snapshot_id=snapshot_id,
         content_hash=reference_content_hash(ranked.db),
         name=ranked.db.name,
         ranking=ranking_descriptor(ranked.ranking),
         columns={
-            **reference_columns(io.database_to_dict(ranked.db)),
+            "records": ("records", reference_records(io.database_to_dict(ranked.db))),
             **segment_columns(ranked),
         },
     )
@@ -215,10 +235,32 @@ class TestSegmentCodec:
         data = encoded_segment("s1", ranked)
         header, structure_json, columns = decode_segment(data)
         assert header["snapshot_id"] == "s1"
-        assert header["schema"] == SCHEMA_VERSION == 4
+        assert header["schema"] == SCHEMA_VERSION == 5
         # No structure JSON: the structure is columns, returned unparsed.
         assert structure_json == b""
         assert tuple(columns) == SEGMENT_COLUMNS == (
+            "records",
+            "scores_array",
+            "insertion_array",
+            "xtuple_indices_array",
+            "probabilities_array",
+            "completion_array",
+        )
+        # The records are the bytes the content hash is taken over.
+        reference = reference_records(io.database_to_dict(ranked.db))
+        assert decode_segment(data).typed_columns(["records"]) == {
+            "records": ("records", reference)
+        }
+        assert hashlib.sha256(columns["records"]).hexdigest() == header["content_hash"]
+
+    def test_schema_4_round_trip(self):
+        ranked = ranked_db()
+        header, structure_json, columns = decode_segment(
+            encoded_segment("s1", ranked, schema=4)
+        )
+        assert header["schema"] == 4
+        assert structure_json == b""
+        assert tuple(columns) == SCHEMA4_COLUMNS == (
             "xids",
             "tids",
             "sizes",
@@ -231,8 +273,16 @@ class TestSegmentCodec:
             "completion_array",
         )
         reference = reference_columns(io.database_to_dict(ranked.db))
-        assert decode_segment(data).typed_columns(io.STRUCTURE_COLUMNS) == reference
+        assert decode_segment(
+            encoded_segment("s1", ranked, schema=4)
+        ).typed_columns(io.STRUCTURE_COLUMNS) == reference
         assert json.loads(columns["xids"]) == [xt.xid for xt in ranked.db.xtuples]
+
+    def test_records_must_end_with_a_whole_record(self):
+        ranked = ranked_db()
+        records = b"".join(ranked.db.content_records())
+        with pytest.raises(CorruptSnapshotError, match="end with a whole record"):
+            decode_segment(encoded_segment("s1", ranked, records=records[:-1]))
 
     def test_schema_2_round_trip(self):
         ranked = ranked_db()
@@ -270,7 +320,7 @@ class TestSegmentCodec:
         segment = decode_segment(encoded_segment("s1", ranked, schema=2))
         assert segment.header["frames"] == 0
         assert segment.structure_json == reference_structure_json(ranked.db)
-        # Schema 4: empty columns, and the snapshot still rebuilds.
+        # Schema 5: no records, and the snapshot still rebuilds.
         store = SnapshotStore(tmp_path / "store")
         store.persist("s1", ranked)
         reopened = SnapshotStore(tmp_path / "store")
@@ -322,7 +372,7 @@ def encoding_case(name: str) -> RankedDatabase:
 
 def assert_encodes_like_reference(db: ProbabilisticDatabase) -> None:
     assert db.content_hash() == reference_content_hash(db)
-    assert io.encode_structure(db) == reference_columns(io.database_to_dict(db))
+    assert b"".join(db.content_records()) == reference_records(io.database_to_dict(db))
 
 
 class TestCachedEncodingIdentity:
@@ -383,8 +433,8 @@ class TestCachedEncodingIdentity:
     @pytest.mark.parametrize("name", FIXTURE_STORES)
     def test_fixture_base_segment_re_persists_byte_for_byte(self, tmp_path, name):
         # The committed segments predate the per-x-tuple caches and
-        # schema 4: a re-persist writes the very same ranked columns,
-        # hash, id and ranking, with the structure as columns that
+        # schema 5: a re-persist writes the very same ranked columns,
+        # hash, id and ranking, with the structure as the records that
         # rebuild the same database -- byte for byte what the reference
         # encoders build.
         root = tmp_path / name
@@ -401,9 +451,9 @@ class TestCachedEncodingIdentity:
             assert fresh.persist(snapshot_id, ranked) is True
             written = (tmp_path / attempt / "segments" / committed.name).read_bytes()
             new = decode_segment(written)
-            assert new.header["schema"] == 4
+            assert new.header["schema"] == 5
             assert {c: new.columns[c] for c in CANONICAL_COLUMNS} == old.columns
-            assert new.typed_columns(io.STRUCTURE_COLUMNS) == reference_columns(
+            assert new.columns["records"] == reference_records(
                 json.loads(old.structure_json)
             )
             for field in ("content_hash", "snapshot_id", "ranking", "name"):
@@ -602,7 +652,7 @@ class TestSnapshotStore:
         assert "x-tuple #1: must be an object" in reason
         assert (root / "quarantine" / ("s1" + SEGMENT_SUFFIX)).exists()
 
-    @pytest.mark.parametrize("schema", [1, 2, 4])
+    @pytest.mark.parametrize("schema", [1, 2, 4, 5])
     @pytest.mark.parametrize(
         "good, bad, ranking, error",
         [
@@ -647,7 +697,7 @@ class TestSnapshotStore:
         assert (root / "quarantine" / ("bad" + SEGMENT_SUFFIX)).exists()
         assert sorted(reopened.snapshots()) == ["good"]
 
-    @pytest.mark.parametrize("schema", [1, 2, 4])
+    @pytest.mark.parametrize("schema", [1, 2, 4, 5])
     @pytest.mark.parametrize(
         "good, bad, ranking, error",
         [
@@ -660,7 +710,7 @@ class TestSnapshotStore:
     def test_unscorable_value_in_two_segments_quarantines_both(
         self, tmp_path, schema, good, bad, ranking, error
     ):
-        # Two segments carry one unscorable x-tuple, which a schema-4
+        # Two segments carry one unscorable x-tuple, which a columnar
         # pass builds once.  A score that raised leaves no memo behind,
         # so the second segment fails its re-rank exactly as the first.
         root = tmp_path / "store"
@@ -1178,17 +1228,69 @@ class TestCheckpointVerification:
         assert report["dropped"] == 1 and report["records_after"] == 0
         assert structure_loads == []
 
+    def test_held_schema4_outcome_is_dropped_without_a_parse(
+        self, tmp_path, structure_loads
+    ):
+        # The held outcome's file rewritten as schema 4, as a writer
+        # before schema 5 wrote it: its content hash names the held
+        # snapshot, so its id tables are not parsed.
+        root = tmp_path / "store"
+        store = SnapshotStore(root)
+        ranked = ranked_db()
+        journaled_outcome(store, ranked)
+        path = root / "segments" / ("s1" + SEGMENT_SUFFIX)
+        path.write_bytes(encoded_segment("s1", ranked, schema=4))
+        report = store.checkpoint()
+        assert report["dropped"] == 1
+        assert structure_loads == []
+
     def test_outcome_another_handle_wrote_is_parsed(self, tmp_path, structure_loads):
+        # A schema-4 outcome (as a writer before schema 5 left it): its
+        # id tables are parsed.
         root = tmp_path / "store"
         writer = SnapshotStore(root)
         checker = SnapshotStore(root)
         ranked = ranked_db()
         journaled_outcome(writer, ranked)
+        path = root / "segments" / ("s1" + SEGMENT_SUFFIX)
+        path.write_bytes(encoded_segment("s1", ranked, schema=4))
         assert not checker.has_segment("s1")
         report = checker.checkpoint()
         assert report["dropped"] == 1
-        columns = io.encode_structure(ranked.db)
+        columns = reference_columns(io.database_to_dict(ranked.db))
         assert structure_loads == [columns["xids"][1], columns["tids"][1]]
+
+    @pytest.mark.parametrize("forged", [False, True])
+    def test_outcome_another_handle_wrote_is_hashed(
+        self, tmp_path, structure_loads, monkeypatch, forged
+    ):
+        # A schema-5 outcome: its records are hashed against its content
+        # hash, not parsed.  Records that do not hash to it (every
+        # other byte verifies) keep the record.
+        root = tmp_path / "store"
+        writer = SnapshotStore(root)
+        checker = SnapshotStore(root)
+        ranked = ranked_db()
+        journaled_outcome(writer, ranked)
+        if forged:
+            path = root / "segments" / ("s1" + SEGMENT_SUFFIX)
+            other = reference_records(io.database_to_dict(ranked_db(seed=5).db))
+            path.write_bytes(encoded_segment("s1", ranked, records=other))
+        hashed: List[bytes] = []
+        sha256 = hashlib.sha256
+
+        def hashing(data=b""):
+            hashed.append(bytes(data))
+            return sha256(data)
+
+        monkeypatch.setattr(hashlib, "sha256", hashing)
+        report = checker.checkpoint()
+        assert report["dropped"] == (0 if forged else 1)
+        assert structure_loads == []
+        records = decode_segment(
+            (root / "segments" / ("s1" + SEGMENT_SUFFIX)).read_bytes()
+        ).columns["records"]
+        assert records in hashed
 
     @pytest.mark.parametrize("parses", [True, False])
     def test_held_outcome_with_other_bytes_is_parsed(

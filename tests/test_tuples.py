@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.db.database import ProbabilisticDatabase, RankedDatabase
-from repro.db.io import encode_structure
 from repro.db.ranking import by_key, custom
 from repro.db.tuples import ProbabilisticTuple, XTuple, make_xtuple
 from repro.exceptions import InvalidDatabaseError
@@ -130,7 +129,6 @@ class TestXTuple:
         filled = make_xtuple("S3", alternatives)
         db = ProbabilisticDatabase([filled])
         db.content_hash()
-        encode_structure(db)
         assert len(vars(filled)) > len(dataclasses.fields(XTuple))
         plain = make_xtuple("S3", alternatives)
         assert filled == plain and hash(filled) == hash(plain)
