@@ -4,7 +4,8 @@
 # batch-vs-independent checks included), fault-smoke's gates beyond
 # tier-1 (the store state machine on its larger profile, a committed
 # schema-1 store opened through the CLI, an env-armed crash recovered
-# through the CLI, and the concurrent-writer chaos run), and the
+# through the CLI, the concurrent-writer chaos run and a delta chain
+# built across processes), and the
 # perfbench smoke (its own tests plus a tiny run of each workload, and
 # the PSR kernel sweep at a quick size).  `make check` calls this.
 #
@@ -124,6 +125,11 @@ assert len(s["snapshots"]) == 6, s  # base + 5 distinct outcomes
         python -m repro store verify --dir "$dir/store"
 )
 step "concurrent-writer chaos + compaction bound" writer_chaos
+
+# CI fault-smoke's delta chain across processes: twelve chained
+# durable cleans, then a fresh query against the storeless one and the
+# scrub (see the script).
+step "delta chain built across processes" sh scripts/chain_across_processes.sh
 
 step "perfbench tests" python -m pytest -q perfbench/tests
 for workload in serve-scan clean-durable store-reopen; do

@@ -214,10 +214,7 @@ class CleaningProblem:
         and zero sc-probability.
         """
         ranked = self.ranked
-        sizes = np.bincount(
-            ranked.xtuple_indices_array, minlength=ranked.num_xtuples
-        )
-        certain = (sizes == 1) & (
+        certain = (ranked.db.sizes == 1) & (
             1.0 - ranked.completion_array <= COMPLETENESS_TOLERANCE
         )
         return (

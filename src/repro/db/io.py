@@ -232,7 +232,10 @@ _STRUCTURE_TO_SPACES = bytes.maketrans(b'[]",\0', b"     ")
 
 #: A number token that is a JSON float, not an int: it has a fraction
 #: or an exponent.
-_FLOAT_TOKEN = re.compile(r"[.eE]").search
+_FLOAT_TOKEN = re.compile(rb"[.eE]").search
+
+#: The byte codes of "," and "]".
+_COMMA, _CLOSE = b",]"
 
 #: A values or probabilities column as it is read: a float64 array, or
 #: a list of what JSON holds.
@@ -459,11 +462,15 @@ def _float_records(blob: bytes, pieces: List[bytes]) -> Optional[_Parsed]:
         map(skeletons.__getitem__, size_list)
     ):
         return None
-    # Outside the strings ",," and ",]" sit only around a number slot.
-    if b",," in structure or b",]" in structure:
+    # Outside the strings a comma is followed by "," or "]" only where
+    # a number slot is empty: one pass over the bytes finds it.
+    codes = np.frombuffer(structure, dtype=np.uint8)
+    after = codes[1:]
+    if ((codes[:-1] == _COMMA) & ((after == _COMMA) | (after == _CLOSE))).any():
         return None
     n = len(strings) - len(size_list)
-    tokens = structure.translate(_STRUCTURE_TO_SPACES).decode("ascii").split()
+    # float() reads a number's bytes as they are.
+    tokens = structure.translate(_STRUCTURE_TO_SPACES).split()
     # No row at all: the JSON parse gives the checks their reason.
     if not n or len(tokens) != 2 * n:
         return None

@@ -40,11 +40,12 @@ something first uses the snapshot: a lease, a replay's base,
 :meth:`SnapshotStore.verify`.  A full segment's rebuild checks the
 content hash of its records, then the ids, sizes, probabilities and
 masses of the columns it parses them into, then a cold re-rank bitwise
-against the stored ranked columns; a delta
-is rebuilt from its base's view spliced with the change set and must
-hash to its header's content hash.  So corruption is *detected*, and
-detected corruption is *quarantined* -- moved aside (on an exclusive
-handle; a read-only one only refuses it) with a typed
+against the stored ranked columns; a delta is rebuilt in one splice,
+from the nearest view the handle holds, of the change sets its chain
+composes, and must hash to its header's content hash (a link in
+between is checked at its own first use).  So corruption is
+*detected*, and detected corruption is *quarantined* -- moved aside
+(on an exclusive handle; a read-only one only refuses it) with a typed
 :class:`~repro.exceptions.CorruptSnapshotError`, never served: at
 open for a byte-level fault, at first use for a semantic one.
 
@@ -62,8 +63,10 @@ above a snapshot along in one pass by depth.  An open costs what its
 first requests touch, not every live snapshot, and a rebuild costs
 what the snapshot holds: a schema-5 segment's records parse into the
 database's own columns and stay its content-hash records, and a delta
-is a splice of its base's, with no tuple object built and no number
-formatted (see :meth:`SnapshotStore._rebuild_full`).
+is one splice of the view its chain starts from, however many links
+that chain has, with no tuple object built and no number formatted
+(see :meth:`SnapshotStore._rebuild_full`,
+:meth:`SnapshotStore._materialize`).
 
 **The journal** records each executed cleaning *before* the outcome
 segment is written.  A schema-2 record holds the outcome as its base
@@ -254,9 +257,9 @@ JOURNAL_SCHEMA = 2
 #: Longest chain of delta segments above a full one: an outcome whose
 #: base is this deep is written full, so every ninth link of a
 #: cleaning chain is a full segment.  It bounds two costs of a chain:
-#: a rebuild reaches a delta through at most this many splices from its
-#: full segment, and a corrupt full segment quarantines at most this
-#: many links of one chain with it.
+#: a rebuild composes at most this many change sets above its full
+#: segment (into one splice), and a corrupt full segment quarantines at
+#: most this many links of one chain with it.
 MAX_DELTA_DEPTH = 8
 
 #: Environment knob for the automatic checkpoint threshold (records).
@@ -637,11 +640,12 @@ class SnapshotStore:
     def load(self, snapshot_id: str) -> RankedDatabase:
         """The snapshot's ranked view, rebuilt and checked on first use.
 
-        The first load of a snapshot rebuilds it (and the base chain
-        of a delta) and runs every semantic check
-        (:meth:`_rebuild_full`, :meth:`_rebuild_delta`); later loads
-        return the same view.  A failure quarantines the segment and
-        every delta above it -- on a read-only handle it only refuses
+        The first load of a snapshot rebuilds it and runs every
+        semantic check (:meth:`_rebuild_full`, :meth:`_rebuild_delta`):
+        a delta in one splice of its chain's composed change set, from
+        the nearest view this handle holds (see :meth:`_materialize`);
+        later loads return the same view.  A failure quarantines the
+        segment and every delta above it -- on a read-only handle it only refuses
         them, moving nothing -- and raises
         :class:`~repro.exceptions.CorruptSnapshotError`, as does any
         later load of them.  An id this handle never held raises
@@ -660,10 +664,14 @@ class SnapshotStore:
 
     def _materialize_all(self) -> Dict[str, RankedDatabase]:
         """Every live snapshot's view, rebuilt where not yet used;
-        failures are refused and left out.  Caller holds the thread
-        lock but not the file lock."""
+        failures are refused and left out.  By depth, so each delta is
+        rebuilt on its base's view, one link at a time, and a bad link
+        is refused before anything above it is served.  Caller holds
+        the thread lock but not the file lock."""
         views: Dict[str, RankedDatabase] = {}
-        for snapshot_id in sorted(self._index):
+        for snapshot_id in sorted(
+            self._index, key=lambda s: (_depth(self._link_of.get(s)), s)
+        ):
             try:
                 views[snapshot_id] = self._materialize(snapshot_id)
             except CorruptSnapshotError:
@@ -913,10 +921,35 @@ class SnapshotStore:
         return segment
 
     def _materialize(self, snapshot_id: str) -> RankedDatabase:
-        """The snapshot's ranked view, rebuilding it -- and, for a
-        delta, the base chain below it -- on first use; see
+        """The snapshot's ranked view, rebuilding it on first use; see
         :meth:`load`.  Caller holds the thread lock but not the file
         lock, which a quarantine takes.
+
+        A delta's first use is one derivation, however deep its chain.
+        The change sets of the links from the nearest view this handle
+        holds -- or the chain's full segment, rebuilt and checked on
+        its own (:meth:`_rebuild_full`) -- up to the snapshot are
+        composed in chain order, a later entry for an x-tuple replacing
+        an earlier one, applied in one splice, and checked against the
+        snapshot's own header content hash (:meth:`_rebuild_delta`).
+        A collapse keeps its alternative's row and a removal drops the
+        x-tuple, so the x-tuples a chain changes read as their last
+        entries say, and the splice is bitwise the link-by-link one.
+        The handle then holds this view, beside the one it started
+        from; the links in between stay segments, each checked on its
+        own first use or by :meth:`verify`.
+
+        So a middle link whose header alone is wrong (its content hash
+        re-sealed) does not stop the snapshot above it from being
+        served: the composed view hashes to what the snapshot's header
+        names, the proof that it is the content its id names.  The link
+        is refused, and the deltas above it with it, at its own first
+        use or by the scrub.
+
+        If the composed splice raises, or its hash differs, this
+        routine rebuilds the top link's base and applies that link
+        alone, so the first bad link is refused with its own reason and
+        takes the deltas above it along.
         """
         entry = self._index.get(snapshot_id)
         if isinstance(entry, RankedDatabase):
@@ -932,38 +965,48 @@ class SnapshotStore:
         # indexes no delta without its base, and a refusal takes the
         # deltas above along, so a base leaves the index only when GC
         # collects it, which keeps every base a live delta needs.
-        chain: List[Tuple[str, Segment]] = []
-        view: Optional[RankedDatabase] = None
+        chain: List[Tuple[str, Segment, DeltaLink]] = []
         sid = snapshot_id
-        while True:
-            entry = self._index.get(sid)
+        while not isinstance(entry, RankedDatabase):
             if entry is None:
                 self._refuse(
                     chain[-1][0],
                     f"segment corrupt: its base {sid!r} is missing or tombstoned",
                 )
                 raise self._refusal(snapshot_id)
-            if isinstance(entry, RankedDatabase):
-                view = entry
-                break
-            chain.append((sid, entry))
             link = entry.link
             if link is None:
+                try:
+                    entry = self._rebuild_full(entry)
+                except CorruptSnapshotError as exc:
+                    self._refuse(sid, str(exc))
+                    raise self._refusal(snapshot_id) from None
+                self._index[sid] = entry
                 break
+            chain.append((sid, entry, link))
             sid = link.base
-        for sid, segment in reversed(chain):
-            link = segment.link
+            entry = self._index.get(sid)
+        if not chain:
+            return entry
+        _, top, link = chain[0]
+        changes: ChangeSet = {}
+        for _, _, below in reversed(chain):
+            changes.update(below.changes)
+        try:
+            view = self._rebuild_delta(top, link, entry, changes)
+        except CorruptSnapshotError:
+            # Some link fails: rebuild the top's base, which refuses a
+            # bad link below the top (and the top with it), then apply
+            # the top link alone.
             try:
-                if link is None:
-                    view = self._rebuild_full(segment)
-                else:
-                    assert view is not None
-                    view = self._rebuild_delta(segment, link, view)
+                view = self._rebuild_delta(
+                    top, link, self._materialize(link.base), link.changes
+                )
             except CorruptSnapshotError as exc:
-                self._refuse(sid, str(exc))
+                if snapshot_id not in self._refused:
+                    self._refuse(snapshot_id, str(exc))
                 raise self._refusal(snapshot_id) from None
-            self._index[sid] = view
-        assert view is not None
+        self._index[snapshot_id] = view
         return view
 
     def _refusal(self, snapshot_id: str) -> CorruptSnapshotError:
@@ -1079,18 +1122,24 @@ class SnapshotStore:
         return ranked
 
     def _rebuild_delta(
-        self, segment: Segment, link: DeltaLink, base: RankedDatabase
+        self,
+        segment: Segment,
+        link: DeltaLink,
+        base: RankedDatabase,
+        changes: ChangeSet,
     ) -> RankedDatabase:
-        """Rebuild one delta segment from its base's view -- or raise.
+        """Rebuild one delta segment from a view below it -- or raise.
 
-        The change set is applied to ``base`` through
+        ``changes`` -- the link's own set on its base's view, or the
+        set a chain composes on the view the chain starts from (see
+        :meth:`_materialize`) -- is applied to ``base`` through
         :meth:`~repro.db.database.RankedDatabase.with_change_set`, and
         the result must hash to the header's content hash.  A delta
         holds no columns to compare: its view is the splice, which is
         bitwise the cold rank of the changed database.
         """
         try:
-            ranked = base.with_change_set(link.changes)
+            ranked = base.with_change_set(changes)
         except InvalidDatabaseError as exc:
             raise CorruptSnapshotError(
                 f"segment corrupt: its change set does not apply to base "

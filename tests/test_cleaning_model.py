@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.service import TopKService
 from repro.api.specs import BatchSpec, CleaningSpec, QualitySpec, QuerySpec
@@ -12,14 +14,18 @@ from repro.cleaning.model import (
     CleaningPlan,
     CleaningProblem,
     EMPTY_PLAN,
+    G_TOLERANCE,
+    SC_TOLERANCE,
     build_cleaning_problem,
 )
 from repro.cleaning.random_cleaners import RandPCleaner, RandUCleaner
 from repro.core.tp import compute_quality_tp
 from repro.datasets.synthetic import generate_synthetic
 from repro.db.database import ProbabilisticDatabase
-from repro.db.tuples import make_xtuple
+from repro.db.tuples import COMPLETENESS_TOLERANCE, make_xtuple
 from repro.exceptions import InvalidCleaningProblemError
+
+from strategies import cleaning_problems
 
 
 @pytest.fixture
@@ -320,3 +326,52 @@ class TestCertainXTuplesAreNotCandidates:
         # collapses it or removes it.
         problem = self._problem(_with_certain_xtuple(0.7), g_certain=-0.1)
         assert problem.candidate_indices() == [0, 1, 2]
+
+
+def _mask_from_rows(problem):
+    """The probe mask with each x-tuple's size counted over the ranked
+    rows, as it was before the mask read the database's sizes."""
+    ranked = problem.ranked
+    sizes = np.bincount(ranked.xtuple_indices_array, minlength=ranked.num_xtuples)
+    certain = (sizes == 1) & (
+        1.0 - ranked.completion_array <= COMPLETENESS_TOLERANCE
+    )
+    return (
+        (problem.g_by_xtuple < -G_TOLERANCE)
+        & ~certain
+        & (problem.sc_probabilities > SC_TOLERANCE)
+    )
+
+
+class TestProbeMaskReadsTheSizes:
+    """The mask takes each x-tuple's size from the database, not from a
+    count over every ranked row; it must not change."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([True, False, None]).flatmap(
+            lambda complete: cleaning_problems(max_xtuples=8, complete=complete)
+        )
+    )
+    def test_generated_problems(self, drawn):
+        _, problem = drawn
+        assert problem.probe_mask.tolist() == _mask_from_rows(problem).tolist()
+
+    @pytest.mark.parametrize("completion", [1.0, 0.85])
+    def test_problems_on_a_derived_database(self, completion):
+        ranked = generate_synthetic(num_xtuples=200, seed=5, completion=completion).ranked()
+        uncertain = [xt for xt in ranked.db.xtuples if len(xt.alternatives) > 1]
+        changes = {xt.xid: xt.tids[0] for xt in uncertain[:20]}
+        changes.update((xt.xid, None) for xt in uncertain[20:30])
+        derived = ranked.with_change_set(changes)
+        singletons = int((derived.db.sizes == 1).sum())
+        assert singletons >= 20
+        quality = compute_quality_tp(derived, 10)
+        xids = derived.xtuple_ids
+        problem = build_cleaning_problem(
+            quality,
+            {xid: 1 + i % 3 for i, xid in enumerate(xids)},
+            {xid: (0.0, 0.5, 1.0)[i % 3] for i, xid in enumerate(xids)},
+            budget=20,
+        )
+        assert problem.probe_mask.tolist() == _mask_from_rows(problem).tolist()

@@ -10,7 +10,8 @@ callable is one event however long its input, while a list
 comprehension that calls a C method per item is one event per item),
 a store's work per durable clean (journal bytes decoded, exclusive
 lock holds, fsyncs, bytes hashed), the rows an open formats into
-content-hash records, or the rows a PSR pass reads past its cutoff or
+content-hash records, the splices and content hashes a delta chain's
+first use takes, or the rows a PSR pass reads past its cutoff or
 keeps.  The bound is on the ratio of the two counts, so a call
 count holds across Python versions whose absolute counts differ; a
 row may also cap each count (``most``), where the count itself is the
@@ -43,7 +44,7 @@ from repro.api import SessionPool, TopKService
 from repro.api.pool import snapshot_id_of
 from repro.api.specs import BatchSpec, CleaningSpec, QualitySpec, QuerySpec
 from repro.datasets.synthetic import generate_synthetic
-from repro.db.database import hash_record, hash_records
+from repro.db.database import ProbabilisticDatabase, hash_record, hash_records
 from repro.queries import psr_numpy
 from repro.queries.psr import TAIL_EPSILON, compute_rank_probabilities, tail_stop
 from repro.store import (
@@ -231,6 +232,49 @@ def durable_clean_work(tmp: Path, records: int) -> Dict[str, int]:
     return work
 
 
+def derivations_of_a_chain_top(tmp: Path, depth: int) -> int:
+    """Splices and content hashes, whichever are more, that a fresh
+    handle takes to lease the top of a chain ``depth`` deltas above its
+    full segment, besides the full segment's own rebuild (which hashes
+    nothing: its records are hashed as they are read)."""
+    root = tmp / f"chain-{depth}"
+    store = SnapshotStore(root)
+    ranked = generate_synthetic(num_xtuples=300, seed=1).ranked()
+    sid = snapshot_id_of(ranked.db)
+    store.persist(sid, ranked)
+    rng = random.Random(2)
+    for _ in range(depth):
+        changes, outcome = chain_step(ranked, rng, 1)
+        outcome_id = snapshot_id_of(outcome.db)
+        assert store.persist(outcome_id, outcome, base=sid, changes=changes)
+        sid, ranked = outcome_id, outcome
+    pool = SessionPool(store=SnapshotStore(root))
+    assert pool.store.status()["delta_segments"] == depth
+    work = {"splices": 0, "hashes": 0}
+    spliced = ProbabilisticDatabase._spliced
+    content_hash = ProbabilisticDatabase.content_hash
+
+    def splicing(db, *args, **kwargs):
+        work["splices"] += 1
+        return spliced(db, *args, **kwargs)
+
+    def hashing(db):
+        work["hashes"] += db._content_hash is None
+        return content_hash(db)
+
+    ProbabilisticDatabase._spliced = splicing  # type: ignore[method-assign]
+    ProbabilisticDatabase.content_hash = hashing  # type: ignore[method-assign]
+    try:
+        with pool.lease(sid) as session:
+            served = session.ranked
+    finally:
+        ProbabilisticDatabase._spliced = spliced  # type: ignore[method-assign]
+        ProbabilisticDatabase.content_hash = content_hash  # type: ignore[method-assign]
+    assert served.db.content_records() == ranked.db.content_records()
+    assert work["splices"] >= 1, "the lease derived nothing"
+    return max(work.values())
+
+
 def registered(num_xtuples: int) -> Tuple[TopKService, str]:
     """A storeless service holding one incomplete snapshot, cold."""
     service = TopKService()
@@ -411,6 +455,17 @@ CONTRACTS = (
         ),
         measure=rows_encoded_by_open,
         most=2 * (1 + CRASHED),
+    ),
+    Contract(
+        path="derivations of a delta chain's first use",
+        sizes=(1, 8),
+        claim=(
+            "leasing the top of a delta chain composes its links' change "
+            "sets: one splice and one content hash above the full segment, "
+            "however many links the chain has"
+        ),
+        measure=derivations_of_a_chain_top,
+        most=1,
     ),
     Contract(
         path="journal bytes a durable clean decodes",

@@ -405,6 +405,18 @@ def _number_outside_its_slot(records: List[Any], columns: Columns) -> None:
     )
 
 
+def _probability_outside_its_slot(records: List[Any], columns: Columns) -> None:
+    # ["x",[["t"P,V,],...]]: the probability moved before its value,
+    # which leaves a comma before "]" where its slot was.
+    xid, rows = records[0]
+    tid, value, probability = rows[0]
+    rest = b"".join(b"," + _dumps(row) for row in rows[1:])
+    records[0] = (
+        b"[" + _dumps(xid) + b",[[" + _dumps(tid) + _dumps(probability) + b","
+        + _dumps(value) + b",]" + rest + b"]]"
+    )
+
+
 def _number_outside_any_slot(records: List[Any], columns: Columns) -> None:
     # ["x"5.0,[...]]: one number more than the rows have slots for.
     records[0] = b"[" + _dumps(records[0][0]) + b"5.0," + _dumps(records[0][1]) + b"]"
@@ -459,6 +471,9 @@ RECORD_FAULTS: Dict[str, Tuple[RecordChange, str, bool]] = {
     ),
     "number_outside_its_slot": (
         _number_outside_its_slot, "record #0 is not valid JSON", True
+    ),
+    "probability_outside_its_slot": (
+        _probability_outside_its_slot, "record #0 is not valid JSON", True
     ),
     "number_outside_any_slot": (
         _number_outside_any_slot, "record #0 is not valid JSON", True
@@ -754,13 +769,19 @@ def test_a_lease_rebuilds_only_its_own_chain(tmp_path, monkeypatch):
     assert sorted(pool.store.snapshot_ids()) == sorted(chains["a"] + chains["b"])
     assert pool.store.status()["full_segments"] == 2
     assert pool.store.status()["delta_segments"] == 5
-    with pool.lease(chains["a"][2]) as session:
+    full, middle, top = chains["a"][:3]
+    with pool.lease(top) as session:
         session.quality(3)
-    # The leased delta, the delta below it and their full segment.
-    assert rebuilt == chains["a"][:3]
-    with pool.lease(chains["a"][1]):
+    # The full segment, then the leased delta in one derivation: the
+    # link below it stays a segment.
+    assert rebuilt == [full, top]
+    with pool.lease(middle):
         pass
-    assert rebuilt == chains["a"][:3]  # already rebuilt: no second rebuild
+    assert rebuilt == [full, top, middle]  # its own first use, on the full view
+    for sid in (full, middle, top):
+        with pool.lease(sid):
+            pass
+    assert rebuilt == [full, top, middle]  # already rebuilt: no second rebuild
 
 
 def test_concurrent_first_uses_rebuild_each_snapshot_once(tmp_path, monkeypatch):
@@ -779,31 +800,39 @@ def test_concurrent_first_uses_rebuild_each_snapshot_once(tmp_path, monkeypatch)
 
         monkeypatch.setattr(SnapshotStore, method, recording)
     pool = SessionPool(store=SnapshotStore(root))
-    errors: List[Exception] = []
 
-    def worker(seed: int) -> None:
-        rng = random.Random(seed)
+    def hammer(choices: List[str]) -> None:
+        errors: List[Exception] = []
+
+        def worker(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(25):
+                    sid = rng.choice(choices)
+                    with pool.lease(sid) as session:
+                        assert snapshot_id_of(session.ranked.db) == sid
+                        assert session.ranked is pool.ranked(sid)
+            except Exception as exc:  # surfaced below, in the test thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            for _ in range(25):
-                sid = rng.choice(ids)
-                with pool.lease(sid) as session:
-                    assert snapshot_id_of(session.ranked.db) == sid
-                    assert session.ranked is pool.ranked(sid)
-        except Exception as exc:  # surfaced below, in the test thread
-            errors.append(exc)
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+    tops = [chain[-1] for chain in chains.values()]
+    hammer(tops)
+    # Each top in one derivation on its full segment, each once.
+    assert sorted(rebuilt) == sorted(tops + [chain[0] for chain in chains.values()])
+    hammer(ids)
     assert sorted(rebuilt) == sorted(ids)  # each exactly once
 
 
